@@ -103,8 +103,7 @@ class EgressGateway(Node):
 
     def _on_leotp_bytes(self, nbytes: int, origin_ts: float) -> None:
         self.stream.push(nbytes, origin_ts)
-        self.tcp_sender._send_loop()
-        self.tcp_sender._maybe_schedule_pacing()
+        self.tcp_sender.kick()
 
     @property
     def buffered_bytes(self) -> int:

@@ -47,6 +47,11 @@ class Timer:
         self.cancel()
         self._event = self._sim.schedule(delay, self._fire)
 
+    def arm_at(self, time: float) -> None:
+        """(Re)arm the timer for the absolute simulated ``time``."""
+        self.cancel()
+        self._event = self._sim.schedule_at(time, self._fire)
+
     def cancel(self) -> None:
         if self._event is not None:
             self._event.cancel()

@@ -89,6 +89,11 @@ class CongestionControl(ABC):
         """Pacing rate for rate-based algorithms; None = pure ACK clocking."""
         return None
 
+    def wake_at(self, now: float) -> Optional[float]:
+        """When ``cwnd_bytes`` next moves on the clock alone (no ACK, RTO or
+        churn signal): a paced sender with a closed window looks again."""
+        return None
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} cwnd={self.cwnd_bytes:.0f}B>"
 

@@ -194,6 +194,10 @@ class OrbCC(CongestionControl):
     def _probing(self, now: float) -> bool:
         return self._hold_until <= now < self._probe_until
 
+    def wake_at(self, now: float) -> Optional[float]:
+        ends = (self._hold_until, self._probe_until)  # of HOLD, of PROBE
+        return min((t for t in ends if now < t), default=None)
+
     def _expire_probe(self, now: float) -> None:
         """Probe window over: drain the probe burst before cruising."""
         if self._probe_needs_drain and now >= self._probe_until:

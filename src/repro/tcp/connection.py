@@ -114,7 +114,7 @@ class _SegmentState:
 
     __slots__ = (
         "seq", "end", "first_sent", "last_sent", "retx_count",
-        "sacked", "lost", "in_pipe",
+        "lost", "in_pipe",
     )
 
     def __init__(self, seq: int, end: int, first_sent: float) -> None:
@@ -123,7 +123,6 @@ class _SegmentState:
         self.first_sent = first_sent
         self.last_sent = first_sent
         self.retx_count = 0
-        self.sacked = False
         self.lost = False
         self.in_pipe = False
 
@@ -133,7 +132,7 @@ class _SegmentState:
 
 
 class TcpSender(Node):
-    """A TCP sending endpoint bound to one destination."""
+    """A TCP sending endpoint; every wake-up transmits through :meth:`kick`."""
 
     LOSS_GAP_BYTES_FACTOR = 3  # SACKed bytes above a hole that mark it lost
 
@@ -163,11 +162,14 @@ class TcpSender(Node):
         self.snd_nxt = 0
         self._segments: "OrderedDict[int, _SegmentState]" = OrderedDict()
         self._pipe = 0  # bytes believed in flight (RFC 6675)
+        self._lost: deque[_SegmentState] = deque()  # awaiting retransmission
         self._recovery_point: Optional[int] = None
         # Timers.
         self.rto = RtoEstimator()
         self._rto_timer = Timer(sim, self._on_rto)
-        self._pace_pending = False
+        self._pace_timer = Timer(sim, self._on_pace)
+        self._wake_timer = Timer(sim, self._on_wake)
+        self._next_send_at = float("inf")  # next pacing slot (paced CCs)
         # Stats.
         self.delivered_total = 0  # cumulative delivered bytes (ack + sack)
         self.wire_bytes_sent = 0
@@ -197,19 +199,22 @@ class TcpSender(Node):
         if self._started:
             return
         self._started = True
-        self._send_loop()
-        self._maybe_schedule_pacing()
+        rate = self.cc.pacing_rate_bps(self.sim.now)
+        if rate is not None:
+            self._next_send_at = self.sim.now + self.mss * 8.0 / max(rate, 1e3)
+        self.kick()
 
     def stop(self) -> None:
         """Quiesce the sender: no further transmissions or timer fires.
 
-        Used when a flow is aborted (e.g. route loss): without this the
-        sender's RTO timer keeps firing and retransmitting into the
-        network forever — invisible zombie traffic that distorts every
-        other flow's bottleneck share.
+        Used when a flow's routes are retired (completed or aborted):
+        without this the sender's RTO timer keeps firing and
+        retransmitting into the network forever — invisible zombie
+        traffic that distorts every other flow's bottleneck share.
         """
         self.stop_time = self.sim.now
-        self._rto_timer.cancel()
+        for timer in (self._rto_timer, self._pace_timer, self._wake_timer):
+            timer.cancel()
 
     def notify_churn(self, kind: str) -> None:
         """Deliver a topology churn signal to the congestion module.
@@ -217,12 +222,12 @@ class TcpSender(Node):
         Experiments wire this to a
         :meth:`~repro.churn.events.TopologyEventStream.arm_signal`
         subscription, giving handover-aware CCs (OrbCC, adaptive) their
-        ``on_churn`` events.  After the CC reacts, both transmission
-        paths are nudged so a raised rate/window takes effect now rather
-        than at the next ACK.
+        ``on_churn`` events.  After the CC reacts the sender is kicked, so
+        a raised rate/window takes effect now rather than at the next ACK.
         """
         if self.finished:
             return
+        self._skip_idle_slots()
         self.cc.on_churn(self.sim.now, kind)
         if self.cc.churn_rearm_rto and self._rto_timer.armed:
             # The pending timer (and any backoff folded into it) was
@@ -246,65 +251,83 @@ class TcpSender(Node):
             expiry = self._rto_timer.expiry
             if expiry is None or self.sim.now + delay < expiry:
                 self._rto_timer.arm(delay)
-        self._send_loop()
-        self._maybe_schedule_pacing()
+        self.kick()
 
     # ------------------------------------------------------------------
     # Transmission
     # ------------------------------------------------------------------
 
     def _active(self) -> bool:
-        if self.finished:
+        if not self._started or self.finished:
             return False
         return self.stop_time is None or self.sim.now < self.stop_time
 
-    def _paced(self) -> bool:
-        return self.cc.pacing_rate_bps(self.sim.now) is not None
+    def kick(self) -> None:
+        """Send what may leave now, or arm the pacer for the next slot.
 
-    def _next_lost_segment(self) -> Optional[_SegmentState]:
-        for state in self._segments.values():
-            if state.lost and not state.sacked:
-                return state
-        return None
+        The one transmission entry point, called on every real wake-up:
+        ACK, RTO, churn signal, application write (``ProxyStream.push``).
+        A paced sender has at most one pace event pending, and only while
+        a segment is eligible and the window is open; otherwise nothing is
+        scheduled until the next wake-up (DESIGN.md §5, TCP pacing model).
+        """
+        if not self._active():
+            return
+        self._skip_idle_slots()
+        if self.cc.pacing_rate_bps(self.sim.now) is None:
+            while self._pipe + self.mss <= self.cc.cwnd_bytes and self._send_one():
+                pass
+        else:
+            self._arm_pacer()
+
+    def _skip_idle_slots(self) -> None:
+        """Pass over the pacing slots that went by with nothing to send,
+        each at its own moment's rate: run before the CC changes it."""
+        now = self.sim.now
+        while self._next_send_at < now:
+            rate = self.cc.pacing_rate_bps(self._next_send_at)
+            self._next_send_at += self.mss * 8.0 / max(rate, 1e3)
+
+    def _arm_pacer(self) -> None:
+        if self._pace_timer.armed:
+            return
+        if self._pipe + self.mss > self.cc.cwnd_bytes:
+            wake = self.cc.wake_at(self.sim.now)
+            if wake is not None and wake != self._wake_timer.expiry:
+                self._wake_timer.arm_at(wake)
+        elif self._segment_ready():
+            self._pace_timer.arm_at(self._next_send_at)
+
+    def _on_wake(self) -> None:
+        # cc.wake_at: the window moved on the clock; the next slot looks.
+        if self._active() and not self._pace_timer.armed:
+            self._skip_idle_slots()
+            self._pace_timer.arm_at(self._next_send_at)
+
+    def _on_pace(self) -> None:
+        if not self._active():
+            return
+        rate = self.cc.pacing_rate_bps(self.sim.now)
+        if self._pipe + self.mss <= self.cc.cwnd_bytes:
+            self._send_one()
+        self._next_send_at = self.sim.now + self.mss * 8.0 / max(rate, 1e3)
+        self._arm_pacer()
+
+    def _segment_ready(self) -> bool:
+        lost = self._lost
+        while lost and not lost[0].lost:
+            lost.popleft()  # repaired by a late ACK while queued
+        return bool(lost) or self.stream.available_from(self.snd_nxt) > 0
 
     def _send_one(self) -> bool:
         """Send the highest-priority eligible segment.  True if sent."""
-        state = self._next_lost_segment()
-        if state is not None:
-            self._transmit(state, retransmitted=True)
-            return True
-        if self.stream.available_from(self.snd_nxt) > 0:
+        if not self._segment_ready():
+            return False
+        if self._lost:
+            self._transmit(self._lost.popleft(), retransmitted=True)
+        else:
             self._send_new_segment()
-            return True
-        return False
-
-    def _send_loop(self) -> None:
-        """ACK-clocked transmission while the window allows."""
-        if not self._active() or self._paced():
-            return
-        while self._pipe + self.mss <= self.cc.cwnd_bytes:
-            if not self._send_one():
-                break
-
-    def _maybe_schedule_pacing(self) -> None:
-        if not self._active() or not self._paced() or self._pace_pending:
-            return
-        rate = self.cc.pacing_rate_bps(self.sim.now)
-        assert rate is not None
-        interval = self.mss * 8.0 / max(rate, 1e3)
-        self._pace_pending = True
-        self.sim.schedule_call(interval, self._pace_tick)
-
-    def _pace_tick(self) -> None:
-        self._pace_pending = False
-        if not self._active():
-            return
-        if not self._paced():
-            self._send_loop()
-            return
-        if self._pipe + self.mss <= self.cc.cwnd_bytes:
-            self._send_one()
-        self._maybe_schedule_pacing()
+        return True
 
     def _send_new_segment(self) -> None:
         length = min(self.mss, self.stream.available_from(self.snd_nxt))
@@ -349,6 +372,11 @@ class TcpSender(Node):
             state.in_pipe = False
             self._pipe -= state.length
 
+    def _drop(self, state: _SegmentState) -> None:
+        self._remove_from_pipe(state)
+        state.lost = False  # invalidates its lost-queue entry, if any
+        del self._segments[state.seq]
+
     # ------------------------------------------------------------------
     # ACK processing
     # ------------------------------------------------------------------
@@ -356,24 +384,22 @@ class TcpSender(Node):
     def on_receive(self, packet: Packet, link: Link) -> None:
         if not isinstance(packet, TcpSegment) or not packet.is_ack:
             return
-        if packet.flow_id != self.flow_id:
-            return
+        if packet.flow_id != self.flow_id or not self._active():
+            return  # a stopped sender stays quiet: late ACKs re-arm nothing
+        self._skip_idle_slots()
         self._process_ack(packet)
-        self._send_loop()
-        self._maybe_schedule_pacing()
+        self.kick()
 
     def _process_ack(self, ack: TcpSegment) -> None:
         now = self.sim.now
         acked = max(ack.ack_seq - self.snd_una, 0)
         if acked:
             self.snd_una = ack.ack_seq
-            for seq in list(self._segments):
-                state = self._segments[seq]
-                if state.end <= self.snd_una:
-                    self._remove_from_pipe(state)
-                    del self._segments[seq]
-                else:
+            while self._segments:
+                state = next(iter(self._segments.values()))
+                if state.end > self.snd_una:
                     break
+                self._drop(state)
         # Apply SACK information to the scoreboard.  Fully SACKed segments
         # are removed outright (receiver reneging is not modelled), which
         # keeps every later scoreboard scan proportional to the number of
@@ -384,10 +410,9 @@ class TcpSender(Node):
         for start, end in ack.sack_blocks:
             highest_sacked = max(highest_sacked, end)
             for state in self._iter_segments_between(start, end):
-                self._remove_from_pipe(state)
+                self._drop(state)
                 newly_sacked += state.length
                 sack_advanced = True
-                del self._segments[state.seq]
         newly_lost = self._mark_lost(highest_sacked) if sack_advanced or acked else 0
         # RTT sampling (Karn: never from retransmitted segments).
         rtt = None
@@ -434,6 +459,8 @@ class TcpSender(Node):
             and not self._segments
         ):
             self.completed_at = now
+            for timer in (self._rto_timer, self._pace_timer, self._wake_timer):
+                timer.cancel()
 
     def _iter_segments_between(self, start: int, end: int) -> list[_SegmentState]:
         # Scoreboard order is ascending seq (OrderedDict, appends only), so
@@ -455,7 +482,7 @@ class TcpSender(Node):
         for state in self._segments.values():
             if state.seq >= highest_sacked:
                 break
-            if state.sacked or state.lost:
+            if state.lost:
                 continue
             if state.retx_count > 0:
                 # Already retransmitted once; if the retransmission is also
@@ -463,28 +490,28 @@ class TcpSender(Node):
                 continue
             if highest_sacked - state.end >= threshold:
                 state.lost = True
+                self._lost.append(state)
                 self._remove_from_pipe(state)
                 newly += state.length
         return newly
 
     def _on_rto(self) -> None:
-        if not self._segments:
+        if not self._segments or not self._active():
             return
+        self._skip_idle_slots()
         self.timeouts += 1
         self.cc.on_rto(self.sim.now)
         self.rto.backoff(2.0)
         self._recovery_point = None
         # Everything unSACKed is presumed lost; retransmit from the front.
+        self._lost.clear()
         for state in self._segments.values():
-            if not state.sacked:
-                state.lost = True
-                self._remove_from_pipe(state)
-        first = self._next_lost_segment()
-        if first is not None:
-            self._transmit(first, retransmitted=True)
+            state.lost = True
+            self._remove_from_pipe(state)
+            self._lost.append(state)
+        self._transmit(self._lost.popleft(), retransmitted=True)
         self._rto_timer.arm(self.rto.rto_s)
-        self._send_loop()
-        self._maybe_schedule_pacing()
+        self.kick()
 
 
 # ---------------------------------------------------------------------------
@@ -533,33 +560,33 @@ class TcpReceiver(Node):
                     retransmitted=packet.retransmitted,
                 )
             self._received.add(rng)
-            self._pending[packet.seq] = (packet.end_seq, packet.first_sent_at)
+            if self.deliver is not None:
+                self._pending[packet.seq] = (packet.end_seq, packet.first_sent_at)
             self._advance_delivery()
         self._send_ack(packet)
 
     def _advance_delivery(self) -> None:
         new_next = self._received.first_missing_from(self.rcv_next)
-        if new_next > self.rcv_next:
-            delivered = new_next - self.rcv_next
-            self.bytes_delivered += delivered
-            if self.deliver is not None:
-                # Hand contiguous chunks downstream with their origin stamps.
-                pos = self.rcv_next
-                while pos < new_next:
-                    chunk = self._pending.pop(pos, None)
-                    if chunk is None:
-                        # Overlapping retransmission split a chunk; fall back
-                        # to a single delivery stamped now.
-                        self.deliver(new_next - pos, self.sim.now)
-                        break
-                    end, ts = chunk
-                    end = min(end, new_next)
-                    self.deliver(end - pos, ts)
-                    pos = end
-            self.rcv_next = new_next
-        # Garbage-collect stale pending chunks below the frontier.
-        for seq in [s for s in self._pending if s < self.rcv_next]:
-            del self._pending[seq]
+        if new_next == self.rcv_next:
+            return
+        self.bytes_delivered += new_next - self.rcv_next
+        if self.deliver is not None:
+            # Hand contiguous chunks downstream with their origin stamps.
+            pos = self.rcv_next
+            while pos < new_next:
+                chunk = self._pending.pop(pos, None)
+                if chunk is None:
+                    # Overlapping retransmission split a chunk: deliver
+                    # the rest stamped now, sweep what the frontier jumped.
+                    self.deliver(new_next - pos, self.sim.now)
+                    for seq in [s for s in self._pending if s < new_next]:
+                        del self._pending[seq]
+                    break
+                end, ts = chunk
+                end = min(end, new_next)
+                self.deliver(end - pos, ts)
+                pos = end
+        self.rcv_next = new_next
 
     def _sack_blocks(self) -> list[tuple[int, int]]:
         blocks = []

@@ -62,8 +62,7 @@ class SplitTcpProxy(Node):
 
     def _on_deliver(self, nbytes: int, first_ts: float) -> None:
         self.stream.push(nbytes, first_ts)
-        self.sender._send_loop()
-        self.sender._maybe_schedule_pacing()
+        self.sender.kick()
 
     @property
     def buffered_bytes(self) -> int:

@@ -499,11 +499,6 @@ class FlowPool:
         consumer = self._consumers.get(flow_id)
         if consumer is not None:
             consumer.stop_time = self.sim.now
-        sender = self._tcp_senders.get(flow_id)
-        if sender is not None:
-            # Symmetric to the Consumer quiesce: a dropped sender would
-            # otherwise keep RTO-retransmitting into the chain forever.
-            sender.stop()
         self._retire(flow_id)
         self.budget.set_account(
             "flows", self.active_flows * self._flow_state_bytes
@@ -544,7 +539,12 @@ class FlowPool:
                 self.content.unbind(flow_id)
         else:
             self._delivered.pop(flow_id, None)
-            self._tcp_senders.pop(flow_id, None)
+            sender = self._tcp_senders.pop(flow_id, None)
+            if sender is not None:
+                # Its ACKs become unroutable below (a completed flow never
+                # sees its last ones): left running, the sender would
+                # RTO-retransmit into the dead access link forever.
+                sender.stop()
             snd_name = f"{flow_id}-snd"
             rcv_name = f"{flow_id}-rcv"
             for router in self.routers:

@@ -171,3 +171,16 @@ class TestGatewayChaos:
         actions = [action for _, action in result.fault_log]
         assert any("sat0 CRASHED" in a for a in actions)
         assert any("sat0 restarted" in a for a in actions)
+
+
+def test_bridge_over_paced_cc_is_byte_exact():
+    """The egress gateway feeds its TCP sender through ``kick()``."""
+    sim = Simulator()
+    path = build_gateway_path(
+        sim, RngRegistry(5), total_bytes=300_000,
+        leo_hops=uniform_chain_specs(3, rate_bps=20e6, delay_s=0.010, plr=0.01),
+        tcp_cc="bbr",
+    )
+    sim.run(until=60.0)
+    assert path.server.finished
+    assert path.client.bytes_delivered == 300_000

@@ -253,3 +253,111 @@ class TestSenderChurn:
         assert path.sender.cc.churn_resets == 0
         path.sender.notify_churn("GsReattach")
         assert path.sender.cc.churn_resets == 1
+
+
+class TestEventDrivenPacing:
+    """The paced sender schedules work only when a segment can leave."""
+
+    @pytest.mark.parametrize("cc", ["bbr", "pcc"])
+    def test_no_events_once_idle(self, cc):
+        sim, path = run_transfer(cc=cc, until=60.0)
+        sender = path.sender
+        assert sender.finished and 50 * sender.completed_at <= 60.0
+        assert sim.events_executed <= 40 * sender.data_segments_sent
+        # Nothing of the sender's outlives the transfer.
+        assert not sender._pace_timer.armed and not sender._rto_timer.armed
+        assert sim.pending_events == 0
+
+    @pytest.mark.parametrize("cc", ["bbr", "pcc"])
+    def test_departures_respect_pacing_rate(self, cc):
+        sim = Simulator()
+        path = build_e2e_tcp_path(
+            sim, RngRegistry(1),
+            uniform_chain_specs(2, rate_bps=10e6, delay_s=0.005),
+            cc, stream=FiniteStream(300_000),
+        )
+        sender, link = path.sender, path.sender.out_link
+        departures = []  # (time, seconds this segment occupies the pacer)
+        send = link.send
+
+        def spy(seg):
+            rate = sender.cc.pacing_rate_bps(sim.now)
+            departures.append((sim.now, seg.payload_bytes * 8.0 / rate))
+            send(seg)
+
+        link.send = spy
+        sim.run(until=30.0)
+        assert sender.finished and sender.retransmissions == 0
+        assert len(departures) == sender.data_segments_sent > 100
+        for (t0, gap), (t1, _) in zip(departures, departures[1:]):
+            assert t1 - t0 >= gap - 1e-12
+
+    def test_push_on_idle_sender_needs_no_prior_timer(self):
+        sim = Simulator()
+        stream = ProxyStream()
+        path = build_e2e_tcp_path(
+            sim, RngRegistry(1),
+            uniform_chain_specs(1, rate_bps=10e6, delay_s=0.005),
+            "bbr", stream=stream,
+        )
+        sim.run(until=1.0)
+        sender = path.sender
+        assert sender.data_segments_sent == 0 and sim.pending_events == 0
+        stream.push(1000, sim.now)
+        sender.kick()
+        # The write alone arms the one pace event, for the next slot.
+        slot_s = sender.mss * 8.0 / sender.cc.pacing_rate_bps(sim.now)
+        assert sim.pending_events == 1
+        assert sim.now <= sender._pace_timer.expiry <= sim.now + slot_s
+        sim.run(until=2.0)
+        assert sender.data_segments_sent == 1
+        assert path.receiver.bytes_delivered == 1000
+        assert sim.pending_events == 0
+
+    def test_split_tcp_over_paced_cc_is_byte_exact(self):
+        sim = Simulator()
+        split = build_split_tcp_path(
+            sim, RngRegistry(2),
+            uniform_chain_specs(3, rate_bps=10e6, delay_s=0.005, plr=0.005),
+            "bbr", stream=FiniteStream(200_000),
+        )
+        sim.run(until=30.0)
+        assert split.receiver.bytes_delivered == 200_000
+
+    def test_clock_wakeup_dies_with_the_transfer(self):
+        # OrbCC's handover hold clamps the window and lifts on the clock
+        # (cc.wake_at); a 30 s hold outlasts the transfer, so completion
+        # must cancel the wake-up the closed window asked for.
+        from repro.tcp.cc import CCSpec
+        sim, path = run_transfer(cc=CCSpec("orbcc", {"hold_s": 30.0}), until=0.1)
+        sender = path.sender
+        sender.notify_churn("PathSwitch")
+        while not sender._wake_timer.armed:
+            assert sim.step() and sim.now < 1.0
+        assert sender._wake_timer.expiry == pytest.approx(30.1)
+        sim.run(until=20.0)
+        assert sender.finished and sim.pending_events == 0
+        # ... and so must stop().
+        sim, path = run_transfer(cc="orbcc", total=5_000_000, until=0.5)
+        sender = path.sender
+        sender.notify_churn("PathSwitch")
+        while not sender._wake_timer.armed:
+            assert sim.step() and sim.now < 0.6
+        sender.stop()
+        assert not sender._wake_timer.armed and not sender._pace_timer.armed
+
+    def test_stop_disarms_pace_event(self):
+        sim = Simulator()
+        path = build_e2e_tcp_path(
+            sim, RngRegistry(1),
+            uniform_chain_specs(2, rate_bps=10e6, delay_s=0.005),
+            "bbr", stream=FiniteStream(5_000_000),
+        )
+        sim.run(until=0.5)
+        sender = path.sender
+        sender.stop()
+        sent = sender.data_segments_sent
+        assert not sender._pace_timer.armed and not sender._rto_timer.armed
+        sim.run(until=5.0)  # ACKs still in flight must re-arm nothing
+        assert sender.data_segments_sent == sent
+        assert not sender._rto_timer.armed

@@ -258,6 +258,29 @@ class TestFlowPool:
         for router in pool.routers:
             assert len(router._routes) == 0
 
+    @pytest.mark.parametrize("protocol", ["bbr", "cubic"])
+    def test_completed_tcp_flow_leaves_no_zombie_sender(self, protocol, monkeypatch):
+        """Completion stops the sender: on a lossless chain nothing is
+        ever retransmitted, and no timer of a retired flow stays armed."""
+        from repro.workload import pool as pool_mod
+
+        senders = []
+        make = pool_mod.make_tcp_sender
+
+        def recording_make(*args, **kwargs):
+            senders.append(make(*args, **kwargs))
+            return senders[-1]
+
+        monkeypatch.setattr(pool_mod, "make_tcp_sender", recording_make)
+        pool = _run_pool(protocol=protocol, n_flows=80, drain_s=1.0)
+        assert pool.summary()["completed"] == len(senders) == 80
+        frozen = [s.data_segments_sent for s in senders]
+        for sender in senders:
+            assert not sender._rto_timer.armed and not sender._pace_timer.armed
+        assert sum(s.retransmissions + s.timeouts for s in senders) == 0
+        pool.sim.run(until=pool.sim.now + 5.0)
+        assert [s.data_segments_sent for s in senders] == frozen
+
     def test_deterministic_per_seed(self):
         a = _run_pool(n_flows=120, seed=3).summary()
         b = _run_pool(n_flows=120, seed=3).summary()
