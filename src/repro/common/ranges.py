@@ -11,7 +11,9 @@ Both classes sit on per-packet paths, so they are tuned accordingly:
 factory for ranges derived from already-validated ones, and
 :class:`RangeSet` maintains its covered-byte total incrementally so
 ``len()`` — issued by buffer-length and backpressure checks on every
-packet — is O(1) instead of O(intervals).
+packet — is O(1) instead of O(intervals).  ``add`` and ``remove`` first
+test for the in-order shapes (append to / grow the last interval, consume
+the head of the first) and only otherwise bisect and rebuild a slice.
 """
 
 from __future__ import annotations
@@ -147,6 +149,18 @@ class RangeSet:
         """Insert a range, merging with any overlapping/adjacent intervals."""
         start, end = r.start, r.end
         starts, ends = self._starts, self._ends
+        # In-order arrival (the per-packet case): ``r`` follows the last
+        # interval or grows its tail, so no search and no list rebuild.
+        if not ends or start > ends[-1]:
+            starts.append(start)
+            ends.append(end)
+            self._total += end - start
+            return
+        if start >= starts[-1]:
+            if end > ends[-1]:
+                self._total += end - ends[-1]
+                ends[-1] = end
+            return
         # Find all intervals touching [start, end] and merge them.
         lo = bisect.bisect_left(ends, start)  # first interval ending >= start
         hi = bisect.bisect_right(starts, end)  # last interval starting <= end
@@ -168,6 +182,19 @@ class RangeSet:
         """Delete the intersection of ``r`` from the set."""
         start, end = r.start, r.end
         starts, ends = self._starts, self._ends
+        if not starts:
+            return
+        # FIFO consumption (sending buffers drain in order): ``r`` ends
+        # inside the first interval, so only that interval's head can go.
+        first = starts[0]
+        if start <= first and end <= ends[0]:
+            if end > first:
+                self._total -= end - first
+                if end == ends[0]:
+                    del starts[0], ends[0]
+                else:
+                    starts[0] = end
+            return
         lo = bisect.bisect_right(ends, start)
         new_starts: list[int] = []
         new_ends: list[int] = []

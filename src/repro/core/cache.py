@@ -18,7 +18,7 @@ reading its own retransmitted bytes.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.ranges import ByteRange, RangeSet
@@ -29,23 +29,23 @@ from repro.common.ranges import ByteRange, RangeSet
 CACHE_EVICTION_POLICIES = ("lru", "lfu")
 
 
-@dataclass
 class _Block:
     """Coverage and origin timestamps for one 4096-byte block."""
 
-    coverage: RangeSet = field(default_factory=RangeSet)
-    # (range, origin_ts, writer flow id) in insertion order; lookups
-    # intersect with these.  ``writer`` is None for unattributed stores
-    # (single-flow caches, compacted history).
-    origins: list[tuple[ByteRange, float, Optional[str]]] = field(
-        default_factory=list
-    )
-    # Access bookkeeping for replacement: ``tick`` is the last-touch
-    # counter (recency), ``freq`` the touch count, ``seq`` the creation
-    # counter (deterministic LFU tie-break).
-    tick: int = 0
-    freq: int = 0
-    seq: int = 0
+    __slots__ = ("coverage", "origins", "tick", "freq", "seq")
+
+    def __init__(self) -> None:
+        self.coverage = RangeSet()
+        # (range, origin_ts, writer flow id) in insertion order; lookups
+        # intersect with these.  ``writer`` is None for unattributed stores
+        # (single-flow caches, compacted history).
+        self.origins: list[tuple[ByteRange, float, Optional[str]]] = []
+        # Access bookkeeping for replacement: ``tick`` is the last-touch
+        # counter (recency), ``freq`` the touch count, ``seq`` the creation
+        # counter (deterministic LFU tie-break).
+        self.tick = 0
+        self.freq = 0
+        self.seq = 0
 
     def stored_bytes(self) -> int:
         return len(self.coverage)
@@ -134,6 +134,7 @@ class BlockCache:
         that fetched them so later lookups can count cross-flow hits.
         """
         self.stats.insertions += 1
+        block_bytes = self.block_bytes
         for bidx in self._block_span(rng):
             bkey = (key, bidx)
             block = self._blocks.get(bkey)
@@ -145,16 +146,23 @@ class BlockCache:
             else:
                 self._blocks.move_to_end(bkey)
                 self._touch(block)
-            bstart = bidx * self.block_bytes
-            part = rng.intersection(ByteRange.unchecked(bstart, bstart + self.block_bytes))
-            if part is None:
-                continue
-            before = block.stored_bytes()
-            block.coverage.add(part)
+            # The piece of ``rng`` in this block: ``rng`` itself unless it
+            # straddles a block edge (every block of the span overlaps it).
+            bstart = bidx * block_bytes
+            bend = bstart + block_bytes
+            if bstart <= rng.start and rng.end <= bend:
+                part = rng
+            else:
+                part = ByteRange.unchecked(
+                    max(rng.start, bstart), min(rng.end, bend)
+                )
+            coverage = block.coverage
+            before = len(coverage)
+            coverage.add(part)
             block.origins.append((part, origin_ts, writer))
             if len(block.origins) > self.MAX_ORIGINS_PER_BLOCK:
                 self._compact(block)
-            self._stored_bytes += block.stored_bytes() - before
+            self._stored_bytes += len(coverage) - before
         self._evict_if_needed()
 
     def lookup(
@@ -175,12 +183,14 @@ class BlockCache:
         self.stats.lookup_bytes += rng.length
         found: list[tuple[ByteRange, float]] = []
         cross_bytes = 0
-        remaining = RangeSet([rng])
+        remaining: Optional[RangeSet] = None  # built at the first present block
         for bidx in self._block_span(rng):
             bkey = (key, bidx)
             block = self._blocks.get(bkey)
             if block is None:
                 continue
+            if remaining is None:
+                remaining = RangeSet([rng])
             self._blocks.move_to_end(bkey)
             self._touch(block)
             # Scan this block's stored pieces newest-first so re-stored
@@ -190,11 +200,17 @@ class BlockCache:
                 if not remaining:
                     break
                 part = stored_rng.intersection(rng)
-                if part is None or not remaining.overlaps(part):
+                if part is None:
                     continue
-                covered = RangeSet([part])
-                for hole in remaining.missing_within(part):
-                    covered.remove(hole)
+                if remaining.contains(part):
+                    # In-order hit: nothing newer overlapped this piece.
+                    covered = (part,)
+                elif remaining.overlaps(part):
+                    covered = RangeSet([part])
+                    for hole in remaining.missing_within(part):
+                        covered.remove(hole)
+                else:
+                    continue
                 for sub in covered:
                     found.append((sub, origin_ts))
                     remaining.remove(sub)

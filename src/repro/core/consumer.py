@@ -5,8 +5,10 @@ Figs. 4-5 and 10-12).
 The Consumer is the only node that tracks ongoing transfers (the paper's
 "only the receiver records the states of ongoing packets").  It:
 
-* emits Interests for consecutive MSS-sized ranges, paced at the rate of
-  its hop controller (it is the Requester of the last hop);
+* emits Interests for consecutive MSS-sized ranges up to an in-flight
+  window (its hop controller's rate x the end-to-end RTT); emission is
+  delivery-clocked — each arriving Data packet frees window space and
+  pulls the next Interests, there is no emission timer;
 * runs Timeout Retransmission: unsatisfied Interests are re-sent after an
   RFC 6298 RTO, with x1.5 exponential backoff on repeats;
 * resets TR deadlines when a Void Packet Header arrives (the hole is
@@ -122,7 +124,8 @@ class Consumer(Node):
         if self._started:
             return
         self._started = True
-        self._emit_tick()
+        if self._active():
+            self._fill_window()
         self._tr_tick()
 
     def _active(self) -> bool:
@@ -131,7 +134,7 @@ class Consumer(Node):
         return self.stop_time is None or self.sim.now < self.stop_time
 
     # ------------------------------------------------------------------
-    # Interest emission (paced by the hop controller's rate)
+    # Interest emission (window-limited, clocked by Data arrivals)
     # ------------------------------------------------------------------
 
     def _have_more_to_request(self) -> bool:
@@ -180,22 +183,18 @@ class Consumer(Node):
         while self._rtt_min_samples and self._rtt_min_samples[0][0] < now - window:
             self._rtt_min_samples.popleft()
 
-    def _emit_tick(self) -> None:
-        """Periodic safety tick: keeps the window filled even when no
-        delivery event triggers :meth:`_fill_window` (startup, stalls)."""
-        if not self._active():
-            return
-        self._fill_window()
-        rate = self._request_rate_bytes_s()
-        self.sim.schedule_call(self.config.mss / rate, self._emit_tick)
-
     def _fill_window(self) -> None:
         """Emit new Interests up to the in-flight window.
 
         Emission is delivery-clocked: each arriving Data packet frees
         window space and immediately pulls the next Interest, so in steady
         state the Interest rate equals the delivery rate (the bursts this
-        allows are smoothed by the Responders' token buckets).
+        allows are smoothed by the Responders' token buckets).  Every
+        input of the window test (``cc`` state, the RTT estimators,
+        ``_outstanding_bytes``) is written only inside :meth:`on_receive`,
+        which ends here, so no timer is needed to keep the window full:
+        :meth:`start` fills it once and a stalled path is woken by the TR
+        tick's retransmissions, whose Data arrives through on_receive.
         """
         while self._have_more_to_request() and (
             self._outstanding_bytes + self.config.mss <= self._outstanding_cap()
@@ -279,7 +278,6 @@ class Consumer(Node):
             return
         if packet.is_header:
             self._on_vph(packet)
-            packet.release()
             return
         now = self.sim.now
         rng = packet.range
@@ -337,9 +335,6 @@ class Consumer(Node):
                 )
             if self.on_complete is not None:
                 self.on_complete(self)
-        # Terminal hop: the stamped copy delivered here has no other
-        # holder (retained state is the ByteRange, not the packet).
-        packet.release()
 
     def _on_vph(self, packet: DataPacket) -> None:
         """A hole notification: in-network repair is under way, so push the

@@ -376,9 +376,6 @@ class Midnode(Node):
             )
             self.stats.interests_forwarded += 1
             upstream.send(fwd)
-        # The Interest is consumed at this hop (forwarding re-stamps a new
-        # one; retained state keeps only ByteRange objects, not the packet).
-        interest.release()
 
     @staticmethod
     def _subtract(total: ByteRange, covered: list[ByteRange]) -> list[ByteRange]:

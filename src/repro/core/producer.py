@@ -146,7 +146,6 @@ class Producer(Node):
         served = self._served.setdefault(flow, RangeSet())
         rng = self._clip_to_content(packet.range)
         if rng is None:
-            packet.release()
             return
         queued = self._queued.setdefault(flow, RangeSet())
         suppressor = self._suppressors.get(flow)
@@ -180,9 +179,6 @@ class Producer(Node):
             queued.add(chunk)
             if not sender.enqueue(proto, reply_link):
                 queued.remove(chunk)
-        # The Interest is fully answered (responses are fresh DataPackets;
-        # retained state keeps only ByteRange objects, not the packet).
-        packet.release()
 
     def _clip_to_content(self, rng: ByteRange) -> Optional[ByteRange]:
         if self.content_bytes is None:

@@ -36,6 +36,10 @@ class ShrActions:
     request: list[ByteRange] = field(default_factory=list)
 
 
+#: Shared result of the in-order case (read-only: callers only iterate).
+_NO_ACTIONS = ShrActions()
+
+
 class SeqHoleDetector:
     """Algorithm 1 (loss detection in SHR), over byte ranges."""
 
@@ -61,8 +65,14 @@ class SeqHoleDetector:
 
     def on_packet(self, rng: ByteRange) -> ShrActions:
         """Feed one received packet (Data or VPH) through Algorithm 1."""
-        actions = ShrActions()
         rs, re = rng.start, rng.end
+        if self._primed and not self._holes and rs <= self.last_byte:
+            # In-order or late data with no hole open: cases (2) and (3)
+            # have nothing to do, only the frontier can move.
+            if re > self.last_byte:
+                self.last_byte = re
+            return _NO_ACTIONS
+        actions = ShrActions()
         if not self._primed:
             self._primed = True
             self.last_byte = rs

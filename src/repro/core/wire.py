@@ -15,7 +15,6 @@ derives locally or encodes in the timestamp/rate fields.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from repro.common.ranges import ByteRange
@@ -26,46 +25,11 @@ from repro.netsim.packet import Packet, next_packet_uid
 # adds its payload.  Precomputed once — these constructors run per packet.
 _WIRE_HEADER_BYTES = LEOTP_HEADER_BYTES + UDP_IP_OVERHEAD_BYTES
 
-# ----------------------------------------------------------------------
-# Freelist pooling.
-#
-# Interest/DataPacket are the two dominant allocation sites in packet-heavy
-# runs (one per hop per direction, per packet).  Nodes that provably hold
-# the last reference — a Consumer that consumed a stamped Data copy, a
-# Responder that answered an Interest, a Link dropping a packet — call
-# ``release()`` to push the object onto a per-class freelist; the next
-# constructor call pops it instead of allocating.  ``__init__`` rewrites
-# *every* slot, so a recycled packet carries no stale state (pinned by
-# tests/test_shard.py).  Correctness does not depend on release() coverage:
-# unreleased packets are simply collected by the GC as before.
-#
-# Set LEOTP_PACKET_POOL=0 to disable (allocation-profiling, debugging).
-_POOL_ENABLED = os.environ.get("LEOTP_PACKET_POOL", "1") != "0"
-_POOL_CAP = 4096  # per class; beyond this, released packets go to the GC
-_interest_free: list = []
-_data_free: list = []
-
-
-def packet_pool_stats() -> dict:
-    """Freelist occupancy snapshot (diagnostics and tests)."""
-    return {
-        "enabled": _POOL_ENABLED,
-        "interest_free": len(_interest_free),
-        "data_free": len(_data_free),
-        "cap": _POOL_CAP,
-    }
-
-
-def clear_packet_pools() -> None:
-    """Drop all pooled packets (test isolation; cross-run hygiene)."""
-    _interest_free.clear()
-    _data_free.clear()
-
 
 class LeotpPacket(Packet):
     """Common base: a named byte range of a flow."""
 
-    __slots__ = ("flow_id", "range", "timestamp", "_in_pool")
+    __slots__ = ("flow_id", "range", "timestamp")
 
     def __init__(
         self,
@@ -80,28 +44,6 @@ class LeotpPacket(Packet):
         self.flow_id = flow_id
         self.range = rng
         self.timestamp = timestamp
-        self._in_pool = False
-
-    def release(self) -> None:
-        """Return this packet to its class freelist.
-
-        Only call when this is provably the last live reference — the
-        object will be handed out again by a future constructor call.
-        Double release is guarded (second call is a no-op), as is release
-        of a subclass outside the pooled pair.
-        """
-        if not _POOL_ENABLED or self._in_pool:
-            return
-        cls = type(self)
-        if cls is Interest:
-            pool = _interest_free
-        elif cls is DataPacket:
-            pool = _data_free
-        else:
-            return
-        if len(pool) < _POOL_CAP:
-            self._in_pool = True
-            pool.append(self)
 
 
 class Interest(LeotpPacket):
@@ -114,13 +56,6 @@ class Interest(LeotpPacket):
 
     __slots__ = ("send_rate_bytes_s", "is_retransmission")
 
-    def __new__(cls, *args, **kwargs) -> "Interest":
-        if cls is Interest and _interest_free:
-            obj = _interest_free.pop()
-            obj._in_pool = False
-            return obj
-        return object.__new__(cls)
-
     def __init__(
         self,
         flow_id: str,
@@ -130,8 +65,7 @@ class Interest(LeotpPacket):
         is_retransmission: bool = False,
     ) -> None:
         # Flattened constructor (no super() chain): one of the two
-        # per-packet allocation sites on the wire hot path.  Every slot is
-        # (re)written here — required for freelist reuse via __new__.
+        # per-packet allocation sites on the wire hot path.
         self.size_bytes = _WIRE_HEADER_BYTES
         self.src = None
         self.dst = None
@@ -143,7 +77,6 @@ class Interest(LeotpPacket):
         self.timestamp = timestamp
         self.send_rate_bytes_s = send_rate_bytes_s
         self.is_retransmission = is_retransmission
-        self._in_pool = False
 
     def forwarded(self, timestamp: float, send_rate_bytes_s: float) -> "Interest":
         """A copy re-stamped by a forwarding node (per-hop rewrite)."""
@@ -173,13 +106,6 @@ class DataPacket(LeotpPacket):
 
     __slots__ = ("is_header", "origin_ts", "echo_interest_owd", "retransmitted")
 
-    def __new__(cls, *args, **kwargs) -> "DataPacket":
-        if cls is DataPacket and _data_free:
-            obj = _data_free.pop()
-            obj._in_pool = False
-            return obj
-        return object.__new__(cls)
-
     def __init__(
         self,
         flow_id: str,
@@ -190,8 +116,7 @@ class DataPacket(LeotpPacket):
         echo_interest_owd: float = 0.0,
         retransmitted: bool = False,
     ) -> None:
-        # Flattened constructor (no super() chain), as in Interest; every
-        # slot is (re)written — required for freelist reuse via __new__.
+        # Flattened constructor (no super() chain), as in Interest.
         self.size_bytes = (
             _WIRE_HEADER_BYTES if is_header
             else rng.end - rng.start + _WIRE_HEADER_BYTES
@@ -208,7 +133,6 @@ class DataPacket(LeotpPacket):
         self.origin_ts = origin_ts
         self.echo_interest_owd = echo_interest_owd
         self.retransmitted = retransmitted
-        self._in_pool = False
 
     @property
     def payload_bytes(self) -> int:

@@ -150,27 +150,29 @@ class Link:
     def send(self, packet: Packet) -> bool:
         """Offer ``packet`` to the link.  Returns False if it was dropped
         immediately (queue overflow or link down)."""
-        self.stats.packets_offered += 1
-        self.stats.bytes_offered += packet.size_bytes
+        stats = self.stats
+        size = packet.size_bytes
+        stats.packets_offered += 1
+        stats.bytes_offered += size
         if not self.up:
-            self.stats.packets_dropped_flush += 1
+            stats.packets_dropped_flush += 1
             if TRACER.enabled:
                 _trace_drop(self, packet, "down")
             return False
         if self._busy:
             if (
                 self.queue_bytes is not None
-                and self._queued_bytes + packet.size_bytes > self.queue_bytes
+                and self._queued_bytes + size > self.queue_bytes
             ):
-                self.stats.packets_dropped_queue += 1
+                stats.packets_dropped_queue += 1
                 if TRACER.enabled:
                     _trace_drop(self, packet, "queue")
                 return False
             self._account_queue_change()
             self._queue.append(packet)
-            self._queued_bytes += packet.size_bytes
-            if self._queued_bytes > self.stats.max_queue_bytes:
-                self.stats.max_queue_bytes = self._queued_bytes
+            self._queued_bytes += size
+            if self._queued_bytes > stats.max_queue_bytes:
+                stats.max_queue_bytes = self._queued_bytes
             return True
         self._start_transmission(packet)
         return True
@@ -184,10 +186,9 @@ class Link:
         self._account_queue_change()
         dropped = len(self._queue)
         self.stats.packets_dropped_flush += dropped
-        for pkt in self._queue:
-            if TRACER.enabled:
+        if TRACER.enabled:
+            for pkt in self._queue:
                 _trace_drop(self, pkt, "flush")
-            pkt.release()  # the queue held the last reference
         self._queue.clear()
         self._queued_bytes = 0
         if drop_inflight:
@@ -205,10 +206,11 @@ class Link:
 
     def _account_queue_change(self) -> None:
         now = self.sim.now
-        self.stats.queue_byte_seconds += self._queued_bytes * (
-            now - self.stats._last_queue_change
+        stats = self.stats
+        stats.queue_byte_seconds += self._queued_bytes * (
+            now - stats._last_queue_change
         )
-        self.stats._last_queue_change = now
+        stats._last_queue_change = now
 
     def _start_transmission(self, packet: Packet) -> None:
         self._busy = True
@@ -244,7 +246,6 @@ class Link:
             self.stats.packets_dropped_loss += 1
             if TRACER.enabled:
                 _trace_drop(self, packet, "loss")
-            packet.release()  # corrupted en route: nobody downstream sees it
         else:
             self._inflight_count += 1
             self.sim.schedule_call(
@@ -262,8 +263,7 @@ class Link:
     def _deliver(self, packet: Packet, gen: int) -> None:
         if gen != self._flush_gen:
             # Departed before a drop_inflight flush: already accounted as
-            # dropped there; the stale callback just reclaims the packet.
-            packet.release()
+            # dropped there.
             return
         self._inflight_count -= 1
         self.stats.packets_delivered += 1

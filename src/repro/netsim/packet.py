@@ -48,14 +48,6 @@ class Packet:
         self.uid = next(_packet_ids)
         self.hops = 0
 
-    def release(self) -> None:
-        """Return the packet to a freelist, if its class pools instances.
-
-        Base packets are not pooled — this is a no-op hook so generic
-        substrate code (link drop paths) can release unconditionally.
-        Pooled subclasses (``repro.core.wire``) override it.
-        """
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<{type(self).__name__} uid={self.uid} {self.src}->{self.dst} "

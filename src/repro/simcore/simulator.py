@@ -61,11 +61,15 @@ class Simulator:
     The kernel guarantees deterministic execution: events at identical
     timestamps fire ordered by ``priority`` (lower first) and then by
     scheduling order.
+
+    ``now`` is the current simulated time in seconds.  It is a plain
+    attribute, not a property, because protocol code reads it several
+    times per packet; only the kernel writes it.
     """
 
     def __init__(self) -> None:
         self._heap: list[tuple] = []
-        self._now: float = 0.0
+        self.now: float = 0.0
         self._seq: int = 0
         self._events_executed: int = 0
         self._cancelled_pending: int = 0
@@ -75,11 +79,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Clock
     # ------------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def events_executed(self) -> int:
@@ -119,7 +118,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        time = self._now + delay
+        time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
         event = Event(time, priority, seq, callback, args, self)
@@ -134,9 +133,9 @@ class Simulator:
         priority: int = 0,
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} (now={self._now})"
+                f"cannot schedule at t={time} (now={self.now})"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -164,7 +163,7 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         heappush(
-            self._heap, (self._now + delay, priority, seq, None, callback, args)
+            self._heap, (self.now + delay, priority, seq, None, callback, args)
         )
 
     def schedule_periodic(
@@ -242,7 +241,7 @@ class Simulator:
             deadline = monotonic() + wall_timeout_s
             check_mask = 0xFFF  # poll the wall clock every 4096 events
         # Local bindings keep the hot loop free of repeated global/attr
-        # lookups; self._now is still written through the attribute so
+        # lookups; self.now is still written through the attribute so
         # callbacks observe the advancing clock.
         heap = self._heap
         pop = heappop
@@ -265,7 +264,7 @@ class Simulator:
                             self._cancelled_pending -= 1
                             continue
                         event._sim = None  # fired: later cancel() is a no-op
-                    self._now = time
+                    self.now = time
                     callback(*args)
                     executed += 1
                     if heap is not self._heap:  # callback triggered compaction
@@ -289,12 +288,12 @@ class Simulator:
                     ):
                         raise SimulationError(
                             f"wall-clock watchdog expired after {wall_timeout_s}s "
-                            f"(simulated t={self._now:.3f}, {executed} events this run)"
+                            f"(simulated t={self.now:.3f}, {executed} events this run)"
                         )
                     pop(heap)
                     if event is not None:
                         event._sim = None  # fired: later cancel() is a no-op
-                    self._now = entry[0]
+                    self.now = entry[0]
                     entry[4](*entry[5])
                     executed += 1
                     if heap is not self._heap:  # a callback triggered compaction
@@ -302,9 +301,9 @@ class Simulator:
         finally:
             self._running = False
             self._events_executed += executed
-        if until is not None and self._now < until:
-            self._now = until
-        return self._now
+        if until is not None and self.now < until:
+            self.now = until
+        return self.now
 
     def step(self) -> bool:
         """Execute exactly one pending event.  Returns False if none remain.
@@ -327,7 +326,7 @@ class Simulator:
                         self._cancelled_pending -= 1
                         continue
                     event._sim = None  # fired: later cancel() is a no-op
-                self._now = entry[0]
+                self.now = entry[0]
                 entry[4](*entry[5])
                 self._events_executed += 1
                 return True
@@ -348,6 +347,6 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<Simulator t={self._now:.6f} pending={self.pending_events} "
+            f"<Simulator t={self.now:.6f} pending={self.pending_events} "
             f"zombies={self._cancelled_pending}>"
         )

@@ -206,3 +206,98 @@ class TestVphAblation:
             plr=0.02, until=20.0, config=LeotpConfig(enable_vph=False)
         )
         assert path.consumer.vph_received == 0
+
+
+class _ConsumerEventLog(Simulator):
+    """Logs ``(time, callback name)`` of every event scheduled with a
+    callback bound to ``owner`` (set it once the path is built)."""
+
+    def __init__(self):
+        super().__init__()
+        self.owner = None
+        self.log = []
+
+    def _note(self, callback):
+        if self.owner is not None and getattr(callback, "__self__", None) is self.owner:
+            self.log.append((self.now, callback.__name__))
+
+    def schedule(self, delay, callback, *args, priority=0):
+        self._note(callback)
+        return super().schedule(delay, callback, *args, priority=priority)
+
+    def schedule_at(self, time, callback, *args, priority=0):
+        self._note(callback)
+        return super().schedule_at(time, callback, *args, priority=priority)
+
+    def schedule_call(self, delay, callback, *args, priority=0):
+        self._note(callback)
+        super().schedule_call(delay, callback, *args, priority=priority)
+
+
+class TestDeliveryClockedEmission:
+    """Interest emission has no timer of its own: ``start()`` fills the
+    window once, after that only Data arrivals (and the TR tick's
+    retransmissions) move it."""
+
+    def _lossy_path(self, sim, total):
+        return build_leotp_path(
+            sim, RngRegistry(3),
+            uniform_chain_specs(5, rate_bps=10e6, delay_s=0.005, plr=0.01),
+            total_bytes=total,
+        )
+
+    def test_nothing_runs_after_completion(self):
+        sim = Simulator()
+        path = self._lossy_path(sim, 600_000)
+        consumer = path.consumer
+        while not consumer.finished:
+            sim.run(until=sim.now + 0.05)
+        fct = consumer.completed_at
+        # What is left is in flight already: duplicates on the links and
+        # the one armed TR tick, which finds the flow finished.
+        sim.run(until=fct + 0.2)
+        drained = sim.events_executed
+        sim.run(until=10 * fct)
+        assert sim.events_executed == drained
+        assert sim.pending_events == 0
+        assert consumer.bytes_received == 600_000
+
+    def test_consumer_schedules_only_tr_ticks(self):
+        sim = _ConsumerEventLog()
+        path = self._lossy_path(sim, 600_000)
+        sim.owner = path.consumer  # built: ``start`` is already scheduled
+        sim.run(until=30.0)
+        assert path.consumer.finished
+        assert path.consumer.retransmission_interests > 0  # loss was repaired
+        assert {name for _, name in sim.log} == {"_tr_tick"}
+
+    def test_stalled_consumer_runs_tr_ticks_only(self):
+        total = 4_000_000
+        sim = _ConsumerEventLog()
+        path = self._lossy_path(sim, total)
+        consumer = path.consumer
+        sim.owner = consumer
+        access = path.links[-1]
+        window = {}
+
+        def set_access(up):
+            if not up:
+                window["full"] = (
+                    consumer.outstanding_bytes + consumer.config.mss
+                    > consumer._outstanding_cap()
+                )
+            access.ab.up = access.ba.up = up
+
+        sim.schedule_at(1.0, set_access, False)
+        sim.schedule_at(3.0, set_access, True)
+        sim.run(until=60.0)
+        assert window["full"]
+        # One TR tick per check interval is all the Consumer arms while
+        # nothing can reach it (first ~RTT excluded: Data still in flight
+        # on the upstream hops drains into the dead link).
+        stalled = [name for t, name in sim.log if 1.1 <= t < 3.0]
+        assert set(stalled) == {"_tr_tick"}
+        per_second = 1.0 / consumer.config.tr_check_interval_s
+        assert abs(len(stalled) - 1.9 * per_second) <= 1
+        assert consumer.finished and consumer.completed_at > 3.0
+        assert consumer.bytes_received == total

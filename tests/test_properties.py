@@ -87,3 +87,284 @@ def test_rto_estimator_stays_in_bounds(samples):
         est.on_sample(s)
         assert 0.1 <= est.rto_s <= 10.0
         assert est.srtt_s is not None and est.srtt_s > 0
+
+
+# ----------------------------------------------------------------------
+# Independent oracles for the in-order fast branches
+# ----------------------------------------------------------------------
+#
+# RangeSet.add/remove, BlockCache.store/lookup and SeqHoleDetector.on_packet
+# each start with a branch for the in-order case and fall through to the
+# general code.  The models below share no code with them: a set of ints,
+# a dict of bytes, and a transcription of Algorithm 1.
+
+
+def _runs(offsets):
+    """Sorted maximal runs ``[(start, end), ...]`` of a set of ints."""
+    runs = []
+    for b in sorted(offsets):
+        if runs and runs[-1][1] == b:
+            runs[-1][1] = b + 1
+        else:
+            runs.append([b, b + 1])
+    return [tuple(r) for r in runs]
+
+
+def _as_pairs(ranges_):
+    return [(r.start, r.end) for r in ranges_]
+
+
+_small = st.integers(min_value=1, max_value=40)
+# Symbolic operations, resolved against the model's state when executed,
+# so the generator keeps hitting the shapes the fast branches test for.
+_rangeset_ops = st.one_of(
+    st.tuples(st.just("append_after_last"), st.integers(1, 20), _small),
+    st.tuples(st.just("extend_last"), st.integers(0, 20), _small),
+    st.tuples(st.just("remove_exact_head")),
+    st.tuples(st.just("remove_head_prefix"), _small),
+    st.tuples(st.just("add"), st.integers(0, 300), _small),
+    st.tuples(st.just("remove"), st.integers(0, 300), _small),
+)
+
+
+def _resolve(op, model):
+    """``(is_add, start, end)`` of a symbolic op on the current model."""
+    runs = _runs(model)
+    kind = op[0]
+    if kind == "append_after_last":
+        start = (runs[-1][1] if runs else 0) + op[1]
+        return True, start, start + op[2]
+    if kind == "extend_last":
+        # From inside (or exactly at the end of) the last interval.
+        if not runs:
+            return True, 0, op[2]
+        start = max(runs[-1][0], runs[-1][1] - op[1])
+        return True, start, runs[-1][1] + op[2]
+    if kind == "remove_exact_head":
+        return (False, *runs[0]) if runs else (False, 5, 9)  # empty set
+    if kind == "remove_head_prefix":
+        if not runs:
+            return False, 0, op[1]
+        return False, max(0, runs[0][0] - 3), min(runs[0][1], runs[0][0] + op[1])
+    return kind == "add", op[1], op[1] + op[2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ops=st.lists(_rangeset_ops, max_size=40),
+    query=st.tuples(st.integers(0, 320), _small),
+)
+def test_rangeset_matches_integer_set_model(ops, query):
+    rs, model = RangeSet(), set()
+    q = ByteRange(query[0], query[0] + query[1])
+    q_bytes = set(range(q.start, q.end))
+    for op in ops:
+        is_add, start, end = _resolve(op, model)
+        if end <= start:
+            continue
+        if is_add:
+            rs.add(ByteRange(start, end))
+            model |= set(range(start, end))
+        else:
+            rs.remove(ByteRange(start, end))
+            model -= set(range(start, end))
+        assert _as_pairs(rs) == _runs(model)
+        assert len(rs) == len(model)
+        assert bool(rs) == bool(model)
+        assert rs.contains(q) == (q_bytes <= model)
+        assert rs.overlaps(q) == bool(q_bytes & model)
+        assert _as_pairs(rs.missing_within(q)) == _runs(q_bytes - model)
+        frontier = q.start
+        while frontier in model:
+            frontier += 1
+        assert rs.first_missing_from(q.start) == frontier
+
+
+class _SmallBlockCache(BlockCache):
+    MAX_ORIGINS_PER_BLOCK = 5  # reach compaction within a short op list
+
+
+class _ByteCacheModel:
+    """Byte-granular reference: ``(key, byte) -> (origin_ts, writer)``,
+    newest store wins; LRU over blocks; origin-list compaction."""
+
+    def __init__(self, capacity, block_bytes, max_origins):
+        self.capacity, self.block, self.max_origins = capacity, block_bytes, max_origins
+        self.bytes = {}
+        self.lru = {}      # (key, block index) -> None, oldest first
+        self.entries = {}  # (key, block index) -> [(ts, writer)] since compaction
+        self.hit_bytes = self.cross_hit_bytes = self.evictions = 0
+
+    def _block_bytes(self, bkey):
+        key, bidx = bkey
+        lo = bidx * self.block
+        return [(key, b) for b in range(lo, lo + self.block) if (key, b) in self.bytes]
+
+    def _touch(self, bkey):
+        self.lru.pop(bkey, None)
+        self.lru[bkey] = None
+
+    def store(self, key, start, end, ts, writer):
+        for bidx in range(start // self.block, (end - 1) // self.block + 1):
+            bkey = (key, bidx)
+            self._touch(bkey)
+            lo, hi = max(start, bidx * self.block), min(end, (bidx + 1) * self.block)
+            for b in range(lo, hi):
+                self.bytes[(key, b)] = (ts, writer)
+            entries = self.entries.setdefault(bkey, [])
+            entries.append((ts, writer))
+            if len(entries) > self.max_origins:
+                oldest = min(t for t, _ in entries)
+                writers = {w for _, w in entries}
+                merged = (oldest, writers.pop() if len(writers) == 1 else None)
+                held = self._block_bytes(bkey)
+                for kb in held:
+                    self.bytes[kb] = merged
+                self.entries[bkey] = [merged] * len(_runs(b for _, b in held))
+        while len(self.bytes) > self.capacity and self.lru:
+            victim = next(iter(self.lru))
+            del self.lru[victim]
+            del self.entries[victim]
+            for kb in self._block_bytes(victim):
+                del self.bytes[kb]
+            self.evictions += 1
+
+    def lookup(self, key, start, end, requester):
+        for bidx in range(start // self.block, (end - 1) // self.block + 1):
+            if (key, bidx) in self.lru:
+                self._touch((key, bidx))
+        hit = {b: self.bytes[(key, b)] for b in range(start, end) if (key, b) in self.bytes}
+        self.hit_bytes += len(hit)
+        self.cross_hit_bytes += sum(
+            1 for _, w in hit.values()
+            if requester is not None and w is not None and w != requester
+        )
+        return {b: ts for b, (ts, _) in hit.items()}
+
+
+_cache_ranges = st.one_of(
+    # MSS-like pieces in order, pieces that straddle a block edge, anything.
+    st.tuples(st.integers(0, 9).map(lambda i: i * 24), st.just(24)),
+    st.tuples(st.integers(1, 4).map(lambda i: i * 64 - 10), st.integers(11, 40)),
+    st.tuples(st.integers(0, 250), st.integers(1, 70)),
+)
+_flows = st.sampled_from(["f1", "f2", None])
+_keys = st.sampled_from(["a", "a", "a", "b"])  # pile up on one key: compaction
+_store_op = st.tuples(
+    st.just("store"), _keys, _cache_ranges, st.integers(0, 50), _flows
+)
+# More stores into one block than MAX_ORIGINS_PER_BLOCK: forces compaction.
+_burst_op = st.tuples(
+    st.just("burst"), _keys, st.integers(0, 3),
+    st.lists(
+        st.tuples(st.integers(0, 50), st.integers(1, 14), st.integers(0, 50), _flows),
+        min_size=6, max_size=9,
+    ),
+)
+_cache_ops = st.one_of(
+    _store_op,
+    _store_op,
+    _burst_op,
+    st.tuples(st.just("lookup"), _keys, _cache_ranges, st.just(0), _flows),
+)
+
+
+def _flatten_bursts(ops):
+    for op in ops:
+        if op[0] == "burst":
+            _, key, block, pieces = op
+            for offset, length, ts, flow in pieces:
+                yield "store", key, (block * 64 + offset, length), ts, flow
+        else:
+            yield op
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=st.lists(_cache_ops, max_size=40), capacity=st.sampled_from([150, 10_000]))
+def test_block_cache_matches_byte_model(ops, capacity):
+    cache = _SmallBlockCache(capacity_bytes=capacity, block_bytes=64)
+    model = _ByteCacheModel(capacity, 64, _SmallBlockCache.MAX_ORIGINS_PER_BLOCK)
+    for kind, key, (start, length), ts, flow in _flatten_bursts(ops):
+        rng = ByteRange(start, start + length)
+        if kind == "store":
+            cache.store(key, rng, float(ts), writer=flow)
+            model.store(key, rng.start, rng.end, float(ts), flow)
+        else:
+            got = {}
+            for sub, origin_ts in cache.lookup(key, rng, requester=flow):
+                for b in range(sub.start, sub.end):
+                    assert b not in got, "lookup results overlap"
+                    got[b] = origin_ts
+            assert got == model.lookup(key, rng.start, rng.end, flow)
+        assert cache.stored_bytes == len(model.bytes)
+        assert cache.contains(key, rng) == all(
+            (key, b) in model.bytes for b in range(rng.start, rng.end)
+        )
+    assert cache.stats.hit_bytes == model.hit_bytes
+    assert cache.stats.cross_hit_bytes == model.cross_hit_bytes
+    assert cache.stats.evictions == model.evictions
+
+
+def _shr_reference(state, start, end, threshold):
+    """Algorithm 1 on plain lists; returns ``(announce, request)``."""
+    announce, request = [], []
+    if not state["primed"]:
+        state["primed"], state["last"] = True, start
+    if start > state["last"]:
+        announce.append((state["last"], start))
+        state["holes"].append([state["last"], start, 0])
+    elif start < state["last"]:
+        kept = []
+        for hs, he, count in state["holes"]:
+            if hs < end and start < he:  # overlap: keep the uncovered pieces
+                if hs < start:
+                    kept.append([hs, start, count])
+                if end < he:
+                    kept.append([end, he, count])
+            else:
+                kept.append([hs, he, count])
+        state["holes"] = kept
+    still_open = []
+    for hole in state["holes"]:
+        if start > hole[1]:
+            hole[2] += 1
+            if hole[2] > threshold:
+                request.append((hole[0], hole[1]))
+                continue
+        still_open.append(hole)
+    state["holes"] = still_open
+    state["last"] = max(state["last"], end)
+    return announce, request
+
+
+# Mostly in-order and late duplicates (the fast return), some gaps.
+_shr_steps = st.one_of(
+    st.tuples(st.just("next"), st.just(0)),
+    st.tuples(st.just("next"), st.just(0)),
+    st.tuples(st.just("late"), st.integers(1, 8)),
+    st.tuples(st.just("skip"), st.integers(1, 3)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(first=st.integers(0, 5), steps=st.lists(_shr_steps, max_size=60))
+def test_shr_detector_matches_algorithm_1_transcription(first, steps):
+    from repro.core.shr import SeqHoleDetector
+
+    mss = 100
+    shr = SeqHoleDetector(disorder_threshold=3)
+    ref = {"primed": False, "last": 0, "holes": []}
+    chunk = first
+    for kind, n in steps:
+        if kind == "late":
+            idx = max(first, chunk - n)
+        else:
+            chunk += n
+            idx = chunk
+            chunk += 1
+        actions = shr.on_packet(ByteRange(idx * mss, (idx + 1) * mss))
+        announce, request = _shr_reference(ref, idx * mss, (idx + 1) * mss, 3)
+        assert _as_pairs(actions.announce) == announce
+        assert _as_pairs(actions.request) == request
+        assert shr.last_byte == ref["last"]
+        assert _as_pairs(shr.open_holes) == [(s, e) for s, e, _ in ref["holes"]]

@@ -1,11 +1,10 @@
-"""Sharded engine: jobs-independence, exchange conservation, packet pool.
+"""Sharded engine: jobs-independence and exchange conservation.
 
 The headline guarantee of :mod:`repro.shard` is that ``--jobs`` is an
 execution knob, not a modelling knob: serial and parallel runs must be
 *bit-identical*, and the cross-shard exchange must conserve the global
 cache budget byte-for-byte at every epoch boundary.  These tests pin
-both, plus the packet freelist's no-stale-state contract that the
-sharded engine leans on (pool reuse across thousands of flows).
+both.
 """
 
 from __future__ import annotations
@@ -14,9 +13,6 @@ import json
 
 import pytest
 
-from repro.common.ranges import ByteRange
-from repro.core import wire
-from repro.core.wire import DataPacket, Interest, clear_packet_pools, packet_pool_stats
 from repro.shard import (
     MIN_CACHE_ALLOC_BYTES,
     ShardPlan,
@@ -147,90 +143,3 @@ def test_boundary_shrink_evicts_and_conserves():
     assert state._boundary_evicted == before - cache_pool.stored_bytes
     assert state._boundary_evicted > 0
     assert state.pool.budget.breaches == 0
-
-
-# ----------------------------------------------------------------------
-# packet freelist: recycled packets carry no stale state
-# ----------------------------------------------------------------------
-
-
-pooled = pytest.mark.skipif(
-    not wire._POOL_ENABLED, reason="packet pool disabled via LEOTP_PACKET_POOL=0"
-)
-
-
-@pytest.fixture(autouse=True)
-def _clean_pools():
-    clear_packet_pools()
-    yield
-    clear_packet_pools()
-
-
-@pooled
-def test_interest_reuse_has_no_stale_fields():
-    first = Interest(
-        "flowA", ByteRange(0, 1000), 1.5, 9999.0, is_retransmission=True
-    )
-    first.hops = 7
-    first.src, first.dst = "a", "b"
-    old_uid = first.uid
-    first.release()
-    assert packet_pool_stats()["interest_free"] == 1
-
-    second = Interest("flowB", ByteRange(64, 128), 2.5, 100.0)
-    assert second is first  # recycled, not reallocated
-    assert packet_pool_stats()["interest_free"] == 0
-    assert second.flow_id == "flowB"
-    assert second.range == ByteRange(64, 128)
-    assert second.timestamp == 2.5
-    assert second.created_at == 2.5
-    assert second.send_rate_bytes_s == 100.0
-    assert second.is_retransmission is False
-    assert second.hops == 0
-    assert second.src is None and second.dst is None
-    assert second.uid != old_uid
-    assert second._in_pool is False
-
-
-@pooled
-def test_data_packet_reuse_has_no_stale_fields():
-    first = DataPacket(
-        "flowA", ByteRange(0, 4096), 1.0,
-        is_header=True, origin_ts=0.25, echo_interest_owd=0.1,
-        retransmitted=True,
-    )
-    header_size = first.size_bytes
-    first.release()
-
-    second = DataPacket("flowB", ByteRange(0, 500), 3.0)
-    assert second is first
-    assert second.is_header is False
-    assert second.origin_ts == 0.0
-    assert second.echo_interest_owd == 0.0
-    assert second.retransmitted is False
-    assert second.payload_bytes == 500
-    assert second.size_bytes == 500 + header_size  # payload + wire header
-
-
-@pooled
-def test_double_release_is_a_noop():
-    pkt = Interest("f", ByteRange(0, 10), 0.0, 1.0)
-    pkt.release()
-    pkt.release()
-    assert packet_pool_stats()["interest_free"] == 1
-    a = Interest("g", ByteRange(0, 10), 0.0, 1.0)
-    b = Interest("h", ByteRange(0, 10), 0.0, 1.0)
-    assert a is not b  # the pool held one object, not one per release
-
-
-@pooled
-def test_subclasses_are_never_pooled():
-    class TracingInterest(Interest):
-        __slots__ = ()
-
-    pkt = TracingInterest("f", ByteRange(0, 10), 0.0, 1.0)
-    pkt.release()
-    assert packet_pool_stats()["interest_free"] == 0
-    # And a pooled base Interest is never handed out as the subclass.
-    Interest("f", ByteRange(0, 10), 0.0, 1.0).release()
-    assert type(TracingInterest("g", ByteRange(0, 10), 0.0, 1.0)) is TracingInterest
