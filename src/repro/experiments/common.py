@@ -182,60 +182,6 @@ def _apply_cache_policy(
         )
 
 
-def build_leotp_path(
-    sim: Simulator,
-    rng: RngRegistry,
-    hops: Sequence[HopSpec],
-    config: Optional[LeotpConfig] = None,
-    total_bytes: Optional[int] = None,
-    coverage: float = 1.0,
-    flow_id: str = "leotp",
-    start_time: float = 0.0,
-    stop_time: Optional[float] = None,
-) -> LeotpPath:
-    """Thin wrapper over :func:`build_path` (kept for existing call sites)."""
-    return build_path(sim, rng, PathSpec(
-        protocol="leotp", hops=tuple(hops), config=config,
-        total_bytes=total_bytes, coverage=coverage, flow_id=flow_id,
-        start_time=start_time, stop_time=stop_time,
-    ))
-
-
-def build_e2e_tcp_path(
-    sim: Simulator,
-    rng: RngRegistry,
-    hops: Sequence[HopSpec],
-    cc_name: str,
-    stream: Optional[ByteStream] = None,
-    mss: int = DEFAULT_MSS,
-    flow_base: str = "tcp",
-    start_time: float = 0.0,
-    stop_time: Optional[float] = None,
-) -> TcpPath:
-    """Thin wrapper over :func:`build_path` (kept for existing call sites)."""
-    return build_path(sim, rng, PathSpec(
-        protocol="tcp", hops=tuple(hops), cc_name=cc_name, mss=mss,
-        flow_id=flow_base, start_time=start_time, stop_time=stop_time,
-    ), stream=stream)
-
-
-def build_split_tcp_path(
-    sim: Simulator,
-    rng: RngRegistry,
-    hops: Sequence[HopSpec],
-    cc_name: str,
-    stream: Optional[ByteStream] = None,
-    recorder: Optional[FlowRecorder] = None,
-    mss: int = DEFAULT_MSS,
-    flow_base: str = "split",
-) -> SplitTcpPath:
-    """Thin wrapper over :func:`build_path` (kept for existing call sites)."""
-    return build_path(sim, rng, PathSpec(
-        protocol="split_tcp", hops=tuple(hops), cc_name=cc_name, mss=mss,
-        flow_id=flow_base,
-    ), stream=stream, recorder=recorder)
-
-
 @dataclass
 class ExperimentResult:
     """Rows of measurements for one figure/table."""

@@ -262,8 +262,7 @@ def content_plan(scale: float = 1.0, seed: int = 0) -> ShardPlan:
         cache_fraction=CACHE_FRACTION,
         n_objects=max(int(round(SHARD_OBJECTS * scale)), SHARD_MIN_OBJECTS),
         zipf_s=ZIPF_S,
-        cache_placement="gateway",
-        cache_eviction="lru",
+        cache_policy=CachePolicy(placement="gateway", eviction="lru"),
     )
 
 

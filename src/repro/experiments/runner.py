@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -185,15 +185,8 @@ def run_experiments(
     if jobs == 1:
         return [run_one(name, spec) for name in names]
 
-    outcomes: dict[str, RunOutcome] = {}
     with ProcessPoolExecutor(max_workers=min(jobs, len(names))) as pool:
-        futures = {
-            pool.submit(run_one, name, spec): name for name in names
-        }
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                outcome = future.result()  # propagate worker exceptions
-                outcomes[outcome.name] = outcome
-    return [outcomes[name] for name in names]
+        futures = [pool.submit(run_one, name, spec) for name in names]
+        # Reading in submit order gives request order; the first worker
+        # exception propagates and the ``with`` drains the pool.
+        return [future.result() for future in futures]

@@ -5,7 +5,7 @@ arrivals per shard at ``scale=1.0``, i.e. 100,000 flows — exercising the
 full scale machinery: per-shard result streaming (closed flows spill to
 JSONL and their slots are reclaimed, so resident state is bounded by
 *concurrent* flows, not total), epoch-boundary checkpointing, and the
-slim delta-encoded exchange.
+per-epoch exchange.
 
 The printed table aggregates the 100 shard rows into ten bands of ten
 (summed counts, mean-of-shard latency columns — the same convention as
@@ -33,7 +33,13 @@ from __future__ import annotations
 import os
 
 from repro.experiments.common import ExperimentResult
-from repro.shard import CheckpointError, ShardPlan, resume_point, run_sharded
+from repro.shard import (
+    CheckpointError,
+    ShardPlan,
+    resume_point,
+    run_sharded,
+    total_row,
+)
 
 N_SHARDS = 100
 ARRIVALS_PER_SHARD = 1_000  # x 100 shards = 100,000 flows at scale=1.0
@@ -51,28 +57,6 @@ def shard_plan(scale: float = 1.0, seed: int = 0) -> ShardPlan:
     return ShardPlan(
         n_shards=N_SHARDS, seed=seed, arrivals_per_shard=arrivals
     )
-
-
-def _band_row(label: str, rows: list[dict]) -> dict:
-    """Aggregate shard rows the way the engine's total row does."""
-    n = len(rows)
-    return {
-        "shards": label,
-        "faulted": sum(1 for row in rows if row["faulted"]),
-        "arrivals": sum(row["arrivals"] for row in rows),
-        "completed": sum(row["completed"] for row in rows),
-        "aborted": sum(row["aborted"] for row in rows),
-        "peak_conc": max(row["peak_conc"] for row in rows),
-        "fct_p50_ms": sum(row["fct_p50_ms"] for row in rows) / n,
-        "fct_p90_ms": sum(row["fct_p90_ms"] for row in rows) / n,
-        "fct_p99_ms": sum(row["fct_p99_ms"] for row in rows) / n,
-        "goodput_kBs": sum(row["goodput_kBs"] for row in rows) / n,
-        "budget_peak_MiB": sum(row["budget_peak_MiB"] for row in rows),
-        "budget_breaches": sum(row["budget_breaches"] for row in rows),
-        "cache_evictions": sum(row["cache_evictions"] for row in rows),
-        "admission_rejects": sum(row["admission_rejects"] for row in rows),
-        "events": sum(row["events"] for row in rows),
-    }
 
 
 def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
@@ -110,12 +94,13 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     )
     shard_rows = out["rows"][:-1]
     total = out["rows"][-1]
+    bands = []
     for lo in range(0, len(shard_rows), BAND):
         band = shard_rows[lo:lo + BAND]
         hi = lo + len(band) - 1
-        result.add(**_band_row(f"{lo:03d}-{hi:03d}", band))
-    result.add(**_band_row("total", shard_rows) | {"shards": "total"})
-    assert total["completed"] == sum(r["completed"] for r in shard_rows)
+        bands.append(total_row(f"{lo:03d}-{hi:03d}", band))
+    for row in bands + [dict(total)]:
+        result.add(shards=row.pop("shard"), **row)
 
     sink = out["sink"]
     result.notes.append(
@@ -139,7 +124,7 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     result.notes.append(
         f"epoch exchange: {out['exchange_payload_bytes'] / 1e3:.1f} kB "
         f"sent / {out['exchange_report_bytes'] / 1e3:.1f} kB returned "
-        f"(delta-encoded; only changed shards transmit)"
+        f"(allocation tuple out, full shard reports back)"
     )
     if out["resumed_from_epoch"] is not None:
         result.notes.append(

@@ -9,9 +9,10 @@ epoch boundaries.  Results are bit-identical for any ``jobs`` value.
 
 Scale machinery (DESIGN.md §14): per-shard result streaming with
 deterministic merge (:mod:`repro.shard.sink`), epoch-boundary
-checkpoint/resume (:mod:`repro.shard.checkpoint`), and a slim
-delta-encoded epoch exchange — together they carry the engine from 10⁴
-to 10⁵ flows in bounded RSS, resumable across process lifetimes.
+checkpoint/resume (:mod:`repro.shard.checkpoint`) — together they
+carry the engine from 10⁴ to 10⁵ flows in bounded RSS, resumable across
+process lifetimes.  The epoch exchange itself is one allocation tuple
+out and one pickled list of full shard reports back per group.
 """
 
 from repro.shard.checkpoint import (
@@ -21,7 +22,7 @@ from repro.shard.checkpoint import (
     resume_point,
     spill_name,
 )
-from repro.shard.engine import MERGED_SPILL_NAME, run_sharded
+from repro.shard.engine import MERGED_SPILL_NAME, run_sharded, total_row
 from repro.shard.exchange import (
     ExchangeSignal,
     ShardReport,
@@ -54,4 +55,5 @@ __all__ = [
     "resume_point",
     "run_sharded",
     "spill_name",
+    "total_row",
 ]

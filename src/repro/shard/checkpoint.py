@@ -41,8 +41,6 @@ import hashlib
 import json
 import os
 import pickle
-from typing import Optional
-
 from repro.shard.plan import ShardPlan
 
 #: Manifest schema version; bumped on incompatible layout changes.
@@ -209,8 +207,3 @@ def resume_point(directory: str, plan: ShardPlan) -> dict:
     manifest = load_manifest(directory)
     validate_manifest(manifest, plan)
     return manifest
-
-
-def spill_offset(manifest: dict, index: int) -> Optional[int]:
-    entry = manifest["shards"][str(index)]
-    return entry.get("spill_offset")

@@ -7,12 +7,11 @@ group ``i % jobs``), each group is pinned to its own single-worker
 state stays resident in one process for the whole run, and all groups
 advance epoch by epoch with a barrier between epochs:
 
-1. every group applies the cache allocations that *changed* since the
-   previous exchange and simulates its shards up to the epoch boundary
-   (spilling closed flows' result rows to its per-shard sink);
+1. every group applies the cache allocations of the previous exchange
+   and simulates its shards up to the epoch boundary (spilling closed
+   flows' result rows to its per-shard sink);
 2. the engine gathers one :class:`~repro.shard.exchange.ShardReport`
-   per shard — delta-encoded on the wire, reconstructed losslessly
-   here — and folds them, sorted by shard index with integers only,
+   per shard and folds them, sorted by shard index with integers only,
    into the next :class:`~repro.shard.exchange.ExchangeSignal`.
 
 Because each shard's trajectory depends only on ``(plan, shard_index)``
@@ -40,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
@@ -55,7 +55,6 @@ from repro.shard.checkpoint import (
     CHECKPOINT_FORMAT,
 )
 from repro.shard.exchange import (
-    ShardReport,
     compute_exchange,
     initial_allocations,
     ledger_row,
@@ -64,10 +63,7 @@ from repro.shard.plan import ShardPlan
 from repro.shard.sink import merge_spills, truncate_file
 from repro.shard.worker import (
     checkpoint_group,
-    decode_payload,
-    decode_report,
     drop_run,
-    encode_payload,
     finalize_group,
     prepare_group,
     run_group_epoch,
@@ -106,6 +102,42 @@ def _gather(futures):
     if first_error is not None:
         raise first_error
     return results
+
+
+def _each_group(executors, fn, per_group_args):
+    """Run ``fn(*args)`` for every group; inline when there is one group.
+
+    With executors, group ``g``'s call goes to its pinned worker process
+    and the calls overlap; results come back in group order either way.
+    """
+    if not executors:
+        return [fn(*next(iter(per_group_args)))]
+    return _gather([
+        ex.submit(fn, *args) for ex, args in zip(executors, per_group_args)
+    ])
+
+
+def total_row(label: str, rows: list[dict]) -> dict:
+    """Aggregate shard result rows: summed counts, mean-of-shard
+    latency and goodput columns, worst-shard peak concurrency."""
+    n = len(rows)
+    return {
+        "shard": label,
+        "faulted": sum(1 for row in rows if row["faulted"]),
+        "arrivals": sum(row["arrivals"] for row in rows),
+        "completed": sum(row["completed"] for row in rows),
+        "aborted": sum(row["aborted"] for row in rows),
+        "peak_conc": max(row["peak_conc"] for row in rows),
+        "fct_p50_ms": sum(row["fct_p50_ms"] for row in rows) / n,
+        "fct_p90_ms": sum(row["fct_p90_ms"] for row in rows) / n,
+        "fct_p99_ms": sum(row["fct_p99_ms"] for row in rows) / n,
+        "goodput_kBs": sum(row["goodput_kBs"] for row in rows) / n,
+        "budget_peak_MiB": sum(row["budget_peak_MiB"] for row in rows),
+        "budget_breaches": sum(row["budget_breaches"] for row in rows),
+        "cache_evictions": sum(row["cache_evictions"] for row in rows),
+        "admission_rejects": sum(row["admission_rejects"] for row in rows),
+        "events": sum(row["events"] for row in rows),
+    }
 
 
 def run_sharded(
@@ -154,7 +186,6 @@ def run_sharded(
     groups = _groups(plan.n_shards, jobs)
     run_token = f"{os.getpid()}-{next(_run_counter)}"
     started = time.perf_counter()
-    sampler = RssSampler().start()
 
     # -- resolve fresh-start vs resume ---------------------------------
     restore = None
@@ -220,56 +251,24 @@ def run_sharded(
     exchange_report_bytes = 0
     checkpoints_written = 0
     worker_peaks: list[int] = []
+    sampler = RssSampler().start()
     try:
         # -- one-time group setup (plan/indices cross the boundary once)
         worker_profile = profile_dir if executors else None
-        if executors:
-            _gather([
-                ex.submit(
-                    prepare_group, plan, run_token, group,
-                    sink_dir=sink_dir, restore=restore,
-                    profile_dir=worker_profile,
-                )
-                for ex, group in zip(executors, groups)
-            ])
-        else:
-            prepare_group(
-                plan, run_token, groups[0],
-                sink_dir=sink_dir, restore=restore,
-                profile_dir=worker_profile,
-            )
+        _each_group(executors, prepare_group, [
+            (plan, run_token, group, sink_dir, restore, worker_profile)
+            for group in groups
+        ])
 
         # -- epoch loop -------------------------------------------------
-        last_reports: dict[int, ShardReport] = {}
-        applied: Optional[dict[int, int]] = None
         for epoch in range(start_epoch, plan.n_epochs):
-            if applied is None:
-                # First boundary of this invocation: every shard applies,
-                # equivalent to the unchanged-path for shards already at
-                # that capacity (a same-value apply evicts nothing).
-                changed = dict(enumerate(allocations))
-            else:
-                changed = {
-                    i: alloc
-                    for i, alloc in enumerate(allocations)
-                    if applied[i] != alloc
-                }
-            payload = encode_payload((epoch, changed, observe))
-            exchange_payload_bytes += len(payload) * len(groups)
-            if executors:
-                blobs = _gather([
-                    ex.submit(run_group_epoch, run_token, payload)
-                    for ex in executors
-                ])
-            else:
-                blobs = [run_group_epoch(run_token, payload)]
-            entries = [e for blob in blobs for e in decode_payload(blob)]
+            args = (run_token, epoch, allocations, observe)
+            exchange_payload_bytes += len(pickle.dumps(args)) * len(groups)
+            blobs = _each_group(
+                executors, run_group_epoch, itertools.repeat(args)
+            )
             exchange_report_bytes += sum(len(blob) for blob in blobs)
-            reports = [
-                decode_report(plan, last_reports, entry, epoch)
-                for entry in entries
-            ]
-            applied = dict(enumerate(allocations))
+            reports = [rep for blob in blobs for rep in pickle.loads(blob)]
             signal = compute_exchange(plan, reports)
             ledger.append(ledger_row(reports, signal))
             allocations = signal.allocations
@@ -303,25 +302,20 @@ def run_sharded(
             }
 
         # -- finalize ---------------------------------------------------
-        if executors:
-            outs = _gather([
-                ex.submit(finalize_group, run_token) for ex in executors
-            ])
-        else:
-            outs = [finalize_group(run_token)]
+        outs = _each_group(
+            executors, finalize_group, itertools.repeat((run_token,))
+        )
         finals = [item for items, _ in outs for item in items]
         worker_peaks = [peak for _, peak in outs]
     except BaseException:
         failed = True
         raise
     finally:
-        if executors:
-            for ex in executors:
-                ex.shutdown(wait=not failed, cancel_futures=failed)
-        else:
-            drop_run(run_token)
+        parent_peak = sampler.stop()
+        for ex in executors:
+            ex.shutdown(wait=not failed, cancel_futures=failed)
+        drop_run(run_token)  # an inline run's group lives in this process
     wall_s = time.perf_counter() - started
-    parent_peak = sampler.stop()
 
     finals.sort(key=lambda item: item[0])
     rows = [row for _, row, _ in finals]
@@ -330,26 +324,10 @@ def run_sharded(
         for event, n in counts.items():
             trace_counts[event] = trace_counts.get(event, 0) + n
 
-    total_events = sum(row["events"] for row in rows)
-    total_completed = sum(row["completed"] for row in rows)
-    n = len(rows)
-    rows.append({
-        "shard": "total",
-        "faulted": sum(1 for row in rows if row["faulted"]),
-        "arrivals": sum(row["arrivals"] for row in rows),
-        "completed": total_completed,
-        "aborted": sum(row["aborted"] for row in rows),
-        "peak_conc": max(row["peak_conc"] for row in rows),
-        "fct_p50_ms": sum(row["fct_p50_ms"] for row in rows) / n,
-        "fct_p90_ms": sum(row["fct_p90_ms"] for row in rows) / n,
-        "fct_p99_ms": sum(row["fct_p99_ms"] for row in rows) / n,
-        "goodput_kBs": sum(row["goodput_kBs"] for row in rows) / n,
-        "budget_peak_MiB": sum(row["budget_peak_MiB"] for row in rows),
-        "budget_breaches": sum(row["budget_breaches"] for row in rows),
-        "cache_evictions": sum(row["cache_evictions"] for row in rows),
-        "admission_rejects": sum(row["admission_rejects"] for row in rows),
-        "events": total_events,
-    })
+    total = total_row("total", rows)
+    rows.append(total)
+    total_events = total["events"]
+    total_completed = total["completed"]
 
     sink_info = None
     if sink_dir is not None:
@@ -404,15 +382,10 @@ def _write_checkpoint(
     sink_dir: Optional[str],
 ) -> None:
     """Capture every shard, then commit the manifest atomically."""
-    if executors:
-        entry_lists = _gather([
-            ex.submit(checkpoint_group, run_token, directory, completed_epochs)
-            for ex in executors
-        ])
-    else:
-        entry_lists = [
-            checkpoint_group(run_token, directory, completed_epochs)
-        ]
+    entry_lists = _each_group(
+        executors, checkpoint_group,
+        itertools.repeat((run_token, directory, completed_epochs)),
+    )
     shard_entries: dict[str, dict] = {}
     for entries in entry_lists:
         for index, name, digest, offset in entries:

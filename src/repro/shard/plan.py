@@ -73,14 +73,13 @@ class ShardPlan:
     # catalog, parameterised by the size fields above) instead of
     # distinct bytes; the catalog is rebuilt deterministically from
     # ``(plan, shard seed)`` on restore, so content shards checkpoint/
-    # resume byte-identically.  ``cache_placement`` "legacy" keeps the
-    # historic pool behaviour (each member may use the whole budget,
-    # fullest-member eviction); any placement name from
-    # :data:`repro.content.placement.PLACEMENTS` selects a policy cell.
+    # resume byte-identically.  ``cache_policy`` None keeps the historic
+    # pool behaviour (each member may use the whole budget,
+    # fullest-member eviction); a :class:`CachePolicy` selects a
+    # placement x eviction cell.
     n_objects: int = 0
     zipf_s: float = 0.8
-    cache_placement: str = "legacy"
-    cache_eviction: str = "fullest"
+    cache_policy: Optional[CachePolicy] = None
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
@@ -93,9 +92,8 @@ class ShardPlan:
             raise ValueError("cache_fraction must be in (0, 1)")
         if self.n_objects < 0:
             raise ValueError("n_objects must be non-negative")
-        # Validate the policy cell eagerly (CachePolicy raises on bad
-        # names); "legacy" bypasses the policy machinery entirely.
-        self.cache_policy()
+        if not isinstance(self.cache_policy, (CachePolicy, type(None))):
+            raise ValueError("cache_policy must be a CachePolicy or None")
 
     # -- derived geometry ----------------------------------------------
 
@@ -148,19 +146,6 @@ class ShardPlan:
             sigma=self.size_sigma,
             max_size_bytes=self.max_size_bytes,
             content=content,
-        )
-
-    def cache_policy(self) -> Optional[CachePolicy]:
-        """The pool's placement/eviction cell; None for legacy pools."""
-        if self.cache_placement == "legacy":
-            if self.cache_eviction != "fullest":
-                raise ValueError(
-                    "legacy placement implies fullest-member eviction; "
-                    "pick a placement to select an eviction policy"
-                )
-            return None
-        return CachePolicy(
-            placement=self.cache_placement, eviction=self.cache_eviction
         )
 
     def hop_specs(self) -> list[HopSpec]:

@@ -2,42 +2,42 @@
 
 A worker process owns a *group* of shards for the whole run: the engine
 pins each group to its own single-worker executor, so every epoch task
-for group ``g`` lands in the same process and finds the group's live
-:class:`_ShardState` objects (simulator, FlowPool, fault injector) in
-:data:`_STATES` exactly where the previous epoch left them.  With
-``jobs=1`` the engine calls these functions inline and the same dicts
-serve from the parent process — one code path, two execution modes.
+for group ``g`` lands in the same process and finds the group's
+:class:`_GroupContext` — and in it the live :class:`_ShardState` objects
+(simulator, FlowPool, fault injector) — in :data:`_GROUPS` exactly where
+the previous epoch left them.  With ``jobs=1`` the engine calls these
+functions inline and the same dict serves from the parent process — one
+code path, two execution modes.
 
-States are keyed by ``(run_token, shard_index)``: the token is unique
-per engine invocation, so two runs in one process (tests, back-to-back
+Contexts are keyed by ``run_token``: the token is unique per engine
+invocation, so two runs in one process (tests, back-to-back
 experiments) can never see each other's shards.
 
-The cross-boundary protocol is *slim* (DESIGN.md §14): the plan, shard
-indices, sink/checkpoint directories, and profiling flag cross once, in
-:func:`prepare_group`, and live in a per-run :class:`_GroupContext`.
-After that each epoch exchanges only deltas — the engine sends the
-allocations that actually changed, the worker returns each report as a
-sparse diff against the report it sent last epoch — serialised through
-a reusable per-process pickle buffer instead of fresh per-call payloads.
-Delta encoding is lossless by construction (the engine reconstructs the
-full report before folding it into the exchange), so the determinism
-guarantee is untouched.
+The cross-boundary protocol (DESIGN.md §14): the plan, shard indices,
+sink/checkpoint directories, and profiling flag cross once, in
+:func:`prepare_group`.  After that each epoch the engine sends the
+allocation tuple and gets back one pickled list of full
+:class:`~repro.shard.exchange.ShardReport` values — a few hundred bytes
+per shard, measured in the run's ``exchange_*_bytes`` counters.
 """
 
 from __future__ import annotations
 
 import cProfile
-import io
 import os
 import pickle
 from collections import Counter
-from dataclasses import fields, replace
 from typing import Optional
 
 from repro.faults.schedule import FaultInjector, FaultSchedule, LinkDown
 from repro.obs.rss import current_rss_bytes
 from repro.obs.tracer import TRACER
-from repro.shard.checkpoint import load_shard, save_shard, spill_name
+from repro.shard.checkpoint import (
+    CheckpointError,
+    load_shard,
+    save_shard,
+    spill_name,
+)
 from repro.shard.exchange import ShardReport
 from repro.shard.plan import ShardPlan
 from repro.shard.sink import SpillWriter
@@ -45,35 +45,12 @@ from repro.simcore.random import RngRegistry
 from repro.simcore.simulator import Simulator
 from repro.workload.pool import FlowPool
 
-#: Live shard states of every run this process participates in.
-_STATES: dict[tuple[str, int], "_ShardState"] = {}
-
-#: Per-run group context (plan, indices, delta baselines, profiler).
+#: Per-run group context (shard states, profiler) of every run this
+#: process participates in.
 _GROUPS: dict[str, "_GroupContext"] = {}
 
 #: Fault-injection target name for the mid-chain blackout link.
 _FAULT_LINK = "midlink"
-
-#: ShardReport field names, in declaration order (the wire format of a
-#: "full" report entry is simply the tuple of these values).
-_REPORT_FIELDS = tuple(f.name for f in fields(ShardReport))
-
-#: Reusable per-process pickle buffer for epoch payloads (the buffer's
-#: grown capacity is retained across epochs; only the bytes copy out).
-_ENCODE_BUF = io.BytesIO()
-
-
-def encode_payload(obj: object) -> bytes:
-    """Pickle through the process-local reusable buffer."""
-    buf = _ENCODE_BUF
-    buf.seek(0)
-    buf.truncate()
-    pickle.Pickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
-    return buf.getvalue()
-
-
-def decode_payload(blob: bytes) -> object:
-    return pickle.loads(blob)
 
 
 class ShardError(RuntimeError):
@@ -98,20 +75,12 @@ class ShardError(RuntimeError):
 
 
 class _GroupContext:
-    """One run's per-process bookkeeping beyond the shard states."""
+    """One run's per-process state: the group's shards and its vitals."""
 
-    __slots__ = ("plan", "indices", "last_reports", "profiler",
-                 "profile_dir", "peak_rss_bytes")
+    __slots__ = ("states", "profiler", "profile_dir", "peak_rss_bytes")
 
-    def __init__(
-        self,
-        plan: ShardPlan,
-        indices: list[int],
-        profile_dir: Optional[str],
-    ) -> None:
-        self.plan = plan
-        self.indices = indices
-        self.last_reports: dict[int, ShardReport] = {}
+    def __init__(self, profile_dir: Optional[str]) -> None:
+        self.states: list[_ShardState] = []
         self.profile_dir = profile_dir
         self.profiler: Optional[cProfile.Profile] = None
         self.peak_rss_bytes = 0
@@ -151,7 +120,7 @@ class _ShardState:
             memory_ceiling_bytes=plan.memory_ceiling_bytes,
             cache_fraction=plan.cache_fraction,
             name=plan.shard_name(index),
-            cache_policy=plan.cache_policy(),
+            cache_policy=plan.cache_policy,
         )
         self.injector: Optional[FaultInjector] = None
         if plan.has_fault(index):
@@ -225,28 +194,6 @@ class _ShardState:
             )
         self._boundary_stored_before = before
         self._boundary_evicted = evicted
-
-    def mark_boundary_unchanged(self) -> None:
-        """Epoch boundary for a shard whose allocation did not change.
-
-        Equivalent to :meth:`apply_allocation` with the current capacity:
-        occupancy never exceeds capacity between boundaries (the pool
-        enforces on every store), so a same-value apply evicts nothing
-        and the boundary marks collapse to ``(stored, 0)``.  The pool's
-        ``on_change`` still runs so budget-ledger bookkeeping matches the
-        apply path operation for operation.
-        """
-        cache_pool = self.pool.cache_pool
-        assert cache_pool is not None
-        cache_pool.on_change()
-        stored = cache_pool.stored_bytes
-        if stored > cache_pool.capacity_bytes:
-            raise AssertionError(
-                f"shard {self.index}: occupancy {stored} above unchanged "
-                f"allocation {cache_pool.capacity_bytes}"
-            )
-        self._boundary_stored_before = stored
-        self._boundary_evicted = 0
 
     def run_epoch(self, epoch: int, observe: bool) -> ShardReport:
         until = self.plan.epoch_end_s(epoch)
@@ -332,14 +279,6 @@ class _ShardState:
 # ----------------------------------------------------------------------
 
 
-def _state(plan: ShardPlan, run_token: str, index: int) -> _ShardState:
-    key = (run_token, index)
-    state = _STATES.get(key)
-    if state is None:
-        state = _STATES[key] = _ShardState(plan, index)
-    return state
-
-
 def _context(run_token: str) -> _GroupContext:
     ctx = _GROUPS.get(run_token)
     if ctx is None:
@@ -351,21 +290,17 @@ def prepare_group(
     plan: ShardPlan,
     run_token: str,
     indices: list[int],
-    *,
-    sink_dir: Optional[str] = None,
-    restore: Optional[tuple[str, dict[int, tuple[str, str]]]] = None,
-    profile_dir: Optional[str] = None,
+    sink_dir: Optional[str],
+    restore: Optional[tuple[str, dict[int, tuple[str, str]]]],
+    profile_dir: Optional[str],
 ) -> list[int]:
-    """One-time group setup: build (or restore) states, cache the plan.
+    """One-time group setup: build (or restore) the group's shard states.
 
-    Everything that used to cross the process boundary every epoch —
-    plan, indices, directories — crosses once here and lives in the
-    group's :class:`_GroupContext` for the rest of the run.  With
-    ``restore`` set, each shard unpickles from its checkpoint file
+    Plan, indices and directories cross the process boundary once, here.
+    With ``restore`` set, each shard unpickles from its checkpoint file
     (digest-verified) instead of being built fresh.
     """
-    ctx = _GroupContext(plan, list(indices), profile_dir)
-    _GROUPS[run_token] = ctx
+    ctx = _GROUPS[run_token] = _GroupContext(profile_dir)
     if ctx.profiler is not None:
         ctx.profiler.enable()
     try:
@@ -375,17 +310,15 @@ def prepare_group(
                 name, digest = entries[index]
                 state = load_shard(directory, name, digest)
                 if not isinstance(state, _ShardState):
-                    from repro.shard.checkpoint import CheckpointError
-
                     raise CheckpointError(
                         f"checkpoint file {name!r} does not hold a shard "
                         f"state (got {type(state).__name__})"
                     )
-                _STATES[(run_token, index)] = state
             else:
-                state = _state(plan, run_token, index)
+                state = _ShardState(plan, index)
                 if sink_dir is not None:
                     state.attach_sink(sink_dir)
+            ctx.states.append(state)
     finally:
         if ctx.profiler is not None:
             ctx.profiler.disable()
@@ -393,96 +326,37 @@ def prepare_group(
     return list(indices)
 
 
-def _encode_report(
-    ctx: _GroupContext, rep: ShardReport, epoch: int
-) -> tuple:
-    """Sparse-encode one report against the last one sent for its shard.
-
-    Wire entries are ``(shard, None, values_tuple)`` for a full report
-    (first epoch after prepare/restore) or ``(shard, changes_dict,
-    None)`` afterwards.  ``epoch`` is implied by the payload and
-    ``sim_time_s`` by the plan's epoch boundary, so an idle shard's
-    entry carries an empty dict.
-    """
-    prev = ctx.last_reports.get(rep.shard)
-    ctx.last_reports[rep.shard] = rep
-    if prev is None:
-        return (rep.shard, None, tuple(
-            getattr(rep, name) for name in _REPORT_FIELDS
-        ))
-    changes: dict[str, object] = {}
-    for name in _REPORT_FIELDS:
-        if name in ("shard", "epoch", "sim_time_s"):
-            continue
-        value = getattr(rep, name)
-        if value != getattr(prev, name):
-            changes[name] = value
-    expected_time = ctx.plan.epoch_end_s(epoch)
-    if rep.sim_time_s != expected_time:
-        changes["sim_time_s"] = rep.sim_time_s
-    return (rep.shard, changes, None)
-
-
-def decode_report(
-    plan: ShardPlan,
-    last: dict[int, ShardReport],
-    entry: tuple,
-    epoch: int,
-) -> ShardReport:
-    """Engine-side inverse of :func:`_encode_report` (lossless)."""
-    shard, changes, full = entry
-    if full is not None:
-        rep = ShardReport(**dict(zip(_REPORT_FIELDS, full)))
-    else:
-        prev = last.get(shard)
-        if prev is None:
-            raise RuntimeError(
-                f"delta report for shard {shard} without a baseline"
-            )
-        updates = dict(changes)
-        updates.setdefault("sim_time_s", plan.epoch_end_s(epoch))
-        rep = replace(prev, epoch=epoch, **updates)
-    last[shard] = rep
-    return rep
-
-
-def run_group_epoch(run_token: str, payload: bytes) -> bytes:
+def run_group_epoch(
+    run_token: str, epoch: int, allocations: tuple[int, ...], observe: bool
+) -> bytes:
     """Advance every shard of one group through one epoch.
 
-    ``payload`` is the engine's shared pickle of ``(epoch,
-    changed_allocations, observe)`` — one encode serves every group.
-    Shards whose allocation is absent from the dict take the cheap
-    unchanged-boundary path; the rest apply their new allocation (the
-    epoch-boundary step).  Shards run sequentially within their group;
-    parallelism is across groups.  Returns the pickled list of
-    delta-encoded reports.
+    Every shard adopts its entry of ``allocations`` (the epoch-boundary
+    step; a same-value apply evicts nothing) and simulates up to the
+    epoch end.  Shards run sequentially within their group; parallelism
+    is across groups.  Returns the pickled list of the shards' reports.
     """
-    epoch, changed, observe = decode_payload(payload)
     ctx = _context(run_token)
     if ctx.profiler is not None:
         ctx.profiler.enable()
     try:
-        entries = []
-        for index in ctx.indices:
+        reports = []
+        for state in ctx.states:
             try:
-                state = _STATES[(run_token, index)]
-                allocation = changed.get(index)
-                if allocation is None:
-                    state.mark_boundary_unchanged()
-                else:
-                    state.apply_allocation(allocation)
-                rep = state.run_epoch(epoch, observe)
+                state.apply_allocation(allocations[state.index])
+                reports.append(state.run_epoch(epoch, observe))
                 state.spill()
             except ShardError:
                 raise
             except Exception as exc:
-                raise ShardError(index, epoch, f"{type(exc).__name__}: {exc}")
-            entries.append(_encode_report(ctx, rep, epoch))
+                raise ShardError(
+                    state.index, epoch, f"{type(exc).__name__}: {exc}"
+                )
     finally:
         if ctx.profiler is not None:
             ctx.profiler.disable()
     ctx.sample_rss()
-    return encode_payload(entries)
+    return pickle.dumps(reports, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def checkpoint_group(
@@ -497,12 +371,13 @@ def checkpoint_group(
     """
     ctx = _context(run_token)
     out = []
-    for index in ctx.indices:
-        state = _STATES[(run_token, index)]
+    for state in ctx.states:
         sink = state.pool._result_sink
         offset = sink.flush() if sink is not None else None
-        name, digest = save_shard(directory, index, completed_epochs, state)
-        out.append((index, name, digest, offset))
+        name, digest = save_shard(
+            directory, state.index, completed_epochs, state
+        )
+        out.append((state.index, name, digest, offset))
     ctx.sample_rss()
     return out
 
@@ -513,7 +388,7 @@ def finalize_group(
     """Finalise and tear down one group's shards.
 
     Returns ``((shard_index, summary_row, trace_counts) per shard,
-    worker peak RSS bytes)`` and drops the group's state, so a
+    worker peak RSS bytes)`` and drops the group's context, so a
     long-lived worker process (or the parent, with ``jobs=1``) holds
     nothing after the run.
     """
@@ -521,34 +396,25 @@ def finalize_group(
     if ctx.profiler is not None:
         ctx.profiler.enable()
     try:
-        out = []
-        for index in ctx.indices:
-            state = _STATES.pop((run_token, index), None)
-            if state is None:
-                raise RuntimeError(
-                    f"shard {index} has no live state for run {run_token!r}"
-                )
-            out.append((index, state.finalize(), dict(state.trace_counts)))
+        out = [
+            (state.index, state.finalize(), dict(state.trace_counts))
+            for state in ctx.states
+        ]
     finally:
         if ctx.profiler is not None:
             ctx.profiler.disable()
     ctx.sample_rss()
     if ctx.profiler is not None and ctx.profile_dir is not None:
-        group_tag = min(ctx.indices) if ctx.indices else 0
+        group_tag = min((s.index for s in ctx.states), default=0)
         path = os.path.join(
             ctx.profile_dir,
             f"shard-group{group_tag:03d}-pid{os.getpid()}.pstats",
         )
         ctx.profiler.dump_stats(path)
-    peak = ctx.peak_rss_bytes
     del _GROUPS[run_token]
-    return out, peak
+    return out, ctx.peak_rss_bytes
 
 
-def drop_run(run_token: str) -> int:
+def drop_run(run_token: str) -> None:
     """Abandon every shard of a run (engine cleanup on error paths)."""
-    stale = [key for key in _STATES if key[0] == run_token]
-    for key in stale:
-        del _STATES[key]
     _GROUPS.pop(run_token, None)
-    return len(stale)

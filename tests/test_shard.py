@@ -10,13 +10,17 @@ both.
 from __future__ import annotations
 
 import json
+import pickle
+from dataclasses import replace
 
 import pytest
 
+from repro.content import CachePolicy
 from repro.shard import (
     MIN_CACHE_ALLOC_BYTES,
     ShardPlan,
     apportion,
+    plan_fingerprint,
     run_sharded,
 )
 from repro.shard.worker import _ShardState
@@ -123,18 +127,26 @@ def test_ledger_boundary_identity_links_epochs():
             assert 0 <= evicted <= before
 
 
-def test_boundary_shrink_evicts_and_conserves():
-    """Forcing a shard far below its occupancy must evict, not breach."""
-    state = _ShardState(SMALL_PLAN, index=0)
-    state.apply_allocation(SMALL_PLAN.shard_cache_bytes)
-    # Cached blocks are per-flow and dropped at retirement, so probe while
-    # flows are still live: step until the pool holds forwarded data.
-    cache_pool = state.pool.cache_pool
+def _mid_workload_state(plan: ShardPlan) -> _ShardState:
+    """Shard 0 stepped until its cache pool holds forwarded data.
+
+    Cached blocks are per-flow and dropped at retirement, so the probe
+    stops while flows are still live.
+    """
+    state = _ShardState(plan, index=0)
+    state.apply_allocation(plan.shard_cache_bytes)
     t = 0.0
-    while cache_pool.stored_bytes == 0 and t < 2.0:
+    while state.pool.cache_pool.stored_bytes == 0 and t < 2.0:
         t += 0.05
         state.sim.run(until=t)
-    assert cache_pool.stored_bytes > 0  # forwarded data was cached
+    assert state.pool.cache_pool.stored_bytes > 0  # forwarded data was cached
+    return state
+
+
+def test_boundary_shrink_evicts_and_conserves():
+    """Forcing a shard far below its occupancy must evict, not breach."""
+    state = _mid_workload_state(SMALL_PLAN)
+    cache_pool = state.pool.cache_pool
     before = cache_pool.stored_bytes
     tiny = max(MIN_CACHE_ALLOC_BYTES, before // 4)
     # apply_allocation asserts before == after + evicted internally.
@@ -143,3 +155,42 @@ def test_boundary_shrink_evicts_and_conserves():
     assert state._boundary_evicted == before - cache_pool.stored_bytes
     assert state._boundary_evicted > 0
     assert state.pool.budget.breaches == 0
+
+
+GATEWAY_LRU = CachePolicy(placement="gateway", eviction="lru")
+
+
+@pytest.mark.parametrize("cache_policy", [None, GATEWAY_LRU])
+def test_same_value_apply_is_a_noop_boundary(cache_policy):
+    """Re-applying the current capacity evicts nothing and marks
+    ``(stored, 0)`` — why every shard can take the one boundary path,
+    changed allocation or not, with or without placement weights."""
+    state = _mid_workload_state(replace(SMALL_PLAN, cache_policy=cache_policy))
+    cache_pool = state.pool.cache_pool
+    stored = cache_pool.stored_bytes
+    evictions = cache_pool.pool_evictions
+    ledger_total = state.pool.budget.total_bytes
+    for _ in range(2):
+        state.apply_allocation(cache_pool.capacity_bytes)
+        assert cache_pool.stored_bytes == stored
+        assert cache_pool.pool_evictions == evictions
+        assert state.pool.budget.total_bytes == ledger_total
+        assert state._boundary_stored_before == stored
+        assert state._boundary_evicted == 0
+
+
+def test_plan_cache_policy_field():
+    """One vocabulary: the plan carries a CachePolicy (or None) that
+    pickles, fingerprints stably, and rejects bad names by field."""
+    plan = replace(SMALL_PLAN, cache_policy=GATEWAY_LRU)
+    assert pickle.loads(pickle.dumps(plan)) == plan
+    fp = plan_fingerprint(plan)
+    assert fp == plan_fingerprint(replace(SMALL_PLAN, cache_policy=GATEWAY_LRU))
+    assert fp != plan_fingerprint(SMALL_PLAN)
+    assert len(fp) == 64 and int(fp, 16) >= 0
+    with pytest.raises(ValueError, match="placement"):
+        ShardPlan(cache_policy=CachePolicy(placement="nowhere"))
+    with pytest.raises(ValueError, match="eviction"):
+        ShardPlan(cache_policy=CachePolicy(eviction="random"))
+    with pytest.raises(ValueError, match="cache_policy"):
+        ShardPlan(cache_policy=("gateway", "lru"))

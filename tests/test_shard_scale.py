@@ -10,12 +10,12 @@ each has a determinism obligation these tests pin:
   (with a *different* ``jobs`` value) must reproduce the uninterrupted
   run bit for bit, spill files included; corrupt or mismatched
   checkpoints must be refused loudly;
-* **slim exchange** — the delta-encoded report wire format must be
-  lossless, verified here by explicit round-trips.
+* **epoch exchange** — what crosses the process boundary is exactly the
+  reports the shards produced, and the byte counters count exactly it.
 
 Plus the error path: a failing shard must surface as
 :class:`~repro.shard.ShardError` naming the shard, and the engine must
-come back clean for the next run.
+come back clean — no leftover sampler thread — for the next run.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
-from dataclasses import replace
+import threading
 
 import pytest
 
@@ -31,7 +31,6 @@ from repro.shard import (
     CheckpointError,
     ShardError,
     ShardPlan,
-    ShardReport,
     SpillWriter,
     iter_jsonl,
     load_manifest,
@@ -40,12 +39,8 @@ from repro.shard import (
     spill_name,
 )
 from repro.shard.sink import truncate_file
-from repro.shard.worker import (
-    _GroupContext,
-    _ShardState,
-    _encode_report,
-    decode_report,
-)
+from repro.shard import worker
+from repro.shard.worker import _ShardState
 
 #: Small plan with every moving part alive: four shards (one faulted),
 #: five exchange epochs, enough arrivals that spills have real rows.
@@ -144,45 +139,39 @@ def test_merge_spills_orders_and_skips_missing(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Slim exchange: delta-encoded reports are lossless
+# Epoch exchange: what crosses is what the shard reported
 # ----------------------------------------------------------------------
 
 
-def test_delta_report_roundtrip_is_lossless():
-    ctx = _GroupContext(PLAN, [0], None)
-    last: dict[int, ShardReport] = {}
-    rep0 = ShardReport(
-        shard=0, epoch=0, sim_time_s=PLAN.epoch_end_s(0),
-        events_executed=10, arrivals=3, completed=1, aborted=0,
-        live_flows=2, backlog_bytes=100, cache_stored_bytes=5,
-        cache_capacity_bytes=100, budget_total_bytes=200,
-        budget_breaches=0, boundary_stored_before=5,
-        boundary_evicted_bytes=0,
-    )
-    entry0 = _encode_report(ctx, rep0, 0)
-    assert entry0[1] is None and entry0[2] is not None  # full on first send
-    assert decode_report(PLAN, last, entry0, 0) == rep0
-
-    rep1 = replace(
-        rep0, epoch=1, sim_time_s=PLAN.epoch_end_s(1),
-        events_executed=25, completed=3, live_flows=0,
-    )
-    entry1 = _encode_report(ctx, rep1, 1)
-    assert entry1[2] is None
-    assert entry1[1] == {"events_executed": 25, "completed": 3,
-                         "live_flows": 0}
-    assert decode_report(PLAN, last, entry1, 1) == rep1
-
-    # A fully idle epoch transmits an empty dict and still reconstructs.
-    rep2 = replace(rep1, epoch=2, sim_time_s=PLAN.epoch_end_s(2))
-    entry2 = _encode_report(ctx, rep2, 2)
-    assert entry2[1] == {}
-    assert decode_report(PLAN, last, entry2, 2) == rep2
+def test_epoch_blob_is_the_shards_reports():
+    token = "test-epoch-blob"
+    worker.prepare_group(PLAN, token, [0, 2], None, None, None)
+    try:
+        states = worker._GROUPS[token].states
+        allocations = (PLAN.shard_cache_bytes,) * PLAN.n_shards
+        for epoch in range(2):
+            blob = worker.run_group_epoch(token, epoch, allocations, False)
+            assert pickle.loads(blob) == [s.report(epoch) for s in states]
+        assert [s.index for s in states] == [0, 2]
+    finally:
+        worker.drop_run(token)
+    assert token not in worker._GROUPS
 
 
-def test_delta_report_without_baseline_fails_loudly():
-    with pytest.raises(RuntimeError, match="without a baseline"):
-        decode_report(PLAN, {}, (0, {}, None), 1)
+def test_exchange_report_bytes_counts_the_returned_blobs(monkeypatch):
+    blobs = []
+    original = worker.run_group_epoch
+
+    def recording(*args):
+        blobs.append(original(*args))
+        return blobs[-1]
+
+    # The engine resolves the task through its own module namespace.
+    monkeypatch.setattr("repro.shard.engine.run_group_epoch", recording)
+    out = run_sharded(PLAN, jobs=1)
+    assert len(blobs) == PLAN.n_epochs
+    assert out["exchange_report_bytes"] == sum(len(b) for b in blobs)
+    assert out["exchange_payload_bytes"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -326,3 +315,27 @@ def test_shard_error_names_failing_shard(monkeypatch, jobs):
     ok = run_sharded(PLAN, jobs=jobs)
     total = ok["rows"][-1]
     assert total["completed"] + total["aborted"] == total["arrivals"]
+
+
+def _sampler_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name == "rss-sampler"]
+
+
+def test_no_sampler_thread_outlives_a_run(monkeypatch, tmp_path):
+    """Early stop and ShardError both leave through the engine's finally."""
+    assert not _sampler_threads()
+    run_sharded(PLAN, jobs=1, stop_after_epoch=0)
+    assert not _sampler_threads()
+
+    def boom(self, epoch, observe):
+        raise ValueError("injected failure")
+
+    monkeypatch.setattr(_ShardState, "run_epoch", boom)
+    with pytest.raises(ShardError):
+        run_sharded(PLAN, jobs=1)
+    assert not _sampler_threads()
+    monkeypatch.undo()
+
+    with pytest.raises(CheckpointError):
+        run_sharded(PLAN, jobs=1, resume_from=str(tmp_path / "nowhere"))
+    assert not _sampler_threads()
