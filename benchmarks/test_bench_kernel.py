@@ -183,13 +183,15 @@ def test_rangeset_churn(benchmark):
 
 def test_e2e_leotp_transfer(benchmark):
     """A small fig12-style lossy multi-hop LEOTP run (whole stack)."""
-    from repro.experiments.common import run_leotp_chain
+    from repro.experiments.common import PathSpec, run_chain
     from repro.netsim.topology import uniform_chain_specs
 
-    hops = uniform_chain_specs(4, rate_bps=20e6, delay_s=0.01, plr=0.005)
+    spec = PathSpec(
+        hops=uniform_chain_specs(4, rate_bps=20e6, delay_s=0.01, plr=0.005)
+    )
 
     def run_transfer():
-        metrics, _ = run_leotp_chain(hops, duration_s=E2E_DURATION_S, seed=1)
+        metrics, _ = run_chain(spec, duration_s=E2E_DURATION_S, seed=1)
         return metrics
 
     metrics = benchmark(run_transfer)

@@ -13,7 +13,7 @@ Pipeline::
         -> compress_schedule(schedule, factor)     # pack orbit time
         -> events_from_schedule(schedule)          # typed event stream
         -> faults_from_stream(stream, n_links)     # FaultSchedule
-        -> run_leotp_chaos(faults, builder=...)    # unmodified harness
+        -> run_chaos(faults, build)                # unmodified harness
         -> per_handover_reports(recorder, times)   # recovery per handover
 """
 

@@ -12,7 +12,7 @@ changes to become observable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from repro.core.config import LeotpConfig
 from repro.core.consumer import Consumer
@@ -40,6 +40,20 @@ class LeotpPath:
     @property
     def midnodes(self) -> list[Midnode]:
         return [n for n in self.intermediates if isinstance(n, Midnode)]
+
+    # The read interface every built path shares (see DESIGN.md §5).
+
+    @property
+    def nodes(self) -> list[Node]:
+        return [self.producer, *self.intermediates, self.consumer]
+
+    @property
+    def wire_bytes_sent(self) -> int:
+        return self.producer.wire_bytes_sent
+
+    @property
+    def retransmissions(self) -> int:
+        return self.consumer.retransmission_interests
 
 
 def midnode_positions(n_intermediate: int, coverage: float) -> list[bool]:

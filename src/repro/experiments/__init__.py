@@ -15,8 +15,7 @@ from repro.experiments.common import (
     FlowMetrics,
     PathSpec,
     build_path,
-    run_leotp_chain,
-    run_tcp_chain,
+    run_chain,
     scaled_duration,
 )
 from repro.experiments.runner import RunSpec
@@ -87,7 +86,6 @@ __all__ = [
     "PathSpec",
     "RunSpec",
     "build_path",
-    "run_leotp_chain",
-    "run_tcp_chain",
+    "run_chain",
     "scaled_duration",
 ]

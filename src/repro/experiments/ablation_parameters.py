@@ -12,7 +12,7 @@ justified by measurement rather than assertion.
 from __future__ import annotations
 
 from repro.core import LeotpConfig
-from repro.experiments.common import ExperimentResult, run_leotp_chain, scaled_duration
+from repro.experiments.common import ExperimentResult, PathSpec, run_chain, scaled_duration
 from repro.netsim.bandwidth import SquareWaveBandwidth
 from repro.netsim.topology import HopSpec
 
@@ -55,7 +55,9 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     for sweep_name, settings in SWEEPS.items():
         for field, value in settings:
             config = LeotpConfig(**{field: value})
-            metrics, _ = run_leotp_chain(hops, duration, seed=seed, config=config)
+            metrics, _ = run_chain(
+                PathSpec(hops=hops, config=config), duration, seed=seed
+            )
             display = (
                 value // 1400 if field == "queue_threshold_bytes" else value
             )

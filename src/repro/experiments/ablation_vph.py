@@ -12,7 +12,7 @@ with path depth; with VPH it tracks the actual loss count.
 from __future__ import annotations
 
 from repro.core import LeotpConfig
-from repro.experiments.common import ExperimentResult, run_leotp_chain, scaled_duration
+from repro.experiments.common import ExperimentResult, PathSpec, run_chain, scaled_duration
 from repro.netsim.topology import uniform_chain_specs
 
 HOP_COUNTS = (4, 8)
@@ -29,8 +29,8 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
         hops = uniform_chain_specs(n_hops, rate_bps=20e6, delay_s=0.008, plr=PLR)
         for vph in (True, False):
             config = LeotpConfig(enable_vph=vph)
-            metrics, path = run_leotp_chain(
-                hops, duration, seed=seed, config=config
+            metrics, path = run_chain(
+                PathSpec(hops=hops, config=config), duration, seed=seed
             )
             losses = sum(
                 d.ab.stats.packets_dropped_loss + d.ba.stats.packets_dropped_loss

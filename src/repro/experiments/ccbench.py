@@ -42,26 +42,15 @@ from typing import Optional, Union
 from repro.churn import (
     DEFAULT_OUTAGE_S,
     TopologyEventStream,
-    compress_schedule,
-    events_from_schedule,
-    faults_from_stream,
     handover_stats,
     per_handover_reports,
 )
-from repro.constellation import (
-    NoRouteError,
-    PathDynamicsDriver,
-    compute_path_schedule,
-    representative_hop_count,
-    starlink_hop_specs,
-)
+from repro.constellation import NoRouteError
 from repro.core.consumer import Consumer
+from repro.experiments.churn_study import arm_pool_churn, pair_context
 from repro.experiments.common import ExperimentResult, scaled_duration
-from repro.experiments.starlink import _router
-from repro.faults.schedule import FaultInjector
 from repro.netsim.link import DuplexLink
 from repro.netsim.trace import FlowRecorder
-from repro.obs import METRICS
 from repro.simcore import RngRegistry, Simulator
 from repro.tcp.cc import CCSpec, as_cc_spec
 from repro.tcp.connection import FiniteStream, TcpReceiver, make_tcp_sender
@@ -69,9 +58,6 @@ from repro.workload import FlowPool, WorkloadSpec
 
 #: The benched city pair (distinct handover geometry at both ends).
 PAIR = ("BJ-PR", "Beijing", "Paris")
-
-#: Orbital sampling step (matches the starlink/churn experiments).
-ORBIT_STEP_S = 2.0
 
 #: Cadence axis: orbit-time : sim-time compression.  40x packs twice the
 #: orbital window — twice the handovers — into the same simulated run.
@@ -88,31 +74,12 @@ LOSSES = {"clean": 0.0, "burst": 0.01}
 #: running that registry algorithm.
 CCS = ("leotp", "reno", "cubic", "bbr", "orbcc", "adaptive")
 
-#: Churn kinds forwarded to congestion modules as signals.
-SIGNAL_KINDS = ("PathSwitch", "GsReattach", "RouteLost", "RouteRestored")
-
-#: A route-loss gap longer than this aborts live flows ("no_route").
-NO_ROUTE_ABORT_S = 0.5
-
 #: Monitor-flow demand: effectively unbounded, so the reference
 #: transfer spans every handover in the cell.
 MONITOR_BYTES = 10**9
 
 #: Recommended metrics cadence (handover dips live at sub-second scale).
 SAMPLER_INTERVAL_S = 0.2
-
-
-def _cadence_context(compression: float, duration_s: float, seed: int):
-    """Compressed schedule, event stream, chain shape for one cadence."""
-    orbit = compute_path_schedule(
-        _router(True), PAIR[1], PAIR[2],
-        duration_s * compression, ORBIT_STEP_S, on_gap="hold",
-    )
-    compressed = compress_schedule(orbit, compression)
-    stream = events_from_schedule(compressed, pair=PAIR[0])
-    n_hops = max(representative_hop_count(compressed), 2)
-    hops = starlink_hop_specs(n_hops, isls_enabled=True, seed=seed)
-    return compressed, stream, n_hops, hops
 
 
 def _lossy(hops, extra_plr: float):
@@ -214,32 +181,17 @@ def run_cell(
         name=name, recorder=recorder,
     )
     mon_rec, mon_sender = _attach_monitor(sim, pool, spec)
-    PathDynamicsDriver(
-        sim, compressed, pool.links,
-        update_interval_s=ORBIT_STEP_S / compression, flush_on_change=False,
-    )
-    stream.arm_markers(sim)
-    if spec.name != "leotp":
+    def signal(kind: str) -> None:
         # The churn-signal hook: handover-aware CCs get their up-calls
         # (pool flows in sorted-id order, then the monitor — fixed order
         # keeps the cell bit-identical across runs).
-        def _signal(kind: str) -> None:
-            pool.notify_churn(kind)
-            if mon_sender is not None:
-                mon_sender.notify_churn(kind)
+        pool.notify_churn(kind)
+        mon_sender.notify_churn(kind)
 
-        stream.arm_signal(sim, _signal, kinds=SIGNAL_KINDS)
-    injector = FaultInjector(sim, rng)
-    for i, link in enumerate(pool.links):
-        injector.register_link(f"{name}:hop{i}", link)
-    injector.arm(faults_from_stream(stream, n_hops, link_prefix=f"{name}:"))
-    for event in stream.of_kind("RouteLost"):
-        if event.duration_s > NO_ROUTE_ABORT_S:
-            sim.schedule_at(
-                event.at_s + NO_ROUTE_ABORT_S, pool.abort_live, "no_route"
-            )
-    if METRICS.enabled:
-        pool.attach_samplers()
+    injector = arm_pool_churn(
+        sim, rng, pool, compressed, stream, n_hops, compression,
+        signal=signal if mon_sender is not None else None,  # TCP cells
+    )
     sim.run(until=duration_s)
     pool.finalize()
     s = pool.summary()
@@ -296,8 +248,8 @@ def run_ccbench(
     for cad_label in sorted(CADENCES):
         compression = CADENCES[cad_label]
         try:
-            compressed, stream, n_hops, hops = _cadence_context(
-                compression, duration_s, seed
+            compressed, stream, n_hops, hops = pair_context(
+                *PAIR, duration_s, seed, compression
             )
         except NoRouteError as exc:
             result.notes.append(f"{cad_label}: no route ({exc})")

@@ -22,18 +22,23 @@ every protocol invariant stayed green while the faults landed.
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import partial
 
-from repro.experiments.common import ExperimentResult, scaled_duration
+from repro.experiments.common import (
+    ExperimentResult,
+    PathSpec,
+    build_path,
+    scaled_duration,
+)
 from repro.faults import (
     CorrelatedLoss,
     FaultSchedule,
     LinkDown,
     LinkFlap,
     NodeCrash,
-    run_leotp_chaos,
-    run_tcp_chaos,
+    run_chaos,
 )
+from repro.netsim.topology import uniform_chain_specs
 
 RATE_BPS = 20e6
 DELAY_S = 0.008
@@ -93,20 +98,20 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
         f"{N_HOPS}-hop chain, {RATE_BPS / 1e6:.0f} Mbps, fault at "
         f"t={fault_at:.1f}s",
     )
+    hops = uniform_chain_specs(N_HOPS, rate_bps=RATE_BPS, delay_s=DELAY_S)
+    flows = (
+        (LEOTP_CRASH_NODE, PathSpec(hops=hops, total_bytes=total_bytes)),
+        (TCP_CRASH_NODE,
+         PathSpec(protocol="tcp", hops=hops, cc_name=BASELINE_CC)),
+    )
     for scenario in SCENARIOS:
-        leotp = run_leotp_chaos(
-            _schedule(scenario, fault_at, LEOTP_CRASH_NODE),
-            n_hops=N_HOPS, rate_bps=RATE_BPS, delay_s=DELAY_S,
-            duration_s=duration, total_bytes=total_bytes, seed=seed,
-        )
-        result.add(**_row(scenario, leotp))
-        tcp = run_tcp_chaos(
-            _schedule(scenario, fault_at, TCP_CRASH_NODE),
-            cc_name=BASELINE_CC,
-            n_hops=N_HOPS, rate_bps=RATE_BPS, delay_s=DELAY_S,
-            duration_s=duration, seed=seed,
-        )
-        result.add(**_row(scenario, tcp))
+        for crash_node, spec in flows:
+            chaos = run_chaos(
+                _schedule(scenario, fault_at, crash_node),
+                partial(build_path, spec=spec),
+                duration_s=duration, seed=seed,
+            )
+            result.add(**_row(scenario, chaos))
     failed = [
         f"{row['scenario']}: invariants violated"
         for row in result.rows

@@ -6,7 +6,7 @@ the 1600-satellite core shell are sampled per time slice for two
 city pairs, a long orbital window is time-compressed so the full
 handover census lands inside the simulated horizon, and the churn
 engine turns the route diffs into typed topology events and a
-:class:`FaultSchedule`.  The unmodified chaos harnesses then run LEOTP,
+:class:`FaultSchedule`.  The unmodified chaos harness then runs LEOTP,
 split-TCP/BBR, and end-to-end BBR over chains whose delays track the
 compressed schedule while the adapted faults black out exactly the hops
 whose real edges changed — with the invariant monitor armed and
@@ -26,7 +26,7 @@ ordered, and every RNG draw comes from named streams.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.churn import (
     DEFAULT_OUTAGE_S,
@@ -44,7 +44,6 @@ from repro.constellation import (
     representative_hop_count,
     starlink_hop_specs,
 )
-from repro.core import LeotpConfig
 from repro.experiments.common import (
     ExperimentResult,
     PathSpec,
@@ -52,10 +51,10 @@ from repro.experiments.common import (
     scaled_duration,
 )
 from repro.experiments.starlink import _router
-from repro.faults import run_leotp_chaos, run_tcp_chaos
-from repro.netsim.trace import FlowRecorder
+from repro.faults import FaultInjector, run_chaos
 from repro.obs import METRICS
 from repro.simcore import RngRegistry, Simulator
+from repro.tcp.cc import as_cc_spec
 from repro.workload import FlowPool, WorkloadSpec
 
 #: Intercontinental pairs with distinct handover geometry (two
@@ -67,6 +66,9 @@ PAIRS = {
 
 #: Orbital sampling step (matches the starlink experiments).
 ORBIT_STEP_S = 2.0
+
+#: Churn kinds forwarded to congestion modules as signals.
+SIGNAL_KINDS = ("PathSwitch", "GsReattach", "RouteLost", "RouteRestored")
 
 #: Orbit-time : sim-time compression.  A pair on this shell sees a route
 #: change every ~30-40 s of orbit time; compressing 20x packs the full
@@ -85,14 +87,14 @@ SAMPLER_INTERVAL_S = 0.2
 _PROTOCOLS = ("leotp", "split-bbr", "bbr")
 
 
-def _pair_context(slug: str, city_a: str, city_b: str,
-                  duration_s: float, seed: int):
-    """Schedule, event stream, chain specs, and faults for one pair."""
+def pair_context(slug: str, city_a: str, city_b: str,
+                 duration_s: float, seed: int, compression: float):
+    """Compressed schedule, event stream, chain shape for one pair."""
     orbit = compute_path_schedule(
         _router(True), city_a, city_b,
-        duration_s * COMPRESSION, ORBIT_STEP_S, on_gap="hold",
+        duration_s * compression, ORBIT_STEP_S, on_gap="hold",
     )
-    compressed = compress_schedule(orbit, COMPRESSION)
+    compressed = compress_schedule(orbit, compression)
     stream = events_from_schedule(compressed, pair=slug)
     n_hops = max(representative_hop_count(compressed), 2)
     hops = starlink_hop_specs(n_hops, isls_enabled=True, seed=seed)
@@ -111,55 +113,29 @@ def _single_flow_row(
     cc_spec=None,
 ) -> dict:
     """Run one monitored flow under the pair's churn; return row columns."""
-    from repro.tcp.cc import as_cc_spec
-
     cc_spec = as_cc_spec(cc_spec if cc_spec is not None else "bbr")
-    faults = faults_from_stream(stream, n_hops)
-    update_s = ORBIT_STEP_S / COMPRESSION
+    if protocol == "leotp":
+        spec = PathSpec(hops=hops, total_bytes=total_bytes)
+    else:
+        spec = PathSpec(
+            protocol="split_tcp" if protocol == "split-bbr" else "tcp",
+            hops=hops, cc_name=cc_spec,
+        )
 
-    def attach_dynamics(sim, path) -> None:
+    def build(sim: Simulator, rng: RngRegistry):
+        path = build_path(sim, rng, spec)
         PathDynamicsDriver(
             sim, compressed, path.links,
-            update_interval_s=update_s, flush_on_change=False,
+            update_interval_s=ORBIT_STEP_S / COMPRESSION,
+            flush_on_change=False,
         )
         stream.arm_markers(sim)
+        return path
 
-    if protocol == "leotp":
-
-        def build(sim: Simulator, rng: RngRegistry):
-            path = build_path(sim, rng, PathSpec(
-                protocol="leotp", hops=tuple(hops),
-                config=LeotpConfig(), total_bytes=total_bytes,
-            ))
-            attach_dynamics(sim, path)
-            return path
-
-        res = run_leotp_chaos(
-            faults, duration_s=duration_s, seed=seed, builder=build,
-        )
-    else:
-        spec_protocol = "split_tcp" if protocol == "split-bbr" else "tcp"
-
-        def build(sim: Simulator, rng: RngRegistry):
-            recorder = (
-                FlowRecorder(sim, name="split")
-                if spec_protocol == "split_tcp" else None
-            )
-            path = build_path(
-                sim, rng,
-                PathSpec(
-                    protocol=spec_protocol, hops=tuple(hops),
-                    cc_name=cc_spec,
-                ),
-                recorder=recorder,
-            )
-            attach_dynamics(sim, path)
-            return path
-
-        res = run_tcp_chaos(
-            faults, cc_name=cc_spec, duration_s=duration_s, seed=seed,
-            builder=build,
-        )
+    res = run_chaos(
+        faults_from_stream(stream, n_hops), build,
+        duration_s=duration_s, seed=seed,
+    )
 
     # A finite transfer that completes mid-run stops delivering; without
     # clamping, every later handover would read as "unrecovered".  Only
@@ -185,10 +161,55 @@ def _single_flow_row(
         "completed": res.completed,
         "invariant_violations": sum(1 for r in res.invariants if not r.ok),
         "invariants_ok": res.invariants_ok,
-        "faults_applied": len([a for _, a in res.fault_log if "DOWN" in a]),
+        "faults_applied": res.faults_applied,
     }
     row.update(handover_stats(reports))
     return row
+
+
+def arm_pool_churn(
+    sim: Simulator,
+    rng: RngRegistry,
+    pool: FlowPool,
+    compressed,
+    stream: TopologyEventStream,
+    n_hops: int,
+    compression: float,
+    signal: Optional[Callable[[str], None]] = None,
+) -> FaultInjector:
+    """Put a :class:`FlowPool`'s chain under one pair's churn.
+
+    The chain's delays track ``compressed``, the adapted faults black
+    out the hops whose real edges changed, and ``signal(kind)`` (if
+    given) receives the :data:`SIGNAL_KINDS` up-calls.  The scheduling
+    order — driver, markers, signal, injector, aborts — is part of the
+    contract: same-timestamp events tie-break on insertion order.
+    Returns the armed injector.
+    """
+    PathDynamicsDriver(
+        sim, compressed, pool.links,
+        update_interval_s=ORBIT_STEP_S / compression, flush_on_change=False,
+    )
+    stream.arm_markers(sim)
+    if signal is not None:
+        stream.arm_signal(sim, signal, kinds=SIGNAL_KINDS)
+    injector = FaultInjector(sim, rng)
+    for i, link in enumerate(pool.links):
+        injector.register_link(f"{pool.name}:hop{i}", link)
+    injector.arm(
+        faults_from_stream(stream, n_hops, link_prefix=f"{pool.name}:")
+    )
+    # A transient routing gap must not crash the run: gaps longer than
+    # the abort threshold fail the affected flows with a recorded
+    # reason; shorter ones drain through TR/SHR retransmission.
+    for event in stream.of_kind("RouteLost"):
+        if event.duration_s > NO_ROUTE_ABORT_S:
+            sim.schedule_at(
+                event.at_s + NO_ROUTE_ABORT_S, pool.abort_live, "no_route"
+            )
+    if METRICS.enabled:
+        pool.attach_samplers()
+    return injector
 
 
 def _pool_row(
@@ -201,11 +222,8 @@ def _pool_row(
     seed: int,
 ) -> dict:
     """A FlowPool workload over the pair's chain under the same churn."""
-    from repro.faults.schedule import FaultInjector
-
     sim = Simulator()
     rng = RngRegistry(seed)
-    name = slug.lower().replace("-", "")
     spec = WorkloadSpec(
         arrival="poisson",
         rate_per_s=2.0,
@@ -214,29 +232,12 @@ def _pool_row(
         max_size_bytes=200_000,
     )
     pool = FlowPool(
-        sim, rng, spec=spec, hops=hops, protocol="leotp", name=name,
+        sim, rng, spec=spec, hops=hops, protocol="leotp",
+        name=slug.lower().replace("-", ""),
     )
-    PathDynamicsDriver(
-        sim, compressed, pool.links,
-        update_interval_s=ORBIT_STEP_S / COMPRESSION, flush_on_change=False,
+    injector = arm_pool_churn(
+        sim, rng, pool, compressed, stream, n_hops, COMPRESSION
     )
-    stream.arm_markers(sim)
-    injector = FaultInjector(sim, rng)
-    for i, link in enumerate(pool.links):
-        injector.register_link(f"{name}:hop{i}", link)
-    injector.arm(
-        faults_from_stream(stream, n_hops, link_prefix=f"{name}:")
-    )
-    # A transient routing gap must not crash the run: gaps longer than
-    # the abort threshold fail the affected flows with a recorded
-    # reason; shorter ones drain through TR/SHR retransmission.
-    for event in stream.of_kind("RouteLost"):
-        if event.duration_s > NO_ROUTE_ABORT_S:
-            sim.schedule_at(
-                event.at_s + NO_ROUTE_ABORT_S, pool.abort_live, "no_route"
-            )
-    if METRICS.enabled:
-        pool.attach_samplers()
     sim.run(until=duration_s)
     pool.finalize()
     s = pool.summary()
@@ -260,8 +261,6 @@ def run_churn(
     control used by the TCP rows — default BBR, matching the paper's
     baseline.
     """
-    from repro.tcp.cc import as_cc_spec
-
     cc_spec = as_cc_spec(cc if cc is not None else "bbr")
     duration_s = scaled_duration(24.0, scale, minimum_s=8.0)
     # Sized to finish inside the run at the 10 Mbps GSL bottleneck even
@@ -276,8 +275,8 @@ def run_churn(
     for slug in sorted(PAIRS):
         city_a, city_b = PAIRS[slug]
         try:
-            compressed, stream, n_hops, hops = _pair_context(
-                slug, city_a, city_b, duration_s, seed
+            compressed, stream, n_hops, hops = pair_context(
+                slug, city_a, city_b, duration_s, seed, COMPRESSION
             )
         except NoRouteError as exc:
             result.notes.append(f"{slug}: no route ({exc})")

@@ -1,4 +1,9 @@
-"""Shared experiment infrastructure: runners, result tables, scaling.
+"""Shared experiment infrastructure: the runner, result tables, scaling.
+
+One way to run one flow: describe the chain as a :class:`PathSpec`,
+:func:`build_path` wires it, :func:`run_chain` runs and measures it
+(:func:`repro.faults.run_chaos` is its faulted twin and takes the same
+spec as ``partial(build_path, spec=...)``).
 
 Every experiment module exposes ``run(scale=1.0, seed=0) -> ExperimentResult``.
 ``scale`` shortens simulated durations (benchmarks use small scales so the
@@ -9,7 +14,7 @@ use ``scale=1.0``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -28,7 +33,6 @@ from repro.tcp import FiniteStream, SplitTcpPath, TcpPath
 from repro.tcp import build_e2e_tcp_path as _build_e2e_tcp_path
 from repro.tcp import build_split_tcp_path as _build_split_tcp_path
 from repro.tcp.cc import CCSpec, as_cc_spec
-from repro.tcp.connection import ByteStream
 from repro.tcp.segment import DEFAULT_MSS
 
 BASELINE_CCS = ("cubic", "hybla", "westwood", "vegas", "bbr", "pcc")
@@ -41,8 +45,11 @@ PATH_PROTOCOLS = ("leotp", "tcp", "split_tcp")
 class PathSpec:
     """Declarative description of one transfer path over a chain.
 
-    One spec type covers every protocol the experiments compare; fields
-    irrelevant to the selected ``protocol`` are ignored by
+    One spec type covers every protocol the experiments compare, and it
+    is the one argument of both :func:`run_chain` and (through
+    ``partial(build_path, spec=...)``) :func:`repro.faults.run_chaos`.
+    ``hops`` takes any sequence of ``HopSpec`` (stored as a tuple).
+    Fields irrelevant to the selected ``protocol`` are ignored by
     :func:`build_path`:
 
     * ``protocol="leotp"`` uses ``config``/``coverage`` and the optional
@@ -83,6 +90,9 @@ class PathSpec:
         # (hashable, picklable, param-capable); string call sites and
         # pickled plans keep working unchanged.
         object.__setattr__(self, "cc_name", as_cc_spec(self.cc_name))
+        # Likewise hops: call sites pass the list uniform_chain_specs
+        # returns.
+        object.__setattr__(self, "hops", tuple(self.hops))
         if self.protocol not in PATH_PROTOCOLS:
             raise ValueError(
                 f"unknown protocol {self.protocol!r}; "
@@ -99,25 +109,21 @@ class PathSpec:
 BuiltPath = Union[LeotpPath, TcpPath, SplitTcpPath]
 
 
-def build_path(
-    sim: Simulator,
-    rng: RngRegistry,
-    spec: PathSpec,
-    *,
-    stream: Optional[ByteStream] = None,
-    recorder: Optional[FlowRecorder] = None,
-) -> BuiltPath:
+def build_path(sim: Simulator, rng: RngRegistry, spec: PathSpec) -> BuiltPath:
     """Build one transfer path from a declarative :class:`PathSpec`.
 
     The single facade over :func:`repro.core.build_leotp_path`,
     :func:`repro.tcp.build_e2e_tcp_path`, and
     :func:`repro.tcp.build_split_tcp_path` — experiments describe *what*
     to build and this function dispatches to the protocol's wiring.
+    ``partial(build_path, spec=...)`` is the ``build(sim, rng)`` callable
+    :func:`repro.faults.run_chaos` takes.
 
-    ``stream`` (TCP source) and ``recorder`` (split-path measurement
-    hook) are runtime objects rather than configuration, so they stay
-    out of the frozen spec.  For TCP, ``spec.total_bytes`` is a
-    convenience that builds a ``FiniteStream`` when ``stream`` is None.
+    Every built path answers the same read interface — ``recorder``,
+    ``links``, ``nodes``, ``wire_bytes_sent``, ``retransmissions`` — so
+    runners, the fault injector and row extractors never branch on the
+    protocol.  For TCP, ``spec.total_bytes`` sizes a ``FiniteStream``
+    (``None``: an unbounded source).
     """
     hops = list(spec.hops)
     if spec.protocol == "leotp":
@@ -135,8 +141,9 @@ def build_path(
                 path, spec.cache_policy, spec.cache_total_bytes
             )
         return path
-    if stream is None and spec.total_bytes is not None:
-        stream = FiniteStream(spec.total_bytes)
+    stream = (
+        FiniteStream(spec.total_bytes) if spec.total_bytes is not None else None
+    )
     if spec.protocol == "tcp":
         return _build_e2e_tcp_path(
             sim, rng, hops, spec.cc_name,
@@ -147,7 +154,7 @@ def build_path(
         )
     return _build_split_tcp_path(
         sim, rng, hops, spec.cc_name,
-        stream=stream, recorder=recorder, mss=spec.mss,
+        stream=stream, mss=spec.mss,
         flow_base=spec.flow_id if spec.flow_id is not None else "split",
     )
 
@@ -310,61 +317,29 @@ def metrics_from_recorder(
     )
 
 
-def run_tcp_chain(
-    cc_name: str,
-    hops: Sequence[HopSpec],
+def run_chain(
+    spec: PathSpec,
     duration_s: float,
     seed: int = 0,
     warmup_fraction: float = 0.2,
-    total_bytes: Optional[int] = None,
-    split: bool = False,
-) -> tuple[FlowMetrics, TcpPath]:
-    """Run one TCP flow (end-to-end or Split) over a chain and measure it."""
-    sim = Simulator()
-    rng = RngRegistry(seed)
-    spec = PathSpec(
-        protocol="split_tcp" if split else "tcp",
-        hops=tuple(hops), cc_name=cc_name, total_bytes=total_bytes,
-    )
-    if split:
-        recorder = FlowRecorder(sim, name=f"split:{cc_name}")
-        path = build_path(sim, rng, spec, recorder=recorder)
-        sender = path.sender
-    else:
-        built = build_path(sim, rng, spec)
-        recorder, sender, path = built.recorder, built.sender, built
-    sim.run(until=duration_s)
-    warmup = duration_s * warmup_fraction
-    metrics = metrics_from_recorder(
-        recorder, warmup, duration_s,
-        sender_bytes=sender.wire_bytes_sent,
-        retransmissions=sender.retransmissions,
-    )
-    return metrics, path
+    attach: Optional[Callable[[Simulator, BuiltPath], object]] = None,
+) -> tuple[FlowMetrics, BuiltPath]:
+    """Build the one flow ``spec`` describes, run it, and measure it.
 
-
-def run_leotp_chain(
-    hops: Sequence[HopSpec],
-    duration_s: float,
-    seed: int = 0,
-    config: Optional[LeotpConfig] = None,
-    coverage: float = 1.0,
-    warmup_fraction: float = 0.2,
-    total_bytes: Optional[int] = None,
-) -> tuple[FlowMetrics, LeotpPath]:
-    """Run one LEOTP flow over a chain and measure it."""
+    ``attach(sim, path)`` runs after wiring and before the clock starts —
+    the hook for whatever rides along with the flow (a
+    ``PathDynamicsDriver`` retuning ``path.links``, extra samplers).
+    Metrics skip the first ``warmup_fraction`` of the run.
+    """
     sim = Simulator()
-    rng = RngRegistry(seed)
-    path = build_path(sim, rng, PathSpec(
-        protocol="leotp", hops=tuple(hops), config=config,
-        coverage=coverage, total_bytes=total_bytes,
-    ))
+    path = build_path(sim, RngRegistry(seed), spec)
+    if attach is not None:
+        attach(sim, path)
     sim.run(until=duration_s)
-    warmup = duration_s * warmup_fraction
     metrics = metrics_from_recorder(
-        path.recorder, warmup, duration_s,
-        sender_bytes=path.producer.wire_bytes_sent,
-        retransmissions=path.consumer.retransmission_interests,
+        path.recorder, duration_s * warmup_fraction, duration_s,
+        sender_bytes=path.wire_bytes_sent,
+        retransmissions=path.retransmissions,
     )
     return metrics, path
 

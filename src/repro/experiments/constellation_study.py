@@ -19,10 +19,7 @@ from repro.constellation import (
     starlink_hop_specs,
     top_cities,
 )
-from repro.core import build_leotp_path
-from repro.experiments.common import ExperimentResult, metrics_from_recorder, scaled_duration
-from repro.simcore import RngRegistry, Simulator
-from repro.tcp import build_e2e_tcp_path
+from repro.experiments.common import ExperimentResult, PathSpec, run_chain, scaled_duration
 
 SHELLS = {
     # name: (planes, sats/plane, altitude m, inclination deg)
@@ -48,17 +45,16 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
         schedule = compute_path_schedule(router, CITY_A, CITY_B, duration, 2.0)
         n_hops = max(representative_hop_count(schedule), 2)
         hops = starlink_hop_specs(n_hops, isls_enabled=True, seed=seed)
-        for protocol in ("leotp", "bbr"):
-            sim = Simulator()
-            rng = RngRegistry(seed)
-            if protocol == "leotp":
-                path = build_leotp_path(sim, rng, hops)
-            else:
-                path = build_e2e_tcp_path(sim, rng, hops, "bbr")
-            PathDynamicsDriver(sim, schedule, path.links, update_interval_s=2.0)
-            sim.run(until=duration)
-            metrics = metrics_from_recorder(
-                path.recorder, duration * 0.2, duration
+        specs = {
+            "leotp": PathSpec(hops=hops),
+            "bbr": PathSpec(protocol="tcp", hops=hops, cc_name="bbr"),
+        }
+        for protocol, spec in specs.items():
+            metrics, _ = run_chain(
+                spec, duration, seed=seed,
+                attach=lambda sim, path: PathDynamicsDriver(
+                    sim, schedule, path.links, update_interval_s=2.0
+                ),
             )
             result.add(
                 shell=name,

@@ -8,7 +8,7 @@ mildly (-9 % / -33 % at 10 hops in the paper).
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult, run_tcp_chain, scaled_duration
+from repro.experiments.common import ExperimentResult, PathSpec, run_chain, scaled_duration
 from repro.netsim.topology import uniform_chain_specs
 
 ALGORITHMS = ("cubic", "hybla", "bbr", "pcc")
@@ -30,8 +30,9 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
             n_hops, rate_bps=20e6, delay_s=0.005, plr=PLR_PER_HOP
         )
         for cc in ALGORITHMS:
+            spec = PathSpec(protocol="tcp", hops=hops, cc_name=cc)
             runs = [
-                run_tcp_chain(cc, hops, duration, seed=seed + rep)[0]
+                run_chain(spec, duration, seed=seed + rep)[0]
                 for rep in range(repeats)
             ]
             result.add(

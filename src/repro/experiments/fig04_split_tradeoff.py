@@ -8,7 +8,7 @@ queueing at the proxies.
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult, run_tcp_chain, scaled_duration
+from repro.experiments.common import ExperimentResult, PathSpec, run_chain, scaled_duration
 from repro.netsim.topology import uniform_chain_specs
 
 ALGORITHMS = ("cubic", "hybla", "bbr", "pcc")
@@ -22,11 +22,14 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
         "Split TCP vs TCP: throughput (Mbps) and mean OWD (ms), 10 lossy hops",
     )
     for cc in ALGORITHMS:
-        for split in (False, True):
-            metrics, _ = run_tcp_chain(cc, hops, duration, seed=seed, split=split)
+        for mode, protocol in (("e2e", "tcp"), ("split", "split_tcp")):
+            metrics, _ = run_chain(
+                PathSpec(protocol=protocol, hops=hops, cc_name=cc),
+                duration, seed=seed,
+            )
             result.add(
                 algorithm=cc,
-                mode="split" if split else "e2e",
+                mode=mode,
                 throughput_mbps=metrics.throughput_mbps,
                 owd_mean_ms=metrics.owd_mean_ms,
             )

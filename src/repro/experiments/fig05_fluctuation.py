@@ -9,7 +9,7 @@ loss-based algorithms'; congestion loss grows for everyone.
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult, run_tcp_chain, scaled_duration
+from repro.experiments.common import ExperimentResult, PathSpec, run_chain, scaled_duration
 from repro.netsim.bandwidth import SquareWaveBandwidth
 from repro.netsim.topology import HopSpec
 
@@ -45,7 +45,10 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     for prop_ms in PROP_DELAYS_MS:
         hops = _hops(prop_ms / 1000.0)
         for cc in ALGORITHMS:
-            metrics, path = run_tcp_chain(cc, hops, duration, seed=seed)
+            metrics, path = run_chain(
+                PathSpec(protocol="tcp", hops=hops, cc_name=cc),
+                duration, seed=seed,
+            )
             queue_drops = sum(
                 duplex.ab.stats.packets_dropped_queue for duplex in path.links
             )

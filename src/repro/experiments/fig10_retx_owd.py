@@ -12,8 +12,8 @@ import numpy as np
 
 from repro.experiments.common import (
     ExperimentResult,
-    run_leotp_chain,
-    run_tcp_chain,
+    PathSpec,
+    run_chain,
     scaled_duration,
 )
 from repro.netsim.topology import uniform_chain_specs
@@ -29,8 +29,11 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     )
     for plr in PLRS:
         hops = uniform_chain_specs(5, rate_bps=20e6, delay_s=0.010, plr=plr)
-        leotp, leotp_path = run_leotp_chain(hops, duration, seed=seed)
-        bbr, _ = run_tcp_chain("bbr", hops, duration, seed=seed)
+        leotp, _ = run_chain(PathSpec(hops=hops), duration, seed=seed)
+        bbr, _ = run_chain(
+            PathSpec(protocol="tcp", hops=hops, cc_name="bbr"),
+            duration, seed=seed,
+        )
         base_owd = min(leotp.owd_p50_ms, bbr.owd_p50_ms)
         for proto, metrics in (("leotp", leotp), ("bbr", bbr)):
             retx = metrics.retx_owd_mean_ms

@@ -12,8 +12,8 @@ import numpy as np
 
 from repro.experiments.common import (
     ExperimentResult,
-    run_leotp_chain,
-    run_tcp_chain,
+    PathSpec,
+    run_chain,
     scaled_duration,
 )
 from repro.netsim.topology import uniform_chain_specs
@@ -28,15 +28,17 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
         "Fig. 11",
         f"Server traffic (MB) to deliver a {file_bytes / 1e6:.0f} MB file, 5 lossy hops",
     )
-    hops_for = lambda plr: uniform_chain_specs(
-        5, rate_bps=20e6, delay_s=0.010, plr=plr
-    )
     for plr in PLRS:
-        leotp, leotp_path = run_leotp_chain(
-            hops_for(plr), timeout, seed=seed, total_bytes=file_bytes
+        hops = uniform_chain_specs(5, rate_bps=20e6, delay_s=0.010, plr=plr)
+        _, leotp_path = run_chain(
+            PathSpec(hops=hops, total_bytes=file_bytes), timeout, seed=seed
         )
-        bbr, bbr_path = run_tcp_chain(
-            "bbr", hops_for(plr), timeout, seed=seed, total_bytes=file_bytes
+        _, bbr_path = run_chain(
+            PathSpec(
+                protocol="tcp", hops=hops, cc_name="bbr",
+                total_bytes=file_bytes,
+            ),
+            timeout, seed=seed,
         )
         result.add(
             plr_per_hop=plr,

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from repro.experiments.common import (
     ExperimentResult,
-    run_leotp_chain,
-    run_tcp_chain,
+    PathSpec,
+    run_chain,
     scaled_duration,
 )
 from repro.netsim.topology import uniform_chain_specs
@@ -27,21 +27,17 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     )
     for plr in PLRS:
         hops = uniform_chain_specs(5, rate_bps=20e6, delay_s=0.005, plr=plr)
-        leotp_runs = [
-            run_leotp_chain(hops, duration, seed=seed + rep)[0]
-            for rep in range(repeats)
-        ]
-        result.add(
-            plr_per_hop=plr, protocol="leotp",
-            throughput_mbps=sum(m.throughput_mbps for m in leotp_runs) / repeats,
-        )
-        for cc in BASELINES:
+        specs = {"leotp": PathSpec(hops=hops)} | {
+            cc: PathSpec(protocol="tcp", hops=hops, cc_name=cc)
+            for cc in BASELINES
+        }
+        for protocol, spec in specs.items():
             runs = [
-                run_tcp_chain(cc, hops, duration, seed=seed + rep)[0]
+                run_chain(spec, duration, seed=seed + rep)[0]
                 for rep in range(repeats)
             ]
             result.add(
-                plr_per_hop=plr, protocol=cc,
+                plr_per_hop=plr, protocol=protocol,
                 throughput_mbps=sum(m.throughput_mbps for m in runs) / repeats,
             )
     # Degradation summary at the top loss rate.

@@ -10,10 +10,8 @@ design degrades the least (paper: +34 % over BBR, +15 % over PCC at a
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core import Consumer, LeotpConfig, Midnode, Producer
-from repro.experiments.common import ExperimentResult, metrics_from_recorder, scaled_duration
+from repro.experiments.common import ExperimentResult, scaled_duration
 from repro.netsim.link import DuplexLink
 from repro.netsim.node import ChainForwarder
 from repro.netsim.topology import SwitchablePath

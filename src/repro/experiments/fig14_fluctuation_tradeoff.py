@@ -13,8 +13,8 @@ from __future__ import annotations
 from repro.core import LeotpConfig
 from repro.experiments.common import (
     ExperimentResult,
-    run_leotp_chain,
-    run_tcp_chain,
+    PathSpec,
+    run_chain,
     scaled_duration,
 )
 from repro.netsim.bandwidth import SquareWaveBandwidth
@@ -50,7 +50,10 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
         "Throughput (Mbps) vs mean OWD (ms); fluctuating 10 Mbps bottleneck",
     )
     for cc in BASELINES:
-        metrics, _ = run_tcp_chain(cc, hops, duration, seed=seed)
+        metrics, _ = run_chain(
+            PathSpec(protocol="tcp", hops=hops, cc_name=cc),
+            duration, seed=seed,
+        )
         result.add(
             protocol=cc, variant="-",
             throughput_mbps=metrics.throughput_mbps,
@@ -59,7 +62,7 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
         )
     # End-to-end LEOTP: no Midnodes (the paper's "near-optimal latency,
     # low throughput" reference point).
-    e2e, _ = run_leotp_chain(hops, duration, seed=seed, coverage=0.0)
+    e2e, _ = run_chain(PathSpec(hops=hops, coverage=0.0), duration, seed=seed)
     result.add(
         protocol="leotp-e2e", variant="-",
         throughput_mbps=e2e.throughput_mbps,
@@ -69,7 +72,9 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     # Full LEOTP across the buffer-target sweep (the trade-off knob).
     for target in BUFFER_TARGETS_PKTS:
         config = LeotpConfig(buffer_target_bytes=target * 1400)
-        metrics, _ = run_leotp_chain(hops, duration, seed=seed, config=config)
+        metrics, _ = run_chain(
+            PathSpec(hops=hops, config=config), duration, seed=seed
+        )
         result.add(
             protocol="leotp", variant=f"BLtar={target}pkt",
             throughput_mbps=metrics.throughput_mbps,

@@ -11,8 +11,6 @@ behaviour is visible within tens of seconds.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.analysis import jain_fairness
 from repro.core import Consumer, LeotpConfig, Midnode, Producer
 from repro.experiments.common import ExperimentResult, scaled_duration

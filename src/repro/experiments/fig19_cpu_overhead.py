@@ -12,7 +12,7 @@ packet loss.
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult, run_leotp_chain, scaled_duration
+from repro.experiments.common import ExperimentResult, PathSpec, run_chain, scaled_duration
 from repro.netsim.topology import uniform_chain_specs
 
 BANDWIDTHS_MBPS = (5, 10, 20, 40)
@@ -30,7 +30,7 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
             hops = uniform_chain_specs(
                 3, rate_bps=rate_mbps * 1e6, delay_s=0.005, plr=plr
             )
-            metrics, path = run_leotp_chain(hops, duration, seed=seed)
+            metrics, path = run_chain(PathSpec(hops=hops), duration, seed=seed)
             mid = path.midnodes[0]
             ops_per_s = mid.stats.total_operations() / duration
             result.add(

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from repro.experiments.common import (
     ExperimentResult,
-    metrics_from_recorder,
-    run_leotp_chain,
-    run_tcp_chain,
+    PathSpec,
+    run_chain,
     scaled_duration,
 )
 from repro.netsim.topology import HopSpec, build_chain
@@ -68,12 +67,15 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     for spread in (False, True):
         hops = _hops(spread)
         placement = "spread over all hops" if spread else "last hop only"
-        cubic, _ = run_tcp_chain("cubic", hops, duration, seed=seed)
+        cubic, _ = run_chain(
+            PathSpec(protocol="tcp", hops=hops, cc_name="cubic"),
+            duration, seed=seed,
+        )
         result.add(loss_placement=placement, protocol="cubic",
                    throughput_mbps=cubic.throughput_mbps)
         result.add(loss_placement=placement, protocol="cubic+snoop",
                    throughput_mbps=_run_snoop(hops, duration, seed))
-        leotp, _ = run_leotp_chain(hops, duration, seed=seed)
+        leotp, _ = run_chain(PathSpec(hops=hops), duration, seed=seed)
         result.add(loss_placement=placement, protocol="leotp",
                    throughput_mbps=leotp.throughput_mbps)
     result.notes.append(

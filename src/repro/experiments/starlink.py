@@ -23,10 +23,8 @@ from repro.constellation import (
     starlink_hop_specs,
     top_cities,
 )
-from repro.core import LeotpConfig, build_leotp_path
-from repro.experiments.common import FlowMetrics, metrics_from_recorder
-from repro.simcore import RngRegistry, Simulator
-from repro.tcp import build_e2e_tcp_path
+from repro.core import LeotpConfig
+from repro.experiments.common import FlowMetrics, PathSpec, run_chain
 
 
 @lru_cache(maxsize=8)
@@ -66,30 +64,19 @@ def run_starlink_flow(
     schedule = path_schedule(city_a, city_b, isls_enabled, duration_s)
     n_hops = max(representative_hop_count(schedule), 2)
     hops = starlink_hop_specs(n_hops, isls_enabled=isls_enabled, seed=seed)
-    sim = Simulator()
-    rng = RngRegistry(seed)
     if protocol == "leotp":
-        path = build_leotp_path(
-            sim, rng, hops, config=config or LeotpConfig(), coverage=coverage
-        )
-        recorder, links = path.recorder, path.links
-        sender_bytes = lambda: path.producer.wire_bytes_sent
-        retx = lambda: path.consumer.retransmission_interests
+        spec = PathSpec(hops=hops, config=config, coverage=coverage)
     else:
-        path = build_e2e_tcp_path(sim, rng, hops, protocol)
-        recorder, links = path.recorder, path.links
-        sender_bytes = lambda: path.sender.wire_bytes_sent
-        retx = lambda: path.sender.retransmissions
-    driver = PathDynamicsDriver(sim, schedule, links, update_interval_s=2.0)
-    sim.run(until=duration_s)
-    metrics = metrics_from_recorder(
-        recorder, duration_s * 0.2, duration_s,
-        sender_bytes=sender_bytes(), retransmissions=retx(),
+        spec = PathSpec(protocol="tcp", hops=hops, cc_name=protocol)
+    metrics, _ = run_chain(
+        spec, duration_s, seed=seed,
+        attach=lambda sim, path: PathDynamicsDriver(
+            sim, schedule, path.links, update_interval_s=2.0
+        ),
     )
     context = {
         "hop_count": n_hops,
         "mean_prop_delay_ms": schedule.mean_delay_s * 1000,
-        "handovers": driver.handover_count,
         "route_changes": len(schedule.change_times()),
     }
     return metrics, context

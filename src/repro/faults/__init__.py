@@ -8,7 +8,7 @@ the protocol's correctness claims while the faults land; and
 :func:`recovery_report` quantifies how quickly goodput comes back.
 """
 
-from repro.faults.harness import ChaosResult, run_leotp_chaos, run_tcp_chaos
+from repro.faults.harness import ChaosResult, run_chaos
 from repro.faults.invariants import (
     BoundedRequesterWindow,
     BoundedResponderBuffers,
@@ -65,6 +65,5 @@ __all__ = [
     "RtoSanity",
     "default_invariants",
     "recovery_report",
-    "run_leotp_chaos",
-    "run_tcp_chaos",
+    "run_chaos",
 ]

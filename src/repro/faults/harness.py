@@ -6,19 +6,19 @@ figure-level experiments.  When :data:`repro.obs.TRACER` is enabled the
 runs also carry packet-level traces, so a failed invariant can be read
 back as a recovery timeline via :func:`repro.analysis.run_summary`.
 
-These are the entry points the chaos regression suite, the experiment
-matrix, and the examples share.  Each builds a fresh simulator, wires a
-chain, arms the fault schedule, runs to ``duration_s`` (under a wall-clock
-watchdog), and returns a :class:`ChaosResult` bundling the invariant
-reports, the recovery metrics, and the injector's action log.
+:func:`run_chaos` is the one entry point the chaos regression suite, the
+experiment matrix, and the examples share.  It builds a fresh simulator,
+asks the caller's ``build(sim, rng)`` for the topology, arms the fault
+schedule, runs to ``duration_s`` (under a wall-clock watchdog), and
+returns a :class:`ChaosResult` bundling the invariant reports, the
+recovery metrics, and the injector's action log.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
-from repro.core import LeotpConfig, build_leotp_path
 from repro.faults.invariants import (
     InvariantLimits,
     InvariantMonitor,
@@ -27,10 +27,8 @@ from repro.faults.invariants import (
 )
 from repro.faults.metrics import RecoveryReport, recovery_report
 from repro.faults.schedule import FaultInjector, FaultSchedule
-from repro.netsim.topology import HopSpec, uniform_chain_specs
 from repro.obs import METRICS, TRACER
 from repro.simcore import RngRegistry, Simulator
-from repro.tcp import build_e2e_tcp_path
 
 
 @dataclass
@@ -41,6 +39,7 @@ class ChaosResult:
     invariants: list[InvariantReport]
     recovery: RecoveryReport
     fault_log: list[tuple[float, str]] = field(default_factory=list)
+    faults_applied: int = 0  # faults fired (fault_log also logs restores)
     completed: Optional[bool] = None  # None for open-ended flows
     completed_at_s: Optional[float] = None
     # Snapshots of the obs streams for this run, when tracing/metrics
@@ -100,50 +99,38 @@ def _fault_window(schedule: FaultSchedule) -> tuple[float, float]:
     return start, max(schedule.last_fault_end_s, start)
 
 
-def run_leotp_chaos(
+def run_chaos(
     schedule: FaultSchedule,
-    hops: Optional[Sequence[HopSpec]] = None,
-    n_hops: int = 6,
-    rate_bps: float = 20e6,
-    delay_s: float = 0.008,
-    plr: float = 0.0,
+    build: Callable[[Simulator, RngRegistry], Any],
     duration_s: float = 15.0,
-    total_bytes: Optional[int] = None,
     seed: int = 0,
-    config: Optional[LeotpConfig] = None,
-    coverage: float = 1.0,
     recovery_window_s: float = 5.0,
     recovery_fraction: float = 0.8,
     limits: InvariantLimits = InvariantLimits(),
     wall_timeout_s: Optional[float] = 120.0,
-    builder: Optional[Callable[[Simulator, RngRegistry], Any]] = None,
 ) -> ChaosResult:
-    """Run one LEOTP flow over a faulted chain, with invariants armed.
+    """Run one flow over a faulted topology and report how it recovered.
 
-    ``builder`` swaps the default linear chain for any LEOTP topology
-    (gateway bridge, multicast tree, ...): called as ``builder(sim, rng)``
-    it must return a path object exposing ``consumer``, ``producer``,
-    ``recorder``, and (for link targeting) ``links``; the chain-shape
-    arguments (``hops``/``n_hops``/``total_bytes``/``coverage``/...) are
-    ignored when a builder is given.
+    ``build(sim, rng)`` names the topology: it returns a path exposing
+    ``recorder``, ``links``, ``nodes`` and ``wire_bytes_sent`` (every
+    built-path type does; a chain is ``partial(build_path,
+    spec=PathSpec(...))`` from :mod:`repro.experiments.common`, the
+    gateway bridge and multicast tree pass their own builder).
+
+    A path with a LEOTP ``consumer`` runs with the
+    :class:`InvariantMonitor` armed and reports completion.  A TCP path
+    (``sender`` instead) carries recovery metrics only — its in-order
+    delivery is structural — and is the baseline the chaos suite
+    compares LEOTP against.
     """
     sim = Simulator()
     rng = RngRegistry(seed)
-    if builder is not None:
-        path = builder(sim, rng)
-        total_bytes = path.consumer.total_bytes
-    else:
-        if hops is None:
-            hops = uniform_chain_specs(
-                n_hops, rate_bps=rate_bps, delay_s=delay_s, plr=plr
-            )
-        path = build_leotp_path(
-            sim, rng, list(hops),
-            config=config or LeotpConfig(),
-            total_bytes=total_bytes,
-            coverage=coverage,
-        )
-    monitor = InvariantMonitor(sim, path, limits=limits)
+    path = build(sim, rng)
+    consumer = getattr(path, "consumer", None)
+    monitor = (
+        InvariantMonitor(sim, path, limits=limits)
+        if consumer is not None else None
+    )
     injector = FaultInjector(sim, rng)
     injector.register_path(path)
     injector.arm(schedule)
@@ -153,7 +140,7 @@ def run_leotp_chaos(
     sim.run(until=duration_s, wall_timeout_s=wall_timeout_s)
 
     fault_start, fault_end = _fault_window(schedule)
-    completion = path.consumer.completed_at
+    completion = consumer.completed_at if consumer is not None else None
     post_window = recovery_window_s
     if completion is not None and completion > fault_end:
         # The flow finished inside the measurement window: only count
@@ -164,76 +151,19 @@ def run_leotp_chaos(
         window_s=recovery_window_s,
         post_window_s=post_window,
         recovery_fraction=recovery_fraction,
-        wire_bytes_sent=path.producer.wire_bytes_sent,
+        wire_bytes_sent=path.wire_bytes_sent,
     )
+    finite = consumer is not None and consumer.total_bytes is not None
     return ChaosResult(
-        protocol="leotp",
-        invariants=monitor.finalise(),
+        protocol=(
+            "leotp" if consumer is not None else f"tcp-{path.sender.cc.name}"
+        ),
+        invariants=monitor.finalise() if monitor is not None else [],
         recovery=recovery,
         fault_log=list(injector.log),
-        completed=path.consumer.finished if total_bytes is not None else None,
+        faults_applied=injector.faults_applied,
+        completed=consumer.finished if finite else None,
         completed_at_s=completion,
-        trace_records=TRACER.records[rec_mark:] if TRACER.enabled else None,
-        metric_samples=METRICS.samples[sample_mark:] if METRICS.enabled else None,
-        path=path,
-    )
-
-
-def run_tcp_chaos(
-    schedule: FaultSchedule,
-    cc_name: str = "bbr",
-    hops: Optional[Sequence[HopSpec]] = None,
-    n_hops: int = 6,
-    rate_bps: float = 20e6,
-    delay_s: float = 0.008,
-    plr: float = 0.0,
-    duration_s: float = 15.0,
-    seed: int = 0,
-    recovery_window_s: float = 5.0,
-    recovery_fraction: float = 0.8,
-    wall_timeout_s: Optional[float] = 120.0,
-    builder: Optional[Callable[[Simulator, RngRegistry], Any]] = None,
-) -> ChaosResult:
-    """Run one end-to-end TCP flow over the same faulted chain.
-
-    The LEOTP invariant set does not apply (TCP's in-order delivery is
-    structural), so the result carries recovery metrics only — the
-    baseline the chaos suite compares LEOTP against.
-
-    ``builder`` mirrors :func:`run_leotp_chaos`'s hook: called as
-    ``builder(sim, rng)`` it must return a path exposing ``sender``,
-    ``recorder``, and ``links``; the chain-shape arguments are then
-    ignored.  This is how the churn experiment runs its TCP baseline
-    over the same geometry-driven chain as LEOTP.
-    """
-    sim = Simulator()
-    rng = RngRegistry(seed)
-    if builder is not None:
-        path = builder(sim, rng)
-    else:
-        if hops is None:
-            hops = uniform_chain_specs(
-                n_hops, rate_bps=rate_bps, delay_s=delay_s, plr=plr
-            )
-        path = build_e2e_tcp_path(sim, rng, list(hops), cc_name)
-    injector = FaultInjector(sim, rng)
-    injector.register_path(path)
-    injector.arm(schedule)
-    rec_mark, sample_mark = len(TRACER.records), len(METRICS.samples)
-    sim.run(until=duration_s, wall_timeout_s=wall_timeout_s)
-
-    fault_start, fault_end = _fault_window(schedule)
-    recovery = recovery_report(
-        path.recorder, fault_start, fault_end,
-        window_s=recovery_window_s,
-        recovery_fraction=recovery_fraction,
-        wire_bytes_sent=path.sender.wire_bytes_sent,
-    )
-    return ChaosResult(
-        protocol=f"tcp-{cc_name}",
-        invariants=[],
-        recovery=recovery,
-        fault_log=list(injector.log),
         trace_records=TRACER.records[rec_mark:] if TRACER.enabled else None,
         metric_samples=METRICS.samples[sample_mark:] if METRICS.enabled else None,
         path=path,

@@ -308,100 +308,6 @@ class _ScaledProfile:
         return self.base.rate_at(t) * self.factor
 
 
-class _LinkBackUp:
-    """Scheduled end of a :class:`LinkDown` window.
-
-    A named callable (not a closure) so a shard checkpoint taken *inside*
-    a blackout window can pickle the pending restore off the event heap.
-    The same applies to every ``_*Restore`` class below.
-    """
-
-    __slots__ = ("injector", "links", "label")
-
-    def __init__(self, injector: "FaultInjector", links, label: str) -> None:
-        self.injector = injector
-        self.links = links
-        self.label = label
-
-    def __call__(self) -> None:
-        for link in self.links:
-            link.up = True
-        self.injector._log(f"{self.label} UP")
-
-
-class _DelayRestore:
-    __slots__ = ("injector", "links", "deltas", "label")
-
-    def __init__(self, injector, links, deltas, label: str) -> None:
-        self.injector = injector
-        self.links = links
-        self.deltas = deltas
-        self.label = label
-
-    def __call__(self) -> None:
-        for link, delta in zip(self.links, self.deltas):
-            link.delay_s = max(link.delay_s - delta, 0.0)
-        self.injector._log(f"{self.label} delay restored")
-
-
-class _BandwidthRestore:
-    __slots__ = ("injector", "links", "saved", "label")
-
-    def __init__(self, injector, links, saved, label: str) -> None:
-        self.injector = injector
-        self.links = links
-        self.saved = saved
-        self.label = label
-
-    def __call__(self) -> None:
-        for link, profile in zip(self.links, self.saved):
-            link.profile = profile
-        self.injector._log(f"{self.label} bandwidth restored")
-
-
-class _LossRestore:
-    __slots__ = ("injector", "links", "saved", "label")
-
-    def __init__(self, injector, links, saved, label: str) -> None:
-        self.injector = injector
-        self.links = links
-        self.saved = saved
-        self.label = label
-
-    def __call__(self) -> None:
-        for link, plr in zip(self.links, self.saved):
-            link.set_loss(plr)
-        self.injector._log(f"{self.label} loss restored")
-
-
-class _LossModelRestore:
-    __slots__ = ("injector", "links", "saved", "label")
-
-    def __init__(self, injector, links, saved, label: str) -> None:
-        self.injector = injector
-        self.links = links
-        self.saved = saved
-        self.label = label
-
-    def __call__(self) -> None:
-        for link, model in zip(self.links, self.saved):
-            link.loss_model = model
-        self.injector._log(f"{self.label} Gilbert-Elliott loss detached")
-
-
-class _NodeRestart:
-    __slots__ = ("injector", "node", "label")
-
-    def __init__(self, injector, node, label: str) -> None:
-        self.injector = injector
-        self.node = node
-        self.label = label
-
-    def __call__(self) -> None:
-        self.node.restart()
-        self.injector._log(f"{self.label} restarted")
-
-
 class FaultInjector:
     """Executes a :class:`FaultSchedule` against registered links/nodes."""
 
@@ -432,24 +338,14 @@ class FaultInjector:
         self._nodes[name] = node
 
     def register_path(self, path) -> None:
-        """Register everything in a built path (LeotpPath or TcpPath).
+        """Register everything in a built path (any of the path types).
 
-        Duplex links become ``hop0`` .. ``hopN``; every node object found
-        on the path is registered under its own ``name``.
+        Duplex ``path.links`` become ``hop0`` .. ``hopN``; every node in
+        ``path.nodes`` is registered under its own ``name``.
         """
-        for i, duplex in enumerate(getattr(path, "links", [])):
+        for i, duplex in enumerate(path.links):
             self.register_link(f"hop{i}", duplex)
-        for attr in ("producer", "consumer", "sender", "receiver"):
-            node = getattr(path, attr, None)
-            if node is not None:
-                self.register_node(node.name, node)
-        for node in getattr(path, "intermediates", []) or []:
-            self.register_node(node.name, node)
-        for node in getattr(path, "forwarders", []) or []:
-            self.register_node(node.name, node)
-        for node in getattr(path, "satellites", []) or []:
-            self.register_node(node.name, node)
-        for node in getattr(path, "consumers", []) or []:
+        for node in path.nodes:
             self.register_node(node.name, node)
 
     def _resolve_links(self, name: str) -> list[Link]:
@@ -496,14 +392,17 @@ class FaultInjector:
         )
 
     # -- execution ------------------------------------------------------
+    # Each restore is a method scheduled with its arguments (never a
+    # closure), so a checkpoint taken *inside* a fault window can pickle
+    # the pending restore off the event heap.
 
     def _log(self, message: str) -> None:
         if TRACER.enabled:
             TRACER.emit(self.sim.now, "fault", "injector", detail=message)
         self.log.append((self.sim.now, message))
-        self.faults_applied += 1
 
     def _apply(self, event: FaultEvent) -> None:
+        self.faults_applied += 1  # faults, not log lines (restores log too)
         if isinstance(event, LinkDown):
             self._apply_link_down(event)
         elif isinstance(event, DelaySpike):
@@ -528,10 +427,14 @@ class FaultInjector:
                 dropped += link.flush(drop_inflight=event.drop_inflight)
         self._log(f"{event.link} DOWN for {event.duration_s}s ({dropped} flushed)")
         self.sim.schedule(
-            event.duration_s,
-            _LinkBackUp(self, links, event.link),
+            event.duration_s, self._link_back_up, links, event.link,
             priority=self.PRIORITY,
         )
+
+    def _link_back_up(self, links: list[Link], label: str) -> None:
+        for link in links:
+            link.up = True
+        self._log(f"{label} UP")
 
     def _apply_delay_spike(self, event: DelaySpike) -> None:
         links = self._resolve_links(event.link)
@@ -542,10 +445,14 @@ class FaultInjector:
             link.delay_s = spiked
         self._log(f"{event.link} delay spike (+{deltas[0] * 1000:.1f} ms)")
         self.sim.schedule(
-            event.duration_s,
-            _DelayRestore(self, links, deltas, event.link),
+            event.duration_s, self._restore_delay, links, deltas, event.link,
             priority=self.PRIORITY,
         )
+
+    def _restore_delay(self, links, deltas, label: str) -> None:
+        for link, delta in zip(links, deltas):
+            link.delay_s = max(link.delay_s - delta, 0.0)
+        self._log(f"{label} delay restored")
 
     def _apply_bandwidth_collapse(self, event: BandwidthCollapse) -> None:
         links = self._resolve_links(event.link)
@@ -554,10 +461,14 @@ class FaultInjector:
             link.profile = _ScaledProfile(link.profile, event.factor)
         self._log(f"{event.link} bandwidth collapsed to {event.factor:.0%}")
         self.sim.schedule(
-            event.duration_s,
-            _BandwidthRestore(self, links, saved, event.link),
-            priority=self.PRIORITY,
+            event.duration_s, self._restore_bandwidth, links, saved,
+            event.link, priority=self.PRIORITY,
         )
+
+    def _restore_bandwidth(self, links, saved, label: str) -> None:
+        for link, profile in zip(links, saved):
+            link.profile = profile
+        self._log(f"{label} bandwidth restored")
 
     def _apply_loss_burst(self, event: LossBurst) -> None:
         links = self._resolve_links(event.link)
@@ -569,10 +480,14 @@ class FaultInjector:
             )
         self._log(f"{event.link} loss burst plr={event.plr}")
         self.sim.schedule(
-            event.duration_s,
-            _LossRestore(self, links, saved, event.link),
+            event.duration_s, self._restore_loss, links, saved, event.link,
             priority=self.PRIORITY,
         )
+
+    def _restore_loss(self, links, saved, label: str) -> None:
+        for link, plr in zip(links, saved):
+            link.set_loss(plr)
+        self._log(f"{label} loss restored")
 
     def _apply_correlated_loss(self, event: CorrelatedLoss) -> None:
         links = self._resolve_links(event.link)
@@ -587,10 +502,14 @@ class FaultInjector:
             )
         self._log(f"{event.link} Gilbert-Elliott loss attached")
         self.sim.schedule(
-            event.duration_s,
-            _LossModelRestore(self, links, saved, event.link),
-            priority=self.PRIORITY,
+            event.duration_s, self._restore_loss_model, links, saved,
+            event.link, priority=self.PRIORITY,
         )
+
+    def _restore_loss_model(self, links, saved, label: str) -> None:
+        for link, model in zip(links, saved):
+            link.loss_model = model
+        self._log(f"{label} Gilbert-Elliott loss detached")
 
     def _apply_node_crash(self, event: NodeCrash) -> None:
         node = self._resolve_node(event.node)
@@ -598,7 +517,10 @@ class FaultInjector:
         self._log(f"{event.node} CRASHED")
         if event.restart_after_s is not None:
             self.sim.schedule(
-                event.restart_after_s,
-                _NodeRestart(self, node, event.node),
+                event.restart_after_s, self._restart_node, node, event.node,
                 priority=self.PRIORITY,
             )
+
+    def _restart_node(self, node: Node, label: str) -> None:
+        node.restart()
+        self._log(f"{label} restarted")

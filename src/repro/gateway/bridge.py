@@ -26,10 +26,10 @@ from typing import Optional, Sequence, Union
 from repro.core.config import LeotpConfig
 from repro.core.consumer import Consumer
 from repro.core.midnode import Midnode
-from repro.core.wire import Interest, LeotpPacket
+from repro.core.wire import LeotpPacket
 from repro.gateway.streaming import StreamingProducer
 from repro.netsim.link import DuplexLink, Link
-from repro.netsim.node import ChainForwarder, Node, wire_chain_forwarders
+from repro.netsim.node import Node, wire_chain_forwarders
 from repro.netsim.packet import Packet
 from repro.netsim.topology import HopSpec, build_chain
 from repro.netsim.trace import FlowRecorder
@@ -146,6 +146,19 @@ class GatewayPath:
     @property
     def midnodes(self) -> list[Midnode]:
         return [s for s in self.satellites if isinstance(s, Midnode)]
+
+    @property
+    def nodes(self) -> list[Node]:
+        """The LEOTP segment's nodes (the fault-injectable part)."""
+        return [self.producer, *self.satellites, self.consumer]
+
+    @property
+    def wire_bytes_sent(self) -> int:
+        return self.producer.wire_bytes_sent
+
+    @property
+    def retransmissions(self) -> int:
+        return self.consumer.retransmission_interests
 
     @property
     def completed(self) -> bool:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from repro.netsim.link import DuplexLink
-from repro.netsim.node import ChainForwarder, wire_chain_forwarders
+from repro.netsim.node import ChainForwarder, Node, wire_chain_forwarders
 from repro.netsim.topology import HopSpec, build_chain
 from repro.netsim.trace import FlowRecorder
 from repro.obs.metrics import METRICS, attach_tcp_samplers
@@ -26,6 +26,18 @@ class TcpPath:
     recorder: FlowRecorder
     links: list[DuplexLink]
     forwarders: list[ChainForwarder]
+
+    @property
+    def nodes(self) -> list[Node]:
+        return [self.sender, *self.forwarders, self.receiver]
+
+    @property
+    def wire_bytes_sent(self) -> int:
+        return self.sender.wire_bytes_sent
+
+    @property
+    def retransmissions(self) -> int:
+        return self.sender.retransmissions
 
 
 def build_e2e_tcp_path(

@@ -10,9 +10,10 @@ queueing — Split TCP's weakness) is measured faithfully.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from repro.netsim.link import Link
+from repro.netsim.link import DuplexLink, Link
 from repro.netsim.node import Node
 from repro.netsim.packet import Packet
 from repro.netsim.trace import FlowRecorder
@@ -78,6 +79,7 @@ class SplitTcpProxy(Node):
             self.receiver.receive(packet, link)
 
 
+@dataclass
 class SplitTcpPath:
     """A fully wired Split TCP path over an N-hop chain.
 
@@ -85,21 +87,23 @@ class SplitTcpPath:
     proxies, the end receiver, and aggregate backlog for diagnostics.
     """
 
-    def __init__(
-        self,
-        sender: TcpSender,
-        proxies: list[SplitTcpProxy],
-        receiver: TcpReceiver,
-        links: Optional[list] = None,
-        recorder: Optional[FlowRecorder] = None,
-    ) -> None:
-        self.sender = sender
-        self.proxies = proxies
-        self.receiver = receiver
-        # Exposed for the fault injector (hop targeting) and recovery
-        # metrics, so split paths work under the chaos harnesses too.
-        self.links = links if links is not None else []
-        self.recorder = recorder
+    sender: TcpSender
+    proxies: list[SplitTcpProxy]
+    receiver: TcpReceiver
+    links: list[DuplexLink]
+    recorder: FlowRecorder
+
+    @property
+    def nodes(self) -> list[Node]:
+        return [self.sender, *self.proxies, self.receiver]
+
+    @property
+    def wire_bytes_sent(self) -> int:
+        return self.sender.wire_bytes_sent
+
+    @property
+    def retransmissions(self) -> int:
+        return self.sender.retransmissions
 
     @property
     def total_proxy_backlog_bytes(self) -> int:
@@ -119,13 +123,17 @@ def build_split_tcp_path(
     """Create sender, N-1 proxies, receiver and wire them over ``hops``.
 
     ``hops`` is a sequence of :class:`~repro.netsim.topology.HopSpec`; hop
-    ``i`` carries the ``i``-th per-hop TCP connection.
+    ``i`` carries the ``i``-th per-hop TCP connection.  End-to-end
+    deliveries land in ``recorder`` (default: a fresh one named
+    ``flow_base``).
     """
     from repro.netsim.topology import build_chain
 
     n = len(hops)
     if n < 1:
         raise ValueError("need at least one hop")
+    if recorder is None:
+        recorder = FlowRecorder(sim, name=flow_base)
     sender = make_tcp_sender(
         sim, f"{flow_base}-snd", f"{flow_base}-p0" if n > 1 else f"{flow_base}-rcv",
         None, cc_name, stream=stream, mss=mss,

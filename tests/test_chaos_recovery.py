@@ -7,18 +7,30 @@ goodput at >= 80 % of the pre-fault level within 5 s of simulated time —
 deterministically per seed.
 """
 
+from functools import partial
+
 import pytest
 
+from repro.experiments.common import PathSpec, build_path
 from repro.faults import (
     CorrelatedLoss,
     FaultSchedule,
     LinkDown,
     LinkFlap,
     NodeCrash,
-    run_leotp_chaos,
+    run_chaos,
 )
+from repro.netsim.topology import uniform_chain_specs
 
 TOTAL_BYTES = 20_000_000  # finishes inside the 15 s runs at 20 Mbps
+
+
+def _chain(total_bytes=TOTAL_BYTES):
+    """The 6-hop 20 Mbps / 8 ms LEOTP chain every scenario runs over."""
+    hops = uniform_chain_specs(6, rate_bps=20e6, delay_s=0.008)
+    return partial(
+        build_path, spec=PathSpec(hops=hops, total_bytes=total_bytes)
+    )
 
 
 def _assert_recovered(result):
@@ -35,9 +47,7 @@ class TestBlackoutRecovery:
         schedule = FaultSchedule(
             [LinkDown(at_s=5.0, link="hop3", duration_s=2.0)]
         )
-        result = run_leotp_chaos(
-            schedule, seed=1, duration_s=15.0, total_bytes=TOTAL_BYTES
-        )
+        result = run_chaos(schedule, _chain(), seed=1, duration_s=15.0)
         _assert_recovered(result)
         # The injector acted exactly twice: down, then up.
         assert [m for _, m in result.fault_log] == [
@@ -48,9 +58,7 @@ class TestBlackoutRecovery:
         schedule = FaultSchedule(
             [LinkFlap(at_s=5.0, link="hop3", down_s=0.3, up_s=0.5, cycles=3)]
         )
-        result = run_leotp_chaos(
-            schedule, seed=1, duration_s=15.0, total_bytes=TOTAL_BYTES
-        )
+        result = run_chaos(schedule, _chain(), seed=1, duration_s=15.0)
         _assert_recovered(result)
 
 
@@ -59,9 +67,7 @@ class TestCrashRecovery:
         schedule = FaultSchedule(
             [NodeCrash(at_s=5.0, node="leotp-mid2", restart_after_s=0.5)]
         )
-        result = run_leotp_chaos(
-            schedule, seed=1, duration_s=15.0, total_bytes=TOTAL_BYTES
-        )
+        result = run_chaos(schedule, _chain(), seed=1, duration_s=15.0)
         _assert_recovered(result)
         crash_msgs = [m for _, m in result.fault_log]
         assert crash_msgs == ["leotp-mid2 CRASHED", "leotp-mid2 restarted"]
@@ -72,9 +78,7 @@ class TestCrashRecovery:
         schedule = FaultSchedule(
             [NodeCrash(at_s=2.0, node="leotp-mid2", restart_after_s=None)]
         )
-        result = run_leotp_chaos(
-            schedule, seed=1, duration_s=8.0, total_bytes=TOTAL_BYTES
-        )
+        result = run_chaos(schedule, _chain(), seed=1, duration_s=8.0)
         reports = {r.name: r for r in result.invariants}
         # The transfer cannot complete; everything else must hold.
         for name in (
@@ -91,9 +95,7 @@ class TestCorrelatedLossRecovery:
             [CorrelatedLoss(at_s=5.0, link="hop3", duration_s=3.0,
                             p_good_bad=0.05, p_bad_good=0.2, loss_bad=0.6)]
         )
-        result = run_leotp_chaos(
-            schedule, seed=1, duration_s=15.0, total_bytes=TOTAL_BYTES
-        )
+        result = run_chaos(schedule, _chain(), seed=1, duration_s=15.0)
         result.assert_ok()
         assert result.completed
         assert result.recovery.goodput_ratio >= 0.8
@@ -105,8 +107,8 @@ class TestDeterminism:
             [NodeCrash(at_s=3.0, node="leotp-mid1", restart_after_s=0.5)]
         )
         runs = [
-            run_leotp_chaos(
-                schedule, seed=7, duration_s=10.0, total_bytes=10_000_000
+            run_chaos(
+                schedule, _chain(10_000_000), seed=7, duration_s=10.0
             ).to_dict()
             for _ in range(2)
         ]
@@ -118,8 +120,8 @@ class TestDeterminism:
                             p_good_bad=0.05, p_bad_good=0.2, loss_bad=0.6)]
         )
         results = [
-            run_leotp_chaos(
-                schedule, seed=s, duration_s=8.0, total_bytes=8_000_000
+            run_chaos(
+                schedule, _chain(8_000_000), seed=s, duration_s=8.0
             )
             for s in (1, 2)
         ]
@@ -139,8 +141,8 @@ class TestReorderTolerance:
             DelaySpike(at_s=2.0, link="hop3", duration_s=1.0, extra_s=0.04),
             DelaySpike(at_s=4.0, link="hop1", duration_s=0.5, extra_s=0.06),
         ])
-        result = run_leotp_chaos(
-            schedule, seed=3, duration_s=12.0, total_bytes=10_000_000
+        result = run_chaos(
+            schedule, _chain(10_000_000), seed=3, duration_s=12.0
         )
         result.assert_ok()
         assert result.completed

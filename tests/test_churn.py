@@ -347,16 +347,24 @@ class TestChurnEndToEnd:
     """A real LEOTP flow under a synthetic handover sequence."""
 
     def _run(self, seed=0):
-        from repro.faults import run_leotp_chaos
+        from functools import partial
+
+        from repro.experiments.common import PathSpec, build_path
+        from repro.faults import run_chaos
+        from repro.netsim.topology import uniform_chain_specs
 
         schedule = PathSchedule("BJ", "PR", [
             snap(0.0, A), snap(2.0, B), snap(4.0, C), snap(6.0, A),
         ])
         stream = events_from_schedule(schedule)
         faults = faults_from_stream(stream, 3)
-        return stream, run_leotp_chaos(
-            faults, n_hops=3, rate_bps=20e6, delay_s=0.005,
-            duration_s=10.0, total_bytes=1_500_000, seed=seed,
+        spec = PathSpec(
+            hops=uniform_chain_specs(3, rate_bps=20e6, delay_s=0.005),
+            total_bytes=1_500_000,
+        )
+        return stream, run_chaos(
+            faults, partial(build_path, spec=spec),
+            duration_s=10.0, seed=seed,
         )
 
     def test_invariants_green_and_flow_completes(self):

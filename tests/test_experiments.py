@@ -1,18 +1,31 @@
 """Tests for the experiment harness (utilities plus cheap smoke runs)."""
 
+import importlib
+import pathlib
+from functools import partial
+
 import pytest
 
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.common import (
     ExperimentResult,
+    PathSpec,
+    build_path,
     metrics_from_recorder,
-    run_leotp_chain,
-    run_tcp_chain,
+    run_chain,
     scaled_duration,
 )
+from repro.faults import (
+    FaultInjector,
+    FaultSchedule,
+    LinkDown,
+    NodeCrash,
+    run_chaos,
+)
+from repro.gateway import build_gateway_path
 from repro.netsim.topology import uniform_chain_specs
 from repro.netsim.trace import FlowRecorder
-from repro.simcore import Simulator
+from repro.simcore import RngRegistry, Simulator
 
 
 class TestExperimentResult:
@@ -73,25 +86,90 @@ class TestMetrics:
 
 
 class TestRunners:
-    def test_run_tcp_chain(self):
-        metrics, path = run_tcp_chain(
-            "reno", uniform_chain_specs(2, rate_bps=10e6), 4.0, seed=1
+    def test_run_chain_tcp(self):
+        hops = uniform_chain_specs(2, rate_bps=10e6)
+        metrics, path = run_chain(
+            PathSpec(protocol="tcp", hops=hops, cc_name="reno"), 4.0, seed=1
         )
         assert metrics.throughput_mbps > 1.0
         assert path.sender.wire_bytes_sent > 0
 
-    def test_run_tcp_chain_split(self):
-        metrics, path = run_tcp_chain(
-            "reno", uniform_chain_specs(2, rate_bps=10e6), 4.0, seed=1, split=True
+    def test_run_chain_split_tcp(self):
+        hops = uniform_chain_specs(2, rate_bps=10e6)
+        metrics, path = run_chain(
+            PathSpec(protocol="split_tcp", hops=hops, cc_name="reno"),
+            4.0, seed=1,
         )
         assert metrics.throughput_mbps > 1.0
 
-    def test_run_leotp_chain(self):
-        metrics, path = run_leotp_chain(
-            uniform_chain_specs(2, rate_bps=10e6), 4.0, seed=1
+    def test_run_chain_leotp(self):
+        metrics, path = run_chain(
+            PathSpec(hops=uniform_chain_specs(2, rate_bps=10e6)), 4.0, seed=1
         )
         assert metrics.throughput_mbps > 1.0
         assert path.consumer.bytes_received > 0
+
+
+_HOPS = uniform_chain_specs(3, rate_bps=10e6)
+
+#: One ``build(sim, rng)`` per built-path type.
+_BUILDERS = {
+    protocol: partial(build_path, spec=PathSpec(
+        protocol=protocol, hops=_HOPS, cc_name="reno", total_bytes=200_000,
+    ))
+    for protocol in ("leotp", "tcp", "split_tcp")
+}
+_BUILDERS["gateway"] = partial(
+    build_gateway_path, total_bytes=200_000, leo_hops=_HOPS
+)
+
+
+class TestPathInterface:
+    """Every built path answers the read interface the runners, the
+    fault injector and the row extractors rely on."""
+
+    @pytest.mark.parametrize("kind", sorted(_BUILDERS))
+    def test_contract(self, kind):
+        sim = Simulator()
+        path = _BUILDERS[kind](sim, RngRegistry(0))
+        sim.run(until=2.0)
+        assert path.recorder is not None
+        assert path.recorder.total_bytes > 0
+        assert len(path.links) == len(_HOPS)
+        names = [node.name for node in path.nodes]
+        assert len(set(names)) == len(names)
+        assert path.wire_bytes_sent >= path.recorder.total_bytes
+        assert isinstance(path.retransmissions, int)
+        # Arming resolves every target eagerly: unknown names raise here.
+        injector = FaultInjector(sim)
+        injector.register_path(path)
+        injector.arm(FaultSchedule(
+            [LinkDown(at_s=3.0, link="hop0", duration_s=0.1)]
+            + [NodeCrash(at_s=3.0, node=name) for name in names]
+        ))
+
+    def test_split_chain_under_chaos(self):
+        result = run_chaos(
+            FaultSchedule([LinkDown(at_s=1.0, link="hop1", duration_s=0.5)]),
+            _BUILDERS["split_tcp"], duration_s=4.0, seed=1,
+        )
+        assert result.protocol == "tcp-reno"
+        assert result.invariants == []
+        assert result.faults_applied == 1
+        assert result.recovery.delivered_bytes > 0
+
+
+class TestBenchCoverage:
+    def test_every_experiment_is_benched_or_excluded(self, monkeypatch):
+        """``benchmarks/test_bench_experiments.py`` rows + its named
+        exclusions partition the registry (no orphan, no stale name)."""
+        bench_dir = pathlib.Path(__file__).parent.parent / "benchmarks"
+        monkeypatch.syspath_prepend(str(bench_dir))
+        bench = importlib.import_module("test_bench_experiments")
+        assert sorted([*bench.BENCHED, *bench.EXCLUDED]) == sorted(
+            ALL_EXPERIMENTS
+        )
+        assert all(bench.EXCLUDED.values()), "every exclusion states why"
 
 
 class TestRegistry:
@@ -155,6 +233,12 @@ class TestRegistry:
             if row["protocol"] != "leotp-pool":
                 assert row["invariants_ok"]
                 assert row["handovers_measured"] >= 1
+        # The four rows of a pair ran one schedule: they count the same
+        # faults (the pool row used to count log lines: twice as many).
+        for pair in {row["pair"] for row in res.rows}:
+            rows = res.filtered(pair=pair)
+            assert len(rows) == 4
+            assert len({row["faults_applied"] for row in rows}) == 1
 
     def test_fig03_smoke(self):
         res = ALL_EXPERIMENTS["fig03"](scale=0.05)
@@ -258,7 +342,6 @@ class TestCcSpecEntryPoints:
         assert clone.cc == spec.cc
 
     def test_path_spec(self):
-        from repro.experiments.common import PathSpec, build_path
         from repro.simcore import RngRegistry, Simulator
         from repro.tcp.cc import CCSpec
 

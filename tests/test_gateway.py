@@ -124,7 +124,7 @@ class TestGatewayChaos:
     """Fault injection on the bridged path (LEO blackout + satellite crash).
 
     ``GatewayPath`` exposes ``links``/``consumer``/``producer``/``midnodes``
-    so ``run_leotp_chaos(builder=...)`` can arm its invariant monitor on
+    so ``run_chaos(schedule, build)`` can arm its invariant monitor on
     the LEOTP segment and target LEO hops / satellites by name.
     """
 
@@ -142,13 +142,13 @@ class TestGatewayChaos:
         return build
 
     def test_leo_blackout_recovers(self):
-        from repro.faults import FaultSchedule, LinkDown, run_leotp_chaos
+        from repro.faults import FaultSchedule, LinkDown, run_chaos
 
         schedule = FaultSchedule([
             LinkDown(at_s=0.5, link="hop1", duration_s=0.5),
         ])
-        result = run_leotp_chaos(
-            schedule, duration_s=25.0, seed=2, builder=self._builder()
+        result = run_chaos(
+            schedule, self._builder(), duration_s=25.0, seed=2
         )
         result.assert_ok()
         assert result.completed
@@ -157,13 +157,13 @@ class TestGatewayChaos:
         assert any("hop1 DOWN" in action for _, action in result.fault_log)
 
     def test_satellite_crash_recovers(self):
-        from repro.faults import FaultSchedule, NodeCrash, run_leotp_chaos
+        from repro.faults import FaultSchedule, NodeCrash, run_chaos
 
         schedule = FaultSchedule([
             NodeCrash(at_s=0.5, node="sat0", restart_after_s=0.5),
         ])
-        result = run_leotp_chaos(
-            schedule, duration_s=25.0, seed=2, builder=self._builder()
+        result = run_chaos(
+            schedule, self._builder(), duration_s=25.0, seed=2
         )
         result.assert_ok()
         assert result.completed

@@ -101,9 +101,9 @@ class TestMulticast:
 class _MulticastChaosPath:
     """Adapter exposing the multicast tree through the chaos path protocol.
 
-    ``run_leotp_chaos`` arms invariants on ``consumer`` (the first one)
-    and registers ``links``/``intermediates``/``consumers`` with the
-    fault injector; the extra consumers ride along for post-run asserts.
+    ``run_chaos`` arms invariants on ``consumer`` (the first one) and
+    registers ``links``/``nodes`` with the fault injector; the extra
+    consumers ride along for post-run asserts.
     """
 
     def __init__(self, producer, midnode, consumers, recorders, links):
@@ -114,6 +114,11 @@ class _MulticastChaosPath:
         self.midnodes = [midnode]
         self.recorder = recorders[0]
         self.links = links
+        self.nodes = [producer, midnode, *consumers]
+
+    @property
+    def wire_bytes_sent(self):
+        return self.producer.wire_bytes_sent
 
 
 class TestMulticastChaos:
@@ -126,13 +131,13 @@ class TestMulticastChaos:
         return build
 
     def test_upstream_blackout_recovers(self):
-        from repro.faults import FaultSchedule, LinkDown, run_leotp_chaos
+        from repro.faults import FaultSchedule, LinkDown, run_chaos
 
         schedule = FaultSchedule([
             LinkDown(at_s=0.3, link="hop0", duration_s=0.4),
         ])
-        result = run_leotp_chaos(
-            schedule, duration_s=30.0, seed=3, builder=self._builder()
+        result = run_chaos(
+            schedule, self._builder(), duration_s=30.0, seed=3
         )
         result.assert_ok()
         assert result.completed
@@ -141,13 +146,13 @@ class TestMulticastChaos:
         assert any("hop0 DOWN" in action for _, action in result.fault_log)
 
     def test_midnode_crash_recovers(self):
-        from repro.faults import FaultSchedule, NodeCrash, run_leotp_chaos
+        from repro.faults import FaultSchedule, NodeCrash, run_chaos
 
         schedule = FaultSchedule([
             NodeCrash(at_s=0.3, node="mid", restart_after_s=0.4),
         ])
-        result = run_leotp_chaos(
-            schedule, duration_s=30.0, seed=3, builder=self._builder()
+        result = run_chaos(
+            schedule, self._builder(), duration_s=30.0, seed=3
         )
         result.assert_ok()
         assert all(c.finished for c in result.path.consumers)

@@ -210,20 +210,26 @@ class TestReport:
             assert needle in text
 
     def test_chaos_harness_carries_obs_streams(self):
-        from repro.faults import FaultSchedule, LinkDown, run_leotp_chaos
+        from functools import partial
+
+        from repro.experiments.common import PathSpec, build_path
+        from repro.faults import FaultSchedule, LinkDown, run_chaos
+        from repro.netsim.topology import uniform_chain_specs
 
         schedule = FaultSchedule([
             LinkDown(at_s=1.0, link="hop2", duration_s=0.5),
         ])
-        untraced = run_leotp_chaos(schedule, seed=1, duration_s=4.0,
-                                   total_bytes=2_000_000)
+        build = partial(build_path, spec=PathSpec(
+            hops=uniform_chain_specs(6, rate_bps=20e6, delay_s=0.008),
+            total_bytes=2_000_000,
+        ))
+        untraced = run_chaos(schedule, build, seed=1, duration_s=4.0)
         assert untraced.trace_records is None
         assert untraced.obs_summary() is None
 
         TRACER.enable()
         METRICS.enable()
-        traced = run_leotp_chaos(schedule, seed=1, duration_s=4.0,
-                                 total_bytes=2_000_000)
+        traced = run_chaos(schedule, build, seed=1, duration_s=4.0)
         assert traced.trace_records and traced.metric_samples
         kinds = {rec["event"] for rec in traced.trace_records}
         assert "fault" in kinds and "data_recv" in kinds
