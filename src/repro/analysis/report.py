@@ -247,9 +247,7 @@ def workload_summary(rows: Sequence[dict], title: str = "workload") -> str:
         )
         evictions = row.get("cache_evictions", row.get("cache_pool_evictions"))
         if evictions is not None:
-            mem += f", {int(evictions)} pool evictions"
-            if "cache_pool_evicted_bytes" in row:
-                mem += f" ({_fmt_value(row['cache_pool_evicted_bytes'])} B)"
+            mem += f", {int(evictions)} cache evictions"
         lines.append(mem)
     return "\n".join(lines)
 
@@ -260,19 +258,18 @@ def content_summary(rows: Sequence[dict], title: str = "content") -> str:
     ``rows`` are the study's result-table rows, tagged by ``section``:
     the placement x eviction ``matrix`` cells, the multicast ``fanout``
     row, and the per-shard ``sharded`` rows.  Renders the sharing story:
-    the no-catalog floor, the best placement cell versus the legacy pool
-    policy, the fan-out amplification, and the sharded cell's totals.
+    the no-catalog floor, the best placement cell versus the default
+    uniform/lru cell, the fan-out amplification, and the sharded cell's
+    totals.
     """
     lines = [f"-- content summary: {title} --"]
     matrix = [r for r in rows if r.get("section") == "matrix"]
-    cells = [r for r in matrix if r.get("placement") not in ("classic",)]
-    classic = next(
-        (r for r in matrix if r.get("placement") == "classic"), None
-    )
-    if classic is not None:
+    cells = [r for r in matrix if r.get("catalog")]
+    floor = next((r for r in matrix if not r.get("catalog")), None)
+    if floor is not None:
         lines.append(
-            f"classic (no catalog): cross-flow hit ratio "
-            f"{classic.get('cross_hit_ratio', 0.0):.3f} — the floor the "
+            f"no catalog: cross-flow hit ratio "
+            f"{floor.get('cross_hit_ratio', 0.0):.3f} — the floor the "
             f"catalog exists to beat"
         )
     if cells:
@@ -283,14 +280,19 @@ def content_summary(rows: Sequence[dict], title: str = "content") -> str:
             f"origin load -{best.get('origin_load_reduction', 0.0) * 100:.0f}%, "
             f"FCT p50 {best.get('fct_p50_ms', 0.0):.1f} ms"
         )
-        legacy = next(
-            (r for r in cells if r.get("placement") == "legacy"), None
+        default = next(
+            (
+                r for r in cells
+                if (r.get("placement"), r.get("eviction"))
+                == ("uniform", "lru")
+            ),
+            None,
         )
-        if legacy is not None and legacy is not best:
+        if default is not None and default is not best:
             lines.append(
-                f"legacy pool policy: cross-flow hit ratio "
-                f"{legacy.get('cross_hit_ratio', 0.0):.3f}, origin load "
-                f"-{legacy.get('origin_load_reduction', 0.0) * 100:.0f}% "
+                f"default cell uniform/lru: cross-flow hit ratio "
+                f"{default.get('cross_hit_ratio', 0.0):.3f}, origin load "
+                f"-{default.get('origin_load_reduction', 0.0) * 100:.0f}% "
                 f"(placement cells to compare against)"
             )
     fanout = next((r for r in rows if r.get("section") == "fanout"), None)

@@ -14,9 +14,9 @@ The content model closes that gap:
   blocks are shared under the object's name;
 * :mod:`repro.content.placement` — the cache placement / eviction
   policy matrix (ground-gateway-heavy vs uniform vs hot-orbit sizing;
-  LRU / LFU / fullest-member eviction) studied by the ``content_study``
-  experiment, motivated by "Cache Placement in an NDN Based LEO
-  Satellite Network Constellation" (PAPERS.md).
+  LRU / LFU eviction) studied by the ``content_study`` experiment,
+  motivated by "Cache Placement in an NDN Based LEO Satellite Network
+  Constellation" (PAPERS.md).
 
 Everything here is deterministic and picklable: a catalog is a pure
 function of ``(ContentSpec, rng state)`` and the registry is plain
@@ -32,9 +32,7 @@ from repro.content.catalog import (
 )
 from repro.content.placement import (
     CachePolicy,
-    EVICTION_POLICIES,
     PLACEMENTS,
-    member_capacities,
     placement_weights,
 )
 from repro.content.registry import ContentRegistry
@@ -44,9 +42,7 @@ __all__ = [
     "ContentCatalog",
     "ContentRegistry",
     "ContentSpec",
-    "EVICTION_POLICIES",
     "PLACEMENTS",
-    "member_capacities",
     "object_name",
     "placement_weights",
     "zipf_weights",

@@ -10,25 +10,26 @@ study's axes for our shared-chain pools:
   capacity at the chain edges (the ground-gateway hops, nearest the
   consumers and the producer); ``hot_orbit`` concentrates it mid-chain
   (the heavily shared orbital segment).
-* **eviction** — the pool-wide victim policy when the budget overflows:
-  ``fullest`` (the historic fullest-member heuristic), ``lru`` (the
-  globally least-recently-touched block, via pool-shared access ticks),
-  and ``lfu`` (the globally least-frequently-hit block).
+* **eviction** — the order each Midnode's cache evicts in when its
+  share overflows (:data:`repro.core.cache.CACHE_EVICTION_POLICIES`):
+  ``lru`` (least recently touched block) or ``lfu`` (least frequently
+  hit block).
 
 A :class:`CachePolicy` names one matrix cell and travels through
-:class:`~repro.experiments.common.PathSpec` / ``FlowPool(cache_policy=)``
-/ :class:`~repro.shard.plan.ShardPlan`.
+``FlowPool(cache_policy=)`` / :class:`~repro.shard.plan.ShardPlan`;
+the split itself is :class:`repro.workload.budget.SharedCachePool`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.cache import CACHE_EVICTION_POLICIES
+
 PLACEMENTS = ("uniform", "gateway", "hot_orbit")
-EVICTION_POLICIES = ("fullest", "lru", "lfu")
 
 #: Weight ratio between emphasised and de-emphasised chain positions.
-_EMPHASIS = 4.0
+_EMPHASIS = 4
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -44,15 +45,15 @@ class CachePolicy:
                 f"unknown placement {self.placement!r}; "
                 f"choose from {PLACEMENTS}"
             )
-        if self.eviction not in EVICTION_POLICIES:
+        if self.eviction not in CACHE_EVICTION_POLICIES:
             raise ValueError(
                 f"unknown eviction policy {self.eviction!r}; "
-                f"choose from {EVICTION_POLICIES}"
+                f"choose from {CACHE_EVICTION_POLICIES}"
             )
 
 
-def placement_weights(placement: str, n_members: int) -> tuple[float, ...]:
-    """Relative capacity weights for ``n_members`` chain positions.
+def placement_weights(placement: str, n_members: int) -> tuple[int, ...]:
+    """Relative (integer) capacity weights for ``n_members`` chain positions.
 
     Member 0 is the Midnode next to the Producer; the last member is the
     consumer-side hub.  Ties and single-member chains degrade to uniform.
@@ -64,8 +65,8 @@ def placement_weights(placement: str, n_members: int) -> tuple[float, ...]:
             f"unknown placement {placement!r}; choose from {PLACEMENTS}"
         )
     if placement == "uniform" or n_members <= 2:
-        return (1.0,) * n_members
-    weights = [1.0] * n_members
+        return (1,) * n_members
+    weights = [1] * n_members
     if placement == "gateway":
         weights[0] = weights[-1] = _EMPHASIS
     else:  # hot_orbit: emphasise the middle position(s)
@@ -74,45 +75,3 @@ def placement_weights(placement: str, n_members: int) -> tuple[float, ...]:
         if n_members % 2 == 0:
             weights[mid - 1] = _EMPHASIS
     return tuple(weights)
-
-
-def member_capacities(
-    total_bytes: int, weights: tuple[float, ...] | list[float]
-) -> list[int]:
-    """Split ``total_bytes`` across members proportionally to ``weights``.
-
-    Largest-remainder apportionment: integer shares that sum *exactly*
-    to ``total_bytes`` (the pool budget is byte-exact), deterministic
-    tie-break by member index.  Every member gets at least 1 byte so a
-    de-emphasised position can still hold data when the pool is tiny.
-    """
-    if total_bytes <= 0:
-        raise ValueError("total_bytes must be positive")
-    if not weights or any(w <= 0 for w in weights):
-        raise ValueError("weights must be non-empty and positive")
-    wsum = float(sum(weights))
-    exact = [total_bytes * (w / wsum) for w in weights]
-    shares = [max(1, int(e)) for e in exact]
-    remainder = total_bytes - sum(shares)
-    if remainder < 0:
-        # Over-allocated by the 1-byte floors on a tiny budget: take the
-        # excess back from the largest shares (deterministic order).
-        order = sorted(
-            range(len(shares)), key=lambda i: (-shares[i], i)
-        )
-        for i in order:
-            if remainder == 0:
-                break
-            give = min(shares[i] - 1, -remainder)
-            shares[i] -= give
-            remainder += give
-    else:
-        # Distribute the leftover bytes by largest fractional remainder.
-        order = sorted(
-            range(len(shares)), key=lambda i: (-(exact[i] - int(exact[i])), i)
-        )
-        for k in range(remainder):
-            shares[order[k % len(order)]] += 1
-    if sum(shares) != total_bytes:
-        raise AssertionError("apportionment did not conserve the budget")
-    return shares

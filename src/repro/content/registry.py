@@ -40,7 +40,3 @@ class ContentRegistry:
     def object_of(self, flow_id: str) -> Optional[str]:
         """The bound object name, or None for unbound (flow-keyed) flows."""
         return self._objects.get(flow_id)
-
-    @property
-    def bound_flows(self) -> int:
-        return len(self._objects)

@@ -23,16 +23,15 @@ from typing import Optional
 
 from repro.common.ranges import ByteRange, RangeSet
 
-#: Replacement policies a single cache supports.  The shared pool adds
-#: ``"fullest"`` on top (a member-choice policy, not a block policy);
-#: see :class:`repro.workload.budget.SharedCachePool`.
+#: Replacement policies a cache supports — the one eviction vocabulary
+#: (:class:`repro.content.CachePolicy` and ``content_study`` read it).
 CACHE_EVICTION_POLICIES = ("lru", "lfu")
 
 
 class _Block:
     """Coverage and origin timestamps for one 4096-byte block."""
 
-    __slots__ = ("coverage", "origins", "tick", "freq", "seq")
+    __slots__ = ("coverage", "origins", "freq", "seq")
 
     def __init__(self) -> None:
         self.coverage = RangeSet()
@@ -40,10 +39,9 @@ class _Block:
         # intersect with these.  ``writer`` is None for unattributed stores
         # (single-flow caches, compacted history).
         self.origins: list[tuple[ByteRange, float, Optional[str]]] = []
-        # Access bookkeeping for replacement: ``tick`` is the last-touch
-        # counter (recency), ``freq`` the touch count, ``seq`` the creation
-        # counter (deterministic LFU tie-break).
-        self.tick = 0
+        # Access bookkeeping for LFU replacement: ``freq`` is the touch
+        # count, ``seq`` the creation counter (deterministic tie-break).
+        # Recency (LRU) is the cache's ``OrderedDict`` order.
         self.freq = 0
         self.seq = 0
 
@@ -98,7 +96,7 @@ class BlockCache:
         self.eviction = eviction
         self._blocks: "OrderedDict[tuple[str, int], _Block]" = OrderedDict()
         self._stored_bytes = 0
-        self._ticks = 0
+        self._created = 0  # blocks ever created (source of ``_Block.seq``)
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -109,16 +107,6 @@ class BlockCache:
 
     def _block_span(self, rng: ByteRange) -> range:
         return range(rng.start // self.block_bytes, (rng.end - 1) // self.block_bytes + 1)
-
-    def _touch(self, block: _Block) -> None:
-        """Stamp one access: recency tick + frequency count.
-
-        Pool members override the tick source with a pool-shared counter
-        so recency/frequency compare across members (global LRU/LFU).
-        """
-        self._ticks += 1
-        block.tick = self._ticks
-        block.freq += 1
 
     def store(
         self,
@@ -141,11 +129,11 @@ class BlockCache:
             if block is None:
                 block = _Block()
                 self._blocks[bkey] = block
-                self._touch(block)
-                block.seq = block.tick
+                self._created += 1
+                block.seq = self._created
             else:
                 self._blocks.move_to_end(bkey)
-                self._touch(block)
+            block.freq += 1
             # The piece of ``rng`` in this block: ``rng`` itself unless it
             # straddles a block edge (every block of the span overlaps it).
             bstart = bidx * block_bytes
@@ -192,7 +180,7 @@ class BlockCache:
             if remaining is None:
                 remaining = RangeSet([rng])
             self._blocks.move_to_end(bkey)
-            self._touch(block)
+            block.freq += 1
             # Scan this block's stored pieces newest-first so re-stored
             # (retransmitted) data wins, then clip against what is still
             # needed to keep results disjoint.
@@ -246,18 +234,6 @@ class BlockCache:
         return True
 
     # -- replacement ----------------------------------------------------
-
-    def lru_candidate(self) -> Optional[int]:
-        """Last-touch tick of the block LRU eviction would pick."""
-        if not self._blocks:
-            return None
-        return next(iter(self._blocks.values())).tick
-
-    def lfu_candidate(self) -> Optional[tuple[int, int]]:
-        """(freq, seq) of the block LFU eviction would pick."""
-        if not self._blocks:
-            return None
-        return min((b.freq, b.seq) for b in self._blocks.values())
 
     def evict_one(self) -> int:
         """Evict one block under this cache's policy; returns bytes freed

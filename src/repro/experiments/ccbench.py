@@ -55,6 +55,7 @@ from repro.simcore import RngRegistry, Simulator
 from repro.tcp.cc import CCSpec, as_cc_spec
 from repro.tcp.connection import FiniteStream, TcpReceiver, make_tcp_sender
 from repro.workload import FlowPool, WorkloadSpec
+from repro.workload.pool import ACCESS_DELAY_S, ACCESS_RATE_BPS
 
 #: The benched city pair (distinct handover geometry at both ends).
 PAIR = ("BJ-PR", "Beijing", "Paris")
@@ -115,7 +116,7 @@ def _attach_monitor(sim, pool, spec):
         )
         access = DuplexLink(
             sim, pool.hub, consumer,
-            rate_bps=pool.access_rate_bps, delay_s=pool.access_delay_s,
+            rate_bps=ACCESS_RATE_BPS, delay_s=ACCESS_DELAY_S,
             name="access-mon",
         )
         consumer.out_link = access.ba
@@ -129,12 +130,12 @@ def _attach_monitor(sim, pool, spec):
     )
     up = DuplexLink(
         sim, sender, pool.routers[0],
-        rate_bps=pool.access_rate_bps, delay_s=pool.access_delay_s,
+        rate_bps=ACCESS_RATE_BPS, delay_s=ACCESS_DELAY_S,
         name="up-mon",
     )
     down = DuplexLink(
         sim, pool.routers[-1], receiver,
-        rate_bps=pool.access_rate_bps, delay_s=pool.access_delay_s,
+        rate_bps=ACCESS_RATE_BPS, delay_s=ACCESS_DELAY_S,
         name="down-mon",
     )
     sender.out_link = up.ab

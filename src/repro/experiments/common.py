@@ -18,14 +18,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from repro.content.placement import (
-    CachePolicy,
-    member_capacities,
-    placement_weights,
-)
 from repro.core import LeotpConfig, LeotpPath
 from repro.core import build_leotp_path as _build_leotp_path
-from repro.core.cache import CACHE_EVICTION_POLICIES, BlockCache
 from repro.netsim.topology import HopSpec
 from repro.netsim.trace import FlowRecorder
 from repro.simcore import RngRegistry, Simulator
@@ -52,22 +46,12 @@ class PathSpec:
     Fields irrelevant to the selected ``protocol`` are ignored by
     :func:`build_path`:
 
-    * ``protocol="leotp"`` uses ``config``/``coverage`` and the optional
-      cache placement cell ``cache_policy``/``cache_total_bytes``;
+    * ``protocol="leotp"`` uses ``config``/``coverage``;
     * ``protocol="tcp"`` (end-to-end) and ``"split_tcp"`` use
       ``cc_name``/``mss``; ``cc_name`` accepts a registry name or a
       :class:`~repro.tcp.cc.CCSpec` (stored coerced to a spec);
     * ``stop_time`` is honoured by leotp and tcp (split proxies have no
       per-connection stop).
-
-    ``cache_policy`` (a :class:`repro.content.CachePolicy`) sizes the
-    Midnode caches along the chain from one placement-weighted budget of
-    ``cache_total_bytes`` (default: ``n_midnodes x`` the config's
-    per-cache capacity, so ``placement="uniform"`` reproduces the
-    historic per-node sizing exactly) and selects each cache's eviction
-    order.  The pool-level ``"fullest"`` eviction name degrades to LRU
-    here: single-path caches are independent, so there is no shared
-    budget for a fullest-member policy to arbitrate.
 
     All fields are keyword-only: call sites stay readable and reorderable.
     """
@@ -82,8 +66,6 @@ class PathSpec:
     start_time: float = 0.0
     stop_time: Optional[float] = None
     mss: int = DEFAULT_MSS
-    cache_policy: Optional[CachePolicy] = None
-    cache_total_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
         # Coerce bare names so the frozen spec always carries a CCSpec
@@ -100,10 +82,6 @@ class PathSpec:
             )
         if len(self.hops) < 1:
             raise ValueError("need at least one hop")
-        if self.cache_policy is not None and self.protocol != "leotp":
-            raise ValueError("cache_policy applies only to LEOTP paths")
-        if self.cache_total_bytes is not None and self.cache_total_bytes < 1:
-            raise ValueError("cache_total_bytes must be positive")
 
 
 BuiltPath = Union[LeotpPath, TcpPath, SplitTcpPath]
@@ -127,7 +105,7 @@ def build_path(sim: Simulator, rng: RngRegistry, spec: PathSpec) -> BuiltPath:
     """
     hops = list(spec.hops)
     if spec.protocol == "leotp":
-        path = _build_leotp_path(
+        return _build_leotp_path(
             sim, rng, hops,
             config=spec.config if spec.config is not None else LeotpConfig(),
             total_bytes=spec.total_bytes,
@@ -136,11 +114,6 @@ def build_path(sim: Simulator, rng: RngRegistry, spec: PathSpec) -> BuiltPath:
             start_time=spec.start_time,
             stop_time=spec.stop_time,
         )
-        if spec.cache_policy is not None:
-            _apply_cache_policy(
-                path, spec.cache_policy, spec.cache_total_bytes
-            )
-        return path
     stream = (
         FiniteStream(spec.total_bytes) if spec.total_bytes is not None else None
     )
@@ -157,36 +130,6 @@ def build_path(sim: Simulator, rng: RngRegistry, spec: PathSpec) -> BuiltPath:
         stream=stream, mss=spec.mss,
         flow_base=spec.flow_id if spec.flow_id is not None else "split",
     )
-
-
-def _apply_cache_policy(
-    path: LeotpPath,
-    policy: CachePolicy,
-    total_bytes: Optional[int],
-) -> None:
-    """Re-size the chain's Midnode caches per the placement cell.
-
-    Runs right after wiring, while every cache is still empty, so
-    swapping the cache objects loses nothing.  Placement weights map
-    onto the chain's Midnodes in producer→consumer order: ``"gateway"``
-    emphasises the chain ends (the ground-segment caches), ``"hot_orbit"``
-    the middle of the chain.
-    """
-    mids = path.midnodes
-    if not mids:
-        return
-    if total_bytes is None:
-        total_bytes = mids[0].config.cache_capacity_bytes * len(mids)
-    weights = placement_weights(policy.placement, len(mids))
-    eviction = (
-        policy.eviction
-        if policy.eviction in CACHE_EVICTION_POLICIES
-        else "lru"  # pool-level "fullest" has no per-path meaning
-    )
-    for mid, cap in zip(mids, member_capacities(total_bytes, weights)):
-        mid.cache = BlockCache(
-            cap, mid.config.cache_block_bytes, eviction=eviction
-        )
 
 
 @dataclass

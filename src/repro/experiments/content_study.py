@@ -11,12 +11,12 @@ the hot objects and the caches get real sharing to exploit.
 
 Three sections, tagged by the ``section`` column:
 
-* ``matrix`` — a cache placement x eviction sweep.  ``classic`` is the
-  no-catalog baseline (cross-flow hit ratio ~0 by construction);
-  ``legacy`` is the catalog workload on the historic pool policy (every
-  member may fill the whole budget, fullest-member eviction); the
-  remaining cells pair a placement from
-  :data:`repro.content.placement.PLACEMENTS` with an eviction order.
+* ``matrix`` — a cache placement x eviction sweep.  The first row
+  (``catalog`` False) is the no-catalog baseline on the default cell
+  (cross-flow hit ratio ~0 by construction); the other rows run the
+  catalog workload on each placement of
+  :data:`repro.content.placement.PLACEMENTS` with each eviction order
+  of :data:`repro.core.cache.CACHE_EVICTION_POLICIES`.
   Each cell reports the cache hit ratio, the *cross-flow* hit ratio
   (bytes served from another flow's fetches), origin load and its
   reduction versus delivered bytes, and FCT percentiles.
@@ -45,11 +45,11 @@ from repro.content import (
     ContentCatalog,
     ContentRegistry,
     ContentSpec,
-    EVICTION_POLICIES,
     PLACEMENTS,
     object_name,
 )
 from repro.core import Consumer, LeotpConfig, MulticastMidnode, Producer
+from repro.core.cache import CACHE_EVICTION_POLICIES
 from repro.experiments.common import ExperimentResult
 from repro.netsim.link import DuplexLink
 from repro.netsim.topology import uniform_chain_specs
@@ -101,20 +101,18 @@ def _content_spec(scale: float) -> ContentSpec:
     )
 
 
-def _matrix_cells() -> list[tuple[str, str, bool]]:
-    """(placement, eviction, content?) rows of the ``matrix`` section."""
-    cells: list[tuple[str, str, bool]] = [
-        ("classic", "fullest", False),  # no catalog: sharing floor
-        ("legacy", "fullest", True),    # catalog on the historic pool
+def _matrix_cells() -> list[tuple[CachePolicy, bool]]:
+    """(policy, catalog?) rows of the ``matrix`` section."""
+    floor = (CachePolicy(), False)  # no catalog: sharing floor
+    return [floor] + [
+        (CachePolicy(placement=placement, eviction=eviction), True)
+        for placement in PLACEMENTS
+        for eviction in CACHE_EVICTION_POLICIES
     ]
-    for placement in PLACEMENTS:
-        for eviction in EVICTION_POLICIES:
-            cells.append((placement, eviction, True))
-    return cells
 
 
 def _run_cell(
-    scale: float, seed: int, placement: str, eviction: str, content: bool
+    scale: float, seed: int, policy: CachePolicy, catalog: bool
 ) -> dict[str, float]:
     n_flows = max(int(round(N_ARRIVALS * scale)), MIN_ARRIVALS)
     spec = WorkloadSpec(
@@ -125,11 +123,8 @@ def _run_cell(
         mean_size_bytes=MEAN_OBJECT_BYTES,
         sigma=SIZE_SIGMA,
         max_size_bytes=MAX_OBJECT_BYTES,
-        content=_content_spec(scale) if content else None,
+        content=_content_spec(scale) if catalog else None,
     )
-    policy = None
-    if placement not in ("classic", "legacy"):
-        policy = CachePolicy(placement=placement, eviction=eviction)
     sim = Simulator()
     rng = RngRegistry(seed)
     pool = FlowPool(
@@ -151,8 +146,9 @@ def _run_cell(
     s = pool.summary()
     return {
         "section": "matrix",
-        "placement": placement,
-        "eviction": eviction if policy is not None else "fullest",
+        "placement": policy.placement,
+        "eviction": policy.eviction,
+        "catalog": catalog,
         "arrivals": int(s["arrivals"]),
         "completed": int(s["completed"]),
         "objects": int(s.get("content_objects", 0)),
@@ -272,8 +268,8 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
         "Zipf content catalog over a shared chain: cache placement x "
         "eviction matrix, multicast fan-out, and a sharded content cell",
     )
-    for placement, eviction, content in _matrix_cells():
-        result.add(**_run_cell(scale, seed, placement, eviction, content))
+    for policy, catalog in _matrix_cells():
+        result.add(**_run_cell(scale, seed, policy, catalog))
     result.add(**_run_fanout(scale, seed))
 
     jobs = int(os.environ.get("LEOTP_SHARD_JOBS", "1"))
@@ -283,8 +279,8 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
 
     result.notes.append(
         "matrix: cross_hit_ratio = cache bytes served from another flow's "
-        "fetches / bytes looked up; classic row is the no-catalog floor "
-        "(~0 by construction)"
+        "fetches / bytes looked up; the catalog=False row is the no-catalog "
+        "floor (~0 by construction)"
     )
     result.notes.append(
         "fanout: one hot object, subscribers in staggered waves; "

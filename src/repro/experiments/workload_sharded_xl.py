@@ -3,7 +3,7 @@
 Runs :func:`repro.shard.run_sharded` over a 100-shard plan — 1,000
 arrivals per shard at ``scale=1.0``, i.e. 100,000 flows — exercising the
 full scale machinery: per-shard result streaming (closed flows spill to
-JSONL and their slots are reclaimed, so resident state is bounded by
+JSONL and their records are dropped, so resident state is bounded by
 *concurrent* flows, not total), epoch-boundary checkpointing, and the
 per-epoch exchange.
 
@@ -112,7 +112,7 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
         result.notes.append(
             f"per-flow rows streamed to {sink['merged_path']} "
             f"({sink['merged_bytes'] / (1 << 20):.1f} MiB); resident "
-            f"slots bounded by concurrency, not flow count"
+            f"records bounded by concurrency, not flow count"
         )
     if out["rss"] is not None:
         result.notes.append(

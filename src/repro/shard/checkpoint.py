@@ -3,7 +3,7 @@
 A sharded run longer than a process (or a machine lease) must be able to
 stop at an epoch barrier and continue later as if nothing happened.  The
 unit of capture is one :class:`~repro.shard.worker._ShardState` — the
-live simulator heap, RNG streams, FlowPool struct-of-arrays, cache
+live simulator heap, RNG streams, FlowPool records, cache
 occupancy, and fault injector — serialised whole with :mod:`pickle`
 (every callback in the object graph is a bound method, a
 :func:`functools.partial` over one, or a named callable class; no
@@ -44,7 +44,7 @@ import pickle
 from repro.shard.plan import ShardPlan
 
 #: Manifest schema version; bumped on incompatible layout changes.
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 MANIFEST_NAME = "manifest.json"
 

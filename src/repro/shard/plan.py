@@ -73,10 +73,9 @@ class ShardPlan:
     # catalog, parameterised by the size fields above) instead of
     # distinct bytes; the catalog is rebuilt deterministically from
     # ``(plan, shard seed)`` on restore, so content shards checkpoint/
-    # resume byte-identically.  ``cache_policy`` None keeps the historic
-    # pool behaviour (each member may use the whole budget,
-    # fullest-member eviction); a :class:`CachePolicy` selects a
-    # placement x eviction cell.
+    # resume byte-identically.  ``cache_policy`` selects a placement x
+    # eviction cell; None is the default cell ``CachePolicy()``
+    # (uniform placement, LRU).
     n_objects: int = 0
     zipf_s: float = 0.8
     cache_policy: Optional[CachePolicy] = None

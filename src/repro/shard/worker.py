@@ -160,27 +160,25 @@ class _ShardState:
     def apply_allocation(self, allocation: int) -> None:
         """Adopt the exchange's cache allocation at the epoch boundary.
 
-        Shrinking below current occupancy evicts deterministically (the
-        pool's fullest-member policy) until the shard fits its new share;
-        the boundary identity ``before == after + evicted`` is asserted
-        here so accounting bugs fail at the boundary that caused them.
+        Shrinking below current occupancy evicts deterministically (each
+        Midnode's cache, in its own LRU/LFU order, down to its placement
+        share of the allocation); the boundary identity ``before == after
+        + evicted`` is asserted here so accounting bugs fail at the
+        boundary that caused them.
         """
         cache_pool = self.pool.cache_pool
         assert cache_pool is not None  # LEOTP pools always have one
         before = cache_pool.stored_bytes
-        evicted_mark = cache_pool.pool_evicted_bytes
         # The shard's ledger ceiling follows its allocation: admission
         # still enforces the fixed flow-state share, while the cache side
         # may legitimately grow past the construction-time equal split.
         self.pool.budget.ceiling_bytes = (
             self.pool._flow_share_bytes + allocation
         )
-        # set_capacity re-derives member capacities (weighted shares
-        # under a placement policy, the full allocation otherwise) and
-        # evicts through the pool counters, so the conservation identity
+        # set_capacity re-derives the members' placement shares and
+        # returns the bytes it evicted, so the conservation identity
         # below sees every boundary eviction.
-        cache_pool.set_capacity(allocation)
-        evicted = cache_pool.pool_evicted_bytes - evicted_mark
+        evicted = cache_pool.set_capacity(allocation)
         after = cache_pool.stored_bytes
         if before != after + evicted:
             raise AssertionError(

@@ -11,7 +11,7 @@ population-scale experiments:
   with per-flow lifecycle management (spawn, complete, abort,
   retirement of soft state from shared nodes);
 * :mod:`repro.workload.budget` — per-run memory accounting: a named
-  ledger with a hard ceiling, and a shared cache pool enforcing one
+  ledger with a hard ceiling, and a shared cache pool splitting one
   capacity across every Midnode's block cache;
 * :mod:`repro.workload.metrics` — scale-aware results: flow lifecycle
   records, FCT/goodput, and windowed Jain fairness.

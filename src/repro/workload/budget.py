@@ -8,21 +8,14 @@ uses to keep a whole run under one configured byte ceiling:
 * :class:`MemoryBudget` — a named-account ledger (``cache``, ``flows``,
   ...) with peak tracking and breach counting, so experiments can
   *assert* that a run stayed within budget instead of hoping;
-* :class:`SharedCachePool` — a group of :class:`PooledBlockCache`
-  members (one per Midnode) whose *combined* occupancy is enforced
-  under a selectable victim policy: ``"fullest"`` (evict LRU blocks
-  from whichever member holds the most bytes — the historic default),
-  ``"lru"`` (the globally least-recently-touched block, via a
-  pool-shared access-tick counter), or ``"lfu"`` (the globally
-  least-frequently-hit block).  Eviction order is deterministic (ties
-  broken by registration index), preserving bit-identical runs.
-
-Member capacities default to the pool capacity (any single member may
-use the whole budget; the pool is the sole arbiter).  A placement study
-(:mod:`repro.content.placement`) instead calls :meth:`SharedCachePool.
-set_weights` to partition the budget across chain positions —
-gateway-heavy, uniform, or hot-orbit — after which each member also
-enforces its own share.
+* :class:`SharedCachePool` — one byte budget split across
+  :class:`PooledBlockCache` members (one per Midnode) by placement
+  weights (:func:`repro.content.placement.placement_weights`:
+  gateway-heavy, uniform, or hot-orbit).  Each member is a plain
+  :class:`~repro.core.cache.BlockCache` evicting against its own share
+  (LRU or LFU); the shares sum to the budget exactly, so the combined
+  occupancy can never exceed it and nothing arbitrates between members.
+  The pool itself only keeps the running total that feeds the ledger.
 
 The ledger models *protocol* memory — cached payload and per-flow soft
 state — not Python object overhead; it corresponds to the RAM a real
@@ -33,12 +26,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.content.placement import member_capacities
+from repro.common.apportion import apportion
 from repro.core.cache import BlockCache
-
-#: Victim policies the pool accepts (block-level lru/lfu plus the
-#: member-level fullest heuristic).
-POOL_EVICTION_POLICIES = ("fullest", "lru", "lfu")
 
 
 class MemoryBudget:
@@ -93,28 +82,16 @@ class MemoryBudget:
 class PooledBlockCache(BlockCache):
     """A :class:`BlockCache` that reports occupancy changes to its pool.
 
-    Without placement weights the member's own capacity equals the pool
-    capacity, so individual eviction never fires before the pool-wide
-    policy does — the pool is the sole arbiter of what gets evicted.
-    Access ticks come from the pool's shared counter, so recency and
-    frequency compare *across* members (global LRU/LFU victims).
+    Its capacity is the member's share of the pool budget; it evicts
+    against that share on its own, exactly like a standalone cache.
     """
 
-    def __init__(self, pool: "SharedCachePool", index: int) -> None:
-        block_policy = "lfu" if pool.eviction == "lfu" else "lru"
+    def __init__(self, pool: "SharedCachePool", capacity_bytes: int) -> None:
         super().__init__(
-            pool.capacity_bytes, pool.block_bytes, eviction=block_policy
+            capacity_bytes, pool.block_bytes, eviction=pool.eviction
         )
         self._pool = pool
-        self.pool_index = index
         self._reported_bytes = 0
-
-    def _touch(self, block) -> None:
-        # Pool-shared tick source: every member's recency/frequency
-        # stamps draw from one counter so they order globally.
-        self._pool._ticks += 1
-        block.tick = self._pool._ticks
-        block.freq += 1
 
     def _sync_pool_total(self) -> None:
         """Push this member's occupancy delta into the pool's running total.
@@ -133,158 +110,82 @@ class PooledBlockCache(BlockCache):
     def store(self, key, rng, origin_ts, writer=None) -> None:
         super().store(key, rng, origin_ts, writer)
         self._sync_pool_total()
-        self._pool.on_change()
+        self._pool._post_ledger()
 
     def drop_flow(self, key: str) -> int:
         freed = super().drop_flow(key)
         if freed:
             self._sync_pool_total()
-            self._pool.on_change()
+            self._pool._post_ledger()
         return freed
 
 
 class SharedCachePool:
-    """Enforces one byte capacity across many member block caches.
+    """One byte budget split across per-node block caches by ``weights``.
 
-    Midnodes keep their per-node :class:`BlockCache` interface; the pool
-    only replaces the *policy*: after any member stores data, the pool
-    evicts blocks from a deterministically chosen victim member until
-    the combined occupancy fits.  The victim choice is the pool's
-    ``eviction`` policy; the historic ``"fullest"`` default approximates
-    global LRU without a shared recency list and keeps hot small members
-    intact.
+    Member ``i`` gets the largest-remainder share of ``capacity_bytes``
+    for ``weights[i]`` (integers; the shares sum to the capacity byte for
+    byte) and enforces it itself.  ``members`` is in weight order — the
+    chain's Midnodes, producer side first.
     """
 
     def __init__(
         self,
         capacity_bytes: int,
+        weights: Sequence[int],
         block_bytes: int = 4096,
         budget: Optional[MemoryBudget] = None,
         account: str = "cache",
-        eviction: str = "fullest",
+        eviction: str = "lru",
     ) -> None:
         if capacity_bytes <= 0 or block_bytes <= 0:
             raise ValueError("capacity and block size must be positive")
-        if eviction not in POOL_EVICTION_POLICIES:
-            raise ValueError(
-                f"unknown eviction policy {eviction!r}; "
-                f"choose from {POOL_EVICTION_POLICIES}"
-            )
+        if not weights or any(w <= 0 for w in weights):
+            raise ValueError("weights must be non-empty and positive")
         self.capacity_bytes = capacity_bytes
         self.block_bytes = block_bytes
         self.budget = budget
         self.account = account
         self.eviction = eviction
-        self._members: list[PooledBlockCache] = []
-        self._weights: Optional[tuple[float, ...]] = None
+        self._weights = list(weights)
         self._stored_total = 0  # incrementally maintained by members
-        self._ticks = 0  # shared access-tick counter (see PooledBlockCache)
-        # Telemetry: evictions forced by the *pool* policy (members' own
-        # stats.evictions include these; the pool counters isolate them).
-        self.pool_evictions = 0
-        self.pool_evicted_bytes = 0
-
-    def member(self) -> PooledBlockCache:
-        """Create and register a new member cache."""
-        cache = PooledBlockCache(self, len(self._members))
-        self._members.append(cache)
-        return cache
-
-    @property
-    def members(self) -> list[PooledBlockCache]:
-        return list(self._members)
+        self.members = [
+            PooledBlockCache(self, share)
+            for share in apportion(capacity_bytes, self._weights)
+        ]
 
     @property
     def stored_bytes(self) -> int:
         return self._stored_total
 
-    # -- placement ------------------------------------------------------
+    @property
+    def evictions(self) -> int:
+        """Blocks evicted so far, whichever member's share caused it."""
+        return sum(m.stats.evictions for m in self.members)
 
-    def set_weights(self, weights: Sequence[float]) -> None:
-        """Partition the pool budget across members by ``weights``.
-
-        Call once after every member is registered (the placement step).
-        Each member's capacity becomes its largest-remainder share of the
-        pool capacity; members above their new share evict immediately
-        through the pool counters, so the boundary identity
-        ``before == after + evicted`` the shard engine asserts holds.
-        """
-        if len(weights) != len(self._members):
-            raise ValueError(
-                f"{len(weights)} weights for {len(self._members)} members"
-            )
-        self._weights = tuple(float(w) for w in weights)
-        self._apply_member_capacities()
-        self.on_change()
-
-    def set_capacity(self, capacity_bytes: int) -> None:
+    def set_capacity(self, capacity_bytes: int) -> int:
         """Adopt a new pool capacity (the shard exchange's allocation).
 
-        Re-derives member capacities (weighted shares under a placement,
-        the full capacity otherwise), evicts any member above its share,
-        then re-enforces the pool-wide bound — all through the pool
-        eviction counters, preserving byte conservation at epoch
-        boundaries.
+        Re-derives every member's share and evicts each member down to
+        it; returns the bytes evicted, so the caller can check byte
+        conservation (``before == after + evicted``) at epoch boundaries.
         """
         if capacity_bytes <= 0:
             raise ValueError("capacity must be positive")
         self.capacity_bytes = capacity_bytes
-        self._apply_member_capacities()
-        self.on_change()
-
-    def _apply_member_capacities(self) -> None:
-        if self._weights is None:
-            caps = [self.capacity_bytes] * len(self._members)
-        else:
-            caps = member_capacities(self.capacity_bytes, self._weights)
-        for member, cap in zip(self._members, caps):
-            member.capacity_bytes = cap
-            while member._stored_bytes > cap:
+        evicted = 0
+        shares = apportion(capacity_bytes, self._weights)
+        for member, share in zip(self.members, shares):
+            member.capacity_bytes = share
+            while member.stored_bytes > share:
                 freed = member.evict_one()
                 if freed == 0:
                     break
-                member._sync_pool_total()
-                self.pool_evictions += 1
-                self.pool_evicted_bytes += freed
+                evicted += freed
+            member._sync_pool_total()
+        self._post_ledger()
+        return evicted
 
-    # -- enforcement ----------------------------------------------------
-
-    def on_change(self) -> None:
-        """Re-enforce capacity after a member's occupancy changed."""
-        self._enforce()
+    def _post_ledger(self) -> None:
         if self.budget is not None:
             self.budget.set_account(self.account, self._stored_total)
-
-    def _victim(self) -> Optional[PooledBlockCache]:
-        """Deterministic victim member under the pool eviction policy."""
-        if self.eviction == "fullest":
-            # The fullest member, ties broken by registration order
-            # (stable across runs and job counts).
-            return max(
-                self._members, key=lambda m: (m.stored_bytes, -m.pool_index)
-            )
-        best: Optional[PooledBlockCache] = None
-        best_key: Optional[tuple] = None
-        for m in self._members:
-            cand = (
-                m.lru_candidate() if self.eviction == "lru"
-                else m.lfu_candidate()
-            )
-            if cand is None:
-                continue
-            key = (cand, m.pool_index)
-            if best_key is None or key < best_key:
-                best_key, best = key, m
-        return best
-
-    def _enforce(self) -> None:
-        while self._stored_total > self.capacity_bytes:
-            victim = self._victim()
-            if victim is None:
-                break  # nothing evictable left (all members empty)
-            freed = victim.evict_one()
-            if freed == 0:
-                break
-            victim._sync_pool_total()
-            self.pool_evictions += 1
-            self.pool_evicted_bytes += freed

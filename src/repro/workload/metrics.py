@@ -26,7 +26,7 @@ from typing import Optional
 from repro.analysis.stats import jain_fairness
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowRecord:
     """Lifecycle and outcome of one flow in a pool."""
 
@@ -41,6 +41,9 @@ class FlowRecord:
     #: Why the flow aborted (``"admission"``, ``"no_route"``,
     #: ``"unfinished"``, ...); ``None`` for completed flows.
     abort_reason: Optional[str] = None
+    #: Position in the pool's (arrival-sorted) demand list == spawn order;
+    #: the spill rows' ``idx`` and the summary's merge key.
+    index: int = 0
 
     @property
     def completed(self) -> bool:
@@ -82,10 +85,6 @@ class FairnessTracker:
         if window is None:
             window = self._windows[idx] = {}
         window[flow_id] = window.get(flow_id, 0) + nbytes
-
-    @property
-    def n_windows(self) -> int:
-        return len(self._windows)
 
     def windowed_jain(self) -> list[tuple[float, float]]:
         """(window start time, Jain index) for each multi-flow window."""

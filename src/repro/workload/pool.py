@@ -22,15 +22,14 @@ flow share are rejected at admission — the ceiling is a hard bound, not
 a hint.
 
 Everything is deterministic per seed: arrivals come from a named RNG
-stream, spawn order follows the demand list, and eviction order in the
-shared cache pool is tie-broken by registration index.
+stream, spawn order follows the demand list, and each Midnode's cache
+evicts in its own LRU/LFU order (LFU ties by block creation order).
 
-Per-flow bookkeeping is struct-of-arrays: one slot per arrival across
-parallel arrays (ids, timestamps, status bytes, interned abort reasons)
-instead of a :class:`~repro.workload.metrics.FlowRecord` object per flow.
-At 10⁴–10⁵ flows this cuts live-object count and per-flow overhead to a
-few tens of bytes; :attr:`FlowPool.records` materialises the familiar
-record objects on demand (and caches them until the next mutation).
+Per-flow bookkeeping is one :class:`~repro.workload.metrics.FlowRecord`
+per arrival: :attr:`FlowPool.records` lists them in spawn order and the
+live ones are also indexed by flow id.  With a result sink attached
+(sharded runs) closed records spill to disk, so resident bookkeeping
+stays proportional to *live* flows at any flow count.
 """
 
 from __future__ import annotations
@@ -74,10 +73,13 @@ FLOW_STATE_BYTES_PER_NODE = 512
 #: a router chain.
 LEOTP = "leotp"
 
-# Flow status bytes in the pool's struct-of-arrays bookkeeping.
-_LIVE = 0
-_COMPLETED = 1
-_ABORTED = 2
+#: Every flow's own access link (consumer side for LEOTP, both ends for
+#: TCP): fast and short, so the shared chain is the bottleneck.
+ACCESS_RATE_BPS = 100e6
+ACCESS_DELAY_S = 0.002
+
+#: Window of the pool's Jain fairness tracker.
+FAIRNESS_WINDOW_S = 1.0
 
 
 class FlowPool:
@@ -91,12 +93,8 @@ class FlowPool:
         spec: WorkloadSpec,
         hops: Sequence[HopSpec],
         protocol: Union[str, CCSpec] = LEOTP,
-        config: Optional[LeotpConfig] = None,
         memory_ceiling_bytes: int = 48 << 20,
         cache_fraction: float = 0.75,
-        fairness_window_s: float = 1.0,
-        access_rate_bps: float = 100e6,
-        access_delay_s: float = 0.002,
         name: str = "pool",
         cache_policy: Optional[CachePolicy] = None,
         recorder: Optional[FlowRecorder] = None,
@@ -107,6 +105,8 @@ class FlowPool:
             raise ValueError("cache_fraction must be in (0, 1)")
         if not name:
             raise ValueError("pool name must be non-empty")
+        if not isinstance(cache_policy, (CachePolicy, type(None))):
+            raise ValueError("cache_policy must be a CachePolicy or None")
         # ``protocol`` is either the LEOTP marker or a TCP congestion
         # control selection (name or CCSpec).  The canonical *string*
         # stays on self.protocol (node names, run names, result rows);
@@ -131,43 +131,31 @@ class FlowPool:
         # bit-for-bit.
         self.name = name
         self._flow_prefix = "" if name == "pool" else f"{name}-"
-        self.config = config if config is not None else LeotpConfig()
-        self.access_rate_bps = access_rate_bps
-        self.access_delay_s = access_delay_s
+        self.config = LeotpConfig()
         self.budget = MemoryBudget(memory_ceiling_bytes)
         # Optional pool-wide delivery recorder: every flow's deliveries
         # land in one timeline, so recovery metrics (goodput dips around
         # handovers) apply to the aggregate exactly as to a single flow.
         self.recorder = recorder
-        self.fairness = FairnessTracker(fairness_window_s)
-        # Struct-of-arrays flow bookkeeping: slot i across these parallel
-        # arrays is one arrival.  NaN in _finish_s means "still open".
-        self._ids: list[str] = []
-        self._arrival_s = array("d")
-        self._size_b = array("q")
-        self._start_s = array("d")
-        self._finish_s = array("d")
-        self._status = bytearray()
-        self._reason_idx = bytearray()  # 0 = no reason; else 1+intern index
-        self._reasons: list[str] = []   # interned abort reasons
-        self._records_cache: Optional[list[FlowRecord]] = None
-        self._live: dict[str, int] = {}  # flow_id -> slot index
+        self.fairness = FairnessTracker(FAIRNESS_WINDOW_S)
+        #: Resident flow records in spawn order (live objects: a record
+        #: is updated in place when its flow completes or aborts).
+        self.records: list[FlowRecord] = []
+        self._live: dict[str, FlowRecord] = {}  # flow_id -> open record
         self._consumers: dict[str, Consumer] = {}  # live LEOTP endpoints
         self._delivered: dict[str, int] = {}  # TCP completion tracking
         self._tcp_senders: dict[str, TcpSender] = {}  # live TCP endpoints
-        # Result streaming (sharded runs): closed slots spill to a JSONL
-        # sink at epoch boundaries and leave the struct-of-arrays state,
-        # keeping resident size proportional to *live* flows.  Summary
+        # Result streaming (sharded runs): closed records spill to a JSONL
+        # sink at epoch boundaries and leave ``records``, keeping
+        # resident size proportional to *live* flows.  Summary
         # statistics for spilled flows accumulate in compact parallel
-        # arrays, keyed by the flow's global slot index so the summary
-        # recomputes in exactly the unspilled slot order (bit-identical
-        # percentiles/means no matter when or whether slots spilled).
+        # arrays, keyed by the record's spawn index so the summary
+        # recomputes in exactly the unspilled order (bit-identical
+        # percentiles/means no matter when or whether records spilled).
         self._result_sink = None  # duck-typed: .write(dict) / .flush()
-        self._global_idx = array("q")   # per in-RAM slot: global index
-        self._slots_created = 0
         self.spilled_flows = 0
         self._spilled_ids: list[str] = []   # for the finalize soft sweep
-        self._acc_idx = array("q")      # spilled closed flows: global idx
+        self._acc_idx = array("q")      # spilled closed flows: spawn index
         self._acc_fct = array("d")      # fct_s, NaN when not completed
         self._acc_goodput = array("d")  # goodput, NaN when undefined
         self._spilled_reasons: dict[str, int] = {}
@@ -189,30 +177,22 @@ class FlowPool:
         self._demands = demands
         self._next_demand = 0
 
-        self.cache_policy = cache_policy
+        self.cache_policy = cache_policy  # stays None on TCP pools
         if protocol == LEOTP:
+            # No policy means the default cell: uniform placement, LRU.
+            policy = self.cache_policy = cache_policy or CachePolicy()
             self._build_leotp_chain(hops)
             cache_capacity = int(memory_ceiling_bytes * cache_fraction)
+            # Placement: one budget partitioned across chain positions.
             self.cache_pool: Optional[SharedCachePool] = SharedCachePool(
                 cache_capacity,
+                placement_weights(policy.placement, len(self.midnodes)),
                 self.config.cache_block_bytes,
                 budget=self.budget,
-                account="cache",
-                eviction=(
-                    cache_policy.eviction
-                    if cache_policy is not None
-                    else "fullest"
-                ),
+                eviction=policy.eviction,
             )
-            for mid in self.midnodes:
-                mid.cache = self.cache_pool.member()
-            if cache_policy is not None:
-                # Placement: partition the budget across chain positions.
-                # Without a policy each member may use the whole budget
-                # (the historic behaviour, preserved bit-for-bit).
-                self.cache_pool.set_weights(placement_weights(
-                    cache_policy.placement, len(self.midnodes)
-                ))
+            for mid, cache in zip(self.midnodes, self.cache_pool.members):
+                mid.cache = cache
             # Content workloads share cached blocks under object names:
             # one registry aliases every midnode's cache keys.
             self.content: Optional[ContentRegistry] = None
@@ -283,10 +263,6 @@ class FlowPool:
     def active_flows(self) -> int:
         return len(self._live)
 
-    @property
-    def pending_demands(self) -> int:
-        return len(self._demands) - self._next_demand
-
     def backlog_bytes(self) -> int:
         """Total responder send-buffer backlog across the shared chain.
 
@@ -310,47 +286,28 @@ class FlowPool:
         if self._next_demand < len(self._demands) and not self._finalized:
             self._spawn_index(self._next_demand)
 
-    def _new_slot(self, flow_id: str, demand: FlowDemand) -> int:
-        """Append one flow to the struct-of-arrays bookkeeping."""
-        slot = len(self._ids)
-        self._ids.append(flow_id)
-        self._arrival_s.append(demand.arrival_s)
-        self._size_b.append(demand.size_bytes)
-        self._start_s.append(self.sim.now)
-        self._finish_s.append(float("nan"))
-        self._status.append(_LIVE)
-        self._reason_idx.append(0)
-        self._global_idx.append(self._slots_created)
-        self._slots_created += 1
-        self._records_cache = None
-        return slot
-
-    def _reason_id(self, reason: str) -> int:
-        """Intern an abort reason; returns its 1-based index."""
-        try:
-            return self._reasons.index(reason) + 1
-        except ValueError:
-            self._reasons.append(reason)
-            return len(self._reasons)
-
     def _spawn_index(self, idx: int) -> None:
         demand = self._demands[idx]
         self._next_demand = max(self._next_demand, idx + 1)
         self.arrivals += 1
         flow_id = f"{self._flow_prefix}w{idx:05d}"
-        slot = self._new_slot(flow_id, demand)
+        record = FlowRecord(
+            flow_id, demand.arrival_s, demand.size_bytes,
+            start_s=self.sim.now, index=idx,
+        )
+        self.records.append(record)
         # Hard admission: per-flow soft state may not overflow the budget
         # share left after the cache pool's slice.
         projected = (self.active_flows + 1) * self._flow_state_bytes
         if projected > self._flow_share_bytes:
-            self._status[slot] = _ABORTED
-            self._reason_idx[slot] = self._reason_id("admission")
+            record.aborted = True
+            record.abort_reason = "admission"
             self.aborted += 1
             self.admission_rejects += 1
             if self.spec.closed_loop:
                 self._spawn_next()
             return
-        self._live[flow_id] = slot
+        self._live[flow_id] = record
         if self.active_flows > self.peak_concurrency:
             self.peak_concurrency = self.active_flows
         self.budget.set_account(
@@ -381,8 +338,8 @@ class FlowPool:
             self.sim,
             self.hub,
             consumer,
-            rate_bps=self.access_rate_bps,
-            delay_s=self.access_delay_s,
+            rate_bps=ACCESS_RATE_BPS,
+            delay_s=ACCESS_DELAY_S,
             name=f"access-{flow_id}",
         )
         consumer.out_link = access.ba
@@ -412,12 +369,12 @@ class FlowPool:
         self._tcp_senders[flow_id] = sender
         up = DuplexLink(
             self.sim, sender, self.routers[0],
-            rate_bps=self.access_rate_bps, delay_s=self.access_delay_s,
+            rate_bps=ACCESS_RATE_BPS, delay_s=ACCESS_DELAY_S,
             name=f"up-{flow_id}",
         )
         down = DuplexLink(
             self.sim, self.routers[-1], receiver,
-            rate_bps=self.access_rate_bps, delay_s=self.access_delay_s,
+            rate_bps=ACCESS_RATE_BPS, delay_s=ACCESS_DELAY_S,
             name=f"down-{flow_id}",
         )
         sender.out_link = up.ab
@@ -464,14 +421,12 @@ class FlowPool:
             self._complete(flow_id)
 
     def _complete(self, flow_id: str) -> None:
-        slot = self._live.pop(flow_id, None)
-        if slot is None:
+        record = self._live.pop(flow_id, None)
+        if record is None:
             return
-        self._finish_s[slot] = self.sim.now
-        self._status[slot] = _COMPLETED
-        self._records_cache = None
+        record.finish_s = self.sim.now
         self.completed += 1
-        self.delivered_bytes += self._size_b[slot]
+        self.delivered_bytes += record.size_bytes
         self._retire(flow_id)
         self.budget.set_account(
             "flows", self.active_flows * self._flow_state_bytes
@@ -488,13 +443,12 @@ class FlowPool:
         closed-loop admission the freed slot spawns the next demand, like
         a completion would.  Returns False if the flow is not live.
         """
-        slot = self._live.pop(flow_id, None)
-        if slot is None:
+        record = self._live.pop(flow_id, None)
+        if record is None:
             return False
-        self._status[slot] = _ABORTED
-        self._reason_idx[slot] = self._reason_id(reason)
-        self._finish_s[slot] = self.sim.now
-        self._records_cache = None
+        record.aborted = True
+        record.abort_reason = reason
+        record.finish_s = self.sim.now
         self.aborted += 1
         consumer = self._consumers.get(flow_id)
         if consumer is not None:
@@ -558,22 +512,21 @@ class FlowPool:
         self._finalized = True
         if self._timeline is not None:
             self._timeline.stop()
-        for flow_id, slot in list(self._live.items()):
-            self._status[slot] = _ABORTED
-            self._reason_idx[slot] = self._reason_id("unfinished")
+        for flow_id, record in list(self._live.items()):
+            record.aborted = True
+            record.abort_reason = "unfinished"
             self.aborted += 1
             self._retire(flow_id)
         self._live.clear()
-        self._records_cache = None
         # An Interest in flight when its flow was aborted can reach a
         # responder after retirement and rebuild the (soft, on-demand)
         # per-flow state; sweep every recorded flow once more — including
-        # flows whose slots already spilled to the result sink — so
+        # flows whose records already spilled to the result sink — so
         # nothing outlives the run.
         for flow_id in self._spilled_ids:
             self._retire(flow_id)
-        for flow_id in self._ids:
-            self._retire(flow_id)
+        for record in self.records:
+            self._retire(record.flow_id)
         self.budget.set_account("flows", 0)
 
     # ------------------------------------------------------------------
@@ -584,109 +537,56 @@ class FlowPool:
         """Stream closed flows' result rows to ``sink`` (``.write(dict)``).
 
         With a sink attached, :meth:`spill_closed` — called by the shard
-        worker at every epoch boundary — moves completed/aborted slots
-        out of the struct-of-arrays state into the sink, so resident
-        per-flow bookkeeping stays proportional to *live* flows while the
-        final :meth:`summary` stays bit-identical with an unspilled run.
+        worker at every epoch boundary — moves completed/aborted records
+        out of :attr:`records` into the sink, so resident per-flow
+        bookkeeping stays proportional to *live* flows while the final
+        :meth:`summary` stays bit-identical with an unspilled run.
         """
         self._result_sink = sink
 
-    def _spill_slot(self, slot: int) -> None:
-        """Write one closed slot to the sink and accumulate its stats."""
-        finish = self._finish_s[slot]
-        finish_val: Optional[float] = finish if finish == finish else None
-        aborted = self._status[slot] == _ABORTED
-        ridx = self._reason_idx[slot]
-        reason = self._reasons[ridx - 1] if ridx else None
-        gidx = self._global_idx[slot]
+    def _spill_record(self, record: FlowRecord) -> None:
+        """Write one closed record to the sink and accumulate its stats."""
         # Fixed key order keeps spill files byte-stable across runs.
         self._result_sink.write({
-            "idx": gidx,
-            "flow": self._ids[slot],
-            "arrival_s": self._arrival_s[slot],
-            "size_b": self._size_b[slot],
-            "start_s": self._start_s[slot],
-            "finish_s": finish_val,
-            "status": "aborted" if aborted else "completed",
-            "reason": reason,
+            "idx": record.index,
+            "flow": record.flow_id,
+            "arrival_s": record.arrival_s,
+            "size_b": record.size_bytes,
+            "start_s": record.start_s,
+            "finish_s": record.finish_s,
+            "status": "aborted" if record.aborted else "completed",
+            "reason": record.abort_reason,
         })
-        completed = finish_val is not None and not aborted
-        fct = (finish_val - self._start_s[slot]) if completed else None
-        self._acc_idx.append(gidx)
-        self._acc_fct.append(fct if fct is not None else float("nan"))
-        self._acc_goodput.append(
-            self._size_b[slot] / fct
-            if fct is not None and fct > 0
-            else float("nan")
-        )
-        if aborted and reason is not None:
-            self._spilled_reasons[reason] = (
-                self._spilled_reasons.get(reason, 0) + 1
+        self._acc_idx.append(record.index)
+        self._acc_fct.append(_nan_if_none(record.fct_s))
+        self._acc_goodput.append(_nan_if_none(record.goodput_bytes_s))
+        if record.aborted and record.abort_reason is not None:
+            self._spilled_reasons[record.abort_reason] = (
+                self._spilled_reasons.get(record.abort_reason, 0) + 1
             )
-        self._spilled_ids.append(self._ids[slot])
+        self._spilled_ids.append(record.flow_id)
         self.spilled_flows += 1
 
     def spill_closed(self) -> int:
-        """Spill every closed slot to the result sink; returns the count.
+        """Spill every closed record to the result sink; returns the count.
 
-        No-op without a sink.  Slots spill in slot order (== global
-        order, since earlier spills only ever removed a prefix-closed
-        subset), and the surviving live slots are compacted in place
-        with their global indices preserved.
+        No-op without a sink.  Records spill in spawn order and the live
+        ones stay resident, still in spawn order.
         """
         if self._result_sink is None:
             return 0
-        n = len(self._ids)
-        closed = [i for i in range(n) if self._status[i] != _LIVE]
+        live = self._live
+        closed = [r for r in self.records if r.flow_id not in live]
         if not closed:
             return 0
-        for slot in closed:
-            self._spill_slot(slot)
-        keep = [i for i in range(n) if self._status[i] == _LIVE]
-        self._ids = [self._ids[i] for i in keep]
-        self._arrival_s = array("d", (self._arrival_s[i] for i in keep))
-        self._size_b = array("q", (self._size_b[i] for i in keep))
-        self._start_s = array("d", (self._start_s[i] for i in keep))
-        self._finish_s = array("d", (self._finish_s[i] for i in keep))
-        self._status = bytearray(self._status[i] for i in keep)
-        self._reason_idx = bytearray(self._reason_idx[i] for i in keep)
-        self._global_idx = array("q", (self._global_idx[i] for i in keep))
-        # Every kept slot is live (closed slots all spilled), so the
-        # live map is just the compacted enumeration.
-        self._live = {fid: pos for pos, fid in enumerate(self._ids)}
-        self._records_cache = None
+        for record in closed:
+            self._spill_record(record)
+        self.records = [r for r in self.records if r.flow_id in live]
         return len(closed)
 
     # ------------------------------------------------------------------
     # Reporting / observability
     # ------------------------------------------------------------------
-
-    def _record(self, slot: int) -> FlowRecord:
-        finish = self._finish_s[slot]
-        ridx = self._reason_idx[slot]
-        return FlowRecord(
-            flow_id=self._ids[slot],
-            arrival_s=self._arrival_s[slot],
-            size_bytes=self._size_b[slot],
-            start_s=self._start_s[slot],
-            finish_s=finish if finish == finish else None,  # NaN -> None
-            aborted=self._status[slot] == _ABORTED,
-            abort_reason=self._reasons[ridx - 1] if ridx else None,
-        )
-
-    @property
-    def records(self) -> list[FlowRecord]:
-        """Per-flow :class:`FlowRecord` view of the struct-of-arrays state.
-
-        Materialised on demand and cached until the next lifecycle change;
-        treat the returned records as snapshots, not live objects.
-        """
-        cache = self._records_cache
-        if cache is None:
-            cache = self._records_cache = [
-                self._record(i) for i in range(len(self._ids))
-            ]
-        return cache
 
     def attach_samplers(self, interval_s: Optional[float] = None) -> str:
         """Register pool-level samplers (occupancy, memory) with METRICS."""
@@ -706,24 +606,21 @@ class FlowPool:
     def summary(self) -> dict[str, float]:
         """Aggregate outcome of the run (call after :meth:`finalize`).
 
-        Bit-identical whether or not slots spilled: samples from the
-        spill accumulators and the resident slots are merged and sorted
-        by global slot index, so the float arrays fed to the percentile
-        and mean computations match an unspilled run element for element.
+        Bit-identical whether or not records spilled: samples from the
+        spill accumulators and the resident records are merged and sorted
+        by spawn index, so the float arrays fed to the percentile and
+        mean computations match an unspilled run element for element.
         """
         from repro.analysis.stats import fct_percentiles
 
         samples: list[tuple[int, float, float]] = list(
             zip(self._acc_idx, self._acc_fct, self._acc_goodput)
         )
-        nan = float("nan")
-        for slot, record in enumerate(self.records):
-            fct = record.fct_s
-            goodput = record.goodput_bytes_s
+        for record in self.records:
             samples.append((
-                self._global_idx[slot],
-                fct if fct is not None else nan,
-                goodput if goodput is not None else nan,
+                record.index,
+                _nan_if_none(record.fct_s),
+                _nan_if_none(record.goodput_bytes_s),
             ))
         samples.sort(key=lambda s: s[0])
         fcts = [f for _, f, _ in samples if f == f]  # NaN != NaN
@@ -746,10 +643,7 @@ class FlowPool:
         for reason in sorted(reasons):
             out[f"aborted_{reason}"] = float(reasons[reason])
         if self.cache_pool is not None:
-            out["cache_pool_evictions"] = float(self.cache_pool.pool_evictions)
-            out["cache_pool_evicted_bytes"] = float(
-                self.cache_pool.pool_evicted_bytes
-            )
+            out["cache_pool_evictions"] = float(self.cache_pool.evictions)
         if self.content is not None:
             # Content effectiveness: what fraction of requested bytes the
             # chain's caches served, what fraction came from bytes some
@@ -778,3 +672,8 @@ class FlowPool:
             out["goodput_mean_bytes_s"] = sum(goodputs) / len(goodputs)
         out.update(self.fairness.summary())
         return out
+
+
+def _nan_if_none(value: Optional[float]) -> float:
+    """NaN marks "undefined" in the spill accumulators (``array('d')``)."""
+    return float("nan") if value is None else value

@@ -22,17 +22,18 @@ import tempfile
 import numpy as np
 import pytest
 
+from repro.common.apportion import apportion
 from repro.content import (
+    PLACEMENTS,
     CachePolicy,
     ContentCatalog,
     ContentRegistry,
     ContentSpec,
-    member_capacities,
     object_name,
     placement_weights,
     zipf_weights,
 )
-from repro.core.cache import BlockCache
+from repro.core.cache import CACHE_EVICTION_POLICIES, BlockCache
 from repro.experiments.content_study import content_plan
 from repro.experiments.runner import RunSpec, run_experiments
 from repro.netsim.topology import uniform_chain_specs
@@ -166,7 +167,7 @@ class TestPlacement:
         "placement", ["uniform", "gateway", "hot_orbit"]
     )
     def test_capacities_conserve_total_byte_exact(self, total, placement):
-        caps = member_capacities(total, placement_weights(placement, 5))
+        caps = apportion(total, list(placement_weights(placement, 5)))
         assert sum(caps) == total
         assert all(c >= 1 for c in caps)
 
@@ -262,6 +263,48 @@ class TestPoolSharing:
         assert a == b
 
 
+def _overflowing_cell(placement: str, eviction: str):
+    """A pool whose 512 KiB cache is far smaller than its Zipf catalog."""
+    sim = Simulator()
+    pool = FlowPool(
+        sim, RngRegistry(0),
+        spec=WorkloadSpec(
+            arrival="poisson", rate_per_s=150.0, n_flows=600,
+            content=ContentSpec(
+                n_objects=300, zipf_s=1.1, mean_object_bytes=12_000,
+                size_sigma=0.5,
+            ),
+        ),
+        hops=uniform_chain_specs(5, rate_bps=20e6, delay_s=0.008),
+        memory_ceiling_bytes=1 << 20,
+        cache_fraction=0.5,
+        cache_policy=CachePolicy(placement=placement, eviction=eviction),
+    )
+    sim.run(until=600 / 150.0 + 4.0)
+    pool.finalize()
+    return pool, pool.summary()
+
+
+class TestPolicyAxesDecide:
+    def test_placement_and_eviction_each_move_the_hit_ratio(self):
+        """Both axes of the policy matrix reach the cache, and the
+        eviction column counts what the caches evicted."""
+        hit_ratio = {}
+        for cell in [("uniform", "lru"), ("gateway", "lru"), ("gateway", "lfu")]:
+            pool, s = _overflowing_cell(*cell)
+            hit_ratio[cell] = s["cache_hit_ratio"]
+            evictions = sum(m.stats.evictions for m in pool.cache_pool.members)
+            assert s["cache_pool_evictions"] == evictions > 0
+            assert s["budget_breaches"] == 0
+            assert s["completed"] == s["arrivals"]
+        # Changing only the placement, then only the eviction order.
+        assert hit_ratio["gateway", "lru"] != hit_ratio["uniform", "lru"]
+        assert hit_ratio["gateway", "lfu"] != hit_ratio["gateway", "lru"]
+        # Capacity at the chain ends beats the even split on Zipf demand
+        # ("Cache Placement in an NDN Based LEO Constellation", PAPERS.md).
+        assert hit_ratio["gateway", "lru"] > hit_ratio["uniform", "lru"] + 0.02
+
+
 _TINY = RunSpec(scale=0.03, seed=0)
 
 
@@ -270,6 +313,18 @@ class TestStudyDeterminism:
         serial = run_experiments(["content_study"], _TINY, jobs=1)
         parallel = run_experiments(["content_study"], _TINY, jobs=2)
         assert serial[0].result["rows"] == parallel[0].result["rows"]
+        # Row shape: the no-catalog floor on the default cell, then every
+        # placement x eviction cell under its real policy names.
+        matrix = [
+            r for r in serial[0].result["rows"] if r["section"] == "matrix"
+        ]
+        assert [
+            (r["placement"], r["eviction"], r["catalog"]) for r in matrix
+        ] == [("uniform", "lru", False)] + [
+            (p, e, True) for p in PLACEMENTS for e in CACHE_EVICTION_POLICIES
+        ]
+        assert len(matrix) == 7
+        assert all(type(r["catalog"]) is bool for r in matrix)
 
     def test_shard_jobs_bit_identical(self):
         plan = content_plan(scale=0.1, seed=2)

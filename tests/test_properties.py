@@ -368,3 +368,130 @@ def test_shr_detector_matches_algorithm_1_transcription(first, steps):
         assert _as_pairs(actions.request) == request
         assert shr.last_byte == ref["last"]
         assert _as_pairs(shr.open_holes) == [(s, e) for s, e, _ in ref["holes"]]
+
+
+# ----------------------------------------------------------------------
+# The cache budget split: apportion against its closed form, and a
+# SharedCachePool against the standalone caches it claims to be.
+# ----------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    total=st.integers(0, 1 << 26),
+    weights=st.lists(st.integers(0, 50), min_size=1, max_size=8),
+)
+def test_apportion_is_largest_remainder(total, weights):
+    from repro.common.apportion import apportion
+
+    shares = apportion(total, weights)
+    quota = weights if any(weights) else [1] * len(weights)
+    wsum = sum(quota)
+    assert sum(shares) == total
+    for share, w in zip(shares, quota):
+        # Within one of the exact quota total * w / wsum, in integers.
+        assert abs(share * wsum - total * w) < wsum
+    for i, wi in enumerate(quota):
+        for j in range(i + 1, len(quota)):
+            if wi == quota[j]:
+                # Equal weights: at most one apart, the extra unit first.
+                assert shares[i] - shares[j] in (0, 1)
+            else:
+                # A larger weight never gets a smaller share.
+                assert (shares[i] - shares[j]) * (wi - quota[j]) >= 0
+
+
+def test_apportion_pinned_cases():
+    from repro.common.apportion import apportion
+    from repro.content import placement_weights
+
+    # Six exact 8/12 remainder ties for four spare bytes: index order.
+    assert apportion(854636, [4, 1, 1, 1, 1, 4]) == [
+        284879, 71220, 71220, 71220, 71219, 284878,
+    ]
+    # content_study's shares: 2 MiB over five Midnodes.
+    assert [
+        apportion(2 << 20, list(placement_weights(p, 5)))
+        for p in ("uniform", "gateway", "hot_orbit")
+    ] == [
+        [419431, 419431, 419430, 419430, 419430],
+        [762601, 190650, 190650, 190650, 762601],
+        [262144, 262144, 1048576, 262144, 262144],
+    ]
+
+
+def _cache_snapshot(cache):
+    return [
+        (bkey, _as_pairs(block.coverage), block.origins, block.freq)
+        for bkey, block in cache._blocks.items()  # LRU order
+    ]
+
+
+_member = st.integers(0, 5)
+_pool_ops = st.one_of(
+    st.tuples(st.just("store"), _member, _keys, _cache_ranges,
+              st.integers(0, 50), _flows),
+    st.tuples(st.just("store"), _member, _keys, _cache_ranges,
+              st.integers(0, 50), _flows),
+    st.tuples(st.just("lookup"), _member, _keys, _cache_ranges, _flows),
+    st.tuples(st.just("drop_flow"), _member, _keys),
+    st.tuples(st.just("set_capacity"), st.integers(1, 1500)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.lists(st.integers(1, 4), min_size=2, max_size=6),
+    capacity=st.integers(100, 1500),
+    eviction=st.sampled_from(["lru", "lfu"]),
+    ops=st.lists(_pool_ops, max_size=50),
+)
+def test_shared_cache_pool_members_are_standalone_caches(
+    weights, capacity, eviction, ops
+):
+    """Differential: the pool adds nothing to its members but the total."""
+    from repro.common.apportion import apportion
+    from repro.workload import MemoryBudget, SharedCachePool
+
+    budget = MemoryBudget(1 << 20)
+    pool = SharedCachePool(
+        capacity, weights, block_bytes=64, budget=budget, eviction=eviction
+    )
+    twins = [
+        BlockCache(share, 64, eviction)
+        for share in apportion(capacity, weights)
+    ]
+    for op in ops:
+        kind = op[0]
+        if kind == "set_capacity":
+            before = pool.stored_bytes
+            evicted = pool.set_capacity(op[1])
+            assert evicted == before - pool.stored_bytes
+            for twin, share in zip(twins, apportion(op[1], weights)):
+                twin.capacity_bytes = share
+                twin._evict_if_needed()
+        else:
+            i = op[1] % len(weights)
+            member, twin = pool.members[i], twins[i]
+            if kind == "store":
+                _, _, key, (start, length), ts, flow = op
+                rng = ByteRange(start, start + length)
+                member.store(key, rng, float(ts), writer=flow)
+                twin.store(key, rng, float(ts), writer=flow)
+            elif kind == "lookup":
+                _, _, key, (start, length), flow = op
+                rng = ByteRange(start, start + length)
+                assert member.lookup(key, rng, requester=flow) == twin.lookup(
+                    key, rng, requester=flow
+                )
+            else:
+                assert member.drop_flow(op[2]) == twin.drop_flow(op[2])
+        for member, twin in zip(pool.members, twins):
+            assert member.capacity_bytes == twin.capacity_bytes
+            assert _cache_snapshot(member) == _cache_snapshot(twin)
+            assert member.stats == twin.stats
+        assert sum(m.capacity_bytes for m in pool.members) == pool.capacity_bytes
+        assert pool.stored_bytes == sum(m.stored_bytes for m in pool.members)
+        assert pool.stored_bytes <= pool.capacity_bytes
+        assert budget.account("cache") == pool.stored_bytes
+    assert pool.evictions == sum(t.stats.evictions for t in twins)

@@ -168,12 +168,12 @@ def test_same_value_apply_is_a_noop_boundary(cache_policy):
     state = _mid_workload_state(replace(SMALL_PLAN, cache_policy=cache_policy))
     cache_pool = state.pool.cache_pool
     stored = cache_pool.stored_bytes
-    evictions = cache_pool.pool_evictions
+    evictions = cache_pool.evictions
     ledger_total = state.pool.budget.total_bytes
     for _ in range(2):
         state.apply_allocation(cache_pool.capacity_bytes)
         assert cache_pool.stored_bytes == stored
-        assert cache_pool.pool_evictions == evictions
+        assert cache_pool.evictions == evictions
         assert state.pool.budget.total_bytes == ledger_total
         assert state._boundary_stored_before == stored
         assert state._boundary_evicted == 0

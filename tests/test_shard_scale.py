@@ -35,6 +35,7 @@ from repro.shard import (
     iter_jsonl,
     load_manifest,
     merge_spills,
+    resume_point,
     run_sharded,
     spill_name,
 )
@@ -281,7 +282,15 @@ def test_resume_refuses_corrupt_manifest(tmp_path):
         PLAN, jobs=1, checkpoint_dir=ckpt,
         checkpoint_every=1, stop_after_epoch=0,
     )
-    with open(os.path.join(ckpt, "manifest.json"), "w") as fh:
+    manifest_path = os.path.join(ckpt, "manifest.json")
+    # A directory written before the pickled shard layout changed
+    # (format 1) is refused by name, not resumed into an AttributeError.
+    stale = dict(load_manifest(ckpt), format=1)
+    with open(manifest_path, "w") as fh:
+        json.dump(stale, fh)
+    with pytest.raises(CheckpointError, match="unsupported checkpoint format 1"):
+        resume_point(ckpt, PLAN)
+    with open(manifest_path, "w") as fh:
         fh.write("{not json")
     with pytest.raises(CheckpointError, match="JSON"):
         run_sharded(PLAN, jobs=1, resume_from=ckpt)

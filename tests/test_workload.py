@@ -9,6 +9,8 @@ soft state behind.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.netsim.topology import uniform_chain_specs
@@ -137,35 +139,53 @@ class TestSharedCachePool:
 
         cache.store(flow, ByteRange(start, start + nbytes), ts)
 
-    def test_pool_capacity_enforced_across_members(self):
+    def test_members_evict_against_their_own_share(self):
         budget = MemoryBudget(100_000)
-        pool = SharedCachePool(8192, block_bytes=4096, budget=budget)
-        a, b = pool.member(), pool.member()
+        pool = SharedCachePool(
+            3 * 4096, [2, 1], block_bytes=4096, budget=budget
+        )
+        a, b = pool.members
+        assert (a.capacity_bytes, b.capacity_bytes) == (2 * 4096, 4096)
         self._store(a, "f1", 0, 4096)
-        self._store(b, "f2", 0, 4096)
-        assert pool.stored_bytes == 8192
-        assert pool.pool_evictions == 0
-        # One more block overflows the pool: the fullest member evicts.
         self._store(a, "f1", 4096, 4096)
-        assert pool.stored_bytes <= 8192
-        assert pool.pool_evictions == 1
-        assert pool.pool_evicted_bytes == 4096
+        self._store(b, "f2", 0, 4096)
+        assert pool.stored_bytes == 3 * 4096
+        assert pool.evictions == 0
+        # b's share is full: its next block evicts b's own oldest block,
+        # although a holds more — nothing arbitrates between members.
+        self._store(b, "f2", 4096, 4096)
+        assert (a.stored_bytes, b.stored_bytes) == (2 * 4096, 4096)
+        assert pool.evictions == b.stats.evictions == 1
+        assert pool.stored_bytes == 3 * 4096 <= pool.capacity_bytes
         assert budget.account("cache") == pool.stored_bytes
 
-    def test_eviction_prefers_fullest_member(self):
-        pool = SharedCachePool(3 * 4096, block_bytes=4096)
-        a, b = pool.member(), pool.member()
+    def test_set_capacity_returns_bytes_evicted(self):
+        budget = MemoryBudget(100_000)
+        pool = SharedCachePool(
+            4 * 4096, [1, 1], block_bytes=4096, budget=budget
+        )
+        a, b = pool.members
         self._store(a, "f1", 0, 4096)
         self._store(a, "f1", 4096, 4096)
         self._store(b, "f2", 0, 4096)
-        # Pool is exactly full; the next store evicts from a (2 blocks > 1).
-        self._store(b, "f2", 4096, 4096)
-        assert a.stored_bytes == 4096
-        assert b.stored_bytes == 2 * 4096
+        # Halving leaves one block per member: a gives one up, b none.
+        assert pool.set_capacity(2 * 4096) == 4096
+        assert (a.stored_bytes, b.stored_bytes) == (4096, 4096)
+        assert budget.account("cache") == pool.stored_bytes == 2 * 4096
+        assert pool.set_capacity(4 * 4096) == 0  # growing evicts nothing
+        assert a.capacity_bytes == b.capacity_bytes == 2 * 4096
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SharedCachePool(0)
+            SharedCachePool(0, [1])
+        with pytest.raises(ValueError):
+            SharedCachePool(8192, [])
+        with pytest.raises(ValueError):
+            SharedCachePool(8192, [1, 0])
+        with pytest.raises(ValueError):
+            SharedCachePool(8192, [1, 1], eviction="random")
+        with pytest.raises(ValueError):
+            SharedCachePool(8192, [1, 1]).set_capacity(0)
 
 
 class TestFlowMetrics:
@@ -289,7 +309,7 @@ class TestFlowPool:
         assert a != c
 
     def test_tight_cache_budget_evicts_not_breaches(self):
-        """A tiny ceiling forces pool evictions, never ledger breaches."""
+        """A tiny ceiling forces cache evictions, never ledger breaches."""
         # A burst of ~simultaneous flows pins far more content than the
         # 512 KB cache slice (0.25 * 2 MiB) can hold at once.
         pool = _run_pool(
@@ -347,6 +367,11 @@ class TestFlowPool:
             FlowPool(
                 sim, RngRegistry(0), spec=_poisson_spec(),
                 hops=uniform_chain_specs(2), name="",
+            )
+        with pytest.raises(ValueError, match="CachePolicy or None"):
+            FlowPool(
+                sim, RngRegistry(0), spec=_poisson_spec(),
+                hops=uniform_chain_specs(2), cache_policy=("gateway", "lru"),
             )
 
 
@@ -467,6 +492,74 @@ class TestFlowAborts:
         assert pool.name == "pool"
         assert pool.producer.name == "pool-prod"
         assert all(r.flow_id.startswith("w000") for r in pool.records)
+
+
+class _ListSink(list):
+    """The smallest result sink: ``write(row)`` appends to a list."""
+
+    write = list.append
+
+
+class TestFlowRecords:
+    """One FlowRecord per arrival: shared by ``records`` and the live
+    index, and spilled without moving any reported number."""
+
+    def _pool(self):
+        spec = _poisson_spec(
+            n_flows=150, rate_per_s=150.0, mean_size_bytes=20_000,
+            max_size_bytes=80_000,
+        )
+        sim = Simulator()
+        pool = FlowPool(
+            sim, RngRegistry(0), spec=spec,
+            hops=uniform_chain_specs(2, rate_bps=20e6, delay_s=0.004),
+        )
+        return sim, pool
+
+    def test_pickle_mid_run_keeps_live_records_shared(self):
+        sim, pool = self._pool()
+        sim.run(until=0.5)
+        clone = pickle.loads(pickle.dumps(pool))
+        assert clone._live and len(clone._live) == len(pool._live)
+        resident = {r.flow_id: r for r in clone.records}
+        for flow_id, record in clone._live.items():
+            assert resident[flow_id] is record
+        # ...so the restored pool closes the same records it reports.
+        for s, p in ((sim, pool), (clone.sim, clone)):
+            s.run(until=4.0)
+            p.finalize()
+        assert clone.records == pool.records
+        assert clone.summary() == pool.summary()
+
+    def test_spill_cadence_moves_no_row_and_no_summary_key(self):
+        def run(spill_every_s):
+            sim, pool = self._pool()
+            sink = _ListSink()
+            pool.set_result_sink(sink)
+            t = 0.0
+            while t < 1.0:  # ends mid-workload: some flows stay unfinished
+                t += 0.5
+                sim.run(until=t)
+                if spill_every_s:
+                    pool.spill_closed()
+            pool.finalize()
+            pool.spill_closed()
+            assert pool.records == [] and len(sink) == pool.arrivals
+            return sorted(sink, key=lambda row: row["idx"]), pool.summary()
+
+        rows_each, summary_each = run(spill_every_s=0.5)
+        rows_once, summary_once = run(spill_every_s=None)
+        assert rows_each == rows_once
+        assert [row["idx"] for row in rows_once] == list(range(len(rows_once)))
+        assert {row["reason"] for row in rows_once} == {None, "unfinished"}
+        assert summary_each == summary_once
+
+        # ...and neither differs from never spilling at all.
+        sim, pool = self._pool()
+        sim.run(until=1.0)
+        pool.finalize()
+        assert pool.summary() == summary_once
+        assert [r.index for r in pool.records] == list(range(len(rows_once)))
 
 
 class TestWorkloadExperiment:
