@@ -95,6 +95,11 @@ class BlockCache:
         self.block_bytes = block_bytes
         self.eviction = eviction
         self._blocks: "OrderedDict[tuple[str, int], _Block]" = OrderedDict()
+        # [lowest, highest] block index ever created per cache key, so
+        # dropping a flow probes its own span instead of scanning every
+        # block of the node (eviction leaves it stale, which only costs
+        # a missed probe).
+        self._key_span: dict[str, list[int]] = {}
         self._stored_bytes = 0
         self._created = 0  # blocks ever created (source of ``_Block.seq``)
         self.stats = CacheStats()
@@ -129,6 +134,13 @@ class BlockCache:
             if block is None:
                 block = _Block()
                 self._blocks[bkey] = block
+                span = self._key_span.get(key)
+                if span is None:
+                    self._key_span[key] = [bidx, bidx]
+                elif bidx > span[1]:
+                    span[1] = bidx
+                elif bidx < span[0]:
+                    span[0] = bidx
                 self._created += 1
                 block.seq = self._created
             else:
@@ -237,8 +249,7 @@ class BlockCache:
 
     def evict_one(self) -> int:
         """Evict one block under this cache's policy; returns bytes freed
-        (0 if empty).  Shared-pool budgeting (:mod:`repro.workload.budget`)
-        uses this to reclaim memory across many caches deterministically."""
+        (0 if empty)."""
         if not self._blocks:
             return 0
         if self.eviction == "lfu":
@@ -265,10 +276,12 @@ class BlockCache:
         LRU pressure.  (Content-keyed blocks are *not* dropped at
         retirement — see :meth:`repro.core.midnode.Midnode.retire_flow`.)
         """
-        keys = [k for k in self._blocks if k[0] == key]
         freed = 0
-        for k in keys:
-            freed += self._blocks.pop(k).stored_bytes()
+        lo, hi = self._key_span.pop(key, (0, -1))
+        for bidx in range(lo, hi + 1):
+            block = self._blocks.pop((key, bidx), None)
+            if block is not None:
+                freed += block.stored_bytes()
         self._stored_bytes -= freed
         return freed
 

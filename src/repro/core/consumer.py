@@ -347,9 +347,8 @@ class Consumer(Node):
                 start=packet.range.start, end=packet.range.end,
             )
         self.shr.on_packet(packet.range)
-        for state in self._outstanding.values():
-            if state.rng.overlaps(packet.range):
-                state.deadline = max(state.deadline, now + self.rto.rto_s)
+        for state in self._overlapping(packet.range):
+            state.deadline = max(state.deadline, now + self.rto.rto_s)
 
     def _request_hole(self, hole: ByteRange) -> None:
         """SHR-confirmed hole: immediately re-request overlapping Interests."""
@@ -358,8 +357,8 @@ class Consumer(Node):
                 self.sim.now, "shr_request", self.name, flow=self.flow_id,
                 start=hole.start, end=hole.end,
             )
-        for state in list(self._outstanding.values()):
-            if state.rng.overlaps(hole) and state.retries < self.config.tr_max_retries:
+        for state in self._overlapping(hole):
+            if state.retries < self.config.tr_max_retries:
                 self._send_interest(state.rng, retransmission=True)
 
     def _satisfy(self, rng: ByteRange) -> None:
@@ -369,10 +368,26 @@ class Consumer(Node):
         if state is not None and state.rng == rng:
             self._complete_interest(state)
             return
-        for start in list(self._outstanding):
-            st = self._outstanding.get(start)
-            if st is not None and st.rng.overlaps(rng):
-                self._complete_interest(st)
+        for st in self._overlapping(rng):
+            self._complete_interest(st)
+
+    def _overlapping(self, rng: ByteRange) -> list[_InterestState]:
+        """Outstanding Interests overlapping ``rng``, in ascending start.
+
+        Interests are only ever created by :meth:`_fill_window`,
+        MSS-chunked from offset 0, and a satisfied start is never
+        requested again, so the candidates are the MSS-aligned starts
+        below ``rng.end`` — and ascending start is the order a scan of
+        the (insertion-ordered) window would visit them in.
+        """
+        mss = self.config.mss
+        outstanding = self._outstanding
+        found = []
+        for start in range(rng.start - rng.start % mss, rng.end, mss):
+            state = outstanding.get(start)
+            if state is not None and state.rng.overlaps(rng):
+                found.append(state)
+        return found
 
     def _complete_interest(self, state: _InterestState) -> None:
         if not self._received.contains(state.rng):

@@ -26,9 +26,10 @@ Three sections, tagged by the ``section`` column:
   content registry aliases their cache keys so Interests aggregate and
   one upstream copy serves every wave.
 * ``sharded`` — a content-enabled :class:`~repro.shard.ShardPlan` cell
-  run through the BSP engine, proving catalog state survives the epoch
-  exchange: rows are bit-identical for any ``LEOTP_SHARD_JOBS`` and
-  across kill-then-resume (see ``tests/test_content.py``).
+  run through the sharded engine, proving catalog state survives the
+  process boundary and a checkpoint: rows are bit-identical for any
+  ``LEOTP_SHARD_JOBS`` and across kill-then-resume (see
+  ``tests/test_content.py``).
 
 The cache budget is deliberately smaller than the catalog (2 MiB versus
 ~3 MiB of objects at full scale) so placement and eviction choices have

@@ -2,10 +2,11 @@
 
 Runs :func:`repro.shard.run_sharded` over a 100-shard plan — 1,000
 arrivals per shard at ``scale=1.0``, i.e. 100,000 flows — exercising the
-full scale machinery: per-shard result streaming (closed flows spill to
-JSONL and their records are dropped, so resident state is bounded by
-*concurrent* flows, not total), epoch-boundary checkpointing, and the
-per-epoch exchange.
+full scale machinery: shards run to completion one at a time per worker
+(resident state is one shard per process, whatever the shard count),
+per-shard result streaming (closed flows spill to JSONL and their
+records are dropped, so a shard's state is bounded by *concurrent*
+flows, not total), and per-shard checkpointing.
 
 The printed table aggregates the 100 shard rows into ten bands of ten
 (summed counts, mean-of-shard latency columns — the same convention as
@@ -19,10 +20,11 @@ for every worker count.  Environment knobs:
     spill directory (default ``results/shard_xl``); the merged
     ``flows.jsonl`` lands there.
 ``LEOTP_SHARD_CHECKPOINT_DIR``
-    when set, checkpoint every epoch there — and if the directory
-    already holds a valid manifest for this plan, *resume* from it, so
-    re-running the experiment after a kill continues instead of
-    restarting.
+    when set, every shard checkpoints every epoch there — and if the
+    directory already holds a valid manifest for this plan, *resume*
+    from it, so re-running the experiment after a kill keeps the shards
+    that had finished, restores the ones caught mid-run and starts the
+    rest.
 ``LEOTP_SHARD_PROFILE_DIR``
     when set (``--profile`` sets it), each shard worker dumps its own
     cProfile there for ``tools/profile_top.py`` to merge.
@@ -89,7 +91,7 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
             f"Extreme-scale sharded workload: {plan.n_shards} shards x "
             f"{plan.arrivals_per_shard} flows "
             f"({plan.n_shards * plan.arrivals_per_shard:,} total), "
-            f"streamed results + checkpointed epochs"
+            f"streamed results + per-shard checkpoints"
         ),
     )
     shard_rows = out["rows"][:-1]
@@ -105,7 +107,7 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     sink = out["sink"]
     result.notes.append(
         f"{out['completed']:,} of {total['arrivals']:,} flows completed; "
-        f"{len(out['ledger'])} exchange epochs over {plan.horizon_s:.1f}s "
+        f"{len(out['ledger'])} ledger epochs over {plan.horizon_s:.1f}s "
         f"simulated ({out['events_per_s']:,.0f} events/s)"
     )
     if sink is not None:
@@ -122,19 +124,19 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
             f"{out['rss']['worker_peak_mib']:.0f} MiB)"
         )
     result.notes.append(
-        f"epoch exchange: {out['exchange_payload_bytes'] / 1e3:.1f} kB "
+        f"process boundary: {out['exchange_payload_bytes'] / 1e3:.1f} kB "
         f"sent / {out['exchange_report_bytes'] / 1e3:.1f} kB returned "
-        f"(allocation tuple out, full shard reports back)"
+        f"(one task's arguments out, one result dict back per shard)"
     )
     if out["resumed_from_epoch"] is not None:
         result.notes.append(
-            f"resumed from checkpoint at epoch {out['resumed_from_epoch']} "
-            f"in {checkpoint_dir}"
+            f"resumed from {checkpoint_dir}: least advanced shard at "
+            f"epoch {out['resumed_from_epoch']}"
         )
     elif out["checkpoints_written"]:
         result.notes.append(
-            f"{out['checkpoints_written']} checkpoint(s) committed to "
-            f"{checkpoint_dir}"
+            f"{out['checkpoints_written']} shard checkpoint(s) committed "
+            f"to {checkpoint_dir}"
         )
     result.notes.append(
         "per-shard rows (and the spilled flows.jsonl) are bit-identical "

@@ -7,9 +7,9 @@ mechanisms, both Linux ``/proc`` based and returning ``None`` where
 never as an error):
 
 * :func:`current_rss_bytes` — instantaneous RSS from ``/proc/self/statm``.
-  Worker processes sample this at epoch/task boundaries, which tracks
-  the peak well because a BSP worker's footprint moves at epoch
-  granularity.
+  Shard tasks sample this after build/restore, every epoch, every
+  checkpoint and finalize, which tracks the peak well because a shard's
+  footprint moves at epoch granularity.
 * :class:`RssSampler` — a daemon thread sampling the calling process at
   a fixed wall-clock interval, for the engine parent (with ``jobs=1``
   the entire run lives there).  Preferred over ``ru_maxrss``, which is

@@ -1,37 +1,43 @@
-"""Epoch-boundary checkpoint/resume for sharded runs.
+"""Per-shard checkpoint/resume for sharded runs.
 
 A sharded run longer than a process (or a machine lease) must be able to
-stop at an epoch barrier and continue later as if nothing happened.  The
-unit of capture is one :class:`~repro.shard.worker._ShardState` — the
-live simulator heap, RNG streams, FlowPool records, cache
-occupancy, and fault injector — serialised whole with :mod:`pickle`
-(every callback in the object graph is a bound method, a
-:func:`functools.partial` over one, or a named callable class; no
-closures).  Restoring the pickle into *any* process resumes the shard's
-trajectory bit-identically, for the same reason ``--shard-jobs`` never
-changes results: nothing in a shard's behaviour depends on process
-identity.
+die anywhere and continue later as if nothing happened.  Shards run to
+completion one at a time per worker, so a kill leaves three kinds of
+shard, and each shard commits its own progress:
 
-On-disk layout (one directory per checkpoint)::
+* *in progress* — captured as one whole
+  :class:`~repro.shard.worker._ShardState` (live simulator heap, RNG
+  streams, FlowPool records, cache occupancy, fault injector, ledger
+  snapshots so far) serialised with :mod:`pickle`: every callback in
+  the object graph is a bound method, a :func:`functools.partial` over
+  one, or a named callable class; no closures.  Restoring the pickle
+  into *any* process resumes the shard's trajectory bit-identically,
+  for the same reason ``--shard-jobs`` never changes results: nothing
+  in a shard's behaviour depends on process identity;
+* *finished* — its result (row, trace counts, ledger snapshots) is
+  committed instead, and it is never run again;
+* *not started* — no entry; it starts from scratch.
 
-    manifest.json            # atomic commit point (tmp + rename)
-    shard-000-e0012.pkl      # one pickle per shard, epoch-stamped
-    shard-001-e0012.pkl
-    ...
+On-disk layout (one directory per run)::
 
-The manifest is written *after* every shard pickle is durable, and shard
-pickle names carry the epoch, so a crash mid-checkpoint leaves the
-previous manifest pointing at the previous epoch's intact files — the
-new partial files are garbage, never a torn checkpoint.  Each manifest
-entry records the pickle's SHA-256; :func:`load_shard` refuses bytes
-that do not hash to the recorded digest (:class:`CheckpointError`), so
-corruption is detected before a half-broken state can resume.
+    manifest.json            # run header, written once before any shard
+    shard-000.json           # shard 0's entry: its atomic commit point
+    shard-002.json
+    shard-002-e0012.pkl      # the pickle an in-progress entry points at
 
-The manifest also records, per shard, the durable byte offset of the
-shard's result spill file (see :mod:`repro.shard.sink`): resume
-truncates each spill back to its recorded offset, discarding rows from
-the unreached epochs, which is what makes kill-then-resume reproduce
-the uninterrupted row files byte for byte.
+Every file is written tmp + fsync + rename.  An entry is written *after*
+its pickle is durable, and pickle names carry the epoch, so a crash
+mid-commit leaves the previous entry pointing at the previous intact
+pickle — never a torn checkpoint.  The entry records the pickle's
+SHA-256; :func:`load_shard` refuses bytes that do not hash to it
+(:class:`CheckpointError`), so corruption is detected before a
+half-broken state can resume.
+
+Every entry also records the durable byte offset of the shard's result
+spill file (see :mod:`repro.shard.sink`): resume truncates the spill
+back to it (to nothing for a shard that never committed), discarding
+rows from the unreached epochs, which is what makes kill-then-resume
+reproduce the uninterrupted row files byte for byte.
 """
 
 from __future__ import annotations
@@ -41,12 +47,16 @@ import hashlib
 import json
 import os
 import pickle
+from typing import Optional
+
 from repro.shard.plan import ShardPlan
 
 #: Manifest schema version; bumped on incompatible layout changes.
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 
 MANIFEST_NAME = "manifest.json"
+
+_ENTRY_KEYS = {"completed_epochs", "spill_offset", "file", "digest", "result"}
 
 
 class CheckpointError(RuntimeError):
@@ -61,33 +71,84 @@ def plan_fingerprint(plan: ShardPlan) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def shard_pickle_name(index: int, completed_epochs: int) -> str:
-    return f"shard-{index:03d}-e{completed_epochs:04d}.pkl"
+def shard_entry_name(index: int) -> str:
+    return f"shard-{index:03d}.json"
+
+
+def spill_name(index: int) -> str:
+    """Per-shard result spill file name inside a run's sink directory."""
+    return f"flows-{index:03d}.jsonl"
 
 
 # ----------------------------------------------------------------------
-# Shard pickles (written by workers, in their own processes)
+# Shard pickles and entries (written by the shard's own task)
 # ----------------------------------------------------------------------
 
-def save_shard(
-    directory: str, index: int, completed_epochs: int, state: object
-) -> tuple[str, str]:
-    """Durably write one shard's state; returns ``(file name, digest)``.
-
-    Written to a temp file and renamed so a crash mid-write cannot leave
-    a plausible-looking truncated pickle under the final name.
-    """
-    blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-    digest = hashlib.sha256(blob).hexdigest()
-    name = shard_pickle_name(index, completed_epochs)
-    path = os.path.join(directory, name)
+def _write_durable(path: str, blob: bytes) -> None:
+    """Temp file + fsync + rename: a crash mid-write cannot leave a
+    plausible-looking truncated file under the final name."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(blob)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
-    return name, digest
+
+
+def _write_json(path: str, payload: dict) -> None:
+    _write_durable(path, json.dumps(payload, separators=(",", ":")).encode())
+
+
+def _read_json(path: str, what: str) -> dict:
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise CheckpointError(f"no {what} at {path!r}: {exc}") from exc
+    except ValueError as exc:
+        raise CheckpointError(
+            f"{what} {path!r} is not valid JSON: {exc}"
+        ) from exc
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"{what} {path!r} must be a JSON object")
+    return payload
+
+
+def commit_shard(
+    directory: str,
+    index: int,
+    completed_epochs: int,
+    spill_offset: Optional[int],
+    *,
+    state: Optional[object] = None,
+    result: Optional[dict] = None,
+) -> None:
+    """Commit one shard's progress: its ``state`` pickle while in
+    progress, its ``result`` once finished.
+
+    The entry rename is the commit point; the pickle it supersedes is
+    removed only afterwards.
+    """
+    name = digest = None
+    if result is None:
+        blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+        digest = hashlib.sha256(blob).hexdigest()
+        name = f"shard-{index:03d}-e{completed_epochs:04d}.pkl"
+        _write_durable(os.path.join(directory, name), blob)
+    _write_json(os.path.join(directory, shard_entry_name(index)), {
+        "completed_epochs": completed_epochs,
+        "spill_offset": spill_offset,
+        "file": name,
+        "digest": digest,
+        "result": result,
+    })
+    for stale in os.listdir(directory):
+        if (
+            stale.startswith(f"shard-{index:03d}-e")
+            and stale.endswith(".pkl")
+            and stale != name
+        ):
+            os.remove(os.path.join(directory, stale))
 
 
 def load_shard(directory: str, name: str, digest: str) -> object:
@@ -111,99 +172,79 @@ def load_shard(directory: str, name: str, digest: str) -> object:
 
 
 # ----------------------------------------------------------------------
-# Manifest (written by the engine, the atomic commit point)
+# Run header (written by the engine) and the assembled manifest
 # ----------------------------------------------------------------------
 
-def write_manifest(directory: str, manifest: dict) -> None:
-    path = os.path.join(directory, MANIFEST_NAME)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(manifest, fh, separators=(",", ":"))
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+def start_checkpoint(
+    directory: str, plan: ShardPlan, sink_dir: Optional[str]
+) -> None:
+    """Claim ``directory`` for a fresh run of ``plan``.
+
+    Whatever an earlier run left there is removed *before* the header is
+    replaced, so no moment exists at which the new header vouches for
+    another run's shard entries.
+    """
+    for name in os.listdir(directory):
+        if name.startswith("shard-"):
+            os.remove(os.path.join(directory, name))
+    _write_json(os.path.join(directory, MANIFEST_NAME), {
+        "format": CHECKPOINT_FORMAT,
+        "plan_fp": plan_fingerprint(plan),
+        "n_shards": plan.n_shards,
+        "sink_dir": sink_dir,
+    })
 
 
 def load_manifest(directory: str) -> dict:
-    path = os.path.join(directory, MANIFEST_NAME)
-    try:
-        with open(path) as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise CheckpointError(
-            f"no checkpoint manifest at {path!r}: {exc}"
-        ) from exc
-    except ValueError as exc:
-        raise CheckpointError(
-            f"checkpoint manifest {path!r} is not valid JSON: {exc}"
-        ) from exc
-    if not isinstance(manifest, dict):
-        raise CheckpointError("checkpoint manifest must be a JSON object")
+    """The run header plus every committed shard entry.
+
+    ``manifest["shards"]`` maps ``str(index)`` to the shard's entry
+    (shards that never committed are absent), and
+    ``manifest["completed_epochs"]`` is the epoch count the *least*
+    advanced shard has committed — 0 while any shard has no entry.
+    """
+    manifest = _read_json(
+        os.path.join(directory, MANIFEST_NAME), "checkpoint manifest"
+    )
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(
             f"unsupported checkpoint format {manifest.get('format')!r} "
             f"(this build reads format {CHECKPOINT_FORMAT})"
         )
-    for key in ("plan_fp", "n_shards", "n_epochs",
-                "completed_epochs", "allocations", "ledger", "shards"):
+    for key in ("plan_fp", "n_shards", "sink_dir"):
         if key not in manifest:
             raise CheckpointError(f"checkpoint manifest missing {key!r}")
+    shards = {}
+    for index in range(manifest["n_shards"]):
+        path = os.path.join(directory, shard_entry_name(index))
+        if os.path.exists(path):
+            entry = _read_json(path, "checkpoint shard entry")
+            if not _ENTRY_KEYS <= entry.keys():
+                raise CheckpointError(
+                    f"checkpoint shard entry {path!r} is incomplete"
+                )
+            shards[str(index)] = entry
+    manifest["shards"] = shards
+    manifest["completed_epochs"] = (
+        min(entry["completed_epochs"] for entry in shards.values())
+        if len(shards) == manifest["n_shards"] else 0
+    )
     return manifest
 
 
-def validate_manifest(manifest: dict, plan: ShardPlan) -> None:
-    """Refuse to resume a manifest that does not belong to ``plan``."""
+def resume_point(directory: str, plan: ShardPlan) -> dict:
+    """Load a manifest for ``run_sharded(resume_from=...)``, refusing
+    one that does not belong to ``plan``."""
+    manifest = load_manifest(directory)
     if manifest["plan_fp"] != plan_fingerprint(plan):
         raise CheckpointError(
             "checkpoint belongs to a different plan (fingerprint mismatch)"
         )
-    if manifest["n_shards"] != plan.n_shards:
-        raise CheckpointError(
-            f"checkpoint has {manifest['n_shards']} shards, "
-            f"plan expects {plan.n_shards}"
-        )
-    completed = manifest["completed_epochs"]
-    if not 0 <= completed <= plan.n_epochs:
-        raise CheckpointError(
-            f"checkpoint claims {completed} completed epochs of "
-            f"{plan.n_epochs}"
-        )
-    shards = manifest["shards"]
-    missing = [
-        i for i in range(plan.n_shards) if str(i) not in shards
-    ]
-    if missing:
-        raise CheckpointError(
-            f"checkpoint manifest missing shard entries: {missing}"
-        )
-
-
-def prune_stale(directory: str, keep: set[str]) -> int:
-    """Remove shard pickles not referenced by the just-committed manifest.
-
-    Called after the manifest rename, so the files being deleted are the
-    *previous* checkpoint's — the new one is already durable.  Returns
-    the number of files removed.
-    """
-    removed = 0
-    for name in os.listdir(directory):
-        if (
-            name.startswith("shard-")
-            and name.endswith(".pkl")
-            and name not in keep
-        ):
-            os.remove(os.path.join(directory, name))
-            removed += 1
-    return removed
-
-
-def spill_name(index: int) -> str:
-    """Per-shard result spill file name inside a run's sink directory."""
-    return f"flows-{index:03d}.jsonl"
-
-
-def resume_point(directory: str, plan: ShardPlan) -> dict:
-    """Load + validate a manifest for ``run_sharded(resume_from=...)``."""
-    manifest = load_manifest(directory)
-    validate_manifest(manifest, plan)
+    for index, entry in manifest["shards"].items():
+        completed = entry["completed_epochs"]
+        if not 0 <= completed <= plan.n_epochs:
+            raise CheckpointError(
+                f"checkpoint claims {completed} completed epochs of "
+                f"{plan.n_epochs} for shard {index}"
+            )
     return manifest

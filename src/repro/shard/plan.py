@@ -1,13 +1,12 @@
 """Shard plans: how a constellation-scale workload splits into shards.
 
 A :class:`ShardPlan` describes one sharded run declaratively: how many
-ground-station-pair shards, the per-shard chain and workload, the epoch
-length of the bulk-synchronous exchange, and the *global* cache budget
-that the exchange re-apportions across shards.  The plan is a frozen,
-picklable value — worker processes rebuild identical shard state from
-``(plan, shard_index)`` alone, which is the first half of the
-determinism argument (see DESIGN.md §13; the second half is that the
-exchange signal is a pure function of the sorted shard reports).
+ground-station-pair shards, the per-shard chain, workload and cache
+slice, and the epoch length at which a shard spills closed flows, takes
+its ledger snapshot and may checkpoint.  The plan is a frozen, picklable
+value — a worker process rebuilds identical shard state from ``(plan,
+shard_index)`` alone, and nothing else ever reaches a shard, which is
+the whole determinism argument (see DESIGN.md §13).
 
 Shard seeds are derived, not shared: shard ``i`` simulates with
 ``seed * 10_007 + i``, so shards draw from disjoint deterministic RNG
@@ -25,11 +24,6 @@ from repro.content.catalog import ContentSpec
 from repro.content.placement import CachePolicy
 from repro.netsim.topology import HopSpec, uniform_chain_specs
 from repro.workload.arrivals import WorkloadSpec
-
-#: Cache bytes no shard can be apportioned below (one pool's worth of
-#: floor keeps a momentarily-idle shard from being starved to zero and
-#: then thrashing on its next burst).
-MIN_CACHE_ALLOC_BYTES = 64 << 10
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -54,11 +48,12 @@ class ShardPlan:
     n_hops: int = 5
     hop_rate_bps: float = 20e6
     hop_delay_s: float = 0.008
-    # Per-shard memory: admission ceiling and the cache slice that seeds
-    # the global pool (the exchange re-apportions the *sum* of slices).
+    # Per-shard memory: admission ceiling and the fraction of it that is
+    # the shard's cache slice (fixed for the whole run).
     memory_ceiling_bytes: int = 8 << 20
     cache_fraction: float = 0.75
-    # BSP exchange cadence and post-arrival drain.
+    # Spill / ledger-snapshot / checkpoint cadence (moves no result row)
+    # and post-arrival drain.
     epoch_s: float = 0.5
     drain_s: float = 8.0
     # Every ``fault_every``-th shard (index % fault_every == fault_phase)
@@ -107,13 +102,9 @@ class ShardPlan:
 
     @property
     def shard_cache_bytes(self) -> int:
-        """One shard's cache slice before any exchange re-apportionment."""
+        """One shard's cache slice, split across its Midnodes by the
+        cache policy's placement weights."""
         return int(self.memory_ceiling_bytes * self.cache_fraction)
-
-    @property
-    def global_cache_bytes(self) -> int:
-        """The conserved quantity: total cache bytes across all shards."""
-        return self.shard_cache_bytes * self.n_shards
 
     def shard_seed(self, index: int) -> int:
         """Disjoint deterministic seed for shard ``index``."""

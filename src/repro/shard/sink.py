@@ -1,8 +1,8 @@
 """Bounded-memory result streaming for sharded runs.
 
 At 10⁵ flows the per-flow result rows (and, with ``--trace``, the trace
-records) no longer fit comfortably in RAM — and gathering them through
-the epoch barrier would make the exchange payload grow with the run.
+records) no longer fit comfortably in RAM — and returning them with the
+shard's result would make that payload grow with the run.
 This module is the counterpart of DESIGN.md §14's *streamed results*:
 
 * :class:`SpillWriter` — an append-only JSONL writer with a bounded

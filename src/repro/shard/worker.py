@@ -1,31 +1,27 @@
-"""Per-process shard simulation state and the epoch task functions.
+"""One shard's simulation state and the task that runs it to completion.
 
-A worker process owns a *group* of shards for the whole run: the engine
-pins each group to its own single-worker executor, so every epoch task
-for group ``g`` lands in the same process and finds the group's
-:class:`_GroupContext` — and in it the live :class:`_ShardState` objects
-(simulator, FlowPool, fault injector) — in :data:`_GROUPS` exactly where
-the previous epoch left them.  With ``jobs=1`` the engine calls these
-functions inline and the same dict serves from the parent process — one
-code path, two execution modes.
+A sharded run is ``n_shards`` independent simulations.  The engine
+submits one :func:`run_shard` task per shard; a task builds its
+:class:`_ShardState` (or restores it from the shard's last committed
+checkpoint), steps it through its epochs locally — simulate to the
+epoch end, spill closed flows, take the ledger snapshot, checkpoint on
+cadence — finalises it into the shard's result row and *drops it*
+before the worker process takes its next task, so a process never holds
+more than one shard.  With ``jobs=1`` the engine calls the same function
+inline — one code path, two execution modes.
 
-Contexts are keyed by ``run_token``: the token is unique per engine
-invocation, so two runs in one process (tests, back-to-back
-experiments) can never see each other's shards.
-
-The cross-boundary protocol (DESIGN.md §14): the plan, shard indices,
-sink/checkpoint directories, and profiling flag cross once, in
-:func:`prepare_group`.  After that each epoch the engine sends the
-allocation tuple and gets back one pickled list of full
-:class:`~repro.shard.exchange.ShardReport` values — a few hundred bytes
-per shard, measured in the run's ``exchange_*_bytes`` counters.
+What crosses the process boundary (DESIGN.md §14): the task's arguments
+out (plan, shard index, directories, the shard's checkpoint entry when
+resuming) and one small result dict back (row, trace counts, per-epoch
+ledger snapshots, the process's id and peak RSS) — measured in the run's
+``exchange_*_bytes`` counters.
 """
 
 from __future__ import annotations
 
 import cProfile
+import gc
 import os
-import pickle
 from collections import Counter
 from typing import Optional
 
@@ -34,20 +30,15 @@ from repro.obs.rss import current_rss_bytes
 from repro.obs.tracer import TRACER
 from repro.shard.checkpoint import (
     CheckpointError,
+    commit_shard,
     load_shard,
-    save_shard,
     spill_name,
 )
-from repro.shard.exchange import ShardReport
 from repro.shard.plan import ShardPlan
-from repro.shard.sink import SpillWriter
+from repro.shard.sink import SpillWriter, truncate_file
 from repro.simcore.random import RngRegistry
 from repro.simcore.simulator import Simulator
 from repro.workload.pool import FlowPool
-
-#: Per-run group context (shard states, profiler) of every run this
-#: process participates in.
-_GROUPS: dict[str, "_GroupContext"] = {}
 
 #: Fault-injection target name for the mid-chain blackout link.
 _FAULT_LINK = "midlink"
@@ -62,38 +53,12 @@ class ShardError(RuntimeError):
         )
         self.shard = shard
         self.epoch = epoch
+        self.message = message
 
     def __reduce__(self):
         # Custom ctor signature: make the exception itself picklable so
         # it survives the executor's result channel intact.
-        return (ShardError, (self.shard, self.epoch, self._message()))
-
-    def _message(self) -> str:
-        text = self.args[0]
-        prefix = f"shard {self.shard} failed at epoch {self.epoch}: "
-        return text[len(prefix):] if text.startswith(prefix) else text
-
-
-class _GroupContext:
-    """One run's per-process state: the group's shards and its vitals."""
-
-    __slots__ = ("states", "profiler", "profile_dir", "peak_rss_bytes")
-
-    def __init__(self, profile_dir: Optional[str]) -> None:
-        self.states: list[_ShardState] = []
-        self.profile_dir = profile_dir
-        self.profiler: Optional[cProfile.Profile] = None
-        self.peak_rss_bytes = 0
-        if profile_dir is not None:
-            try:
-                self.profiler = cProfile.Profile()
-            except Exception:  # pragma: no cover - profiler unavailable
-                self.profiler = None
-
-    def sample_rss(self) -> None:
-        rss = current_rss_bytes()
-        if rss is not None and rss > self.peak_rss_bytes:
-            self.peak_rss_bytes = rss
+        return (ShardError, (self.shard, self.epoch, self.message))
 
 
 class _ShardState:
@@ -136,8 +101,9 @@ class _ShardState:
             ]))
         # Per-shard trace event counts (observe mode), merged by the engine.
         self.trace_counts: Counter = Counter()
-        self._boundary_stored_before = 0
-        self._boundary_evicted = 0
+        # One snapshot per completed epoch; its length is the shard's
+        # progress, so a restored shard knows where to continue.
+        self.ledger: list[dict] = []
 
     # -- result streaming ----------------------------------------------
 
@@ -146,54 +112,18 @@ class _ShardState:
         path = os.path.join(sink_dir, spill_name(self.index))
         self.pool.set_result_sink(SpillWriter(path))
 
-    def spill(self) -> int:
+    def spill(self) -> Optional[int]:
         """Epoch-boundary spill + durable flush; returns the byte offset
-        (0 when no sink is attached)."""
+        (None when no sink is attached)."""
         sink = self.pool._result_sink
         if sink is None:
-            return 0
+            return None
         self.pool.spill_closed()
         return sink.flush()
 
     # -- epoch mechanics ------------------------------------------------
 
-    def apply_allocation(self, allocation: int) -> None:
-        """Adopt the exchange's cache allocation at the epoch boundary.
-
-        Shrinking below current occupancy evicts deterministically (each
-        Midnode's cache, in its own LRU/LFU order, down to its placement
-        share of the allocation); the boundary identity ``before == after
-        + evicted`` is asserted here so accounting bugs fail at the
-        boundary that caused them.
-        """
-        cache_pool = self.pool.cache_pool
-        assert cache_pool is not None  # LEOTP pools always have one
-        before = cache_pool.stored_bytes
-        # The shard's ledger ceiling follows its allocation: admission
-        # still enforces the fixed flow-state share, while the cache side
-        # may legitimately grow past the construction-time equal split.
-        self.pool.budget.ceiling_bytes = (
-            self.pool._flow_share_bytes + allocation
-        )
-        # set_capacity re-derives the members' placement shares and
-        # returns the bytes it evicted, so the conservation identity
-        # below sees every boundary eviction.
-        evicted = cache_pool.set_capacity(allocation)
-        after = cache_pool.stored_bytes
-        if before != after + evicted:
-            raise AssertionError(
-                f"shard {self.index}: cache bytes not conserved at epoch "
-                f"boundary ({before} != {after} + {evicted})"
-            )
-        if after > allocation:
-            raise AssertionError(
-                f"shard {self.index}: occupancy {after} above allocation "
-                f"{allocation} after enforcement"
-            )
-        self._boundary_stored_before = before
-        self._boundary_evicted = evicted
-
-    def run_epoch(self, epoch: int, observe: bool) -> ShardReport:
+    def run_epoch(self, epoch: int, observe: bool) -> None:
         until = self.plan.epoch_end_s(epoch)
         if observe:
             was_enabled = TRACER.enabled
@@ -209,38 +139,28 @@ class _ShardState:
             del TRACER.records[mark:]  # merged into counts; free the buffer
         else:
             self.sim.run(until=until)
-        return self.report(epoch)
 
-    def report(self, epoch: int) -> ShardReport:
+    def step(self, observe: bool) -> Optional[int]:
+        """The shard's next epoch: simulate to its end, spill the flows
+        it closed, take the ledger snapshot.  Returns the spill offset."""
+        self.run_epoch(len(self.ledger), observe)
+        offset = self.spill()
         pool = self.pool
-        cache_pool = pool.cache_pool
-        return ShardReport(
-            shard=self.index,
-            epoch=epoch,
-            sim_time_s=self.sim.now,
-            events_executed=self.sim.events_executed,
-            arrivals=pool.arrivals,
-            completed=pool.completed,
-            aborted=pool.aborted,
-            live_flows=pool.active_flows,
-            backlog_bytes=pool.backlog_bytes(),
-            cache_stored_bytes=cache_pool.stored_bytes,
-            cache_capacity_bytes=cache_pool.capacity_bytes,
-            budget_total_bytes=pool.budget.total_bytes,
-            budget_breaches=pool.budget.breaches,
-            boundary_stored_before=self._boundary_stored_before,
-            boundary_evicted_bytes=self._boundary_evicted,
-        )
+        self.ledger.append({
+            "stored": pool.cache_pool.stored_bytes,
+            "backlog": pool.backlog_bytes(),
+            "budget_total": pool.budget.total_bytes,
+            "breaches": pool.budget.breaches,
+        })
+        return offset
 
     def finalize(self) -> dict:
         """End the shard's workload and summarise it into one result row."""
         self.pool.finalize()
-        sink = self.pool._result_sink
-        if sink is not None:
-            # Flows aborted by finalize (reason "unfinished") are the
-            # last rows of the shard's spill file.
-            self.pool.spill_closed()
-            sink.close()
+        # Flows aborted by finalize (reason "unfinished") are the last
+        # rows of the shard's spill file.
+        if self.spill() is not None:
+            self.pool._result_sink.close()
         summary = self.pool.summary()
         row = {
             "shard": self.index,
@@ -273,146 +193,118 @@ class _ShardState:
 
 
 # ----------------------------------------------------------------------
-# Task functions (submitted across the process boundary — keep top-level)
+# The task (submitted across the process boundary — keep top-level)
 # ----------------------------------------------------------------------
 
 
-def _context(run_token: str) -> _GroupContext:
-    ctx = _GROUPS.get(run_token)
-    if ctx is None:
-        raise RuntimeError(f"no prepared group for run {run_token!r}")
-    return ctx
-
-
-def prepare_group(
+def run_shard(
     plan: ShardPlan,
-    run_token: str,
-    indices: list[int],
+    index: int,
+    observe: bool,
     sink_dir: Optional[str],
-    restore: Optional[tuple[str, dict[int, tuple[str, str]]]],
+    checkpoint: Optional[tuple[str, int]],
+    entry: Optional[dict],
+    resume_from: Optional[str],
+    stop_after_epoch: Optional[int],
     profile_dir: Optional[str],
-) -> list[int]:
-    """One-time group setup: build (or restore) the group's shard states.
+) -> dict:
+    """Run one shard from wherever it stands to completion.
 
-    Plan, indices and directories cross the process boundary once, here.
-    With ``restore`` set, each shard unpickles from its checkpoint file
-    (digest-verified) instead of being built fresh.
+    ``entry`` is the shard's committed checkpoint entry in
+    ``resume_from`` (None: start fresh).  A finished entry is returned
+    as it stands; an in-progress one restores the pickled state
+    (digest-verified) with the spill rewound to the recorded offset.
+    ``checkpoint`` is ``(directory, every)``: the state is committed
+    after every ``every``-th epoch, the result when the shard finishes.
+    With ``stop_after_epoch`` the shard is abandoned after that epoch
+    (``row`` stays None).
+
+    Returns the row, trace counts and ledger snapshots, plus this
+    process's id and the RSS peak the task saw in it.
     """
-    ctx = _GROUPS[run_token] = _GroupContext(profile_dir)
-    if ctx.profiler is not None:
-        ctx.profiler.enable()
+    profiler = cProfile.Profile() if profile_dir is not None else None
+    if profiler is not None:
+        profiler.enable()
+    out = {"row": None, "trace_counts": {}, "ledger": [],
+           "checkpoints": 0, "pid": os.getpid(), "peak_rss_bytes": 0}
+
+    def sample_rss() -> None:
+        out["peak_rss_bytes"] = max(
+            out["peak_rss_bytes"], current_rss_bytes() or 0
+        )
+
+    state = None
     try:
-        for index in indices:
-            if restore is not None:
-                directory, entries = restore
-                name, digest = entries[index]
-                state = load_shard(directory, name, digest)
+        offset = entry["spill_offset"] if entry is not None else 0
+        result = entry["result"] if entry is not None else None
+        if result is None:
+            if sink_dir is not None:
+                # Rows past the last commit belong to epochs about to be
+                # re-run; a shard that never committed starts empty.
+                truncate_file(
+                    os.path.join(sink_dir, spill_name(index)), offset
+                )
+            if entry is not None:
+                state = load_shard(
+                    resume_from, entry["file"], entry["digest"]
+                )
                 if not isinstance(state, _ShardState):
                     raise CheckpointError(
-                        f"checkpoint file {name!r} does not hold a shard "
-                        f"state (got {type(state).__name__})"
+                        f"checkpoint file {entry['file']!r} does not hold "
+                        f"a shard state (got {type(state).__name__})"
                     )
             else:
                 state = _ShardState(plan, index)
                 if sink_dir is not None:
                     state.attach_sink(sink_dir)
-            ctx.states.append(state)
+            sample_rss()
+            for epoch in range(len(state.ledger), plan.n_epochs):
+                try:
+                    offset = state.step(observe)
+                except Exception as exc:
+                    raise ShardError(
+                        index, epoch, f"{type(exc).__name__}: {exc}"
+                    )
+                sample_rss()
+                # Note: stopping deliberately does NOT force a checkpoint
+                # — a mid-run kill lands wherever the cadence last
+                # committed, and resume must cope (spill truncation
+                # covers the gap).
+                done = epoch + 1
+                if checkpoint is not None and (
+                    done % checkpoint[1] == 0 and done < plan.n_epochs
+                ):
+                    commit_shard(
+                        checkpoint[0], index, done, offset, state=state
+                    )
+                    out["checkpoints"] += 1
+                    sample_rss()
+                if stop_after_epoch is not None and epoch >= stop_after_epoch:
+                    out["ledger"] = state.ledger
+                    return out
+            result = {
+                "row": state.finalize(),
+                "trace_counts": dict(state.trace_counts),
+                "ledger": state.ledger,
+            }
+            offset = state.spill()  # finalize closed the last flows
+            sample_rss()
+        # (An already-finished shard is committed again: that carries it
+        # over when the run checkpoints into a different directory.)
+        if checkpoint is not None:
+            commit_shard(
+                checkpoint[0], index, plan.n_epochs, offset, result=result
+            )
+            out["checkpoints"] += 1
+        out.update(result)
+        return out
     finally:
-        if ctx.profiler is not None:
-            ctx.profiler.disable()
-    ctx.sample_rss()
-    return list(indices)
-
-
-def run_group_epoch(
-    run_token: str, epoch: int, allocations: tuple[int, ...], observe: bool
-) -> bytes:
-    """Advance every shard of one group through one epoch.
-
-    Every shard adopts its entry of ``allocations`` (the epoch-boundary
-    step; a same-value apply evicts nothing) and simulates up to the
-    epoch end.  Shards run sequentially within their group; parallelism
-    is across groups.  Returns the pickled list of the shards' reports.
-    """
-    ctx = _context(run_token)
-    if ctx.profiler is not None:
-        ctx.profiler.enable()
-    try:
-        reports = []
-        for state in ctx.states:
-            try:
-                state.apply_allocation(allocations[state.index])
-                reports.append(state.run_epoch(epoch, observe))
-                state.spill()
-            except ShardError:
-                raise
-            except Exception as exc:
-                raise ShardError(
-                    state.index, epoch, f"{type(exc).__name__}: {exc}"
-                )
-    finally:
-        if ctx.profiler is not None:
-            ctx.profiler.disable()
-    ctx.sample_rss()
-    return pickle.dumps(reports, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def checkpoint_group(
-    run_token: str, directory: str, completed_epochs: int
-) -> list[tuple[int, str, str, Optional[int]]]:
-    """Durably capture every shard of one group at an epoch boundary.
-
-    Returns ``(shard, file name, digest, spill offset)`` per shard for
-    the engine's manifest.  Spills were flushed when the epoch ended, so
-    the writer serialises with an empty buffer and the recorded offset
-    is exactly the durable prefix a resume must keep.
-    """
-    ctx = _context(run_token)
-    out = []
-    for state in ctx.states:
-        sink = state.pool._result_sink
-        offset = sink.flush() if sink is not None else None
-        name, digest = save_shard(
-            directory, state.index, completed_epochs, state
-        )
-        out.append((state.index, name, digest, offset))
-    ctx.sample_rss()
-    return out
-
-
-def finalize_group(
-    run_token: str,
-) -> tuple[list[tuple[int, dict, dict]], int]:
-    """Finalise and tear down one group's shards.
-
-    Returns ``((shard_index, summary_row, trace_counts) per shard,
-    worker peak RSS bytes)`` and drops the group's context, so a
-    long-lived worker process (or the parent, with ``jobs=1``) holds
-    nothing after the run.
-    """
-    ctx = _context(run_token)
-    if ctx.profiler is not None:
-        ctx.profiler.enable()
-    try:
-        out = [
-            (state.index, state.finalize(), dict(state.trace_counts))
-            for state in ctx.states
-        ]
-    finally:
-        if ctx.profiler is not None:
-            ctx.profiler.disable()
-    ctx.sample_rss()
-    if ctx.profiler is not None and ctx.profile_dir is not None:
-        group_tag = min((s.index for s in ctx.states), default=0)
-        path = os.path.join(
-            ctx.profile_dir,
-            f"shard-group{group_tag:03d}-pid{os.getpid()}.pstats",
-        )
-        ctx.profiler.dump_stats(path)
-    del _GROUPS[run_token]
-    return out, ctx.peak_rss_bytes
-
-
-def drop_run(run_token: str) -> None:
-    """Abandon every shard of a run (engine cleanup on error paths)."""
-    _GROUPS.pop(run_token, None)
+        # Flow state is cyclic: without the collection the next shard of
+        # this process would be built beside the corpse of this one.
+        state = None
+        gc.collect()
+        if profiler is not None:
+            profiler.disable()
+            profiler.dump_stats(os.path.join(
+                profile_dir, f"shard-{index:03d}-pid{os.getpid()}.pstats"
+            ))

@@ -147,11 +147,10 @@ class SharedCachePool:
         self.budget = budget
         self.account = account
         self.eviction = eviction
-        self._weights = list(weights)
         self._stored_total = 0  # incrementally maintained by members
         self.members = [
             PooledBlockCache(self, share)
-            for share in apportion(capacity_bytes, self._weights)
+            for share in apportion(capacity_bytes, list(weights))
         ]
 
     @property
@@ -162,29 +161,6 @@ class SharedCachePool:
     def evictions(self) -> int:
         """Blocks evicted so far, whichever member's share caused it."""
         return sum(m.stats.evictions for m in self.members)
-
-    def set_capacity(self, capacity_bytes: int) -> int:
-        """Adopt a new pool capacity (the shard exchange's allocation).
-
-        Re-derives every member's share and evicts each member down to
-        it; returns the bytes evicted, so the caller can check byte
-        conservation (``before == after + evicted``) at epoch boundaries.
-        """
-        if capacity_bytes <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity_bytes = capacity_bytes
-        evicted = 0
-        shares = apportion(capacity_bytes, self._weights)
-        for member, share in zip(self.members, shares):
-            member.capacity_bytes = share
-            while member.stored_bytes > share:
-                freed = member.evict_one()
-                if freed == 0:
-                    break
-                evicted += freed
-            member._sync_pool_total()
-        self._post_ledger()
-        return evicted
 
     def _post_ledger(self) -> None:
         if self.budget is not None:

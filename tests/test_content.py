@@ -333,7 +333,7 @@ class TestStudyDeterminism:
         rows4 = run_sharded(plan, jobs=4)
         assert rows1["rows"] == rows2["rows"] == rows4["rows"]
         assert rows1["ledger"] == rows2["ledger"] == rows4["ledger"]
-        # Content keys made it through the BSP exchange.
+        # Content keys made it through the process boundary.
         assert all(
             "cross_hit_ratio" in row
             for row in rows1["rows"] if row["shard"] != "total"

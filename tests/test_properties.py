@@ -435,7 +435,6 @@ _pool_ops = st.one_of(
               st.integers(0, 50), _flows),
     st.tuples(st.just("lookup"), _member, _keys, _cache_ranges, _flows),
     st.tuples(st.just("drop_flow"), _member, _keys),
-    st.tuples(st.just("set_capacity"), st.integers(1, 1500)),
 )
 
 
@@ -463,35 +462,83 @@ def test_shared_cache_pool_members_are_standalone_caches(
     ]
     for op in ops:
         kind = op[0]
-        if kind == "set_capacity":
-            before = pool.stored_bytes
-            evicted = pool.set_capacity(op[1])
-            assert evicted == before - pool.stored_bytes
-            for twin, share in zip(twins, apportion(op[1], weights)):
-                twin.capacity_bytes = share
-                twin._evict_if_needed()
+        i = op[1] % len(weights)
+        member, twin = pool.members[i], twins[i]
+        if kind == "store":
+            _, _, key, (start, length), ts, flow = op
+            rng = ByteRange(start, start + length)
+            member.store(key, rng, float(ts), writer=flow)
+            twin.store(key, rng, float(ts), writer=flow)
+        elif kind == "lookup":
+            _, _, key, (start, length), flow = op
+            rng = ByteRange(start, start + length)
+            assert member.lookup(key, rng, requester=flow) == twin.lookup(
+                key, rng, requester=flow
+            )
         else:
-            i = op[1] % len(weights)
-            member, twin = pool.members[i], twins[i]
-            if kind == "store":
-                _, _, key, (start, length), ts, flow = op
-                rng = ByteRange(start, start + length)
-                member.store(key, rng, float(ts), writer=flow)
-                twin.store(key, rng, float(ts), writer=flow)
-            elif kind == "lookup":
-                _, _, key, (start, length), flow = op
-                rng = ByteRange(start, start + length)
-                assert member.lookup(key, rng, requester=flow) == twin.lookup(
-                    key, rng, requester=flow
-                )
-            else:
-                assert member.drop_flow(op[2]) == twin.drop_flow(op[2])
+            # What a scan of every block finds under the key is what
+            # the per-key span must free, leaving the others in order.
+            held = sum(
+                block.stored_bytes()
+                for (key, _), block in member._blocks.items() if key == op[2]
+            )
+            kept = [s for s in _cache_snapshot(member) if s[0][0] != op[2]]
+            assert member.drop_flow(op[2]) == twin.drop_flow(op[2]) == held
+            assert _cache_snapshot(member) == kept
         for member, twin in zip(pool.members, twins):
             assert member.capacity_bytes == twin.capacity_bytes
             assert _cache_snapshot(member) == _cache_snapshot(twin)
             assert member.stats == twin.stats
+            assert all(  # every live block lies inside its key's span
+                member._key_span[key][0] <= bidx <= member._key_span[key][1]
+                for key, bidx in member._blocks
+            )
         assert sum(m.capacity_bytes for m in pool.members) == pool.capacity_bytes
         assert pool.stored_bytes == sum(m.stored_bytes for m in pool.members)
         assert pool.stored_bytes <= pool.capacity_bytes
         assert budget.account("cache") == pool.stored_bytes
     assert pool.evictions == sum(t.stats.evictions for t in twins)
+
+
+# ----------------------------------------------------------------------
+# Consumer: the aligned Interest walk is the window scan
+# ----------------------------------------------------------------------
+
+_MSS = 100
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    total=st.one_of(st.none(), st.integers(1, 40 * _MSS)),
+    n_sent=st.integers(0, 40),
+    satisfied=st.sets(st.integers(0, 39)),
+    query=st.tuples(st.integers(0, 42 * _MSS), st.integers(1, 5 * _MSS)),
+)
+def test_consumer_aligned_walk_visits_what_the_window_scan_visits(
+    total, n_sent, satisfied, query
+):
+    """For any window ``_fill_window`` can have built (MSS chunks from 0,
+    the last one cut at ``total_bytes``, any subset already satisfied)
+    and any range, ``_overlapping`` returns exactly the states a scan of
+    the whole window finds, in the scan's (insertion) order."""
+    from repro.core import Consumer, LeotpConfig
+    from repro.core.consumer import _InterestState
+
+    consumer = Consumer(
+        Simulator(), "c", "f", LeotpConfig(mss=_MSS), total_bytes=total
+    )
+    for k in range(n_sent):
+        start = k * _MSS
+        end = start + _MSS if total is None else min(start + _MSS, total)
+        if start < end and k not in satisfied:
+            consumer._outstanding[start] = _InterestState(
+                ByteRange(start, end), 0.0, 1.0
+            )
+    rng = ByteRange(query[0], query[0] + query[1])
+    scan = [
+        state for state in consumer._outstanding.values()
+        if state.rng.overlaps(rng)
+    ]
+    walk = consumer._overlapping(rng)
+    assert len(walk) == len(scan)
+    assert all(a is b for a, b in zip(walk, scan))

@@ -8,10 +8,11 @@ each has a determinism obligation these tests pin:
   file, for any buffer size or ``jobs`` value;
 * **checkpoint/resume** — a run killed between checkpoints and resumed
   (with a *different* ``jobs`` value) must reproduce the uninterrupted
-  run bit for bit, spill files included; corrupt or mismatched
-  checkpoints must be refused loudly;
-* **epoch exchange** — what crosses the process boundary is exactly the
-  reports the shards produced, and the byte counters count exactly it.
+  run bit for bit, spill files included, whether the kill left every
+  shard mid-run or a mix of finished, mid-run and unstarted ones;
+  corrupt, mismatched or old-format checkpoints must be refused loudly;
+* **process boundary** — the byte counters count exactly the task
+  arguments that go out and the results that come back.
 
 Plus the error path: a failing shard must surface as
 :class:`~repro.shard.ShardError` naming the shard, and the engine must
@@ -35,6 +36,7 @@ from repro.shard import (
     iter_jsonl,
     load_manifest,
     merge_spills,
+    plan_fingerprint,
     resume_point,
     run_sharded,
     spill_name,
@@ -44,7 +46,7 @@ from repro.shard import worker
 from repro.shard.worker import _ShardState
 
 #: Small plan with every moving part alive: four shards (one faulted),
-#: five exchange epochs, enough arrivals that spills have real rows.
+#: five ledger epochs, enough arrivals that spills have real rows.
 PLAN = ShardPlan(n_shards=4, arrivals_per_shard=12, drain_s=2.0)
 
 
@@ -140,39 +142,29 @@ def test_merge_spills_orders_and_skips_missing(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Epoch exchange: what crosses is what the shard reported
+# Process boundary: the counters count what crosses
 # ----------------------------------------------------------------------
 
 
-def test_epoch_blob_is_the_shards_reports():
-    token = "test-epoch-blob"
-    worker.prepare_group(PLAN, token, [0, 2], None, None, None)
-    try:
-        states = worker._GROUPS[token].states
-        allocations = (PLAN.shard_cache_bytes,) * PLAN.n_shards
-        for epoch in range(2):
-            blob = worker.run_group_epoch(token, epoch, allocations, False)
-            assert pickle.loads(blob) == [s.report(epoch) for s in states]
-        assert [s.index for s in states] == [0, 2]
-    finally:
-        worker.drop_run(token)
-    assert token not in worker._GROUPS
+def test_exchange_bytes_count_task_arguments_and_results(monkeypatch):
+    crossed = []
+    original = worker.run_shard
 
-
-def test_exchange_report_bytes_counts_the_returned_blobs(monkeypatch):
-    blobs = []
-    original = worker.run_group_epoch
-
-    def recording(*args):
-        blobs.append(original(*args))
-        return blobs[-1]
+    def recording(*task):
+        crossed.append((task, original(*task)))
+        return crossed[-1][1]
 
     # The engine resolves the task through its own module namespace.
-    monkeypatch.setattr("repro.shard.engine.run_group_epoch", recording)
+    monkeypatch.setattr("repro.shard.engine.run_shard", recording)
     out = run_sharded(PLAN, jobs=1)
-    assert len(blobs) == PLAN.n_epochs
-    assert out["exchange_report_bytes"] == sum(len(b) for b in blobs)
-    assert out["exchange_payload_bytes"] > 0
+    assert [task[1] for task, _ in crossed] == list(range(PLAN.n_shards))
+    assert out["exchange_payload_bytes"] == sum(
+        len(pickle.dumps(task)) for task, _ in crossed
+    )
+    assert out["exchange_report_bytes"] == sum(
+        len(pickle.dumps(result)) for _, result in crossed
+    )
+    assert 0 < out["exchange_report_bytes"] < 4096 * PLAN.n_shards
 
 
 # ----------------------------------------------------------------------
@@ -249,6 +241,73 @@ def test_resume_after_final_epoch_is_a_noop(baseline, tmp_path):
     assert _merged_bytes(resumed) == _merged_bytes(baseline)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_mixed_state_kill_then_resume_bit_identical(
+    baseline, monkeypatch, tmp_path, jobs
+):
+    """A real kill leaves shards finished, mid-run and unstarted."""
+    sink, ckpt = str(tmp_path / "sink"), str(tmp_path / "ckpt")
+    original = _ShardState.run_epoch
+
+    def boom(self, epoch, observe):
+        if self.index == 2 and epoch == 3:
+            raise ValueError("injected failure")
+        return original(self, epoch, observe)
+
+    monkeypatch.setattr(_ShardState, "run_epoch", boom)
+    with pytest.raises(ShardError) as excinfo:
+        run_sharded(
+            PLAN, jobs=1, sink_dir=sink, checkpoint_dir=ckpt,
+            checkpoint_every=2,
+        )
+    assert (excinfo.value.shard, excinfo.value.epoch) == (2, 3)
+    monkeypatch.undo()
+
+    manifest = load_manifest(ckpt)
+    shards = manifest["shards"]
+    assert sorted(shards) == ["0", "1", "2"]  # shard 3 never started
+    assert manifest["completed_epochs"] == 0
+    for index in "01":
+        assert shards[index]["completed_epochs"] == PLAN.n_epochs
+        assert shards[index]["result"] is not None
+        assert shards[index]["file"] is None
+    assert shards["2"]["completed_epochs"] == 2
+    assert shards["2"]["result"] is None
+    # Only the mid-run shard still owns a pickle; its spill ran on to
+    # epoch 3 and is rewound to the offset committed at epoch 2.
+    pickles = [n for n in os.listdir(ckpt) if n.endswith(".pkl")]
+    assert pickles == [shards["2"]["file"]]
+    assert os.path.getsize(os.path.join(sink, spill_name(2))) >= shards["2"][
+        "spill_offset"
+    ]
+
+    built = []
+    original_init = _ShardState.__init__
+
+    def counting(self, plan, index):
+        built.append(index)
+        original_init(self, plan, index)
+
+    monkeypatch.setattr(_ShardState, "__init__", counting)
+    ckpt2 = str(tmp_path / "ckpt2")
+    resumed = run_sharded(
+        PLAN, jobs=jobs, resume_from=ckpt, checkpoint_dir=ckpt2
+    )
+    # Shards 0-1 are not run again and shard 2 unpickles; only shard 3 is
+    # built — in a worker process when there are workers.
+    assert built == ([3] if jobs == 1 else [])
+    assert resumed["resumed_from_epoch"] == 0
+    assert _payload(resumed) == _payload(baseline)
+    assert _merged_bytes(resumed) == _merged_bytes(baseline)
+    # The run's own checkpoint directory is complete: finished shards
+    # were carried over, so resuming from it runs nothing at all.
+    del built[:]
+    again = run_sharded(PLAN, jobs=1, resume_from=ckpt2)
+    assert built == []
+    assert again["resumed_from_epoch"] == PLAN.n_epochs
+    assert _payload(again) == _payload(baseline)
+
+
 def test_resume_refuses_a_different_plan(tmp_path):
     ckpt = str(tmp_path / "ckpt")
     run_sharded(
@@ -283,13 +342,31 @@ def test_resume_refuses_corrupt_manifest(tmp_path):
         checkpoint_every=1, stop_after_epoch=0,
     )
     manifest_path = os.path.join(ckpt, "manifest.json")
-    # A directory written before the pickled shard layout changed
-    # (format 1) is refused by name, not resumed into an AttributeError.
-    stale = dict(load_manifest(ckpt), format=1)
+    # A directory written by the epoch-barrier engine (format 2: one
+    # manifest naming every shard's pickle, whose layout has changed
+    # since) is refused by name, not resumed into an AttributeError.
+    stale = {
+        "format": 2,
+        "plan_fp": plan_fingerprint(PLAN),
+        "n_shards": PLAN.n_shards,
+        "n_epochs": PLAN.n_epochs,
+        "completed_epochs": 1,
+        "allocations": [6 << 20] * PLAN.n_shards,
+        "ledger": [],
+        "sink_dir": None,
+        "shards": {
+            str(i): {"file": f"shard-{i:03d}-e0001.pkl", "digest": "0" * 64,
+                     "spill_offset": None}
+            for i in range(PLAN.n_shards)
+        },
+    }
     with open(manifest_path, "w") as fh:
         json.dump(stale, fh)
-    with pytest.raises(CheckpointError, match="unsupported checkpoint format 1"):
+    refusal = r"unsupported checkpoint format 2 \(this build reads format 3\)"
+    with pytest.raises(CheckpointError, match=refusal):
         resume_point(ckpt, PLAN)
+    with pytest.raises(CheckpointError, match=refusal):
+        run_sharded(PLAN, jobs=1, resume_from=ckpt)
     with open(manifest_path, "w") as fh:
         fh.write("{not json")
     with pytest.raises(CheckpointError, match="JSON"):

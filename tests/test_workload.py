@@ -159,22 +159,6 @@ class TestSharedCachePool:
         assert pool.stored_bytes == 3 * 4096 <= pool.capacity_bytes
         assert budget.account("cache") == pool.stored_bytes
 
-    def test_set_capacity_returns_bytes_evicted(self):
-        budget = MemoryBudget(100_000)
-        pool = SharedCachePool(
-            4 * 4096, [1, 1], block_bytes=4096, budget=budget
-        )
-        a, b = pool.members
-        self._store(a, "f1", 0, 4096)
-        self._store(a, "f1", 4096, 4096)
-        self._store(b, "f2", 0, 4096)
-        # Halving leaves one block per member: a gives one up, b none.
-        assert pool.set_capacity(2 * 4096) == 4096
-        assert (a.stored_bytes, b.stored_bytes) == (4096, 4096)
-        assert budget.account("cache") == pool.stored_bytes == 2 * 4096
-        assert pool.set_capacity(4 * 4096) == 0  # growing evicts nothing
-        assert a.capacity_bytes == b.capacity_bytes == 2 * 4096
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SharedCachePool(0, [1])
@@ -184,8 +168,6 @@ class TestSharedCachePool:
             SharedCachePool(8192, [1, 0])
         with pytest.raises(ValueError):
             SharedCachePool(8192, [1, 1], eviction="random")
-        with pytest.raises(ValueError):
-            SharedCachePool(8192, [1, 1]).set_capacity(0)
 
 
 class TestFlowMetrics:

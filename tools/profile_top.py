@@ -11,8 +11,8 @@ so "where does the whole harness spend its time" is one command::
 
 Directories are expanded *recursively* to every ``.pstats`` file below
 them, so sharded experiments — whose worker processes dump one profile
-each to ``results/profiles/shards/shard-groupNNN-pidNNN.pstats`` — merge
-into the same report as the parent's per-experiment dump with a single
+per shard task to ``results/profiles/shards/shard-NNN-pidNNN.pstats`` —
+merge into the same report as the parent's per-experiment dump with a single
 ``results/profiles`` argument.  The profile-first rule for kernel work:
 run this before optimising, and only touch what is actually at the top.
 """
