@@ -2,8 +2,9 @@
 
 Unlike the ``test_bench_fig*`` suite (which times whole experiments),
 these isolate the layers the simulator spends its time in: the event
-heap, cancellation churn, :class:`RangeSet` bookkeeping, and one small
-end-to-end LEOTP transfer as an integration figure.
+heap, cancellation churn, :class:`RangeSet` bookkeeping, the block cache
+(time per fill and host bytes per cached block), and one small
+end-to-end LEOTP transfer as an integration figure (time and peak RSS).
 
 The perf trajectory lives in ``BENCH_kernel.json`` at the repo root;
 regenerate and diff it with::
@@ -39,6 +40,7 @@ FANOUT_EVENTS = 50_000 // _F
 CANCEL_TIMERS = 2_000 // _F
 CANCEL_ROUNDS = 30
 RANGESET_PACKETS = 20_000 // _F
+CACHE_FILL_BYTES = (8 << 20) // _F
 E2E_DURATION_S = 3.0 if not _TINY else 1.0
 
 
@@ -177,6 +179,50 @@ def test_rangeset_churn(benchmark):
 
 
 # ----------------------------------------------------------------------
+# Block cache (the per-packet-per-hop store)
+# ----------------------------------------------------------------------
+
+
+def test_block_cache_fill(benchmark):
+    """One flow's MSS packets stored in order, then one lookup pass: what
+    every Midnode does per packet.  ``host_bytes_per_block`` is what the
+    simulator pays to remember one cached 4096-byte block."""
+    import tracemalloc
+
+    from repro.core.cache import BlockCache
+
+    mss = 1400
+    n_packets = CACHE_FILL_BYTES // mss
+
+    def fill():
+        cache = BlockCache(capacity_bytes=2 * CACHE_FILL_BYTES)
+        for i in range(n_packets):
+            cache.store("flow", ByteRange(i * mss, (i + 1) * mss), 0.5,
+                        writer="flow")
+        return cache
+
+    def fill_and_read():
+        cache = fill()
+        for i in range(n_packets):
+            cache.lookup("flow", ByteRange(i * mss, (i + 1) * mss),
+                         requester="flow")
+        return cache
+
+    cache = benchmark(fill_and_read)
+    assert cache.stats.hits == n_packets
+    assert cache.stored_bytes == n_packets * mss
+    tracemalloc.start()
+    try:
+        cache = fill()
+        host_bytes = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["host_bytes_per_block"] = round(
+        host_bytes / len(cache._blocks)
+    )
+
+
+# ----------------------------------------------------------------------
 # End-to-end integration point
 # ----------------------------------------------------------------------
 
@@ -185,6 +231,7 @@ def test_e2e_leotp_transfer(benchmark):
     """A small fig12-style lossy multi-hop LEOTP run (whole stack)."""
     from repro.experiments.common import PathSpec, run_chain
     from repro.netsim.topology import uniform_chain_specs
+    from repro.obs.rss import RssSampler
 
     spec = PathSpec(
         hops=uniform_chain_specs(4, rate_bps=20e6, delay_s=0.01, plr=0.005)
@@ -194,6 +241,10 @@ def test_e2e_leotp_transfer(benchmark):
         metrics, _ = run_chain(spec, duration_s=E2E_DURATION_S, seed=1)
         return metrics
 
+    sampler = RssSampler().start()
     metrics = benchmark(run_transfer)
+    peak = sampler.stop()
     assert metrics.throughput_mbps > 1.0
     benchmark.extra_info["throughput_mbps"] = round(metrics.throughput_mbps, 2)
+    if peak is not None:
+        benchmark.extra_info["peak_rss_mib"] = round(peak / 2**20, 1)

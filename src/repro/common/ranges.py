@@ -112,6 +112,8 @@ _unchecked = ByteRange.unchecked
 class RangeSet:
     """A set of byte offsets stored as sorted disjoint half-open intervals."""
 
+    __slots__ = ("_starts", "_ends", "_total")
+
     def __init__(self, ranges: Iterable[ByteRange] = ()) -> None:
         self._starts: list[int] = []
         self._ends: list[int] = []

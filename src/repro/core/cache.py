@@ -2,10 +2,21 @@
 
 Data is stored in 4096-byte-aligned blocks per cache key, addressed by
 ``(key, block_index)``, with LRU (default) or LFU replacement.  The real
-implementation stores payload bytes; the simulation stores coverage
-(which byte ranges of each block are present) plus the metadata the
-Consumer's measurements need (the Producer's original transmission
-timestamp per range).
+implementation stores payload bytes; the simulation stores which byte
+ranges of each block are present plus the metadata the Consumer's
+measurements need (the Producer's original transmission timestamp per
+range).
+
+A block is the one thing every packet leaves behind at every hop, so it
+is kept out of the garbage collector's view: its stored pieces are one
+flat ``array('d')`` of ``(start, end, origin_ts)`` triples (offsets are
+exact as doubles below 2**53) beside a parallel writer list, not a graph
+of range/tuple objects.  While stores arrive *in order* — each piece
+starts at or after the previous piece's end, 97 % of inserts on the
+benchmark — the pieces are ascending and disjoint and therefore *are*
+the block's coverage; a :class:`RangeSet` is materialised only from the
+first out-of-order store (a re-store after eviction, a repair) and
+dropped again by compaction, which rebuilds ascending disjoint pieces.
 
 The cache key is normally the FlowID.  Under a content workload
 (:mod:`repro.content`) Midnodes alias the key to the flow's bound
@@ -17,6 +28,7 @@ reading its own retransmitted bytes.
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
@@ -28,25 +40,38 @@ from repro.common.ranges import ByteRange, RangeSet
 CACHE_EVICTION_POLICIES = ("lru", "lfu")
 
 
-class _Block:
-    """Coverage and origin timestamps for one 4096-byte block."""
+_unchecked = ByteRange.unchecked
 
-    __slots__ = ("coverage", "origins", "freq", "seq")
+
+class _Block:
+    """Stored pieces and access bookkeeping for one 4096-byte block."""
+
+    __slots__ = ("pieces", "writers", "covered", "coverage", "freq", "seq")
 
     def __init__(self) -> None:
-        self.coverage = RangeSet()
-        # (range, origin_ts, writer flow id) in insertion order; lookups
-        # intersect with these.  ``writer`` is None for unattributed stores
-        # (single-flow caches, compacted history).
-        self.origins: list[tuple[ByteRange, float, Optional[str]]] = []
+        # Flat (start, end, origin_ts) triples in insertion order; lookups
+        # scan them newest-first.  ``writers[i]`` is the flow that stored
+        # piece ``i``: None for unattributed stores (single-flow caches,
+        # compacted mixed history).
+        self.pieces = array("d")
+        self.writers: list[Optional[str]] = []
+        self.covered = 0  # bytes present: the length of the pieces' union
+        # None while the pieces ascend without overlap (they are their
+        # own union); the union as a RangeSet once a store broke that.
+        self.coverage: Optional[RangeSet] = None
         # Access bookkeeping for LFU replacement: ``freq`` is the touch
         # count, ``seq`` the creation counter (deterministic tie-break).
         # Recency (LRU) is the cache's ``OrderedDict`` order.
         self.freq = 0
         self.seq = 0
 
-    def stored_bytes(self) -> int:
-        return len(self.coverage)
+
+def _union(pieces: array) -> RangeSet:
+    """The byte set a block's pieces cover."""
+    coverage = RangeSet()
+    for i in range(0, len(pieces), 3):
+        coverage.add(_unchecked(int(pieces[i]), int(pieces[i + 1])))
+    return coverage
 
 
 @dataclass
@@ -150,19 +175,23 @@ class BlockCache:
             # straddles a block edge (every block of the span overlaps it).
             bstart = bidx * block_bytes
             bend = bstart + block_bytes
-            if bstart <= rng.start and rng.end <= bend:
-                part = rng
-            else:
-                part = ByteRange.unchecked(
-                    max(rng.start, bstart), min(rng.end, bend)
-                )
+            start = rng.start if rng.start > bstart else bstart
+            end = rng.end if rng.end < bend else bend
+            pieces = block.pieces
             coverage = block.coverage
-            before = len(coverage)
-            coverage.add(part)
-            block.origins.append((part, origin_ts, writer))
-            if len(block.origins) > self.MAX_ORIGINS_PER_BLOCK:
+            if coverage is None and (not pieces or start >= pieces[-2]):
+                added = end - start  # in order: disjoint from every piece
+            else:
+                if coverage is None:
+                    coverage = block.coverage = _union(pieces)
+                coverage.add(_unchecked(start, end))
+                added = len(coverage) - block.covered
+            pieces.fromlist([start, end, origin_ts])
+            block.writers.append(writer)
+            block.covered += added
+            self._stored_bytes += added
+            if len(block.writers) > self.MAX_ORIGINS_PER_BLOCK:
                 self._compact(block)
-            self._stored_bytes += len(coverage) - before
         self._evict_if_needed()
 
     def lookup(
@@ -183,6 +212,9 @@ class BlockCache:
         self.stats.lookup_bytes += rng.length
         found: list[tuple[ByteRange, float]] = []
         cross_bytes = 0
+        r_start, r_end = rng.start, rng.end
+        # The scan compares these with doubles; float-to-float is the cheap one.
+        f_start, f_end = float(r_start), float(r_end)
         remaining: Optional[RangeSet] = None  # built at the first present block
         for bidx in self._block_span(rng):
             bkey = (key, bidx)
@@ -196,12 +228,20 @@ class BlockCache:
             # Scan this block's stored pieces newest-first so re-stored
             # (retransmitted) data wins, then clip against what is still
             # needed to keep results disjoint.
-            for stored_rng, origin_ts, writer in reversed(block.origins):
+            pieces = block.pieces
+            for i in range(len(pieces) - 3, -1, -3):
                 if not remaining:
                     break
-                part = stored_rng.intersection(rng)
-                if part is None:
+                start = pieces[i]
+                if start >= f_end:
                     continue
+                end = pieces[i + 1]
+                if end <= f_start:
+                    continue
+                part = _unchecked(
+                    int(start) if start > f_start else r_start,
+                    int(end) if end < f_end else r_end,
+                )
                 if remaining.contains(part):
                     # In-order hit: nothing newer overlapped this piece.
                     covered = (part,)
@@ -211,6 +251,8 @@ class BlockCache:
                         covered.remove(hole)
                 else:
                     continue
+                origin_ts = pieces[i + 2]
+                writer = block.writers[i // 3]
                 for sub in covered:
                     found.append((sub, origin_ts))
                     remaining.remove(sub)
@@ -241,7 +283,9 @@ class BlockCache:
                 return False
             bstart = bidx * self.block_bytes
             part = rng.intersection(ByteRange.unchecked(bstart, bstart + self.block_bytes))
-            if part is not None and not block.coverage.contains(part):
+            if part is not None and not (
+                block.coverage or _union(block.pieces)
+            ).contains(part):
                 return False
         return True
 
@@ -262,7 +306,7 @@ class BlockCache:
             block = self._blocks.pop(victim)
         else:
             _, block = self._blocks.popitem(last=False)
-        freed = block.stored_bytes()
+        freed = block.covered
         self._stored_bytes -= freed
         self.stats.evictions += 1
         return freed
@@ -281,25 +325,31 @@ class BlockCache:
         for bidx in range(lo, hi + 1):
             block = self._blocks.pop((key, bidx), None)
             if block is not None:
-                freed += block.stored_bytes()
+                freed += block.covered
         self._stored_bytes -= freed
         return freed
 
     @staticmethod
     def _compact(block: _Block) -> None:
-        """Collapse a block's origin list onto its coverage intervals.
+        """Collapse a block's pieces onto its coverage intervals.
 
-        Heavy retransmission can pile up many overlapping origin entries;
-        compaction rebuilds one entry per covered interval, stamped with
+        Heavy retransmission can pile up many overlapping pieces;
+        compaction rebuilds one piece per covered interval, stamped with
         the block's earliest timestamp (conservative for OWD accounting).
         The writer attribution survives only if the whole block has a
         single writer — mixed history compacts to None (conservative:
-        never inflates cross-flow hit counts).
+        never inflates cross-flow hit counts).  The rebuilt pieces ascend
+        without overlap, so the block is in order again.
         """
-        oldest = min(ts for _, ts, _ in block.origins)
-        writers = {w for _, _, w in block.origins}
+        oldest = min(block.pieces[2::3])
+        writers = set(block.writers)
         writer = writers.pop() if len(writers) == 1 else None
-        block.origins = [(iv, oldest, writer) for iv in block.coverage]
+        coverage = block.coverage or _union(block.pieces)
+        block.pieces = array("d")
+        for iv in coverage:
+            block.pieces.fromlist([iv.start, iv.end, oldest])
+        block.writers = [writer] * (len(block.pieces) // 3)
+        block.coverage = None
 
     def _evict_if_needed(self) -> None:
         while self._stored_bytes > self.capacity_bytes and self._blocks:

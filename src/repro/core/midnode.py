@@ -3,6 +3,10 @@
 A Midnode is "dummy": it keeps only soft per-flow state (sequence
 bookkeeping, a learned downstream link, congestion status) that can be
 rebuilt instantly, which is what makes LEOTP robust to topology churn.
+Dropping it is as cheap on the host: :meth:`Midnode.retire_flow` and
+:meth:`Midnode.crash` release the flow's sender, which cuts the state's
+only reference cycle (state -> sender -> stamp -> state), so everything
+a flow held here is freed by reference count the moment it goes.
 
 Data path (paper Figs. 7 and 9):
 
@@ -191,7 +195,7 @@ class Midnode(Node):
                 flows_lost=len(self._flows),
             )
         for state in self._flows.values():
-            state.sender.reset()
+            state.sender.release()
         self._flows.clear()
         # Preserve the cache *geometry* (capacity may have been sized by
         # a placement policy) while dropping every stored byte.
@@ -260,7 +264,7 @@ class Midnode(Node):
         """
         state = self._flows.pop(flow_id, None)
         if state is not None:
-            state.sender.reset()
+            state.sender.release()
         self._upstream_by_flow.pop(flow_id, None)
         if self.config.enable_cache:
             content = self.content
@@ -379,8 +383,6 @@ class Midnode(Node):
 
     @staticmethod
     def _subtract(total: ByteRange, covered: list[ByteRange]) -> list[ByteRange]:
-        from repro.common.ranges import RangeSet
-
         remaining = RangeSet([total])
         for rng in covered:
             remaining.remove(rng)

@@ -156,6 +156,18 @@ class PacedSender:
         self._drain_scheduled = False
         return dropped
 
+    def release(self) -> int:
+        """:meth:`reset` for an owner that is discarding this sender.
+
+        Also drops the stamp callback, the sender's one pointer back to
+        its owner's flow state, so that state is freed by reference count
+        when the owner lets go instead of waiting for the cycle collector
+        (a stale drain tick may still hold the emptied sender; it never
+        stamps).
+        """
+        self._stamp = None
+        return self.reset()
+
     # ------------------------------------------------------------------
 
     def _drain(self) -> None:

@@ -2,7 +2,7 @@
 (quantifying the link-switching resilience of Sec. V-C / Figs. 16-17).
 
 Computed from a :class:`~repro.netsim.trace.FlowRecorder`'s delivery
-records plus sender-side counters:
+columns plus sender-side counters:
 
 * **time-to-first-byte-after-fault** — gap between the end of the
   disturbance and the first goodput delivered after it (how long the
@@ -18,6 +18,7 @@ records plus sender-side counters:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -95,24 +96,24 @@ def recovery_report(
     post = recorder.throughput_bps(fault_end_s, fault_end_s + post_window_s)
     ratio = post / pre if pre > 0 else (1.0 if post > 0 else 0.0)
 
-    after = [r for r in recorder.records if r.time > fault_end_s]
-    ttfb = after[0].time - fault_end_s if after else None
+    times, sizes = recorder.times, recorder.sizes
+    first = bisect_right(times, fault_end_s)  # first delivery after the fault
+    ttfb = times[first] - fault_end_s if first < len(times) else None
 
     recovery_at: Optional[float] = None
-    if pre > 0 and after:
+    if pre > 0 and ttfb is not None:
         target_bytes = recovery_fraction * pre * recovery_window_s / 8.0
         # Slide a trailing window over the post-fault deliveries; recovery
         # is the first instant the window holds the target byte count.
-        window: list = []
+        tail = first  # oldest row still inside the window
         acc = 0.0
-        for rec in after:
-            window.append(rec)
-            acc += rec.nbytes
-            while window and window[0].time < rec.time - recovery_window_s:
-                acc -= window[0].nbytes
-                window.pop(0)
+        for i in range(first, len(times)):
+            acc += sizes[i]
+            while times[tail] < times[i] - recovery_window_s:
+                acc -= sizes[tail]
+                tail += 1
             if acc >= target_bytes:
-                recovery_at = rec.time - fault_end_s
+                recovery_at = times[i] - fault_end_s
                 break
     elif pre == 0:
         recovery_at = 0.0

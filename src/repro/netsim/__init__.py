@@ -21,12 +21,11 @@ from repro.netsim.topology import (
     build_dumbbell,
     uniform_chain_specs,
 )
-from repro.netsim.trace import DeliveryRecord, FlowRecorder, TimeSeriesProbe, cdf
+from repro.netsim.trace import FlowRecorder, TimeSeriesProbe, cdf
 
 __all__ = [
     "BandwidthProfile",
     "ConstantBandwidth",
-    "DeliveryRecord",
     "Dumbbell",
     "DuplexLink",
     "FlowRecorder",

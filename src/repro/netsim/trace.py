@@ -1,15 +1,18 @@
-"""Measurement collection: per-flow delivery records and time series.
+"""Measurement collection: per-flow delivery columns and time series.
 
 Experiments attach a :class:`FlowRecorder` at the receiving endpoint to
 record when each byte range is first delivered and how long it spent in the
 network; the recorder then answers the questions the paper's figures ask
-(mean/percentile OWD, OWD CDFs, throughput over time, retransmitted-packet
-OWD distributions).
+(mean/percentile OWD, OWD CDFs, goodput over a window, retransmitted-packet
+OWD distributions).  A delivered packet is one row across four machine
+arrays (25 host bytes, nothing the garbage collector tracks), not an
+object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from bisect import bisect_left, bisect_right
 from typing import Optional
 
 import numpy as np
@@ -17,23 +20,21 @@ import numpy as np
 from repro.simcore.simulator import Simulator
 
 
-@dataclass
-class DeliveryRecord:
-    """One delivered data packet at the receiving endpoint."""
-
-    time: float
-    nbytes: int
-    owd_s: float
-    retransmitted: bool = False
-
-
 class FlowRecorder:
-    """Accumulates per-packet delivery records for one flow."""
+    """Accumulates one row per delivered data packet of one flow.
+
+    Row ``i`` is ``(times[i], sizes[i], owd_s[i], retx[i])``: delivery
+    time (non-decreasing — it is the simulation clock), payload bytes,
+    one-way delay, and whether the packet was a retransmission.
+    """
 
     def __init__(self, sim: Simulator, name: str = "flow") -> None:
         self.sim = sim
         self.name = name
-        self.records: list[DeliveryRecord] = []
+        self.times = array("d")
+        self.sizes = array("q")
+        self.owd_s = array("d")
+        self.retx = array("b")
         self.start_time: Optional[float] = None
         self.end_time: Optional[float] = None
 
@@ -44,7 +45,10 @@ class FlowRecorder:
         if self.start_time is None:
             self.start_time = now
         self.end_time = now
-        self.records.append(DeliveryRecord(now, nbytes, owd_s, retransmitted))
+        self.times.append(now)
+        self.sizes.append(nbytes)
+        self.owd_s.append(owd_s)
+        self.retx.append(retransmitted)
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -52,29 +56,28 @@ class FlowRecorder:
 
     @property
     def total_bytes(self) -> int:
-        return sum(r.nbytes for r in self.records)
+        return sum(self.sizes)
 
     def throughput_bps(
         self, t_start: Optional[float] = None, t_end: Optional[float] = None
     ) -> float:
         """Goodput over [t_start, t_end] (defaults to first/last delivery)."""
-        if not self.records:
+        if not self.times:
             return 0.0
         t0 = self.start_time if t_start is None else t_start
         t1 = self.end_time if t_end is None else t_end
         assert t0 is not None and t1 is not None
         if t1 <= t0:
             return 0.0
-        nbytes = sum(r.nbytes for r in self.records if t0 <= r.time <= t1)
-        return nbytes * 8.0 / (t1 - t0)
+        rows = slice(bisect_left(self.times, t0), bisect_right(self.times, t1))
+        return sum(self.sizes[rows]) * 8.0 / (t1 - t0)
 
     def owds(self, retransmitted_only: bool = False) -> np.ndarray:
-        vals = [
-            r.owd_s
-            for r in self.records
-            if not retransmitted_only or r.retransmitted
-        ]
-        return np.asarray(vals, dtype=float)
+        # np.array copies: a view would pin the column against appends.
+        owds = np.array(self.owd_s, dtype=float)
+        if retransmitted_only:
+            return owds[np.array(self.retx, dtype=bool)]
+        return owds
 
     def owd_mean(self) -> float:
         owds = self.owds()
@@ -83,20 +86,6 @@ class FlowRecorder:
     def owd_percentile(self, q: float) -> float:
         owds = self.owds()
         return float(np.percentile(owds, q)) if owds.size else float("nan")
-
-    def throughput_timeseries(self, bin_s: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-        """(bin_centers, throughput_bps) histogram of goodput over time."""
-        if not self.records:
-            return np.array([]), np.array([])
-        times = np.array([r.time for r in self.records])
-        sizes = np.array([r.nbytes for r in self.records], dtype=float)
-        t0, t1 = times.min(), times.max()
-        nbins = max(int(np.ceil((t1 - t0) / bin_s)), 1)
-        edges = t0 + np.arange(nbins + 1) * bin_s
-        idx = np.clip(((times - t0) / bin_s).astype(int), 0, nbins - 1)
-        per_bin = np.bincount(idx, weights=sizes, minlength=nbins)
-        centers = edges[:-1] + bin_s / 2
-        return centers, per_bin * 8.0 / bin_s
 
 
 def cdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

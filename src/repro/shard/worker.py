@@ -299,8 +299,9 @@ def run_shard(
         out.update(result)
         return out
     finally:
-        # Flow state is cyclic: without the collection the next shard of
-        # this process would be built beside the corpse of this one.
+        # The simulation graph is cyclic (nodes <-> the simulator's heap,
+        # Consumers <-> their access links): without the collection the
+        # next shard of this process is built beside this one's corpse.
         state = None
         gc.collect()
         if profiler is not None:

@@ -172,6 +172,38 @@ class TestBenchCoverage:
         assert all(bench.EXCLUDED.values()), "every exclusion states why"
 
 
+class TestRowsDigest:
+    def test_fig02_against_itself(self, monkeypatch, tmp_path, capsys):
+        """``tools/rows_digest.py``: a second run equals the first run's
+        file (exit 0); a moved digest is named (exit 1); a file taken at
+        another seed is refused, not compared (exit 2)."""
+        import json
+
+        tools_dir = pathlib.Path(__file__).parent.parent / "tools"
+        monkeypatch.syspath_prepend(str(tools_dir))
+        tool = importlib.import_module("rows_digest")
+        ref = str(tmp_path / "ref.json")
+        run = ["fig02", "--scale", "0.05", "--seed", "0"]
+        assert tool.main([*run, "--out", ref]) == 0
+        with open(ref) as fh:
+            report = json.load(fh)
+        assert report["scale"] == 0.05 and report["seed"] == 0
+        mine = report["digests"]["fig02"]
+        assert len(mine) == 16 and int(mine, 16) >= 0
+        assert tool.main([*run, "--compare", ref]) == 0
+        assert tool.main(["fig02", "--scale", "0.05", "--seed", "1",
+                          "--compare", ref]) == 2  # runs nothing
+        # A column left out of the digest moves it; the id is named.
+        capsys.readouterr()
+        assert tool.main([*run, "--compare", ref, "--strip", "algorithm"]) == 2
+        report["strip"] = ["algorithm"]
+        with open(ref, "w") as fh:
+            json.dump(report, fh)
+        assert tool.main([*run, "--compare", ref, "--strip", "algorithm"]) == 1
+        out, err = capsys.readouterr()
+        assert f"!= {mine}" in out and "rows differ: fig02" in err
+
+
 class TestRegistry:
     def test_all_experiments_registered(self):
         expected = {

@@ -1,6 +1,6 @@
 """Cross-cutting property-based tests on core invariants."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.ranges import ByteRange, RangeSet
@@ -114,6 +114,37 @@ def _as_pairs(ranges_):
     return [(r.start, r.end) for r in ranges_]
 
 
+def _block_snapshot(block):
+    """One cache block as plain data: ``(pieces, coverage, freq)`` with
+    pieces ``(start, end, ts, writer)`` in store order (``int`` offsets)
+    and coverage the runs of their union, computed here.  The block's own
+    summary of its pieces — ``covered``, and the RangeSet it keeps only
+    after an out-of-order store — is checked against that union."""
+    flat = block.pieces
+    assert len(flat) == 3 * len(block.writers)
+    assert all(flat[i] == int(flat[i]) for i in range(len(flat)) if i % 3 != 2)
+    pieces = [
+        (int(flat[3 * i]), int(flat[3 * i + 1]), flat[3 * i + 2], writer)
+        for i, writer in enumerate(block.writers)
+    ]
+    union = set()
+    for start, end, _, _ in pieces:
+        union.update(range(start, end))
+    assert block.covered == len(union)
+    if block.coverage is not None:
+        assert _as_pairs(block.coverage) == _runs(union)
+    else:  # in order: ascending and disjoint, the pieces are the coverage
+        assert all(a[1] <= b[0] for a, b in zip(pieces, pieces[1:]))
+    return pieces, _runs(union), block.freq
+
+
+def _cache_snapshot(cache):
+    return [
+        (bkey, *_block_snapshot(block))
+        for bkey, block in cache._blocks.items()  # LRU order
+    ]
+
+
 _small = st.integers(min_value=1, max_value=40)
 # Symbolic operations, resolved against the model's state when executed,
 # so the generator keeps hitting the shapes the fast branches test for.
@@ -186,13 +217,14 @@ class _SmallBlockCache(BlockCache):
 
 class _ByteCacheModel:
     """Byte-granular reference: ``(key, byte) -> (origin_ts, writer)``,
-    newest store wins; LRU over blocks; origin-list compaction."""
+    newest store wins; LRU over blocks; piece-list compaction."""
 
     def __init__(self, capacity, block_bytes, max_origins):
         self.capacity, self.block, self.max_origins = capacity, block_bytes, max_origins
         self.bytes = {}
         self.lru = {}      # (key, block index) -> None, oldest first
-        self.entries = {}  # (key, block index) -> [(ts, writer)] since compaction
+        # (key, block index) -> [(start, end, ts, writer)] since compaction
+        self.entries = {}
         self.hit_bytes = self.cross_hit_bytes = self.evictions = 0
 
     def _block_bytes(self, bkey):
@@ -212,15 +244,17 @@ class _ByteCacheModel:
             for b in range(lo, hi):
                 self.bytes[(key, b)] = (ts, writer)
             entries = self.entries.setdefault(bkey, [])
-            entries.append((ts, writer))
+            entries.append((lo, hi, ts, writer))
             if len(entries) > self.max_origins:
-                oldest = min(t for t, _ in entries)
-                writers = {w for _, w in entries}
+                oldest = min(t for _, _, t, _ in entries)
+                writers = {w for _, _, _, w in entries}
                 merged = (oldest, writers.pop() if len(writers) == 1 else None)
                 held = self._block_bytes(bkey)
                 for kb in held:
                     self.bytes[kb] = merged
-                self.entries[bkey] = [merged] * len(_runs(b for _, b in held))
+                self.entries[bkey] = [
+                    (*run, *merged) for run in _runs(b for _, b in held)
+                ]
         while len(self.bytes) > self.capacity and self.lru:
             victim = next(iter(self.lru))
             del self.lru[victim]
@@ -261,12 +295,38 @@ _burst_op = st.tuples(
         min_size=6, max_size=9,
     ),
 )
+# Symbolic, resolved against the model's pieces of block ``(key, block)``
+# when executed: "restore" stores an earlier piece of the block again and
+# "before" a piece ending before the last one starts — the two shapes (a
+# re-store after eviction, a repair) that take a block out of order, so
+# with the bursts every run crosses in order -> materialised coverage ->
+# compaction -> in order again.
+_out_of_order_op = st.tuples(
+    st.sampled_from(["restore", "before"]), _keys,
+    st.tuples(st.integers(0, 3), st.integers(0, 9)), st.integers(0, 50), _flows,
+)
 _cache_ops = st.one_of(
     _store_op,
     _store_op,
     _burst_op,
+    _out_of_order_op,
     st.tuples(st.just("lookup"), _keys, _cache_ranges, st.just(0), _flows),
 )
+
+
+def _resolve_cache_op(op, model):
+    """The plain store a symbolic op means on the model's state now."""
+    kind, key, (block, pick), ts, flow = op
+    lo = block * 64
+    entries = model.entries.get((key, block))
+    if not entries:  # never stored or evicted: this is the first piece
+        start, end = lo + pick, lo + pick + 8
+    elif kind == "restore" or entries[-1][0] == lo:  # (no room before)
+        start, end = entries[pick % len(entries)][:2]
+    else:
+        end = entries[-1][0] - pick % (entries[-1][0] - lo)
+        start = max(lo, end - 8)
+    return "store", key, (start, end - start), ts, flow
 
 
 def _flatten_bursts(ops):
@@ -281,10 +341,22 @@ def _flatten_bursts(ops):
 
 @settings(max_examples=200, deadline=None)
 @given(ops=st.lists(_cache_ops, max_size=40), capacity=st.sampled_from([150, 10_000]))
+@example(  # one block through every state: two pieces in order, the first
+    # again, four more (the sixth compacts), then in order past the end
+    ops=[("store", "a", (0, 8), 5, "f1"), ("store", "a", (8, 8), 6, "f1"),
+         ("restore", "a", (0, 0), 7, "f2"), ("before", "a", (0, 1), 1, "f1"),
+         ("store", "a", (30, 4), 2, None), ("store", "a", (20, 4), 3, "f1"),
+         ("store", "a", (40, 4), 4, "f1"), ("store", "a", (60, 4), 9, "f2"),
+         ("lookup", "a", (0, 64), 0, "f2")],
+    capacity=10_000,
+)
 def test_block_cache_matches_byte_model(ops, capacity):
     cache = _SmallBlockCache(capacity_bytes=capacity, block_bytes=64)
     model = _ByteCacheModel(capacity, 64, _SmallBlockCache.MAX_ORIGINS_PER_BLOCK)
-    for kind, key, (start, length), ts, flow in _flatten_bursts(ops):
+    for op in _flatten_bursts(ops):
+        if op[0] in ("restore", "before"):
+            op = _resolve_cache_op(op, model)
+        kind, key, (start, length), ts, flow = op
         rng = ByteRange(start, start + length)
         if kind == "store":
             cache.store(key, rng, float(ts), writer=flow)
@@ -296,7 +368,14 @@ def test_block_cache_matches_byte_model(ops, capacity):
                     assert b not in got, "lookup results overlap"
                     got[b] = origin_ts
             assert got == model.lookup(key, rng.start, rng.end, flow)
-        assert cache.stored_bytes == len(model.bytes)
+        # Block for block, in LRU order: the pieces the model holds (the
+        # snapshot itself checks each ``covered`` against their union).
+        assert [snap[:2] for snap in _cache_snapshot(cache)] == [
+            (bkey, model.entries[bkey]) for bkey in model.lru
+        ]
+        assert cache.stored_bytes == len(model.bytes) == sum(
+            block.covered for block in cache._blocks.values()
+        )
         assert cache.contains(key, rng) == all(
             (key, b) in model.bytes for b in range(rng.start, rng.end)
         )
@@ -420,13 +499,6 @@ def test_apportion_pinned_cases():
     ]
 
 
-def _cache_snapshot(cache):
-    return [
-        (bkey, _as_pairs(block.coverage), block.origins, block.freq)
-        for bkey, block in cache._blocks.items()  # LRU order
-    ]
-
-
 _member = st.integers(0, 5)
 _pool_ops = st.one_of(
     st.tuples(st.just("store"), _member, _keys, _cache_ranges,
@@ -479,7 +551,7 @@ def test_shared_cache_pool_members_are_standalone_caches(
             # What a scan of every block finds under the key is what
             # the per-key span must free, leaving the others in order.
             held = sum(
-                block.stored_bytes()
+                block.covered
                 for (key, _), block in member._blocks.items() if key == op[2]
             )
             kept = [s for s in _cache_snapshot(member) if s[0][0] != op[2]]

@@ -342,6 +342,19 @@ def test_resume_refuses_corrupt_manifest(tmp_path):
         checkpoint_every=1, stop_after_epoch=0,
     )
     manifest_path = os.path.join(ckpt, "manifest.json")
+    # The directory as the previous build wrote it (format 3: the same
+    # header and entries, but shard pickles holding the object-graph
+    # cache blocks and delivery records) is refused by name too.
+    with open(manifest_path) as fh:
+        header = json.load(fh)
+    assert header["format"] == 4
+    with open(manifest_path, "w") as fh:
+        json.dump({**header, "format": 3}, fh)
+    refusal = r"unsupported checkpoint format 3 \(this build reads format 4\)"
+    with pytest.raises(CheckpointError, match=refusal):
+        resume_point(ckpt, PLAN)
+    with pytest.raises(CheckpointError, match=refusal):
+        run_sharded(PLAN, jobs=1, resume_from=ckpt)
     # A directory written by the epoch-barrier engine (format 2: one
     # manifest naming every shard's pickle, whose layout has changed
     # since) is refused by name, not resumed into an AttributeError.
@@ -362,7 +375,7 @@ def test_resume_refuses_corrupt_manifest(tmp_path):
     }
     with open(manifest_path, "w") as fh:
         json.dump(stale, fh)
-    refusal = r"unsupported checkpoint format 2 \(this build reads format 3\)"
+    refusal = r"unsupported checkpoint format 2 \(this build reads format 4\)"
     with pytest.raises(CheckpointError, match=refusal):
         resume_point(ckpt, PLAN)
     with pytest.raises(CheckpointError, match=refusal):

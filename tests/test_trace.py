@@ -1,5 +1,7 @@
 """Tests for measurement collection (FlowRecorder, CDFs, probes)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -59,16 +61,40 @@ class TestFlowRecorder:
         sim.run()
         assert rec.total_bytes == 1000
 
-    def test_timeseries_bins(self):
+    def test_columns_answer_like_a_list_of_rows(self):
+        """Every aggregate equals the value computed here from a plain
+        list of ``(time, nbytes, owd, retx)`` tuples, and the recorder
+        (shard checkpoints pickle live ones) survives a round trip."""
+        rows = [
+            (0.5, 1400, 0.050, False), (0.5, 600, 0.051, False),
+            (1.0, 1400, 0.250, True), (1.75, 1400, 0.049, False),
+            (2.0, 100, 0.300, True), (2.0, 1400, 0.052, False),
+            (3.25, 1400, 0.048, False),
+        ]
         sim = Simulator()
-        rec = FlowRecorder(sim)
-        for t in [0.1, 0.2, 1.5]:
-            self.record_at(sim, rec, t, 1000, 0.01)
+        rec = FlowRecorder(sim, name="scripted")
+        for row in rows:
+            self.record_at(sim, rec, *row)
         sim.run()
-        centers, thr = rec.throughput_timeseries(bin_s=1.0)
-        assert len(centers) == 2
-        assert thr[0] == pytest.approx(2000 * 8, rel=0.01)
-        assert thr[1] == pytest.approx(1000 * 8, rel=0.01)
+        clone = pickle.loads(pickle.dumps(rec))
+        for r in (rec, clone):
+            assert list(zip(r.times, r.sizes, r.owd_s, r.retx)) == rows
+            assert r.owds().tolist() == [owd for _, _, owd, _ in rows]
+            assert r.owds(retransmitted_only=True).tolist() == [0.250, 0.300]
+            assert r.total_bytes == sum(n for _, n, _, _ in rows) == 7700
+            assert (r.start_time, r.end_time) == (0.5, 3.25)
+            # Closed windows: first-to-last, edges on deliveries, edges
+            # between deliveries.
+            for t0, t1 in [(None, None), (0.5, 2.0), (0.6, 1.9)]:
+                lo = 0.5 if t0 is None else t0
+                hi = 3.25 if t1 is None else t1
+                held = sum(n for t, n, _, _ in rows if lo <= t <= hi)
+                assert r.throughput_bps(t0, t1) == held * 8.0 / (hi - lo)
+        # The clone is live: it keeps recording on its own clock.
+        clone.sim.schedule(1.0, clone.on_delivery, 50, 0.01, True)
+        clone.sim.run()
+        assert clone.total_bytes == 7750 and rec.total_bytes == 7700
+        assert clone.owds().size == 8  # after owds(): columns still growable
 
 
 class TestCdf:

@@ -9,6 +9,7 @@ soft state behind.
 
 from __future__ import annotations
 
+import gc
 import pickle
 
 import pytest
@@ -237,7 +238,73 @@ def _run_pool(protocol="leotp", n_flows=150, seed=0, *, rate_per_s=150.0,
     return pool
 
 
+def _only_the_collector_frees(run):
+    """``run()`` with the cycle collector off: its result, and every object
+    that was unreachable afterwards yet not freed by reference count."""
+    gc.collect()
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    try:
+        result = run()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return result, list(gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+def _midnode_flow_state_in(garbage):
+    """Instances of what a Midnode keeps per flow among ``garbage`` (a
+    Consumer's own hole detector, part of its ring, is not the node's)."""
+    from repro.core import Consumer, PacedSender, SeqHoleDetector, TokenBucket
+    from repro.core.midnode import _FlowStamp, _FlowState, _SenderBacklog
+    from repro.core.paced import ResendSuppressor
+
+    consumers_own = {id(o.shr) for o in garbage if isinstance(o, Consumer)}
+    per_flow = (_FlowState, PacedSender, TokenBucket, _FlowStamp,
+                _SenderBacklog, ResendSuppressor, SeqHoleDetector)
+    return [
+        o for o in garbage
+        if isinstance(o, per_flow) and id(o) not in consumers_own
+    ]
+
+
 class TestFlowPool:
+    def test_retired_midnode_state_dies_by_refcount(self):
+        """A retired flow's Midnode state (sender, bucket, suppressor,
+        controller, hole detector) is freed when it retires, not when the
+        cycle collector next finds it; what stays cyclic per flow is the
+        Consumer <-> access-link ring (33 objects, DESIGN.md §6)."""
+        pool, garbage = _only_the_collector_frees(
+            lambda: _run_pool(n_flows=200, n_hops=5)
+        )
+        completed = pool.summary()["completed"]
+        assert len(pool.midnodes) == 5 and completed >= 190
+        assert _midnode_flow_state_in(garbage) == []
+        assert len(garbage) / completed <= 40  # 153 with the state ring
+
+    def test_crashed_midnode_state_dies_by_refcount(self):
+        def run():
+            spec = _poisson_spec(n_flows=200, rate_per_s=150.0)
+            sim = Simulator()
+            pool = FlowPool(
+                sim, RngRegistry(0), spec=spec,
+                hops=uniform_chain_specs(5, rate_bps=40e6, delay_s=0.004),
+            )
+            sim.run(until=0.7)
+            lost = [len(mid._flows) for mid in pool.midnodes]
+            for mid in pool.midnodes:
+                mid.crash()
+            return pool, lost
+
+        (pool, lost), garbage = _only_the_collector_frees(run)
+        assert min(lost) > 0  # every node was holding live flows
+        assert all(mid._flows == {} for mid in pool.midnodes)
+        assert _midnode_flow_state_in(garbage) == []
+
     def test_pool_sustains_1000_arrivals(self):
         """Acceptance: >= 1000 arrivals, >= 95 % completed, budget held."""
         pool = _run_pool(n_flows=1000, rate_per_s=300.0)
