@@ -19,6 +19,12 @@ beyond ``--mem-threshold`` (default 30 %, RSS being noisier than time)
 is a regression.  A benchmark missing the figure on either side is
 skipped — memory gating never fails on hosts without ``/proc``.
 
+So is the call count: ``extra_info.py_frames_per_packet_hop`` (Python
+frames per packet-hop of a small LEOTP transfer, an exact count — see
+``tools/frames_per_hop.py``) may grow by ``--frames-threshold`` (default
+5 %), which catches a trampoline creeping back onto the per-packet path
+even on a runner too noisy for the time gate.
+
 ``--pair BASE NEW`` is repeatable, so one invocation gates the whole
 perf surface (kernel + workload + shard) — that is how the CI
 benchmarks job calls it.  The two-positional form remains for single
@@ -55,8 +61,8 @@ def _fmt_time(seconds: float) -> str:
     return f"{seconds * 1e6:.1f}us"
 
 
-def _peak_rss(bench: dict) -> float | None:
-    value = bench.get("extra_info", {}).get("peak_rss_mib")
+def _extra(bench: dict, key: str) -> float | None:
+    value = bench.get("extra_info", {}).get(key)
     return float(value) if value is not None else None
 
 
@@ -65,8 +71,14 @@ def compare(
     new: dict[str, dict],
     threshold: float,
     mem_threshold: float = 0.30,
+    frames_threshold: float = 0.05,
 ) -> tuple[str, list[str]]:
     """Render a comparison table; return (table, regression messages)."""
+    # extra_info figures gated on growth: (key, label, unit, allowed growth).
+    extra_gates = (
+        ("peak_rss_mib", "peak RSS", "MiB", mem_threshold),
+        ("py_frames_per_packet_hop", "frames/packet-hop", "", frames_threshold),
+    )
     names = sorted(set(baseline) | set(new))
     width = max((len(n) for n in names), default=4)
     lines = [
@@ -103,20 +115,22 @@ def compare(
             f"{name.ljust(width)}  {_fmt_time(old_mean):>10}  "
             f"{_fmt_time(new_mean):>10}  {speedup:>7.2f}x  {verdict}"
         )
-        old_rss, new_rss = _peak_rss(old_bench), _peak_rss(new_bench)
-        if old_rss is not None and new_rss is not None and old_rss > 0:
-            growth = new_rss / old_rss - 1.0
-            if growth > mem_threshold:
-                mem_verdict = f"RSS REGRESSION (>{mem_threshold:.0%} more)"
+        for key, label, unit, limit in extra_gates:
+            old, cur = _extra(old_bench, key), _extra(new_bench, key)
+            if old is None or cur is None or old <= 0:
+                continue
+            growth = cur / old - 1.0
+            old_cell, new_cell = f"{old:.1f}{unit}", f"{cur:.1f}{unit}"
+            if growth > limit:
+                verdict = f"REGRESSION (>{limit:.0%} more)"
                 regressions.append(
-                    f"{name}: peak RSS {old_rss:.1f} MiB -> "
-                    f"{new_rss:.1f} MiB (+{growth:.0%})"
+                    f"{name}: {label} {old_cell} -> {new_cell} (+{growth:.0%})"
                 )
             else:
-                mem_verdict = "ok"
+                verdict = "ok"
             lines.append(
-                f"{''.ljust(width)}  {old_rss:>6.1f}MiB  {new_rss:>7.1f}MiB  "
-                f"{'':>8}  rss {mem_verdict}"
+                f"{''.ljust(width)}  {old_cell:>10}  {new_cell:>10}  "
+                f"{'':>8}  {label} {verdict}"
             )
     return "\n".join(lines), regressions
 
@@ -144,6 +158,11 @@ def main(argv: list[str] | None = None) -> int:
         help="allowed peak-RSS growth fraction before failing, for "
              "benchmarks recording extra_info.peak_rss_mib (default 0.30)",
     )
+    parser.add_argument(
+        "--frames-threshold", type=float, default=0.05,
+        help="allowed growth of extra_info.py_frames_per_packet_hop, an "
+             "exact count, before failing (default 0.05)",
+    )
     args = parser.parse_args(argv)
 
     pairs = [tuple(p) for p in args.pair]
@@ -160,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"== {baseline_path} vs {new_path} ==")
         table, regressions = compare(
             load_benchmarks(baseline_path), load_benchmarks(new_path),
-            args.threshold, args.mem_threshold,
+            args.threshold, args.mem_threshold, args.frames_threshold,
         )
         print(table)
         if len(pairs) > 1:
@@ -169,7 +188,8 @@ def main(argv: list[str] | None = None) -> int:
     if all_regressions:
         print(f"\n{len(all_regressions)} regression(s) beyond the "
               f"thresholds (time {args.threshold:.0%}, "
-              f"rss {args.mem_threshold:.0%}):", file=sys.stderr)
+              f"rss {args.mem_threshold:.0%}, "
+              f"frames {args.frames_threshold:.0%}):", file=sys.stderr)
         for msg in all_regressions:
             print(f"  {msg}", file=sys.stderr)
         return 1

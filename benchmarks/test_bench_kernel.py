@@ -227,8 +227,13 @@ def test_block_cache_fill(benchmark):
 # ----------------------------------------------------------------------
 
 
-def test_e2e_leotp_transfer(benchmark):
-    """A small fig12-style lossy multi-hop LEOTP run (whole stack)."""
+def test_e2e_leotp_transfer(benchmark, monkeypatch):
+    """A small fig12-style lossy multi-hop LEOTP run (whole stack): time,
+    peak RSS, and — a count, so no host noise — Python frames per
+    packet-hop of the 3-hop 300 kB transfer tier-1 fences."""
+    import importlib
+    import pathlib
+
     from repro.experiments.common import PathSpec, run_chain
     from repro.netsim.topology import uniform_chain_specs
     from repro.obs.rss import RssSampler
@@ -248,3 +253,8 @@ def test_e2e_leotp_transfer(benchmark):
     benchmark.extra_info["throughput_mbps"] = round(metrics.throughput_mbps, 2)
     if peak is not None:
         benchmark.extra_info["peak_rss_mib"] = round(peak / 2**20, 1)
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parent.parent / "tools"))
+    tool = importlib.import_module("frames_per_hop")
+    benchmark.extra_info["py_frames_per_packet_hop"] = round(
+        tool.measure(**tool.FENCE_FLOW)["py_frames_per_packet_hop"], 2
+    )

@@ -93,10 +93,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
 
-    @property
-    def byte_hit_rate(self) -> float:
-        return self.hit_bytes / self.lookup_bytes if self.lookup_bytes else 0.0
-
 
 class BlockCache:
     """Block cache keyed by (cache key, block index)."""
@@ -153,12 +149,13 @@ class BlockCache:
         """
         self.stats.insertions += 1
         block_bytes = self.block_bytes
-        for bidx in self._block_span(rng):
+        blocks = self._blocks
+        r_start, r_end = rng.start, rng.end
+        for bidx in range(r_start // block_bytes, (r_end - 1) // block_bytes + 1):
             bkey = (key, bidx)
-            block = self._blocks.get(bkey)
+            block = blocks.get(bkey)
             if block is None:
-                block = _Block()
-                self._blocks[bkey] = block
+                block = blocks[bkey] = _Block()
                 span = self._key_span.get(key)
                 if span is None:
                     self._key_span[key] = [bidx, bidx]
@@ -169,14 +166,14 @@ class BlockCache:
                 self._created += 1
                 block.seq = self._created
             else:
-                self._blocks.move_to_end(bkey)
+                blocks.move_to_end(bkey)
             block.freq += 1
             # The piece of ``rng`` in this block: ``rng`` itself unless it
             # straddles a block edge (every block of the span overlaps it).
             bstart = bidx * block_bytes
             bend = bstart + block_bytes
-            start = rng.start if rng.start > bstart else bstart
-            end = rng.end if rng.end < bend else bend
+            start = r_start if r_start > bstart else bstart
+            end = r_end if r_end < bend else bend
             pieces = block.pieces
             coverage = block.coverage
             if coverage is None and (not pieces or start >= pieces[-2]):
@@ -192,7 +189,8 @@ class BlockCache:
             self._stored_bytes += added
             if len(block.writers) > self.MAX_ORIGINS_PER_BLOCK:
                 self._compact(block)
-        self._evict_if_needed()
+        if self._stored_bytes > self.capacity_bytes:
+            self._evict_if_needed()
 
     def lookup(
         self,

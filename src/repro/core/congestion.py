@@ -15,16 +15,22 @@ Each hop's *Requester* (the node sending Interests on that hop) runs a
   (9) applied at Midnodes (``BL`` = sending-buffer backlog).
 
 The *Responder* paces Data with a :class:`TokenBucket` driven by the rate
-piggybacked on incoming Interests.
+piggybacked on incoming Interests.  Both run once per packet per hop, so
+each answers its caller in one step: a pacing decision is one
+:meth:`TokenBucket.take`, and the controller reads its sender's backlog
+as a plain attribute.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.config import LeotpConfig
 from repro.simcore.simulator import Simulator
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.paced import PacedSender
 
 SLOW_START = "SLOW_START"
 CONGESTION_AVOIDANCE = "CONGESTION_AVOIDANCE"
@@ -58,30 +64,34 @@ class TokenBucket:
         return min(self.burst_bytes, self._tokens + elapsed * self._rate)
 
     def set_rate(self, rate_bytes_s: float) -> None:
+        """Change the fill rate; tokens earned so far accrue at the old one."""
         if rate_bytes_s <= 0:
             raise ValueError("rate must be positive")
-        self._replenish()
+        now = self.sim.now
+        tokens = self._tokens + (now - self._last_update) * self._rate
+        if tokens > self.burst_bytes:
+            tokens = self.burst_bytes
+        self._tokens = tokens
+        self._last_update = now
         self._rate = rate_bytes_s
 
-    def _replenish(self) -> None:
+    def take(self, nbytes: int) -> float:
+        """Spend ``nbytes`` tokens if the bucket holds them.
+
+        Returns 0.0 when they were taken; otherwise the level is left
+        as it is and the result is the time, in seconds, until
+        ``nbytes`` will have accumulated at the current rate.
+        """
         now = self.sim.now
-        self._tokens = min(
-            self.burst_bytes, self._tokens + (now - self._last_update) * self._rate
-        )
+        tokens = self._tokens + (now - self._last_update) * self._rate
+        if tokens > self.burst_bytes:
+            tokens = self.burst_bytes
         self._last_update = now
-
-    def try_consume(self, nbytes: int) -> bool:
-        self._replenish()
-        if self._tokens >= nbytes:
-            self._tokens -= nbytes
-            return True
-        return False
-
-    def delay_until_available(self, nbytes: int) -> float:
-        """Seconds until ``nbytes`` tokens will have accumulated (0 if now)."""
-        self._replenish()
-        deficit = nbytes - self._tokens
-        return max(deficit / self._rate, 0.0)
+        if tokens >= nbytes:
+            self._tokens = tokens - nbytes
+            return 0.0
+        self._tokens = tokens
+        return (nbytes - tokens) / self._rate
 
 
 class HopRateController:
@@ -91,15 +101,17 @@ class HopRateController:
         self,
         sim: Simulator,
         config: LeotpConfig,
-        buffer_len_fn: Optional[Callable[[], int]] = None,
+        sender: Optional["PacedSender"] = None,
         name: str = "hopcc",
     ) -> None:
         self.sim = sim
         self.config = config
         self.name = name
-        # ``None`` marks an endpoint Requester (the Consumer): no sending
-        # buffer, so the backpressure bound does not apply.
-        self._buffer_len_fn = buffer_len_fn
+        # The node's own sending buffer for this flow (its
+        # ``backlog_bytes`` is the BL of equation (9)).  ``None`` marks an
+        # endpoint Requester (the Consumer): no sending buffer, so the
+        # backpressure bound does not apply.
+        self.sender = sender
         self.state = SLOW_START
         self.cwnd_bytes = float(config.initial_cwnd_packets * config.mss)
         self.hoprtt_s: Optional[float] = None       # EWMA
@@ -119,19 +131,20 @@ class HopRateController:
     # Measurement
     # ------------------------------------------------------------------
 
-    def _current_hoprtt(self) -> float:
-        return self.hoprtt_s if self.hoprtt_s is not None else self.config.initial_hoprtt_s
-
     def on_data(self, nbytes: int, hoprtt_sample: float) -> None:
         """Account one received Data packet with its hopRTT sample."""
+        rtt = self.hoprtt_s
         if hoprtt_sample > 0:
-            if self.hoprtt_s is None:
-                self.hoprtt_s = hoprtt_sample
+            if rtt is None:
+                rtt = hoprtt_sample
             else:
-                self.hoprtt_s += (hoprtt_sample - self.hoprtt_s) / 8.0
+                rtt += (hoprtt_sample - rtt) / 8.0
+            self.hoprtt_s = rtt
             self._update_min(hoprtt_sample)
+        elif rtt is None:
+            rtt = self.config.initial_hoprtt_s
         self._delivered_since_tick += nbytes
-        if self.sim.now - self._last_tick >= self._current_hoprtt():
+        if self.sim.now - self._last_tick >= rtt:
             self._tick()
 
     ROUTE_CHANGE_FACTOR = 1.2   # persistent RTT above min*this = new path
@@ -139,26 +152,28 @@ class HopRateController:
 
     def _update_min(self, sample: float) -> None:
         now = self.sim.now
-        window = self.config.hoprtt_min_window_s
+        samples = self._min_samples
         # Monotonic min-filter over the last ``window`` seconds.
-        while self._min_samples and self._min_samples[-1][1] >= sample:
-            self._min_samples.pop()
-        self._min_samples.append((now, sample))
-        while self._min_samples and self._min_samples[0][0] < now - window:
-            self._min_samples.popleft()
-        self.hoprtt_min_s = self._min_samples[0][1]
+        while samples and samples[-1][1] >= sample:
+            samples.pop()
+        samples.append((now, sample))
+        horizon = now - self.config.hoprtt_min_window_s
+        while samples[0][0] < horizon:
+            samples.popleft()
+        rtt_min = self.hoprtt_min_s = samples[0][1]
         # Route-change detection: after a LEO path switch the propagation
         # delay itself moves, and a stale minimum makes the new (longer)
         # path look permanently congested.  A sustained run of samples all
         # well above the minimum cannot be queueing we caused — queues we
         # cause drain within a hopRTT once the window backs off — so treat
         # it as a new path and restart the filter from the recent samples.
-        if sample > self.hoprtt_min_s * self.ROUTE_CHANGE_FACTOR:
+        if sample > rtt_min * self.ROUTE_CHANGE_FACTOR:
             self._high_rtt_streak += 1
-            self._streak_low = min(self._streak_low, sample)
+            if sample < self._streak_low:
+                self._streak_low = sample
             if self._high_rtt_streak >= self.ROUTE_CHANGE_SAMPLES:
-                self._min_samples.clear()
-                self._min_samples.append((now, self._streak_low))
+                samples.clear()
+                samples.append((now, self._streak_low))
                 self.hoprtt_min_s = self._streak_low
                 self._high_rtt_streak = 0
                 self._streak_low = float("inf")
@@ -181,7 +196,7 @@ class HopRateController:
         self.last_throughput_bytes_s = throughput
         self._delivered_since_tick = 0
         cfg = self.config
-        rtt = self._current_hoprtt()
+        rtt = self.hoprtt_s if self.hoprtt_s is not None else cfg.initial_hoprtt_s
         rtt_min = self.hoprtt_min_s if self.hoprtt_min_s is not None else rtt
         bdp = throughput * rtt_min
         queue_len = throughput * max(rtt - rtt_min, 0.0)
@@ -230,17 +245,23 @@ class HopRateController:
 
     def backpressure_rate(self) -> Optional[float]:
         """Equation (9), or None when it does not constrain this node."""
-        if self._buffer_len_fn is None or self.next_hop_rate_bytes_s is None:
+        sender = self.sender
+        next_hop = self.next_hop_rate_bytes_s
+        if sender is None or next_hop is None:
             return None
-        rtt = self._current_hoprtt()
-        bl = self._buffer_len_fn()
-        correction = (self.config.buffer_target_bytes - bl) / rtt
-        return self.next_hop_rate_bytes_s + self.config.backpressure_gain * correction
+        cfg = self.config
+        rtt = self.hoprtt_s if self.hoprtt_s is not None else cfg.initial_hoprtt_s
+        correction = (cfg.buffer_target_bytes - sender.backlog_bytes) / rtt
+        return next_hop + cfg.backpressure_gain * correction
 
     def sending_rate_bytes_s(self) -> float:
         """Equation (10): the rate piggybacked on Interests."""
-        rate = self.cwnd_bytes / self._current_hoprtt()
+        rtt = self.hoprtt_s
+        if rtt is None:
+            rtt = self.config.initial_hoprtt_s
+        rate = self.cwnd_bytes / rtt
         bp = self.backpressure_rate()
-        if bp is not None:
-            rate = min(rate, bp)
-        return max(rate, self.config.min_rate_bytes_s)
+        if bp is not None and bp < rate:
+            rate = bp
+        floor = self.config.min_rate_bytes_s
+        return rate if rate > floor else floor

@@ -137,25 +137,13 @@ class Consumer(Node):
     # Interest emission (window-limited, clocked by Data arrivals)
     # ------------------------------------------------------------------
 
-    def _have_more_to_request(self) -> bool:
-        return self.total_bytes is None or self._next_offset < self.total_bytes
-
-    def _request_rate_bytes_s(self) -> float:
-        """The rate piggybacked on Interests (last hop's controller).
-
-        The controller's delivery-gated growth bounds this at roughly
-        twice the path's delivery rate even when the bottleneck is remote
-        and the last hop never shows a queue.
-        """
-        return max(self.cc.sending_rate_bytes_s(), self.config.min_rate_bytes_s)
-
     def _outstanding_cap(self) -> float:
         # Interests in flight cover the *whole path* (request -> Producer ->
         # data back), so the window is the controlled rate times the
         # end-to-end Interest RTT (plus headroom), while the rate itself is
         # governed by the last hop's controller.  This bounds the backlog
         # any Responder can accumulate to a fraction of one RTT's worth.
-        rate = self._request_rate_bytes_s()
+        rate = self.cc.sending_rate_bytes_s()
         rtt_min = self._e2e_rtt_min()
         # The effective round trip includes the standing buffers Midnodes
         # deliberately hold (the BL_tar smoothing reservoir), which the
@@ -196,12 +184,14 @@ class Consumer(Node):
         :meth:`start` fills it once and a stalled path is woken by the TR
         tick's retransmissions, whose Data arrives through on_receive.
         """
-        while self._have_more_to_request() and (
-            self._outstanding_bytes + self.config.mss <= self._outstanding_cap()
+        mss = self.config.mss
+        total = self.total_bytes
+        while (total is None or self._next_offset < total) and (
+            self._outstanding_bytes + mss <= self._outstanding_cap()
         ):
-            end = self._next_offset + self.config.mss
-            if self.total_bytes is not None:
-                end = min(end, self.total_bytes)
+            end = self._next_offset + mss
+            if total is not None and end > total:
+                end = total
             rng = ByteRange.unchecked(self._next_offset, end)
             self._next_offset = end
             self._send_interest(rng, retransmission=False)
@@ -210,11 +200,12 @@ class Consumer(Node):
         if self.out_link is None:
             raise RuntimeError(f"consumer {self.name} has no outgoing link")
         now = self.sim.now
+        # The piggybacked rate is the last hop's controller's: its
+        # delivery-gated growth bounds it at roughly twice the path's
+        # delivery rate even when the bottleneck is remote and the last
+        # hop never shows a queue.
         interest = Interest(
-            self.flow_id, rng,
-            timestamp=now,
-            send_rate_bytes_s=self._request_rate_bytes_s(),
-            is_retransmission=retransmission,
+            self.flow_id, rng, now, self.cc.sending_rate_bytes_s(), retransmission
         )
         self.interests_sent += 1
         if retransmission:
@@ -223,7 +214,7 @@ class Consumer(Node):
         if state is None:
             state = _InterestState(rng, now, self.rto.rto_s)
             self._outstanding[rng.start] = state
-            self._outstanding_bytes += rng.length
+            self._outstanding_bytes += rng.end - rng.start
             if self._outstanding_bytes > self.max_outstanding_bytes:
                 self.max_outstanding_bytes = self._outstanding_bytes
         else:
@@ -285,20 +276,28 @@ class Consumer(Node):
         # hop-by-hop control Midnodes re-stamp per hop, so this measures the
         # last hop; with endpoint-only control (ablation C/D) timestamps
         # survive end-to-end and the same sum measures the full path.
-        sample = max(now - packet.timestamp, 0.0) + packet.echo_interest_owd
+        sample = now - packet.timestamp
+        if sample < 0.0:
+            sample = 0.0
+        sample += packet.echo_interest_owd
         if not self.config.hop_by_hop_cc and packet.retransmitted:
             # Endpoint-only control: a cache-served copy travelled a shorter
             # path, and its timestamp would poison the path's RTT minimum.
             sample = 0.0
-        self.cc.on_data(packet.payload_bytes, sample)
+        length = rng.end - rng.start
+        self.cc.on_data(length, sample)
         # SHR at the receiving endpoint: re-request confirmed holes now.
         actions = self.shr.on_packet(rng)
         for hole in actions.request:
             self._request_hole(hole)
-        # Delivery accounting (first arrival of each byte only):
-        # missing_within() yields exactly the not-yet-received sub-ranges.
-        new_bytes = sum(r.length for r in self._received.missing_within(rng))
-        self.duplicate_bytes_received += rng.length - new_bytes
+        # Delivery accounting (first arrival of each byte only): what the
+        # received set grows by is exactly the not-yet-received part.
+        received = self._received
+        before = len(received)
+        received.add(rng)
+        have = len(received)
+        new_bytes = have - before
+        self.duplicate_bytes_received += length - new_bytes
         if TRACER.enabled:
             TRACER.emit(
                 now, "data_recv", self.name, flow=self.flow_id,
@@ -313,19 +312,20 @@ class Consumer(Node):
                     now - packet.origin_ts,
                     retransmitted=packet.retransmitted,
                 )
-        self._received.add(rng)
         if self.deliver is not None:
-            new_next = self._received.first_missing_from(self._delivered_next)
+            new_next = received.first_missing_from(self._delivered_next)
             if new_next > self._delivered_next:
                 delta = new_next - self._delivered_next
                 self._delivered_next = new_next
                 self.deliver(delta, packet.origin_ts)
         self._satisfy(rng)
         self._fill_window()
+        total = self.total_bytes
         if (
-            self.total_bytes is not None
+            total is not None
+            and have >= total  # cheap necessary condition, per packet
             and self.completed_at is None
-            and self._received.contains(ByteRange(0, self.total_bytes))
+            and received.contains(ByteRange(0, total))
         ):
             self.completed_at = now
             if TRACER.enabled:
@@ -402,5 +402,6 @@ class Consumer(Node):
             if rtt > 0:
                 self._record_rtt_min(rtt)
                 self.rto.on_sample(rtt)
-        del self._outstanding[state.rng.start]
-        self._outstanding_bytes -= state.rng.length
+        rng = state.rng
+        del self._outstanding[rng.start]
+        self._outstanding_bytes -= rng.end - rng.start

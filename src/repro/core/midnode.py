@@ -8,7 +8,9 @@ Dropping it is as cheap on the host: :meth:`Midnode.retire_flow` and
 only reference cycle (state -> sender -> stamp -> state), so everything
 a flow held here is freed by reference count the moment it goes.
 
-Data path (paper Figs. 7 and 9):
+Data path (paper Figs. 7 and 9; :meth:`Midnode.receive` hands the two
+wire types straight to their handler and each handler resolves the flow,
+its state and the cache key once):
 
 * **Interest from downstream** — remember the downstream link for the
   flow, update the Responder-side Interest-OWD estimate and the token
@@ -28,7 +30,8 @@ pacing and leaves the piggybacked rate untouched (row C).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from repro.common.ranges import ByteRange, RangeSet
@@ -47,11 +50,15 @@ from repro.simcore.simulator import Simulator
 
 @dataclass
 class _FlowState:
-    """Soft per-flow state (tens of bytes in a real node)."""
+    """Soft per-flow state (tens of bytes in a real node).
+
+    The sender's stamp callback carries this record, so :meth:`Midnode._flow`
+    binds ``sender``, then the ``cc`` reading its backlog, after construction.
+    """
 
     shr: SeqHoleDetector
-    cc: HopRateController
-    sender: PacedSender
+    cc: HopRateController = None  # type: ignore[assignment]
+    sender: PacedSender = None  # type: ignore[assignment]
     downstream_link: Optional[Link] = None
     upstream_link: Optional[Link] = None
     interest_owd_est: float = 0.0
@@ -68,39 +75,6 @@ class _FlowState:
     # past the Consumer's RTO, and every timeout would re-serve bytes
     # already in flight — inflating the backlog that caused the timeouts.
     suppressor: ResendSuppressor = None  # type: ignore[assignment]
-
-
-class _SenderBacklog:
-    """Late-bound ``sender.backlog_bytes`` thunk.
-
-    A named class (not a closure) so a Midnode's flow state stays
-    picklable end to end — shard checkpointing serialises live flows,
-    and closures cannot cross a pickle boundary.  The sender is bound
-    after construction because the rate controller that consumes this
-    thunk is built before the sender it measures.
-    """
-
-    __slots__ = ("sender",)
-
-    def __init__(self) -> None:
-        self.sender: Optional[PacedSender] = None
-
-    def __call__(self) -> int:
-        sender = self.sender
-        return sender.backlog_bytes if sender is not None else 0
-
-
-class _FlowStamp:
-    """Late-bound per-flow stamp callback (picklable, see _SenderBacklog)."""
-
-    __slots__ = ("midnode", "state")
-
-    def __init__(self, midnode: "Midnode") -> None:
-        self.midnode = midnode
-        self.state: Optional[_FlowState] = None
-
-    def __call__(self, pkt: DataPacket) -> DataPacket:
-        return self.midnode._stamp(self.state, pkt)
 
 
 @dataclass
@@ -211,35 +185,27 @@ class Midnode(Node):
         state = self._flows.get(flow_id)
         if state is None:
             cfg = self.config
-            backlog = _SenderBacklog()
-            cc = HopRateController(
-                self.sim, cfg,
-                buffer_len_fn=backlog,
-                name=f"{self.name}:{flow_id}:cc",
+            state = _FlowState(
+                shr=SeqHoleDetector(cfg.shr_disorder_threshold, cfg.shr_max_holes),
+                queued=RangeSet(),
+                suppressor=ResendSuppressor(self.sim, cfg.responder_retx_suppress_s),
             )
-            stamp = _FlowStamp(self)
-            sender = PacedSender(
+            state.sender = PacedSender(
                 self.sim,
-                stamp=stamp,
+                # partial over the bound method (not a closure): flow state
+                # must survive pickling for shard checkpoint/resume.
+                stamp=partial(self._stamp, state),
                 paced=cfg.hop_by_hop_cc,
                 burst_bytes=3.0 * cfg.data_packet_bytes,
                 name=f"{self.name}:{flow_id}",
             )
-            backlog.sender = sender
-            state = _FlowState(
-                shr=SeqHoleDetector(cfg.shr_disorder_threshold, cfg.shr_max_holes),
-                cc=cc,
-                sender=sender,
-                queued=RangeSet(),
-                suppressor=ResendSuppressor(self.sim, cfg.responder_retx_suppress_s),
+            state.cc = HopRateController(
+                self.sim, cfg,
+                sender=state.sender,
+                name=f"{self.name}:{flow_id}:cc",
             )
-            stamp.state = state
             self._flows[flow_id] = state
         return state
-
-    def flow_backlog_bytes(self, flow_id: str) -> int:
-        state = self._flows.get(flow_id)
-        return state.sender.backlog_bytes if state else 0
 
     def _cache_key(self, flow_id: str) -> str:
         """Cache key for a flow: its bound object name, else the flow id."""
@@ -274,26 +240,43 @@ class Midnode(Node):
         return 0
 
     def _stamp(self, state: _FlowState, pkt: DataPacket) -> DataPacket:
-        if not pkt.is_header:
-            state.queued.remove(pkt.range)
-            state.suppressor.record(pkt.range)
-        if self.config.hop_by_hop_cc:
-            out = pkt.forwarded(self.sim.now, state.interest_owd_est)
-        else:
-            # Endpoint-only control (ablation row C): timestamps survive
-            # end-to-end so the Consumer measures the full path.
-            out = pkt.forwarded(pkt.timestamp, pkt.echo_interest_owd)
-        if out.is_header:
+        is_header = pkt.is_header
+        if is_header:
             self.stats.vph_sent += 1
         else:
+            rng = pkt.range
+            state.queued.remove(rng)
+            state.suppressor.record(rng)
             self.stats.data_forwarded += 1
-        return out
+        if self.config.hop_by_hop_cc:
+            return pkt.forwarded(self.sim.now, state.interest_owd_est)
+        # Endpoint-only control (ablation row C): timestamps survive
+        # end-to-end so the Consumer measures the full path.
+        return pkt.forwarded(pkt.timestamp, pkt.echo_interest_owd)
 
     # ------------------------------------------------------------------
     # Receive dispatch
     # ------------------------------------------------------------------
 
+    def receive(self, packet: Packet, link: Link) -> None:
+        """:meth:`Node.receive` with the LEOTP dispatch folded in: the two
+        wire types go straight to their handler, one frame per packet."""
+        if self.crashed:
+            self.packets_dropped_crashed += 1
+            return
+        self.packets_received += 1
+        kind = type(packet)
+        if self._handler is not None:
+            self._handler(packet, link)
+        elif kind is DataPacket:
+            self._on_data(packet, link)
+        elif kind is Interest:
+            self._on_interest(packet, link)
+        else:
+            self.on_receive(packet, link)
+
     def on_receive(self, packet: Packet, link: Link) -> None:
+        """Subclasses of the wire types; any other packet is ignored."""
         if isinstance(packet, Interest):
             self._on_interest(packet, link)
         elif isinstance(packet, DataPacket):
@@ -306,80 +289,86 @@ class Midnode(Node):
     def _on_interest(self, interest: Interest, link: Link) -> None:
         cfg = self.config
         now = self.sim.now
-        self.stats.interests_received += 1
-        state = self._flow(interest.flow_id)
+        stats = self.stats
+        stats.interests_received += 1
+        flow_id = interest.flow_id
+        rng = interest.range
+        rate = interest.send_rate_bytes_s
+        hop_cc = cfg.hop_by_hop_cc
+        state = self._flows.get(flow_id)
+        if state is None:
+            state = self._flow(flow_id)
         # Learn the downstream route (ICN breadcrumb).
         if link.reply_link is not None:
             state.downstream_link = link.reply_link
         # Responder-side measurements for this hop.
-        owd = max(now - interest.timestamp, 0.0)
+        owd = now - interest.timestamp
+        if owd < 0.0:
+            owd = 0.0
         if state.has_interest_owd:
             state.interest_owd_est += (owd - state.interest_owd_est) / 8.0
         else:
             state.interest_owd_est = owd
             state.has_interest_owd = True
-        state.last_downstream_rate = interest.send_rate_bytes_s
-        if cfg.hop_by_hop_cc:
-            state.sender.set_rate(interest.send_rate_bytes_s)
-            state.cc.next_hop_rate_bytes_s = interest.send_rate_bytes_s
+        state.last_downstream_rate = rate
+        if hop_cc:
+            state.sender.set_rate(rate)
+            state.cc.next_hop_rate_bytes_s = rate
         # Answer from the cache where possible.  The lookup key aliases
         # to the flow's object name under a content workload, so bytes
         # another flow fetched for the same object count as hits here.
-        remaining: list[ByteRange] = [interest.range]
+        remaining: list[ByteRange] = [rng]
         if cfg.enable_cache:
-            cross_mark = self.cache.stats.cross_hit_bytes
-            pieces = self.cache.lookup(
-                self._cache_key(interest.flow_id), interest.range,
-                requester=interest.flow_id,
+            cache = self.cache
+            cross_mark = cache.stats.cross_hit_bytes
+            pieces = cache.lookup(
+                flow_id if self.content is None else self._cache_key(flow_id),
+                rng, requester=flow_id,
             )
             if pieces:
                 covered = []
-                for rng, origin_ts in pieces:
-                    covered.append(rng)
-                    if state.queued.contains(rng):
+                sender = state.sender
+                queued = state.queued
+                downstream = state.downstream_link
+                for piece, origin_ts in pieces:
+                    covered.append(piece)
+                    if queued.contains(piece):
                         continue  # a copy is already queued for downstream
-                    if state.suppressor.suppressed(
-                        rng, state.sender.drain_time_s()
-                    ):
+                    if state.suppressor.suppressed(piece, sender.drain_time_s()):
                         continue  # a copy left the buffer moments ago
-                    self.stats.cache_responses += 1
+                    stats.cache_responses += 1
                     response = DataPacket(
-                        interest.flow_id, rng, timestamp=now,
+                        flow_id, piece, timestamp=now,
                         origin_ts=origin_ts, retransmitted=True,
                     )
-                    if state.downstream_link is not None:
-                        state.queued.add(rng)
-                        if not state.sender.enqueue(response, state.downstream_link):
-                            state.queued.remove(rng)
-                remaining = self._subtract(interest.range, covered)
+                    if downstream is not None:
+                        queued.add(piece)
+                        if not sender.enqueue(response, downstream):
+                            queued.remove(piece)
+                remaining = self._subtract(rng, covered)
             if TRACER.enabled:
                 miss_bytes = sum(r.length for r in remaining)
-                hit_bytes = interest.range.length - miss_bytes
+                hit_bytes = rng.length - miss_bytes
                 TRACER.emit(
                     now, "cache_hit" if hit_bytes > 0 else "cache_miss",
-                    self.name, flow=interest.flow_id,
-                    start=interest.range.start, end=interest.range.end,
+                    self.name, flow=flow_id, start=rng.start, end=rng.end,
                     hit_bytes=hit_bytes, miss_bytes=miss_bytes,
-                    cross_bytes=self.cache.stats.cross_hit_bytes - cross_mark,
+                    cross_bytes=cache.stats.cross_hit_bytes - cross_mark,
                 )
         # Forward the uncovered remainder upstream, re-stamped with this
         # node's own Requester rate.
-        upstream = self._upstream_for(interest.flow_id)
-        state.upstream_link = upstream
-        for rng in remaining:
-            if cfg.hop_by_hop_cc:
-                rate = state.cc.sending_rate_bytes_s()
-                ts = now
-            else:
-                rate = interest.send_rate_bytes_s
-                ts = interest.timestamp  # endpoint-measured path (row C)
-            fwd = Interest(
-                interest.flow_id, rng, timestamp=ts,
-                send_rate_bytes_s=rate,
-                is_retransmission=interest.is_retransmission,
-            )
-            self.stats.interests_forwarded += 1
-            upstream.send(fwd)
+        upstream = state.upstream_link = self._upstream_for(flow_id)
+        if not remaining:
+            return
+        if hop_cc:
+            rate = state.cc.sending_rate_bytes_s()
+            ts = now
+        else:
+            ts = interest.timestamp  # endpoint-measured path (row C)
+        retx = interest.is_retransmission
+        for piece in remaining:
+            stats.interests_forwarded += 1
+            upstream.send(Interest(flow_id, piece, ts, rate, retx))
 
     @staticmethod
     def _subtract(total: ByteRange, covered: list[ByteRange]) -> list[ByteRange]:
@@ -395,48 +384,57 @@ class Midnode(Node):
     def _on_data(self, packet: DataPacket, link: Link) -> None:
         cfg = self.config
         now = self.sim.now
-        state = self._flow(packet.flow_id)
-        if packet.is_header:
+        flow_id = packet.flow_id
+        rng = packet.range
+        is_header = packet.is_header
+        state = self._flows.get(flow_id)
+        if state is None:
+            state = self._flow(flow_id)
+        if is_header:
             self.stats.vph_received += 1
         else:
             self.stats.data_received += 1
             # Requester-side hopRTT sample for the upstream hop.
             if cfg.hop_by_hop_cc:
-                sample = max(now - packet.timestamp, 0.0) + packet.echo_interest_owd
+                sample = now - packet.timestamp
+                if sample < 0.0:
+                    sample = 0.0
+                sample += packet.echo_interest_owd
                 if sample > 0:
-                    state.cc.on_data(packet.payload_bytes, sample)
+                    state.cc.on_data(rng.end - rng.start, sample)
+        downstream = state.downstream_link
         if cfg.enable_cache:
-            actions = state.shr.on_packet(packet.range)
+            actions = state.shr.on_packet(rng)
             # VPHs go downstream ahead of the triggering packet.
             if cfg.enable_vph:
                 for hole in actions.announce:
                     if TRACER.enabled:
                         TRACER.emit(
-                            now, "vph_send", self.name, flow=packet.flow_id,
+                            now, "vph_send", self.name, flow=flow_id,
                             start=hole.start, end=hole.end,
                         )
-                    vph = DataPacket(
-                        packet.flow_id, hole, timestamp=now, is_header=True,
-                    )
-                    if state.downstream_link is not None:
-                        state.sender.enqueue(vph, state.downstream_link)
+                    vph = DataPacket(flow_id, hole, timestamp=now, is_header=True)
+                    if downstream is not None:
+                        state.sender.enqueue(vph, downstream)
             # Confirmed holes are re-requested from the upstream neighbour.
             for hole in actions.request:
-                self._send_retx_interest(state, packet.flow_id, hole)
-            if not packet.is_header:
+                self._send_retx_interest(state, flow_id, hole)
+            if not is_header:
                 self.cache.store(
-                    self._cache_key(packet.flow_id), packet.range,
-                    packet.origin_ts, writer=packet.flow_id,
+                    flow_id if self.content is None else self._cache_key(flow_id),
+                    rng, packet.origin_ts, writer=flow_id,
                 )
-        if state.downstream_link is not None:
-            if not packet.is_header and state.queued.contains(packet.range):
-                return  # an identical copy is already queued for downstream
-            if not packet.is_header:
-                state.queued.add(packet.range)
-                if not state.sender.enqueue(packet, state.downstream_link):
-                    state.queued.remove(packet.range)
-            else:
-                state.sender.enqueue(packet, state.downstream_link)
+        if downstream is None:
+            return
+        if is_header:
+            state.sender.enqueue(packet, downstream)
+            return
+        queued = state.queued
+        if queued.contains(rng):
+            return  # an identical copy is already queued for downstream
+        queued.add(rng)
+        if not state.sender.enqueue(packet, downstream):
+            queued.remove(rng)
 
     def _send_retx_interest(
         self, state: _FlowState, flow_id: str, hole: ByteRange

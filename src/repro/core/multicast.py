@@ -48,9 +48,9 @@ class _PitEntry:
 class _FanoutStamp:
     """Per-(flow, link) stamp callback for fan-out senders.
 
-    A named class (not a lambda) so multicast trees survive pickling —
-    the same pattern as ``midnode._FlowStamp``; see there for why shard
-    checkpointing forbids closures in live node state.
+    A named class (not a lambda) so multicast trees survive pickling:
+    shard checkpointing serialises live node state, and closures cannot
+    cross a pickle boundary.
     """
 
     __slots__ = ("midnode", "flow_id")

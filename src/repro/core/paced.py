@@ -4,7 +4,8 @@ Every node that responds with Data (Producer or Midnode) queues outgoing
 packets per flow in a :class:`PacedSender`.  The drain rate is the
 ``sendRate`` piggybacked on the latest Interest from the downstream
 Requester (paper Fig. 9); with hop-by-hop control disabled (ablation
-row C) the buffer drains immediately and only endpoints pace.
+row C) the buffer drains immediately and only endpoints pace.  A blocked
+drain asks the bucket once and sleeps the wait it names.
 """
 
 from __future__ import annotations
@@ -87,7 +88,10 @@ class PacedSender:
         self.bucket = TokenBucket(sim, initial_rate_bytes_s, burst_bytes)
         self.max_buffer_bytes = max_buffer_bytes
         self._queue: deque[DataPacket] = deque()
-        self._buffered_bytes = 0
+        # Current sending-buffer length (the BL of equation (9)).  A plain
+        # attribute, like ``Simulator.now``: the hop controller reads it
+        # per forwarded Interest; only this class writes it.
+        self.backlog_bytes = 0
         self._link = None
         # Drain ticks are fire-and-forget kernel events (no Event handle
         # allocated per packet); a generation counter invalidates pending
@@ -102,22 +106,17 @@ class PacedSender:
     # ------------------------------------------------------------------
 
     @property
-    def backlog_bytes(self) -> int:
-        """Current sending-buffer length (the BL of equation (9))."""
-        return self._buffered_bytes
-
-    @property
     def backlog_packets(self) -> int:
         return len(self._queue)
 
     def drain_time_s(self) -> float:
         """How long the current backlog takes to leave at the paced rate."""
-        if not self.paced or self._buffered_bytes == 0:
+        if not self.paced or self.backlog_bytes == 0:
             return 0.0
-        return self._buffered_bytes / self.bucket.rate_bytes_s
+        return self.backlog_bytes / self.bucket.rate_bytes_s
 
     def set_rate(self, rate_bytes_s: float) -> None:
-        self.bucket.set_rate(max(rate_bytes_s, 1.0))
+        self.bucket.set_rate(rate_bytes_s if rate_bytes_s > 1.0 else 1.0)
 
     def enqueue(self, packet: DataPacket, link) -> bool:
         """Queue ``packet`` for transmission on ``link``.
@@ -127,19 +126,20 @@ class PacedSender:
         Returns False when the buffer overflowed.
         """
         self._link = link
-        if self._buffered_bytes + packet.size_bytes > self.max_buffer_bytes:
+        backlog = self.backlog_bytes + packet.size_bytes
+        if backlog > self.max_buffer_bytes:
             self.packets_dropped += 1
             if TRACER.enabled:
                 TRACER.emit(
                     self.sim.now, "buffer_drop", self.name,
                     flow=packet.flow_id, start=packet.range.start,
-                    end=packet.range.end, backlog=self._buffered_bytes,
+                    end=packet.range.end, backlog=self.backlog_bytes,
                 )
             return False
         self._queue.append(packet)
-        self._buffered_bytes += packet.size_bytes
-        if self._buffered_bytes > self.max_backlog_bytes:
-            self.max_backlog_bytes = self._buffered_bytes
+        self.backlog_bytes = backlog
+        if backlog > self.max_backlog_bytes:
+            self.max_backlog_bytes = backlog
         self._drain()
         return True
 
@@ -151,7 +151,7 @@ class PacedSender:
         dropped = len(self._queue)
         self.packets_dropped += dropped
         self._queue.clear()
-        self._buffered_bytes = 0
+        self.backlog_bytes = 0
         self._drain_gen += 1  # any in-flight drain tick becomes stale
         self._drain_scheduled = False
         return dropped
@@ -171,26 +171,26 @@ class PacedSender:
     # ------------------------------------------------------------------
 
     def _drain(self) -> None:
-        while self._queue:
-            pkt = self._queue[0]
-            if self.paced and not self.bucket.try_consume(pkt.size_bytes):
-                self._schedule_drain(self.bucket.delay_until_available(pkt.size_bytes))
-                return
-            self._queue.popleft()
-            self._buffered_bytes -= pkt.size_bytes
+        queue = self._queue
+        while queue:
+            pkt = queue[0]
+            if self.paced:
+                wait = self.bucket.take(pkt.size_bytes)
+                if wait > 0.0:
+                    if not self._drain_scheduled:
+                        self._drain_scheduled = True
+                        self.sim.schedule_call(
+                            wait if wait > 1e-6 else 1e-6,
+                            self._drain_tick, self._drain_gen,
+                        )
+                    return
+            queue.popleft()
+            self.backlog_bytes -= pkt.size_bytes
             out = self._stamp(pkt)
             self.packets_sent += 1
             self.bytes_sent += out.size_bytes
             assert self._link is not None
             self._link.send(out)
-
-    def _schedule_drain(self, delay: float) -> None:
-        if self._drain_scheduled:
-            return
-        self._drain_scheduled = True
-        self.sim.schedule_call(
-            max(delay, 1e-6), self._drain_tick, self._drain_gen
-        )
 
     def _drain_tick(self, gen: int) -> None:
         if gen != self._drain_gen:

@@ -9,6 +9,7 @@ measurement, matching how the evaluation measures recovery delay.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
@@ -24,6 +25,26 @@ from repro.obs.tracer import TRACER
 from repro.simcore.simulator import Simulator
 
 
+@dataclass(slots=True)
+class _ProducerFlow:
+    """Everything the Producer holds for one flow, built and dropped as one."""
+
+    sender: PacedSender
+    # First-transmission timestamp of every byte range sent.
+    origins: BlockCache
+    # Re-serve damping (see ResendSuppressor): a range that left the
+    # buffer moments ago is still in flight; serving it again during a
+    # recovery storm only deepens the backlog that caused the timeouts.
+    suppressor: ResendSuppressor
+    # Responder-side Interest OWD estimate (None until the first Interest).
+    interest_owd: Optional[float] = None
+    served: RangeSet = field(default_factory=RangeSet)
+    # Ranges currently waiting in the sending buffer: duplicate
+    # Interests (TR re-requests racing a queued response) are absorbed
+    # instead of amplified.
+    queued: RangeSet = field(default_factory=RangeSet)
+
+
 class Producer(Node):
     """A LEOTP data source serving one or more flows."""
 
@@ -37,18 +58,7 @@ class Producer(Node):
         super().__init__(sim, name)
         self.config = config
         self.content_bytes = content_bytes  # None = unbounded content
-        self._senders: dict[str, PacedSender] = {}
-        self._interest_owd: dict[str, float] = {}
-        self._served: dict[str, RangeSet] = {}
-        self._origins: dict[str, BlockCache] = {}
-        # Ranges currently waiting in the sending buffer: duplicate
-        # Interests (TR re-requests racing a queued response) are absorbed
-        # instead of amplified.
-        self._queued: dict[str, RangeSet] = {}
-        # Re-serve damping (see ResendSuppressor): a range that left the
-        # buffer moments ago is still in flight; serving it again during a
-        # recovery storm only deepens the backlog that caused the timeouts.
-        self._suppressors: dict[str, ResendSuppressor] = {}
+        self._flows: dict[str, _ProducerFlow] = {}
         # Statistics (Fig. 11 measures "traffic the server actually sends").
         self.interests_received = 0
         self.wire_bytes_sent = 0
@@ -57,59 +67,55 @@ class Producer(Node):
 
     # ------------------------------------------------------------------
 
-    def _sender_for(self, flow_id: str) -> PacedSender:
-        sender = self._senders.get(flow_id)
-        if sender is None:
-            sender = PacedSender(
-                self.sim,
-                # partial over the bound method (not a lambda): flow state
-                # must survive pickling for shard checkpoint/resume.
-                stamp=partial(self._stamp, flow_id),
-                paced=True,
-                burst_bytes=3.0 * self.config.data_packet_bytes,
-                name=f"{self.name}:{flow_id}",
+    def _flow(self, flow_id: str) -> _ProducerFlow:
+        flow = self._flows.get(flow_id)
+        if flow is None:
+            cfg = self.config
+            flow = self._flows[flow_id] = _ProducerFlow(
+                PacedSender(
+                    self.sim,
+                    # partial over the bound method (not a lambda): flow state
+                    # must survive pickling for shard checkpoint/resume.
+                    stamp=partial(self._stamp, flow_id),
+                    paced=True,
+                    burst_bytes=3.0 * cfg.data_packet_bytes,
+                    name=f"{self.name}:{flow_id}",
+                ),
+                BlockCache(64 << 20, cfg.cache_block_bytes),
+                ResendSuppressor(self.sim, cfg.responder_retx_suppress_s),
             )
-            self._senders[flow_id] = sender
-        return sender
+        return flow
 
     def _stamp(self, flow_id: str, pkt: DataPacket) -> DataPacket:
         now = self.sim.now
-        queued = self._queued.get(flow_id)
-        if queued is not None:
-            queued.remove(pkt.range)
-        suppressor = self._suppressors.get(flow_id)
-        if suppressor is not None:
-            suppressor.record(pkt.range)
-        origin = pkt.origin_ts if pkt.retransmitted else now
-        if not pkt.retransmitted:
-            self._origins.setdefault(
-                flow_id,
-                BlockCache(64 << 20, self.config.cache_block_bytes),
-            ).store(flow_id, pkt.range, now)
+        rng = pkt.range
+        retransmitted = pkt.retransmitted
+        # A retired flow's sender is reset, so a live sender's flow exists.
+        flow = self._flows[flow_id]
+        flow.queued.remove(rng)
+        flow.suppressor.record(rng)
+        if retransmitted:
+            origin = pkt.origin_ts
+            self.retransmitted_packets += 1
+        else:
+            origin = now
+            flow.origins.store(flow_id, rng, now)
         out = DataPacket(
-            flow_id,
-            pkt.range,
-            timestamp=now,
-            is_header=False,
-            origin_ts=origin,
-            echo_interest_owd=self._interest_owd.get(flow_id, 0.0),
-            retransmitted=pkt.retransmitted,
+            flow_id, rng, now, False, origin,
+            flow.interest_owd or 0.0, retransmitted,
         )
         self.wire_bytes_sent += out.size_bytes
         self.data_packets_sent += 1
-        if out.retransmitted:
-            self.retransmitted_packets += 1
         if TRACER.enabled:
             TRACER.emit(
                 now, "data_send", self.name, flow=flow_id,
-                start=out.range.start, end=out.range.end,
-                retx=out.retransmitted,
+                start=rng.start, end=rng.end, retx=retransmitted,
             )
         return out
 
     def backlog_bytes(self, flow_id: str) -> int:
-        sender = self._senders.get(flow_id)
-        return sender.backlog_bytes if sender else 0
+        flow = self._flows.get(flow_id)
+        return flow.sender.backlog_bytes if flow else 0
 
     def retire_flow(self, flow_id: str) -> None:
         """Release every per-flow structure of a completed flow.
@@ -119,14 +125,9 @@ class Producer(Node):
         served-RangeSet, and an origin cache per flow forever.  Stragglers
         (a TR re-request racing completion) simply rebuild fresh state.
         """
-        sender = self._senders.pop(flow_id, None)
-        if sender is not None:
-            sender.reset()
-        self._interest_owd.pop(flow_id, None)
-        self._served.pop(flow_id, None)
-        self._origins.pop(flow_id, None)
-        self._queued.pop(flow_id, None)
-        self._suppressors.pop(flow_id, None)
+        flow = self._flows.pop(flow_id, None)
+        if flow is not None:
+            flow.sender.reset()
 
     # ------------------------------------------------------------------
 
@@ -135,43 +136,41 @@ class Producer(Node):
             return
         self.interests_received += 1
         now = self.sim.now
-        flow = packet.flow_id
+        flow_id = packet.flow_id
+        flow = self._flows.get(flow_id)
+        if flow is None:
+            flow = self._flow(flow_id)
         # Responder-side Interest OWD estimate (half of the hopRTT sample).
-        owd = max(now - packet.timestamp, 0.0)
-        prev = self._interest_owd.get(flow)
-        self._interest_owd[flow] = owd if prev is None else prev + (owd - prev) / 8.0
-        sender = self._sender_for(flow)
+        owd = now - packet.timestamp
+        if owd < 0.0:
+            owd = 0.0
+        prev = flow.interest_owd
+        flow.interest_owd = owd if prev is None else prev + (owd - prev) / 8.0
+        sender = flow.sender
         sender.set_rate(packet.send_rate_bytes_s)
         reply_link = self._reply_link(link)
-        served = self._served.setdefault(flow, RangeSet())
         rng = self._clip_to_content(packet.range)
         if rng is None:
             return
-        queued = self._queued.setdefault(flow, RangeSet())
-        suppressor = self._suppressors.get(flow)
-        if suppressor is None:
-            suppressor = self._suppressors[flow] = ResendSuppressor(
-                self.sim, self.config.responder_retx_suppress_s
-            )
+        served = flow.served
+        queued = flow.queued
         for chunk in rng.split(self.config.mss):
             if queued.contains(chunk):
                 continue  # a response for this range is already queued
             retransmitted = served.contains(chunk)
-            if retransmitted and suppressor.suppressed(
+            if retransmitted and flow.suppressor.suppressed(
                 chunk, sender.drain_time_s()
             ):
                 continue  # a copy left the buffer moments ago
             origin_ts = now
             if retransmitted:
-                origins = self._origins.get(flow)
-                if origins is not None:
-                    pieces = origins.lookup(flow, chunk)
-                    if pieces:
-                        origin_ts = min(ts for _, ts in pieces)
+                pieces = flow.origins.lookup(flow_id, chunk)
+                if pieces:
+                    origin_ts = min(ts for _, ts in pieces)
             else:
                 served.add(chunk)
             proto = DataPacket(
-                flow, chunk, timestamp=now,
+                flow_id, chunk, timestamp=now,
                 origin_ts=origin_ts, retransmitted=retransmitted,
             )
             # Mark as queued *before* enqueueing: the sender may drain (and

@@ -71,7 +71,6 @@ class Interest(LeotpPacket):
         self.dst = None
         self.created_at = timestamp
         self.uid = next_packet_uid()
-        self.hops = 0
         self.flow_id = flow_id
         self.range = rng
         self.timestamp = timestamp
@@ -82,7 +81,7 @@ class Interest(LeotpPacket):
         """A copy re-stamped by a forwarding node (per-hop rewrite)."""
         return Interest(
             self.flow_id, self.range, timestamp, send_rate_bytes_s,
-            is_retransmission=self.is_retransmission,
+            self.is_retransmission,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -125,7 +124,6 @@ class DataPacket(LeotpPacket):
         self.dst = None
         self.created_at = timestamp
         self.uid = next_packet_uid()
-        self.hops = 0
         self.flow_id = flow_id
         self.range = rng
         self.timestamp = timestamp
@@ -141,11 +139,8 @@ class DataPacket(LeotpPacket):
     def forwarded(self, timestamp: float, echo_interest_owd: float) -> "DataPacket":
         """A copy re-stamped by a forwarding node (per-hop rewrite)."""
         return DataPacket(
-            self.flow_id, self.range, timestamp,
-            is_header=self.is_header,
-            origin_ts=self.origin_ts,
-            echo_interest_owd=echo_interest_owd,
-            retransmitted=self.retransmitted,
+            self.flow_id, self.range, timestamp, self.is_header,
+            self.origin_ts, echo_interest_owd, self.retransmitted,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

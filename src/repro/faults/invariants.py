@@ -248,8 +248,8 @@ class InvariantMonitor:
 
     def responder_senders(self):
         """(name, PacedSender) pairs for every Responder on the path."""
-        for flow_id, sender in self.producer._senders.items():
-            yield f"{self.producer.name}:{flow_id}", sender
+        for flow_id, flow in self.producer._flows.items():
+            yield f"{self.producer.name}:{flow_id}", flow.sender
         for mid in self.midnodes:
             for flow_id, state in mid._flows.items():
                 yield f"{mid.name}:{flow_id}", state.sender

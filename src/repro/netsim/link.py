@@ -5,6 +5,11 @@ transmitter (``size*8/rate`` per packet), a fixed or mutable propagation
 delay, Bernoulli packet loss, and a finite drop-tail byte queue.  Loss is
 applied after serialisation (the bits were sent but corrupted en route),
 which matches how loss interacts with queue occupancy on real links.
+The Bernoulli draws are fetched from the link's generator 256 at a time
+and handed out in order: the doubles scalar ``random()`` calls would
+return, in the same order, at a twentieth of the cost — exact because
+the stream has no other reader (one generator per link direction, true
+of every topology builder and fault; DESIGN.md "Performance model").
 
 ``delay_s`` is a plain attribute so constellation drivers can retune it as
 satellites move; packets already in flight keep the delay they departed
@@ -15,7 +20,7 @@ protocols must tolerate.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -41,16 +46,15 @@ class LinkStats:
     bytes_offered: int = 0
     bytes_delivered: int = 0
     busy_time_s: float = 0.0
-    queue_byte_seconds: float = 0.0  # integral of queue bytes over time
     max_queue_bytes: int = 0
-    _last_queue_change: float = field(default=0.0, repr=False)
 
     def utilisation(self, elapsed_s: float) -> float:
         """Fraction of ``elapsed_s`` spent transmitting."""
         return self.busy_time_s / elapsed_s if elapsed_s > 0 else 0.0
 
-    def mean_queue_bytes(self, elapsed_s: float) -> float:
-        return self.queue_byte_seconds / elapsed_s if elapsed_s > 0 else 0.0
+
+#: Loss draws fetched from a link's generator per refill.
+_LOSS_DRAW_BLOCK = 256
 
 
 def _trace_drop(link: "Link", packet: Packet, reason: str) -> None:
@@ -117,6 +121,8 @@ class Link:
         # (see repro.faults.loss.GilbertElliottLoss).
         self.loss_model: Optional[Callable[[Packet], bool]] = None
         self._rng = rng
+        # Unread draws of the current block, next one last (module docstring).
+        self._draws: list[float] = []
         self._queue: deque[Packet] = deque()
         self._queued_bytes = 0
         self._busy = False
@@ -139,9 +145,6 @@ class Link:
     @property
     def queued_packets(self) -> int:
         return len(self._queue)
-
-    def current_rate_bps(self) -> float:
-        return self.profile.rate_at(self.sim.now)
 
     # ------------------------------------------------------------------
     # Data path
@@ -168,13 +171,18 @@ class Link:
                 if TRACER.enabled:
                     _trace_drop(self, packet, "queue")
                 return False
-            self._account_queue_change()
             self._queue.append(packet)
             self._queued_bytes += size
             if self._queued_bytes > stats.max_queue_bytes:
                 stats.max_queue_bytes = self._queued_bytes
             return True
-        self._start_transmission(packet)
+        self._busy = True
+        sim = self.sim
+        tx_time = size * 8.0 / self.profile.rate_at(sim.now)
+        stats.busy_time_s += tx_time
+        # Fire-and-forget: serialisation completions are never cancelled
+        # (flush() only touches queued and in-flight packets).
+        sim.schedule_call(tx_time, self._finish_transmission, packet)
         return True
 
     def flush(self, drop_inflight: bool = False) -> int:
@@ -183,7 +191,6 @@ class Link:
         Models path switching: packets buffered on a departing satellite are
         lost.  Returns the number of packets dropped.
         """
-        self._account_queue_change()
         dropped = len(self._queue)
         self.stats.packets_dropped_flush += dropped
         if TRACER.enabled:
@@ -204,23 +211,6 @@ class Link:
     # Internals
     # ------------------------------------------------------------------
 
-    def _account_queue_change(self) -> None:
-        now = self.sim.now
-        stats = self.stats
-        stats.queue_byte_seconds += self._queued_bytes * (
-            now - stats._last_queue_change
-        )
-        stats._last_queue_change = now
-
-    def _start_transmission(self, packet: Packet) -> None:
-        self._busy = True
-        rate = self.profile.rate_at(self.sim.now)
-        tx_time = packet.size_bytes * 8.0 / rate
-        self.stats.busy_time_s += tx_time
-        # Fire-and-forget: serialisation completions are never cancelled
-        # (flush() only touches queued and in-flight packets).
-        self.sim.schedule_call(tx_time, self._finish_transmission, packet)
-
     def set_loss(self, plr: float, rng: Optional[np.random.Generator] = None) -> None:
         """Retune the Bernoulli loss rate at runtime (fault injection).
 
@@ -229,8 +219,9 @@ class Link:
         """
         if not 0 <= plr < 1:
             raise ValueError(f"plr must be in [0, 1), got {plr}")
-        if rng is not None:
+        if rng is not None and rng is not self._rng:
             self._rng = rng
+            self._draws.clear()  # they belong to the generator replaced
         if plr > 0 and self._rng is None:
             raise ValueError("a loss rng is required when plr > 0")
         self.plr = plr
@@ -238,25 +229,31 @@ class Link:
     def _finish_transmission(self, packet: Packet) -> None:
         # The loss model is consulted for every packet (not only Bernoulli
         # survivors) so correlated processes observe every transmission.
-        model_lost = self.loss_model is not None and self.loss_model(packet)
-        lost = model_lost or (
-            self.plr > 0 and self._rng is not None and self._rng.random() < self.plr
-        )
+        model = self.loss_model
+        plr = self.plr
+        stats = self.stats
+        sim = self.sim
+        lost = model is not None and model(packet)
+        if not lost and plr > 0 and self._rng is not None:
+            draws = self._draws
+            if not draws:
+                draws.extend(self._rng.random(_LOSS_DRAW_BLOCK)[::-1].tolist())
+            lost = draws.pop() < plr
         if lost:
-            self.stats.packets_dropped_loss += 1
+            stats.packets_dropped_loss += 1
             if TRACER.enabled:
                 _trace_drop(self, packet, "loss")
         else:
             self._inflight_count += 1
-            self.sim.schedule_call(
-                self.delay_s, self._deliver, packet, self._flush_gen
-            )
+            sim.schedule_call(self.delay_s, self._deliver, packet, self._flush_gen)
         # Pull the next packet from the queue, if any.
         if self._queue:
-            self._account_queue_change()
             nxt = self._queue.popleft()
-            self._queued_bytes -= nxt.size_bytes
-            self._start_transmission(nxt)
+            size = nxt.size_bytes
+            self._queued_bytes -= size
+            tx_time = size * 8.0 / self.profile.rate_at(sim.now)
+            stats.busy_time_s += tx_time
+            sim.schedule_call(tx_time, self._finish_transmission, nxt)
         else:
             self._busy = False
 
@@ -266,9 +263,9 @@ class Link:
             # dropped there.
             return
         self._inflight_count -= 1
-        self.stats.packets_delivered += 1
-        self.stats.bytes_delivered += packet.size_bytes
-        packet.hops += 1
+        stats = self.stats
+        stats.packets_delivered += 1
+        stats.bytes_delivered += packet.size_bytes
         self.dst.receive(packet, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

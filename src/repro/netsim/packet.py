@@ -30,7 +30,7 @@ class Packet:
         uid: globally unique packet id (diagnostics only).
     """
 
-    __slots__ = ("size_bytes", "src", "dst", "created_at", "uid", "hops")
+    __slots__ = ("size_bytes", "src", "dst", "created_at", "uid")
 
     def __init__(
         self,
@@ -46,7 +46,6 @@ class Packet:
         self.dst = dst
         self.created_at = created_at
         self.uid = next(_packet_ids)
-        self.hops = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -277,8 +277,8 @@ class FlowPool:
         for mid in self.midnodes:
             for state in mid._flows.values():
                 total += state.sender.backlog_bytes
-        for sender in self.producer._senders.values():
-            total += sender.backlog_bytes
+        for flow in self.producer._flows.values():
+            total += flow.sender.backlog_bytes
         return total
 
     def _spawn_next(self) -> None:

@@ -204,6 +204,34 @@ class TestRowsDigest:
         assert f"!= {mine}" in out and "rows differ: fig02" in err
 
 
+class TestBenchCompare:
+    def test_frames_per_packet_hop_is_gated_like_peak_rss(self, monkeypatch, tmp_path):
+        """``benchmarks/compare.py``: growth of the exact call count beyond
+        ``--frames-threshold`` fails the gate even when the times are
+        equal; a side that lacks the figure skips it."""
+        import json
+
+        monkeypatch.syspath_prepend(
+            str(pathlib.Path(__file__).parent.parent / "benchmarks")
+        )
+        tool = importlib.import_module("compare")
+
+        def point(name, frames):
+            extra = {} if frames is None else {"py_frames_per_packet_hop": frames}
+            path = tmp_path / name
+            path.write_text(json.dumps({"benchmarks": [
+                {"name": "e2e", "stats": {"mean": 1.0}, "extra_info": extra},
+            ]}))
+            return str(path)
+
+        base = point("base.json", 26.6)
+        assert tool.main([base, point("same.json", 27.5)]) == 0
+        assert tool.main([base, point("crept.json", 28.1)]) == 1
+        assert tool.main([base, point("crept.json", 28.1),
+                          "--frames-threshold", "0.10"]) == 0
+        assert tool.main([point("old.json", None), point("new.json", 40.0)]) == 0
+
+
 class TestRegistry:
     def test_all_experiments_registered(self):
         expected = {

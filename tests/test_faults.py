@@ -358,6 +358,11 @@ class TestRestoresSurviveCheckpoint:
         world = (sim, path, injector)
         sim.run(until=0.2)  # inside all six windows
         assert len(injector.log) == 6
+        # The burst links are mid-block: their unread loss draws go along.
+        assert any(
+            0 < len(link._draws) < 256
+            for duplex in path.links for link in (duplex.ab, duplex.ba)
+        )
         clone = pickle.loads(pickle.dumps(world))
         assert self._state(clone) == self._state(world)
         for s, _, _ in (world, clone):

@@ -14,6 +14,7 @@ from repro.core import (
 )
 from repro.netsim.link import DuplexLink
 from repro.netsim.node import SinkNode
+from repro.netsim.packet import Packet
 from repro.netsim.topology import uniform_chain_specs
 from repro.simcore import RngRegistry, Simulator
 
@@ -270,6 +271,45 @@ class TestMidnode:
             and p.range.start == 2800
         ][0]
         assert idx_vph < downstream_sink.received.index(data_oo)
+
+    def test_crashed_node_drops_without_touching_flow_state(self):
+        sim = Simulator()
+        producer, midnode, consumer = self.build_triple(sim)
+        midnode.crash()
+        interest = Interest("flow", ByteRange(0, 1400), 0.0, 1e6)
+        data = DataPacket("flow", ByteRange(0, 1400), 0.0)
+        for packet in (interest, data, Packet(100)):
+            midnode.receive(packet, consumer.out_link)
+        assert midnode.packets_dropped_crashed == 3
+        assert midnode.packets_received == 0
+        assert midnode._flows == {} and midnode.cache.stored_bytes == 0
+        assert midnode.stats.interests_received == midnode.stats.data_received == 0
+
+    def test_receive_dispatch(self):
+        """The wire types go straight to their handlers; a subclass of
+        one, and any other packet, still reaches ``on_receive`` (which
+        serves the first and ignores the second); a handler installed
+        with ``set_handler`` takes everything."""
+        class TaggedInterest(Interest):
+            __slots__ = ()
+
+        sim = Simulator()
+        producer, midnode, consumer = self.build_triple(sim)
+        seen = []
+        on_receive = midnode.on_receive
+        midnode.on_receive = lambda pkt, link: (seen.append(pkt), on_receive(pkt, link))
+        plain = Interest("flow", ByteRange(0, 1400), 0.0, 1e6)
+        tagged = TaggedInterest("flow", ByteRange(1400, 2800), 0.0, 1e6)
+        other = Packet(100)
+        for packet in (plain, tagged, other):
+            midnode.receive(packet, consumer.out_link)
+        assert seen == [tagged, other]
+        assert midnode.packets_received == 3
+        assert midnode.stats.interests_received == 2
+        handled = []
+        midnode.set_handler(lambda pkt, link: handled.append(pkt))
+        midnode.receive(plain, consumer.out_link)
+        assert handled == [plain] and midnode.stats.interests_received == 2
 
 
 class TestEndToEndWiring:

@@ -1,5 +1,7 @@
 """Unit tests for LEOTP components: wire formats, SHR, cache, pacing, CC."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -312,28 +314,29 @@ class TestTokenBucket:
     def test_burst_allows_immediate_send(self):
         sim = Simulator()
         bucket = TokenBucket(sim, 1000.0, burst_bytes=3000.0)
-        assert bucket.try_consume(2000)
+        assert bucket.take(2000) == 0.0
 
     def test_exhausted_bucket_blocks(self):
         sim = Simulator()
         bucket = TokenBucket(sim, 1000.0, burst_bytes=1000.0)
-        assert bucket.try_consume(1000)
-        assert not bucket.try_consume(1)
+        assert bucket.take(1000) == 0.0
+        assert bucket.take(1) > 0.0
 
     def test_replenishes_at_rate(self):
         sim = Simulator()
         bucket = TokenBucket(sim, 1000.0, burst_bytes=1000.0)
-        bucket.try_consume(1000)
+        bucket.take(1000)
         sim.schedule(0.5, lambda: None)
         sim.run()
-        assert bucket.try_consume(500)
-        assert not bucket.try_consume(200)
+        assert bucket.take(500) == 0.0
+        assert bucket.take(200) > 0.0
 
-    def test_delay_until_available(self):
+    def test_refused_take_returns_the_wait(self):
         sim = Simulator()
         bucket = TokenBucket(sim, 1000.0, burst_bytes=1000.0)
-        bucket.try_consume(1000)
-        assert bucket.delay_until_available(500) == pytest.approx(0.5)
+        bucket.take(1000)
+        assert bucket.take(500) == pytest.approx(0.5)
+        assert bucket.tokens_available == 0.0  # a refusal spends nothing
 
     def test_set_rate(self):
         sim = Simulator()
@@ -436,8 +439,8 @@ class TestHopRateController:
 
     def test_backpressure_formula(self):
         cfg = LeotpConfig()
-        backlog = [cfg.buffer_target_bytes + 14_000]
-        cc = HopRateController(Simulator(), cfg, buffer_len_fn=lambda: backlog[0])
+        sender = SimpleNamespace(backlog_bytes=cfg.buffer_target_bytes + 14_000)
+        cc = HopRateController(Simulator(), cfg, sender=sender)
         cc.next_hop_rate_bytes_s = 1_000_000.0
         cc.hoprtt_s = 0.02
         bp = cc.backpressure_rate()
@@ -446,8 +449,8 @@ class TestHopRateController:
 
     def test_backpressure_caps_rate(self):
         cfg = LeotpConfig()
-        backlog = [cfg.buffer_target_bytes * 100]
-        cc = HopRateController(Simulator(), cfg, buffer_len_fn=lambda: backlog[0])
+        sender = SimpleNamespace(backlog_bytes=cfg.buffer_target_bytes * 100)
+        cc = HopRateController(Simulator(), cfg, sender=sender)
         cc.next_hop_rate_bytes_s = 1_000_000.0
         cc.hoprtt_s = 0.02
         assert cc.sending_rate_bytes_s() == cfg.min_rate_bytes_s

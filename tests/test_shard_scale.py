@@ -342,15 +342,16 @@ def test_resume_refuses_corrupt_manifest(tmp_path):
         checkpoint_every=1, stop_after_epoch=0,
     )
     manifest_path = os.path.join(ckpt, "manifest.json")
-    # The directory as the previous build wrote it (format 3: the same
-    # header and entries, but shard pickles holding the object-graph
-    # cache blocks and delivery records) is refused by name too.
+    # The directory as the previous build wrote it (format 4: the same
+    # header and entries, but shard pickles whose links, token buckets,
+    # hop controllers and per-flow records have the old layout) is
+    # refused by name too.
     with open(manifest_path) as fh:
         header = json.load(fh)
-    assert header["format"] == 4
+    assert header["format"] == 5
     with open(manifest_path, "w") as fh:
-        json.dump({**header, "format": 3}, fh)
-    refusal = r"unsupported checkpoint format 3 \(this build reads format 4\)"
+        json.dump({**header, "format": 4}, fh)
+    refusal = r"unsupported checkpoint format 4 \(this build reads format 5\)"
     with pytest.raises(CheckpointError, match=refusal):
         resume_point(ckpt, PLAN)
     with pytest.raises(CheckpointError, match=refusal):
@@ -375,7 +376,7 @@ def test_resume_refuses_corrupt_manifest(tmp_path):
     }
     with open(manifest_path, "w") as fh:
         json.dump(stale, fh)
-    refusal = r"unsupported checkpoint format 2 \(this build reads format 4\)"
+    refusal = r"unsupported checkpoint format 2 \(this build reads format 5\)"
     with pytest.raises(CheckpointError, match=refusal):
         resume_point(ckpt, PLAN)
     with pytest.raises(CheckpointError, match=refusal):

@@ -260,12 +260,12 @@ def _midnode_flow_state_in(garbage):
     """Instances of what a Midnode keeps per flow among ``garbage`` (a
     Consumer's own hole detector, part of its ring, is not the node's)."""
     from repro.core import Consumer, PacedSender, SeqHoleDetector, TokenBucket
-    from repro.core.midnode import _FlowStamp, _FlowState, _SenderBacklog
+    from repro.core.midnode import _FlowState
     from repro.core.paced import ResendSuppressor
 
     consumers_own = {id(o.shr) for o in garbage if isinstance(o, Consumer)}
-    per_flow = (_FlowState, PacedSender, TokenBucket, _FlowStamp,
-                _SenderBacklog, ResendSuppressor, SeqHoleDetector)
+    per_flow = (_FlowState, PacedSender, TokenBucket, ResendSuppressor,
+                SeqHoleDetector)
     return [
         o for o in garbage
         if isinstance(o, per_flow) and id(o) not in consumers_own
@@ -314,7 +314,7 @@ class TestFlowPool:
         assert summary["budget_peak_bytes"] <= pool.budget.ceiling_bytes
         assert summary["budget_breaches"] == 0
         # Retirement left no per-flow soft state on the shared nodes.
-        assert pool.producer._senders == {}
+        assert pool.producer._flows == {}
         for mid in pool.midnodes:
             assert mid._flows == {}
 
@@ -475,7 +475,7 @@ class TestFlowAborts:
             summary["arrivals"]
             == summary["completed"] + summary["aborted"]
         )
-        assert pool.producer._senders == {}
+        assert pool.producer._flows == {}
         for mid in pool.midnodes:
             assert mid._flows == {}
 
