@@ -314,7 +314,7 @@ def content_summary(rows: Sequence[dict], title: str = "content") -> str:
         lines.append(
             f"sharded cell: {len(shards)} shards, cross-flow hit ratio "
             f"{min(ratios):.3f}..{max(ratios):.3f} per shard; rows are "
-            f"bit-identical for any LEOTP_SHARD_JOBS and across resume"
+            f"bit-identical for any --shard-jobs and across resume"
         )
     return "\n".join(lines)
 

@@ -83,6 +83,27 @@ def midnode_positions(n_intermediate: int, coverage: float) -> list[bool]:
     return flags
 
 
+def wire_leotp_chain(
+    sim: Simulator,
+    rng: RngRegistry,
+    nodes: Sequence[Node],
+    hops: Sequence[HopSpec],
+) -> list[DuplexLink]:
+    """Link ``nodes`` with ``hops`` and point every Midnode upstream.
+
+    ``nodes[0]`` is the responder end (a Producer or an ingress
+    gateway): forwarders relay straight through, and each Midnode sends
+    its Interests toward ``nodes[0]`` on the ``.ba`` direction of the
+    link on its responder side.
+    """
+    links = build_chain(sim, nodes, list(hops), rng)
+    wire_chain_forwarders(nodes, links)
+    for link, node in zip(links, nodes[1:]):
+        if isinstance(node, Midnode):
+            node.set_upstream(link.ba)
+    return links
+
+
 def build_leotp_path(
     sim: Simulator,
     rng: RngRegistry,
@@ -118,13 +139,9 @@ def build_leotp_path(
         start_time=start_time, stop_time=stop_time,
     )
     nodes: list[Node] = [producer, *intermediates, consumer]
-    links = build_chain(sim, nodes, list(hops), rng)
-    wire_chain_forwarders(nodes, links)
+    links = wire_leotp_chain(sim, rng, nodes, hops)
     # Interests flow consumer -> producer on the .ba directions.
     consumer.out_link = links[-1].ba
-    for i, node in enumerate(intermediates):
-        if isinstance(node, Midnode):
-            node.set_upstream(links[i].ba)
     path = LeotpPath(producer, intermediates, consumer, recorder, links)
     if METRICS.enabled:
         # Observation is read-only: samplers never touch protocol state,

@@ -7,6 +7,7 @@ Usage::
     python -m repro.experiments --scale 1.0 fig16
     python -m repro.experiments --jobs 8        # process-pool fan-out
     python -m repro.experiments --profile fig12 # cProfile dump per experiment
+    python -m repro.experiments workload_sharded --shard-jobs 4
     python -m repro.experiments fig10 --trace   # packet-level trace + summary
     python -m repro.experiments fig10 --trace --metrics-out out.jsonl
     python -m repro.experiments ccbench --cc orbcc --cc-param probe_gain=2.5
@@ -21,6 +22,8 @@ imports a module first (in every worker process) so third-party
 ``--jobs N`` runs experiments in up to N worker processes.  Each worker
 owns its own Simulator and RngRegistry, so the printed rows are
 bit-identical to a serial run — only the wall-clock changes.
+``--shard-jobs N`` does the same *inside* a sharded experiment.  Every
+flag lands in one :class:`RunSpec`, the only options channel.
 
 ``--trace`` enables the :mod:`repro.obs` layer for each experiment: after
 the result table it prints a human-readable recovery summary (event
@@ -63,13 +66,24 @@ def main(argv: list[str] | None = None) -> int:
              "rows are bit-identical to the serial run",
     )
     parser.add_argument(
-        "--shard-jobs", type=int, default=None, metavar="N",
-        help="worker processes inside sharded experiments (sets "
-             "LEOTP_SHARD_JOBS; rows are bit-identical for any value)",
+        "--shard-jobs", type=int, default=1, metavar="N",
+        help="worker processes inside sharded experiments (default 1); "
+             "rows are bit-identical for any value",
+    )
+    parser.add_argument(
+        "--sink-dir", metavar="DIR", default=None,
+        help="where workload_sharded_xl streams per-flow rows "
+             "(default results/shard_xl)",
+    )
+    parser.add_argument(
+        "--checkpoint-dir", metavar="DIR", default=None,
+        help="workload_sharded_xl checkpoints every shard here, and "
+             "resumes from it when it holds this plan's manifest",
     )
     parser.add_argument(
         "--profile", action="store_true",
-        help="cProfile each experiment, dumping results/profiles/<id>.pstats",
+        help="cProfile each experiment, dumping results/profiles/<id>.pstats "
+             "(shard workers: results/profiles/shards/)",
     )
     parser.add_argument(
         "--trace", action="store_true",
@@ -112,16 +126,7 @@ def main(argv: list[str] | None = None) -> int:
     unknown = [n for n in names if n not in ALL_EXPERIMENTS]
     if unknown:
         parser.error(f"unknown experiment(s): {', '.join(unknown)}")
-    if args.shard_jobs is not None:
-        os.environ["LEOTP_SHARD_JOBS"] = str(args.shard_jobs)
     profile_dir = "results/profiles" if args.profile else None
-    if args.profile:
-        # Sharded experiments run in worker processes the experiment-level
-        # profiler cannot see; each worker dumps its own pstats here and
-        # tools/profile_top.py merges them with the parent profile.
-        os.environ["LEOTP_SHARD_PROFILE_DIR"] = os.path.join(
-            "results", "profiles", "shards"
-        )
     observe = args.trace or args.trace_out is not None or args.metrics_out is not None
     if args.trace_out is not None and len(names) > 1:
         parser.error("--trace-out needs exactly one experiment id")
@@ -147,11 +152,15 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             parser.error(str(exc))
 
-    spec = RunSpec(
-        scale=args.scale, seed=args.seed, observe=observe,
-        profile_dir=profile_dir, sampler_interval_s=args.sampler_interval,
-        cc=cc_spec, cc_module=args.cc_module,
-    )
+    try:
+        spec = RunSpec(
+            scale=args.scale, seed=args.seed, observe=observe,
+            profile_dir=profile_dir, sampler_interval_s=args.sampler_interval,
+            cc=cc_spec, cc_module=args.cc_module, shard_jobs=args.shard_jobs,
+            sink_dir=args.sink_dir, checkpoint_dir=args.checkpoint_dir,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     t_start = time.time()
     outcomes = run_experiments(names, spec, jobs=args.jobs)
     all_samples: list[dict] = []

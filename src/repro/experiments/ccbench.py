@@ -49,13 +49,11 @@ from repro.constellation import NoRouteError
 from repro.core.consumer import Consumer
 from repro.experiments.churn_study import arm_pool_churn, pair_context
 from repro.experiments.common import ExperimentResult, scaled_duration
-from repro.netsim.link import DuplexLink
 from repro.netsim.trace import FlowRecorder
 from repro.simcore import RngRegistry, Simulator
 from repro.tcp.cc import CCSpec, as_cc_spec
 from repro.tcp.connection import FiniteStream, TcpReceiver, make_tcp_sender
 from repro.workload import FlowPool, WorkloadSpec
-from repro.workload.pool import ACCESS_DELAY_S, ACCESS_RATE_BPS
 
 #: The benched city pair (distinct handover geometry at both ends).
 PAIR = ("BJ-PR", "Beijing", "Paris")
@@ -114,12 +112,7 @@ def _attach_monitor(sim, pool, spec):
             sim, "mon-cons", "mon", pool.config,
             total_bytes=MONITOR_BYTES, recorder=recorder,
         )
-        access = DuplexLink(
-            sim, pool.hub, consumer,
-            rate_bps=ACCESS_RATE_BPS, delay_s=ACCESS_DELAY_S,
-            name="access-mon",
-        )
-        consumer.out_link = access.ba
+        pool.attach_consumer("mon", consumer)
         return recorder, None
     receiver = TcpReceiver(
         sim, "mon-rcv", None, recorder=recorder, flow_id="mon"
@@ -128,23 +121,7 @@ def _attach_monitor(sim, pool, spec):
         sim, "mon-snd", "mon-rcv", None, spec,
         stream=FiniteStream(MONITOR_BYTES), flow_id="mon",
     )
-    up = DuplexLink(
-        sim, sender, pool.routers[0],
-        rate_bps=ACCESS_RATE_BPS, delay_s=ACCESS_DELAY_S,
-        name="up-mon",
-    )
-    down = DuplexLink(
-        sim, pool.routers[-1], receiver,
-        rate_bps=ACCESS_RATE_BPS, delay_s=ACCESS_DELAY_S,
-        name="down-mon",
-    )
-    sender.out_link = up.ab
-    receiver.out_link = down.ba
-    for i in range(len(pool.links)):
-        pool.routers[i].add_route("mon-rcv", pool.links[i].ab)
-        pool.routers[i + 1].add_route("mon-snd", pool.links[i].ba)
-    pool.routers[-1].add_route("mon-rcv", down.ab)
-    pool.routers[0].add_route("mon-snd", up.ba)
+    pool.attach_tcp("mon", sender, receiver)
     return recorder, sender
 
 

@@ -260,11 +260,14 @@ def metrics_from_recorder(
     )
 
 
+#: Leading share of a ``run_chain`` run its metrics skip.
+WARMUP_FRACTION = 0.2
+
+
 def run_chain(
     spec: PathSpec,
     duration_s: float,
     seed: int = 0,
-    warmup_fraction: float = 0.2,
     attach: Optional[Callable[[Simulator, BuiltPath], object]] = None,
 ) -> tuple[FlowMetrics, BuiltPath]:
     """Build the one flow ``spec`` describes, run it, and measure it.
@@ -272,7 +275,7 @@ def run_chain(
     ``attach(sim, path)`` runs after wiring and before the clock starts —
     the hook for whatever rides along with the flow (a
     ``PathDynamicsDriver`` retuning ``path.links``, extra samplers).
-    Metrics skip the first ``warmup_fraction`` of the run.
+    Metrics skip the first :data:`WARMUP_FRACTION` of the run.
     """
     sim = Simulator()
     path = build_path(sim, RngRegistry(seed), spec)
@@ -280,7 +283,7 @@ def run_chain(
         attach(sim, path)
     sim.run(until=duration_s)
     metrics = metrics_from_recorder(
-        path.recorder, duration_s * warmup_fraction, duration_s,
+        path.recorder, duration_s * WARMUP_FRACTION, duration_s,
         sender_bytes=path.wire_bytes_sent,
         retransmissions=path.retransmissions,
     )

@@ -28,7 +28,7 @@ Three sections, tagged by the ``section`` column:
 * ``sharded`` — a content-enabled :class:`~repro.shard.ShardPlan` cell
   run through the sharded engine, proving catalog state survives the
   process boundary and a checkpoint: rows are bit-identical for any
-  ``LEOTP_SHARD_JOBS`` and across kill-then-resume (see
+  ``--shard-jobs`` and across kill-then-resume (see
   ``tests/test_content.py``).
 
 The cache budget is deliberately smaller than the catalog (2 MiB versus
@@ -38,8 +38,6 @@ converge to the compulsory-miss floor.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.content import (
     CachePolicy,
@@ -263,7 +261,9 @@ def content_plan(scale: float = 1.0, seed: int = 0) -> ShardPlan:
     )
 
 
-def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
+def run(
+    scale: float = 1.0, seed: int = 0, shard_jobs: int = 1
+) -> ExperimentResult:
     result = ExperimentResult(
         "content_study",
         "Zipf content catalog over a shared chain: cache placement x "
@@ -273,8 +273,7 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
         result.add(**_run_cell(scale, seed, policy, catalog))
     result.add(**_run_fanout(scale, seed))
 
-    jobs = int(os.environ.get("LEOTP_SHARD_JOBS", "1"))
-    out = run_sharded(content_plan(scale, seed), jobs=jobs)
+    out = run_sharded(content_plan(scale, seed), jobs=shard_jobs)
     for row in out["rows"]:
         result.add(section="sharded", **row)
 
@@ -289,7 +288,7 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
         "tree's upstream traffic to a single copy"
     )
     result.notes.append(
-        "sharded rows are bit-identical for any LEOTP_SHARD_JOBS value "
+        "sharded rows are bit-identical for any --shard-jobs value "
         "and across checkpoint kill/resume"
     )
     return result

@@ -3,36 +3,38 @@
 ``run_experiments`` is the single entry point behind
 ``python -m repro.experiments``: it runs a list of experiment ids either
 in-process (``jobs=1``) or fanned out over a process pool (``jobs>1``).
-How each experiment runs is described by one :class:`RunSpec` — scale,
-seed, observation, profiling, and the sampler-cadence override — shared
-by every id in the batch.
+How each experiment runs is described by one :class:`RunSpec`, shared
+by every id in the batch and the only options channel: an experiment
+receives the fields its ``run()`` signature names.
 
 Determinism guarantee: every experiment constructs its own
 :class:`~repro.simcore.Simulator` and :class:`~repro.simcore.RngRegistry`
 from ``(scale, seed)`` alone — no state is shared between experiments —
 so the parallel rows are bit-identical to the serial rows.  Both paths
-execute the *same* worker function (:func:`run_one`); the pool only
-changes which process it runs in.  ``tests/test_parallel_runner.py``
+execute the *same* worker function (:func:`run_one`) through the one
+fan-out (:func:`repro.common.fanout.fan_out`); ``jobs`` only changes
+which process it runs in.  ``tests/test_parallel_runner.py``
 asserts the bit-identity per experiment id.
 """
 
 from __future__ import annotations
 
+import inspect
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
+
+from repro.common.fanout import fan_out
 
 
 @dataclass(frozen=True)
 class RunSpec:
     """How to run experiments: everything except *which* experiment.
 
-    Replaces the loose ``(scale, seed, profile_dir, observe)`` argument
-    tuple: one picklable value carries the run configuration through the
-    CLI, the pool workers, and programmatic sweeps.
+    One picklable value carries the run configuration through the CLI,
+    the pool workers, and programmatic sweeps.
 
     ``sampler_interval_s`` overrides the metrics sampler cadence for
     observed runs; when None, an experiment module may provide its own
@@ -41,14 +43,19 @@ class RunSpec:
 
     ``cc`` (a :class:`~repro.tcp.cc.CCSpec`; bare names are coerced)
     selects/overrides the congestion control for experiments that take a
-    ``cc`` keyword (``workload``, ``churn``, ``ccbench``); ids that
-    don't accept it ignore the field.  The spec is frozen and picklable,
-    so it rides through the process pool unchanged.
+    ``cc`` keyword (``workload``, ``churn``, ``ccbench``).  The spec is
+    frozen and picklable, so it rides through the process pool unchanged.
 
     ``cc_module`` names a module imported (for its ``@register_cc`` side
     effects) inside :func:`run_one` — i.e. in every pool worker, not
     just the parent process — so a third-party controller selected via
     ``--cc`` resolves under ``--jobs N`` too.
+
+    ``shard_jobs`` is the worker-process count *inside* a sharded
+    experiment (rows are bit-identical for any value); ``sink_dir`` and
+    ``checkpoint_dir`` are where ``workload_sharded_xl`` streams per-flow
+    rows and checkpoints (and resumes from).  Shard workers of a profiled
+    run dump their own cProfile under ``<profile_dir>/shards``.
     """
 
     scale: float = 1.0
@@ -58,12 +65,20 @@ class RunSpec:
     sampler_interval_s: Optional[float] = None
     cc: Optional[object] = None
     cc_module: Optional[str] = None
+    shard_jobs: int = 1
+    sink_dir: Optional[str] = None
+    checkpoint_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.scale <= 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
         if self.sampler_interval_s is not None and self.sampler_interval_s <= 0:
             raise ValueError("sampler_interval_s must be positive")
+        if self.shard_jobs < 1:
+            raise ValueError(f"shard_jobs must be >= 1, got {self.shard_jobs}")
+        for name in ("sink_dir", "checkpoint_dir"):
+            if getattr(self, name) == "":
+                raise ValueError(f"{name} must be a path or None, not ''")
         if self.cc is not None:
             from repro.tcp.cc import as_cc_spec
 
@@ -98,7 +113,8 @@ def run_one(name: str, spec: RunSpec = RunSpec()) -> RunOutcome:
     """Run one experiment id; the unit of work for serial and pool runs.
 
     Imports lazily so pool workers (``spawn`` start method included) pay
-    the import cost once per process, not per task.
+    the import cost once per process, not per task.  The experiment is
+    called with every :class:`RunSpec` field its ``run()`` names.
 
     With ``spec.observe``, the global tracer and metrics registry are
     reset and enabled around this experiment alone, and the drained
@@ -113,12 +129,10 @@ def run_one(name: str, spec: RunSpec = RunSpec()) -> RunOutcome:
 
         importlib.import_module(spec.cc_module)
     run = ALL_EXPERIMENTS[name]
-    kwargs = {}
-    if spec.cc is not None:
-        import inspect
-
-        if "cc" in inspect.signature(run).parameters:
-            kwargs["cc"] = spec.cc
+    wanted = inspect.signature(run).parameters
+    kwargs = {
+        f.name: getattr(spec, f.name) for f in fields(spec) if f.name in wanted
+    }
     profile_path = None
     trace_records = None
     metric_samples = None
@@ -142,12 +156,12 @@ def run_one(name: str, spec: RunSpec = RunSpec()) -> RunOutcome:
             profiler = cProfile.Profile()
             profiler.enable()
             try:
-                result = run(scale=spec.scale, seed=spec.seed, **kwargs)
+                result = run(**kwargs)
             finally:
                 profiler.disable()
                 profiler.dump_stats(profile_path)
         else:
-            result = run(scale=spec.scale, seed=spec.seed, **kwargs)
+            result = run(**kwargs)
     finally:
         if spec.observe:
             trace_records = TRACER.drain()
@@ -176,17 +190,13 @@ def run_experiments(
     a single id, so a one-experiment ``--jobs 2`` run genuinely exercises
     the pool path (the bit-identity checks rely on that).  Output order
     (and content — see the module docstring) is identical to the serial
-    run regardless of completion order.
+    run regardless of completion order.  A failing experiment surfaces
+    as a :class:`~repro.common.fanout.TaskError` naming its id; queued
+    ids are cancelled, not run.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if not names:
-        return []
-    if jobs == 1:
-        return [run_one(name, spec) for name in names]
-
-    with ProcessPoolExecutor(max_workers=min(jobs, len(names))) as pool:
-        futures = [pool.submit(run_one, name, spec) for name in names]
-        # Reading in submit order gives request order; the first worker
-        # exception propagates and the ``with`` drains the pool.
-        return [future.result() for future in futures]
+    return fan_out(
+        run_one,
+        [(name, spec) for name in names],
+        jobs,
+        names=[f"experiment {name!r}" for name in names],
+    )

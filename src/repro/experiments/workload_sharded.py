@@ -6,17 +6,16 @@ blackout — for an order of magnitude more concurrent flows than the
 single-pool ``workload`` experiment: 10,400 arrivals at ``scale=1.0``.
 
 The table has one row per shard plus a ``total`` row.  Rows are
-bit-identical for every worker count: set ``LEOTP_SHARD_JOBS=N`` (or
-pass ``--shard-jobs N`` to ``python -m repro.experiments``) to run the
-shards on N worker processes, one shard per worker at a time;
-wall-clock figures never enter the rows.  Every shard keeps its own
+bit-identical for every worker count: ``--shard-jobs N``
+(``RunSpec.shard_jobs``) runs the shards on N worker processes, one
+shard per worker at a time; wall-clock figures never enter the rows.  Every shard keeps its own
 cache slice (6 MiB) for the whole run; the notes record what the
 per-epoch ledger (one snapshot every 0.5 s of simulated time) shows.
 """
 
 from __future__ import annotations
 
-import os
+from typing import Optional
 
 from repro.experiments.common import ExperimentResult
 from repro.shard import ShardPlan, run_sharded
@@ -36,14 +35,14 @@ def shard_plan(scale: float = 1.0, seed: int = 0) -> ShardPlan:
     )
 
 
-def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    jobs = int(os.environ.get("LEOTP_SHARD_JOBS", "1"))
+def run(
+    scale: float = 1.0,
+    seed: int = 0,
+    shard_jobs: int = 1,
+    profile_dir: Optional[str] = None,
+) -> ExperimentResult:
     plan = shard_plan(scale, seed)
-    out = run_sharded(
-        plan,
-        jobs=jobs,
-        profile_dir=os.environ.get("LEOTP_SHARD_PROFILE_DIR") or None,
-    )
+    out = run_sharded(plan, jobs=shard_jobs, profile_dir=profile_dir)
 
     result = ExperimentResult(
         name="workload_sharded",
@@ -66,7 +65,7 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
         f"(ledger breaches {breaches})"
     )
     result.notes.append(
-        "rows are bit-identical for any LEOTP_SHARD_JOBS value; "
+        "rows are bit-identical for any --shard-jobs value; "
         "wall-clock never enters the table"
     )
     return result

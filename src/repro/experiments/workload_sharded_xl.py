@@ -12,27 +12,29 @@ The printed table aggregates the 100 shard rows into ten bands of ten
 (summed counts, mean-of-shard latency columns — the same convention as
 the engine's ``total`` row) so it stays readable; the untouched
 per-shard rows live in the returned engine output and are bit-identical
-for every worker count.  Environment knobs:
+for every worker count.  Options (``RunSpec`` fields, spelled as flags
+by ``python -m repro.experiments``):
 
-``LEOTP_SHARD_JOBS``
+``shard_jobs`` / ``--shard-jobs``
     worker processes (default 1); rows are bit-identical for any value.
-``LEOTP_SHARD_SINK_DIR``
+``sink_dir`` / ``--sink-dir``
     spill directory (default ``results/shard_xl``); the merged
     ``flows.jsonl`` lands there.
-``LEOTP_SHARD_CHECKPOINT_DIR``
+``checkpoint_dir`` / ``--checkpoint-dir``
     when set, every shard checkpoints every epoch there — and if the
     directory already holds a valid manifest for this plan, *resume*
     from it, so re-running the experiment after a kill keeps the shards
     that had finished, restores the ones caught mid-run and starts the
     rest.
-``LEOTP_SHARD_PROFILE_DIR``
-    when set (``--profile`` sets it), each shard worker dumps its own
-    cProfile there for ``tools/profile_top.py`` to merge.
+``profile_dir`` / ``--profile``
+    each shard worker dumps its own cProfile under ``shards/`` there for
+    ``tools/profile_top.py`` to merge.
 """
 
 from __future__ import annotations
 
 import os
+from typing import Optional
 
 from repro.experiments.common import ExperimentResult
 from repro.shard import (
@@ -61,13 +63,15 @@ def shard_plan(scale: float = 1.0, seed: int = 0) -> ShardPlan:
     )
 
 
-def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    jobs = int(os.environ.get("LEOTP_SHARD_JOBS", "1"))
+def run(
+    scale: float = 1.0,
+    seed: int = 0,
+    shard_jobs: int = 1,
+    sink_dir: Optional[str] = None,
+    checkpoint_dir: Optional[str] = None,
+    profile_dir: Optional[str] = None,
+) -> ExperimentResult:
     plan = shard_plan(scale, seed)
-
-    sink_dir = os.environ.get("LEOTP_SHARD_SINK_DIR") or DEFAULT_SINK_DIR
-    checkpoint_dir = os.environ.get("LEOTP_SHARD_CHECKPOINT_DIR") or None
-    profile_dir = os.environ.get("LEOTP_SHARD_PROFILE_DIR") or None
     resume_from = None
     if checkpoint_dir is not None:
         try:
@@ -78,8 +82,8 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
 
     out = run_sharded(
         plan,
-        jobs=jobs,
-        sink_dir=sink_dir,
+        jobs=shard_jobs,
+        sink_dir=sink_dir or DEFAULT_SINK_DIR,
         checkpoint_dir=checkpoint_dir,
         resume_from=resume_from,
         profile_dir=profile_dir,
@@ -120,7 +124,7 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
         result.notes.append(
             f"peak RSS {out['rss']['total_peak_mib']:.0f} MiB "
             f"(parent {out['rss']['parent_peak_mib']:.0f} MiB + "
-            f"{jobs if jobs > 1 else 0} worker(s) "
+            f"{shard_jobs if shard_jobs > 1 else 0} worker(s) "
             f"{out['rss']['worker_peak_mib']:.0f} MiB)"
         )
     result.notes.append(
@@ -140,7 +144,7 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
         )
     result.notes.append(
         "per-shard rows (and the spilled flows.jsonl) are bit-identical "
-        "for any LEOTP_SHARD_JOBS value"
+        "for any --shard-jobs value"
     )
     return result
 

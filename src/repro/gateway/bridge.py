@@ -25,13 +25,14 @@ from typing import Optional, Sequence, Union
 
 from repro.core.config import LeotpConfig
 from repro.core.consumer import Consumer
+from repro.core.flow import wire_leotp_chain
 from repro.core.midnode import Midnode
 from repro.core.wire import LeotpPacket
 from repro.gateway.streaming import StreamingProducer
 from repro.netsim.link import DuplexLink, Link
-from repro.netsim.node import Node, wire_chain_forwarders
+from repro.netsim.node import Node
 from repro.netsim.packet import Packet
-from repro.netsim.topology import HopSpec, build_chain
+from repro.netsim.topology import HopSpec
 from repro.netsim.trace import FlowRecorder
 from repro.simcore.random import RngRegistry
 from repro.simcore.simulator import Simulator
@@ -219,11 +220,7 @@ def build_gateway_path(
         Midnode(sim, f"sat{i}", config) for i in range(len(leo_hops) - 1)
     ]
     leo_nodes: list[Node] = [ingress, *satellites, egress]
-    leo_links = build_chain(sim, leo_nodes, list(leo_hops), rng)
-    wire_chain_forwarders(leo_nodes, leo_links)
+    leo_links = wire_leotp_chain(sim, rng, leo_nodes, leo_hops)
     egress.consumer.out_link = leo_links[-1].ba
-    for i, sat in enumerate(satellites):
-        if isinstance(sat, Midnode):
-            sat.set_upstream(leo_links[i].ba)
     return GatewayPath(server, ingress, satellites, egress, client, recorder,
                        links=leo_links)

@@ -14,7 +14,7 @@ shard, and each shard commits its own progress:
   into *any* process resumes the shard's trajectory bit-identically,
   for the same reason ``--shard-jobs`` never changes results: nothing
   in a shard's behaviour depends on process identity;
-* *finished* — its result (row, trace counts, ledger snapshots) is
+* *finished* — its result (row, ledger snapshots) is
   committed instead, and it is never run again;
 * *not started* — no entry; it starts from scratch.
 
@@ -52,7 +52,7 @@ from typing import Optional
 from repro.shard.plan import ShardPlan
 
 #: Manifest schema version; bumped on incompatible layout changes.
-CHECKPOINT_FORMAT = 5
+CHECKPOINT_FORMAT = 6
 
 MANIFEST_NAME = "manifest.json"
 

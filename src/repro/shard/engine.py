@@ -1,10 +1,10 @@
 """The sharded simulation engine: N independent shards, one task each.
 
 :func:`run_sharded` drives a :class:`~repro.shard.plan.ShardPlan` to
-completion by submitting one :func:`~repro.shard.worker.run_shard` task
-per shard, in index order, to one
-:class:`~concurrent.futures.ProcessPoolExecutor` of ``jobs`` workers
-(``jobs=1`` calls the same function inline, no executor).  A task runs
+completion by handing one :func:`~repro.shard.worker.run_shard` task
+per shard, in index order, to :func:`repro.common.fanout.fan_out` — the
+process pool it shares with the experiment runner (``jobs=1`` calls the
+same function inline, no pool).  A task runs
 its shard from start — or from its last checkpoint — to its result row
 and drops the state before the worker takes the next one, so a worker
 process holds one shard at a time and ``jobs`` is a plain pool size.
@@ -38,9 +38,9 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
+from repro.common.fanout import TaskError, fan_out
 from repro.obs.rss import RssSampler
 from repro.shard.checkpoint import (
     CheckpointError,
@@ -93,7 +93,6 @@ def total_row(label: str, rows: list[dict]) -> dict:
 def run_sharded(
     plan: ShardPlan,
     jobs: int = 1,
-    observe: bool = False,
     *,
     sink_dir: Optional[str] = None,
     checkpoint_dir: Optional[str] = None,
@@ -126,7 +125,8 @@ def run_sharded(
         by the resume tests and the nightly CI check.  The partial
         result dict carries ``stopped_after_epoch`` instead of rows.
     ``profile_dir``
-        one cProfile dump per shard task (``shard-NNN-pidNNN.pstats``),
+        the enclosing run's profile directory: every shard task dumps a
+        cProfile to ``<profile_dir>/shards/shard-NNN-pidNNN.pstats``,
         mergeable with ``tools/profile_top.py``.  Only worker processes
         profile here; with ``jobs=1`` the inline run is covered by the
         parent's own profiler (``--profile``).
@@ -161,33 +161,28 @@ def run_sharded(
         if checkpoint_dir != resume_from:
             start_checkpoint(checkpoint_dir, plan, sink_dir)
         checkpoint = (checkpoint_dir, checkpoint_every)
-    if profile_dir is not None:
-        profile_dir = os.path.abspath(profile_dir)
-        os.makedirs(profile_dir, exist_ok=True)
+    shard_profiles = None
+    if profile_dir is not None and jobs > 1:
+        shard_profiles = os.path.join(os.path.abspath(profile_dir), "shards")
+        os.makedirs(shard_profiles, exist_ok=True)
 
     tasks = [
-        (plan, index, observe, sink_dir, checkpoint,
-         entries.get(str(index)), resume_from, stop_after_epoch,
-         profile_dir if jobs > 1 else None)
+        (plan, index, sink_dir, checkpoint, entries.get(str(index)),
+         resume_from, stop_after_epoch, shard_profiles)
         for index in range(plan.n_shards)
     ]
-    executor = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    failed = True
     sampler = RssSampler().start()
     try:
-        if executor is None:
-            results = [run_shard(*task) for task in tasks]
-        else:
-            futures = [executor.submit(run_shard, *task) for task in tasks]
-            # Index order: the lowest failing shard is the one reported.
-            results = [future.result() for future in futures]
-        failed = False
+        # The lowest failing shard is the one reported; queued shards are
+        # cancelled and running ones finish (and commit) first, so
+        # nothing writes after the raise.
+        results = fan_out(run_shard, tasks, jobs)
+    except TaskError as failure:
+        # A shard task names its own failure (ShardError: shard and
+        # epoch; CheckpointError: the file) — that is the engine's error.
+        raise failure.__cause__
     finally:
         parent_peak = sampler.stop()
-        if executor is not None:
-            # On failure queued shards are cancelled and running ones
-            # finish (and commit) first, so nothing writes after return.
-            executor.shutdown(wait=True, cancel_futures=failed)
     wall_s = time.perf_counter() - started
 
     checkpoints_written = sum(out["checkpoints"] for out in results)
@@ -205,11 +200,8 @@ def run_sharded(
         }
 
     rows = [out["row"] for out in results]
-    trace_counts: dict[str, int] = {}
     worker_peaks: dict[int, int] = {}
     for out in results:
-        for event, n in out["trace_counts"].items():
-            trace_counts[event] = trace_counts.get(event, 0) + n
         worker_peaks[out["pid"]] = max(
             worker_peaks.get(out["pid"], 0), out["peak_rss_bytes"]
         )
@@ -234,7 +226,7 @@ def run_sharded(
     worker_peak_sum = sum(worker_peaks.values())
     rss = None
     if parent_peak is not None:
-        total_peak = parent_peak + (worker_peak_sum if executor else 0)
+        total_peak = parent_peak + (worker_peak_sum if jobs > 1 else 0)
         rss = {
             "parent_peak_mib": parent_peak / mib,
             "worker_peak_mib": worker_peak_sum / mib,
@@ -243,7 +235,6 @@ def run_sharded(
     return {
         "rows": rows,
         "ledger": ledger,
-        "trace_counts": trace_counts if observe else None,
         "events_executed": total["events"],
         "completed": total["completed"],
         "jobs": jobs,

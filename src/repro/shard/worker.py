@@ -12,8 +12,8 @@ inline — one code path, two execution modes.
 
 What crosses the process boundary (DESIGN.md §14): the task's arguments
 out (plan, shard index, directories, the shard's checkpoint entry when
-resuming) and one small result dict back (row, trace counts, per-epoch
-ledger snapshots, the process's id and peak RSS) — measured in the run's
+resuming) and one small result dict back (row, per-epoch ledger
+snapshots, the process's id and peak RSS) — measured in the run's
 ``exchange_*_bytes`` counters.
 """
 
@@ -22,12 +22,10 @@ from __future__ import annotations
 import cProfile
 import gc
 import os
-from collections import Counter
 from typing import Optional
 
 from repro.faults.schedule import FaultInjector, FaultSchedule, LinkDown
 from repro.obs.rss import current_rss_bytes
-from repro.obs.tracer import TRACER
 from repro.shard.checkpoint import (
     CheckpointError,
     commit_shard,
@@ -62,7 +60,7 @@ class ShardError(RuntimeError):
 
 
 class _ShardState:
-    """One shard's complete simulation: chain, FlowPool, faults, tracer.
+    """One shard's complete simulation: chain, FlowPool, faults.
 
     The whole object — event heap, RNG streams, cache occupancy, live
     flow endpoints — pickles cleanly, which is what checkpoint/resume
@@ -99,8 +97,6 @@ class _ShardState:
                     duration_s=plan.fault_duration_s,
                 ),
             ]))
-        # Per-shard trace event counts (observe mode), merged by the engine.
-        self.trace_counts: Counter = Counter()
         # One snapshot per completed epoch; its length is the shard's
         # progress, so a restored shard knows where to continue.
         self.ledger: list[dict] = []
@@ -123,27 +119,13 @@ class _ShardState:
 
     # -- epoch mechanics ------------------------------------------------
 
-    def run_epoch(self, epoch: int, observe: bool) -> None:
-        until = self.plan.epoch_end_s(epoch)
-        if observe:
-            was_enabled = TRACER.enabled
-            mark = len(TRACER.records)
-            TRACER.enable()
-            try:
-                self.sim.run(until=until)
-            finally:
-                TRACER.enabled = was_enabled
-            self.trace_counts.update(
-                rec["event"] for rec in TRACER.records[mark:]
-            )
-            del TRACER.records[mark:]  # merged into counts; free the buffer
-        else:
-            self.sim.run(until=until)
+    def run_epoch(self, epoch: int) -> None:
+        self.sim.run(until=self.plan.epoch_end_s(epoch))
 
-    def step(self, observe: bool) -> Optional[int]:
+    def step(self) -> Optional[int]:
         """The shard's next epoch: simulate to its end, spill the flows
         it closed, take the ledger snapshot.  Returns the spill offset."""
-        self.run_epoch(len(self.ledger), observe)
+        self.run_epoch(len(self.ledger))
         offset = self.spill()
         pool = self.pool
         self.ledger.append({
@@ -200,7 +182,6 @@ class _ShardState:
 def run_shard(
     plan: ShardPlan,
     index: int,
-    observe: bool,
     sink_dir: Optional[str],
     checkpoint: Optional[tuple[str, int]],
     entry: Optional[dict],
@@ -219,14 +200,14 @@ def run_shard(
     With ``stop_after_epoch`` the shard is abandoned after that epoch
     (``row`` stays None).
 
-    Returns the row, trace counts and ledger snapshots, plus this
+    Returns the row and ledger snapshots, plus this
     process's id and the RSS peak the task saw in it.
     """
     profiler = cProfile.Profile() if profile_dir is not None else None
     if profiler is not None:
         profiler.enable()
-    out = {"row": None, "trace_counts": {}, "ledger": [],
-           "checkpoints": 0, "pid": os.getpid(), "peak_rss_bytes": 0}
+    out = {"row": None, "ledger": [], "checkpoints": 0,
+           "pid": os.getpid(), "peak_rss_bytes": 0}
 
     def sample_rss() -> None:
         out["peak_rss_bytes"] = max(
@@ -260,7 +241,7 @@ def run_shard(
             sample_rss()
             for epoch in range(len(state.ledger), plan.n_epochs):
                 try:
-                    offset = state.step(observe)
+                    offset = state.step()
                 except Exception as exc:
                     raise ShardError(
                         index, epoch, f"{type(exc).__name__}: {exc}"
@@ -282,11 +263,7 @@ def run_shard(
                 if stop_after_epoch is not None and epoch >= stop_after_epoch:
                     out["ledger"] = state.ledger
                     return out
-            result = {
-                "row": state.finalize(),
-                "trace_counts": dict(state.trace_counts),
-                "ledger": state.ledger,
-            }
+            result = {"row": state.finalize(), "ledger": state.ledger}
             offset = state.spill()  # finalize closed the last flows
             sample_rss()
         # (An already-finished shard is committed again: that carries it

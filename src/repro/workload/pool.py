@@ -43,6 +43,7 @@ from repro.content.placement import CachePolicy, placement_weights
 from repro.content.registry import ContentRegistry
 from repro.core.config import LeotpConfig
 from repro.core.consumer import Consumer
+from repro.core.flow import wire_leotp_chain
 from repro.core.midnode import Midnode
 from repro.core.producer import Producer
 from repro.netsim.link import DuplexLink
@@ -237,10 +238,9 @@ class FlowPool:
             Midnode(self.sim, f"{self.name}-mid{i}", self.config)
             for i in range(len(hops))
         ]
-        nodes = [self.producer, *self.midnodes]
-        self.links = build_chain(self.sim, nodes, list(hops), self.rng)
-        for i, mid in enumerate(self.midnodes):
-            mid.set_upstream(self.links[i].ba)
+        self.links = wire_leotp_chain(
+            self.sim, self.rng, [self.producer, *self.midnodes], hops
+        )
         # Every Consumer hangs off the last Midnode through its own access
         # link; the hub learns each flow's downstream from its Interests.
         self.hub = self.midnodes[-1]
@@ -334,6 +334,11 @@ class FlowPool:
             deliver=partial(self._deliver_cb, flow_id),
             on_complete=partial(self._complete_cb, flow_id),
         )
+        self.attach_consumer(flow_id, consumer)
+        self._consumers[flow_id] = consumer
+
+    def attach_consumer(self, flow_id: str, consumer: Consumer) -> None:
+        """Hang ``consumer`` off the hub through its own access link."""
         access = DuplexLink(
             self.sim,
             self.hub,
@@ -343,7 +348,6 @@ class FlowPool:
             name=f"access-{flow_id}",
         )
         consumer.out_link = access.ba
-        self._consumers[flow_id] = consumer
 
     def _spawn_tcp(self, flow_id: str, demand: FlowDemand) -> None:
         snd_name = f"{flow_id}-snd"
@@ -367,6 +371,15 @@ class FlowPool:
             flow_id=flow_id,
         )
         self._tcp_senders[flow_id] = sender
+        self._delivered[flow_id] = 0
+        self.attach_tcp(flow_id, sender, receiver)
+
+    def attach_tcp(
+        self, flow_id: str, sender: TcpSender, receiver: TcpReceiver
+    ) -> None:
+        """Access links at both chain ends plus the flow's route entries:
+        two per router (``2 * len(links) + 2`` in all)."""
+        snd_name, rcv_name = sender.name, receiver.name
         up = DuplexLink(
             self.sim, sender, self.routers[0],
             rate_bps=ACCESS_RATE_BPS, delay_s=ACCESS_DELAY_S,
@@ -379,7 +392,6 @@ class FlowPool:
         )
         sender.out_link = up.ab
         receiver.out_link = down.ba
-        self._delivered[flow_id] = 0
         # Segments toward the receiver ride .ab; ACKs ride .ba back.
         for i in range(len(self.links)):
             self.routers[i].add_route(rcv_name, self.links[i].ab)

@@ -70,19 +70,19 @@ def test_single_id_parallel_uses_the_pool(monkeypatch):
     The single-experiment bit-identity checks above are only meaningful
     if the parallel leg actually crosses a process boundary.
     """
+    import repro.common.fanout as fanout_mod
     import repro.experiments.runner as runner_mod
 
     submitted = []
-    real_pool = runner_mod.ProcessPoolExecutor
 
-    class SpyPool(real_pool):
+    class SpyPool(fanout_mod.ProcessPoolExecutor):
         def submit(self, fn, *args, **kwargs):
-            submitted.append(args[0])
+            submitted.append((fn, args[0]))
             return super().submit(fn, *args, **kwargs)
 
-    monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(fanout_mod, "ProcessPoolExecutor", SpyPool)
     outcomes = runner_mod.run_experiments(["fig03"], _SPEC, jobs=2)
-    assert submitted == ["fig03"]
+    assert submitted == [(runner_mod.run_one, "fig03")]
     assert outcomes[0].name == "fig03"
 
 
@@ -128,8 +128,84 @@ def test_runspec_validation():
         RunSpec(scale=0.0)
     with pytest.raises(ValueError):
         RunSpec(sampler_interval_s=0.0)
+    with pytest.raises(ValueError, match="shard_jobs"):
+        RunSpec(shard_jobs=0)
+    with pytest.raises(ValueError, match="sink_dir"):
+        RunSpec(sink_dir="")
+    with pytest.raises(ValueError, match="checkpoint_dir"):
+        RunSpec(checkpoint_dir="")
 
 
 def test_jobs_validation():
     with pytest.raises(ValueError):
         run_experiments(["fig03"], _SPEC, jobs=0)
+
+
+# ----------------------------------------------------------------------
+# RunSpec is the only options channel
+# ----------------------------------------------------------------------
+
+
+class _Reached(Exception):
+    """Raised by the ``run_sharded`` spy: the experiment got this far."""
+
+
+@pytest.mark.parametrize(
+    "name, forwarded",
+    [
+        ("workload_sharded", ("profile_dir",)),
+        ("workload_sharded_xl", ("sink_dir", "checkpoint_dir", "profile_dir")),
+        ("content_study", ()),
+    ],
+)
+def test_runspec_fields_reach_run_sharded(monkeypatch, tmp_path, name, forwarded):
+    """``run_one`` hands an experiment the fields its ``run()`` names, and
+    the sharded experiments pass them on to the engine as given."""
+    import importlib
+
+    module = importlib.import_module(ALL_EXPERIMENTS[name].__module__)
+    calls = []
+
+    def spy(plan, **kwargs):
+        calls.append(kwargs)
+        raise _Reached
+
+    monkeypatch.setattr(module, "run_sharded", spy)
+    spec = RunSpec(
+        scale=_TINY_SCALE, seed=0, shard_jobs=2,
+        sink_dir=str(tmp_path / "sink"), checkpoint_dir=str(tmp_path / "ckpt"),
+        profile_dir=str(tmp_path / "prof"),
+    )
+    with pytest.raises(_Reached):
+        run_one(name, spec)
+    (call,) = calls
+    assert call.pop("resume_from", None) is None  # xl: no manifest there yet
+    assert call == {"jobs": 2, **{k: getattr(spec, k) for k in forwarded}}
+
+
+def test_shard_profiles_land_under_the_run_profile_dir(tmp_path):
+    """The shard workers' profile directory is derived, not configured."""
+    from repro.shard import ShardPlan, run_sharded
+
+    plan = ShardPlan(n_shards=2, arrivals_per_shard=6, drain_s=1.0)
+    run_sharded(plan, jobs=1, profile_dir=str(tmp_path / "serial"))
+    assert not (tmp_path / "serial").exists()  # the caller's profiler covers it
+    run_sharded(plan, jobs=2, profile_dir=str(tmp_path))
+    dumps = sorted(p.name for p in (tmp_path / "shards").iterdir())
+    assert [d[:10] for d in dumps] == ["shard-000-", "shard-001-"]
+    assert all(d.endswith(".pstats") for d in dumps)
+
+
+def test_no_module_reads_the_environment():
+    """Options ride on RunSpec; nothing under src/repro/ talks through
+    ``os.environ`` (the fence behind ``--shard-jobs`` & co.)."""
+    import pathlib
+
+    import repro
+
+    sources = pathlib.Path(repro.__file__).parent.rglob("*.py")
+    texts = {str(path): path.read_text() for path in sources}
+    assert [
+        path for path, text in texts.items()
+        if "os.environ" in text or "getenv" in text
+    ] == []

@@ -145,7 +145,7 @@ def test_each_shard_equals_a_lone_state_driven_to_the_horizon(plan, tmp_path):
         state = _ShardState(plan, index)
         state.attach_sink(str(lone_dir))
         while len(state.ledger) < plan.n_epochs:
-            state.step(False)
+            state.step()
         assert state.finalize() == out["rows"][index]
         assert [row["stored_bytes"][index] for row in out["ledger"]] == [
             snap["stored"] for snap in state.ledger

@@ -25,6 +25,7 @@ import json
 import os
 import pickle
 import threading
+import time
 
 import pytest
 
@@ -249,10 +250,10 @@ def test_mixed_state_kill_then_resume_bit_identical(
     sink, ckpt = str(tmp_path / "sink"), str(tmp_path / "ckpt")
     original = _ShardState.run_epoch
 
-    def boom(self, epoch, observe):
+    def boom(self, epoch):
         if self.index == 2 and epoch == 3:
             raise ValueError("injected failure")
-        return original(self, epoch, observe)
+        return original(self, epoch)
 
     monkeypatch.setattr(_ShardState, "run_epoch", boom)
     with pytest.raises(ShardError) as excinfo:
@@ -342,16 +343,15 @@ def test_resume_refuses_corrupt_manifest(tmp_path):
         checkpoint_every=1, stop_after_epoch=0,
     )
     manifest_path = os.path.join(ckpt, "manifest.json")
-    # The directory as the previous build wrote it (format 4: the same
-    # header and entries, but shard pickles whose links, token buckets,
-    # hop controllers and per-flow records have the old layout) is
-    # refused by name too.
+    # The directory as the previous build wrote it (format 5: the same
+    # header, but finished entries that still carry trace counts and
+    # shard pickles with the old state layout) is refused by name too.
     with open(manifest_path) as fh:
         header = json.load(fh)
-    assert header["format"] == 5
+    assert header["format"] == 6
     with open(manifest_path, "w") as fh:
-        json.dump({**header, "format": 4}, fh)
-    refusal = r"unsupported checkpoint format 4 \(this build reads format 5\)"
+        json.dump({**header, "format": 5}, fh)
+    refusal = r"unsupported checkpoint format 5 \(this build reads format 6\)"
     with pytest.raises(CheckpointError, match=refusal):
         resume_point(ckpt, PLAN)
     with pytest.raises(CheckpointError, match=refusal):
@@ -376,7 +376,7 @@ def test_resume_refuses_corrupt_manifest(tmp_path):
     }
     with open(manifest_path, "w") as fh:
         json.dump(stale, fh)
-    refusal = r"unsupported checkpoint format 2 \(this build reads format 5\)"
+    refusal = r"unsupported checkpoint format 2 \(this build reads format 6\)"
     with pytest.raises(CheckpointError, match=refusal):
         resume_point(ckpt, PLAN)
     with pytest.raises(CheckpointError, match=refusal):
@@ -398,10 +398,10 @@ def test_resume_refuses_corrupt_manifest(tmp_path):
 def test_shard_error_names_failing_shard(monkeypatch, jobs):
     original = _ShardState.run_epoch
 
-    def boom(self, epoch, observe):
+    def boom(self, epoch):
         if self.index == 2:
             raise ValueError("injected failure")
-        return original(self, epoch, observe)
+        return original(self, epoch)
 
     # Patched before the executors fork, so worker processes inherit it.
     monkeypatch.setattr(_ShardState, "run_epoch", boom)
@@ -417,6 +417,37 @@ def test_shard_error_names_failing_shard(monkeypatch, jobs):
     assert total["completed"] + total["aborted"] == total["arrivals"]
 
 
+def test_lowest_failing_shard_wins_and_nothing_writes_after_the_raise(
+    monkeypatch, tmp_path
+):
+    """Two shards fail on two workers: the engine reports the lower one,
+    and by then every worker has stopped touching the run's directories."""
+    original = _ShardState.run_epoch
+
+    def boom(self, epoch):
+        if self.index in (1, 3) and epoch == 1:
+            raise ValueError("injected failure")
+        return original(self, epoch)
+
+    monkeypatch.setattr(_ShardState, "run_epoch", boom)
+    with pytest.raises(ShardError) as excinfo:
+        run_sharded(
+            PLAN, jobs=2, sink_dir=str(tmp_path / "sink"),
+            checkpoint_dir=str(tmp_path / "ckpt"),
+        )
+    assert (excinfo.value.shard, excinfo.value.epoch) == (1, 1)
+
+    def snapshot():
+        return sorted(
+            (str(path), path.stat().st_size, path.stat().st_mtime_ns)
+            for path in tmp_path.rglob("*") if path.is_file()
+        )
+
+    before = snapshot()
+    time.sleep(0.3)
+    assert snapshot() == before
+
+
 def _sampler_threads() -> list[threading.Thread]:
     return [t for t in threading.enumerate() if t.name == "rss-sampler"]
 
@@ -427,7 +458,7 @@ def test_no_sampler_thread_outlives_a_run(monkeypatch, tmp_path):
     run_sharded(PLAN, jobs=1, stop_after_epoch=0)
     assert not _sampler_threads()
 
-    def boom(self, epoch, observe):
+    def boom(self, epoch):
         raise ValueError("injected failure")
 
     monkeypatch.setattr(_ShardState, "run_epoch", boom)
