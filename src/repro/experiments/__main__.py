@@ -19,11 +19,12 @@ CC-aware experiments (``workload``, ``churn``, ``ccbench``); repeated
 imports a module first (in every worker process) so third-party
 ``@register_cc`` controllers are selectable without editing repro.
 
-``--jobs N`` runs experiments in up to N worker processes.  Each worker
-owns its own Simulator and RngRegistry, so the printed rows are
-bit-identical to a serial run — only the wall-clock changes.
-``--shard-jobs N`` does the same *inside* a sharded experiment.  Every
-flag lands in one :class:`RunSpec`, the only options channel.
+``--jobs N`` runs experiments in up to N processes, this one included
+(N - 1 forked workers).  Each experiment owns its own Simulator and
+RngRegistry, so the printed rows are bit-identical to a serial run —
+only the wall-clock changes.  ``--shard-jobs N`` does the same *inside*
+a sharded experiment.  Every flag lands in one :class:`RunSpec`, the
+only options channel.
 
 ``--trace`` enables the :mod:`repro.obs` layer for each experiment: after
 the result table it prints a human-readable recovery summary (event
@@ -67,8 +68,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--shard-jobs", type=int, default=1, metavar="N",
-        help="worker processes inside sharded experiments (default 1); "
-             "rows are bit-identical for any value",
+        help="processes inside sharded experiments, this one included "
+             "(default 1); rows are bit-identical for any value",
     )
     parser.add_argument(
         "--sink-dir", metavar="DIR", default=None,
@@ -83,7 +84,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--profile", action="store_true",
         help="cProfile each experiment, dumping results/profiles/<id>.pstats "
-             "(shard workers: results/profiles/shards/)",
+             "(forked shard workers: results/profiles/shards/)",
     )
     parser.add_argument(
         "--trace", action="store_true",

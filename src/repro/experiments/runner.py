@@ -2,7 +2,8 @@
 
 ``run_experiments`` is the single entry point behind
 ``python -m repro.experiments``: it runs a list of experiment ids either
-in-process (``jobs=1``) or fanned out over a process pool (``jobs>1``).
+in-process (``jobs=1``) or fanned out over ``jobs`` processes, the
+calling one included (``jobs>1``).
 How each experiment runs is described by one :class:`RunSpec`, shared
 by every id in the batch and the only options channel: an experiment
 receives the fields its ``run()`` signature names.
@@ -51,11 +52,13 @@ class RunSpec:
     just the parent process — so a third-party controller selected via
     ``--cc`` resolves under ``--jobs N`` too.
 
-    ``shard_jobs`` is the worker-process count *inside* a sharded
-    experiment (rows are bit-identical for any value); ``sink_dir`` and
-    ``checkpoint_dir`` are where ``workload_sharded_xl`` streams per-flow
-    rows and checkpoints (and resumes from).  Shard workers of a profiled
-    run dump their own cProfile under ``<profile_dir>/shards``.
+    ``shard_jobs`` is the process count *inside* a sharded experiment,
+    its caller included (rows are bit-identical for any value);
+    ``sink_dir`` and ``checkpoint_dir`` are where ``workload_sharded_xl``
+    streams per-flow rows and checkpoints (and resumes from).  Forked
+    shard workers of a profiled run dump their own cProfile under
+    ``<profile_dir>/shards``; the caller's shards land in the
+    experiment's profile.
     """
 
     scale: float = 1.0
@@ -92,6 +95,7 @@ class RunOutcome:
     name: str
     result: dict          # ExperimentResult.to_dict()
     wall_s: float
+    pid: int              # the process that ran it
     profile_path: Optional[str] = None
     # Populated when observe=True: repro.obs record/sample dicts.
     trace_records: Optional[list] = None
@@ -173,6 +177,7 @@ def run_one(name: str, spec: RunSpec = RunSpec()) -> RunOutcome:
         name=name,
         result=result.to_dict(),
         wall_s=time.time() - t0,
+        pid=os.getpid(),
         profile_path=profile_path,
         trace_records=trace_records,
         metric_samples=metric_samples,
@@ -186,13 +191,13 @@ def run_experiments(
 ) -> list[RunOutcome]:
     """Run ``names`` under ``spec``; outcomes come back in request order.
 
-    ``jobs > 1`` fans the experiments out over a process pool — even for
-    a single id, so a one-experiment ``--jobs 2`` run genuinely exercises
-    the pool path (the bit-identity checks rely on that).  Output order
-    (and content — see the module docstring) is identical to the serial
-    run regardless of completion order.  A failing experiment surfaces
-    as a :class:`~repro.common.fanout.TaskError` naming its id; queued
-    ids are cancelled, not run.
+    ``jobs > 1`` fans the experiments out over ``min(jobs, len(names))``
+    processes, this one included — a single id therefore runs inline,
+    and a bit-identity check of the pool path needs at least two ids.
+    Output order (and content — see the module docstring) is identical
+    to the serial run regardless of completion order.  A failing
+    experiment surfaces as a :class:`~repro.common.fanout.TaskError`
+    naming its id; no id is started after the failure.
     """
     return fan_out(
         run_one,

@@ -7,8 +7,9 @@ single-pool ``workload`` experiment: 10,400 arrivals at ``scale=1.0``.
 
 The table has one row per shard plus a ``total`` row.  Rows are
 bit-identical for every worker count: ``--shard-jobs N``
-(``RunSpec.shard_jobs``) runs the shards on N worker processes, one
-shard per worker at a time; wall-clock figures never enter the rows.  Every shard keeps its own
+(``RunSpec.shard_jobs``) runs the shards on N processes — this one and
+N - 1 forked workers — one shard per process at a time; wall-clock
+figures never enter the rows.  Every shard keeps its own
 cache slice (6 MiB) for the whole run; the notes record what the
 per-epoch ledger (one snapshot every 0.5 s of simulated time) shows.
 """

@@ -2,8 +2,9 @@
 
 Runs :func:`repro.shard.run_sharded` over a 100-shard plan — 1,000
 arrivals per shard at ``scale=1.0``, i.e. 100,000 flows — exercising the
-full scale machinery: shards run to completion one at a time per worker
-(resident state is one shard per process, whatever the shard count),
+full scale machinery: shards run to completion one at a time per
+process (resident state is one shard per process, whatever the shard
+count),
 per-shard result streaming (closed flows spill to JSONL and their
 records are dropped, so a shard's state is bounded by *concurrent*
 flows, not total), and per-shard checkpointing.
@@ -16,7 +17,8 @@ for every worker count.  Options (``RunSpec`` fields, spelled as flags
 by ``python -m repro.experiments``):
 
 ``shard_jobs`` / ``--shard-jobs``
-    worker processes (default 1); rows are bit-identical for any value.
+    processes that run shards, this one included (default 1: inline;
+    N forks N - 1 workers); rows are bit-identical for any value.
 ``sink_dir`` / ``--sink-dir``
     spill directory (default ``results/shard_xl``); the merged
     ``flows.jsonl`` lands there.
@@ -27,8 +29,9 @@ by ``python -m repro.experiments``):
     that had finished, restores the ones caught mid-run and starts the
     rest.
 ``profile_dir`` / ``--profile``
-    each shard worker dumps its own cProfile under ``shards/`` there for
-    ``tools/profile_top.py`` to merge.
+    each forked shard worker dumps its own cProfile under ``shards/``
+    there for ``tools/profile_top.py`` to merge; the shards this process
+    runs land in the experiment's own profile.
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ def run(
         result.notes.append(
             f"peak RSS {out['rss']['total_peak_mib']:.0f} MiB "
             f"(parent {out['rss']['parent_peak_mib']:.0f} MiB + "
-            f"{shard_jobs if shard_jobs > 1 else 0} worker(s) "
+            f"{out['jobs'] - 1} worker(s) "
             f"{out['rss']['worker_peak_mib']:.0f} MiB)"
         )
     result.notes.append(

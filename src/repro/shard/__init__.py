@@ -3,13 +3,14 @@
 Partitions a constellation-scale workload into independent shards — one
 per ground-station pair, each owning its chain, FlowPool, cache slice,
 faults, and tracer slice — and runs every shard to completion as one
-task on a pool of worker processes, one shard per worker at a time.
-Results are bit-identical for any ``jobs`` value.
+task on ``jobs`` processes (the caller and ``jobs - 1`` forked
+workers), one shard per process at a time.  Results are bit-identical
+for any ``jobs`` value.
 
 Scale machinery (DESIGN.md §14): per-shard result streaming with
 deterministic merge (:mod:`repro.shard.sink`) and per-shard
 checkpoint/resume (:mod:`repro.shard.checkpoint`) — together they carry
-the engine from 10⁴ to 10⁵ flows in RSS bounded by one shard per worker,
+the engine from 10⁴ to 10⁵ flows in RSS bounded by one shard per process,
 resumable across process lifetimes.  What crosses the process boundary
 is one task's arguments out and one small result dict back per shard.
 """

@@ -3,11 +3,13 @@
 :func:`run_sharded` drives a :class:`~repro.shard.plan.ShardPlan` to
 completion by handing one :func:`~repro.shard.worker.run_shard` task
 per shard, in index order, to :func:`repro.common.fanout.fan_out` — the
-process pool it shares with the experiment runner (``jobs=1`` calls the
-same function inline, no pool).  A task runs
-its shard from start — or from its last checkpoint — to its result row
-and drops the state before the worker takes the next one, so a worker
-process holds one shard at a time and ``jobs`` is a plain pool size.
+fan-out it shares with the experiment runner.  ``jobs`` processes
+compute, the calling one included: ``jobs - 1`` pool workers are forked
+and every process claims the next shard as it frees up (``jobs=1`` calls
+the same function inline, no pool).  A task runs its shard from start —
+or from its last checkpoint — to its result row and drops the state
+before its process claims the next one, so a process holds one shard at
+a time.
 
 Each shard's trajectory depends only on ``(plan, shard_index)`` — its
 derived seed and its fixed cache slice — and the engine reads results
@@ -28,9 +30,9 @@ Scale features (DESIGN.md §14):
   value) with bit-identical rows, ledger, and spill bytes: finished
   shards are not run again, shards caught mid-run restore, the rest
   start fresh;
-* a worker exception surfaces as :class:`~repro.shard.worker.ShardError`
-  naming the failing shard; queued shards are cancelled, and no worker
-  is still writing when the error reaches the caller.
+* a shard's exception surfaces as :class:`~repro.shard.worker.ShardError`
+  naming the lowest failing shard; no further shard is claimed, and no
+  process is still writing when the error reaches the caller.
 """
 
 from __future__ import annotations
@@ -103,10 +105,15 @@ def run_sharded(
 ) -> dict:
     """Run a sharded workload; returns rows, the per-epoch ledger, totals.
 
-    ``jobs`` is purely an execution knob: any value (clamped to
-    ``[1, n_shards]``) produces bit-identical ``rows`` and ``ledger``.
-    Wall-clock and RSS figures (``wall_s``, ``events_per_s``, ``rss``)
-    are reported next to — never inside — the deterministic payload.
+    ``jobs`` is purely an execution knob: the number of processes that
+    compute, the caller included (``>= 1``, clamped to ``n_shards``);
+    any value produces bit-identical ``rows`` and ``ledger``.  Wall-clock
+    and RSS figures (``wall_s``, ``events_per_s``, ``rss``) are reported
+    next to — never inside — the deterministic payload, as is
+    ``worker_pids``, the forked processes that ran a shard.  ``rss`` is
+    the parent's peak (sampled, and at least what its own shards saw),
+    the sum of those workers' peaks (0 when none ran a shard) and their
+    total.
 
     ``sink_dir``
         stream closed flows' result rows to per-shard JSONL spill files
@@ -125,15 +132,18 @@ def run_sharded(
         by the resume tests and the nightly CI check.  The partial
         result dict carries ``stopped_after_epoch`` instead of rows.
     ``profile_dir``
-        the enclosing run's profile directory: every shard task dumps a
-        cProfile to ``<profile_dir>/shards/shard-NNN-pidNNN.pstats``,
-        mergeable with ``tools/profile_top.py``.  Only worker processes
-        profile here; with ``jobs=1`` the inline run is covered by the
-        parent's own profiler (``--profile``).
+        the enclosing run's profile directory: with ``jobs > 1`` a shard
+        task dumps a cProfile to
+        ``<profile_dir>/shards/shard-NNN-pidNNN.pstats``, mergeable with
+        ``tools/profile_top.py`` — unless its process is profiled
+        already: the caller's shards under ``--profile`` land in the
+        experiment's own profile, and with ``jobs=1`` all of them do.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be >= 1")
-    jobs = max(1, min(jobs, plan.n_shards))
+    jobs = min(jobs, plan.n_shards)
     started = time.perf_counter()
 
     # -- resolve fresh-start vs resume ---------------------------------
@@ -173,9 +183,9 @@ def run_sharded(
     ]
     sampler = RssSampler().start()
     try:
-        # The lowest failing shard is the one reported; queued shards are
-        # cancelled and running ones finish (and commit) first, so
-        # nothing writes after the raise.
+        # The lowest failing shard is the one reported; no shard is
+        # claimed after a failure and running ones finish (and commit)
+        # first, so nothing writes after the raise.
         results = fan_out(run_shard, tasks, jobs)
     except TaskError as failure:
         # A shard task names its own failure (ShardError: shard and
@@ -200,11 +210,13 @@ def run_sharded(
         }
 
     rows = [out["row"] for out in results]
-    worker_peaks: dict[int, int] = {}
+    peaks: dict[int, int] = {}
     for out in results:
-        worker_peaks[out["pid"]] = max(
-            worker_peaks.get(out["pid"], 0), out["peak_rss_bytes"]
-        )
+        peaks[out["pid"]] = max(peaks.get(out["pid"], 0), out["peak_rss_bytes"])
+    # The caller runs shards too: its own tasks' peaks belong to the
+    # parent (a shard shorter than the sampler's interval included), the
+    # rest to the pool workers.
+    inline_peak = peaks.pop(os.getpid(), 0)
 
     total = total_row("total", rows)
     rows.append(total)
@@ -223,14 +235,14 @@ def run_sharded(
                      "merged_bytes": merged_bytes}
 
     mib = 1 << 20
-    worker_peak_sum = sum(worker_peaks.values())
     rss = None
     if parent_peak is not None:
-        total_peak = parent_peak + (worker_peak_sum if jobs > 1 else 0)
+        parent_peak = max(parent_peak, inline_peak)
+        worker_peak = sum(peaks.values())
         rss = {
             "parent_peak_mib": parent_peak / mib,
-            "worker_peak_mib": worker_peak_sum / mib,
-            "total_peak_mib": total_peak / mib,
+            "worker_peak_mib": worker_peak / mib,
+            "total_peak_mib": (parent_peak + worker_peak) / mib,
         }
     return {
         "rows": rows,
@@ -238,6 +250,7 @@ def run_sharded(
         "events_executed": total["events"],
         "completed": total["completed"],
         "jobs": jobs,
+        "worker_pids": sorted(peaks),  # the other processes that ran shards
         "wall_s": wall_s,
         "events_per_s": total["events"] / wall_s if wall_s > 0 else 0.0,
         "resumed_from_epoch": resumed_from_epoch,

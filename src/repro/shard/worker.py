@@ -6,9 +6,10 @@ submits one :func:`run_shard` task per shard; a task builds its
 checkpoint), steps it through its epochs locally — simulate to the
 epoch end, spill closed flows, take the ledger snapshot, checkpoint on
 cadence — finalises it into the shard's result row and *drops it*
-before the worker process takes its next task, so a process never holds
-more than one shard.  With ``jobs=1`` the engine calls the same function
-inline — one code path, two execution modes.
+before its process claims the next task, so a process never holds more
+than one shard.  The engine's own process runs the same function inline
+(all shards with ``jobs=1``, its share of them otherwise) — one code
+path, two execution modes.
 
 What crosses the process boundary (DESIGN.md §14): the task's arguments
 out (plan, shard index, directories, the shard's checkpoint entry when
@@ -22,6 +23,7 @@ from __future__ import annotations
 import cProfile
 import gc
 import os
+import sys
 from typing import Optional
 
 from repro.faults.schedule import FaultInjector, FaultSchedule, LinkDown
@@ -179,6 +181,17 @@ class _ShardState:
 # ----------------------------------------------------------------------
 
 
+def _profiled() -> bool:
+    """Whether a profiler already runs in this process: a second cProfile
+    would take over its hook (Python < 3.12) or raise (3.12+, where
+    cProfile registers as the ``sys.monitoring`` profiler instead)."""
+    monitoring = getattr(sys, "monitoring", None)
+    return sys.getprofile() is not None or (
+        monitoring is not None
+        and monitoring.get_tool(monitoring.PROFILER_ID) is not None
+    )
+
+
 def run_shard(
     plan: ShardPlan,
     index: int,
@@ -202,9 +215,14 @@ def run_shard(
 
     Returns the row and ledger snapshots, plus this
     process's id and the RSS peak the task saw in it.
+
+    With ``profile_dir`` the task dumps its own cProfile there — unless
+    this process is profiled already (the caller of a profiled run),
+    whose profile then covers the shard.
     """
-    profiler = cProfile.Profile() if profile_dir is not None else None
-    if profiler is not None:
+    profiler = None
+    if profile_dir is not None and not _profiled():
+        profiler = cProfile.Profile()
         profiler.enable()
     out = {"row": None, "ledger": [], "checkpoints": 0,
            "pid": os.getpid(), "peak_rss_bytes": 0}

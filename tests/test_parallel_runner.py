@@ -12,6 +12,8 @@ against regressions (e.g. a worker that mutates shared module state).
 
 from __future__ import annotations
 
+import functools
+import multiprocessing
 import os
 
 import pytest
@@ -36,54 +38,62 @@ def _gated(name: str):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _serial(name: str) -> dict:
+    """The serial run's result, computed once for every test comparing
+    against it."""
+    return run_experiments([name], _SPEC, jobs=1)[0].result
+
+
+def _start_together(monkeypatch, name: str) -> None:
+    """Make ``run_experiments([name, name], jobs=2)`` run one copy in the
+    caller and one in the forked worker: each copy waits for the other at
+    a barrier the worker inherits before it runs."""
+    run = ALL_EXPERIMENTS[name]
+    barrier = multiprocessing.Barrier(2)
+
+    @functools.wraps(run)  # run_one reads the experiment's signature
+    def together(**kwargs):
+        barrier.wait(timeout=60)
+        return run(**kwargs)
+
+    monkeypatch.setattr("repro.experiments.ALL_EXPERIMENTS", {name: together})
+
+
 @pytest.mark.parametrize("name", [_gated(n) for n in sorted(ALL_EXPERIMENTS)])
-def test_parallel_rows_bit_identical(name):
-    """--jobs N rows == serial rows, for every experiment id."""
-    serial = run_experiments([name], _SPEC, jobs=1)
-    parallel = run_experiments([name], _SPEC, jobs=2)
-    assert len(serial) == len(parallel) == 1
-    assert serial[0].result["rows"] == parallel[0].result["rows"]
-    assert serial[0].result["notes"] == parallel[0].result["notes"]
+def test_parallel_rows_bit_identical(name, monkeypatch):
+    """--jobs N rows == serial rows, for every experiment id — one copy
+    run in the caller, one in a forked worker."""
+    serial = _serial(name)
+    _start_together(monkeypatch, name)
+    parallel = run_experiments([name, name], _SPEC, jobs=2)
+    pids = {o.pid for o in parallel}
+    assert len(pids) == 2 and os.getpid() in pids
+    for outcome in parallel:
+        assert serial["rows"] == outcome.result["rows"]
+        assert serial["notes"] == outcome.result["notes"]
 
 
 def test_multi_experiment_order_and_rows():
     """A mixed batch returns outcomes in request order with serial rows."""
     names = list(_CHEAP_IDS)
-    serial = run_experiments(names, _SPEC, jobs=1)
     parallel = run_experiments(names, _SPEC, jobs=2)
-    assert [o.name for o in serial] == names
     assert [o.name for o in parallel] == names
-    for s, p in zip(serial, parallel):
-        assert s.result == p.result
+    for outcome in parallel:
+        assert outcome.result == _serial(outcome.name)
 
 
 def test_run_one_is_the_shared_worker():
     """Serial path and pool path both execute run_one (structural pin)."""
-    outcome = run_one("fig03", _SPEC)
-    serial = run_experiments(["fig03"], _SPEC, jobs=1)
-    assert outcome.result == serial[0].result
+    assert run_one("fig03", _SPEC).result == _serial("fig03")
 
 
-def test_single_id_parallel_uses_the_pool(monkeypatch):
-    """jobs=2 with one id still routes through the process pool.
-
-    The single-experiment bit-identity checks above are only meaningful
-    if the parallel leg actually crosses a process boundary.
-    """
-    import repro.common.fanout as fanout_mod
-    import repro.experiments.runner as runner_mod
-
-    submitted = []
-
-    class SpyPool(fanout_mod.ProcessPoolExecutor):
-        def submit(self, fn, *args, **kwargs):
-            submitted.append((fn, args[0]))
-            return super().submit(fn, *args, **kwargs)
-
-    monkeypatch.setattr(fanout_mod, "ProcessPoolExecutor", SpyPool)
-    outcomes = runner_mod.run_experiments(["fig03"], _SPEC, jobs=2)
-    assert submitted == [(runner_mod.run_one, "fig03")]
-    assert outcomes[0].name == "fig03"
+def test_single_id_parallel_runs_inline(pool_sizes):
+    """jobs=2 with one id forks nothing: the caller is one of the jobs
+    processes, so the bit-identity checks above run two copies."""
+    outcomes = run_experiments(["fig03"], _SPEC, jobs=2)
+    assert pool_sizes == []
+    assert [(o.name, o.pid) for o in outcomes] == [("fig03", os.getpid())]
 
 
 def test_profile_dump(tmp_path):
@@ -194,6 +204,23 @@ def test_shard_profiles_land_under_the_run_profile_dir(tmp_path):
     dumps = sorted(p.name for p in (tmp_path / "shards").iterdir())
     assert [d[:10] for d in dumps] == ["shard-000-", "shard-001-"]
     assert all(d.endswith(".pstats") for d in dumps)
+
+
+def test_profiled_caller_keeps_its_shards_in_the_experiment_profile(
+    shards_start_together, tmp_path
+):
+    """Under ``--profile`` the caller runs shards inside the experiment's
+    cProfile, so it starts no second profiler (3.12 would refuse one);
+    the forked worker dumps its own under ``shards/``."""
+    import pstats
+
+    outcome = run_one("workload_sharded", RunSpec(
+        scale=_TINY_SCALE, seed=0, shard_jobs=2, profile_dir=str(tmp_path),
+    ))
+    profiled = {func[2] for func in pstats.Stats(outcome.profile_path).stats}
+    assert "run_shard" in profiled
+    dumps = list((tmp_path / "shards").glob("shard-*.pstats"))
+    assert dumps and all(f"pid{os.getpid()}." not in d.name for d in dumps)
 
 
 def test_no_module_reads_the_environment():

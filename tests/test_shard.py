@@ -100,6 +100,8 @@ def test_jobs_clamped_to_shard_count():
     result = run_sharded(SMALL_PLAN, jobs=64)
     assert result["jobs"] == SMALL_PLAN.n_shards
     assert _payload(result) == _payload(run_sharded(SMALL_PLAN, jobs=1))
+    with pytest.raises(ValueError, match=r"^jobs must be >= 1, got 0$"):
+        run_sharded(SMALL_PLAN, jobs=0)
 
 
 # ----------------------------------------------------------------------

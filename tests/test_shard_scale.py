@@ -282,11 +282,13 @@ def test_mixed_state_kill_then_resume_bit_identical(
         "spill_offset"
     ]
 
-    built = []
+    built = tmp_path / "built"
     original_init = _ShardState.__init__
 
     def counting(self, plan, index):
-        built.append(index)
+        # A file, not a list: whichever process builds the shard logs it.
+        with open(built, "a") as fh:
+            fh.write(f"{index}\n")
         original_init(self, plan, index)
 
     monkeypatch.setattr(_ShardState, "__init__", counting)
@@ -295,16 +297,16 @@ def test_mixed_state_kill_then_resume_bit_identical(
         PLAN, jobs=jobs, resume_from=ckpt, checkpoint_dir=ckpt2
     )
     # Shards 0-1 are not run again and shard 2 unpickles; only shard 3 is
-    # built — in a worker process when there are workers.
-    assert built == ([3] if jobs == 1 else [])
+    # built, exactly once.
+    assert built.read_text() == "3\n"
     assert resumed["resumed_from_epoch"] == 0
     assert _payload(resumed) == _payload(baseline)
     assert _merged_bytes(resumed) == _merged_bytes(baseline)
     # The run's own checkpoint directory is complete: finished shards
     # were carried over, so resuming from it runs nothing at all.
-    del built[:]
+    built.unlink()
     again = run_sharded(PLAN, jobs=1, resume_from=ckpt2)
-    assert built == []
+    assert not built.exists()
     assert again["resumed_from_epoch"] == PLAN.n_epochs
     assert _payload(again) == _payload(baseline)
 
@@ -446,6 +448,37 @@ def test_lowest_failing_shard_wins_and_nothing_writes_after_the_raise(
     before = snapshot()
     time.sleep(0.3)
     assert snapshot() == before
+
+
+def test_rss_counts_the_caller_once(monkeypatch, shards_start_together):
+    """At jobs=2 the caller runs shards beside one worker: its own tasks'
+    peaks fold into the parent's, and only the worker's are added."""
+    from repro.common.fanout import fan_out
+
+    tasks = []
+
+    def recording(*args):
+        tasks.extend(fan_out(*args))
+        return tasks
+
+    monkeypatch.setattr("repro.shard.engine.fan_out", recording)
+    run = run_sharded(PLAN, jobs=2)
+    caller = os.getpid()
+    theirs = {task["pid"] for task in tasks} - {caller}
+    assert len(theirs) == 1 and run["worker_pids"] == sorted(theirs)
+    mine = [t["peak_rss_bytes"] for t in tasks if t["pid"] == caller]
+    worker = [t["peak_rss_bytes"] for t in tasks if t["pid"] != caller]
+    rss, mib = run["rss"], 1 << 20
+    assert rss["worker_peak_mib"] == max(worker) / mib
+    assert rss["parent_peak_mib"] >= max(mine) / mib
+    assert rss["total_peak_mib"] == pytest.approx(
+        rss["parent_peak_mib"] + rss["worker_peak_mib"]
+    )
+
+    monkeypatch.undo()
+    serial = run_sharded(PLAN, jobs=1)
+    assert serial["worker_pids"] == [] and serial["rss"]["worker_peak_mib"] == 0
+    assert serial["rss"]["total_peak_mib"] == serial["rss"]["parent_peak_mib"]
 
 
 def _sampler_threads() -> list[threading.Thread]:
