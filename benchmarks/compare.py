@@ -19,11 +19,14 @@ beyond ``--mem-threshold`` (default 30 %, RSS being noisier than time)
 is a regression.  A benchmark missing the figure on either side is
 skipped — memory gating never fails on hosts without ``/proc``.
 
-So is the call count: ``extra_info.py_frames_per_packet_hop`` (Python
-frames per packet-hop of a small LEOTP transfer, an exact count — see
-``tools/frames_per_hop.py``) may grow by ``--frames-threshold`` (default
-5 %), which catches a trampoline creeping back onto the per-packet path
-even on a runner too noisy for the time gate.
+So are two exact counts, each allowed to grow by ``--count-threshold``
+(default 5 %) even on a runner too noisy for the time gate:
+``extra_info.py_frames_per_packet_hop`` (Python frames per packet-hop of
+a small LEOTP transfer — see ``tools/frames_per_hop.py``) catches a
+trampoline creeping back onto the per-packet path, and
+``extra_info.host_bytes_per_block`` (``tracemalloc`` bytes per cached
+block of an in-order fill, exact for one Python build) a field creeping
+back into the cache's per-block layout.
 
 ``--pair BASE NEW`` is repeatable, so one invocation gates the whole
 perf surface (kernel + workload + shard) — that is how the CI
@@ -71,13 +74,14 @@ def compare(
     new: dict[str, dict],
     threshold: float,
     mem_threshold: float = 0.30,
-    frames_threshold: float = 0.05,
+    count_threshold: float = 0.05,
 ) -> tuple[str, list[str]]:
     """Render a comparison table; return (table, regression messages)."""
     # extra_info figures gated on growth: (key, label, unit, allowed growth).
     extra_gates = (
         ("peak_rss_mib", "peak RSS", "MiB", mem_threshold),
-        ("py_frames_per_packet_hop", "frames/packet-hop", "", frames_threshold),
+        ("py_frames_per_packet_hop", "frames/packet-hop", "", count_threshold),
+        ("host_bytes_per_block", "host bytes/block", "B", count_threshold),
     )
     names = sorted(set(baseline) | set(new))
     width = max((len(n) for n in names), default=4)
@@ -159,9 +163,10 @@ def main(argv: list[str] | None = None) -> int:
              "benchmarks recording extra_info.peak_rss_mib (default 0.30)",
     )
     parser.add_argument(
-        "--frames-threshold", type=float, default=0.05,
-        help="allowed growth of extra_info.py_frames_per_packet_hop, an "
-             "exact count, before failing (default 0.05)",
+        "--count-threshold", type=float, default=0.05,
+        help="allowed growth of the exact counts "
+             "extra_info.py_frames_per_packet_hop and "
+             "extra_info.host_bytes_per_block before failing (default 0.05)",
     )
     args = parser.parse_args(argv)
 
@@ -179,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"== {baseline_path} vs {new_path} ==")
         table, regressions = compare(
             load_benchmarks(baseline_path), load_benchmarks(new_path),
-            args.threshold, args.mem_threshold, args.frames_threshold,
+            args.threshold, args.mem_threshold, args.count_threshold,
         )
         print(table)
         if len(pairs) > 1:
@@ -189,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"\n{len(all_regressions)} regression(s) beyond the "
               f"thresholds (time {args.threshold:.0%}, "
               f"rss {args.mem_threshold:.0%}, "
-              f"frames {args.frames_threshold:.0%}):", file=sys.stderr)
+              f"counts {args.count_threshold:.0%}):", file=sys.stderr)
         for msg in all_regressions:
             print(f"  {msg}", file=sys.stderr)
         return 1

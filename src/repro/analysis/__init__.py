@@ -1,69 +1,30 @@
 """Analytical models (paper Sec. II-B), statistics, and run reporting."""
 
-from repro.analysis.formulas import (
-    end_to_end_plr,
-    hbh_owd_ratio,
-    hbh_throughput_gain,
-    mean_owd_e2e,
-    mean_owd_hbh,
-    throughput_e2e,
-    throughput_hbh,
-)
-from repro.analysis.owd_model import OwdDistribution, simulate_owd_e2e, simulate_owd_hbh
-from repro.analysis.plots import (
-    have_matplotlib,
-    plot_goodput_cdf,
-    plot_rate_ladder,
-    plot_recovery_timeline,
-)
-from repro.analysis.report import (
-    cache_efficiency,
-    ccbench_summary,
-    churn_summary,
-    content_summary,
-    event_counts,
-    rate_ladder,
-    recovery_latency_ms,
-    recovery_timeline,
-    run_summary,
-    workload_summary,
-)
-from repro.analysis.stats import (
-    fct_percentiles,
-    goodput_cdf,
-    jain_fairness,
-    percentile,
-    summarize,
-)
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "OwdDistribution",
-    "cache_efficiency",
-    "ccbench_summary",
-    "churn_summary",
-    "content_summary",
-    "event_counts",
-    "rate_ladder",
-    "recovery_latency_ms",
-    "recovery_timeline",
-    "run_summary",
-    "end_to_end_plr",
-    "fct_percentiles",
-    "goodput_cdf",
-    "have_matplotlib",
-    "hbh_owd_ratio",
-    "hbh_throughput_gain",
-    "jain_fairness",
-    "plot_goodput_cdf",
-    "plot_rate_ladder",
-    "plot_recovery_timeline",
-    "mean_owd_e2e",
-    "mean_owd_hbh",
-    "percentile",
-    "simulate_owd_e2e",
-    "simulate_owd_hbh",
-    "summarize",
-    "throughput_e2e",
-    "throughput_hbh",
-    "workload_summary",
-]
+# Each public name and the submodule that defines it.  A name is imported
+# on first use, so importing one submodule (``repro.analysis.stats``)
+# does not load its siblings.
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "formulas": (
+        "end_to_end_plr", "hbh_owd_ratio", "hbh_throughput_gain",
+        "mean_owd_e2e", "mean_owd_hbh", "throughput_e2e", "throughput_hbh",
+    ),
+    "owd_model": (
+        "OwdDistribution", "simulate_owd_e2e", "simulate_owd_hbh",
+    ),
+    "plots": (
+        "have_matplotlib", "plot_goodput_cdf", "plot_rate_ladder",
+        "plot_recovery_timeline",
+    ),
+    "report": (
+        "cache_efficiency", "ccbench_summary", "churn_summary",
+        "content_summary", "event_counts", "rate_ladder",
+        "recovery_latency_ms", "recovery_timeline", "run_summary",
+        "workload_summary",
+    ),
+    "stats": (
+        "fct_percentiles", "goodput_cdf", "jain_fairness", "percentile",
+        "summarize",
+    ),
+})

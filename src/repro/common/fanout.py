@@ -17,10 +17,8 @@ call-queue prefetch, which hands a worker its next task early.)
 
 from __future__ import annotations
 
-import multiprocessing
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Optional, Sequence
 
 
@@ -122,6 +120,10 @@ def fan_out(
                 done.append((index, None, exc))
                 break
     else:
+        # Imported here: a process that never forks does not load them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         counter = multiprocessing.Value("i", 0)
         stop = multiprocessing.Value("b", False)
         pool = ProcessPoolExecutor(

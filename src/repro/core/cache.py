@@ -7,16 +7,27 @@ ranges of each block are present plus the metadata the Consumer's
 measurements need (the Producer's original transmission timestamp per
 range).
 
-A block is the one thing every packet leaves behind at every hop, so it
-is kept out of the garbage collector's view: its stored pieces are one
-flat ``array('d')`` of ``(start, end, origin_ts)`` triples (offsets are
-exact as doubles below 2**53) beside a parallel writer list, not a graph
-of range/tuple objects.  While stores arrive *in order* — each piece
-starts at or after the previous piece's end, 97 % of inserts on the
-benchmark — the pieces are ascending and disjoint and therefore *are*
-the block's coverage; a :class:`RangeSet` is materialised only from the
-first out-of-order store (a re-store after eviction, a repair) and
-dropped again by compaction, which rebuilds ascending disjoint pieces.
+A block is the one thing every packet leaves behind at every hop, so a
+block is one flat ``array('d')`` and nothing else::
+
+    [covered, freq, seq,  start, end, origin_ts, writer_id,  ...]
+
+a 3-double header — the bytes present (the length of the pieces'
+union), the touch count and the creation counter (LFU's key and its
+deterministic tie-break) — then one ``(start, end, origin_ts,
+writer_id)`` quadruple per stored piece, in insertion order (offsets
+and ids are exact as doubles below 2**53).  Writers are interned in a
+per-cache table (id 0 is "unattributed"), and the ``OrderedDict`` that
+holds the blocks in LRU order is keyed by one int, ``key_id << 32 |
+block_index``, with each cache key's id kept beside its block span.
+
+While stores arrive *in order* — each piece starts at or after the
+previous piece's end, 97 % of inserts on the benchmark — the pieces are
+ascending and disjoint and therefore *are* the block's coverage; a
+:class:`RangeSet` is materialised only from the first out-of-order store
+(a re-store after eviction, a repair), kept in a side dict keyed like
+the blocks, and dropped again by compaction, which rebuilds ascending
+disjoint pieces.
 
 The cache key is normally the FlowID.  Under a content workload
 (:mod:`repro.content`) Midnodes alias the key to the flow's bound
@@ -43,34 +54,11 @@ CACHE_EVICTION_POLICIES = ("lru", "lfu")
 _unchecked = ByteRange.unchecked
 
 
-class _Block:
-    """Stored pieces and access bookkeeping for one 4096-byte block."""
-
-    __slots__ = ("pieces", "writers", "covered", "coverage", "freq", "seq")
-
-    def __init__(self) -> None:
-        # Flat (start, end, origin_ts) triples in insertion order; lookups
-        # scan them newest-first.  ``writers[i]`` is the flow that stored
-        # piece ``i``: None for unattributed stores (single-flow caches,
-        # compacted mixed history).
-        self.pieces = array("d")
-        self.writers: list[Optional[str]] = []
-        self.covered = 0  # bytes present: the length of the pieces' union
-        # None while the pieces ascend without overlap (they are their
-        # own union); the union as a RangeSet once a store broke that.
-        self.coverage: Optional[RangeSet] = None
-        # Access bookkeeping for LFU replacement: ``freq`` is the touch
-        # count, ``seq`` the creation counter (deterministic tie-break).
-        # Recency (LRU) is the cache's ``OrderedDict`` order.
-        self.freq = 0
-        self.seq = 0
-
-
-def _union(pieces: array) -> RangeSet:
+def _union(block: array) -> RangeSet:
     """The byte set a block's pieces cover."""
     coverage = RangeSet()
-    for i in range(0, len(pieces), 3):
-        coverage.add(_unchecked(int(pieces[i]), int(pieces[i + 1])))
+    for i in range(3, len(block), 4):
+        coverage.add(_unchecked(int(block[i]), int(block[i + 1])))
     return coverage
 
 
@@ -98,6 +86,9 @@ class BlockCache:
     """Block cache keyed by (cache key, block index)."""
 
     MAX_ORIGINS_PER_BLOCK = 64
+    #: Writers interned before the first sweep, and over twice the
+    #: survivors before each next one (see ``_intern``).
+    WRITER_SWEEP_SLACK = 64
 
     def __init__(
         self,
@@ -115,14 +106,24 @@ class BlockCache:
         self.capacity_bytes = capacity_bytes
         self.block_bytes = block_bytes
         self.eviction = eviction
-        self._blocks: "OrderedDict[tuple[str, int], _Block]" = OrderedDict()
+        # ``key_id << 32 | block_index`` -> block array, in LRU order.
+        self._blocks: "OrderedDict[int, array]" = OrderedDict()
+        # Materialised coverage of the blocks stored out of order.
+        self._coverage: dict[int, RangeSet] = {}
         # [lowest, highest] block index ever created per cache key, so
         # dropping a flow probes its own span instead of scanning every
         # block of the node (eviction leaves it stale, which only costs
-        # a missed probe).
+        # a missed probe), then the key's id.
         self._key_span: dict[str, list[int]] = {}
+        self._next_key_id = 0
+        # Interned writers: ``_writers[id]`` and ``_writer_ids[writer]``;
+        # ids no stored piece names any more are reused (see ``_intern``).
+        self._writers: list[Optional[str]] = [None]
+        self._writer_ids: dict[Optional[str], int] = {None: 0}
+        self._free_ids: list[int] = []
+        self._sweep_at = self.WRITER_SWEEP_SLACK  # table size that sweeps
         self._stored_bytes = 0
-        self._created = 0  # blocks ever created (source of ``_Block.seq``)
+        self._created = 0  # blocks ever created (a block's ``seq``)
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -150,45 +151,49 @@ class BlockCache:
         self.stats.insertions += 1
         block_bytes = self.block_bytes
         blocks = self._blocks
+        coverage_of = self._coverage
         r_start, r_end = rng.start, rng.end
-        for bidx in range(r_start // block_bytes, (r_end - 1) // block_bytes + 1):
-            bkey = (key, bidx)
+        first = r_start // block_bytes
+        span = self._key_span.get(key)
+        if span is None:
+            span = self._key_span[key] = [first, first, self._next_key_id]
+            self._next_key_id += 1
+        base = span[2] << 32
+        wid = self._writer_ids.get(writer)
+        if wid is None:
+            wid = self._intern(writer)
+        for bidx in range(first, (r_end - 1) // block_bytes + 1):
+            bkey = base | bidx
             block = blocks.get(bkey)
             if block is None:
-                block = blocks[bkey] = _Block()
-                span = self._key_span.get(key)
-                if span is None:
-                    self._key_span[key] = [bidx, bidx]
-                elif bidx > span[1]:
+                self._created += 1
+                block = blocks[bkey] = array("d", (0.0, 0.0, self._created))
+                if bidx > span[1]:
                     span[1] = bidx
                 elif bidx < span[0]:
                     span[0] = bidx
-                self._created += 1
-                block.seq = self._created
             else:
                 blocks.move_to_end(bkey)
-            block.freq += 1
+            block[1] += 1.0
             # The piece of ``rng`` in this block: ``rng`` itself unless it
             # straddles a block edge (every block of the span overlaps it).
             bstart = bidx * block_bytes
             bend = bstart + block_bytes
             start = r_start if r_start > bstart else bstart
             end = r_end if r_end < bend else bend
-            pieces = block.pieces
-            coverage = block.coverage
-            if coverage is None and (not pieces or start >= pieces[-2]):
+            if (len(block) == 3 or start >= block[-3]) and bkey not in coverage_of:
                 added = end - start  # in order: disjoint from every piece
             else:
+                coverage = coverage_of.get(bkey)
                 if coverage is None:
-                    coverage = block.coverage = _union(pieces)
+                    coverage = coverage_of[bkey] = _union(block)
                 coverage.add(_unchecked(start, end))
-                added = len(coverage) - block.covered
-            pieces.fromlist([start, end, origin_ts])
-            block.writers.append(writer)
-            block.covered += added
+                added = len(coverage) - int(block[0])
+            block.fromlist([start, end, origin_ts, wid])
+            block[0] += added
             self._stored_bytes += added
-            if len(block.writers) > self.MAX_ORIGINS_PER_BLOCK:
-                self._compact(block)
+            if len(block) > 3 + 4 * self.MAX_ORIGINS_PER_BLOCK:
+                self._compact(bkey, block)
         if self._stored_bytes > self.capacity_bytes:
             self._evict_if_needed()
 
@@ -208,6 +213,17 @@ class BlockCache:
         """
         self.stats.lookups += 1
         self.stats.lookup_bytes += rng.length
+        span = self._key_span.get(key)
+        if span is None:
+            return []
+        base = span[2] << 32
+        blocks = self._blocks
+        # Writer ids of cross-flow bytes: attributed, and not the requester
+        # (who may never have stored anything here: id -1).
+        own = (
+            None if requester is None
+            else self._writer_ids.get(requester, -1)
+        )
         found: list[tuple[ByteRange, float]] = []
         cross_bytes = 0
         r_start, r_end = rng.start, rng.end
@@ -215,25 +231,24 @@ class BlockCache:
         f_start, f_end = float(r_start), float(r_end)
         remaining: Optional[RangeSet] = None  # built at the first present block
         for bidx in self._block_span(rng):
-            bkey = (key, bidx)
-            block = self._blocks.get(bkey)
+            bkey = base | bidx
+            block = blocks.get(bkey)
             if block is None:
                 continue
             if remaining is None:
                 remaining = RangeSet([rng])
-            self._blocks.move_to_end(bkey)
-            block.freq += 1
+            blocks.move_to_end(bkey)
+            block[1] += 1.0
             # Scan this block's stored pieces newest-first so re-stored
             # (retransmitted) data wins, then clip against what is still
             # needed to keep results disjoint.
-            pieces = block.pieces
-            for i in range(len(pieces) - 3, -1, -3):
+            for i in range(len(block) - 4, 2, -4):
                 if not remaining:
                     break
-                start = pieces[i]
+                start = block[i]
                 if start >= f_end:
                     continue
-                end = pieces[i + 1]
+                end = block[i + 1]
                 if end <= f_start:
                     continue
                 part = _unchecked(
@@ -249,16 +264,12 @@ class BlockCache:
                         covered.remove(hole)
                 else:
                     continue
-                origin_ts = pieces[i + 2]
-                writer = block.writers[i // 3]
+                origin_ts = block[i + 2]
+                wid = block[i + 3]
                 for sub in covered:
                     found.append((sub, origin_ts))
                     remaining.remove(sub)
-                    if (
-                        requester is not None
-                        and writer is not None
-                        and writer != requester
-                    ):
+                    if own is not None and wid and wid != own:
                         cross_bytes += sub.length
         if not found:
             return []
@@ -275,36 +286,68 @@ class BlockCache:
 
     def contains(self, key: str, rng: ByteRange) -> bool:
         """True if every byte of ``rng`` is cached."""
+        span = self._key_span.get(key)
+        if span is None:
+            return False
+        base = span[2] << 32
         for bidx in self._block_span(rng):
-            block = self._blocks.get((key, bidx))
+            bkey = base | bidx
+            block = self._blocks.get(bkey)
             if block is None:
                 return False
             bstart = bidx * self.block_bytes
             part = rng.intersection(ByteRange.unchecked(bstart, bstart + self.block_bytes))
             if part is not None and not (
-                block.coverage or _union(block.pieces)
+                self._coverage.get(bkey) or _union(block)
             ).contains(part):
                 return False
         return True
+
+    def _intern(self, writer: str) -> int:
+        """A new writer's id.
+
+        A Midnode sees every flow that crosses it, but its blocks name only
+        the writers of what it still holds.  So once the table has doubled
+        since the last look, the writers no stored piece names are dropped
+        and their ids reused: the table is the size of the cache's
+        contents, not of every flow it ever served.
+        """
+        ids = self._writer_ids
+        if len(ids) > self._sweep_at:
+            live = {0.0}
+            for block in self._blocks.values():
+                live.update(block[6::4])
+            for name, wid in list(ids.items()):
+                if wid not in live:
+                    del ids[name]
+                    self._writers[wid] = None
+                    self._free_ids.append(wid)
+            self._sweep_at = 2 * len(ids) + self.WRITER_SWEEP_SLACK
+        if self._free_ids:
+            wid = self._free_ids.pop()
+            self._writers[wid] = writer
+        else:
+            wid = len(self._writers)
+            self._writers.append(writer)
+        ids[writer] = wid
+        return wid
 
     # -- replacement ----------------------------------------------------
 
     def evict_one(self) -> int:
         """Evict one block under this cache's policy; returns bytes freed
         (0 if empty)."""
-        if not self._blocks:
+        blocks = self._blocks
+        if not blocks:
             return 0
         if self.eviction == "lfu":
             # O(n) scan; only paid under memory pressure with LFU selected.
-            victim = min(
-                self._blocks, key=lambda k: (
-                    self._blocks[k].freq, self._blocks[k].seq
-                )
-            )
-            block = self._blocks.pop(victim)
+            victim = min(blocks, key=lambda k: (blocks[k][1], blocks[k][2]))
+            block = blocks.pop(victim)
         else:
-            _, block = self._blocks.popitem(last=False)
-        freed = block.covered
+            victim, block = blocks.popitem(last=False)
+        self._coverage.pop(victim, None)
+        freed = int(block[0])
         self._stored_bytes -= freed
         self.stats.evictions += 1
         return freed
@@ -318,36 +361,39 @@ class BlockCache:
         LRU pressure.  (Content-keyed blocks are *not* dropped at
         retirement — see :meth:`repro.core.midnode.Midnode.retire_flow`.)
         """
+        span = self._key_span.pop(key, None)
+        if span is None:
+            return 0
+        lo, hi, key_id = span
+        base = key_id << 32
         freed = 0
-        lo, hi = self._key_span.pop(key, (0, -1))
-        for bidx in range(lo, hi + 1):
-            block = self._blocks.pop((key, bidx), None)
+        for bkey in range(base | lo, (base | hi) + 1):
+            block = self._blocks.pop(bkey, None)
             if block is not None:
-                freed += block.covered
+                freed += int(block[0])
+                self._coverage.pop(bkey, None)
         self._stored_bytes -= freed
         return freed
 
-    @staticmethod
-    def _compact(block: _Block) -> None:
+    def _compact(self, bkey: int, block: array) -> None:
         """Collapse a block's pieces onto its coverage intervals.
 
         Heavy retransmission can pile up many overlapping pieces;
         compaction rebuilds one piece per covered interval, stamped with
         the block's earliest timestamp (conservative for OWD accounting).
         The writer attribution survives only if the whole block has a
-        single writer — mixed history compacts to None (conservative:
-        never inflates cross-flow hit counts).  The rebuilt pieces ascend
-        without overlap, so the block is in order again.
+        single writer — mixed history compacts to unattributed
+        (conservative: never inflates cross-flow hit counts).  The
+        rebuilt pieces ascend without overlap, so the block is in order
+        again.
         """
-        oldest = min(block.pieces[2::3])
-        writers = set(block.writers)
-        writer = writers.pop() if len(writers) == 1 else None
-        coverage = block.coverage or _union(block.pieces)
-        block.pieces = array("d")
-        for iv in coverage:
-            block.pieces.fromlist([iv.start, iv.end, oldest])
-        block.writers = [writer] * (len(block.pieces) // 3)
-        block.coverage = None
+        oldest = min(block[5::4])
+        writers = set(block[6::4])
+        wid = writers.pop() if len(writers) == 1 else 0.0
+        coverage = self._coverage.pop(bkey, None) or _union(block)
+        block[3:] = array("d", [
+            x for iv in coverage for x in (iv.start, iv.end, oldest, wid)
+        ])
 
     def _evict_if_needed(self) -> None:
         while self._stored_bytes > self.capacity_bytes and self._blocks:

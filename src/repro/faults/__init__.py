@@ -8,62 +8,24 @@ the protocol's correctness claims while the faults land; and
 :func:`recovery_report` quantifies how quickly goodput comes back.
 """
 
-from repro.faults.harness import ChaosResult, run_chaos
-from repro.faults.invariants import (
-    BoundedRequesterWindow,
-    BoundedResponderBuffers,
-    ByteExactDelivery,
-    CwndSanity,
-    Invariant,
-    InvariantLimits,
-    InvariantMonitor,
-    InvariantReport,
-    InvariantViolation,
-    NoDuplicateDelivery,
-    RtoSanity,
-    default_invariants,
-)
-from repro.faults.loss import GilbertElliottLoss
-from repro.faults.metrics import RecoveryReport, recovery_report
-from repro.faults.schedule import (
-    BandwidthCollapse,
-    CorrelatedLoss,
-    DelaySpike,
-    FaultEvent,
-    FaultInjector,
-    FaultSchedule,
-    LinkDown,
-    LinkFlap,
-    LossBurst,
-    NodeCrash,
-)
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "BandwidthCollapse",
-    "BoundedRequesterWindow",
-    "BoundedResponderBuffers",
-    "ByteExactDelivery",
-    "ChaosResult",
-    "CorrelatedLoss",
-    "CwndSanity",
-    "DelaySpike",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultSchedule",
-    "GilbertElliottLoss",
-    "Invariant",
-    "InvariantLimits",
-    "InvariantMonitor",
-    "InvariantReport",
-    "InvariantViolation",
-    "LinkDown",
-    "LinkFlap",
-    "LossBurst",
-    "NoDuplicateDelivery",
-    "NodeCrash",
-    "RecoveryReport",
-    "RtoSanity",
-    "default_invariants",
-    "recovery_report",
-    "run_chaos",
-]
+# Each public name and the submodule that defines it.  A name is imported
+# on first use, so importing one submodule (``repro.faults.schedule``)
+# does not load its siblings.
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "harness": ("ChaosResult", "run_chaos"),
+    "invariants": (
+        "BoundedRequesterWindow", "BoundedResponderBuffers",
+        "ByteExactDelivery", "CwndSanity", "Invariant", "InvariantLimits",
+        "InvariantMonitor", "InvariantReport", "InvariantViolation",
+        "NoDuplicateDelivery", "RtoSanity", "default_invariants",
+    ),
+    "loss": ("GilbertElliottLoss",),
+    "metrics": ("RecoveryReport", "recovery_report"),
+    "schedule": (
+        "BandwidthCollapse", "CorrelatedLoss", "DelaySpike", "FaultEvent",
+        "FaultInjector", "FaultSchedule", "LinkDown", "LinkFlap",
+        "LossBurst", "NodeCrash",
+    ),
+})

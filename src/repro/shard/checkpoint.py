@@ -52,7 +52,7 @@ from typing import Optional
 from repro.shard.plan import ShardPlan
 
 #: Manifest schema version; bumped on incompatible layout changes.
-CHECKPOINT_FORMAT = 6
+CHECKPOINT_FORMAT = 7
 
 MANIFEST_NAME = "manifest.json"
 

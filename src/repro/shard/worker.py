@@ -20,13 +20,11 @@ snapshots, the process's id and peak RSS) — measured in the run's
 
 from __future__ import annotations
 
-import cProfile
 import gc
 import os
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.faults.schedule import FaultInjector, FaultSchedule, LinkDown
 from repro.obs.rss import current_rss_bytes
 from repro.shard.checkpoint import (
     CheckpointError,
@@ -39,6 +37,9 @@ from repro.shard.sink import SpillWriter, truncate_file
 from repro.simcore.random import RngRegistry
 from repro.simcore.simulator import Simulator
 from repro.workload.pool import FlowPool
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.schedule import FaultInjector
 
 #: Fault-injection target name for the mid-chain blackout link.
 _FAULT_LINK = "midlink"
@@ -89,6 +90,11 @@ class _ShardState:
         )
         self.injector: Optional[FaultInjector] = None
         if plan.has_fault(index):
+            # Only a faulted shard loads the fault layer.
+            from repro.faults.schedule import (
+                FaultInjector, FaultSchedule, LinkDown,
+            )
+
             self.injector = FaultInjector(self.sim, self.rng)
             middle = self.pool.links[len(self.pool.links) // 2]
             self.injector.register_link(_FAULT_LINK, middle)
@@ -222,6 +228,8 @@ def run_shard(
     """
     profiler = None
     if profile_dir is not None and not _profiled():
+        import cProfile
+
         profiler = cProfile.Profile()
         profiler.enable()
     out = {"row": None, "ledger": [], "checkpoints": 0,

@@ -52,16 +52,8 @@ class MemoryBudget:
     def total_bytes(self) -> int:
         return self._total
 
-    @property
-    def headroom_bytes(self) -> int:
-        return self.ceiling_bytes - self._total
-
     def account(self, name: str) -> int:
         return self._accounts.get(name, 0)
-
-    def accounts(self) -> dict[str, int]:
-        """Snapshot of every account (copy; safe to mutate)."""
-        return dict(self._accounts)
 
     def set_account(self, name: str, nbytes: int) -> None:
         """Set an account to an absolute value."""

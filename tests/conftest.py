@@ -2,25 +2,26 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import multiprocessing
 
 import pytest
 
-import repro.common.fanout as fanout
 from repro.shard.worker import _ShardState
 
 
 @pytest.fixture
 def pool_sizes(monkeypatch) -> list:
-    """The ``max_workers`` of every pool the fan-out builds."""
+    """The ``max_workers`` of every pool the fan-out builds (it imports
+    the executor class when it forks, so the spy replaces it at source)."""
     sizes = []
 
-    class SpyPool(fanout.ProcessPoolExecutor):
+    class SpyPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers, **kwargs):
             sizes.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(fanout, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
     return sizes
 
 

@@ -207,7 +207,7 @@ class TestRowsDigest:
 class TestBenchCompare:
     def test_frames_per_packet_hop_is_gated_like_peak_rss(self, monkeypatch, tmp_path):
         """``benchmarks/compare.py``: growth of the exact call count beyond
-        ``--frames-threshold`` fails the gate even when the times are
+        ``--count-threshold`` fails the gate even when the times are
         equal; a side that lacks the figure skips it."""
         import json
 
@@ -228,8 +228,31 @@ class TestBenchCompare:
         assert tool.main([base, point("same.json", 27.5)]) == 0
         assert tool.main([base, point("crept.json", 28.1)]) == 1
         assert tool.main([base, point("crept.json", 28.1),
-                          "--frames-threshold", "0.10"]) == 0
+                          "--count-threshold", "0.10"]) == 0
         assert tool.main([point("old.json", None), point("new.json", 40.0)]) == 0
+
+    def test_host_bytes_per_block_is_gated_like_frames(self, monkeypatch, tmp_path):
+        """``extra_info.host_bytes_per_block`` is an exact count too: more
+        than ``--count-threshold`` growth fails the gate."""
+        import json
+
+        monkeypatch.syspath_prepend(
+            str(pathlib.Path(__file__).parent.parent / "benchmarks")
+        )
+        tool = importlib.import_module("compare")
+
+        def point(name, host_bytes):
+            path = tmp_path / name
+            path.write_text(json.dumps({"benchmarks": [
+                {"name": "fill", "stats": {"mean": 1.0},
+                 "extra_info": {"host_bytes_per_block": host_bytes}},
+            ]}))
+            return str(path)
+
+        base = point("base.json", 369)
+        assert tool.main([base, point("same.json", 380)]) == 0
+        assert tool.main([base, point("grew.json", 400)]) == 1
+        assert tool.main([point("old.json", 572), base]) == 0
 
 
 class TestRegistry:

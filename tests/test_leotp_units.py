@@ -222,14 +222,20 @@ class TestBlockCache:
         """One block through its states: in order (pieces only), out of
         order (coverage materialised), compacted at 65 pieces, in order."""
         cache = BlockCache(1 << 20, 4096)
-        block = cache._blocks.__getitem__
+
+        def block():
+            """Block ("f", 0): its array, and its coverage if materialised."""
+            (bkey, arr), = cache._blocks.items()
+            assert bkey == cache._key_span["f"][2] << 32
+            return arr, cache._coverage.get(bkey)
+
         cache.store("f", ByteRange(0, 100), 5.0, writer="w")
         cache.store("f", ByteRange(100, 200), 6.0, writer="w")
-        assert block(("f", 0)).coverage is None
+        assert block()[1] is None and not cache._coverage
         cache.store("f", ByteRange(50, 150), 7.0, writer="w")
-        assert block(("f", 0)).coverage is not None
+        assert block()[1] is not None
         # The overlap counts its bytes once, and the newest piece wins.
-        assert cache.stored_bytes == block(("f", 0)).covered == 200
+        assert cache.stored_bytes == block()[0][0] == 200
         hits = cache.lookup("f", ByteRange(0, 200))
         assert [(r.start, r.end, ts) for r, ts in hits] == [
             (50, 150, 7.0), (150, 200, 6.0), (0, 50, 5.0),
@@ -245,34 +251,53 @@ class TestBlockCache:
                 "f", ByteRange(start, start + 10), 8.0 + i,
                 writer=writers[i % len(writers)],
             )
-        assert len(block(("f", 0)).writers) == BlockCache.MAX_ORIGINS_PER_BLOCK
-        assert block(("f", 0)).coverage is not None
+        arr, coverage = block()
+        assert len(arr) == 3 + 4 * BlockCache.MAX_ORIGINS_PER_BLOCK
+        assert coverage is not None
         # The 65th piece compacts: one piece per coverage interval, the
         # oldest timestamp, the single writer (None when mixed).
         cache.store("f", ByteRange(2000, 2010), 3.0, writer="w")
         intervals = [(0, 200)] + [
             (300 + 20 * i, 310 + 20 * i) for i in range(61)
         ] + [(2000, 2010)]
-        compact = block(("f", 0))
-        assert compact.coverage is None
-        assert list(compact.pieces) == [
-            x for start, end in intervals for x in (start, end, 3.0)
+        compact, coverage = block()
+        assert compact is arr and coverage is None and not cache._coverage
+        wid = cache._writer_ids[compacted]
+        assert list(compact[3:]) == [
+            x for start, end in intervals for x in (start, end, 3.0, wid)
         ]
-        assert compact.writers == [compacted] * len(intervals)
-        assert cache.stored_bytes == compact.covered == 200 + 62 * 10
+        assert cache.stored_bytes == compact[0] == 200 + 62 * 10
         # ...and the next in-order store stays on the in-order branch.
         cache.store("f", ByteRange(2010, 2020), 9.0, writer="x")
-        assert compact.coverage is None and compact.covered == 830
+        assert not cache._coverage and compact[0] == 830
         assert cache.lookup("f", ByteRange(1990, 2020), requester="w") == [
             (ByteRange(2010, 2020), 9.0), (ByteRange(2000, 2010), 3.0),
         ]
         assert cache.stats.cross_hit_bytes == 10
 
+    def test_writer_table_keeps_only_the_writers_blocks_name(self):
+        """A node that served a thousand flows keeps ids for the writers
+        its blocks still name, and a reused id attributes no bytes anew."""
+        cache = BlockCache(1 << 20, 4096)
+        cache.store("obj", ByteRange(0, 100), 1.0, writer="keeper")
+        for i in range(1000):
+            flow = f"f{i}"
+            cache.store(flow, ByteRange(0, 1400), 2.0, writer=flow)
+            cache.drop_flow(flow)
+        assert len(cache._writer_ids) < 100 and len(cache._writers) < 100
+        assert cache._writers[cache._writer_ids["keeper"]] == "keeper"
+        assert cache.lookup("obj", ByteRange(0, 100), requester="f999") == [
+            (ByteRange(0, 100), 1.0),
+        ]
+        cache.lookup("obj", ByteRange(0, 100), requester="keeper")
+        assert cache.stats.cross_hit_bytes == 100
+
     def test_in_order_fill_host_cost(self):
-        """What a cached block costs the host: a flat array, a writer list
-        and the block itself — not a graph the collector has to walk.
-        (Measured 574 bytes / 3.0 tracked objects per block; the object-
-        graph blocks this replaced cost 1,414 / 12.8.)"""
+        """What a cached block costs the host: one flat array under one
+        int key — not a graph the collector has to walk.  (Measured 369
+        bytes / 1.0 tracked objects per block; the slotted block object
+        with a piece array and a writer list this replaced cost 574 /
+        3.0, and the object-graph blocks before it 1,414 / 12.8.)"""
         import gc
         import tracemalloc
 
@@ -293,9 +318,9 @@ class TestBlockCache:
         gc.collect()
         tracked = len(gc.get_objects()) - tracked
         assert len(cache._blocks) == n_blocks
-        assert all(b.coverage is None for b in cache._blocks.values())
-        assert host_bytes / n_blocks <= 700
-        assert tracked / n_blocks <= 4
+        assert not cache._coverage
+        assert host_bytes / n_blocks <= 420
+        assert tracked / n_blocks <= 1.5
 
     def test_stats(self):
         cache = BlockCache(1 << 20, 4096)

@@ -123,35 +123,54 @@ def _as_pairs(ranges_):
     return [(r.start, r.end) for r in ranges_]
 
 
-def _block_snapshot(block):
+def _block_snapshot(cache, bkey, block):
     """One cache block as plain data: ``(pieces, coverage, freq)`` with
-    pieces ``(start, end, ts, writer)`` in store order (``int`` offsets)
-    and coverage the runs of their union, computed here.  The block's own
-    summary of its pieces — ``covered``, and the RangeSet it keeps only
+    pieces ``(start, end, ts, writer)`` in store order (``int`` offsets,
+    the writer resolved through the cache's table) and coverage the runs
+    of their union, computed here.  The block's own summary of its
+    pieces — ``covered``, and the RangeSet the cache keeps beside it only
     after an out-of-order store — is checked against that union."""
-    flat = block.pieces
-    assert len(flat) == 3 * len(block.writers)
-    assert all(flat[i] == int(flat[i]) for i in range(len(flat)) if i % 3 != 2)
+    header, flat = block[:3], block[3:]
+    assert len(header) == 3 and len(flat) % 4 == 0
+    assert all(x == int(x) for i, x in enumerate(flat) if i % 4 != 2)
+    assert all(0 <= wid < len(cache._writers) for wid in flat[3::4])
     pieces = [
-        (int(flat[3 * i]), int(flat[3 * i + 1]), flat[3 * i + 2], writer)
-        for i, writer in enumerate(block.writers)
+        (int(flat[i]), int(flat[i + 1]), flat[i + 2],
+         cache._writers[int(flat[i + 3])])
+        for i in range(0, len(flat), 4)
     ]
+    assert all(
+        cache._writer_ids[writer] == wid
+        for (_, _, _, writer), wid in zip(pieces, flat[3::4])
+    )
     union = set()
     for start, end, _, _ in pieces:
         union.update(range(start, end))
-    assert block.covered == len(union)
-    if block.coverage is not None:
-        assert _as_pairs(block.coverage) == _runs(union)
+    covered, freq, seq = header
+    assert covered == len(union)
+    assert freq == int(freq) >= 1 and 1 <= seq == int(seq) <= cache._created
+    coverage = cache._coverage.get(bkey)
+    if coverage is not None:
+        assert _as_pairs(coverage) == _runs(union)
     else:  # in order: ascending and disjoint, the pieces are the coverage
         assert all(a[1] <= b[0] for a, b in zip(pieces, pieces[1:]))
-    return pieces, _runs(union), block.freq
+    return pieces, _runs(union), int(freq)
 
 
 def _cache_snapshot(cache):
-    return [
-        (bkey, *_block_snapshot(block))
-        for bkey, block in cache._blocks.items()  # LRU order
-    ]
+    """Every block in LRU order as ``((key, block index), *block)``: the
+    int key decoded through the per-key spans, each block inside its
+    key's span, and no materialised coverage without its block."""
+    assert cache._coverage.keys() <= cache._blocks.keys()
+    key_of = {kid: key for key, (_, _, kid) in cache._key_span.items()}
+    assert len(key_of) == len(cache._key_span)  # one id per key
+    snapshot = []
+    for bkey, block in cache._blocks.items():  # LRU order
+        key, bidx = key_of[bkey >> 32], bkey & 0xFFFFFFFF
+        lo, hi, _ = cache._key_span[key]
+        assert lo <= bidx <= hi
+        snapshot.append(((key, bidx), *_block_snapshot(cache, bkey, block)))
+    return snapshot
 
 
 _small = st.integers(min_value=1, max_value=40)
@@ -222,18 +241,23 @@ def test_rangeset_matches_integer_set_model(ops, query):
 
 class _SmallBlockCache(BlockCache):
     MAX_ORIGINS_PER_BLOCK = 5  # reach compaction within a short op list
+    WRITER_SWEEP_SLACK = 0  # and writer-id reuse among three writers
 
 
 class _ByteCacheModel:
     """Byte-granular reference: ``(key, byte) -> (origin_ts, writer)``,
-    newest store wins; LRU over blocks; piece-list compaction."""
+    newest store wins; LRU or LFU over blocks; piece-list compaction;
+    dropping a key frees its bytes without counting evictions."""
 
-    def __init__(self, capacity, block_bytes, max_origins):
+    def __init__(self, capacity, block_bytes, max_origins, eviction="lru"):
         self.capacity, self.block, self.max_origins = capacity, block_bytes, max_origins
+        self.eviction = eviction
         self.bytes = {}
         self.lru = {}      # (key, block index) -> None, oldest first
         # (key, block index) -> [(start, end, ts, writer)] since compaction
         self.entries = {}
+        # (key, block index) -> touches since created, creation number
+        self.freq, self.seq, self.created = {}, {}, 0
         self.hit_bytes = self.cross_hit_bytes = self.evictions = 0
 
     def _block_bytes(self, bkey):
@@ -242,8 +266,20 @@ class _ByteCacheModel:
         return [(key, b) for b in range(lo, lo + self.block) if (key, b) in self.bytes]
 
     def _touch(self, bkey):
+        if bkey not in self.lru:
+            self.created += 1
+            self.freq[bkey], self.seq[bkey] = 0, self.created
         self.lru.pop(bkey, None)
         self.lru[bkey] = None
+        self.freq[bkey] += 1
+
+    def _forget(self, bkey):
+        """Remove one block; returns the bytes it held."""
+        del self.lru[bkey], self.entries[bkey], self.freq[bkey], self.seq[bkey]
+        held = self._block_bytes(bkey)
+        for kb in held:
+            del self.bytes[kb]
+        return len(held)
 
     def store(self, key, start, end, ts, writer):
         for bidx in range(start // self.block, (end - 1) // self.block + 1):
@@ -265,11 +301,11 @@ class _ByteCacheModel:
                     (*run, *merged) for run in _runs(b for _, b in held)
                 ]
         while len(self.bytes) > self.capacity and self.lru:
-            victim = next(iter(self.lru))
-            del self.lru[victim]
-            del self.entries[victim]
-            for kb in self._block_bytes(victim):
-                del self.bytes[kb]
+            if self.eviction == "lfu":  # fewest touches, then oldest block
+                victim = min(self.lru, key=lambda b: (self.freq[b], self.seq[b]))
+            else:
+                victim = next(iter(self.lru))
+            self._forget(victim)
             self.evictions += 1
 
     def lookup(self, key, start, end, requester):
@@ -284,6 +320,9 @@ class _ByteCacheModel:
         )
         return {b: ts for b, (ts, _) in hit.items()}
 
+    def drop(self, key):
+        return sum(self._forget(bkey) for bkey in list(self.lru) if bkey[0] == key)
+
 
 _cache_ranges = st.one_of(
     # MSS-like pieces in order, pieces that straddle a block edge, anything.
@@ -291,7 +330,7 @@ _cache_ranges = st.one_of(
     st.tuples(st.integers(1, 4).map(lambda i: i * 64 - 10), st.integers(11, 40)),
     st.tuples(st.integers(0, 250), st.integers(1, 70)),
 )
-_flows = st.sampled_from(["f1", "f2", None])
+_flows = st.sampled_from(["f1", "f2", "f3", None])
 _keys = st.sampled_from(["a", "a", "a", "b"])  # pile up on one key: compaction
 _store_op = st.tuples(
     st.just("store"), _keys, _cache_ranges, st.integers(0, 50), _flows
@@ -320,6 +359,8 @@ _cache_ops = st.one_of(
     _burst_op,
     _out_of_order_op,
     st.tuples(st.just("lookup"), _keys, _cache_ranges, st.just(0), _flows),
+    # Flow retirement: the key's blocks go, whatever the policy.
+    st.tuples(st.just("drop"), _keys, st.just((0, 1)), st.just(0), _flows),
 )
 
 
@@ -349,7 +390,11 @@ def _flatten_bursts(ops):
 
 
 @settings(max_examples=200, deadline=None)
-@given(ops=st.lists(_cache_ops, max_size=40), capacity=st.sampled_from([150, 10_000]))
+@given(
+    ops=st.lists(_cache_ops, max_size=40),
+    capacity=st.sampled_from([150, 10_000]),
+    eviction=st.sampled_from(["lru", "lfu"]),
+)
 @example(  # one block through every state: two pieces in order, the first
     # again, four more (the sixth compacts), then in order past the end
     ops=[("store", "a", (0, 8), 5, "f1"), ("store", "a", (8, 8), 6, "f1"),
@@ -357,11 +402,23 @@ def _flatten_bursts(ops):
          ("store", "a", (30, 4), 2, None), ("store", "a", (20, 4), 3, "f1"),
          ("store", "a", (40, 4), 4, "f1"), ("store", "a", (60, 4), 9, "f2"),
          ("lookup", "a", (0, 64), 0, "f2")],
-    capacity=10_000,
+    capacity=10_000, eviction="lru",
 )
-def test_block_cache_matches_byte_model(ops, capacity):
-    cache = _SmallBlockCache(capacity_bytes=capacity, block_bytes=64)
-    model = _ByteCacheModel(capacity, 64, _SmallBlockCache.MAX_ORIGINS_PER_BLOCK)
+@example(  # LFU keeps the twice-read block 0 over the newer, colder block 1;
+    # an out-of-order block is dropped with its key, then the key comes back
+    ops=[("store", "a", (0, 60), 1, "f1"), ("lookup", "a", (0, 8), 0, "f2"),
+         ("store", "a", (64, 60), 2, "f1"), ("store", "a", (128, 60), 3, "f2"),
+         ("restore", "a", (2, 0), 4, "f1"), ("drop", "a", (0, 1), 0, None),
+         ("store", "a", (0, 8), 5, "f1"), ("lookup", "a", (0, 64), 0, "f1")],
+    capacity=150, eviction="lfu",
+)
+def test_block_cache_matches_byte_model(ops, capacity, eviction):
+    cache = _SmallBlockCache(
+        capacity_bytes=capacity, block_bytes=64, eviction=eviction
+    )
+    model = _ByteCacheModel(
+        capacity, 64, _SmallBlockCache.MAX_ORIGINS_PER_BLOCK, eviction
+    )
     for op in _flatten_bursts(ops):
         if op[0] in ("restore", "before"):
             op = _resolve_cache_op(op, model)
@@ -370,6 +427,8 @@ def test_block_cache_matches_byte_model(ops, capacity):
         if kind == "store":
             cache.store(key, rng, float(ts), writer=flow)
             model.store(key, rng.start, rng.end, float(ts), flow)
+        elif kind == "drop":
+            assert cache.drop_flow(key) == model.drop(key)
         else:
             got = {}
             for sub, origin_ts in cache.lookup(key, rng, requester=flow):
@@ -377,13 +436,18 @@ def test_block_cache_matches_byte_model(ops, capacity):
                     assert b not in got, "lookup results overlap"
                     got[b] = origin_ts
             assert got == model.lookup(key, rng.start, rng.end, flow)
-        # Block for block, in LRU order: the pieces the model holds (the
-        # snapshot itself checks each ``covered`` against their union).
-        assert [snap[:2] for snap in _cache_snapshot(cache)] == [
-            (bkey, model.entries[bkey]) for bkey in model.lru
+        # Block for block, in LRU order: the pieces the model holds and
+        # the touches LFU ranks by (the snapshot itself checks each
+        # ``covered`` against their union, and that the side coverage
+        # dict holds no key absent from the blocks).
+        assert [(bkey, pieces, freq) for bkey, pieces, _, freq in (
+            _cache_snapshot(cache)
+        )] == [
+            (bkey, model.entries[bkey], model.freq[bkey]) for bkey in model.lru
         ]
+        assert cache._coverage.keys() <= cache._blocks.keys()
         assert cache.stored_bytes == len(model.bytes) == sum(
-            block.covered for block in cache._blocks.values()
+            block[0] for block in cache._blocks.values()
         )
         assert cache.contains(key, rng) == all(
             (key, b) in model.bytes for b in range(rng.start, rng.end)
@@ -560,20 +624,19 @@ def test_shared_cache_pool_members_are_standalone_caches(
             # What a scan of every block finds under the key is what
             # the per-key span must free, leaving the others in order.
             held = sum(
-                block.covered
-                for (key, _), block in member._blocks.items() if key == op[2]
+                end - start
+                for (key, _), _, runs, _ in _cache_snapshot(member)
+                if key == op[2]
+                for start, end in runs
             )
             kept = [s for s in _cache_snapshot(member) if s[0][0] != op[2]]
             assert member.drop_flow(op[2]) == twin.drop_flow(op[2]) == held
             assert _cache_snapshot(member) == kept
         for member, twin in zip(pool.members, twins):
             assert member.capacity_bytes == twin.capacity_bytes
+            # (The snapshot checks every live block against its key's span.)
             assert _cache_snapshot(member) == _cache_snapshot(twin)
             assert member.stats == twin.stats
-            assert all(  # every live block lies inside its key's span
-                member._key_span[key][0] <= bidx <= member._key_span[key][1]
-                for key, bidx in member._blocks
-            )
         assert sum(m.capacity_bytes for m in pool.members) == pool.capacity_bytes
         assert pool.stored_bytes == sum(m.stored_bytes for m in pool.members)
         assert pool.stored_bytes <= pool.capacity_bytes

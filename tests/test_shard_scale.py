@@ -42,6 +42,7 @@ from repro.shard import (
     run_sharded,
     spill_name,
 )
+from repro.shard.checkpoint import load_shard
 from repro.shard.sink import truncate_file
 from repro.shard import worker
 from repro.shard.worker import _ShardState
@@ -311,6 +312,34 @@ def test_mixed_state_kill_then_resume_bit_identical(
     assert _payload(again) == _payload(baseline)
 
 
+def test_kill_while_a_cache_holds_a_materialised_block_then_resume(tmp_path):
+    """Content-keyed blocks outlive their flows, so a later flow's
+    re-store takes one out of order: the cut holds caches with
+    materialised coverage beside their blocks, and resuming from it is
+    still the uninterrupted run byte for byte."""
+    plan = ShardPlan(
+        n_shards=2, arrivals_per_shard=12, drain_s=2.0, n_objects=6,
+    )
+    full = run_sharded(plan, jobs=1, sink_dir=str(tmp_path / "full"))
+    sink, ckpt = str(tmp_path / "sink"), str(tmp_path / "ckpt")
+    run_sharded(
+        plan, jobs=1, sink_dir=sink, checkpoint_dir=ckpt,
+        checkpoint_every=1, stop_after_epoch=0,
+    )
+    entries = load_manifest(ckpt)["shards"].values()
+    states = [load_shard(ckpt, e["file"], e["digest"]) for e in entries]
+    materialised = [
+        member for state in states
+        for member in state.pool.cache_pool.members if member._coverage
+    ]
+    assert materialised
+    assert all(m._coverage.keys() <= m._blocks.keys() for m in materialised)
+    resumed = run_sharded(plan, jobs=2, resume_from=ckpt)
+    assert resumed["resumed_from_epoch"] == 1
+    assert _payload(resumed) == _payload(full)
+    assert _merged_bytes(resumed) == _merged_bytes(full)
+
+
 def test_resume_refuses_a_different_plan(tmp_path):
     ckpt = str(tmp_path / "ckpt")
     run_sharded(
@@ -345,19 +374,24 @@ def test_resume_refuses_corrupt_manifest(tmp_path):
         checkpoint_every=1, stop_after_epoch=0,
     )
     manifest_path = os.path.join(ckpt, "manifest.json")
-    # The directory as the previous build wrote it (format 5: the same
-    # header, but finished entries that still carry trace counts and
-    # shard pickles with the old state layout) is refused by name too.
+    # The directory as the previous builds wrote it is refused by name:
+    # format 6 (the same header, but cache blocks pickled as slotted
+    # objects) and format 5 (finished entries that still carry trace
+    # counts, and the state layout before that).
     with open(manifest_path) as fh:
         header = json.load(fh)
-    assert header["format"] == 6
-    with open(manifest_path, "w") as fh:
-        json.dump({**header, "format": 5}, fh)
-    refusal = r"unsupported checkpoint format 5 \(this build reads format 6\)"
-    with pytest.raises(CheckpointError, match=refusal):
-        resume_point(ckpt, PLAN)
-    with pytest.raises(CheckpointError, match=refusal):
-        run_sharded(PLAN, jobs=1, resume_from=ckpt)
+    assert header["format"] == 7
+    for old_format in (6, 5):
+        with open(manifest_path, "w") as fh:
+            json.dump({**header, "format": old_format}, fh)
+        refusal = (
+            rf"unsupported checkpoint format {old_format} "
+            r"\(this build reads format 7\)"
+        )
+        with pytest.raises(CheckpointError, match=refusal):
+            resume_point(ckpt, PLAN)
+        with pytest.raises(CheckpointError, match=refusal):
+            run_sharded(PLAN, jobs=1, resume_from=ckpt)
     # A directory written by the epoch-barrier engine (format 2: one
     # manifest naming every shard's pickle, whose layout has changed
     # since) is refused by name, not resumed into an AttributeError.
@@ -378,7 +412,7 @@ def test_resume_refuses_corrupt_manifest(tmp_path):
     }
     with open(manifest_path, "w") as fh:
         json.dump(stale, fh)
-    refusal = r"unsupported checkpoint format 2 \(this build reads format 6\)"
+    refusal = r"unsupported checkpoint format 2 \(this build reads format 7\)"
     with pytest.raises(CheckpointError, match=refusal):
         resume_point(ckpt, PLAN)
     with pytest.raises(CheckpointError, match=refusal):

@@ -113,7 +113,6 @@ class TestMemoryBudget:
         budget.set_account("cache", 600)
         budget.charge("flows", 300)
         assert budget.total_bytes == 900
-        assert budget.headroom_bytes == 100
         assert budget.account("cache") == 600
         budget.set_account("cache", 100)
         assert budget.total_bytes == 400

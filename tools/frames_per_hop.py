@@ -17,7 +17,7 @@ module, every other package as one layer).  On the short
 :data:`FENCE_FLOW`, ``tests/test_leotp_endtoend`` fences the headline
 figure in tier-1 and ``benchmarks/test_bench_kernel`` records it as
 ``extra_info["py_frames_per_packet_hop"]`` for ``benchmarks/compare.py
---frames-threshold``.
+--count-threshold``.
 """
 
 from __future__ import annotations
