@@ -218,7 +218,7 @@ def test_block_cache_fill(benchmark):
     finally:
         tracemalloc.stop()
     benchmark.extra_info["host_bytes_per_block"] = round(
-        host_bytes / len(cache._blocks)
+        host_bytes / sum(1 for _ in cache.blocks())
     )
 
 

@@ -60,13 +60,13 @@ def main() -> None:
     print(f"\nRandom losses injected by the network: {losses}\n")
 
     print(f"{'Midnode':<12} {'holes':>6} {'VPH out':>8} {'retx-req':>9} "
-          f"{'cache hits':>11} {'cached MB':>10}")
+          f"{'served kB':>11} {'cached MB':>10}")
     for mid in path.midnodes:
         flow_state = mid._flows.get("leotp")
         holes = flow_state.shr.holes_detected if flow_state else 0
         print(f"{mid.name:<12} {holes:>6} {mid.stats.vph_sent:>8} "
               f"{mid.stats.retx_interests_sent:>9} "
-              f"{mid.cache.stats.hits + mid.cache.stats.partial_hits:>11} "
+              f"{mid.cache.stats.hit_bytes / 1e3:>11.1f} "
               f"{mid.cache.stored_bytes / 1e6:>10.1f}")
 
     consumer = path.consumer

@@ -8,26 +8,34 @@ measurements need (the Producer's original transmission timestamp per
 range).
 
 A block is the one thing every packet leaves behind at every hop, so a
-block is one flat ``array('d')`` and nothing else::
+cache is one *slab*: a block is a fixed-stride slot in a flat
+``array('d')`` and owns no Python object of its own::
 
-    [covered, freq, seq,  start, end, origin_ts, writer_id,  ...]
+    [covered, freq, seq, count, key_id, block_index,  (start, end, origin_ts, writer_id) x INLINE_PIECES]
 
-a 3-double header — the bytes present (the length of the pieces'
+a 6-double header — the bytes present (the length of the pieces'
 union), the touch count and the creation counter (LFU's key and its
-deterministic tie-break) — then one ``(start, end, origin_ts,
-writer_id)`` quadruple per stored piece, in insertion order (offsets
-and ids are exact as doubles below 2**53).  Writers are interned in a
-per-cache table (id 0 is "unattributed"), and the ``OrderedDict`` that
-holds the blocks in LRU order is keyed by one int, ``key_id << 32 |
-block_index``, with each cache key's id kept beside its block span.
+deterministic tie-break), the number of stored pieces, and the block's
+address — then room for :data:`INLINE_PIECES` ``(start, end, origin_ts,
+writer_id)`` quadruples in insertion order (offsets and ids are exact as
+doubles below 2**53).  Pieces past the inline ones go in a side dict of
+``array('d')`` keyed by slot.  The LRU order is a circular doubly linked
+list over two int arrays of slot indices (``_prev``/``_next``), with
+slot 0 as its sentinel, so the least recent block is ``_next[0]`` and
+the most recent ``_prev[0]``.  Each cache key maps to ``[lo, slot map,
+key_id, live blocks]``, the slot map an int array indexed by ``block_index
+- lo`` in which 0 means absent.  Eviction and ``drop_flow`` return slots
+and key ids to free lists, so a node's tables are the size of its live
+contents, not of every flow it ever served.  Writers are interned in a
+per-cache table (id 0 is "unattributed").
 
 While stores arrive *in order* — each piece starts at or after the
 previous piece's end, 97 % of inserts on the benchmark — the pieces are
 ascending and disjoint and therefore *are* the block's coverage; a
 :class:`RangeSet` is materialised only from the first out-of-order store
-(a re-store after eviction, a repair), kept in a side dict keyed like
-the blocks, and dropped again by compaction, which rebuilds ascending
-disjoint pieces.
+(a re-store after eviction, a repair), kept in a side dict keyed by slot,
+and dropped again by compaction, which rebuilds ascending disjoint
+pieces.
 
 The cache key is normally the FlowID.  Under a content workload
 (:mod:`repro.content`) Midnodes alias the key to the flow's bound
@@ -39,10 +47,10 @@ reading its own retransmitted bytes.
 
 from __future__ import annotations
 
+import struct
 from array import array
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.common.ranges import ByteRange, RangeSet
 
@@ -50,15 +58,26 @@ from repro.common.ranges import ByteRange, RangeSet
 #: (:class:`repro.content.CachePolicy` and ``content_study`` read it).
 CACHE_EVICTION_POLICIES = ("lru", "lfu")
 
+#: Pieces a slot holds inline (91 % of ``leotp_bulk``'s blocks hold
+#: exactly four 1,400-byte-MSS pieces); later ones overflow to a side dict.
+INLINE_PIECES = 4
+#: Doubles per slot: the 6-double header, then the inline quadruples.
+_STRIDE = 6 + 4 * INLINE_PIECES
+_EMPTY_SLOT = bytes(8 * _STRIDE)
+# Write doubles into the slab at a byte offset in one call: a piece, and a
+# new slot's header with its first piece.
+_pack_piece = struct.Struct("4d").pack_into
+_pack_new_slot = struct.Struct("10d").pack_into
+
 
 _unchecked = ByteRange.unchecked
 
 
-def _union(block: array) -> RangeSet:
-    """The byte set a block's pieces cover."""
+def _union(pieces: array) -> RangeSet:
+    """The byte set a flat run of piece quadruples covers."""
     coverage = RangeSet()
-    for i in range(3, len(block), 4):
-        coverage.add(_unchecked(int(block[i]), int(block[i + 1])))
+    for i in range(0, len(pieces), 4):
+        coverage.add(_unchecked(int(pieces[i]), int(pieces[i + 1])))
     return coverage
 
 
@@ -66,7 +85,6 @@ def _union(block: array) -> RangeSet:
 class CacheStats:
     lookups: int = 0
     hits: int = 0
-    partial_hits: int = 0
     insertions: int = 0
     evictions: int = 0
     # Byte-granular effectiveness: requested vs served, and the subset
@@ -85,6 +103,8 @@ class CacheStats:
 class BlockCache:
     """Block cache keyed by (cache key, block index)."""
 
+    #: A block holding more pieces than this compacts them (keep it at
+    #: least :data:`INLINE_PIECES`: only overflowing stores check it).
     MAX_ORIGINS_PER_BLOCK = 64
     #: Writers interned before the first sweep, and over twice the
     #: survivors before each next one (see ``_intern``).
@@ -106,16 +126,31 @@ class BlockCache:
         self.capacity_bytes = capacity_bytes
         self.block_bytes = block_bytes
         self.eviction = eviction
-        # ``key_id << 32 | block_index`` -> block array, in LRU order.
-        self._blocks: "OrderedDict[int, array]" = OrderedDict()
-        # Materialised coverage of the blocks stored out of order.
+        self.stats = CacheStats()
+        # Not ``self.clear()``: a subclass's clear() may read state its own
+        # constructor has not set yet.
+        BlockCache.clear(self)
+
+    def clear(self) -> None:
+        """Drop every stored block, in place (a node crash).
+
+        The geometry (capacity, block size, policy) and :attr:`stats`
+        stay: they describe the cache, not what it holds.
+        """
+        # Slot 0 is the LRU list's sentinel; slots 1.. hold blocks.
+        self._slab = array("d", _EMPTY_SLOT)
+        self._prev = array("i", [0])
+        self._next = array("i", [0])
+        self._free = array("i")  # released slots, reused first
+        # Pieces past the inline ones, and the materialised coverage of
+        # the blocks stored out of order, by slot.
+        self._overflow: dict[int, array] = {}
         self._coverage: dict[int, RangeSet] = {}
-        # [lowest, highest] block index ever created per cache key, so
-        # dropping a flow probes its own span instead of scanning every
-        # block of the node (eviction leaves it stale, which only costs
-        # a missed probe), then the key's id.
-        self._key_span: dict[str, list[int]] = {}
-        self._next_key_id = 0
+        # cache key -> [lo, slot map, key_id, live blocks]; ``_keys_by_id``
+        # names a key id's key (None once freed).
+        self._keys: dict[str, list] = {}
+        self._keys_by_id: list[Optional[str]] = []
+        self._free_key_ids: list[int] = []
         # Interned writers: ``_writers[id]`` and ``_writer_ids[writer]``;
         # ids no stored piece names any more are reused (see ``_intern``).
         self._writers: list[Optional[str]] = [None]
@@ -124,16 +159,12 @@ class BlockCache:
         self._sweep_at = self.WRITER_SWEEP_SLACK  # table size that sweeps
         self._stored_bytes = 0
         self._created = 0  # blocks ever created (a block's ``seq``)
-        self.stats = CacheStats()
 
     # ------------------------------------------------------------------
 
     @property
     def stored_bytes(self) -> int:
         return self._stored_bytes
-
-    def _block_span(self, rng: ByteRange) -> range:
-        return range(rng.start // self.block_bytes, (rng.end - 1) // self.block_bytes + 1)
 
     def store(
         self,
@@ -150,50 +181,105 @@ class BlockCache:
         """
         self.stats.insertions += 1
         block_bytes = self.block_bytes
-        blocks = self._blocks
-        coverage_of = self._coverage
+        slab, nxt = self._slab, self._next
         r_start, r_end = rng.start, rng.end
         first = r_start // block_bytes
-        span = self._key_span.get(key)
-        if span is None:
-            span = self._key_span[key] = [first, first, self._next_key_id]
-            self._next_key_id += 1
-        base = span[2] << 32
+        last = (r_end - 1) // block_bytes
+        entry = self._keys.get(key)
+        if entry is None:
+            if self._free_key_ids:
+                kid = self._free_key_ids.pop()
+                self._keys_by_id[kid] = key
+            else:
+                kid = len(self._keys_by_id)
+                self._keys_by_id.append(key)
+            # Room for 16 blocks from the first: a short flow's map never grows.
+            entry = self._keys[key] = [
+                first, array("i", bytes(4 * max(16, last - first + 1))), kid, 0,
+            ]
+        lo, smap = entry[0], entry[1]
+        if first < lo:
+            smap = entry[1] = array("i", bytes(4 * (lo - first))) + smap
+            entry[0] = lo = first
         wid = self._writer_ids.get(writer)
         if wid is None:
             wid = self._intern(writer)
-        for bidx in range(first, (r_end - 1) // block_bytes + 1):
-            bkey = base | bidx
-            block = blocks.get(bkey)
-            if block is None:
-                self._created += 1
-                block = blocks[bkey] = array("d", (0.0, 0.0, self._created))
-                if bidx > span[1]:
-                    span[1] = bidx
-                elif bidx < span[0]:
-                    span[0] = bidx
-            else:
-                blocks.move_to_end(bkey)
-            block[1] += 1.0
+        for bidx in range(first, last + 1):
             # The piece of ``rng`` in this block: ``rng`` itself unless it
             # straddles a block edge (every block of the span overlaps it).
             bstart = bidx * block_bytes
             bend = bstart + block_bytes
             start = r_start if r_start > bstart else bstart
             end = r_end if r_end < bend else bend
-            if (len(block) == 3 or start >= block[-3]) and bkey not in coverage_of:
-                added = end - start  # in order: disjoint from every piece
+            try:
+                slot = smap[bidx - lo]
+            except IndexError:  # past the map's end: double it
+                smap.frombytes(bytes(4 * max(bidx - lo + 1, len(smap))))
+                slot = 0
+            if not slot:
+                # A new block, born holding this piece: reuse a released
+                # slot or grow the slab by one, then link it in as the
+                # most recent.
+                prev = self._prev
+                if self._free:
+                    slot = self._free.pop()
+                else:
+                    slot = len(prev)
+                    slab.frombytes(_EMPTY_SLOT)
+                    prev.append(0)
+                    nxt.append(0)
+                self._created += 1
+                _pack_new_slot(
+                    slab, 8 * _STRIDE * slot, end - start, 1.0, self._created,
+                    1.0, entry[2], bidx, start, end, origin_ts, wid,
+                )
+                smap[bidx - lo] = slot
+                entry[3] += 1
+                tail = prev[0]
+                prev[slot] = tail
+                nxt[slot] = 0
+                nxt[tail] = slot
+                prev[0] = slot
+                self._stored_bytes += end - start
+                continue
+            after = nxt[slot]
+            if after:  # not already the most recent: relink at the tail
+                prev = self._prev
+                before = prev[slot]
+                nxt[before] = after
+                prev[after] = before
+                tail = prev[0]
+                prev[slot] = tail
+                nxt[slot] = 0
+                nxt[tail] = slot
+                prev[0] = slot
+            b = slot * _STRIDE
+            slab[b + 1] += 1.0
+            n = int(slab[b + 3])
+            p = b + 6 + 4 * n  # where the next inline piece goes
+            # In order: at or past the last piece's end.
+            if start >= (
+                slab[p - 3] if n <= INLINE_PIECES else self._overflow[slot][-3]
+            ) and slot not in self._coverage:
+                added = end - start  # disjoint from every piece
             else:
-                coverage = coverage_of.get(bkey)
+                coverage = self._coverage.get(slot)
                 if coverage is None:
-                    coverage = coverage_of[bkey] = _union(block)
+                    coverage = self._coverage[slot] = _union(self._pieces(slot))
                 coverage.add(_unchecked(start, end))
-                added = len(coverage) - int(block[0])
-            block.fromlist([start, end, origin_ts, wid])
-            block[0] += added
+                added = len(coverage) - int(slab[b])
+            slab[b + 3] = n + 1
+            slab[b] += added
             self._stored_bytes += added
-            if len(block) > 3 + 4 * self.MAX_ORIGINS_PER_BLOCK:
-                self._compact(bkey, block)
+            if n < INLINE_PIECES:
+                _pack_piece(slab, 8 * p, start, end, origin_ts, wid)
+            else:
+                if n == INLINE_PIECES:
+                    self._overflow[slot] = array("d", (start, end, origin_ts, wid))
+                else:
+                    self._overflow[slot].fromlist([start, end, origin_ts, wid])
+                if n >= self.MAX_ORIGINS_PER_BLOCK:
+                    self._compact(slot)
         if self._stored_bytes > self.capacity_bytes:
             self._evict_if_needed()
 
@@ -211,44 +297,68 @@ class BlockCache:
         given, served bytes whose recorded writer is a *different* flow
         are counted as cross-flow hits in :attr:`stats`.
         """
-        self.stats.lookups += 1
-        self.stats.lookup_bytes += rng.length
-        span = self._key_span.get(key)
-        if span is None:
-            return []
-        base = span[2] << 32
-        blocks = self._blocks
-        # Writer ids of cross-flow bytes: attributed, and not the requester
-        # (who may never have stored anything here: id -1).
-        own = (
-            None if requester is None
-            else self._writer_ids.get(requester, -1)
-        )
-        found: list[tuple[ByteRange, float]] = []
-        cross_bytes = 0
+        stats = self.stats
         r_start, r_end = rng.start, rng.end
-        # The scan compares these with doubles; float-to-float is the cheap one.
-        f_start, f_end = float(r_start), float(r_end)
-        remaining: Optional[RangeSet] = None  # built at the first present block
-        for bidx in self._block_span(rng):
-            bkey = base | bidx
-            block = blocks.get(bkey)
-            if block is None:
+        stats.lookups += 1
+        stats.lookup_bytes += r_end - r_start
+        entry = self._keys.get(key)
+        if entry is None:
+            return []
+        lo, smap = entry[0], entry[1]
+        block_bytes = self.block_bytes
+        first = r_start // block_bytes - lo
+        last = (r_end - 1) // block_bytes - lo
+        if last < 0:  # every block of ``rng`` lies below the key's lowest
+            return []
+        if first < 0:
+            first = 0
+        remaining: Optional[RangeSet] = None  # set up at the first present block
+        for slot in smap[first:last + 1]:
+            if not slot:
                 continue
             if remaining is None:
                 remaining = RangeSet([rng])
-            blocks.move_to_end(bkey)
-            block[1] += 1.0
+                slab, nxt = self._slab, self._next
+                # Writer ids of cross-flow bytes: attributed, and not the
+                # requester (who may never have stored anything here: id -1).
+                own = (
+                    None if requester is None
+                    else self._writer_ids.get(requester, -1)
+                )
+                found: list[tuple[ByteRange, float]] = []
+                cross_bytes = 0
+                # The scan compares these with doubles; float-to-float is
+                # the cheap one.
+                f_start, f_end = float(r_start), float(r_end)
+            after = nxt[slot]
+            if after:  # not already the most recent: relink at the tail
+                prev = self._prev
+                before = prev[slot]
+                nxt[before] = after
+                prev[after] = before
+                tail = prev[0]
+                prev[slot] = tail
+                nxt[slot] = 0
+                nxt[tail] = slot
+                prev[0] = slot
+            b = slot * _STRIDE
+            slab[b + 1] += 1.0
             # Scan this block's stored pieces newest-first so re-stored
             # (retransmitted) data wins, then clip against what is still
             # needed to keep results disjoint.
-            for i in range(len(block) - 4, 2, -4):
+            n = int(slab[b + 3])
+            if n <= INLINE_PIECES:
+                pieces, top, bottom = slab, b + 4 * n + 2, b + 5
+            else:
+                pieces = slab[b + 6:b + _STRIDE] + self._overflow[slot]
+                top, bottom = 4 * n - 4, -1
+            for i in range(top, bottom, -4):
                 if not remaining:
                     break
-                start = block[i]
+                start = pieces[i]
                 if start >= f_end:
                     continue
-                end = block[i + 1]
+                end = pieces[i + 1]
                 if end <= f_start:
                     continue
                 part = _unchecked(
@@ -264,44 +374,75 @@ class BlockCache:
                         covered.remove(hole)
                 else:
                     continue
-                origin_ts = block[i + 2]
-                wid = block[i + 3]
+                origin_ts = pieces[i + 2]
+                wid = pieces[i + 3]
                 for sub in covered:
                     found.append((sub, origin_ts))
                     remaining.remove(sub)
                     if own is not None and wid and wid != own:
-                        cross_bytes += sub.length
-        if not found:
+                        cross_bytes += sub.end - sub.start
+        if remaining is None or not found:
             return []
-        total = sum(r.length for r, _ in found)
-        self.stats.hit_bytes += total
+        total = sum(r.end - r.start for r, _ in found)
+        stats.hit_bytes += total
         if cross_bytes:
-            self.stats.cross_hits += 1
-            self.stats.cross_hit_bytes += cross_bytes
-        if total >= rng.length:
-            self.stats.hits += 1
-        else:
-            self.stats.partial_hits += 1
+            stats.cross_hits += 1
+            stats.cross_hit_bytes += cross_bytes
+        if total >= r_end - r_start:
+            stats.hits += 1
         return found
 
     def contains(self, key: str, rng: ByteRange) -> bool:
         """True if every byte of ``rng`` is cached."""
-        span = self._key_span.get(key)
-        if span is None:
+        entry = self._keys.get(key)
+        if entry is None:
             return False
-        base = span[2] << 32
-        for bidx in self._block_span(rng):
-            bkey = base | bidx
-            block = self._blocks.get(bkey)
-            if block is None:
+        lo, smap = entry[0], entry[1]
+        block_bytes = self.block_bytes
+        for bidx in range(rng.start // block_bytes, (rng.end - 1) // block_bytes + 1):
+            i = bidx - lo
+            slot = smap[i] if 0 <= i < len(smap) else 0
+            if not slot:
                 return False
-            bstart = bidx * self.block_bytes
-            part = rng.intersection(ByteRange.unchecked(bstart, bstart + self.block_bytes))
+            bstart = bidx * block_bytes
+            part = rng.intersection(_unchecked(bstart, bstart + block_bytes))
             if part is not None and not (
-                self._coverage.get(bkey) or _union(block)
+                self._coverage.get(slot) or _union(self._pieces(slot))
             ).contains(part):
                 return False
         return True
+
+    def blocks(self) -> Iterator[tuple]:
+        """Every stored block, least recently used first, as ``(key,
+        block_index, covered, freq, seq, pieces)`` with ``pieces`` the
+        ``(start, end, origin_ts, writer)`` tuples in store order.
+
+        Read-only: a view for tests and reports, not a way to edit the
+        cache (do not store, look up or drop while iterating).
+        """
+        slab, nxt, writers = self._slab, self._next, self._writers
+        slot = nxt[0]
+        while slot:
+            b = slot * _STRIDE
+            flat = self._pieces(slot)
+            yield (
+                self._keys_by_id[int(slab[b + 4])], int(slab[b + 5]),
+                int(slab[b]), int(slab[b + 1]), int(slab[b + 2]),
+                [
+                    (int(flat[i]), int(flat[i + 1]), flat[i + 2],
+                     writers[int(flat[i + 3])])
+                    for i in range(0, len(flat), 4)
+                ],
+            )
+            slot = nxt[slot]
+
+    def _pieces(self, slot: int) -> array:
+        """A slot's pieces as one flat run of quadruples, in store order."""
+        b = slot * _STRIDE
+        n = int(self._slab[b + 3])
+        if n <= INLINE_PIECES:
+            return self._slab[b + 6:b + 6 + 4 * n]
+        return self._slab[b + 6:b + _STRIDE] + self._overflow[slot]
 
     def _intern(self, writer: str) -> int:
         """A new writer's id.
@@ -315,8 +456,11 @@ class BlockCache:
         ids = self._writer_ids
         if len(ids) > self._sweep_at:
             live = {0.0}
-            for block in self._blocks.values():
-                live.update(block[6::4])
+            nxt = self._next
+            slot = nxt[0]
+            while slot:
+                live.update(self._pieces(slot)[3::4])
+                slot = nxt[slot]
             for name, wid in list(ids.items()):
                 if wid not in live:
                     del ids[name]
@@ -337,17 +481,28 @@ class BlockCache:
     def evict_one(self) -> int:
         """Evict one block under this cache's policy; returns bytes freed
         (0 if empty)."""
-        blocks = self._blocks
-        if not blocks:
+        slab, nxt = self._slab, self._next
+        victim = nxt[0]
+        if not victim:
             return 0
         if self.eviction == "lfu":
             # O(n) scan; only paid under memory pressure with LFU selected.
-            victim = min(blocks, key=lambda k: (blocks[k][1], blocks[k][2]))
-            block = blocks.pop(victim)
-        else:
-            victim, block = blocks.popitem(last=False)
-        self._coverage.pop(victim, None)
-        freed = int(block[0])
+            best = (slab[victim * _STRIDE + 1], slab[victim * _STRIDE + 2])
+            slot = nxt[victim]
+            while slot:
+                rank = (slab[slot * _STRIDE + 1], slab[slot * _STRIDE + 2])
+                if rank < best:
+                    victim, best = slot, rank
+                slot = nxt[slot]
+        b = victim * _STRIDE
+        key = self._keys_by_id[int(slab[b + 4])]
+        entry = self._keys[key]
+        entry[1][int(slab[b + 5]) - entry[0]] = 0
+        entry[3] -= 1
+        if not entry[3]:  # the key's last block: its id goes too
+            del self._keys[key]
+            self._release_key(entry[2])
+        freed = self._release([victim])
         self._stored_bytes -= freed
         self.stats.evictions += 1
         return freed
@@ -361,21 +516,37 @@ class BlockCache:
         LRU pressure.  (Content-keyed blocks are *not* dropped at
         retirement — see :meth:`repro.core.midnode.Midnode.retire_flow`.)
         """
-        span = self._key_span.pop(key, None)
-        if span is None:
+        entry = self._keys.pop(key, None)
+        if entry is None:
             return 0
-        lo, hi, key_id = span
-        base = key_id << 32
-        freed = 0
-        for bkey in range(base | lo, (base | hi) + 1):
-            block = self._blocks.pop(bkey, None)
-            if block is not None:
-                freed += int(block[0])
-                self._coverage.pop(bkey, None)
+        freed = self._release(list(filter(None, entry[1])))  # its live slots
+        self._release_key(entry[2])
         self._stored_bytes -= freed
         return freed
 
-    def _compact(self, bkey: int, block: array) -> None:
+    def _release(self, slots: list[int]) -> int:
+        """Unlink ``slots`` and put them on the free list; returns the bytes
+        their blocks held (the caller clears the slot map entries)."""
+        prev, nxt, slab = self._prev, self._next, self._slab
+        overflow, coverage = self._overflow, self._coverage
+        freed = 0
+        for slot in slots:
+            before, after = prev[slot], nxt[slot]
+            nxt[before] = after
+            prev[after] = before
+            if overflow:
+                overflow.pop(slot, None)
+            if coverage:
+                coverage.pop(slot, None)
+            freed += int(slab[slot * _STRIDE])
+        self._free.extend(slots)
+        return freed
+
+    def _release_key(self, kid: int) -> None:
+        self._keys_by_id[kid] = None
+        self._free_key_ids.append(kid)
+
+    def _compact(self, slot: int) -> None:
         """Collapse a block's pieces onto its coverage intervals.
 
         Heavy retransmission can pile up many overlapping pieces;
@@ -387,14 +558,24 @@ class BlockCache:
         rebuilt pieces ascend without overlap, so the block is in order
         again.
         """
-        oldest = min(block[5::4])
-        writers = set(block[6::4])
+        pieces = self._pieces(slot)
+        oldest = min(pieces[2::4])
+        writers = set(pieces[3::4])
         wid = writers.pop() if len(writers) == 1 else 0.0
-        coverage = self._coverage.pop(bkey, None) or _union(block)
-        block[3:] = array("d", [
+        coverage = self._coverage.pop(slot, None) or _union(pieces)
+        flat = array("d", [
             x for iv in coverage for x in (iv.start, iv.end, oldest, wid)
         ])
+        count = len(flat) // 4
+        inline = 4 * min(count, INLINE_PIECES)
+        b = slot * _STRIDE
+        self._slab[b + 6:b + 6 + inline] = flat[:inline]
+        self._slab[b + 3] = count
+        if count > INLINE_PIECES:
+            self._overflow[slot] = flat[inline:]
+        else:
+            self._overflow.pop(slot, None)
 
     def _evict_if_needed(self) -> None:
-        while self._stored_bytes > self.capacity_bytes and self._blocks:
+        while self._stored_bytes > self.capacity_bytes and self._next[0]:
             self.evict_one()

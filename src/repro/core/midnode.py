@@ -171,13 +171,10 @@ class Midnode(Node):
         for state in self._flows.values():
             state.sender.release()
         self._flows.clear()
-        # Preserve the cache *geometry* (capacity may have been sized by
-        # a placement policy) while dropping every stored byte.
-        self.cache = BlockCache(
-            self.cache.capacity_bytes,
-            self.cache.block_bytes,
-            eviction=self.cache.eviction,
-        )
+        # Emptied in place: the cache keeps its geometry (capacity may have
+        # been sized by a placement policy) and, under a flow pool, its
+        # place in the shared pool's accounting.
+        self.cache.clear()
 
     # ------------------------------------------------------------------
 

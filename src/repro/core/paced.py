@@ -32,32 +32,38 @@ class ResendSuppressor:
     """
 
     MAX_ENTRIES = 8192
+    #: Ranges must end below this offset: the map keys a range by one int,
+    #: ``start << 32 | end``, which is one-to-one only while ``end`` fits
+    #: in 32 bits (a 4 GiB flow).
+    MAX_OFFSET = 1 << 32
 
     def __init__(self, sim: Simulator, floor_s: float) -> None:
         self.sim = sim
         self.floor_s = floor_s
-        self._sent: dict[tuple[int, int], float] = {}
-        self.suppressed_count = 0
+        self._sent: dict[int, float] = {}
 
     def record(self, rng) -> None:
         if self.floor_s <= 0:
             return
+        end = rng.end
+        if end >= self.MAX_OFFSET:
+            raise ValueError(
+                f"range [{rng.start}, {end}) ends past the resend guard's "
+                f"4 GiB limit (offsets must stay below 2**32)"
+            )
         if len(self._sent) >= self.MAX_ENTRIES:
             self._prune()
-        self._sent[(rng.start, rng.end)] = self.sim.now
+        self._sent[rng.start << 32 | end] = self.sim.now
 
     def suppressed(self, rng, extra_window_s: float = 0.0) -> bool:
         """True if ``rng`` left the buffer within the suppression window."""
         if self.floor_s <= 0:
             return False
-        last = self._sent.get((rng.start, rng.end))
+        last = self._sent.get(rng.start << 32 | rng.end)
         if last is None:
             return False
         window = max(self.floor_s, extra_window_s)
-        if self.sim.now - last < window:
-            self.suppressed_count += 1
-            return True
-        return False
+        return self.sim.now - last < window
 
     def _prune(self) -> None:
         # Anything older than a generous multiple of the floor can never
@@ -104,10 +110,6 @@ class PacedSender:
         self.max_backlog_bytes = 0  # high-water mark (buffer-bound invariant)
 
     # ------------------------------------------------------------------
-
-    @property
-    def backlog_packets(self) -> int:
-        return len(self._queue)
 
     def drain_time_s(self) -> float:
         """How long the current backlog takes to leave at the paced rate."""

@@ -111,6 +111,14 @@ class PooledBlockCache(BlockCache):
             self._pool._post_ledger()
         return freed
 
+    def clear(self) -> None:
+        """Empty the member in place (its Midnode crashed): the bytes it
+        held leave the pool total and the ledger, and it stays the pool's
+        member, so what it stores next is counted."""
+        super().clear()
+        self._sync_pool_total()
+        self._pool._post_ledger()
+
 
 class SharedCachePool:
     """One byte budget split across per-node block caches by ``weights``.

@@ -394,6 +394,31 @@ class TestMidnodeCrash:
         assert mid.cache.stored_bytes == 0
         assert mid.stats.crashes == 1
 
+    def test_crash_empties_a_pooled_cache_in_place(self):
+        """A Midnode on a flow pool draws its cache from the shared pool:
+        a crash takes exactly its bytes out of the pool total and the
+        ledger, and the emptied cache is still the member the pool counts
+        stores and evictions of."""
+        from repro.workload import MemoryBudget, SharedCachePool
+
+        sim, path = self._path()
+        budget = MemoryBudget(1 << 20)
+        pool = SharedCachePool(64 << 10, [1, 1], budget=budget)
+        mid = path.midnodes[1]
+        mid.cache = pool.members[0]
+        pool.members[1].store("g", ByteRange(0, 1000), 0.0, writer="g")
+        mid.cache.store("f", ByteRange(0, 3000), 0.0, writer="f")
+        assert pool.stored_bytes == 4000
+        mid.crash()
+        assert mid.cache is pool.members[0] and mid.cache.stored_bytes == 0
+        assert pool.stored_bytes == 1000 == budget.account("cache")
+        mid.cache.store("f", ByteRange(0, 500), 1.0, writer="f")
+        assert pool.stored_bytes == 1500 == budget.account("cache")
+        # Past the member's 32 KiB share: the pool sees its evictions.
+        mid.cache.store("f", ByteRange(4096, 4096 * 10), 1.0, writer="f")
+        assert pool.evictions == mid.cache.stats.evictions > 0
+        assert pool.stored_bytes == 1000 + mid.cache.stored_bytes
+
     def test_transfer_survives_crash_restart(self):
         sim, path = self._path()
         mid = path.midnodes[1]
@@ -414,6 +439,20 @@ class TestResendSuppressor:
         assert sup.suppressed(rng)
         sim.run(until=0.2)
         assert not sup.suppressed(rng)  # window expired
+
+    def test_ranges_past_4_gib_are_refused(self):
+        """The guard keys a range by ``start << 32 | end``, one-to-one only
+        while ``end`` fits in 32 bits: a range ending at or past 4 GiB is
+        refused by name instead of aliasing another range's entry."""
+        sim = Simulator()
+        sup = ResendSuppressor(sim, floor_s=0.15)
+        last = ByteRange(2**32 - 1400, 2**32 - 1)
+        sup.record(last)
+        assert sup.suppressed(last)
+        assert not sup.suppressed(ByteRange(2**32 - 1400, 2**32 - 2))
+        for rng in (ByteRange(2**32 - 1400, 2**32), ByteRange(2**32, 2**32 + 1)):
+            with pytest.raises(ValueError, match="4 GiB"):
+                sup.record(rng)
 
     def test_drain_time_extends_window(self):
         sim = Simulator()

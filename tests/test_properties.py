@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.common.ranges import ByteRange, RangeSet
 from repro.core import BlockCache, TokenBucket
+from repro.core.cache import INLINE_PIECES
 from repro.netsim.link import Link
 from repro.netsim.node import SinkNode
 from repro.netsim.packet import Packet
@@ -123,54 +124,90 @@ def _as_pairs(ranges_):
     return [(r.start, r.end) for r in ranges_]
 
 
-def _block_snapshot(cache, bkey, block):
-    """One cache block as plain data: ``(pieces, coverage, freq)`` with
-    pieces ``(start, end, ts, writer)`` in store order (``int`` offsets,
-    the writer resolved through the cache's table) and coverage the runs
-    of their union, computed here.  The block's own summary of its
-    pieces — ``covered``, and the RangeSet the cache keeps beside it only
-    after an out-of-order store — is checked against that union."""
-    header, flat = block[:3], block[3:]
-    assert len(header) == 3 and len(flat) % 4 == 0
-    assert all(x == int(x) for i, x in enumerate(flat) if i % 4 != 2)
-    assert all(0 <= wid < len(cache._writers) for wid in flat[3::4])
-    pieces = [
-        (int(flat[i]), int(flat[i + 1]), flat[i + 2],
-         cache._writers[int(flat[i + 3])])
-        for i in range(0, len(flat), 4)
-    ]
-    assert all(
-        cache._writer_ids[writer] == wid
-        for (_, _, _, writer), wid in zip(pieces, flat[3::4])
-    )
-    union = set()
-    for start, end, _, _ in pieces:
-        union.update(range(start, end))
-    covered, freq, seq = header
-    assert covered == len(union)
-    assert freq == int(freq) >= 1 and 1 <= seq == int(seq) <= cache._created
-    coverage = cache._coverage.get(bkey)
-    if coverage is not None:
-        assert _as_pairs(coverage) == _runs(union)
-    else:  # in order: ascending and disjoint, the pieces are the coverage
-        assert all(a[1] <= b[0] for a, b in zip(pieces, pieces[1:]))
-    return pieces, _runs(union), int(freq)
+def _ascending(pieces):
+    """Pieces that ascend without overlap *are* their block's coverage."""
+    return all(a[1] <= b[0] for a, b in zip(pieces, pieces[1:]))
 
 
 def _cache_snapshot(cache):
-    """Every block in LRU order as ``((key, block index), *block)``: the
-    int key decoded through the per-key spans, each block inside its
-    key's span, and no materialised coverage without its block."""
-    assert cache._coverage.keys() <= cache._blocks.keys()
-    key_of = {kid: key for key, (_, _, kid) in cache._key_span.items()}
-    assert len(key_of) == len(cache._key_span)  # one id per key
-    snapshot = []
-    for bkey, block in cache._blocks.items():  # LRU order
-        key, bidx = key_of[bkey >> 32], bkey & 0xFFFFFFFF
-        lo, hi, _ = cache._key_span[key]
-        assert lo <= bidx <= hi
-        snapshot.append(((key, bidx), *_block_snapshot(cache, bkey, block)))
+    """Every block in LRU order as ``((key, block index), pieces,
+    coverage, freq)``, read through :meth:`BlockCache.blocks`: pieces
+    ``(start, end, ts, writer)`` in store order and coverage the runs of
+    their union, computed here.  Each block's own ``covered`` is checked
+    against that union, its pieces against its bounds, and creation
+    numbers are distinct."""
+    snapshot, seqs = [], set()
+    for key, bidx, covered, freq, seq, pieces in cache.blocks():
+        lo, hi = bidx * cache.block_bytes, (bidx + 1) * cache.block_bytes
+        assert pieces and all(lo <= s < e <= hi for s, e, _, _ in pieces)
+        union = set()
+        for start, end, _, _ in pieces:
+            union.update(range(start, end))
+        assert covered == len(union)
+        assert freq >= 1 and seq >= 1 and seq not in seqs
+        seqs.add(seq)
+        snapshot.append(((key, bidx), pieces, _runs(union), freq))
     return snapshot
+
+
+def _check_slab(cache):
+    """The slab's own bookkeeping, which :meth:`BlockCache.blocks` does
+    not show: the LRU links agree both ways and walk exactly the live
+    slots; every other slot is free, once, and in no key's slot map;
+    each live slot sits in its own key's map at its own block index;
+    key ids resolve both ways; side entries belong to live slots —
+    overflow pieces to exactly those holding more than ``INLINE_PIECES``,
+    materialised coverage (the union of the pieces) to exactly those
+    whose pieces do not ascend — and writer ids resolve both ways."""
+    prev, nxt, slab = cache._prev, cache._next, cache._slab
+    stride = len(slab) // len(prev)
+    assert len(slab) == stride * len(prev) == len(nxt) * stride
+    live, slot = [], 0
+    while True:
+        after = nxt[slot]
+        assert prev[after] == slot  # links agree
+        if not after:
+            break
+        live.append(after)
+        assert len(live) < len(prev)  # no cycle short of the sentinel
+        slot = after
+    free = list(cache._free)
+    assert len(set(free)) == len(free) and set(free).isdisjoint(live)
+    assert sorted(live + free) == list(range(1, len(prev)))
+    mapped = {}
+    for key, (lo, smap, kid, count) in cache._keys.items():
+        assert cache._keys_by_id[kid] == key
+        held = {i + lo: s for i, s in enumerate(smap) if s}
+        assert len(held) == count >= 1
+        for bidx, s in held.items():
+            assert s not in mapped
+            mapped[s] = (kid, bidx)
+    assert sorted(mapped) == sorted(live)  # live == walked == mapped
+    assert sum(k is not None for k in cache._keys_by_id) == len(cache._keys)
+    assert all(cache._keys_by_id[k] is None for k in cache._free_key_ids)
+    assert len(set(cache._free_key_ids)) == len(cache._free_key_ids)
+    for s in live:
+        b = s * stride
+        assert all(x == int(x) for x in slab[b:b + 6])  # the header's ints
+        assert mapped[s] == (slab[b + 4], slab[b + 5])
+        assert 1 <= slab[b + 2] <= cache._created  # seq
+        count = int(slab[b + 3])
+        assert (s in cache._overflow) == (count > INLINE_PIECES)
+        flat = cache._pieces(s)
+        assert len(flat) == 4 * count
+        assert all(x == int(x) for i, x in enumerate(flat) if i % 4 != 2)
+        for wid in flat[3::4]:
+            assert 0 <= wid < len(cache._writers)
+            assert cache._writer_ids[cache._writers[int(wid)]] == wid
+        pieces = [tuple(flat[i:i + 2]) for i in range(0, len(flat), 4)]
+        coverage = cache._coverage.get(s)
+        assert (coverage is None) == _ascending(pieces)
+        if coverage is not None:
+            union = set()
+            for start, end in pieces:
+                union.update(range(int(start), int(end)))
+            assert _as_pairs(coverage) == _runs(union)
+    assert set(cache._coverage) <= set(live) and set(cache._overflow) <= set(live)
 
 
 _small = st.integers(min_value=1, max_value=40)
@@ -325,10 +362,12 @@ class _ByteCacheModel:
 
 
 _cache_ranges = st.one_of(
-    # MSS-like pieces in order, pieces that straddle a block edge, anything.
+    # MSS-like pieces in order, pieces that straddle a block edge, anything,
+    # and now and then a block far up the key (its slot map grows).
     st.tuples(st.integers(0, 9).map(lambda i: i * 24), st.just(24)),
     st.tuples(st.integers(1, 4).map(lambda i: i * 64 - 10), st.integers(11, 40)),
     st.tuples(st.integers(0, 250), st.integers(1, 70)),
+    st.tuples(st.integers(16, 40).map(lambda i: i * 64 + 5), st.integers(1, 70)),
 )
 _flows = st.sampled_from(["f1", "f2", "f3", None])
 _keys = st.sampled_from(["a", "a", "a", "b"])  # pile up on one key: compaction
@@ -412,6 +451,22 @@ def _flatten_bursts(ops):
          ("store", "a", (0, 8), 5, "f1"), ("lookup", "a", (0, 64), 0, "f1")],
     capacity=150, eviction="lfu",
 )
+@example(  # a dropped key's slots and id are reused: by the other key's next
+    # block, then by the key itself coming back below its old lowest block;
+    # then a block far past the key's first outgrows its slot map
+    ops=[("store", "a", (0, 60), 1, "f1"), ("store", "a", (64, 60), 2, "f1"),
+         ("store", "b", (0, 8), 3, "f2"), ("drop", "a", (0, 1), 0, None),
+         ("store", "b", (64, 8), 4, "f2"), ("store", "a", (128, 8), 5, "f1"),
+         ("store", "a", (0, 8), 6, "f3"), ("store", "a", (8, 8), 7, "f3"),
+         ("store", "b", (64 * 40 - 4, 8), 8, "f2"),
+         ("lookup", "a", (0, 200), 0, "f2"), ("lookup", "b", (0, 64 * 41), 0, "f1")],
+    capacity=10_000, eviction="lru",
+)
+@example(  # a lookup that ends below the lowest block its key holds
+    ops=[("store", "a", (192, 24), 0, "f1"), ("store", "a", (128, 1), 0, "f1"),
+         ("lookup", "a", (0, 24), 0, "f1")],
+    capacity=150, eviction="lru",
+)
 def test_block_cache_matches_byte_model(ops, capacity, eviction):
     cache = _SmallBlockCache(
         capacity_bytes=capacity, block_bytes=64, eviction=eviction
@@ -438,16 +493,16 @@ def test_block_cache_matches_byte_model(ops, capacity, eviction):
             assert got == model.lookup(key, rng.start, rng.end, flow)
         # Block for block, in LRU order: the pieces the model holds and
         # the touches LFU ranks by (the snapshot itself checks each
-        # ``covered`` against their union, and that the side coverage
-        # dict holds no key absent from the blocks).
+        # ``covered`` against their union), over a slab whose links, free
+        # lists, slot maps and side dicts agree with each other.
+        _check_slab(cache)
         assert [(bkey, pieces, freq) for bkey, pieces, _, freq in (
             _cache_snapshot(cache)
         )] == [
             (bkey, model.entries[bkey], model.freq[bkey]) for bkey in model.lru
         ]
-        assert cache._coverage.keys() <= cache._blocks.keys()
         assert cache.stored_bytes == len(model.bytes) == sum(
-            block[0] for block in cache._blocks.values()
+            covered for _, _, covered, _, _, _ in cache.blocks()
         )
         assert cache.contains(key, rng) == all(
             (key, b) in model.bytes for b in range(rng.start, rng.end)
@@ -634,7 +689,7 @@ def test_shared_cache_pool_members_are_standalone_caches(
             assert _cache_snapshot(member) == kept
         for member, twin in zip(pool.members, twins):
             assert member.capacity_bytes == twin.capacity_bytes
-            # (The snapshot checks every live block against its key's span.)
+            _check_slab(member)
             assert _cache_snapshot(member) == _cache_snapshot(twin)
             assert member.stats == twin.stats
         assert sum(m.capacity_bytes for m in pool.members) == pool.capacity_bytes

@@ -42,6 +42,7 @@ from repro.shard import (
     run_sharded,
     spill_name,
 )
+from repro.core.cache import INLINE_PIECES
 from repro.shard.checkpoint import load_shard
 from repro.shard.sink import truncate_file
 from repro.shard import worker
@@ -314,11 +315,13 @@ def test_mixed_state_kill_then_resume_bit_identical(
 
 def test_kill_while_a_cache_holds_a_materialised_block_then_resume(tmp_path):
     """Content-keyed blocks outlive their flows, so a later flow's
-    re-store takes one out of order: the cut holds caches with
-    materialised coverage beside their blocks, and resuming from it is
-    still the uninterrupted run byte for byte."""
+    re-store takes one out of order, and a cache slice this small evicts:
+    the cut holds caches with materialised coverage, pieces past the
+    inline ones and slots freed by eviction and taken again — and
+    resuming from it is still the uninterrupted run byte for byte."""
     plan = ShardPlan(
         n_shards=2, arrivals_per_shard=12, drain_s=2.0, n_objects=6,
+        memory_ceiling_bytes=400_000,
     )
     full = run_sharded(plan, jobs=1, sink_dir=str(tmp_path / "full"))
     sink, ckpt = str(tmp_path / "sink"), str(tmp_path / "ckpt")
@@ -328,12 +331,17 @@ def test_kill_while_a_cache_holds_a_materialised_block_then_resume(tmp_path):
     )
     entries = load_manifest(ckpt)["shards"].values()
     states = [load_shard(ckpt, e["file"], e["digest"]) for e in entries]
-    materialised = [
-        member for state in states
-        for member in state.pool.cache_pool.members if member._coverage
-    ]
-    assert materialised
-    assert all(m._coverage.keys() <= m._blocks.keys() for m in materialised)
+    members = [m for state in states for m in state.pool.cache_pool.members]
+    pieces = [p for m in members for *_, p in m.blocks()]
+    assert any(len(p) > INLINE_PIECES for p in pieces)
+    assert any(a[1] > b[0] for p in pieces for a, b in zip(p, p[1:]))
+    # A block created after more blocks than the slab has slots sits in
+    # a slot an evicted block gave back.
+    assert any(
+        m.stats.evictions and max(seq for *_, seq, _ in m.blocks())
+        > len(m._prev) - 1
+        for m in members
+    )
     resumed = run_sharded(plan, jobs=2, resume_from=ckpt)
     assert resumed["resumed_from_epoch"] == 1
     assert _payload(resumed) == _payload(full)
@@ -375,18 +383,19 @@ def test_resume_refuses_corrupt_manifest(tmp_path):
     )
     manifest_path = os.path.join(ckpt, "manifest.json")
     # The directory as the previous builds wrote it is refused by name:
-    # format 6 (the same header, but cache blocks pickled as slotted
-    # objects) and format 5 (finished entries that still carry trace
-    # counts, and the state layout before that).
+    # format 7 (the same header, but a cache pickled as one array per
+    # block and resend guards keyed by tuples), format 6 (cache blocks
+    # as slotted objects) and format 5 (finished entries that still
+    # carry trace counts, and the state layout before that).
     with open(manifest_path) as fh:
         header = json.load(fh)
-    assert header["format"] == 7
-    for old_format in (6, 5):
+    assert header["format"] == 8
+    for old_format in (7, 6, 5):
         with open(manifest_path, "w") as fh:
             json.dump({**header, "format": old_format}, fh)
         refusal = (
             rf"unsupported checkpoint format {old_format} "
-            r"\(this build reads format 7\)"
+            r"\(this build reads format 8\)"
         )
         with pytest.raises(CheckpointError, match=refusal):
             resume_point(ckpt, PLAN)
@@ -412,7 +421,7 @@ def test_resume_refuses_corrupt_manifest(tmp_path):
     }
     with open(manifest_path, "w") as fh:
         json.dump(stale, fh)
-    refusal = r"unsupported checkpoint format 2 \(this build reads format 7\)"
+    refusal = r"unsupported checkpoint format 2 \(this build reads format 8\)"
     with pytest.raises(CheckpointError, match=refusal):
         resume_point(ckpt, PLAN)
     with pytest.raises(CheckpointError, match=refusal):
