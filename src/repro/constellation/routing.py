@@ -185,16 +185,6 @@ class PathSchedule:
                 changes.append(cur.time)
         return changes
 
-    def changed_node_count(self, t: float) -> int:
-        """How many path nodes differ between the slice at ``t`` and its
-        predecessor (0 if unchanged or first slice)."""
-        times = [s.time for s in self.snapshots]
-        idx = bisect.bisect_right(times, t) - 1
-        if idx <= 0:
-            return 0
-        prev, cur = self.snapshots[idx - 1], self.snapshots[idx]
-        return len(set(prev.nodes) ^ set(cur.nodes)) // 2
-
 
 def compute_path_schedule(
     router: ConstellationRouter,

@@ -8,34 +8,42 @@ measurements need (the Producer's original transmission timestamp per
 range).
 
 A block is the one thing every packet leaves behind at every hop, so a
-cache is one *slab*: a block is a fixed-stride slot in a flat
-``array('d')`` and owns no Python object of its own::
+cache is one *slab*: a block is a fixed-stride slot in two flat arrays,
+each field at its own width, and owns no Python object of its own.  The
+unsigned 32-bit ``_slab`` holds::
 
-    [covered, freq, seq, count, key_id, block_index,  (start, end, origin_ts, writer_id) x INLINE_PIECES]
+    [covered, freq, seq, count, key_id, block_index,  (start, end, writer_id) x INLINE_PIECES]
 
-a 6-double header — the bytes present (the length of the pieces'
-union), the touch count and the creation counter (LFU's key and its
-deterministic tie-break), the number of stored pieces, and the block's
-address — then room for :data:`INLINE_PIECES` ``(start, end, origin_ts,
-writer_id)`` quadruples in insertion order (offsets and ids are exact as
-doubles below 2**53).  Pieces past the inline ones go in a side dict of
-``array('d')`` keyed by slot.  The LRU order is a circular doubly linked
-list over two int arrays of slot indices (``_prev``/``_next``), with
-slot 0 as its sentinel, so the least recent block is ``_next[0]`` and
-the most recent ``_prev[0]``.  Each cache key maps to ``[lo, slot map,
-key_id, live blocks]``, the slot map an int array indexed by ``block_index
-- lo`` in which 0 means absent.  Eviction and ``drop_flow`` return slots
-and key ids to free lists, so a node's tables are the size of its live
-contents, not of every flow it ever served.  Writers are interned in a
-per-cache table (id 0 is "unattributed").
+an 18-int slot: a 6-int header — the bytes present (the length of the
+pieces' union), the touch count and the creation counter (LFU's key and
+its deterministic tie-break), the number of stored pieces, and the
+block's address — then room for :data:`INLINE_PIECES` ``(start, end,
+writer_id)`` triples in insertion order, ``start`` and ``end`` as
+offsets within the block.  The double ``_ts`` holds each inline piece's
+``origin_ts``, :data:`INLINE_PIECES` to a slot.  A slot is 104 bytes,
+and nothing wraps: ``store`` refuses a block index past 32 bits with
+``OverflowError``, and the arrays refuse any other value that does not
+fit.  Pieces past the inline ones go in a side dict of
+``(triples, stamps)`` array pairs keyed by slot.  The LRU order is a
+circular doubly linked list over two int arrays of slot indices
+(``_prev``/``_next``), with slot 0 as its sentinel, so the least recent
+block is ``_next[0]`` and the most recent ``_prev[0]``.  Each cache key
+maps to ``[lo, slot map, key_id, live blocks]``, the slot map an int
+array indexed by ``block_index - lo`` in which 0 means absent.  Eviction
+and ``drop_flow`` return slots and key ids to free lists, so a node's
+tables are the size of its live contents, not of every flow it ever
+served.  Writers are interned in a per-cache table (id 0 is
+"unattributed").
 
 While stores arrive *in order* — each piece starts at or after the
 previous piece's end, 97 % of inserts on the benchmark — the pieces are
 ascending and disjoint and therefore *are* the block's coverage; a
-:class:`RangeSet` is materialised only from the first out-of-order store
-(a re-store after eviction, a repair), kept in a side dict keyed by slot,
-and dropped again by compaction, which rebuilds ascending disjoint
-pieces.
+:class:`RangeSet` (of in-block offsets) is materialised only from the
+first out-of-order store into a block that is not yet full (a re-store
+after eviction, a repair), kept in a side dict keyed by slot, and
+dropped again as soon as the block is full — a store into a full block
+adds nothing, so it needs no coverage to say so — or by compaction,
+which rebuilds ascending disjoint pieces.
 
 The cache key is normally the FlowID.  Under a content workload
 (:mod:`repro.content`) Midnodes alias the key to the flow's bound
@@ -61,27 +69,30 @@ CACHE_EVICTION_POLICIES = ("lru", "lfu")
 #: Pieces a slot holds inline (91 % of ``leotp_bulk``'s blocks hold
 #: exactly four 1,400-byte-MSS pieces); later ones overflow to a side dict.
 INLINE_PIECES = 4
-#: Doubles per slot: the 6-double header, then the inline quadruples.
-_STRIDE = 6 + 4 * INLINE_PIECES
-_EMPTY_SLOT = bytes(8 * _STRIDE)
-# Write doubles into the slab at a byte offset in one call: a piece, and a
+#: Ints per slot of ``_slab``: the 6-int header, then the inline triples.
+_STRIDE = 6 + 3 * INLINE_PIECES
+_EMPTY_SLOT = bytes(4 * _STRIDE)
+_EMPTY_STAMPS = bytes(8 * INLINE_PIECES)
+# Write ints into the slab at a byte offset in one call: a piece, and a
 # new slot's header with its first piece.
-_pack_piece = struct.Struct("4d").pack_into
-_pack_new_slot = struct.Struct("10d").pack_into
+_pack_piece = struct.Struct("3I").pack_into
+_pack_new_slot = struct.Struct("9I").pack_into
+#: Block indices must stay below this (the slab holds them in 32 bits).
+_MAX_BLOCKS = 1 << 32
 
 
 _unchecked = ByteRange.unchecked
 
 
 def _union(pieces: array) -> RangeSet:
-    """The byte set a flat run of piece quadruples covers."""
+    """The offsets a flat run of ``(start, end, writer_id)`` triples covers."""
     coverage = RangeSet()
-    for i in range(0, len(pieces), 4):
-        coverage.add(_unchecked(int(pieces[i]), int(pieces[i + 1])))
+    for i in range(0, len(pieces), 3):
+        coverage.add(_unchecked(pieces[i], pieces[i + 1]))
     return coverage
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheStats:
     lookups: int = 0
     hits: int = 0
@@ -102,6 +113,14 @@ class CacheStats:
 
 class BlockCache:
     """Block cache keyed by (cache key, block index)."""
+
+    # No per-instance dict: a Producer keeps one cache per live flow.
+    __slots__ = (
+        "capacity_bytes", "block_bytes", "eviction", "stats",
+        "_slab", "_ts", "_prev", "_next", "_free", "_overflow", "_coverage",
+        "_keys", "_keys_by_id", "_free_key_ids", "_writers", "_writer_ids",
+        "_free_ids", "_sweep_at", "_stored_bytes", "_created",
+    )
 
     #: A block holding more pieces than this compacts them (keep it at
     #: least :data:`INLINE_PIECES`: only overflowing stores check it).
@@ -138,13 +157,15 @@ class BlockCache:
         stay: they describe the cache, not what it holds.
         """
         # Slot 0 is the LRU list's sentinel; slots 1.. hold blocks.
-        self._slab = array("d", _EMPTY_SLOT)
+        self._slab = array("I", _EMPTY_SLOT)
+        self._ts = array("d", _EMPTY_STAMPS)
         self._prev = array("i", [0])
         self._next = array("i", [0])
         self._free = array("i")  # released slots, reused first
-        # Pieces past the inline ones, and the materialised coverage of
-        # the blocks stored out of order, by slot.
-        self._overflow: dict[int, array] = {}
+        # Pieces past the inline ones as ``(triples, stamps)``, and the
+        # materialised coverage of the blocks stored out of order and not
+        # yet full, by slot.
+        self._overflow: dict[int, tuple[array, array]] = {}
         self._coverage: dict[int, RangeSet] = {}
         # cache key -> [lo, slot map, key_id, live blocks]; ``_keys_by_id``
         # names a key id's key (None once freed).
@@ -178,13 +199,19 @@ class BlockCache:
         ``key`` is the cache key (FlowID, or the object name under a
         content workload); ``writer`` attributes the bytes to the flow
         that fetched them so later lookups can count cross-flow hits.
+        Raises ``OverflowError`` for a block index past 2**32.
         """
-        self.stats.insertions += 1
         block_bytes = self.block_bytes
-        slab, nxt = self._slab, self._next
         r_start, r_end = rng.start, rng.end
         first = r_start // block_bytes
         last = (r_end - 1) // block_bytes
+        if last >= _MAX_BLOCKS:
+            raise OverflowError(
+                f"range [{r_start}, {r_end}) reaches block {last}; a cache "
+                f"holds block indices below 2**32"
+            )
+        self.stats.insertions += 1
+        slab, ts, nxt = self._slab, self._ts, self._next
         entry = self._keys.get(key)
         if entry is None:
             if self._free_key_ids:
@@ -205,16 +232,22 @@ class BlockCache:
         if wid is None:
             wid = self._intern(writer)
         for bidx in range(first, last + 1):
-            # The piece of ``rng`` in this block: ``rng`` itself unless it
-            # straddles a block edge (every block of the span overlaps it).
+            # The piece of ``rng`` in this block, as offsets within it:
+            # ``rng`` itself unless it straddles a block edge (every block
+            # of the span overlaps it).
             bstart = bidx * block_bytes
-            bend = bstart + block_bytes
-            start = r_start if r_start > bstart else bstart
-            end = r_end if r_end < bend else bend
+            start = r_start - bstart
+            if start < 0:
+                start = 0
+            end = r_end - bstart
+            if end > block_bytes:
+                end = block_bytes
             try:
                 slot = smap[bidx - lo]
-            except IndexError:  # past the map's end: double it
-                smap.frombytes(bytes(4 * max(bidx - lo + 1, len(smap))))
+            except IndexError:  # past the map's end: grow it by an eighth
+                smap.frombytes(
+                    bytes(4 * max(bidx - lo + 1 - len(smap), len(smap) >> 3))
+                )
                 slot = 0
             if not slot:
                 # A new block, born holding this piece: reuse a released
@@ -226,13 +259,15 @@ class BlockCache:
                 else:
                     slot = len(prev)
                     slab.frombytes(_EMPTY_SLOT)
+                    ts.frombytes(_EMPTY_STAMPS)
                     prev.append(0)
                     nxt.append(0)
                 self._created += 1
                 _pack_new_slot(
-                    slab, 8 * _STRIDE * slot, end - start, 1.0, self._created,
-                    1.0, entry[2], bidx, start, end, origin_ts, wid,
+                    slab, 4 * _STRIDE * slot, end - start, 1, self._created,
+                    1, entry[2], bidx, start, end, wid,
                 )
+                ts[INLINE_PIECES * slot] = origin_ts
                 smap[bidx - lo] = slot
                 entry[3] += 1
                 tail = prev[0]
@@ -254,30 +289,40 @@ class BlockCache:
                 nxt[tail] = slot
                 prev[0] = slot
             b = slot * _STRIDE
-            slab[b + 1] += 1.0
-            n = int(slab[b + 3])
-            p = b + 6 + 4 * n  # where the next inline piece goes
+            slab[b + 1] += 1
+            n = slab[b + 3]
+            p = b + 6 + 3 * n  # where the next inline piece goes
+            covered = slab[b]
+            if covered == block_bytes:
+                added = 0  # full: nothing is new, and no coverage is kept
             # In order: at or past the last piece's end.
-            if start >= (
-                slab[p - 3] if n <= INLINE_PIECES else self._overflow[slot][-3]
+            elif start >= (
+                slab[p - 2] if n <= INLINE_PIECES else self._overflow[slot][0][-2]
             ) and slot not in self._coverage:
                 added = end - start  # disjoint from every piece
             else:
                 coverage = self._coverage.get(slot)
                 if coverage is None:
-                    coverage = self._coverage[slot] = _union(self._pieces(slot))
+                    coverage = self._coverage[slot] = _union(self._pieces(slot)[0])
                 coverage.add(_unchecked(start, end))
-                added = len(coverage) - int(slab[b])
+                added = len(coverage) - covered
+                if covered + added == block_bytes:
+                    del self._coverage[slot]
             slab[b + 3] = n + 1
-            slab[b] += added
+            slab[b] = covered + added
             self._stored_bytes += added
             if n < INLINE_PIECES:
-                _pack_piece(slab, 8 * p, start, end, origin_ts, wid)
+                _pack_piece(slab, 4 * p, start, end, wid)
+                ts[INLINE_PIECES * slot + n] = origin_ts
             else:
                 if n == INLINE_PIECES:
-                    self._overflow[slot] = array("d", (start, end, origin_ts, wid))
+                    self._overflow[slot] = (
+                        array("I", (start, end, wid)), array("d", (origin_ts,)),
+                    )
                 else:
-                    self._overflow[slot].fromlist([start, end, origin_ts, wid])
+                    triples, stamps = self._overflow[slot]
+                    triples.extend((start, end, wid))
+                    stamps.append(origin_ts)
                 if n >= self.MAX_ORIGINS_PER_BLOCK:
                     self._compact(slot)
         if self._stored_bytes > self.capacity_bytes:
@@ -327,9 +372,6 @@ class BlockCache:
                 )
                 found: list[tuple[ByteRange, float]] = []
                 cross_bytes = 0
-                # The scan compares these with doubles; float-to-float is
-                # the cheap one.
-                f_start, f_end = float(r_start), float(r_end)
             after = nxt[slot]
             if after:  # not already the most recent: relink at the tail
                 prev = self._prev
@@ -342,19 +384,26 @@ class BlockCache:
                 nxt[tail] = slot
                 prev[0] = slot
             b = slot * _STRIDE
-            slab[b + 1] += 1.0
+            slab[b + 1] += 1
+            # ``rng`` as offsets within this block (they may reach past it).
+            bstart = slab[b + 5] * block_bytes
+            f_start, f_end = r_start - bstart, r_end - bstart
             # Scan this block's stored pieces newest-first so re-stored
             # (retransmitted) data wins, then clip against what is still
             # needed to keep results disjoint.
-            n = int(slab[b + 3])
+            n = slab[b + 3]
+            t = INLINE_PIECES * slot
             if n <= INLINE_PIECES:
-                pieces, top, bottom = slab, b + 4 * n + 2, b + 5
+                pieces, stamps, base = slab, self._ts, b + 6
             else:
-                pieces = slab[b + 6:b + _STRIDE] + self._overflow[slot]
-                top, bottom = 4 * n - 4, -1
-            for i in range(top, bottom, -4):
+                triples, stamps = self._overflow[slot]
+                pieces = slab[b + 6:b + _STRIDE] + triples
+                stamps = self._ts[t:t + INLINE_PIECES] + stamps
+                base = t = 0
+            for j in range(n - 1, -1, -1):
                 if not remaining:
                     break
+                i = base + 3 * j
                 start = pieces[i]
                 if start >= f_end:
                     continue
@@ -362,8 +411,8 @@ class BlockCache:
                 if end <= f_start:
                     continue
                 part = _unchecked(
-                    int(start) if start > f_start else r_start,
-                    int(end) if end < f_end else r_end,
+                    bstart + start if start > f_start else r_start,
+                    bstart + end if end < f_end else r_end,
                 )
                 if remaining.contains(part):
                     # In-order hit: nothing newer overlapped this piece.
@@ -374,8 +423,8 @@ class BlockCache:
                         covered.remove(hole)
                 else:
                     continue
-                origin_ts = pieces[i + 2]
-                wid = pieces[i + 3]
+                origin_ts = stamps[t + j]
+                wid = pieces[i + 2]
                 for sub in covered:
                     found.append((sub, origin_ts))
                     remaining.remove(sub)
@@ -405,9 +454,11 @@ class BlockCache:
             if not slot:
                 return False
             bstart = bidx * block_bytes
-            part = rng.intersection(_unchecked(bstart, bstart + block_bytes))
-            if part is not None and not (
-                self._coverage.get(slot) or _union(self._pieces(slot))
+            part = _unchecked(
+                max(rng.start - bstart, 0), min(rng.end - bstart, block_bytes),
+            )
+            if not (
+                self._coverage.get(slot) or _union(self._pieces(slot)[0])
             ).contains(part):
                 return False
         return True
@@ -424,25 +475,33 @@ class BlockCache:
         slot = nxt[0]
         while slot:
             b = slot * _STRIDE
-            flat = self._pieces(slot)
+            bidx = slab[b + 5]
+            bstart = bidx * self.block_bytes
+            triples, stamps = self._pieces(slot)
             yield (
-                self._keys_by_id[int(slab[b + 4])], int(slab[b + 5]),
-                int(slab[b]), int(slab[b + 1]), int(slab[b + 2]),
+                self._keys_by_id[slab[b + 4]], bidx, slab[b], slab[b + 1],
+                slab[b + 2],
                 [
-                    (int(flat[i]), int(flat[i + 1]), flat[i + 2],
-                     writers[int(flat[i + 3])])
-                    for i in range(0, len(flat), 4)
+                    (bstart + triples[3 * j], bstart + triples[3 * j + 1],
+                     stamp, writers[triples[3 * j + 2]])
+                    for j, stamp in enumerate(stamps)
                 ],
             )
             slot = nxt[slot]
 
-    def _pieces(self, slot: int) -> array:
-        """A slot's pieces as one flat run of quadruples, in store order."""
+    def _pieces(self, slot: int) -> tuple[array, array]:
+        """A slot's pieces in store order: their ``(start, end,
+        writer_id)`` triples as one flat run, and their stamps."""
         b = slot * _STRIDE
-        n = int(self._slab[b + 3])
+        t = INLINE_PIECES * slot
+        n = self._slab[b + 3]
         if n <= INLINE_PIECES:
-            return self._slab[b + 6:b + 6 + 4 * n]
-        return self._slab[b + 6:b + _STRIDE] + self._overflow[slot]
+            return self._slab[b + 6:b + 6 + 3 * n], self._ts[t:t + n]
+        triples, stamps = self._overflow[slot]
+        return (
+            self._slab[b + 6:b + _STRIDE] + triples,
+            self._ts[t:t + INLINE_PIECES] + stamps,
+        )
 
     def _intern(self, writer: str) -> int:
         """A new writer's id.
@@ -455,11 +514,11 @@ class BlockCache:
         """
         ids = self._writer_ids
         if len(ids) > self._sweep_at:
-            live = {0.0}
+            live = {0}
             nxt = self._next
             slot = nxt[0]
             while slot:
-                live.update(self._pieces(slot)[3::4])
+                live.update(self._pieces(slot)[0][2::3])
                 slot = nxt[slot]
             for name, wid in list(ids.items()):
                 if wid not in live:
@@ -495,9 +554,9 @@ class BlockCache:
                     victim, best = slot, rank
                 slot = nxt[slot]
         b = victim * _STRIDE
-        key = self._keys_by_id[int(slab[b + 4])]
+        key = self._keys_by_id[slab[b + 4]]
         entry = self._keys[key]
-        entry[1][int(slab[b + 5]) - entry[0]] = 0
+        entry[1][slab[b + 5] - entry[0]] = 0
         entry[3] -= 1
         if not entry[3]:  # the key's last block: its id goes too
             del self._keys[key]
@@ -538,7 +597,7 @@ class BlockCache:
                 overflow.pop(slot, None)
             if coverage:
                 coverage.pop(slot, None)
-            freed += int(slab[slot * _STRIDE])
+            freed += slab[slot * _STRIDE]
         self._free.extend(slots)
         return freed
 
@@ -558,21 +617,23 @@ class BlockCache:
         rebuilt pieces ascend without overlap, so the block is in order
         again.
         """
-        pieces = self._pieces(slot)
-        oldest = min(pieces[2::4])
-        writers = set(pieces[3::4])
-        wid = writers.pop() if len(writers) == 1 else 0.0
-        coverage = self._coverage.pop(slot, None) or _union(pieces)
-        flat = array("d", [
-            x for iv in coverage for x in (iv.start, iv.end, oldest, wid)
-        ])
-        count = len(flat) // 4
-        inline = 4 * min(count, INLINE_PIECES)
+        triples, stamps = self._pieces(slot)
+        oldest = min(stamps)
+        writers = set(triples[2::3])
+        wid = writers.pop() if len(writers) == 1 else 0
+        coverage = self._coverage.pop(slot, None) or _union(triples)
+        flat = array("I", [x for iv in coverage for x in (iv.start, iv.end, wid)])
+        count = len(flat) // 3
+        inline = min(count, INLINE_PIECES)
         b = slot * _STRIDE
-        self._slab[b + 6:b + 6 + inline] = flat[:inline]
+        t = INLINE_PIECES * slot
+        self._slab[b + 6:b + 6 + 3 * inline] = flat[:3 * inline]
+        self._ts[t:t + inline] = array("d", [oldest] * inline)
         self._slab[b + 3] = count
         if count > INLINE_PIECES:
-            self._overflow[slot] = flat[inline:]
+            self._overflow[slot] = (
+                flat[3 * inline:], array("d", [oldest] * (count - inline)),
+            )
         else:
             self._overflow.pop(slot, None)
 

@@ -177,15 +177,3 @@ class MulticastMidnode(Midnode):
         self._fanout_senders.clear()
         self._pit.clear()
         super().crash()
-
-    def expire_pit(self) -> int:
-        """Drop PIT entries older than the timeout.  Returns count dropped."""
-        now = self.sim.now
-        stale = [
-            key
-            for key, entry in self._pit.items()
-            if now - entry.created_at >= self.PIT_TIMEOUT_S
-        ]
-        for key in stale:
-            del self._pit[key]
-        return len(stale)

@@ -10,7 +10,10 @@ drain asks the bucket once and sleeps the wait it names.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from collections import deque
+from itertools import compress
 from typing import Callable, Optional
 
 from repro.core.congestion import TokenBucket
@@ -29,18 +32,25 @@ class ResendSuppressor:
     Consumer's minimum RTO, so legitimately spaced TR retries always get
     through; what this suppresses is the recovery-storm regime where
     queueing delay exceeds the RTO.
+
+    A range is keyed by one int, ``start << 32 | end``, and the guard is
+    two parallel arrays sorted by key: the keys and the times they last
+    left.  A flow's data leaves in offset order, so almost every record
+    is an append; the rest (and every lookup) bisect.  An entry costs 16
+    bytes and no Python object.
     """
 
     MAX_ENTRIES = 8192
-    #: Ranges must end below this offset: the map keys a range by one int,
-    #: ``start << 32 | end``, which is one-to-one only while ``end`` fits
-    #: in 32 bits (a 4 GiB flow).
+    #: Ranges must end below this offset: a key is one-to-one (and fits
+    #: the unsigned 64-bit key array) only while ``end`` fits in 32 bits
+    #: (a 4 GiB flow).
     MAX_OFFSET = 1 << 32
 
     def __init__(self, sim: Simulator, floor_s: float) -> None:
         self.sim = sim
         self.floor_s = floor_s
-        self._sent: dict[int, float] = {}
+        self._keys = array("Q")
+        self._times = array("d")  # ``_times[i]``: when ``_keys[i]`` left
 
     def record(self, rng) -> None:
         if self.floor_s <= 0:
@@ -51,27 +61,44 @@ class ResendSuppressor:
                 f"range [{rng.start}, {end}) ends past the resend guard's "
                 f"4 GiB limit (offsets must stay below 2**32)"
             )
-        if len(self._sent) >= self.MAX_ENTRIES:
+        keys = self._keys
+        if len(keys) >= self.MAX_ENTRIES:
             self._prune()
-        self._sent[rng.start << 32 | end] = self.sim.now
+            keys = self._keys
+        key = rng.start << 32 | end
+        if not keys or key > keys[-1]:
+            keys.append(key)
+            self._times.append(self.sim.now)
+            return
+        i = bisect_left(keys, key)
+        if keys[i] == key:
+            self._times[i] = self.sim.now
+        else:
+            keys.insert(i, key)
+            self._times.insert(i, self.sim.now)
 
     def suppressed(self, rng, extra_window_s: float = 0.0) -> bool:
         """True if ``rng`` left the buffer within the suppression window."""
         if self.floor_s <= 0:
             return False
-        last = self._sent.get(rng.start << 32 | rng.end)
-        if last is None:
+        keys = self._keys
+        key = rng.start << 32 | rng.end
+        i = bisect_left(keys, key)
+        if i == len(keys) or keys[i] != key:
             return False
         window = max(self.floor_s, extra_window_s)
-        return self.sim.now - last < window
+        return self.sim.now - self._times[i] < window
 
     def _prune(self) -> None:
         # Anything older than a generous multiple of the floor can never
         # suppress again (drain-time extensions are transient).
         horizon = self.sim.now - 100.0 * self.floor_s
-        self._sent = {k: t for k, t in self._sent.items() if t >= horizon}
-        if len(self._sent) >= self.MAX_ENTRIES:  # degenerate clock: hard cap
-            self._sent.clear()
+        keep = [t >= horizon for t in self._times]
+        self._keys = array("Q", compress(self._keys, keep))
+        self._times = array("d", compress(self._times, keep))
+        if len(self._keys) >= self.MAX_ENTRIES:  # degenerate clock: hard cap
+            self._keys = array("Q")
+            self._times = array("d")
 
 
 class PacedSender:

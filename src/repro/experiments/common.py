@@ -14,7 +14,7 @@ use ``scale=1.0``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
 
@@ -23,11 +23,11 @@ from repro.core import build_leotp_path as _build_leotp_path
 from repro.netsim.topology import HopSpec
 from repro.netsim.trace import FlowRecorder
 from repro.simcore import RngRegistry, Simulator
-from repro.tcp import FiniteStream, SplitTcpPath, TcpPath
-from repro.tcp import build_e2e_tcp_path as _build_e2e_tcp_path
-from repro.tcp import build_split_tcp_path as _build_split_tcp_path
-from repro.tcp.cc import CCSpec, as_cc_spec
+from repro.tcp.cc.spec import CCSpec, as_cc_spec
 from repro.tcp.segment import DEFAULT_MSS
+
+if TYPE_CHECKING:
+    from repro.tcp import SplitTcpPath, TcpPath
 
 BASELINE_CCS = ("cubic", "hybla", "westwood", "vegas", "bbr", "pcc")
 
@@ -84,7 +84,7 @@ class PathSpec:
             raise ValueError("need at least one hop")
 
 
-BuiltPath = Union[LeotpPath, TcpPath, SplitTcpPath]
+BuiltPath = Union[LeotpPath, "TcpPath", "SplitTcpPath"]
 
 
 def build_path(sim: Simulator, rng: RngRegistry, spec: PathSpec) -> BuiltPath:
@@ -114,18 +114,20 @@ def build_path(sim: Simulator, rng: RngRegistry, spec: PathSpec) -> BuiltPath:
             start_time=spec.start_time,
             stop_time=spec.stop_time,
         )
+    from repro.tcp import FiniteStream, build_e2e_tcp_path, build_split_tcp_path
+
     stream = (
         FiniteStream(spec.total_bytes) if spec.total_bytes is not None else None
     )
     if spec.protocol == "tcp":
-        return _build_e2e_tcp_path(
+        return build_e2e_tcp_path(
             sim, rng, hops, spec.cc_name,
             stream=stream, mss=spec.mss,
             flow_base=spec.flow_id if spec.flow_id is not None else "tcp",
             start_time=spec.start_time,
             stop_time=spec.stop_time,
         )
-    return _build_split_tcp_path(
+    return build_split_tcp_path(
         sim, rng, hops, spec.cc_name,
         stream=stream, mss=spec.mss,
         flow_base=spec.flow_id if spec.flow_id is not None else "split",

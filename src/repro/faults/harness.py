@@ -54,21 +54,6 @@ class ChaosResult:
     def invariants_ok(self) -> bool:
         return all(r.ok for r in self.invariants)
 
-    def obs_summary(self, timeline_limit: int = 25) -> Optional[str]:
-        """Human-readable recovery summary, if the run was traced.
-
-        A failed invariant rarely explains itself; the summary shows the
-        drop/VPH/retx/fault interleaving that led up to it.
-        """
-        if self.trace_records is None:
-            return None
-        from repro.analysis.report import run_summary
-
-        return run_summary(
-            self.trace_records, self.metric_samples or (),
-            title=f"chaos:{self.protocol}", timeline_limit=timeline_limit,
-        )
-
     def assert_ok(self) -> None:
         failed = [r for r in self.invariants if not r.ok]
         if failed:

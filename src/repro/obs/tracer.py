@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from typing import IO, Iterable, Optional, Union
+from typing import IO, Iterable, Union
 
 #: Keys every trace record must carry (see module docstring).
 RECORD_REQUIRED_KEYS = ("t", "event", "node")
@@ -166,27 +166,6 @@ class EventTracer:
     def counts(self) -> Counter:
         """Record count per event kind."""
         return Counter(rec["event"] for rec in self.records)
-
-    def select(
-        self,
-        event: Optional[str] = None,
-        node: Optional[str] = None,
-        t_min: Optional[float] = None,
-        t_max: Optional[float] = None,
-    ) -> list[dict]:
-        """Records matching all given filters, in emission order."""
-        out = []
-        for rec in self.records:
-            if event is not None and rec["event"] != event:
-                continue
-            if node is not None and rec["node"] != node:
-                continue
-            if t_min is not None and rec["t"] < t_min:
-                continue
-            if t_max is not None and rec["t"] > t_max:
-                continue
-            out.append(rec)
-        return out
 
 
 #: The process-global tracer every emit site in the stack writes to.

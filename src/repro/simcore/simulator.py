@@ -334,17 +334,6 @@ class Simulator:
         finally:
             self._running = False
 
-    def peek_time(self) -> Optional[float]:
-        """Time of the next non-cancelled event, or None if the heap is empty."""
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry[3] is None or not entry[3].cancelled:
-                return entry[0]
-            heappop(heap)
-            self._cancelled_pending -= 1
-        return None
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<Simulator t={self.now:.6f} pending={self.pending_events} "

@@ -1,54 +1,23 @@
-"""Packet-level TCP baselines: engine, congestion control, Split TCP."""
+"""Packet-level TCP baselines: engine, congestion control, Split TCP.
 
-from repro.tcp.cc import (
-    CC_REGISTRY,
-    BbrCC,
-    CongestionControl,
-    CubicCC,
-    HyblaCC,
-    PccVivaceCC,
-    RenoCC,
-    VegasCC,
-    WestwoodCC,
-    make_cc,
-)
-from repro.tcp.connection import (
-    ByteStream,
-    FiniteStream,
-    InfiniteStream,
-    ProxyStream,
-    TcpReceiver,
-    TcpSender,
-)
-from repro.tcp.flows import TcpPath, build_e2e_tcp_path
-from repro.tcp.segment import DEFAULT_MSS, TCP_HEADER_BYTES, TcpSegment
-from repro.tcp.snoop import SnoopProxy
-from repro.tcp.split import SplitTcpPath, SplitTcpProxy, build_split_tcp_path
+Every public name is resolved on first use, so importing one submodule
+(``repro.tcp.cc.spec``, as a LEOTP run does for :class:`CCSpec`) loads
+neither the connection engine nor a congestion-control law.
+"""
 
-__all__ = [
-    "BbrCC",
-    "ByteStream",
-    "CC_REGISTRY",
-    "CongestionControl",
-    "CubicCC",
-    "DEFAULT_MSS",
-    "FiniteStream",
-    "HyblaCC",
-    "InfiniteStream",
-    "PccVivaceCC",
-    "ProxyStream",
-    "RenoCC",
-    "SnoopProxy",
-    "SplitTcpPath",
-    "SplitTcpProxy",
-    "TCP_HEADER_BYTES",
-    "TcpPath",
-    "TcpReceiver",
-    "TcpSegment",
-    "TcpSender",
-    "VegasCC",
-    "WestwoodCC",
-    "build_e2e_tcp_path",
-    "build_split_tcp_path",
-    "make_cc",
-]
+from repro.common.lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "cc": (
+        "BbrCC", "CC_REGISTRY", "CongestionControl", "CubicCC", "HyblaCC",
+        "PccVivaceCC", "RenoCC", "VegasCC", "WestwoodCC", "make_cc",
+    ),
+    "connection": (
+        "ByteStream", "FiniteStream", "InfiniteStream", "ProxyStream",
+        "TcpReceiver", "TcpSender",
+    ),
+    "flows": ("TcpPath", "build_e2e_tcp_path"),
+    "segment": ("DEFAULT_MSS", "TCP_HEADER_BYTES", "TcpSegment"),
+    "snoop": ("SnoopProxy",),
+    "split": ("SplitTcpPath", "SplitTcpProxy", "build_split_tcp_path"),
+})

@@ -9,71 +9,28 @@ control and a simple learned policy).  All share the
 :class:`~repro.tcp.connection.TcpSender`.
 
 Selection is registry-driven: classes self-register with the
-:func:`register_cc` decorator (importing this package pulls in every
-built-in module, which triggers their registrations), :func:`make_cc`
-instantiates by name or from a :class:`CCSpec` carrying per-algorithm
-params.  Third-party controllers register from their own module — see
-:mod:`repro.tcp.cc.registry`.
+:func:`register_cc` decorator, :func:`make_cc` instantiates by name or
+from a :class:`CCSpec` carrying per-algorithm params.  Third-party
+controllers register from their own module — see
+:mod:`repro.tcp.cc.registry`.  Every public name is resolved on first
+use: importing this package (or :class:`CCSpec`) loads no law, and
+``make_cc`` or a read of ``CC_REGISTRY`` loads them all
+(:mod:`repro.tcp.cc.builtin`).
 """
 
-from typing import Union
+from repro.common.lazy import lazy_exports
 
-from repro.tcp.cc.registry import CC_REGISTRY, RESERVED_CC_NAMES, register_cc
-from repro.tcp.cc.spec import CCSpec, as_cc_spec, parse_cc_params
-
-# Importing the implementation modules triggers their @register_cc
-# registrations; the class re-exports keep the old import surface.
-from repro.tcp.cc.base import CongestionControl, RenoCC
-from repro.tcp.cc.adaptive import AdaptiveCC
-from repro.tcp.cc.bbr import BbrCC
-from repro.tcp.cc.cubic import CubicCC
-from repro.tcp.cc.hybla import HyblaCC
-from repro.tcp.cc.orbcc import OrbCC
-from repro.tcp.cc.pcc import PccVivaceCC
-from repro.tcp.cc.vegas import VegasCC
-from repro.tcp.cc.westwood import WestwoodCC
-
-
-def make_cc(cc: Union[str, "CCSpec"], mss: int = 1400) -> CongestionControl:
-    """Instantiate a congestion-control algorithm by name or spec.
-
-    A bare string is coerced (``"bbr"`` → ``CCSpec("bbr")``); a
-    :class:`CCSpec`'s params are forwarded as constructor keywords, so
-    ``make_cc(CCSpec("orbcc", {"probe_gain": 2.5}))`` is
-    ``OrbCC(mss=..., probe_gain=2.5)``.
-    """
-    spec = as_cc_spec(cc)
-    try:
-        factory = CC_REGISTRY[spec.name]
-    except KeyError:
-        raise ValueError(
-            f"unknown congestion control {spec.name!r}; "
-            f"choose from {sorted(CC_REGISTRY)}"
-        ) from None
-    try:
-        return factory(mss=mss, **spec.params_dict)
-    except TypeError as exc:
-        raise ValueError(
-            f"bad params for congestion control {spec.name!r}: {exc}"
-        ) from None
-
-
-__all__ = [
-    "AdaptiveCC",
-    "BbrCC",
-    "CCSpec",
-    "CC_REGISTRY",
-    "CongestionControl",
-    "CubicCC",
-    "HyblaCC",
-    "OrbCC",
-    "PccVivaceCC",
-    "RESERVED_CC_NAMES",
-    "RenoCC",
-    "VegasCC",
-    "WestwoodCC",
-    "as_cc_spec",
-    "make_cc",
-    "parse_cc_params",
-    "register_cc",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "adaptive": ("AdaptiveCC",),
+    "base": ("CongestionControl", "RenoCC"),
+    "bbr": ("BbrCC",),
+    "builtin": ("CC_REGISTRY", "make_cc"),
+    "cubic": ("CubicCC",),
+    "hybla": ("HyblaCC",),
+    "orbcc": ("OrbCC",),
+    "pcc": ("PccVivaceCC",),
+    "registry": ("RESERVED_CC_NAMES", "register_cc"),
+    "spec": ("CCSpec", "as_cc_spec", "parse_cc_params"),
+    "vegas": ("VegasCC",),
+    "westwood": ("WestwoodCC",),
+})

@@ -22,9 +22,12 @@ and :class:`~repro.experiments.common.PathSpec`.
 
 from __future__ import annotations
 
+from importlib import import_module
 from typing import Callable, TypeVar
 
-#: Name -> factory.  Populated exclusively via :func:`register_cc`.
+#: Name -> factory.  Populated exclusively via :func:`register_cc`; the
+#: built-in laws register when :mod:`repro.tcp.cc.builtin` loads (read it
+#: as ``repro.tcp.cc.CC_REGISTRY`` to see them all).
 CC_REGISTRY: dict[str, Callable] = {}
 
 #: Names the run API interprets as protocols, never as CC algorithms.
@@ -51,6 +54,10 @@ def register_cc(name: str) -> Callable[[_F], _F]:
         )
 
     def decorate(factory: _F) -> _F:
+        if not factory.__module__.startswith(f"{__package__}."):
+            # A plugin may not claim a built-in name the laws have not
+            # registered yet: load them first.
+            import_module(f"{__package__}.builtin")
         if key in CC_REGISTRY:
             raise ValueError(
                 f"congestion control {name!r} already registered "

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from array import array
 from functools import partial
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.content.catalog import object_name
 from repro.content.placement import CachePolicy, placement_weights
@@ -54,16 +54,44 @@ from repro.obs.metrics import METRICS
 from repro.simcore.process import TimelineProcess
 from repro.simcore.random import RngRegistry
 from repro.simcore.simulator import Simulator
-from repro.tcp.cc import CCSpec, as_cc_spec
-from repro.tcp.connection import (
-    FiniteStream,
-    TcpReceiver,
-    TcpSender,
-    make_tcp_sender,
-)
+from repro.tcp.cc.spec import CCSpec, as_cc_spec
 from repro.workload.arrivals import FlowDemand, WorkloadSpec, generate_demands
 from repro.workload.budget import MemoryBudget, SharedCachePool
 from repro.workload.metrics import FairnessTracker, FlowRecord
+
+if TYPE_CHECKING:
+    from repro.tcp.connection import (
+        FiniteStream,
+        TcpReceiver,
+        TcpSender,
+        make_tcp_sender,
+    )
+
+#: The TCP engine's names this module spawns flows with.
+_TCP_ENGINE = ("FiniteStream", "TcpReceiver", "make_tcp_sender")
+
+
+def _bind_tcp_engine() -> None:
+    """Bind :data:`_TCP_ENGINE` into this module, once.
+
+    A TCP pool does it when it is built, so the engine and its congestion
+    laws load with the pool, not inside the first spawn's timed region,
+    and a LEOTP run never loads them.  A name already bound (patched) is
+    kept.
+    """
+    from repro.tcp import connection
+    from repro.tcp.cc import builtin  # noqa: F401  (registers the laws)
+
+    for name in _TCP_ENGINE:
+        globals().setdefault(name, getattr(connection, name))
+
+
+def __getattr__(name: str):
+    if name in _TCP_ENGINE:
+        _bind_tcp_engine()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: Estimated soft-state bytes one flow pins on one responder node
 #: (SHR detector, rate controller, learned links, range bookkeeping).
@@ -205,6 +233,7 @@ class FlowPool:
             self._flow_state_bytes = FLOW_STATE_BYTES_PER_NODE * responders
             self._flow_share_bytes = memory_ceiling_bytes - cache_capacity
         else:
+            _bind_tcp_engine()
             self._build_router_chain(hops)
             self.cache_pool = None
             self.content = None

@@ -33,16 +33,47 @@ MUST_NOT_LOAD = (
     "cProfile",
 )
 
+#: The TCP engine and every congestion-control law: a LEOTP run loads none.
+TCP_MACHINERY = (
+    "repro.tcp.connection",
+    *(f"repro.tcp.cc.{law}" for law in (
+        "adaptive", "base", "bbr", "cubic", "hybla", "orbcc", "pcc",
+        "vegas", "westwood",
+    )),
+)
 
-def _loaded_by(statement: str) -> set[str]:
+#: A short pool run; it prints the modules the pool's construction loaded.
+_POOL_RUN = (
+    "from repro.netsim.topology import uniform_chain_specs; "
+    "from repro.simcore import RngRegistry, Simulator; "
+    "from repro.workload import FlowPool, WorkloadSpec; "
+    "sim = Simulator(); "
+    "spec = WorkloadSpec(arrival='poisson', rate_per_s=50.0, n_flows=5, "
+    "mean_size_bytes=4000, max_size_bytes=8000); "
+    "before = set(sys.modules); "
+    "pool = FlowPool(sim, RngRegistry(0), spec=spec, "
+    "hops=uniform_chain_specs(2, rate_bps=20e6, delay_s=0.004), "
+    "protocol={protocol!r}); "
+    "built = sorted(set(sys.modules) - before); "
+    "sim.run(until=1.0); pool.finalize(); "
+    "assert pool.completed == 5, pool.completed; "
+    "print(json.dumps(built))"
+)
+
+
+def _run(statement: str) -> list:
+    """The JSON lines ``statement`` prints in a fresh interpreter, parsed."""
     src = os.path.dirname(os.path.dirname(repro.__file__))
     out = subprocess.run(
-        [sys.executable, "-c",
-         f"import json, sys; {statement}; print(json.dumps(list(sys.modules)))"],
+        [sys.executable, "-c", f"import json, sys; {statement}"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    return set(json.loads(out.stdout))
+    return [json.loads(line) for line in out.stdout.splitlines()]
+
+
+def _loaded_by(statement: str) -> set[str]:
+    return set(_run(f"{statement}; print(json.dumps(list(sys.modules)))")[-1])
 
 
 @pytest.mark.parametrize("package", [
@@ -52,6 +83,44 @@ def test_run_packages_leave_unused_layers_unloaded(package):
     loaded = _loaded_by(f"import {package}")
     assert package in loaded
     assert sorted(loaded.intersection(MUST_NOT_LOAD)) == []
+    assert sorted(loaded.intersection(TCP_MACHINERY)) == []
+
+
+def test_a_leotp_pool_run_loads_no_tcp_machinery():
+    """A LEOTP flow pool builds, runs and finishes without ever loading
+    the TCP engine or a congestion-control law."""
+    _, loaded = _run(
+        _POOL_RUN.format(protocol="leotp")
+        + "; print(json.dumps(list(sys.modules)))"
+    )
+    assert sorted(set(loaded).intersection(TCP_MACHINERY)) == []
+
+
+def test_a_tcp_pool_loads_its_machinery_when_built():
+    """A TCP pool loads the engine and its law while it is constructed,
+    not at its first spawn inside the run's timed region."""
+    (built,) = _run(_POOL_RUN.format(protocol="bbr"))
+    assert {"repro.tcp.connection", "repro.tcp.cc.bbr"} <= set(built)
+
+
+def test_a_plugin_cannot_claim_a_name_before_the_laws_load():
+    """A registration checks the built-in laws even when none has loaded
+    yet: a plugin claiming one's name, or a reserved name, is refused."""
+    ((loaded, refused),) = _run(
+        "from repro.tcp.cc import register_cc\n"
+        "loaded = sorted(set(sys.modules).intersection(%r))\n"
+        "refused = []\n"
+        "for name in ('bbr', 'leotp'):\n"
+        "    try:\n"
+        "        register_cc(name)(type('Plugin', (), {}))\n"
+        "    except ValueError as exc:\n"
+        "        refused.append(str(exc))\n"
+        "print(json.dumps([loaded, refused]))" % (TCP_MACHINERY,)
+    )
+    assert loaded == []
+    assert len(refused) == 2
+    assert "already registered" in refused[0]
+    assert "reserved" in refused[1]
 
 
 def test_package_names_still_import_on_first_use():

@@ -84,19 +84,6 @@ class TestMulticast:
         for consumer in consumers:
             assert consumer.bytes_received == 50 * 1400
 
-    def test_pit_expiry(self):
-        sim = Simulator()
-        config = LeotpConfig()
-        midnode = MulticastMidnode(sim, "mid", config)
-        from repro.common.ranges import ByteRange
-        from repro.core.multicast import _PitEntry
-
-        midnode._pit[("f", 0)] = _PitEntry(ByteRange(0, 1400), [], created_at=0.0)
-        sim.schedule(MulticastMidnode.PIT_TIMEOUT_S + 1.0, lambda: None)
-        sim.run()
-        assert midnode.expire_pit() == 1
-        assert midnode._pit == {}
-
 
 class _MulticastChaosPath:
     """Adapter exposing the multicast tree through the chaos path protocol.

@@ -158,10 +158,14 @@ def _check_slab(cache):
     key ids resolve both ways; side entries belong to live slots —
     overflow pieces to exactly those holding more than ``INLINE_PIECES``,
     materialised coverage (the union of the pieces) to exactly those
-    whose pieces do not ascend — and writer ids resolve both ways."""
-    prev, nxt, slab = cache._prev, cache._next, cache._slab
+    whose pieces do not ascend and whose block is not full — and writer
+    ids resolve both ways."""
+    prev, nxt, slab, ts = cache._prev, cache._next, cache._slab, cache._ts
+    assert slab.itemsize == 4 and ts.itemsize == 8
     stride = len(slab) // len(prev)
+    assert stride == 6 + 3 * INLINE_PIECES
     assert len(slab) == stride * len(prev) == len(nxt) * stride
+    assert len(ts) == INLINE_PIECES * len(prev)
     live, slot = [], 0
     while True:
         after = nxt[slot]
@@ -188,24 +192,29 @@ def _check_slab(cache):
     assert len(set(cache._free_key_ids)) == len(cache._free_key_ids)
     for s in live:
         b = s * stride
-        assert all(x == int(x) for x in slab[b:b + 6])  # the header's ints
         assert mapped[s] == (slab[b + 4], slab[b + 5])
         assert 1 <= slab[b + 2] <= cache._created  # seq
-        count = int(slab[b + 3])
+        covered, count = slab[b], slab[b + 3]
+        assert 1 <= covered <= cache.block_bytes
         assert (s in cache._overflow) == (count > INLINE_PIECES)
-        flat = cache._pieces(s)
-        assert len(flat) == 4 * count
-        assert all(x == int(x) for i, x in enumerate(flat) if i % 4 != 2)
-        for wid in flat[3::4]:
+        triples, stamps = cache._pieces(s)
+        assert len(triples) == 3 * count and len(stamps) == count
+        if count > INLINE_PIECES:
+            side, side_stamps = cache._overflow[s]
+            assert side.itemsize == 4 and side_stamps.itemsize == 8
+        for wid in triples[2::3]:
             assert 0 <= wid < len(cache._writers)
-            assert cache._writer_ids[cache._writers[int(wid)]] == wid
-        pieces = [tuple(flat[i:i + 2]) for i in range(0, len(flat), 4)]
+            assert cache._writer_ids[cache._writers[wid]] == wid
+        # Offsets within the block.
+        pieces = [tuple(triples[i:i + 2]) for i in range(0, len(triples), 3)]
+        assert all(0 <= start < end <= cache.block_bytes for start, end in pieces)
         coverage = cache._coverage.get(s)
-        assert (coverage is None) == _ascending(pieces)
+        full = covered == cache.block_bytes
+        assert (coverage is None) == (_ascending(pieces) or full)
         if coverage is not None:
             union = set()
             for start, end in pieces:
-                union.update(range(int(start), int(end)))
+                union.update(range(start, end))
             assert _as_pairs(coverage) == _runs(union)
     assert set(cache._coverage) <= set(live) and set(cache._overflow) <= set(live)
 
@@ -462,6 +471,13 @@ def _flatten_bursts(ops):
          ("lookup", "a", (0, 200), 0, "f2"), ("lookup", "b", (0, 64 * 41), 0, "f1")],
     capacity=10_000, eviction="lru",
 )
+@example(  # a block filled out of order forgets its coverage when full; a
+    # later store into it, past its last piece's end, adds nothing
+    ops=[("store", "a", (32, 32), 1, "f1"), ("store", "a", (0, 32), 2, "f1"),
+         ("store", "a", (40, 8), 3, "f2"), ("store", "a", (8, 8), 4, "f2"),
+         ("lookup", "a", (0, 64), 0, "f2")],
+    capacity=10_000, eviction="lru",
+)
 @example(  # a lookup that ends below the lowest block its key holds
     ops=[("store", "a", (192, 24), 0, "f1"), ("store", "a", (128, 1), 0, "f1"),
          ("lookup", "a", (0, 24), 0, "f1")],
@@ -575,6 +591,90 @@ def test_shr_detector_matches_algorithm_1_transcription(first, steps):
         assert _as_pairs(actions.request) == request
         assert shr.last_byte == ref["last"]
         assert _as_pairs(shr.open_holes) == [(s, e) for s, e, _ in ref["holes"]]
+
+
+# ----------------------------------------------------------------------
+# The resend guard against the dict it replaced
+# ----------------------------------------------------------------------
+
+
+class _DictGuard:
+    """Reference resend guard: one dict from ``start << 32 | end`` to the
+    time the range last left, pruned (then cleared) when a record finds
+    it at the cap — the layout the sorted arrays replaced."""
+
+    MAX_ENTRIES = 8
+
+    def __init__(self, sim, floor_s):
+        self.sim, self.floor_s, self.sent = sim, floor_s, {}
+
+    def record(self, rng):
+        if self.floor_s <= 0:
+            return
+        if len(self.sent) >= self.MAX_ENTRIES:
+            horizon = self.sim.now - 100.0 * self.floor_s
+            self.sent = {k: t for k, t in self.sent.items() if t >= horizon}
+            if len(self.sent) >= self.MAX_ENTRIES:
+                self.sent.clear()
+        self.sent[rng.start << 32 | rng.end] = self.sim.now
+
+    def suppressed(self, rng, extra_window_s=0.0):
+        if self.floor_s <= 0:
+            return False
+        last = self.sent.get(rng.start << 32 | rng.end)
+        if last is None:
+            return False
+        return self.sim.now - last < max(self.floor_s, extra_window_s)
+
+
+_guard_ranges = st.tuples(st.integers(0, 12), st.integers(1, 3))
+_guard_ops = st.one_of(
+    st.tuples(st.just("record"), _guard_ranges),
+    st.tuples(st.just("suppressed"), _guard_ranges, st.sampled_from([0.0, 0.5])),
+    # Steps past the floor and past the prune horizon (100 floors).
+    st.tuples(st.just("advance"), st.sampled_from([0.01, 0.2, 3.0, 30.0])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=st.lists(_guard_ops, max_size=80), floor_s=st.sampled_from([0.1, 0.0]))
+@example(  # at the cap, an existing key is recorded again: the guard clears
+    # (every entry is recent) and only then takes the key, so it is kept
+    ops=[("record", (i, 1)) for i in range(8)]
+    + [("record", (0, 1)), ("suppressed", (0, 1), 0.0),
+       ("suppressed", (1, 1), 0.0)],
+    floor_s=0.1,
+)
+@example(  # at the cap with old entries: the prune keeps only recent ones
+    ops=[("record", (i, 1)) for i in range(6)] + [("advance", 30.0)]
+    + [("record", (i, 2)) for i in range(3)]
+    + [("suppressed", (0, 1), 0.0), ("suppressed", (2, 2), 0.0)],
+    floor_s=0.1,
+)
+def test_resend_guard_matches_dict_reference(ops, floor_s):
+    """Differential: the sorted-array guard against the dict reference,
+    with the cap at 8 so that prunes and clears both fire — every
+    suppression decision, and the remembered ranges and times, match."""
+    from repro.core.paced import ResendSuppressor
+
+    class SmallGuard(ResendSuppressor):
+        MAX_ENTRIES = 8
+
+    sim = SimpleNamespace(now=0.0)
+    guard, model = SmallGuard(sim, floor_s), _DictGuard(sim, floor_s)
+    for op in ops:
+        if op[0] == "advance":
+            sim.now += op[1]
+            continue
+        start, length = op[1]
+        rng = ByteRange(start * 100, (start + length) * 100)
+        if op[0] == "record":
+            guard.record(rng)
+            model.record(rng)
+        else:
+            assert guard.suppressed(rng, op[2]) == model.suppressed(rng, op[2])
+        assert list(guard._keys) == sorted(model.sent)
+        assert list(guard._times) == [model.sent[k] for k in sorted(model.sent)]
 
 
 # ----------------------------------------------------------------------

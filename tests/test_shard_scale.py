@@ -317,11 +317,13 @@ def test_kill_while_a_cache_holds_a_materialised_block_then_resume(tmp_path):
     """Content-keyed blocks outlive their flows, so a later flow's
     re-store takes one out of order, and a cache slice this small evicts:
     the cut holds caches with materialised coverage, pieces past the
-    inline ones and slots freed by eviction and taken again — and
-    resuming from it is still the uninterrupted run byte for byte."""
+    inline ones, full blocks stored out of order (their coverage already
+    dropped) and slots freed by eviction and taken again, and live flows
+    whose resend guards took a range below their last — and resuming
+    from it is still the uninterrupted run byte for byte."""
     plan = ShardPlan(
         n_shards=2, arrivals_per_shard=12, drain_s=2.0, n_objects=6,
-        memory_ceiling_bytes=400_000,
+        memory_ceiling_bytes=400_000, mean_size_bytes=60_000,
     )
     full = run_sharded(plan, jobs=1, sink_dir=str(tmp_path / "full"))
     sink, ckpt = str(tmp_path / "sink"), str(tmp_path / "ckpt")
@@ -335,6 +337,24 @@ def test_kill_while_a_cache_holds_a_materialised_block_then_resume(tmp_path):
     pieces = [p for m in members for *_, p in m.blocks()]
     assert any(len(p) > INLINE_PIECES for p in pieces)
     assert any(a[1] > b[0] for p in pieces for a, b in zip(p, p[1:]))
+    # Full blocks stored out of order, which hold no coverage any more:
+    # only the unfull out-of-order blocks keep theirs.
+    out_of_order = [
+        (m, covered) for m in members for *_, covered, _, _, p in m.blocks()
+        if any(a[1] > b[0] for a, b in zip(p, p[1:]))
+    ]
+    assert any(covered == m.block_bytes for m, covered in out_of_order)
+    assert sum(len(m._coverage) for m in members) == sum(
+        covered < m.block_bytes for m, covered in out_of_order
+    )
+    # A guard's keys ascend; their times do not once a range was recorded
+    # below the last one (an insert) or again (an update).
+    guards = [
+        flow.suppressor for state in states
+        for node in (*state.pool.midnodes, state.pool.producer)
+        for flow in node._flows.values()
+    ]
+    assert any(list(g._times) != sorted(g._times) for g in guards)
     # A block created after more blocks than the slab has slots sits in
     # a slot an evicted block gave back.
     assert any(
@@ -383,19 +403,20 @@ def test_resume_refuses_corrupt_manifest(tmp_path):
     )
     manifest_path = os.path.join(ckpt, "manifest.json")
     # The directory as the previous builds wrote it is refused by name:
-    # format 7 (the same header, but a cache pickled as one array per
+    # format 8 (the same header, but all-double cache slots and resend
+    # guards kept as dicts), format 7 (a cache pickled as one array per
     # block and resend guards keyed by tuples), format 6 (cache blocks
     # as slotted objects) and format 5 (finished entries that still
     # carry trace counts, and the state layout before that).
     with open(manifest_path) as fh:
         header = json.load(fh)
-    assert header["format"] == 8
-    for old_format in (7, 6, 5):
+    assert header["format"] == 9
+    for old_format in (8, 7, 6, 5):
         with open(manifest_path, "w") as fh:
             json.dump({**header, "format": old_format}, fh)
         refusal = (
             rf"unsupported checkpoint format {old_format} "
-            r"\(this build reads format 8\)"
+            r"\(this build reads format 9\)"
         )
         with pytest.raises(CheckpointError, match=refusal):
             resume_point(ckpt, PLAN)
@@ -421,7 +442,7 @@ def test_resume_refuses_corrupt_manifest(tmp_path):
     }
     with open(manifest_path, "w") as fh:
         json.dump(stale, fh)
-    refusal = r"unsupported checkpoint format 2 \(this build reads format 8\)"
+    refusal = r"unsupported checkpoint format 2 \(this build reads format 9\)"
     with pytest.raises(CheckpointError, match=refusal):
         resume_point(ckpt, PLAN)
     with pytest.raises(CheckpointError, match=refusal):

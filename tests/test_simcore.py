@@ -116,13 +116,6 @@ class TestSimulatorScheduling:
         assert sim.step() is True
         assert sim.step() is False
 
-    def test_peek_time_skips_cancelled(self):
-        sim = Simulator()
-        e1 = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        e1.cancel()
-        assert sim.peek_time() == 2.0
-
     def test_events_executed_counter(self):
         sim = Simulator()
         for i in range(3):
@@ -309,16 +302,6 @@ class TestCancellationAccounting:
         event.cancel()
         assert sim.cancelled_pending == 0
         assert sim.pending_events == 0
-
-    def test_peek_time_prunes_and_accounts(self):
-        sim = Simulator()
-        e1 = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        e1.cancel()
-        assert sim.cancelled_pending == 1
-        assert sim.peek_time() == 2.0
-        assert sim.cancelled_pending == 0  # zombie popped during peek
-        assert sim.pending_events == 1
 
     def test_run_reconciles_counter_when_popping_zombies(self):
         sim = Simulator()
