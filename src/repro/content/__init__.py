@@ -18,10 +18,10 @@ The content model closes that gap:
   motivated by "Cache Placement in an NDN Based LEO Satellite Network
   Constellation" (PAPERS.md).
 
-Everything here is deterministic and picklable: a catalog is a pure
-function of ``(ContentSpec, rng state)`` and the registry is plain
-dict state, so content-driven shards checkpoint/resume byte-identically
-(DESIGN.md §15).
+Everything here is deterministic: a catalog is a pure function of
+``(ContentSpec, rng state)`` and the registry is plain dict state, so
+content-driven shards are byte-identical for any ``jobs`` value and
+across kill-then-resume (DESIGN.md §15).
 """
 
 from repro.content.catalog import (

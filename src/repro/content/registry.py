@@ -7,8 +7,7 @@ flow id to the bound object name, so two flows fetching ``obj00003``
 read and write the same cached blocks.  This is the simulation analogue
 of Interests naming content rather than connections (paper Sec. III-A).
 
-The registry is plain dict state (picklable; shard checkpoints carry it
-inside the FlowPool) and is maintained by the pool's lifecycle: bind at
+The registry is plain dict state, maintained by the pool's lifecycle: bind at
 spawn, unbind after retirement — during retirement the binding is still
 visible, which is how :meth:`repro.core.midnode.Midnode.retire_flow`
 knows to *keep* shared object blocks when their requester finishes.

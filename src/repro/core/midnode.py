@@ -189,8 +189,6 @@ class Midnode(Node):
             )
             state.sender = PacedSender(
                 self.sim,
-                # partial over the bound method (not a closure): flow state
-                # must survive pickling for shard checkpoint/resume.
                 stamp=partial(self._stamp, state),
                 paced=cfg.hop_by_hop_cc,
                 burst_bytes=3.0 * cfg.data_packet_bytes,

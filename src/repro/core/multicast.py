@@ -46,12 +46,7 @@ class _PitEntry:
 
 
 class _FanoutStamp:
-    """Per-(flow, link) stamp callback for fan-out senders.
-
-    A named class (not a lambda) so multicast trees survive pickling:
-    shard checkpointing serialises live node state, and closures cannot
-    cross a pickle boundary.
-    """
+    """Per-(flow, link) stamp callback for fan-out senders."""
 
     __slots__ = ("midnode", "flow_id")
 

@@ -74,8 +74,6 @@ class Producer(Node):
             flow = self._flows[flow_id] = _ProducerFlow(
                 PacedSender(
                     self.sim,
-                    # partial over the bound method (not a lambda): flow state
-                    # must survive pickling for shard checkpoint/resume.
                     stamp=partial(self._stamp, flow_id),
                     paced=True,
                     burst_bytes=3.0 * cfg.data_packet_bytes,

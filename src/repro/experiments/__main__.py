@@ -78,8 +78,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--checkpoint-dir", metavar="DIR", default=None,
-        help="workload_sharded_xl checkpoints every shard here, and "
-             "resumes from it when it holds this plan's manifest",
+        help="workload_sharded_xl commits every finished shard's row "
+             "here, and resumes from it when it holds this plan's "
+             "manifest (unfinished shards run again from their seeds)",
     )
     parser.add_argument(
         "--profile", action="store_true",

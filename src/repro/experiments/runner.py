@@ -55,7 +55,8 @@ class RunSpec:
     ``shard_jobs`` is the process count *inside* a sharded experiment,
     its caller included (rows are bit-identical for any value);
     ``sink_dir`` and ``checkpoint_dir`` are where ``workload_sharded_xl``
-    streams per-flow rows and checkpoints (and resumes from).  Forked
+    streams per-flow rows and commits finished shards (and resumes
+    from).  Forked
     shard workers of a profiled run dump their own cProfile under
     ``<profile_dir>/shards``; the caller's shards land in the
     experiment's profile.

@@ -5,9 +5,9 @@ arrivals per shard at ``scale=1.0``, i.e. 100,000 flows — exercising the
 full scale machinery: shards run to completion one at a time per
 process (resident state is one shard per process, whatever the shard
 count),
-per-shard result streaming (closed flows spill to JSONL and their
-records are dropped, so a shard's state is bounded by *concurrent*
-flows, not total), and per-shard checkpointing.
+per-shard result streaming (each flow's row spills to JSONL as it
+closes and its record is dropped, so a shard's state is bounded by
+*concurrent* flows, not total), and per-shard result commits.
 
 The printed table aggregates the 100 shard rows into ten bands of ten
 (summed counts, mean-of-shard latency columns — the same convention as
@@ -23,11 +23,10 @@ by ``python -m repro.experiments``):
     spill directory (default ``results/shard_xl``); the merged
     ``flows.jsonl`` lands there.
 ``checkpoint_dir`` / ``--checkpoint-dir``
-    when set, every shard checkpoints every epoch there — and if the
-    directory already holds a valid manifest for this plan, *resume*
-    from it, so re-running the experiment after a kill keeps the shards
-    that had finished, restores the ones caught mid-run and starts the
-    rest.
+    when set, every shard commits its row there as it finishes — and
+    if the directory already holds a valid manifest for this plan,
+    *resume* from it, so re-running the experiment after a kill keeps
+    the shards that had finished and runs the rest from their seeds.
 ``profile_dir`` / ``--profile``
     each forked shard worker dumps its own cProfile under ``shards/``
     there for ``tools/profile_top.py`` to merge; the shards this process
@@ -98,7 +97,7 @@ def run(
             f"Extreme-scale sharded workload: {plan.n_shards} shards x "
             f"{plan.arrivals_per_shard} flows "
             f"({plan.n_shards * plan.arrivals_per_shard:,} total), "
-            f"streamed results + per-shard checkpoints"
+            f"streamed results + per-shard result commits"
         ),
     )
     shard_rows = out["rows"][:-1]
@@ -114,8 +113,8 @@ def run(
     sink = out["sink"]
     result.notes.append(
         f"{out['completed']:,} of {total['arrivals']:,} flows completed; "
-        f"{len(out['ledger'])} ledger epochs over {plan.horizon_s:.1f}s "
-        f"simulated ({out['events_per_s']:,.0f} events/s)"
+        f"{plan.horizon_s:.1f}s simulated per shard "
+        f"({out['events_per_s']:,.0f} events/s)"
     )
     if sink is not None:
         result.notes.append(
@@ -135,15 +134,14 @@ def run(
         f"sent / {out['exchange_report_bytes'] / 1e3:.1f} kB returned "
         f"(one task's arguments out, one result dict back per shard)"
     )
-    if out["resumed_from_epoch"] is not None:
+    if resume_from is not None:
         result.notes.append(
-            f"resumed from {checkpoint_dir}: least advanced shard at "
-            f"epoch {out['resumed_from_epoch']}"
+            f"resumed from {checkpoint_dir}: {out['resumed_shards']} "
+            f"finished shard(s) taken as committed"
         )
-    elif out["checkpoints_written"]:
+    elif checkpoint_dir is not None:
         result.notes.append(
-            f"{out['checkpoints_written']} shard checkpoint(s) committed "
-            f"to {checkpoint_dir}"
+            f"{plan.n_shards} shard results committed to {checkpoint_dir}"
         )
     result.notes.append(
         "per-shard rows (and the spilled flows.jsonl) are bit-identical "

@@ -392,9 +392,6 @@ class FaultInjector:
         )
 
     # -- execution ------------------------------------------------------
-    # Each restore is a method scheduled with its arguments (never a
-    # closure), so a checkpoint taken *inside* a fault window can pickle
-    # the pending restore off the event heap.
 
     def _log(self, message: str) -> None:
         if TRACER.enabled:

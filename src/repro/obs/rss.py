@@ -7,15 +7,16 @@ mechanisms, both Linux ``/proc`` based and returning ``None`` where
 never as an error):
 
 * :func:`current_rss_bytes` — instantaneous RSS from ``/proc/self/statm``.
-  Shard tasks sample this after build/restore, every epoch, every
-  checkpoint and finalize, which tracks the peak well because a shard's
-  footprint moves at epoch granularity.
 * :class:`RssSampler` — a daemon thread sampling the calling process at
-  a fixed wall-clock interval, for the engine parent (with ``jobs=1``
-  the entire run lives there).  Preferred over ``ru_maxrss``, which is
-  a process-*lifetime* high-water mark: in a long pytest process the
-  lifetime peak reflects whichever earlier test was hungriest, not the
-  run being measured.
+  a fixed wall-clock interval, for the engine parent over the whole
+  run.  Preferred over ``ru_maxrss``, which is a process-*lifetime*
+  high-water mark: in a long pytest process the lifetime peak reflects
+  whichever earlier test was hungriest, not the run being measured.
+* :func:`reset_peak_rss` / :func:`peak_rss_bytes` — the kernel's own
+  high-water mark, restarted at the start of a shard task and read at
+  its end: the exact peak over the task, a mid-shard one included,
+  with no thread (a sampler thread per task cost a measurable share of
+  the shards' wall time in GIL hand-offs).
 """
 
 from __future__ import annotations
@@ -36,6 +37,30 @@ def current_rss_bytes() -> Optional[int]:
         return int(fields[1]) * _PAGE_SIZE
     except (OSError, IndexError, ValueError):
         return None
+
+
+def reset_peak_rss() -> None:
+    """Restart this process's high-water mark from its current RSS
+    (``/proc/self/clear_refs``).  Where that is unavailable the mark
+    keeps counting from process start, an upper bound."""
+    try:
+        with open("/proc/self/clear_refs", "w") as fh:
+            fh.write("5")
+    except OSError:
+        pass
+
+
+def peak_rss_bytes() -> Optional[int]:
+    """This process's peak RSS since the last :func:`reset_peak_rss`
+    (``VmHWM``), or ``None`` off-Linux."""
+    try:
+        with open("/proc/self/status", "rb") as fh:
+            for line in fh:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, IndexError, ValueError):
+        pass
+    return None
 
 
 class RssSampler:

@@ -115,7 +115,7 @@ class EventTracer:
 
         self.close_stream()
         open(path, "wb").close()  # truncate now, as documented
-        self._stream = SpillWriter(path, append=True)
+        self._stream = SpillWriter(path)
 
     def flush_stream(self) -> int:
         """Force-append the current buffer to the stream; returns count."""

@@ -2,14 +2,14 @@
 
 Partitions a constellation-scale workload into independent shards — one
 per ground-station pair, each owning its chain, FlowPool, cache slice,
-faults, and tracer slice — and runs every shard to completion as one
-task on ``jobs`` processes (the caller and ``jobs - 1`` forked
-workers), one shard per process at a time.  Results are bit-identical
-for any ``jobs`` value.
+faults, and tracer slice — and runs every shard from its seed to its
+horizon as one task on ``jobs`` processes (the caller and ``jobs - 1``
+forked workers), one shard per process at a time.  Results are
+bit-identical for any ``jobs`` value.
 
 Scale machinery (DESIGN.md §14): per-shard result streaming with
-deterministic merge (:mod:`repro.shard.sink`) and per-shard
-checkpoint/resume (:mod:`repro.shard.checkpoint`) — together they carry
+deterministic merge (:mod:`repro.shard.sink`) and per-shard result
+commits for resume (:mod:`repro.shard.checkpoint`) — together they carry
 the engine from 10⁴ to 10⁵ flows in RSS bounded by one shard per process,
 resumable across process lifetimes.  What crosses the process boundary
 is one task's arguments out and one small result dict back per shard.
@@ -25,7 +25,6 @@ from repro.shard.checkpoint import (
 )
 from repro.shard.engine import (
     MERGED_SPILL_NAME,
-    ledger_row,
     run_sharded,
     total_row,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "SpillWriter",
     "apportion",
     "iter_jsonl",
-    "ledger_row",
     "load_manifest",
     "merge_spills",
     "plan_fingerprint",

@@ -1,43 +1,28 @@
 """Per-shard checkpoint/resume for sharded runs.
 
 A sharded run longer than a process (or a machine lease) must be able to
-die anywhere and continue later as if nothing happened.  Shards run to
-completion one at a time per worker, so a kill leaves three kinds of
-shard, and each shard commits its own progress:
+die anywhere and continue later as if nothing happened.  A shard is a
+pure function of ``(plan, index)`` that runs from its seed to its
+horizon in one go, so a kill leaves two kinds of shard:
 
-* *in progress* — captured as one whole
-  :class:`~repro.shard.worker._ShardState` (live simulator heap, RNG
-  streams, FlowPool records, cache occupancy, fault injector, ledger
-  snapshots so far) serialised with :mod:`pickle`: every callback in
-  the object graph is a bound method, a :func:`functools.partial` over
-  one, or a named callable class; no closures.  Restoring the pickle
-  into *any* process resumes the shard's trajectory bit-identically,
-  for the same reason ``--shard-jobs`` never changes results: nothing
-  in a shard's behaviour depends on process identity;
-* *finished* — its result (row, ledger snapshots) is
-  committed instead, and it is never run again;
-* *not started* — no entry; it starts from scratch.
+* *finished* — its task committed an entry holding its result row and
+  the byte count of its spill file; it is never run again;
+* *not finished* — no entry; it runs again from its seed and rewrites
+  its spill from byte 0.
 
-On-disk layout (one directory per run)::
+No simulation object is ever persisted, so the format does not move
+with per-packet state.  On-disk layout (one directory per run)::
 
     manifest.json            # run header, written once before any shard
     shard-000.json           # shard 0's entry: its atomic commit point
     shard-002.json
-    shard-002-e0012.pkl      # the pickle an in-progress entry points at
 
-Every file is written tmp + fsync + rename.  An entry is written *after*
-its pickle is durable, and pickle names carry the epoch, so a crash
-mid-commit leaves the previous entry pointing at the previous intact
-pickle — never a torn checkpoint.  The entry records the pickle's
-SHA-256; :func:`load_shard` refuses bytes that do not hash to it
-(:class:`CheckpointError`), so corruption is detected before a
-half-broken state can resume.
-
-Every entry also records the durable byte offset of the shard's result
-spill file (see :mod:`repro.shard.sink`): resume truncates the spill
-back to it (to nothing for a shard that never committed), discarding
-rows from the unreached epochs, which is what makes kill-then-resume
-reproduce the uninterrupted row files byte for byte.
+Every file is written tmp + fsync + rename, and a shard commits only
+after its spill file is complete, so a crash mid-commit leaves the shard
+without an entry — never a torn one.  Resume refuses, by name, a
+directory of another plan or format, an incomplete or invalid entry,
+and a finished shard whose spill is missing or shorter than its entry
+records (a longer one is cut back: those bytes were never committed).
 """
 
 from __future__ import annotations
@@ -46,17 +31,14 @@ import dataclasses
 import hashlib
 import json
 import os
-import pickle
 from typing import Optional
 
 from repro.shard.plan import ShardPlan
 
 #: Manifest schema version; bumped on incompatible layout changes.
-CHECKPOINT_FORMAT = 9
+CHECKPOINT_FORMAT = 10
 
 MANIFEST_NAME = "manifest.json"
-
-_ENTRY_KEYS = {"completed_epochs", "spill_offset", "file", "digest", "result"}
 
 
 class CheckpointError(RuntimeError):
@@ -81,22 +63,18 @@ def spill_name(index: int) -> str:
 
 
 # ----------------------------------------------------------------------
-# Shard pickles and entries (written by the shard's own task)
+# Durable JSON files
 # ----------------------------------------------------------------------
 
-def _write_durable(path: str, blob: bytes) -> None:
+def _write_json(path: str, payload: dict) -> None:
     """Temp file + fsync + rename: a crash mid-write cannot leave a
     plausible-looking truncated file under the final name."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(blob)
+        fh.write(json.dumps(payload, separators=(",", ":")).encode())
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
-
-
-def _write_json(path: str, payload: dict) -> None:
-    _write_durable(path, json.dumps(payload, separators=(",", ":")).encode())
 
 
 def _read_json(path: str, what: str) -> dict:
@@ -114,61 +92,9 @@ def _read_json(path: str, what: str) -> dict:
     return payload
 
 
-def commit_shard(
-    directory: str,
-    index: int,
-    completed_epochs: int,
-    spill_offset: Optional[int],
-    *,
-    state: Optional[object] = None,
-    result: Optional[dict] = None,
-) -> None:
-    """Commit one shard's progress: its ``state`` pickle while in
-    progress, its ``result`` once finished.
-
-    The entry rename is the commit point; the pickle it supersedes is
-    removed only afterwards.
-    """
-    name = digest = None
-    if result is None:
-        blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        digest = hashlib.sha256(blob).hexdigest()
-        name = f"shard-{index:03d}-e{completed_epochs:04d}.pkl"
-        _write_durable(os.path.join(directory, name), blob)
-    _write_json(os.path.join(directory, shard_entry_name(index)), {
-        "completed_epochs": completed_epochs,
-        "spill_offset": spill_offset,
-        "file": name,
-        "digest": digest,
-        "result": result,
-    })
-    for stale in os.listdir(directory):
-        if (
-            stale.startswith(f"shard-{index:03d}-e")
-            and stale.endswith(".pkl")
-            and stale != name
-        ):
-            os.remove(os.path.join(directory, stale))
-
-
-def load_shard(directory: str, name: str, digest: str) -> object:
-    """Load and verify one shard pickle; :class:`CheckpointError` on any
-    missing file or digest mismatch."""
-    path = os.path.join(directory, name)
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise CheckpointError(
-            f"checkpoint shard file {name!r} unreadable: {exc}"
-        ) from exc
-    actual = hashlib.sha256(blob).hexdigest()
-    if actual != digest:
-        raise CheckpointError(
-            f"checkpoint shard file {name!r} is corrupt: digest {actual} "
-            f"does not match manifest {digest}"
-        )
-    return pickle.loads(blob)
+def commit_shard(directory: str, index: int, entry: dict) -> None:
+    """Commit one finished shard: ``{"row": ..., "spill_bytes": ...}``."""
+    _write_json(os.path.join(directory, shard_entry_name(index)), entry)
 
 
 # ----------------------------------------------------------------------
@@ -195,13 +121,20 @@ def start_checkpoint(
     })
 
 
+def _valid_entry(entry: dict, index: int, sink_dir: Optional[str]) -> bool:
+    row, spill_bytes = entry.get("row"), entry.get("spill_bytes")
+    if sink_dir is None:
+        spilled = spill_bytes is None
+    else:
+        spilled = type(spill_bytes) is int and spill_bytes >= 0
+    return isinstance(row, dict) and row.get("shard") == index and spilled
+
+
 def load_manifest(directory: str) -> dict:
     """The run header plus every committed shard entry.
 
-    ``manifest["shards"]`` maps ``str(index)`` to the shard's entry
-    (shards that never committed are absent), and
-    ``manifest["completed_epochs"]`` is the epoch count the *least*
-    advanced shard has committed — 0 while any shard has no entry.
+    ``manifest["shards"]`` maps ``str(index)`` to the shard's entry;
+    shards that did not finish are absent.
     """
     manifest = _read_json(
         os.path.join(directory, MANIFEST_NAME), "checkpoint manifest"
@@ -219,32 +152,37 @@ def load_manifest(directory: str) -> dict:
         path = os.path.join(directory, shard_entry_name(index))
         if os.path.exists(path):
             entry = _read_json(path, "checkpoint shard entry")
-            if not _ENTRY_KEYS <= entry.keys():
+            if not _valid_entry(entry, index, manifest["sink_dir"]):
                 raise CheckpointError(
-                    f"checkpoint shard entry {path!r} is incomplete"
+                    f"checkpoint shard entry {path!r} is incomplete or "
+                    f"invalid"
                 )
             shards[str(index)] = entry
     manifest["shards"] = shards
-    manifest["completed_epochs"] = (
-        min(entry["completed_epochs"] for entry in shards.values())
-        if len(shards) == manifest["n_shards"] else 0
-    )
     return manifest
 
 
 def resume_point(directory: str, plan: ShardPlan) -> dict:
     """Load a manifest for ``run_sharded(resume_from=...)``, refusing
-    one that does not belong to ``plan``."""
+    one that does not belong to ``plan`` or whose finished shards'
+    spills are not all on disk."""
     manifest = load_manifest(directory)
     if manifest["plan_fp"] != plan_fingerprint(plan):
         raise CheckpointError(
             "checkpoint belongs to a different plan (fingerprint mismatch)"
         )
+    sink_dir = manifest["sink_dir"]
+    if sink_dir is None:
+        return manifest
     for index, entry in manifest["shards"].items():
-        completed = entry["completed_epochs"]
-        if not 0 <= completed <= plan.n_epochs:
+        path = os.path.join(sink_dir, spill_name(int(index)))
+        size = os.path.getsize(path) if os.path.exists(path) else 0
+        committed = entry["spill_bytes"]
+        if size < committed:
             raise CheckpointError(
-                f"checkpoint claims {completed} completed epochs of "
-                f"{plan.n_epochs} for shard {index}"
+                f"spill file {path!r} is missing or short: {size} of the "
+                f"{committed} bytes its shard committed"
             )
+        if size > committed:
+            os.truncate(path, committed)
     return manifest

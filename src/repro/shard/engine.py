@@ -2,37 +2,27 @@
 
 :func:`run_sharded` drives a :class:`~repro.shard.plan.ShardPlan` to
 completion by handing one :func:`~repro.shard.worker.run_shard` task
-per shard, in index order, to :func:`repro.common.fanout.fan_out` — the
-fan-out it shares with the experiment runner.  ``jobs`` processes
-compute, the calling one included: ``jobs - 1`` pool workers are forked
-and every process claims the next shard as it frees up (``jobs=1`` calls
-the same function inline, no pool).  A task runs its shard from start —
-or from its last checkpoint — to its result row and drops the state
-before its process claims the next one, so a process holds one shard at
-a time.
+per unfinished shard, in index order, to
+:func:`repro.common.fanout.fan_out` — the fan-out it shares with the
+experiment runner.  ``jobs`` processes compute, the calling one
+included: ``jobs - 1`` pool workers are forked and every process claims
+the next shard as it frees up (``jobs=1`` calls the same function
+inline, no pool).  A task runs its shard from its seed to its result
+row and drops the state before its process claims the next one, so a
+process holds one shard at a time.
 
 Each shard's trajectory depends only on ``(plan, shard_index)`` — its
 derived seed and its fixed cache slice — and the engine reads results
-back in index order, so rows, ledger and spill bytes are bit-identical
-for every ``jobs`` value.  The per-epoch ledger (cache occupancy per
-shard, aggregate backlog and memory-budget bytes, breaches) is assembled
-from the snapshots every shard took at its own epoch ends and returned
-alongside the result rows so tests can check the budget instead of
-trusting it.
+back in index order, so rows and spill bytes are bit-identical for
+every ``jobs`` value.  Every shard checks its own memory budget as it
+finishes: a breach fails the shard by name.
 
-Scale features (DESIGN.md §14):
-
-* ``sink_dir`` streams closed flows' rows to per-shard JSONL spills,
-  merged into one canonical ``flows.jsonl`` at the end — per-flow
-  results never accumulate in RAM or cross the process boundary;
-* ``checkpoint_dir``/``checkpoint_every`` let every shard commit its
-  own progress, and ``resume_from`` continues such a run (any ``jobs``
-  value) with bit-identical rows, ledger, and spill bytes: finished
-  shards are not run again, shards caught mid-run restore, the rest
-  start fresh;
-* a shard's exception surfaces as :class:`~repro.shard.worker.ShardError`
-  naming the lowest failing shard; no further shard is claimed, and no
-  process is still writing when the error reaches the caller.
+The scale features (DESIGN.md §14) are :func:`run_sharded`'s options:
+streamed per-flow rows (``sink_dir``) and resume that keeps finished
+shards (``checkpoint_dir`` / ``resume_from``).  A shard's exception
+surfaces as :class:`~repro.shard.worker.ShardError` naming the lowest
+failing shard; no further shard is claimed, and no process is still
+writing when the error reaches the caller.
 """
 
 from __future__ import annotations
@@ -46,6 +36,7 @@ from repro.common.fanout import TaskError, fan_out
 from repro.obs.rss import RssSampler
 from repro.shard.checkpoint import (
     CheckpointError,
+    commit_shard,
     resume_point,
     spill_name,
     start_checkpoint,
@@ -56,17 +47,6 @@ from repro.shard.worker import run_shard
 
 #: Merged result-row artifact written into ``sink_dir`` after a run.
 MERGED_SPILL_NAME = "flows.jsonl"
-
-
-def ledger_row(epoch: int, snapshots: list[dict]) -> dict:
-    """One epoch's ledger row from every shard's snapshot, in index order."""
-    return {
-        "epoch": epoch,
-        "stored_bytes": [snap["stored"] for snap in snapshots],
-        "backlog_bytes": sum(snap["backlog"] for snap in snapshots),
-        "ledger_total_bytes": sum(snap["budget_total"] for snap in snapshots),
-        "budget_breaches": sum(snap["breaches"] for snap in snapshots),
-    }
 
 
 def total_row(label: str, rows: list[dict]) -> dict:
@@ -98,39 +78,34 @@ def run_sharded(
     *,
     sink_dir: Optional[str] = None,
     checkpoint_dir: Optional[str] = None,
-    checkpoint_every: int = 1,
     resume_from: Optional[str] = None,
-    stop_after_epoch: Optional[int] = None,
     profile_dir: Optional[str] = None,
 ) -> dict:
-    """Run a sharded workload; returns rows, the per-epoch ledger, totals.
+    """Run a sharded workload; returns the shard rows and their total.
 
     ``jobs`` is purely an execution knob: the number of processes that
     compute, the caller included (``>= 1``, clamped to ``n_shards``);
-    any value produces bit-identical ``rows`` and ``ledger``.  Wall-clock
-    and RSS figures (``wall_s``, ``events_per_s``, ``rss``) are reported
-    next to — never inside — the deterministic payload, as is
+    any value produces bit-identical ``rows``.  Wall-clock and RSS
+    figures (``wall_s``, ``events_per_s``, ``rss``) are reported next
+    to — never inside — the deterministic payload, as is
     ``worker_pids``, the forked processes that ran a shard.  ``rss`` is
     the parent's peak (sampled, and at least what its own shards saw),
     the sum of those workers' peaks (0 when none ran a shard) and their
     total.
 
     ``sink_dir``
-        stream closed flows' result rows to per-shard JSONL spill files
-        (memory-bounded results); merged into ``flows.jsonl`` at the end.
-    ``checkpoint_dir`` / ``checkpoint_every``
-        every shard commits its state after each ``checkpoint_every``-th
-        of its epochs and its result when it finishes; the directory can
-        seed ``resume_from`` later.
+        stream each flow's result row, as the flow closes, to its
+        shard's JSONL spill file (memory-bounded results); merged into
+        ``flows.jsonl`` at the end.
+    ``checkpoint_dir``
+        every shard commits its result row there when it finishes; the
+        directory can seed ``resume_from`` later.
     ``resume_from``
         continue from a checkpoint directory written by a previous run
-        of the *same plan* (any ``jobs`` value); rows, ledger, and spill
-        files come out bit-identical to the uninterrupted run.
-    ``stop_after_epoch``
-        abandon every shard after the given epoch of it completes (post
-        checkpoint) — a deterministic stand-in for a mid-run kill, used
-        by the resume tests and the nightly CI check.  The partial
-        result dict carries ``stopped_after_epoch`` instead of rows.
+        of the *same plan* (any ``jobs`` value): shards with a committed
+        row are not run again (``resumed_shards`` counts them), the rest
+        run from their seeds; rows and spill files come out
+        bit-identical to the uninterrupted run.
     ``profile_dir``
         the enclosing run's profile directory: with ``jobs > 1`` a shard
         task dumps a cProfile to
@@ -141,19 +116,15 @@ def run_sharded(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be >= 1")
     jobs = min(jobs, plan.n_shards)
     started = time.perf_counter()
 
     # -- resolve fresh-start vs resume ---------------------------------
     entries: dict[str, dict] = {}
-    resumed_from_epoch = None
     if resume_from is not None:
         resume_from = os.path.abspath(resume_from)
         manifest = resume_point(resume_from, plan)
         entries = manifest["shards"]
-        resumed_from_epoch = manifest["completed_epochs"]
         if sink_dir is None:
             sink_dir = manifest["sink_dir"]
         elif os.path.abspath(sink_dir) != manifest["sink_dir"]:
@@ -164,22 +135,22 @@ def run_sharded(
     if sink_dir is not None:
         sink_dir = os.path.abspath(sink_dir)
         os.makedirs(sink_dir, exist_ok=True)
-    checkpoint = None
     if checkpoint_dir is not None:
         checkpoint_dir = os.path.abspath(checkpoint_dir)
         os.makedirs(checkpoint_dir, exist_ok=True)
         if checkpoint_dir != resume_from:
+            # The finished shards carry over into the new directory.
             start_checkpoint(checkpoint_dir, plan, sink_dir)
-        checkpoint = (checkpoint_dir, checkpoint_every)
+            for index, entry in entries.items():
+                commit_shard(checkpoint_dir, int(index), entry)
     shard_profiles = None
     if profile_dir is not None and jobs > 1:
         shard_profiles = os.path.join(os.path.abspath(profile_dir), "shards")
         os.makedirs(shard_profiles, exist_ok=True)
 
     tasks = [
-        (plan, index, sink_dir, checkpoint, entries.get(str(index)),
-         resume_from, stop_after_epoch, shard_profiles)
-        for index in range(plan.n_shards)
+        (plan, index, sink_dir, checkpoint_dir, shard_profiles)
+        for index in range(plan.n_shards) if str(index) not in entries
     ]
     sampler = RssSampler().start()
     try:
@@ -189,27 +160,15 @@ def run_sharded(
         results = fan_out(run_shard, tasks, jobs)
     except TaskError as failure:
         # A shard task names its own failure (ShardError: shard and
-        # epoch; CheckpointError: the file) — that is the engine's error.
+        # simulated time) — that is the engine's error.
         raise failure.__cause__
     finally:
         parent_peak = sampler.stop()
     wall_s = time.perf_counter() - started
 
-    checkpoints_written = sum(out["checkpoints"] for out in results)
-    ledger = [
-        ledger_row(epoch, [out["ledger"][epoch] for out in results])
-        for epoch in range(min(len(out["ledger"]) for out in results))
-    ]
-    if any(out["row"] is None for out in results):
-        return {
-            "stopped_after_epoch": stop_after_epoch,
-            "completed_epochs": len(ledger),
-            "checkpoints_written": checkpoints_written,
-            "checkpoint_dir": checkpoint_dir,
-            "ledger": ledger,
-        }
-
-    rows = [out["row"] for out in results]
+    done = {int(index): entry["row"] for index, entry in entries.items()}
+    done.update((task[1], out["row"]) for task, out in zip(tasks, results))
+    rows = [done[index] for index in range(plan.n_shards)]
     peaks: dict[int, int] = {}
     for out in results:
         peaks[out["pid"]] = max(peaks.get(out["pid"], 0), out["peak_rss_bytes"])
@@ -246,15 +205,13 @@ def run_sharded(
         }
     return {
         "rows": rows,
-        "ledger": ledger,
         "events_executed": total["events"],
         "completed": total["completed"],
         "jobs": jobs,
         "worker_pids": sorted(peaks),  # the other processes that ran shards
         "wall_s": wall_s,
         "events_per_s": total["events"] / wall_s if wall_s > 0 else 0.0,
-        "resumed_from_epoch": resumed_from_epoch,
-        "checkpoints_written": checkpoints_written,
+        "resumed_shards": len(entries),
         # What crosses the process boundary: task arguments out, task
         # results back (counted the same way for an inline run).
         "exchange_payload_bytes": sum(len(pickle.dumps(t)) for t in tasks),

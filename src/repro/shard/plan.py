@@ -1,12 +1,12 @@
 """Shard plans: how a constellation-scale workload splits into shards.
 
 A :class:`ShardPlan` describes one sharded run declaratively: how many
-ground-station-pair shards, the per-shard chain, workload and cache
-slice, and the epoch length at which a shard spills closed flows, takes
-its ledger snapshot and may checkpoint.  The plan is a frozen, picklable
-value — a worker process rebuilds identical shard state from ``(plan,
-shard_index)`` alone, and nothing else ever reaches a shard, which is
-the whole determinism argument (see DESIGN.md §13).
+ground-station-pair shards and what each one simulates: its chain,
+workload, cache slice, fault and horizon.  The plan is a frozen,
+picklable value — a process builds a shard from ``(plan, shard_index)``
+alone and runs it from its seed to its horizon, and nothing else ever
+reaches a shard, which is the whole determinism argument (see
+DESIGN.md §13).
 
 Shard seeds are derived, not shared: shard ``i`` simulates with
 ``seed * 10_007 + i``, so shards draw from disjoint deterministic RNG
@@ -16,7 +16,6 @@ which worker process it lands on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,9 +51,7 @@ class ShardPlan:
     # the shard's cache slice (fixed for the whole run).
     memory_ceiling_bytes: int = 8 << 20
     cache_fraction: float = 0.75
-    # Spill / ledger-snapshot / checkpoint cadence (moves no result row)
-    # and post-arrival drain.
-    epoch_s: float = 0.5
+    # Post-arrival drain: simulated time after the last arrival.
     drain_s: float = 8.0
     # Every ``fault_every``-th shard (index % fault_every == fault_phase)
     # suffers a mid-chain blackout, so recovery traffic is part of the
@@ -66,9 +63,8 @@ class ShardPlan:
     # Content-centric mode (repro.content): with ``n_objects > 0`` every
     # shard's flows request named Zipf-popular objects (sizes from the
     # catalog, parameterised by the size fields above) instead of
-    # distinct bytes; the catalog is rebuilt deterministically from
-    # ``(plan, shard seed)`` on restore, so content shards checkpoint/
-    # resume byte-identically.  ``cache_policy`` selects a placement x
+    # distinct bytes; the catalog is drawn from the shard's own seed.
+    # ``cache_policy`` selects a placement x
     # eviction cell; None is the default cell ``CachePolicy()``
     # (uniform placement, LRU).
     n_objects: int = 0
@@ -80,8 +76,6 @@ class ShardPlan:
             raise ValueError("need at least one shard")
         if self.arrivals_per_shard < 1:
             raise ValueError("need at least one arrival per shard")
-        if self.epoch_s <= 0:
-            raise ValueError("epoch length must be positive")
         if not 0.0 < self.cache_fraction < 1.0:
             raise ValueError("cache_fraction must be in (0, 1)")
         if self.n_objects < 0:
@@ -97,10 +91,6 @@ class ShardPlan:
         return self.arrivals_per_shard / self.arrival_rate_per_s + self.drain_s
 
     @property
-    def n_epochs(self) -> int:
-        return max(1, math.ceil(self.horizon_s / self.epoch_s))
-
-    @property
     def shard_cache_bytes(self) -> int:
         """One shard's cache slice, split across its Midnodes by the
         cache policy's placement weights."""
@@ -112,10 +102,6 @@ class ShardPlan:
 
     def shard_name(self, index: int) -> str:
         return f"s{index:02d}"
-
-    def epoch_end_s(self, epoch: int) -> float:
-        """Simulated time the given epoch runs up to (last epoch: horizon)."""
-        return min((epoch + 1) * self.epoch_s, self.horizon_s)
 
     def workload_spec(self) -> WorkloadSpec:
         content = None

@@ -168,21 +168,22 @@ class FlowPool:
         self.recorder = recorder
         self.fairness = FairnessTracker(FAIRNESS_WINDOW_S)
         #: Resident flow records in spawn order (live objects: a record
-        #: is updated in place when its flow completes or aborts).
+        #: is updated in place when its flow completes or aborts).  With
+        #: a result sink a record lives in ``_live`` until its flow
+        #: closes and then spills, and this list stays empty.
         self.records: list[FlowRecord] = []
         self._live: dict[str, FlowRecord] = {}  # flow_id -> open record
         self._consumers: dict[str, Consumer] = {}  # live LEOTP endpoints
         self._delivered: dict[str, int] = {}  # TCP completion tracking
         self._tcp_senders: dict[str, TcpSender] = {}  # live TCP endpoints
-        # Result streaming (sharded runs): closed records spill to a JSONL
-        # sink at epoch boundaries and leave ``records``, keeping
-        # resident size proportional to *live* flows.  Summary
-        # statistics for spilled flows accumulate in compact parallel
-        # arrays, keyed by the record's spawn index so the summary
-        # recomputes in exactly the unspilled order (bit-identical
-        # percentiles/means no matter when or whether records spilled).
-        self._result_sink = None  # duck-typed: .write(dict) / .flush()
-        self.spilled_flows = 0
+        # Result streaming (sharded runs): a record spills to a JSONL
+        # sink when its flow closes, keeping resident size proportional
+        # to *live* flows.  Summary statistics for spilled flows
+        # accumulate in compact parallel arrays, keyed by the record's
+        # spawn index so the summary recomputes in exactly the unspilled
+        # order (bit-identical percentiles/means whether or not records
+        # spilled).
+        self._result_sink = None  # duck-typed: .write(dict)
         self._spilled_ids: list[str] = []   # for the finalize soft sweep
         self._acc_idx = array("q")      # spilled closed flows: spawn index
         self._acc_fct = array("d")      # fct_s, NaN when not completed
@@ -292,24 +293,6 @@ class FlowPool:
     def active_flows(self) -> int:
         return len(self._live)
 
-    def backlog_bytes(self) -> int:
-        """Total responder send-buffer backlog across the shared chain.
-
-        The sharded engine (:mod:`repro.shard`) reports this as the
-        shard's gateway backlog: bytes accepted by the chain's responders
-        (Producer and Midnodes) but not yet handed to a link.  TCP pools
-        report 0 — router queues belong to the links, not the pool.
-        """
-        if self.protocol != LEOTP:
-            return 0
-        total = 0
-        for mid in self.midnodes:
-            for state in mid._flows.values():
-                total += state.sender.backlog_bytes
-        for flow in self.producer._flows.values():
-            total += flow.sender.backlog_bytes
-        return total
-
     def _spawn_next(self) -> None:
         """Closed-loop admission: spawn the next pending demand, if any."""
         if self._next_demand < len(self._demands) and not self._finalized:
@@ -324,7 +307,8 @@ class FlowPool:
             flow_id, demand.arrival_s, demand.size_bytes,
             start_s=self.sim.now, index=idx,
         )
-        self.records.append(record)
+        if self._result_sink is None:
+            self.records.append(record)
         # Hard admission: per-flow soft state may not overflow the budget
         # share left after the cache pool's slice.
         projected = (self.active_flows + 1) * self._flow_state_bytes
@@ -333,6 +317,8 @@ class FlowPool:
             record.abort_reason = "admission"
             self.aborted += 1
             self.admission_rejects += 1
+            if self._result_sink is not None:
+                self._spill_record(record)
             if self.spec.closed_loop:
                 self._spawn_next()
             return
@@ -358,8 +344,6 @@ class FlowPool:
             flow_id,
             self.config,
             total_bytes=demand.size_bytes,
-            # partials over bound methods (not lambdas): live consumers
-            # must survive pickling for shard checkpoint/resume.
             deliver=partial(self._deliver_cb, flow_id),
             on_complete=partial(self._complete_cb, flow_id),
         )
@@ -441,11 +425,11 @@ class FlowPool:
             self.recorder.on_delivery(nbytes, max(owd, 0.0))
 
     def _deliver_cb(self, flow_id: str, nbytes: int, ts: float) -> None:
-        """Consumer ``deliver`` adapter (picklable partial target)."""
+        """Consumer ``deliver`` adapter."""
         self._on_delivery(flow_id, nbytes, ts)
 
     def _complete_cb(self, flow_id: str, consumer: Consumer) -> None:
-        """Consumer ``on_complete`` adapter (picklable partial target)."""
+        """Consumer ``on_complete`` adapter."""
         self._complete(flow_id)
 
     def _on_tcp_delivery(
@@ -468,6 +452,8 @@ class FlowPool:
         record.finish_s = self.sim.now
         self.completed += 1
         self.delivered_bytes += record.size_bytes
+        if self._result_sink is not None:
+            self._spill_record(record)
         self._retire(flow_id)
         self.budget.set_account(
             "flows", self.active_flows * self._flow_state_bytes
@@ -491,6 +477,8 @@ class FlowPool:
         record.abort_reason = reason
         record.finish_s = self.sim.now
         self.aborted += 1
+        if self._result_sink is not None:
+            self._spill_record(record)
         consumer = self._consumers.get(flow_id)
         if consumer is not None:
             consumer.stop_time = self.sim.now
@@ -557,6 +545,8 @@ class FlowPool:
             record.aborted = True
             record.abort_reason = "unfinished"
             self.aborted += 1
+            if self._result_sink is not None:
+                self._spill_record(record)
             self._retire(flow_id)
         self._live.clear()
         # An Interest in flight when its flow was aborted can reach a
@@ -577,13 +567,19 @@ class FlowPool:
     def set_result_sink(self, sink) -> None:
         """Stream closed flows' result rows to ``sink`` (``.write(dict)``).
 
-        With a sink attached, :meth:`spill_closed` — called by the shard
-        worker at every epoch boundary — moves completed/aborted records
-        out of :attr:`records` into the sink, so resident per-flow
-        bookkeeping stays proportional to *live* flows while the final
-        :meth:`summary` stays bit-identical with an unspilled run.
+        From now on each flow's row is written the moment the flow
+        closes (completes, aborts, is refused admission or is left
+        unfinished by :meth:`finalize`), and its record is dropped, so
+        resident per-flow bookkeeping stays proportional to *live* flows
+        while the final :meth:`summary` stays bit-identical with an
+        unspilled run.  Records that closed before the sink was attached
+        spill now, in spawn order.
         """
         self._result_sink = sink
+        for record in self.records:
+            if record.flow_id not in self._live:
+                self._spill_record(record)
+        self.records = []
 
     def _spill_record(self, record: FlowRecord) -> None:
         """Write one closed record to the sink and accumulate its stats."""
@@ -606,24 +602,6 @@ class FlowPool:
                 self._spilled_reasons.get(record.abort_reason, 0) + 1
             )
         self._spilled_ids.append(record.flow_id)
-        self.spilled_flows += 1
-
-    def spill_closed(self) -> int:
-        """Spill every closed record to the result sink; returns the count.
-
-        No-op without a sink.  Records spill in spawn order and the live
-        ones stay resident, still in spawn order.
-        """
-        if self._result_sink is None:
-            return 0
-        live = self._live
-        closed = [r for r in self.records if r.flow_id not in live]
-        if not closed:
-            return 0
-        for record in closed:
-            self._spill_record(record)
-        self.records = [r for r in self.records if r.flow_id in live]
-        return len(closed)
 
     # ------------------------------------------------------------------
     # Reporting / observability

@@ -27,15 +27,15 @@ def pool_sizes(monkeypatch) -> list:
 
 @pytest.fixture
 def shards_start_together(monkeypatch) -> None:
-    """Shards 0 and 1 start their first epoch only together, at a barrier
-    the forked worker inherits: a two-process run holds one of them in
-    the caller and the other in the worker."""
+    """Shards 0 and 1 start running only together, at a barrier the
+    forked worker inherits: a two-process run holds one of them in the
+    caller and the other in the worker."""
     barrier = multiprocessing.Barrier(2)
-    run_epoch = _ShardState.run_epoch
+    run = _ShardState.run
 
-    def together(self, epoch):
-        if self.index < 2 and epoch == 0:
+    def together(self):
+        if self.index < 2:
             barrier.wait(timeout=60)
-        return run_epoch(self, epoch)
+        return run(self)
 
-    monkeypatch.setattr(_ShardState, "run_epoch", together)
+    monkeypatch.setattr(_ShardState, "run", together)

@@ -37,7 +37,8 @@ from repro.core.cache import CACHE_EVICTION_POLICIES, BlockCache
 from repro.experiments.content_study import content_plan
 from repro.experiments.runner import RunSpec, run_experiments
 from repro.netsim.topology import uniform_chain_specs
-from repro.shard import run_sharded
+from repro.shard import ShardError, run_sharded
+from repro.shard.worker import _ShardState
 from repro.simcore import RngRegistry, Simulator
 from repro.workload import FlowPool, WorkloadSpec, generate_demands
 
@@ -332,23 +333,29 @@ class TestStudyDeterminism:
         rows2 = run_sharded(plan, jobs=2)
         rows4 = run_sharded(plan, jobs=4)
         assert rows1["rows"] == rows2["rows"] == rows4["rows"]
-        assert rows1["ledger"] == rows2["ledger"] == rows4["ledger"]
         # Content keys made it through the process boundary.
         assert all(
             "cross_hit_ratio" in row
             for row in rows1["rows"] if row["shard"] != "total"
         )
 
-    def test_kill_then_resume_bit_identical(self):
+    def test_kill_then_resume_bit_identical(self, monkeypatch):
         plan = content_plan(scale=0.1, seed=2)
         full = run_sharded(plan, jobs=1)
+        run = _ShardState.run
+
+        def dies(self):
+            if self.index != 1:
+                return run(self)
+            self.sim.run(until=0.5)
+            raise RuntimeError("killed")
+
         with tempfile.TemporaryDirectory() as d:
             ckpt = os.path.join(d, "ckpt")
-            part = run_sharded(
-                plan, jobs=2, checkpoint_dir=ckpt,
-                checkpoint_every=2, stop_after_epoch=3,
-            )
-            assert part["stopped_after_epoch"] == 3
+            monkeypatch.setattr(_ShardState, "run", dies)
+            with pytest.raises(ShardError, match="^shard 1 failed"):
+                run_sharded(plan, jobs=2, checkpoint_dir=ckpt)
+            monkeypatch.undo()
             resumed = run_sharded(plan, jobs=2, resume_from=ckpt)
+        assert resumed["resumed_shards"] >= 1
         assert resumed["rows"] == full["rows"]
-        assert resumed["ledger"] == full["ledger"]

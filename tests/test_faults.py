@@ -1,7 +1,5 @@
 """Unit tests for the fault-injection subsystem (repro.faults)."""
 
-import pickle
-
 import pytest
 
 from repro.common.ranges import ByteRange
@@ -319,58 +317,6 @@ class TestFaultInjector:
         sim.run(until=0.3)
         assert injector.faults_applied == 3 + 1
         assert len(injector.log) == 2 * injector.faults_applied
-
-
-class TestRestoresSurviveCheckpoint:
-    """A world pickled inside every kind of fault window restores and
-    finishes exactly like the world that was never pickled."""
-
-    SCHEDULE = FaultSchedule([
-        LinkDown(at_s=0.10, link="hop1", duration_s=0.30),
-        DelaySpike(at_s=0.10, link="hop0", duration_s=0.40, extra_s=0.02),
-        BandwidthCollapse(at_s=0.15, link="hop2", duration_s=0.30, factor=0.3),
-        LossBurst(at_s=0.10, link="hop2", duration_s=0.35, plr=0.2),
-        CorrelatedLoss(at_s=0.12, link="hop0", duration_s=0.30,
-                       p_good_bad=0.05, p_bad_good=0.2, loss_bad=0.6),
-        NodeCrash(at_s=0.15, node="leotp-mid0", restart_after_s=0.20),
-    ])
-
-    @staticmethod
-    def _state(world):
-        sim, path, injector = world
-        links = [
-            (link.up, link.delay_s, type(link.profile).__name__,
-             link.profile.rate_at(sim.now), link.plr, link.loss_model is None)
-            for duplex in path.links for link in (duplex.ab, duplex.ba)
-        ]
-        return injector.log, links, path.consumer.completed_at
-
-    def test_pickled_mid_window_matches_unpickled_run(self):
-        sim = Simulator()
-        rng = RngRegistry(3)
-        path = build_leotp_path(
-            sim, rng, uniform_chain_specs(3, rate_bps=20e6, delay_s=0.005),
-            total_bytes=1_500_000,
-        )
-        injector = FaultInjector(sim, rng)
-        injector.register_path(path)
-        injector.arm(self.SCHEDULE)
-        world = (sim, path, injector)
-        sim.run(until=0.2)  # inside all six windows
-        assert len(injector.log) == 6
-        # The burst links are mid-block: their unread loss draws go along.
-        assert any(
-            0 < len(link._draws) < 256
-            for duplex in path.links for link in (duplex.ab, duplex.ba)
-        )
-        clone = pickle.loads(pickle.dumps(world))
-        assert self._state(clone) == self._state(world)
-        for s, _, _ in (world, clone):
-            s.run(until=5.0)
-        log, links, completed_at = self._state(world)
-        assert len(log) == 12 and completed_at is not None
-        assert all(up and lossless for up, _, _, _, _, lossless in links)
-        assert self._state(clone) == (log, links, completed_at)
 
 
 class TestMidnodeCrash:

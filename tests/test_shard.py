@@ -4,8 +4,8 @@ The headline guarantee of :mod:`repro.shard` is that ``--jobs`` is an
 execution knob, not a modelling knob: serial and parallel runs must be
 *bit-identical*.  The reason is that a sharded run *is* ``n_shards``
 independent simulations — each equal to a lone ``_ShardState`` driven
-to the horizon, never two of them alive in one process, none moved by
-the epoch length.  These tests pin both.
+to the horizon, never two of them alive in one process.  These tests
+pin both.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import pytest
 
 from repro.content import CachePolicy
 from repro.shard import (
+    ShardError,
     ShardPlan,
     apportion,
     plan_fingerprint,
@@ -27,15 +28,13 @@ from repro.shard import (
 )
 from repro.shard.worker import _ShardState
 
-#: Small-but-alive plan: four shards (one faulted), six ledger epochs.
+#: Small-but-alive plan: four shards, one faulted.
 SMALL_PLAN = ShardPlan(n_shards=4, arrivals_per_shard=30, drain_s=2.5)
 
 
 def _payload(result: dict) -> str:
     """The deterministic part of a run, in canonical form."""
-    return json.dumps(
-        {"rows": result["rows"], "ledger": result["ledger"]}, sort_keys=True
-    )
+    return json.dumps(result["rows"], sort_keys=True)
 
 
 # ----------------------------------------------------------------------
@@ -105,22 +104,30 @@ def test_jobs_clamped_to_shard_count():
 
 
 # ----------------------------------------------------------------------
-# ledger: every shard inside its own slice, every epoch
+# budget ledger: a shard outside its slice fails by name
 # ----------------------------------------------------------------------
 
 
-def test_ledger_keeps_every_shard_within_its_slice():
-    result = run_sharded(SMALL_PLAN, jobs=1)
-    ledger = result["ledger"]
-    assert [row["epoch"] for row in ledger] == list(range(SMALL_PLAN.n_epochs))
-    for row in ledger:
-        assert len(row["stored_bytes"]) == SMALL_PLAN.n_shards
-        assert all(
-            0 <= stored <= SMALL_PLAN.shard_cache_bytes
-            for stored in row["stored_bytes"]
-        )
-        assert row["budget_breaches"] == 0
-    assert any(sum(row["stored_bytes"]) > 0 for row in ledger)
+def test_ledger_keeps_every_shard_within_its_slice(monkeypatch):
+    """A shard checks its own memory-budget ledger as it finishes: no
+    breach, caches inside the slice — or it fails, naming itself."""
+    rows = run_sharded(SMALL_PLAN, jobs=1)["rows"]
+    assert all(row["budget_breaches"] == 0 for row in rows)
+    assert rows[-1]["budget_peak_MiB"] > 0
+
+    build = _ShardState.__init__
+
+    def below_use(self, plan, index):
+        build(self, plan, index)
+        if index == 1:  # a ceiling far below what the shard will hold
+            self.pool.budget.ceiling_bytes = 64 << 10
+
+    monkeypatch.setattr(_ShardState, "__init__", below_use)
+    with pytest.raises(ShardError, match=r"^shard 1 failed at t=") as excinfo:
+        run_sharded(SMALL_PLAN, jobs=1)
+    assert excinfo.value.shard == 1
+    assert excinfo.value.at_s == SMALL_PLAN.horizon_s
+    assert "memory-budget breach" in excinfo.value.message
 
 
 # ----------------------------------------------------------------------
@@ -146,12 +153,8 @@ def test_each_shard_equals_a_lone_state_driven_to_the_horizon(plan, tmp_path):
     for index in range(plan.n_shards):
         state = _ShardState(plan, index)
         state.attach_sink(str(lone_dir))
-        while len(state.ledger) < plan.n_epochs:
-            state.step()
+        state.run()
         assert state.finalize() == out["rows"][index]
-        assert [row["stored_bytes"][index] for row in out["ledger"]] == [
-            snap["stored"] for snap in state.ledger
-        ]
         assert (lone_dir / spill_name(index)).read_bytes() == (
             tmp_path / "engine" / spill_name(index)
         ).read_bytes()
@@ -175,33 +178,6 @@ def test_no_two_shard_states_alive_in_one_process(monkeypatch):
     run_sharded(plan, jobs=1)
     assert seen == [0] * 6  # nothing left of shard i-1 when i is built
     assert sum(ref() is not None for ref in alive) == 0  # nor afterwards
-
-
-def test_epoch_length_moves_no_row(tmp_path):
-    """``epoch_s`` is a spill/ledger/checkpoint cadence, not a model knob:
-    result rows are equal and ``flows.jsonl`` holds the same flow rows
-    (a spill batch is in spawn order, so only their order follows it).
-
-    The plan is cache-starved on purpose: with the epoch exchange this
-    is where the barrier cadence showed up in hit ratios and FCTs."""
-    outs = [
-        run_sharded(
-            replace(CONTENT_PLAN, epoch_s=epoch_s), jobs=1,
-            sink_dir=str(tmp_path / f"e{epoch_s}"),
-        )
-        for epoch_s in (0.25, 0.5, 2.0)
-    ]
-    assert len({len(out["ledger"]) for out in outs}) == 3
-    assert outs[0]["rows"][-1]["cache_evictions"] > 1000
-
-    def flow_rows(out):
-        with open(out["sink"]["merged_path"], "rb") as fh:
-            return sorted(fh.read().splitlines())
-
-    assert len(flow_rows(outs[0])) == 4 * 30
-    for out in outs[1:]:
-        assert out["rows"] == outs[0]["rows"]
-        assert flow_rows(out) == flow_rows(outs[0])
 
 
 def test_plan_cache_policy_field():

@@ -3,14 +3,14 @@
 Three mechanisms carry :mod:`repro.shard` from 10⁴ to 10⁵ flows, and
 each has a determinism obligation these tests pin:
 
-* **streamed results** — spilling closed flows to per-shard JSONL must
-  not change a single byte of the rows, the ledger, or the merged flow
-  file, for any buffer size or ``jobs`` value;
-* **checkpoint/resume** — a run killed between checkpoints and resumed
-  (with a *different* ``jobs`` value) must reproduce the uninterrupted
-  run bit for bit, spill files included, whether the kill left every
-  shard mid-run or a mix of finished, mid-run and unstarted ones;
-  corrupt, mismatched or old-format checkpoints must be refused loudly;
+* **streamed results** — spilling each flow's row to per-shard JSONL as
+  it closes must not change a single byte of the rows or the merged
+  flow file, for any buffer size or ``jobs`` value;
+* **checkpoint/resume** — a run killed with some shards finished and
+  resumed (at any ``jobs`` value) must run only the unfinished shards
+  again and reproduce the uninterrupted run bit for bit, spill files
+  included; mismatched or old-format checkpoints, bad entries and short
+  spills must be refused loudly;
 * **process boundary** — the byte counters count exactly the task
   arguments that go out and the results that come back.
 
@@ -42,21 +42,16 @@ from repro.shard import (
     run_sharded,
     spill_name,
 )
-from repro.core.cache import INLINE_PIECES
-from repro.shard.checkpoint import load_shard
-from repro.shard.sink import truncate_file
 from repro.shard import worker
 from repro.shard.worker import _ShardState
 
 #: Small plan with every moving part alive: four shards (one faulted),
-#: five ledger epochs, enough arrivals that spills have real rows.
+#: enough arrivals that spills have real rows.
 PLAN = ShardPlan(n_shards=4, arrivals_per_shard=12, drain_s=2.0)
 
 
 def _payload(result: dict) -> str:
-    return json.dumps(
-        {"rows": result["rows"], "ledger": result["ledger"]}, sort_keys=True
-    )
+    return json.dumps(result["rows"], sort_keys=True)
 
 
 def _merged_bytes(result: dict) -> bytes:
@@ -80,13 +75,13 @@ def baseline(tmp_path_factory):
 def test_spill_writer_lazy_open_and_durable_offsets(tmp_path):
     path = tmp_path / "rows.jsonl"
     writer = SpillWriter(path, buffer_bytes=1 << 20)
+    path.write_bytes(b"left by an earlier run\n")
     writer.write({"a": 1})
     writer.write({"a": 2})
-    assert not path.exists()  # nothing durable yet: buffer below bound
-    assert writer.tell() == 0
+    # Nothing durable yet: buffer below bound, the old file untouched.
+    assert path.read_bytes() == b"left by an earlier run\n"
     offset = writer.flush()
     assert offset == path.stat().st_size > 0
-    assert writer.tell() == offset
     assert writer.close() == offset
     assert [r["a"] for r in iter_jsonl(path)] == [1, 2]
 
@@ -102,34 +97,6 @@ def test_spill_writer_bytes_independent_of_buffer_size(tmp_path):
         writer.close()
         paths.append(path.read_bytes())
     assert paths[0] == paths[1] == paths[2]
-
-
-def test_spill_writer_pickle_requires_flush_then_appends(tmp_path):
-    path = tmp_path / "rows.jsonl"
-    writer = SpillWriter(path, buffer_bytes=1 << 20)
-    writer.write({"n": 0})
-    with pytest.raises(RuntimeError, match="unflushed"):
-        pickle.dumps(writer)
-    writer.flush()
-    restored = pickle.loads(pickle.dumps(writer))
-    writer.close()
-    restored.write({"n": 1})
-    restored.close()
-    assert [r["n"] for r in iter_jsonl(path)] == [0, 1]
-    assert restored.records_written == 2
-
-
-def test_truncate_file_edge_cases(tmp_path):
-    path = tmp_path / "spill.jsonl"
-    # Missing file at offset 0 is fine; at a positive offset it is not.
-    assert truncate_file(path, 0) == 0
-    with pytest.raises(FileNotFoundError):
-        truncate_file(path, 10)
-    path.write_bytes(b"0123456789")
-    assert truncate_file(path, 4) == 6
-    assert path.read_bytes() == b"0123"
-    with pytest.raises(ValueError):
-        truncate_file(path, 400)  # shorter than the recorded offset
 
 
 def test_merge_spills_orders_and_skips_missing(tmp_path):
@@ -194,52 +161,95 @@ def test_streamed_rows_match_unspilled_and_jobs_invariant(baseline, tmp_path):
 # ----------------------------------------------------------------------
 
 
-def test_kill_between_checkpoints_then_resume_bit_identical(
-    baseline, tmp_path
+def _fail_shard(monkeypatch, failing) -> None:
+    """Shards in ``failing`` die half a simulated second into their run
+    (patched before any fork, so worker processes inherit it)."""
+    run = _ShardState.run
+
+    def dies(self):
+        if self.index not in failing:
+            return run(self)
+        self.sim.run(until=0.5)
+        raise ValueError("injected failure")
+
+    monkeypatch.setattr(_ShardState, "run", dies)
+
+
+def _count_builds(monkeypatch, log) -> None:
+    """Log every shard built, whichever process builds it."""
+    build = _ShardState.__init__
+
+    def counting(self, plan, index):
+        with open(log, "a") as fh:
+            fh.write(f"{index}\n")
+        build(self, plan, index)
+
+    monkeypatch.setattr(_ShardState, "__init__", counting)
+
+
+def _built(log) -> list[int]:
+    return sorted(map(int, log.read_text().split())) if log.exists() else []
+
+
+#: Eight shards, for kills that leave finished and unfinished ones.
+PLAN8 = ShardPlan(n_shards=8, arrivals_per_shard=12, drain_s=2.0)
+
+
+@pytest.fixture(scope="module")
+def baseline8(tmp_path_factory):
+    sink = tmp_path_factory.mktemp("baseline8-sink")
+    return run_sharded(PLAN8, jobs=1, sink_dir=str(sink))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_kill_then_resume_reruns_only_unfinished_shards(
+    baseline8, monkeypatch, tmp_path, jobs
 ):
+    """A shard dies mid-run: only finished shards hold an entry, nothing
+    else is saved, and resume at jobs 1 or 2 runs just the others from
+    their seeds — reproducing the uninterrupted run byte for byte."""
     sink, ckpt = str(tmp_path / "sink"), str(tmp_path / "ckpt")
-    partial = run_sharded(
-        PLAN, jobs=1, sink_dir=sink, checkpoint_dir=ckpt,
-        checkpoint_every=2, stop_after_epoch=2,
-    )
-    assert partial["stopped_after_epoch"] == 2
-    assert partial["completed_epochs"] == 3
-    # The stop landed *past* the last committed checkpoint: resume must
-    # rewind the spills to the epoch-2 boundary the manifest recorded.
-    manifest = load_manifest(ckpt)
-    assert manifest["completed_epochs"] == 2
-    spill_path = os.path.join(sink, spill_name(0))
-    if os.path.exists(spill_path):
-        assert os.path.getsize(spill_path) >= manifest["shards"]["0"][
-            "spill_offset"
-        ]
+    _fail_shard(monkeypatch, {3})
+    with pytest.raises(ShardError) as excinfo:
+        run_sharded(PLAN8, jobs=jobs, sink_dir=sink, checkpoint_dir=ckpt)
+    assert (excinfo.value.shard, excinfo.value.at_s) == (3, 0.5)
+    monkeypatch.undo()
 
-    resumed = run_sharded(PLAN, jobs=2, resume_from=ckpt)
-    assert resumed["resumed_from_epoch"] == 2
-    assert _payload(resumed) == _payload(baseline)
-    assert _merged_bytes(resumed) == _merged_bytes(baseline)
+    finished = sorted(map(int, load_manifest(ckpt)["shards"]))
+    # Shards claimed before the failure finish and commit; it never does.
+    assert {0, 1, 2} <= set(finished) and 3 not in finished
+    assert sorted(os.listdir(ckpt)) == ["manifest.json"] + [
+        f"shard-{index:03d}.json" for index in finished
+    ]
+    assert not list(tmp_path.rglob("*.pkl"))
+    unfinished = sorted(set(range(PLAN8.n_shards)) - set(finished))
 
-
-def test_resume_from_first_boundary(baseline, tmp_path):
-    sink, ckpt = str(tmp_path / "sink"), str(tmp_path / "ckpt")
-    partial = run_sharded(
-        PLAN, jobs=1, sink_dir=sink, checkpoint_dir=ckpt,
-        checkpoint_every=1, stop_after_epoch=0,
-    )
-    assert partial["completed_epochs"] == 1
-    assert load_manifest(ckpt)["completed_epochs"] == 1
-    resumed = run_sharded(PLAN, jobs=1, resume_from=ckpt)
-    assert resumed["resumed_from_epoch"] == 1
-    assert _payload(resumed) == _payload(baseline)
-    assert _merged_bytes(resumed) == _merged_bytes(baseline)
+    for resume_jobs in (1, 2):
+        # Rows an unfinished shard left behind are not committed: they
+        # do not survive its re-run.
+        with open(os.path.join(sink, spill_name(3)), "ab") as fh:
+            fh.write(b'{"garbage":true}\n')
+        log = tmp_path / f"built-{resume_jobs}"
+        _count_builds(monkeypatch, log)
+        resumed = run_sharded(PLAN8, jobs=resume_jobs, resume_from=ckpt)
+        monkeypatch.undo()
+        assert _built(log) == unfinished
+        assert resumed["resumed_shards"] == len(finished)
+        assert _payload(resumed) == _payload(baseline8)
+        assert _merged_bytes(resumed) == _merged_bytes(baseline8)
 
 
-def test_resume_after_final_epoch_is_a_noop(baseline, tmp_path):
+def test_resume_after_final_epoch_is_a_noop(baseline, monkeypatch, tmp_path):
+    """Every shard committed: resume builds none and returns the rows."""
     sink, ckpt = str(tmp_path / "sink"), str(tmp_path / "ckpt")
     full = run_sharded(PLAN, jobs=1, sink_dir=sink, checkpoint_dir=ckpt)
-    assert load_manifest(ckpt)["completed_epochs"] == PLAN.n_epochs
+    assert len(load_manifest(ckpt)["shards"]) == PLAN.n_shards
+    log = tmp_path / "built"
+    _count_builds(monkeypatch, log)
     resumed = run_sharded(PLAN, jobs=1, resume_from=ckpt)
-    assert resumed["resumed_from_epoch"] == PLAN.n_epochs
+    assert _built(log) == []
+    assert resumed["resumed_shards"] == PLAN.n_shards
+    assert resumed["exchange_payload_bytes"] == 0
     assert _payload(resumed) == _payload(full) == _payload(baseline)
     assert _merged_bytes(resumed) == _merged_bytes(baseline)
 
@@ -248,189 +258,117 @@ def test_resume_after_final_epoch_is_a_noop(baseline, tmp_path):
 def test_mixed_state_kill_then_resume_bit_identical(
     baseline, monkeypatch, tmp_path, jobs
 ):
-    """A real kill leaves shards finished, mid-run and unstarted."""
+    """A kill leaves shards finished and unfinished; resuming into a new
+    checkpoint directory carries the finished ones over."""
     sink, ckpt = str(tmp_path / "sink"), str(tmp_path / "ckpt")
-    original = _ShardState.run_epoch
-
-    def boom(self, epoch):
-        if self.index == 2 and epoch == 3:
-            raise ValueError("injected failure")
-        return original(self, epoch)
-
-    monkeypatch.setattr(_ShardState, "run_epoch", boom)
+    _fail_shard(monkeypatch, {2})
     with pytest.raises(ShardError) as excinfo:
-        run_sharded(
-            PLAN, jobs=1, sink_dir=sink, checkpoint_dir=ckpt,
-            checkpoint_every=2,
-        )
-    assert (excinfo.value.shard, excinfo.value.epoch) == (2, 3)
+        run_sharded(PLAN, jobs=1, sink_dir=sink, checkpoint_dir=ckpt)
+    assert excinfo.value.shard == 2
     monkeypatch.undo()
 
-    manifest = load_manifest(ckpt)
-    shards = manifest["shards"]
-    assert sorted(shards) == ["0", "1", "2"]  # shard 3 never started
-    assert manifest["completed_epochs"] == 0
+    shards = load_manifest(ckpt)["shards"]
+    assert sorted(shards) == ["0", "1"]  # shard 3 never started
     for index in "01":
-        assert shards[index]["completed_epochs"] == PLAN.n_epochs
-        assert shards[index]["result"] is not None
-        assert shards[index]["file"] is None
-    assert shards["2"]["completed_epochs"] == 2
-    assert shards["2"]["result"] is None
-    # Only the mid-run shard still owns a pickle; its spill ran on to
-    # epoch 3 and is rewound to the offset committed at epoch 2.
-    pickles = [n for n in os.listdir(ckpt) if n.endswith(".pkl")]
-    assert pickles == [shards["2"]["file"]]
-    assert os.path.getsize(os.path.join(sink, spill_name(2))) >= shards["2"][
-        "spill_offset"
-    ]
+        assert shards[index]["row"] == baseline["rows"][int(index)]
+        assert shards[index]["spill_bytes"] == os.path.getsize(
+            os.path.join(sink, spill_name(int(index)))
+        )
 
-    built = tmp_path / "built"
-    original_init = _ShardState.__init__
-
-    def counting(self, plan, index):
-        # A file, not a list: whichever process builds the shard logs it.
-        with open(built, "a") as fh:
-            fh.write(f"{index}\n")
-        original_init(self, plan, index)
-
-    monkeypatch.setattr(_ShardState, "__init__", counting)
+    log = tmp_path / "built"
+    _count_builds(monkeypatch, log)
     ckpt2 = str(tmp_path / "ckpt2")
     resumed = run_sharded(
         PLAN, jobs=jobs, resume_from=ckpt, checkpoint_dir=ckpt2
     )
-    # Shards 0-1 are not run again and shard 2 unpickles; only shard 3 is
-    # built, exactly once.
-    assert built.read_text() == "3\n"
-    assert resumed["resumed_from_epoch"] == 0
+    assert _built(log) == [2, 3]
+    assert resumed["resumed_shards"] == 2
     assert _payload(resumed) == _payload(baseline)
     assert _merged_bytes(resumed) == _merged_bytes(baseline)
     # The run's own checkpoint directory is complete: finished shards
     # were carried over, so resuming from it runs nothing at all.
-    built.unlink()
+    log.unlink()
     again = run_sharded(PLAN, jobs=1, resume_from=ckpt2)
-    assert not built.exists()
-    assert again["resumed_from_epoch"] == PLAN.n_epochs
+    assert _built(log) == []
+    assert again["resumed_shards"] == PLAN.n_shards
     assert _payload(again) == _payload(baseline)
-
-
-def test_kill_while_a_cache_holds_a_materialised_block_then_resume(tmp_path):
-    """Content-keyed blocks outlive their flows, so a later flow's
-    re-store takes one out of order, and a cache slice this small evicts:
-    the cut holds caches with materialised coverage, pieces past the
-    inline ones, full blocks stored out of order (their coverage already
-    dropped) and slots freed by eviction and taken again, and live flows
-    whose resend guards took a range below their last — and resuming
-    from it is still the uninterrupted run byte for byte."""
-    plan = ShardPlan(
-        n_shards=2, arrivals_per_shard=12, drain_s=2.0, n_objects=6,
-        memory_ceiling_bytes=400_000, mean_size_bytes=60_000,
-    )
-    full = run_sharded(plan, jobs=1, sink_dir=str(tmp_path / "full"))
-    sink, ckpt = str(tmp_path / "sink"), str(tmp_path / "ckpt")
-    run_sharded(
-        plan, jobs=1, sink_dir=sink, checkpoint_dir=ckpt,
-        checkpoint_every=1, stop_after_epoch=0,
-    )
-    entries = load_manifest(ckpt)["shards"].values()
-    states = [load_shard(ckpt, e["file"], e["digest"]) for e in entries]
-    members = [m for state in states for m in state.pool.cache_pool.members]
-    pieces = [p for m in members for *_, p in m.blocks()]
-    assert any(len(p) > INLINE_PIECES for p in pieces)
-    assert any(a[1] > b[0] for p in pieces for a, b in zip(p, p[1:]))
-    # Full blocks stored out of order, which hold no coverage any more:
-    # only the unfull out-of-order blocks keep theirs.
-    out_of_order = [
-        (m, covered) for m in members for *_, covered, _, _, p in m.blocks()
-        if any(a[1] > b[0] for a, b in zip(p, p[1:]))
-    ]
-    assert any(covered == m.block_bytes for m, covered in out_of_order)
-    assert sum(len(m._coverage) for m in members) == sum(
-        covered < m.block_bytes for m, covered in out_of_order
-    )
-    # A guard's keys ascend; their times do not once a range was recorded
-    # below the last one (an insert) or again (an update).
-    guards = [
-        flow.suppressor for state in states
-        for node in (*state.pool.midnodes, state.pool.producer)
-        for flow in node._flows.values()
-    ]
-    assert any(list(g._times) != sorted(g._times) for g in guards)
-    # A block created after more blocks than the slab has slots sits in
-    # a slot an evicted block gave back.
-    assert any(
-        m.stats.evictions and max(seq for *_, seq, _ in m.blocks())
-        > len(m._prev) - 1
-        for m in members
-    )
-    resumed = run_sharded(plan, jobs=2, resume_from=ckpt)
-    assert resumed["resumed_from_epoch"] == 1
-    assert _payload(resumed) == _payload(full)
-    assert _merged_bytes(resumed) == _merged_bytes(full)
 
 
 def test_resume_refuses_a_different_plan(tmp_path):
     ckpt = str(tmp_path / "ckpt")
-    run_sharded(
-        PLAN, jobs=1, checkpoint_dir=ckpt,
-        checkpoint_every=1, stop_after_epoch=0,
-    )
+    run_sharded(PLAN, jobs=1, checkpoint_dir=ckpt)
     other = ShardPlan(n_shards=4, arrivals_per_shard=12, drain_s=2.0, seed=9)
     with pytest.raises(CheckpointError, match="fingerprint"):
         run_sharded(other, jobs=1, resume_from=ckpt)
 
 
-def test_resume_refuses_corrupt_shard_pickle(tmp_path):
-    ckpt = str(tmp_path / "ckpt")
-    run_sharded(
-        PLAN, jobs=1, checkpoint_dir=ckpt,
-        checkpoint_every=1, stop_after_epoch=0,
+def test_resume_refuses_a_short_spill_or_a_bad_entry(tmp_path):
+    """A finished shard's spill must hold the bytes its entry committed
+    (longer is cut back), and an entry must be a whole one."""
+    sink, ckpt = tmp_path / "sink", str(tmp_path / "ckpt")
+    run_sharded(PLAN, jobs=1, sink_dir=str(sink), checkpoint_dir=ckpt)
+    spill = sink / spill_name(1)
+    committed = spill.read_bytes()
+    spill.write_bytes(committed + b"after the commit\n")
+    resume_point(ckpt, PLAN)
+    assert spill.read_bytes() == committed
+
+    spill.write_bytes(committed[:-1])
+    refusal = rf"spill file .*{spill_name(1)}.* is missing or short: " + (
+        rf"{len(committed) - 1} of the {len(committed)} bytes"
     )
-    name = load_manifest(ckpt)["shards"]["1"]["file"]
-    path = os.path.join(ckpt, name)
-    blob = bytearray(open(path, "rb").read())
-    blob[len(blob) // 2] ^= 0xFF
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
-    with pytest.raises(CheckpointError, match="corrupt"):
+    with pytest.raises(CheckpointError, match=refusal):
         run_sharded(PLAN, jobs=1, resume_from=ckpt)
+    spill.unlink()
+    with pytest.raises(CheckpointError, match=rf"{spill_name(1)}.* 0 of"):
+        resume_point(ckpt, PLAN)
+    spill.write_bytes(committed)
+
+    entry_path = os.path.join(ckpt, "shard-002.json")
+    with open(entry_path) as fh:
+        entry = json.load(fh)
+    for bad in ({"row": entry["row"]}, {**entry, "row": None},
+                {**entry, "row": {**entry["row"], "shard": 3}},
+                {**entry, "spill_bytes": -1}):
+        with open(entry_path, "w") as fh:
+            json.dump(bad, fh)
+        with pytest.raises(CheckpointError, match="shard-002.json.* invalid"):
+            run_sharded(PLAN, jobs=1, resume_from=ckpt)
 
 
 def test_resume_refuses_corrupt_manifest(tmp_path):
     ckpt = str(tmp_path / "ckpt")
-    run_sharded(
-        PLAN, jobs=1, checkpoint_dir=ckpt,
-        checkpoint_every=1, stop_after_epoch=0,
-    )
+    run_sharded(PLAN, jobs=1, checkpoint_dir=ckpt)
     manifest_path = os.path.join(ckpt, "manifest.json")
     # The directory as the previous builds wrote it is refused by name:
-    # format 8 (the same header, but all-double cache slots and resend
-    # guards kept as dicts), format 7 (a cache pickled as one array per
-    # block and resend guards keyed by tuples), format 6 (cache blocks
-    # as slotted objects) and format 5 (finished entries that still
-    # carry trace counts, and the state layout before that).
+    # format 9 (entries pointing at pickled in-progress shards, resend
+    # guards as sorted arrays), format 8 (the same header, but all-double
+    # cache slots and resend guards kept as dicts), format 7 (a cache
+    # pickled as one array per block and resend guards keyed by tuples),
+    # format 6 (cache blocks as slotted objects) and format 5 (finished
+    # entries that still carry trace counts, and the state layout before
+    # that).
     with open(manifest_path) as fh:
         header = json.load(fh)
-    assert header["format"] == 9
-    for old_format in (8, 7, 6, 5):
+    assert header["format"] == 10
+    for old_format in (9, 8, 7, 6, 5):
         with open(manifest_path, "w") as fh:
             json.dump({**header, "format": old_format}, fh)
         refusal = (
             rf"unsupported checkpoint format {old_format} "
-            r"\(this build reads format 9\)"
+            r"\(this build reads format 10\)"
         )
         with pytest.raises(CheckpointError, match=refusal):
             resume_point(ckpt, PLAN)
         with pytest.raises(CheckpointError, match=refusal):
             run_sharded(PLAN, jobs=1, resume_from=ckpt)
     # A directory written by the epoch-barrier engine (format 2: one
-    # manifest naming every shard's pickle, whose layout has changed
-    # since) is refused by name, not resumed into an AttributeError.
+    # manifest naming every shard's pickle) is refused by name, not
+    # resumed into an AttributeError.
     stale = {
         "format": 2,
         "plan_fp": plan_fingerprint(PLAN),
         "n_shards": PLAN.n_shards,
-        "n_epochs": PLAN.n_epochs,
-        "completed_epochs": 1,
         "allocations": [6 << 20] * PLAN.n_shards,
         "ledger": [],
         "sink_dir": None,
@@ -442,7 +380,7 @@ def test_resume_refuses_corrupt_manifest(tmp_path):
     }
     with open(manifest_path, "w") as fh:
         json.dump(stale, fh)
-    refusal = r"unsupported checkpoint format 2 \(this build reads format 9\)"
+    refusal = r"unsupported checkpoint format 2 \(this build reads format 10\)"
     with pytest.raises(CheckpointError, match=refusal):
         resume_point(ckpt, PLAN)
     with pytest.raises(CheckpointError, match=refusal):
@@ -462,20 +400,14 @@ def test_resume_refuses_corrupt_manifest(tmp_path):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_shard_error_names_failing_shard(monkeypatch, jobs):
-    original = _ShardState.run_epoch
-
-    def boom(self, epoch):
-        if self.index == 2:
-            raise ValueError("injected failure")
-        return original(self, epoch)
-
-    # Patched before the executors fork, so worker processes inherit it.
-    monkeypatch.setattr(_ShardState, "run_epoch", boom)
+    _fail_shard(monkeypatch, {2})
     with pytest.raises(ShardError) as excinfo:
         run_sharded(PLAN, jobs=jobs)
     assert excinfo.value.shard == 2
-    assert excinfo.value.epoch == 0
-    assert "ValueError: injected failure" in str(excinfo.value)
+    assert excinfo.value.at_s == 0.5
+    assert str(excinfo.value) == (
+        "shard 2 failed at t=0.5s: ValueError: injected failure"
+    )
 
     monkeypatch.undo()
     ok = run_sharded(PLAN, jobs=jobs)
@@ -488,20 +420,13 @@ def test_lowest_failing_shard_wins_and_nothing_writes_after_the_raise(
 ):
     """Two shards fail on two workers: the engine reports the lower one,
     and by then every worker has stopped touching the run's directories."""
-    original = _ShardState.run_epoch
-
-    def boom(self, epoch):
-        if self.index in (1, 3) and epoch == 1:
-            raise ValueError("injected failure")
-        return original(self, epoch)
-
-    monkeypatch.setattr(_ShardState, "run_epoch", boom)
+    _fail_shard(monkeypatch, {1, 3})
     with pytest.raises(ShardError) as excinfo:
         run_sharded(
             PLAN, jobs=2, sink_dir=str(tmp_path / "sink"),
             checkpoint_dir=str(tmp_path / "ckpt"),
         )
-    assert (excinfo.value.shard, excinfo.value.epoch) == (1, 1)
+    assert (excinfo.value.shard, excinfo.value.at_s) == (1, 0.5)
 
     def snapshot():
         return sorted(
@@ -545,20 +470,48 @@ def test_rss_counts_the_caller_once(monkeypatch, shards_start_together):
     assert serial["rss"]["total_peak_mib"] == serial["rss"]["parent_peak_mib"]
 
 
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/clear_refs"), reason="Linux /proc only"
+)
+def test_task_peak_rss_is_the_whole_tasks_high_water_mark(monkeypatch):
+    """Memory a shard holds only in the middle of its run counts in its
+    own peak, and in no later task's."""
+    from repro.common.fanout import fan_out
+
+    tasks = []
+
+    def recording(*args):
+        tasks.extend(fan_out(*args))
+        return tasks
+
+    run = _ShardState.run
+
+    def spikes(self):
+        if self.index == 1:
+            spike = bytearray(b"\x01") * (64 << 20)  # every page touched
+            del spike
+        return run(self)
+
+    monkeypatch.setattr("repro.shard.engine.fan_out", recording)
+    monkeypatch.setattr(_ShardState, "run", spikes)
+    run_sharded(PLAN, jobs=1)
+    peaks = [task["peak_rss_bytes"] for task in tasks]
+    others = max(peaks[0], *peaks[2:])
+    assert peaks[1] - others > 48 << 20
+
+
 def _sampler_threads() -> list[threading.Thread]:
     return [t for t in threading.enumerate() if t.name == "rss-sampler"]
 
 
 def test_no_sampler_thread_outlives_a_run(monkeypatch, tmp_path):
-    """Early stop and ShardError both leave through the engine's finally."""
+    """A run, a ShardError and a refused resume all leave through the
+    engine's and the tasks' finally."""
     assert not _sampler_threads()
-    run_sharded(PLAN, jobs=1, stop_after_epoch=0)
+    run_sharded(PLAN, jobs=1)
     assert not _sampler_threads()
 
-    def boom(self, epoch):
-        raise ValueError("injected failure")
-
-    monkeypatch.setattr(_ShardState, "run_epoch", boom)
+    _fail_shard(monkeypatch, {0})
     with pytest.raises(ShardError):
         run_sharded(PLAN, jobs=1)
     assert not _sampler_threads()

@@ -580,27 +580,32 @@ class TestFlowRecords:
         assert clone.summary() == pool.summary()
 
     def test_spill_cadence_moves_no_row_and_no_summary_key(self):
-        def run(spill_every_s):
+        """Rows spill as flows close, whenever the sink was attached."""
+        def run(attach_at_s):
             sim, pool = self._pool()
             sink = _ListSink()
+            sim.run(until=attach_at_s)
             pool.set_result_sink(sink)
-            t = 0.0
-            while t < 1.0:  # ends mid-workload: some flows stay unfinished
-                t += 0.5
-                sim.run(until=t)
-                if spill_every_s:
-                    pool.spill_closed()
+            spilled_at_attach = len(sink)
+            sim.run(until=1.0)  # ends mid-workload: some flows unfinished
             pool.finalize()
-            pool.spill_closed()
             assert pool.records == [] and len(sink) == pool.arrivals
-            return sorted(sink, key=lambda row: row["idx"]), pool.summary()
+            return sink, spilled_at_attach, pool.summary()
 
-        rows_each, summary_each = run(spill_every_s=0.5)
-        rows_once, summary_once = run(spill_every_s=None)
-        assert rows_each == rows_once
+        rows_late, spilled, summary_late = run(attach_at_s=0.5)
+        rows_first, none_yet, summary_first = run(attach_at_s=0.0)
+        assert none_yet == 0 and 0 < spilled < len(rows_late)
+        # From the start, rows come in close order: completions by their
+        # finish time, then the flows finalize left unfinished.
+        finished = [row["finish_s"] for row in rows_first
+                    if row["reason"] is None]
+        assert finished == sorted(finished)
+        assert {row["reason"] for row in rows_first} == {None, "unfinished"}
+        rows_once = sorted(rows_first, key=lambda row: row["idx"])
+        assert sorted(rows_late, key=lambda row: row["idx"]) == rows_once
         assert [row["idx"] for row in rows_once] == list(range(len(rows_once)))
-        assert {row["reason"] for row in rows_once} == {None, "unfinished"}
-        assert summary_each == summary_once
+        assert summary_late == summary_first
+        summary_once = summary_first
 
         # ...and neither differs from never spilling at all.
         sim, pool = self._pool()
