@@ -236,7 +236,7 @@ def test_e2e_leotp_transfer(benchmark, monkeypatch):
 
     from repro.experiments.common import PathSpec, run_chain
     from repro.netsim.topology import uniform_chain_specs
-    from repro.obs.rss import RssSampler
+    from repro.obs.rss import peak_rss_bytes, reset_peak_rss
 
     spec = PathSpec(
         hops=uniform_chain_specs(4, rate_bps=20e6, delay_s=0.01, plr=0.005)
@@ -246,9 +246,9 @@ def test_e2e_leotp_transfer(benchmark, monkeypatch):
         metrics, _ = run_chain(spec, duration_s=E2E_DURATION_S, seed=1)
         return metrics
 
-    sampler = RssSampler().start()
+    reset_peak_rss()
     metrics = benchmark(run_transfer)
-    peak = sampler.stop()
+    peak = peak_rss_bytes()
     assert metrics.throughput_mbps > 1.0
     benchmark.extra_info["throughput_mbps"] = round(metrics.throughput_mbps, 2)
     if peak is not None:

@@ -13,10 +13,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "owd_model": (
         "OwdDistribution", "simulate_owd_e2e", "simulate_owd_hbh",
     ),
-    "plots": (
-        "have_matplotlib", "plot_goodput_cdf", "plot_rate_ladder",
-        "plot_recovery_timeline",
-    ),
     "report": (
         "cache_efficiency", "ccbench_summary", "churn_summary",
         "content_summary", "event_counts", "rate_ladder",

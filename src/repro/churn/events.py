@@ -143,9 +143,6 @@ class TopologyEventStream:
     def pairs(self) -> list[str]:
         return sorted({e.pair for e in self._events})
 
-    def merged_with(self, other: "TopologyEventStream") -> "TopologyEventStream":
-        return TopologyEventStream([*self._events, *other._events])
-
     def arm_markers(self, sim) -> None:
         """Emit a TRACER record per event at its simulated time.
 

@@ -20,7 +20,7 @@ D      (no Midnodes — build with coverage=0)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 LEOTP_HEADER_BYTES = 15
 UDP_IP_OVERHEAD_BYTES = 28  # 20 IPv4 + 8 UDP, LEOTP runs over UDP
@@ -86,16 +86,7 @@ class LeotpConfig:
     # reproducing the duplicate-retransmission problem VPH exists to solve.
     enable_vph: bool = True
 
-    def with_overrides(self, **kwargs) -> "LeotpConfig":
-        """A copy with some fields replaced."""
-        return replace(self, **kwargs)
-
     @property
     def data_packet_bytes(self) -> int:
         """On-the-wire size of a full Data packet."""
         return self.mss + LEOTP_HEADER_BYTES + UDP_IP_OVERHEAD_BYTES
-
-    @property
-    def interest_packet_bytes(self) -> int:
-        """On-the-wire size of an Interest (header-only plus UDP/IP)."""
-        return LEOTP_HEADER_BYTES + UDP_IP_OVERHEAD_BYTES

@@ -48,6 +48,14 @@ from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.common import ExperimentResult
 from repro.experiments.runner import RunSpec, run_experiments
 
+#: The experiments whose table is followed by a ``repro.analysis`` summary.
+_SUMMARIES = {
+    "workload": "workload_summary",
+    "churn": "churn_summary",
+    "content_study": "content_summary",
+    "ccbench": "ccbench_summary",
+}
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
@@ -169,22 +177,10 @@ def main(argv: list[str] | None = None) -> int:
     for outcome in outcomes:
         result = ExperimentResult(**outcome.result)
         print(result.table())
-        if outcome.name == "workload":
-            from repro.analysis.report import workload_summary
+        if outcome.name in _SUMMARIES:
+            from repro import analysis
 
-            print(workload_summary(result.rows))
-        if outcome.name == "churn":
-            from repro.analysis.report import churn_summary
-
-            print(churn_summary(result.rows))
-        if outcome.name == "content_study":
-            from repro.analysis.report import content_summary
-
-            print(content_summary(result.rows))
-        if outcome.name == "ccbench":
-            from repro.analysis.report import ccbench_summary
-
-            print(ccbench_summary(result.rows))
+            print(getattr(analysis, _SUMMARIES[outcome.name])(result.rows))
         line = f"(wall {outcome.wall_s:.0f}s, scale {args.scale}"
         if outcome.profile_path:
             line += f", profile {outcome.profile_path}"

@@ -29,8 +29,6 @@ from repro.tcp.segment import DEFAULT_MSS
 if TYPE_CHECKING:
     from repro.tcp import SplitTcpPath, TcpPath
 
-BASELINE_CCS = ("cubic", "hybla", "westwood", "vegas", "bbr", "pcc")
-
 #: Protocols :func:`build_path` can wire.
 PATH_PROTOCOLS = ("leotp", "tcp", "split_tcp")
 
@@ -156,16 +154,16 @@ class ExperimentResult:
             if all(row.get(k) == v for k, v in match.items())
         ]
 
+    def _keys(self) -> list[str]:
+        """Every row's keys, in first-seen order."""
+        return list(dict.fromkeys(key for row in self.rows for key in row))
+
     def to_csv(self) -> str:
         """Render the rows as CSV (header = union of row keys, in order)."""
         import csv
         import io
 
-        keys: list[str] = []
-        for row in self.rows:
-            for key in row:
-                if key not in keys:
-                    keys.append(key)
+        keys = self._keys()
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=keys)
         writer.writeheader()
@@ -198,11 +196,7 @@ class ExperimentResult:
         """Render the rows as a fixed-width text table."""
         if not self.rows:
             return f"== {self.name} ==\n(no rows)"
-        keys: list[str] = []
-        for row in self.rows:
-            for key in row:
-                if key not in keys:
-                    keys.append(key)
+        keys = self._keys()
         widths = {
             k: max(len(k), *(len(_fmt(r.get(k))) for r in self.rows))
             for k in keys

@@ -11,7 +11,7 @@ design degrades the least (paper: +34 % over BBR, +15 % over PCC at a
 from __future__ import annotations
 
 from repro.core import Consumer, LeotpConfig, Midnode, Producer
-from repro.experiments.common import ExperimentResult, scaled_duration
+from repro.experiments.paper import Figure
 from repro.netsim.link import DuplexLink
 from repro.netsim.node import ChainForwarder
 from repro.netsim.topology import SwitchablePath
@@ -130,24 +130,15 @@ def _run_leotp(interval_s: float, duration: float, seed: int) -> float:
     return recorder.throughput_bps(duration * 0.2, duration) / 1e6
 
 
-def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    duration = scaled_duration(20.0, scale)
-    result = ExperimentResult(
-        "Fig. 13",
-        "Throughput (Mbps) vs path-switch interval; parallel 80/90 ms paths",
-    )
-    for interval in SWITCH_INTERVALS_S:
-        result.add(
-            switch_interval_s=interval, protocol="leotp",
-            throughput_mbps=_run_leotp(interval, duration, seed),
-        )
-        for cc in BASELINES:
-            result.add(
-                switch_interval_s=interval, protocol=cc,
-                throughput_mbps=_run_tcp(cc, interval, duration, seed),
-            )
-    return result
-
-
-if __name__ == "__main__":
-    print(run().table())
+run = Figure(
+    "Fig. 13",
+    "Throughput (Mbps) vs path-switch interval; parallel 80/90 ms paths",
+    ("switch_interval_s", "protocol"),
+    grid=[(interval, protocol) for interval in SWITCH_INTERVALS_S
+          for protocol in ("leotp", *BASELINES)],
+    cell=lambda run, interval, protocol: (
+        _run_leotp(interval, run.duration, run.seed) if protocol == "leotp"
+        else _run_tcp(protocol, interval, run.duration, run.seed)
+    ),
+    row=lambda run, mbps, *_: dict(throughput_mbps=mbps),
+)

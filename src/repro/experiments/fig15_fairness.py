@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.analysis import jain_fairness
 from repro.core import Consumer, LeotpConfig, Midnode, Producer
-from repro.experiments.common import ExperimentResult, scaled_duration
+from repro.experiments.paper import Figure
 from repro.netsim.link import DuplexLink
 from repro.netsim.topology import HopSpec, build_dumbbell
 from repro.netsim.trace import FlowRecorder
@@ -114,32 +114,25 @@ def _measure(recorders, duration: float, stagger: float):
     return throughputs, early_jain
 
 
-def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    duration = scaled_duration(60.0, scale, minimum_s=9.0)
-    stagger = duration / 10.0
-    result = ExperimentResult(
-        "Fig. 15",
-        "Per-flow throughput (Mbps) and Jain index on a 5 Mbps dumbbell",
-    )
-    for same_rtt in (True, False):
-        rtt_label = "same" if same_rtt else "different"
-        for proto, runner in (("leotp", _run_leotp), ("bbr", _run_bbr)):
-            throughputs, early_jain = runner(same_rtt, duration, stagger, seed)
-            result.add(
-                rtts=rtt_label,
-                protocol=proto,
-                flow1_mbps=throughputs[0],
-                flow2_mbps=throughputs[1],
-                flow3_mbps=throughputs[2],
-                jain_index=jain_fairness(throughputs),
-                jain_after_join=early_jain,
-            )
-    result.notes.append(
+run = Figure(
+    "Fig. 15",
+    "Per-flow throughput (Mbps) and Jain index on a 5 Mbps dumbbell",
+    ("rtts", "protocol"),
+    base_s=60.0, floor_s=9.0,
+    grid=[(rtts, protocol) for rtts in ("same", "different")
+          for protocol in ("leotp", "bbr")],
+    cell=lambda run, rtts, protocol: (
+        _run_leotp if protocol == "leotp" else _run_bbr
+    )(rtts == "same", run.duration, run.duration / 10.0, run.seed),
+    row=lambda run, out, *_: dict(
+        flow1_mbps=out[0][0],
+        flow2_mbps=out[0][1],
+        flow3_mbps=out[0][2],
+        jain_index=jain_fairness(out[0]),
+        jain_after_join=out[1],
+    ),
+    notes=lambda rows, run: [
         "jain_after_join = fairness in the window right after the last flow "
         "starts (convergence speed); jain_index = final window"
-    )
-    return result
-
-
-if __name__ == "__main__":
-    print(run().table())
+    ],
+)

@@ -77,7 +77,6 @@ def run_starlink_flow(
     context = {
         "hop_count": n_hops,
         "mean_prop_delay_ms": schedule.mean_delay_s * 1000,
-        "route_changes": len(schedule.change_times()),
     }
     return metrics, context
 

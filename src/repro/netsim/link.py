@@ -142,10 +142,6 @@ class Link:
         """Bytes waiting in the queue (excluding the packet being serialised)."""
         return self._queued_bytes
 
-    @property
-    def queued_packets(self) -> int:
-        return len(self._queue)
-
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------

@@ -33,7 +33,7 @@ import time
 from typing import Optional
 
 from repro.common.fanout import TaskError, fan_out
-from repro.obs.rss import RssSampler
+from repro.obs.rss import peak_rss_bytes, reset_peak_rss
 from repro.shard.checkpoint import (
     CheckpointError,
     commit_shard,
@@ -89,9 +89,9 @@ def run_sharded(
     figures (``wall_s``, ``events_per_s``, ``rss``) are reported next
     to — never inside — the deterministic payload, as is
     ``worker_pids``, the forked processes that ran a shard.  ``rss`` is
-    the parent's peak (sampled, and at least what its own shards saw),
-    the sum of those workers' peaks (0 when none ran a shard) and their
-    total.
+    the parent's peak (the kernel's high-water mark over its own shards,
+    the rest of the run and the merge), the sum of those workers' peaks
+    (0 when none ran a shard) and their total; ``None`` off-Linux.
 
     ``sink_dir``
         stream each flow's result row, as the flow closes, to its
@@ -152,7 +152,7 @@ def run_sharded(
         (plan, index, sink_dir, checkpoint_dir, shard_profiles)
         for index in range(plan.n_shards) if str(index) not in entries
     ]
-    sampler = RssSampler().start()
+    reset_peak_rss()
     try:
         # The lowest failing shard is the one reported; no shard is
         # claimed after a failure and running ones finish (and commit)
@@ -162,8 +162,6 @@ def run_sharded(
         # A shard task names its own failure (ShardError: shard and
         # simulated time) — that is the engine's error.
         raise failure.__cause__
-    finally:
-        parent_peak = sampler.stop()
     wall_s = time.perf_counter() - started
 
     done = {int(index): entry["row"] for index, entry in entries.items()}
@@ -173,8 +171,7 @@ def run_sharded(
     for out in results:
         peaks[out["pid"]] = max(peaks.get(out["pid"], 0), out["peak_rss_bytes"])
     # The caller runs shards too: its own tasks' peaks belong to the
-    # parent (a shard shorter than the sampler's interval included), the
-    # rest to the pool workers.
+    # parent, the rest to the pool workers.
     inline_peak = peaks.pop(os.getpid(), 0)
 
     total = total_row("total", rows)
@@ -195,6 +192,9 @@ def run_sharded(
 
     mib = 1 << 20
     rss = None
+    # Each of the caller's own tasks restarts the mark, so this read
+    # covers its last task and what followed; the others are folded in.
+    parent_peak = peak_rss_bytes()
     if parent_peak is not None:
         parent_peak = max(parent_peak, inline_peak)
         worker_peak = sum(peaks.values())

@@ -153,55 +153,3 @@ class TestCcbenchSummary:
         from repro.analysis import ccbench_summary
 
         assert "ccbench" in ccbench_summary([])
-
-
-class TestPlots:
-    """The figure writers are matplotlib-optional: with the library
-    absent they must return None, never raise."""
-
-    def reports(self):
-        return [
-            {"cc": "bbr", "fault_start_s": 1.0, "time_to_recovery_s": 0.3},
-            {"cc": "bbr", "fault_start_s": 2.0, "time_to_recovery_s": None},
-            {"cc": "orbcc", "fault_start_s": 1.0, "time_to_recovery_s": 0.2},
-        ]
-
-    def test_probe_is_bool(self):
-        from repro.analysis import have_matplotlib
-
-        assert isinstance(have_matplotlib(), bool)
-
-    def test_writers_degrade_or_write(self, tmp_path):
-        from repro.analysis import (
-            have_matplotlib,
-            plot_goodput_cdf,
-            plot_rate_ladder,
-            plot_recovery_timeline,
-        )
-
-        samples = [
-            {"event": "sample", "node": "m1", "series": "rate",
-             "t": 0.1 * i, "value": 1e6 * i} for i in range(5)
-        ]
-        rows = [{"cc": "bbr", "goodput_mbps": 3.0},
-                {"cc": "orbcc", "goodput_mbps": 4.0}]
-        results = [
-            plot_rate_ladder(samples, str(tmp_path / "ladder.png")),
-            plot_goodput_cdf(rows, str(tmp_path / "cdf.png")),
-            plot_recovery_timeline(
-                self.reports(), str(tmp_path / "timeline.png")
-            ),
-        ]
-        if have_matplotlib():
-            import os
-
-            assert all(r is not None and os.path.exists(r) for r in results)
-        else:
-            assert results == [None, None, None]
-
-    def test_empty_inputs_return_none_or_path(self, tmp_path):
-        from repro.analysis import plot_goodput_cdf, plot_rate_ladder
-
-        # No matching samples/rows: no figure, regardless of matplotlib.
-        assert plot_rate_ladder([], str(tmp_path / "l.png")) is None
-        assert plot_goodput_cdf([], str(tmp_path / "c.png")) is None

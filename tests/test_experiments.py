@@ -15,6 +15,7 @@ from repro.experiments.common import (
     run_chain,
     scaled_duration,
 )
+from repro.experiments.paper import Figure
 from repro.faults import (
     FaultInjector,
     FaultSchedule,
@@ -69,6 +70,63 @@ class TestScaledDuration:
     def test_validation(self):
         with pytest.raises(ValueError):
             scaled_duration(10.0, 0.0)
+
+
+class TestSweepRunner:
+    """``repro.experiments.paper.Figure``, the one runner of the paper's
+    sweeps, driven with a stub cell that runs no simulation."""
+
+    def figure(self, calls, **fields):
+        def cell(run, x, label):
+            calls.append((x, label, run.seed, run.duration))
+            return 10.0 * x + run.seed
+
+        return Figure(
+            "Fig. X", "stub", ("x", "label"),
+            grid=[(2, "b"), (1, "a"), (3, "c")], cell=cell,
+            row=lambda run, out, x, label: dict(out=out),
+            base_s=30.0, floor_s=5.0,
+            notes=lambda rows, run: [",".join(r["label"] for r in rows)],
+            **fields,
+        )
+
+    def test_rows_follow_the_grid_and_the_notes_see_them(self):
+        calls = []
+        result = self.figure(calls)(scale=0.5, seed=7)
+        assert result.rows == [
+            {"x": 2, "label": "b", "out": 27.0},
+            {"x": 1, "label": "a", "out": 17.0},
+            {"x": 3, "label": "c", "out": 37.0},
+        ]
+        assert [list(row) for row in result.rows] == [["x", "label", "out"]] * 3
+        assert result.notes == ["b,a,c"]
+        assert (result.name, result.description) == ("Fig. X", "stub")
+
+    def test_duration_is_the_scaled_base_above_its_floor(self):
+        for scale in (0.5, 0.1):
+            calls = []
+            self.figure(calls)(scale=scale, seed=0)
+            assert {call[3] for call in calls} == {
+                scaled_duration(30.0, scale, 5.0)
+            }
+
+    @pytest.mark.parametrize("scale, repeats", [(0.3, 3), (0.29, 1)])
+    def test_averaged_cells_run_consecutive_seeds(self, scale, repeats):
+        calls = []
+        result = self.figure(calls, averaged=True)(scale=scale, seed=4)
+        assert [call[:3] for call in calls] == [
+            (x, label, 4 + rep)
+            for x, label in [(2, "b"), (1, "a"), (3, "c")]
+            for rep in range(repeats)
+        ]
+        for row, x in zip(result.rows, (2, 1, 3)):
+            outs = [10.0 * x + 4 + rep for rep in range(repeats)]
+            assert row["out"] == sum(outs) / repeats
+
+    def test_plain_cells_run_once_at_any_scale(self):
+        calls = []
+        self.figure(calls)(scale=1.0, seed=4)
+        assert [call[2] for call in calls] == [4, 4, 4]
 
 
 class TestMetrics:

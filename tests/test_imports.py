@@ -1,7 +1,7 @@
 """Import fences: what a pool or shard run loads before it simulates.
 
 Every process of a run pays its imports in start-up time and resident
-memory, so the layers a plain run never calls — reporting and plotting,
+memory, so the layers a plain run never calls — reporting,
 the chaos harness, process pools, the profiler — are loaded where they
 are used, not by the packages a run imports.  Each check runs in a fresh
 interpreter, since this one has imported everything by now.
@@ -22,7 +22,6 @@ import repro
 MUST_NOT_LOAD = (
     "repro.analysis.formulas",
     "repro.analysis.owd_model",
-    "repro.analysis.plots",
     "repro.analysis.report",
     "repro.faults.harness",
     "repro.faults.invariants",
@@ -86,6 +85,17 @@ def test_run_packages_leave_unused_layers_unloaded(package):
     assert sorted(loaded.intersection(TCP_MACHINERY)) == []
 
 
+def test_looking_up_a_chain_figure_loads_no_constellation():
+    """The paper table loads an entry's dependencies when it runs: Fig. 2
+    needs neither ``networkx`` nor the constellation model."""
+    loaded = _loaded_by(
+        "from repro.experiments import ALL_EXPERIMENTS; "
+        "ALL_EXPERIMENTS['fig02']"
+    )
+    assert "repro.experiments.paper" in loaded
+    assert {"networkx", "repro.constellation"}.isdisjoint(loaded)
+
+
 def test_a_leotp_pool_run_loads_no_tcp_machinery():
     """A LEOTP flow pool builds, runs and finishes without ever loading
     the TCP engine or a congestion-control law."""
@@ -131,7 +141,6 @@ def test_package_names_still_import_on_first_use():
         "from repro.faults import LinkDown"
     )
     assert {"repro.analysis.stats", "repro.faults.schedule"} <= loaded
-    assert "repro.analysis.plots" not in loaded
     assert "repro.faults.harness" not in loaded
     import repro.analysis
     import repro.faults

@@ -58,7 +58,6 @@ class TestWireFormats:
     def test_config_packet_sizes(self):
         cfg = LeotpConfig(mss=1000)
         assert cfg.data_packet_bytes == 1000 + 15 + 28
-        assert cfg.interest_packet_bytes == 43
 
 
 class TestSeqHoleDetector:

@@ -94,7 +94,6 @@ class TestLinkQueueing:
         link.send(Packet(1000))
         link.send(Packet(500))
         assert link.queued_bytes == 500  # first is in transmission
-        assert link.queued_packets == 1
         sim.run()
         assert link.queued_bytes == 0
 

@@ -500,23 +500,13 @@ def test_task_peak_rss_is_the_whole_tasks_high_water_mark(monkeypatch):
     assert peaks[1] - others > 48 << 20
 
 
-def _sampler_threads() -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name == "rss-sampler"]
-
-
-def test_no_sampler_thread_outlives_a_run(monkeypatch, tmp_path):
-    """A run, a ShardError and a refused resume all leave through the
-    engine's and the tasks' finally."""
-    assert not _sampler_threads()
-    run_sharded(PLAN, jobs=1)
-    assert not _sampler_threads()
-
-    _fail_shard(monkeypatch, {0})
-    with pytest.raises(ShardError):
-        run_sharded(PLAN, jobs=1)
-    assert not _sampler_threads()
-    monkeypatch.undo()
-
-    with pytest.raises(CheckpointError):
-        run_sharded(PLAN, jobs=1, resume_from=str(tmp_path / "nowhere"))
-    assert not _sampler_threads()
+def test_a_serial_run_starts_no_thread(monkeypatch):
+    """The parent's peak RSS is the kernel's high-water mark, not a
+    sampler: a ``jobs=1`` run starts no thread."""
+    started = []
+    monkeypatch.setattr(
+        threading.Thread, "start", lambda thread: started.append(thread.name)
+    )
+    run = run_sharded(PLAN, jobs=1)
+    assert started == []
+    assert run["rss"] is None or run["rss"]["parent_peak_mib"] > 0
