@@ -5,36 +5,30 @@ Runs a lossy 6-hop chain and — via the fault injector — lands a scripted
 Then dissects where every lost packet was repaired: which Midnode
 detected the hole, how many Void Packet Headers suppressed duplicate
 requests downstream, how many recoveries were served from caches versus
-the Producer, and what the recovery cost per packet was.  An invariant
-monitor watches the whole run; a recovery report quantifies how fast
-goodput came back after the faults.  Run with::
+the Producer, and what the recovery cost per packet was.  The chaos
+harness checks the flow against the protocol invariants when the run
+ends; a recovery report quantifies how fast goodput came back after the
+faults.  Run with::
 
     python examples/loss_recovery_anatomy.py
 """
 
+from functools import partial
+
 from repro.core import build_leotp_path
 from repro.faults import (
-    FaultInjector,
     FaultSchedule,
-    InvariantMonitor,
     LinkDown,
     NodeCrash,
     recovery_report,
+    run_chaos,
 )
 from repro.netsim.topology import uniform_chain_specs
-from repro.simcore import RngRegistry, Simulator
 
 DURATION_S = 30.0
 
 
 def main() -> None:
-    sim = Simulator()
-    rng = RngRegistry(root_seed=11)
-    path = build_leotp_path(
-        sim, rng,
-        uniform_chain_specs(6, rate_bps=20e6, delay_s=0.008, plr=0.01),
-    )
-
     # Scripted faults on top of the random loss: a handover blackout on a
     # mid-path link, then a Midnode power-cycle that wipes its cache and
     # every piece of per-flow soft state.
@@ -42,15 +36,18 @@ def main() -> None:
         LinkDown(at_s=8.0, link="hop3", duration_s=2.0),
         NodeCrash(at_s=18.0, node="leotp-mid2", restart_after_s=0.5),
     ])
-    injector = FaultInjector(sim, rng)
-    injector.register_path(path)
-    injector.arm(schedule)
-    monitor = InvariantMonitor(sim, path)
-
-    sim.run(until=DURATION_S)
+    result = run_chaos(
+        schedule,
+        partial(
+            build_leotp_path,
+            hops=uniform_chain_specs(6, rate_bps=20e6, delay_s=0.008, plr=0.01),
+        ),
+        duration_s=DURATION_S, seed=11,
+    )
+    path = result.path
 
     print("Faults injected:")
-    for t, action in injector.log:
+    for t, action in result.fault_log:
         print(f"  t={t:6.2f}s  {action}")
 
     losses = sum(
@@ -89,8 +86,7 @@ def main() -> None:
     print(f"  {recovery_report(rec, 18.0, 18.5, window_s=4.0)}")
 
     print("\nInvariants over the whole faulted run:")
-    for report in monitor.finalise():
-        print(f"  {report}")
+    print(f"  {result.violations or 'all six rules hold'}")
 
     print("\nKey observation: recovery happens one hop upstream of each loss")
     print("(cache hits), so recovered packets cost ~one hopRTT, not an e2e RTT.")

@@ -1,6 +1,6 @@
 """Adapting topology event streams onto the fault-injection machinery.
 
-The chaos stack (:class:`FaultInjector`, :class:`InvariantMonitor`,
+The chaos stack (:class:`FaultInjector`, :func:`check_flow`,
 ``recovery_report``) already knows how to take links down, audit protocol
 invariants, and measure recovery — against *hand-written* schedules.
 This module closes the loop: a :class:`TopologyEventStream` derived from

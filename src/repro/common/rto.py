@@ -26,6 +26,9 @@ class RtoEstimator:
         self.min_rto_s = min_rto_s
         self.max_rto_s = max_rto_s
         self._rto_s = initial_rto_s
+        # The extremes of every RTO ever set (the rto-sanity rule reads
+        # them when a flow ends, so no excursion goes unseen).
+        self.lowest_rto_s = self.highest_rto_s = initial_rto_s
         self.srtt_s: float | None = None
         self.rttvar_s: float | None = None
         self.samples = 0
@@ -49,13 +52,19 @@ class RtoEstimator:
             self.srtt_s = (1 - self.ALPHA) * self.srtt_s + self.ALPHA * rtt_s
         self.samples += 1
         raw = self.srtt_s + self.K * self.rttvar_s
-        self._rto_s = min(max(raw, self.min_rto_s), self.max_rto_s)
+        rto = self._rto_s = min(max(raw, self.min_rto_s), self.max_rto_s)
+        if rto < self.lowest_rto_s:
+            self.lowest_rto_s = rto
+        elif rto > self.highest_rto_s:
+            self.highest_rto_s = rto
 
     def backoff(self, factor: float = 2.0) -> None:
         """Exponential backoff after a timeout (TCP doubles; LEOTP uses 1.5)."""
         if factor <= 1.0:
             raise ValueError("backoff factor must exceed 1")
-        self._rto_s = min(self._rto_s * factor, self.max_rto_s)
+        rto = self._rto_s = min(self._rto_s * factor, self.max_rto_s)
+        if rto > self.highest_rto_s:
+            self.highest_rto_s = rto
 
     def refresh(self) -> None:
         """Drop accumulated backoff: recompute the RTO from SRTT/RTTVAR.
@@ -71,4 +80,8 @@ class RtoEstimator:
             return
         assert self.rttvar_s is not None
         raw = self.srtt_s + self.K * self.rttvar_s
-        self._rto_s = min(max(raw, self.min_rto_s), self.max_rto_s)
+        rto = self._rto_s = min(max(raw, self.min_rto_s), self.max_rto_s)
+        if rto < self.lowest_rto_s:
+            self.lowest_rto_s = rto
+        elif rto > self.highest_rto_s:
+            self.highest_rto_s = rto

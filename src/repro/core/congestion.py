@@ -34,6 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 SLOW_START = "SLOW_START"
 CONGESTION_AVOIDANCE = "CONGESTION_AVOIDANCE"
+_INF = float("inf")
 
 
 class TokenBucket:
@@ -114,6 +115,10 @@ class HopRateController:
         self.sender = sender
         self.state = SLOW_START
         self.cwnd_bytes = float(config.initial_cwnd_packets * config.mss)
+        # The largest window ever set, and the first non-finite or
+        # non-positive one (the cwnd-sanity rule reads both as a flow ends).
+        self.peak_cwnd_bytes = self.cwnd_bytes
+        self.bad_cwnd_bytes: Optional[float] = None
         self.hoprtt_s: Optional[float] = None       # EWMA
         self._min_samples: deque[tuple[float, float]] = deque()
         self.hoprtt_min_s: Optional[float] = None
@@ -235,9 +240,13 @@ class HopRateController:
             else:
                 self.congestion_events += 1
                 self.cwnd_bytes = max(cfg.cwnd_backoff_factor * bdp, floor)
-        self.cwnd_bytes = min(
+        cwnd = self.cwnd_bytes = min(
             max(self.cwnd_bytes, floor), float(cfg.max_cwnd_bytes)
         )
+        if cwnd > self.peak_cwnd_bytes:
+            self.peak_cwnd_bytes = cwnd
+        if not 0.0 < cwnd < _INF and self.bad_cwnd_bytes is None:
+            self.bad_cwnd_bytes = cwnd
 
     # ------------------------------------------------------------------
     # Outputs: equations (9) and (10)

@@ -80,7 +80,9 @@ def _row(scenario: str, result) -> dict:
         "ttfb_after_fault_s": r.ttfb_after_fault_s,
         "recovery_s": r.time_to_recovery_s,
         "retx_amplification": r.retx_amplification,
-        "invariants_ok": result.invariants_ok if result.invariants else None,
+        "invariants_ok": (
+            result.invariants_ok if result.violations is not None else None
+        ),
     }
     return row
 

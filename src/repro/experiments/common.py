@@ -80,6 +80,17 @@ class PathSpec:
             )
         if len(self.hops) < 1:
             raise ValueError("need at least one hop")
+        total, stop = self.total_bytes, self.stop_time
+        if total is not None and not total > 0:
+            raise ValueError(f"total_bytes must be positive, got {total!r}")
+        if not self.mss > 0:
+            raise ValueError(f"mss must be positive, got {self.mss!r}")
+        if not 0.0 <= self.coverage <= 1.0:
+            raise ValueError(f"coverage must be in [0, 1], got {self.coverage!r}")
+        if stop is not None and not stop >= self.start_time:
+            raise ValueError(
+                f"stop_time {stop!r} is before start_time {self.start_time!r}"
+            )
 
 
 BuiltPath = Union[LeotpPath, "TcpPath", "SplitTcpPath"]

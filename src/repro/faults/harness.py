@@ -10,8 +10,9 @@ back as a recovery timeline via :func:`repro.analysis.run_summary`.
 experiment matrix, and the examples share.  It builds a fresh simulator,
 asks the caller's ``build(sim, rng)`` for the topology, arms the fault
 schedule, runs to ``duration_s`` (under a wall-clock watchdog), and
-returns a :class:`ChaosResult` bundling the invariant reports, the
-recovery metrics, and the injector's action log.
+returns a :class:`ChaosResult` bundling the rules the flow broke
+(:func:`~repro.faults.invariants.check_flow`), the recovery metrics,
+and the injector's action log.
 """
 
 from __future__ import annotations
@@ -19,12 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.faults.invariants import (
-    InvariantLimits,
-    InvariantMonitor,
-    InvariantReport,
-    InvariantViolation,
-)
+from repro.faults.invariants import InvariantViolation, check_flow
 from repro.faults.metrics import RecoveryReport, recovery_report
 from repro.faults.schedule import FaultInjector, FaultSchedule
 from repro.obs import METRICS, TRACER
@@ -36,7 +32,9 @@ class ChaosResult:
     """Everything a chaos scenario produced."""
 
     protocol: str
-    invariants: list[InvariantReport]
+    # {rule: detail} of every rule the LEOTP flow broke; None for a TCP
+    # path, which is not checked.
+    violations: Optional[dict[str, str]]
     recovery: RecoveryReport
     fault_log: list[tuple[float, str]] = field(default_factory=list)
     faults_applied: int = 0  # faults fired (fault_log also logs restores)
@@ -52,22 +50,16 @@ class ChaosResult:
 
     @property
     def invariants_ok(self) -> bool:
-        return all(r.ok for r in self.invariants)
+        return not self.violations
 
     def assert_ok(self) -> None:
-        failed = [r for r in self.invariants if not r.ok]
-        if failed:
-            raise InvariantViolation(
-                "; ".join(f"{r.name}: {r.detail}" for r in failed)
-            )
+        if self.violations:
+            raise InvariantViolation.of(self.violations)
 
     def to_dict(self) -> dict:
         return {
             "protocol": self.protocol,
-            "invariants": [
-                {"name": r.name, "ok": r.ok, "detail": r.detail}
-                for r in self.invariants
-            ],
+            "violations": self.violations,
             "recovery": self.recovery.to_dict(),
             "fault_log": [
                 {"t": t, "action": action} for t, action in self.fault_log
@@ -91,7 +83,6 @@ def run_chaos(
     seed: int = 0,
     recovery_window_s: float = 5.0,
     recovery_fraction: float = 0.8,
-    limits: InvariantLimits = InvariantLimits(),
     wall_timeout_s: Optional[float] = 120.0,
 ) -> ChaosResult:
     """Run one flow over a faulted topology and report how it recovered.
@@ -102,8 +93,10 @@ def run_chaos(
     spec=PathSpec(...))`` from :mod:`repro.experiments.common`, the
     gateway bridge and multicast tree pass their own builder).
 
-    A path with a LEOTP ``consumer`` runs with the
-    :class:`InvariantMonitor` armed and reports completion.  A TCP path
+    A path with a LEOTP ``consumer`` reports completion, and after the
+    run :func:`~repro.faults.invariants.check_flow` checks its flow over
+    the path's Producer and Midnodes, against an app-side count of the
+    bytes the Consumer delivered.  A TCP path
     (``sender`` instead) carries recovery metrics only — its in-order
     delivery is structural — and is the baseline the chaos suite
     compares LEOTP against.
@@ -112,10 +105,17 @@ def run_chaos(
     rng = RngRegistry(seed)
     path = build(sim, rng)
     consumer = getattr(path, "consumer", None)
-    monitor = (
-        InvariantMonitor(sim, path, limits=limits)
-        if consumer is not None else None
-    )
+    app_bytes = 0
+    if consumer is not None:
+        chained = consumer.deliver
+
+        def deliver(nbytes: int, origin_ts: float) -> None:
+            nonlocal app_bytes
+            app_bytes += nbytes
+            if chained is not None:
+                chained(nbytes, origin_ts)
+
+        consumer.deliver = deliver
     injector = FaultInjector(sim, rng)
     injector.register_path(path)
     injector.arm(schedule)
@@ -138,12 +138,18 @@ def run_chaos(
         recovery_fraction=recovery_fraction,
         wire_bytes_sent=path.wire_bytes_sent,
     )
+    violations = None
+    if consumer is not None:
+        violations = check_flow(
+            consumer, [path.producer, *getattr(path, "midnodes", ())],
+            app_bytes=app_bytes, size=consumer.total_bytes,
+        )
     finite = consumer is not None and consumer.total_bytes is not None
     return ChaosResult(
         protocol=(
             "leotp" if consumer is not None else f"tcp-{path.sender.cc.name}"
         ),
-        invariants=monitor.finalise() if monitor is not None else [],
+        violations=violations,
         recovery=recovery,
         fault_log=list(injector.log),
         faults_applied=injector.faults_applied,

@@ -130,8 +130,8 @@ class GatewayPath:
     # LEO-segment duplex links, ingress-side first.  Exposing them (plus
     # the consumer/producer/midnodes views below) makes the bridged path
     # a drop-in target for the chaos harness: FaultInjector.register_path
-    # names them hop0..hopN and the InvariantMonitor watches the LEOTP
-    # segment exactly as it would a plain chain.
+    # names them hop0..hopN and check_flow audits the LEOTP segment
+    # exactly as it would a plain chain.
     links: list[DuplexLink] = field(default_factory=list)
 
     @property

@@ -2,8 +2,7 @@
 
 Where the tracer (:mod:`repro.obs.tracer`) records *events* at the moment
 they happen, the :class:`MetricsRegistry` records *state* on a fixed
-cadence: every ``interval_s`` (default 50 ms of simulated time, matching
-the invariant monitor's probe) a
+cadence: every ``interval_s`` (default 50 ms of simulated time) a
 :class:`~repro.simcore.process.PeriodicProcess` reads a group of named
 sampler callables and appends one row per series.
 

@@ -72,14 +72,22 @@ class ShardPlan:
     cache_policy: Optional[CachePolicy] = None
 
     def __post_init__(self) -> None:
-        if self.n_shards < 1:
-            raise ValueError("need at least one shard")
-        if self.arrivals_per_shard < 1:
-            raise ValueError("need at least one arrival per shard")
+        for name in (
+            "n_shards", "arrivals_per_shard", "arrival_rate_per_s",
+            "n_hops", "hop_rate_bps", "memory_ceiling_bytes",
+        ):
+            value = getattr(self, name)
+            if not value > 0:  # NaN fails too
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        for name in (
+            "mean_size_bytes", "size_sigma", "max_size_bytes", "hop_delay_s",
+            "drain_s", "fault_every", "n_objects",
+        ):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be non-negative, got {value!r}")
         if not 0.0 < self.cache_fraction < 1.0:
             raise ValueError("cache_fraction must be in (0, 1)")
-        if self.n_objects < 0:
-            raise ValueError("n_objects must be non-negative")
         if not isinstance(self.cache_policy, (CachePolicy, type(None))):
             raise ValueError("cache_policy must be a CachePolicy or None")
 

@@ -10,7 +10,10 @@ baselines) carry every flow — and manages per-flow lifecycle around it:
   link, subject to memory-budget admission;
 * **complete** — the flow's record is finalised and its soft state is
   *retired* from every shared node (``retire_flow``), so long runs do
-  not accumulate per-flow state;
+  not accumulate per-flow state.  A LEOTP flow is first checked against
+  the protocol invariants (:func:`~repro.faults.invariants.check_flow`);
+  a broken rule raises :class:`~repro.faults.invariants.
+  InvariantViolation` naming the flow, the rule and the simulated time;
 * **abort** — flows still unfinished at :meth:`finalize` are marked
   aborted (and counted, never silently dropped).
 
@@ -174,7 +177,7 @@ class FlowPool:
         self.records: list[FlowRecord] = []
         self._live: dict[str, FlowRecord] = {}  # flow_id -> open record
         self._consumers: dict[str, Consumer] = {}  # live LEOTP endpoints
-        self._delivered: dict[str, int] = {}  # TCP completion tracking
+        self._delivered: dict[str, int] = {}  # app bytes per live flow
         self._tcp_senders: dict[str, TcpSender] = {}  # live TCP endpoints
         # Result streaming (sharded runs): a record spills to a JSONL
         # sink when its flow closes, keeping resident size proportional
@@ -349,6 +352,7 @@ class FlowPool:
         )
         self.attach_consumer(flow_id, consumer)
         self._consumers[flow_id] = consumer
+        self._delivered[flow_id] = 0
 
     def attach_consumer(self, flow_id: str, consumer: Consumer) -> None:
         """Hang ``consumer`` off the hub through its own access link."""
@@ -425,8 +429,11 @@ class FlowPool:
             self.recorder.on_delivery(nbytes, max(owd, 0.0))
 
     def _deliver_cb(self, flow_id: str, nbytes: int, ts: float) -> None:
-        """Consumer ``deliver`` adapter."""
+        """Consumer ``deliver`` adapter; counts the flow's app bytes."""
         self._on_delivery(flow_id, nbytes, ts)
+        got = self._delivered.get(flow_id)
+        if got is not None:  # None: a straggler after retirement
+            self._delivered[flow_id] = got + nbytes
 
     def _complete_cb(self, flow_id: str, consumer: Consumer) -> None:
         """Consumer ``on_complete`` adapter."""
@@ -454,7 +461,7 @@ class FlowPool:
         self.delivered_bytes += record.size_bytes
         if self._result_sink is not None:
             self._spill_record(record)
-        self._retire(flow_id)
+        self._retire(flow_id, record.size_bytes)
         self.budget.set_account(
             "flows", self.active_flows * self._flow_state_bytes
         )
@@ -509,13 +516,20 @@ class FlowPool:
             self.abort_flow(flow_id, reason)
         return len(flow_ids)
 
-    def _retire(self, flow_id: str) -> None:
-        """Release the flow's soft state from every shared node."""
+    def _retire(self, flow_id: str, size: Optional[int] = None) -> None:
+        """Release the flow's soft state from every shared node.
+
+        A LEOTP flow retiring for the first time is checked first, while
+        the nodes still hold its state; ``size`` is a completed flow's
+        record size, which it must have delivered byte-exact.
+        """
         if self.protocol == LEOTP:
+            consumer = self._consumers.pop(flow_id, None)
+            if consumer is not None:
+                self._check(flow_id, consumer, size)
             for mid in self.midnodes:
                 mid.retire_flow(flow_id)
             self.producer.retire_flow(flow_id)
-            self._consumers.pop(flow_id, None)
             if self.content is not None:
                 # Unbind *after* the midnodes retired: the binding is
                 # what told them to keep the shared object blocks.
@@ -533,6 +547,21 @@ class FlowPool:
             for router in self.routers:
                 router.remove_route(snd_name)
                 router.remove_route(rcv_name)
+
+    def _check(
+        self, flow_id: str, consumer: Consumer, size: Optional[int]
+    ) -> None:
+        # Imported here: importing repro.workload loads no fault layer.
+        from repro.faults.invariants import InvariantViolation, check_flow
+
+        violations = check_flow(
+            consumer, [self.producer, *self.midnodes],
+            app_bytes=self._delivered.pop(flow_id), size=size,
+        )
+        if violations:
+            raise InvariantViolation.of(
+                violations, f"flow {flow_id} at t={self.sim.now:.6f}s: "
+            )
 
     def finalize(self) -> None:
         """End the workload: unfinished flows become aborted, state drops."""

@@ -26,6 +26,7 @@ from repro.faults import (
 from repro.gateway import build_gateway_path
 from repro.netsim.topology import uniform_chain_specs
 from repro.netsim.trace import FlowRecorder
+from repro.shard import ShardPlan
 from repro.simcore import RngRegistry, Simulator
 
 
@@ -212,9 +213,31 @@ class TestPathInterface:
             _BUILDERS["split_tcp"], duration_s=4.0, seed=1,
         )
         assert result.protocol == "tcp-reno"
-        assert result.invariants == []
+        assert result.violations is None
         assert result.faults_applied == 1
         assert result.recovery.delivered_bytes > 0
+
+
+@pytest.mark.parametrize("spec, field, value", [
+    (ShardPlan, "arrival_rate_per_s", 0.0),
+    (ShardPlan, "n_hops", 0),
+    (ShardPlan, "hop_rate_bps", -1.0),
+    (ShardPlan, "memory_ceiling_bytes", 0),
+    (ShardPlan, "hop_delay_s", -0.001),
+    (ShardPlan, "drain_s", -1.0),
+    (ShardPlan, "fault_every", -1),
+    (ShardPlan, "mean_size_bytes", -1),
+    (ShardPlan, "max_size_bytes", -1),
+    (ShardPlan, "size_sigma", float("nan")),
+    (partial(PathSpec, hops=_HOPS), "total_bytes", 0),
+    (partial(PathSpec, hops=_HOPS), "mss", 0),
+    (partial(PathSpec, hops=_HOPS), "coverage", 1.5),
+    (partial(PathSpec, hops=_HOPS), "coverage", -0.1),
+    (partial(PathSpec, hops=_HOPS, start_time=2.0), "stop_time", 1.0),
+])
+def test_a_spec_rejects_a_bad_field_by_name(spec, field, value):
+    with pytest.raises(ValueError, match=rf"^{field} "):
+        spec(**{field: value})
 
 
 class TestBenchCoverage:

@@ -1,9 +1,18 @@
 """Unit tests for the fault-injection subsystem (repro.faults)."""
 
+import inspect
+import re
+import sys
+import textwrap
+from functools import partial
+
 import pytest
 
 from repro.common.ranges import ByteRange
+from repro.common.rto import RtoEstimator
 from repro.core import LeotpConfig, build_leotp_path
+from repro.core.congestion import HopRateController
+from repro.core.consumer import Consumer
 from repro.core.paced import ResendSuppressor
 from repro.core.shr import SeqHoleDetector
 from repro.faults import (
@@ -13,20 +22,24 @@ from repro.faults import (
     FaultInjector,
     FaultSchedule,
     GilbertElliottLoss,
-    InvariantLimits,
-    InvariantMonitor,
+    InvariantViolation,
     LinkDown,
     LinkFlap,
     LossBurst,
     NodeCrash,
+    check_flow,
     recovery_report,
+    run_chaos,
 )
+from repro.experiments.common import PathSpec, build_path
 from repro.netsim.link import DuplexLink, Link
 from repro.netsim.node import SinkNode
 from repro.netsim.packet import Packet
 from repro.netsim.topology import uniform_chain_specs
 from repro.netsim.trace import FlowRecorder
+from repro.shard import ShardError, ShardPlan, run_sharded
 from repro.simcore import RngRegistry, Simulator
+from repro.workload import FlowPool, WorkloadSpec
 
 
 def make_link(sim, sink, **kwargs):
@@ -444,7 +457,73 @@ class TestShrResync:
         assert actions.announce == [ByteRange(2000, 3000)]
 
 
-class TestInvariantMonitor:
+def _mutate(monkeypatch, cls, method: str, old: str, new: str) -> None:
+    """Replace ``cls.method`` by its own source with ``old`` made ``new``
+    (compiled in the defining module's namespace) for one test."""
+    source = textwrap.dedent(inspect.getsource(getattr(cls, method)))
+    assert source.count(old) == 1, f"{method} no longer contains {old!r}"
+    namespace: dict = {}
+    exec(compile(source.replace(old, new), f"<mutant {method}>", "exec"),
+         vars(sys.modules[cls.__module__]), namespace)
+    monkeypatch.setattr(cls, method, namespace[method])
+
+
+#: One seeded bug per rule: (class, method, text, replacement).  The
+#: byte-exact rule has one per harness — a chain's Producer stops at the
+#: flow's end, a pool's serves whatever is asked.
+_MUTANTS = {
+    # The Consumer never requests the flow's last segment.
+    "byte-exact-delivery": (
+        Consumer, "_fill_window", "self._next_offset < total)",
+        "self._next_offset + mss < total)",
+    ),
+    # Its last Interest is not cut at the flow's end, so the bytes past
+    # it are counted as the flow's.
+    "byte-exact-delivery/pool": (
+        Consumer, "_fill_window", "end = total\n", "pass\n",
+    ),
+    # Each delivery hands the app the whole prefix again.
+    "no-duplicate-delivery": (
+        Consumer, "on_receive", "delta = new_next - self._delivered_next",
+        "delta = new_next",
+    ),
+    # The window cap is lifted: every Interest leaves at once.
+    "bounded-requester-window": (
+        Consumer, "_fill_window",
+        "self._outstanding_bytes + mss <= self._outstanding_cap()", "True",
+    ),
+    # A satisfied Interest frees its window space twice.
+    "bounded-responder-buffers": (
+        Consumer, "_complete_interest",
+        "self._outstanding_bytes -= rng.end - rng.start",
+        "self._outstanding_bytes -= 2 * (rng.end - rng.start)",
+    ),
+    # The RTO clamp is gone: a 40 ms chain's RTO sinks below the floor.
+    "rto-sanity": (
+        RtoEstimator, "on_sample",
+        "min(max(raw, self.min_rto_s), self.max_rto_s)", "raw",
+    ),
+    # The window's cap is dropped from the clamp.
+    "cwnd-sanity": (
+        HopRateController, "_tick", "float(cfg.max_cwnd_bytes)",
+        "float('inf')",
+    ),
+}
+
+#: Flow size and run length per rule: sub-second runs, sized so the
+#: mutant's excursion passes its limit (9 MiB > the 8 MiB window limit).
+_SIZE = {"bounded-requester-window": 9 << 20, "bounded-responder-buffers": 3 << 20}
+_DURATION = {"bounded-requester-window": 0.05}
+_RULES = [rule for rule in _MUTANTS if "/" not in rule]
+#: The cwnd mutant runs under a 20 kB cap, which slow start outgrows.
+_SMALL_CAP = LeotpConfig(max_cwnd_bytes=20_000)
+
+
+def _hops():
+    return uniform_chain_specs(4, rate_bps=20e6, delay_s=0.005)
+
+
+class TestCheckFlow:
     def test_clean_run_is_green(self):
         sim = Simulator()
         rng = RngRegistry(0)
@@ -452,39 +531,61 @@ class TestInvariantMonitor:
         path = build_leotp_path(
             sim, rng, hops, config=LeotpConfig(), total_bytes=1_000_000
         )
-        monitor = InvariantMonitor(sim, path)
+        delivered = []
+        path.consumer.deliver = lambda nbytes, ts: delivered.append(nbytes)
         sim.run(until=10.0)
-        reports = monitor.finalise()
-        assert [r.name for r in reports] == [
-            "byte-exact-delivery", "no-duplicate-delivery",
-            "bounded-requester-window", "bounded-responder-buffers",
-            "rto-sanity", "cwnd-sanity",
-        ]
-        assert all(r.ok for r in reports), [str(r) for r in reports]
-        assert monitor.app_bytes_delivered == 1_000_000
+        assert sum(delivered) == 1_000_000
+        assert check_flow(
+            path.consumer, [path.producer, *path.midnodes],
+            app_bytes=sum(delivered), size=1_000_000,
+        ) == {}
+        # The extremes the rules read were recorded along the way.
+        assert path.consumer.rto.lowest_rto_s >= LeotpConfig().tr_min_rto_s
+        assert 0 < path.consumer.cc.peak_cwnd_bytes <= LeotpConfig().max_cwnd_bytes
+        assert path.consumer.cc.bad_cwnd_bytes is None
 
-    def test_violations_are_caught(self):
-        sim = Simulator()
-        rng = RngRegistry(0)
-        hops = uniform_chain_specs(4, rate_bps=20e6, delay_s=0.005, plr=0.0)
-        path = build_leotp_path(
-            sim, rng, hops, config=LeotpConfig(), total_bytes=1_000_000
+    @pytest.mark.parametrize("rule", _RULES)
+    def test_run_chaos_names_each_mutant(self, monkeypatch, rule):
+        _mutate(monkeypatch, *_MUTANTS[rule])
+        spec = PathSpec(
+            hops=_hops(), total_bytes=_SIZE.get(rule, 300_000),
+            config=_SMALL_CAP if rule == "cwnd-sanity" else None,
         )
-        # Absurdly tight limits: a healthy run must trip them.
-        monitor = InvariantMonitor(
-            sim, path,
-            limits=InvariantLimits(
-                requester_window_limit_bytes=1,
-                responder_backlog_limit_bytes=1,
+        result = run_chaos(
+            FaultSchedule(), partial(build_path, spec=spec),
+            duration_s=_DURATION.get(rule, 1.0),
+        )
+        assert rule in result.violations, result.violations
+        assert not result.invariants_ok
+        with pytest.raises(InvariantViolation, match=rule):
+            result.assert_ok()
+
+    @pytest.mark.parametrize("rule", _RULES)
+    def test_a_pool_names_the_flow_rule_and_time(self, monkeypatch, rule):
+        _mutate(monkeypatch, *_MUTANTS.get(f"{rule}/pool", _MUTANTS[rule]))
+        sim = Simulator()
+        size = _SIZE.get(rule, 300_000)
+        pool = FlowPool(
+            sim, RngRegistry(0), hops=_hops(),
+            spec=WorkloadSpec(
+                arrival="trace", trace=((0.0, size),), n_flows=1,
+                max_size_bytes=size,
             ),
         )
-        sim.run(until=5.0)
-        reports = {r.name: r for r in monitor.finalise()}
-        assert not reports["bounded-requester-window"].ok
-        assert not reports["bounded-responder-buffers"].ok
-        assert not monitor.ok
-        with pytest.raises(AssertionError):
-            monitor.assert_ok()
+        if rule == "cwnd-sanity":
+            pool.config = _SMALL_CAP
+            for mid in pool.midnodes:
+                mid.config = _SMALL_CAP
+        with pytest.raises(InvariantViolation) as caught:
+            sim.run(until=_DURATION.get(rule, 1.0))
+            pool.finalize()  # an unfinished flow is checked here
+        assert re.match(rf"flow w00000 at t=[0-9.]+s: .*{rule}: ", str(caught.value))
+
+    def test_a_shard_wraps_a_violation_in_shard_error(self, monkeypatch):
+        _mutate(monkeypatch, *_MUTANTS["no-duplicate-delivery"])
+        plan = ShardPlan(n_shards=1, arrivals_per_shard=2, drain_s=1.0)
+        with pytest.raises(ShardError, match="shard 0 failed .*no-duplicate-delivery"):
+            run_sharded(plan, jobs=1)
 
 
 class TestRecoveryReport:
