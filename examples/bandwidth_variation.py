@@ -16,6 +16,7 @@ from repro.netsim.bandwidth import SquareWaveBandwidth
 from repro.netsim.topology import HopSpec
 from repro.simcore import RngRegistry, Simulator
 from repro.tcp import build_e2e_tcp_path
+from repro.tcp.cc import CCSpec
 
 DURATION_S = 16.0
 N_HOPS = 6
@@ -39,7 +40,7 @@ def main() -> None:
     sim = Simulator()
     rng = RngRegistry(root_seed=2)
     if use_bbr:
-        path = build_e2e_tcp_path(sim, rng, hops(), "bbr")
+        path = build_e2e_tcp_path(sim, rng, hops(), CCSpec("bbr"))
         label = "TCP BBR"
     else:
         path = build_leotp_path(sim, rng, hops())

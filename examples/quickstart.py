@@ -11,6 +11,7 @@ from repro.core import build_leotp_path
 from repro.netsim.topology import uniform_chain_specs
 from repro.simcore import RngRegistry, Simulator
 from repro.tcp import FiniteStream, build_e2e_tcp_path
+from repro.tcp.cc import CCSpec
 
 FILE_BYTES = 10_000_000
 HOPS = dict(rate_bps=20e6, delay_s=0.010, plr=0.01)
@@ -41,7 +42,7 @@ def transfer_with_bbr() -> None:
     sim = Simulator()
     rng = RngRegistry(root_seed=1)
     path = build_e2e_tcp_path(
-        sim, rng, uniform_chain_specs(5, **HOPS), "bbr",
+        sim, rng, uniform_chain_specs(5, **HOPS), CCSpec("bbr"),
         stream=FiniteStream(FILE_BYTES),
     )
     sim.run(until=60.0)

@@ -20,6 +20,7 @@ from repro.constellation import (
 from repro.core import build_leotp_path
 from repro.simcore import RngRegistry, Simulator
 from repro.tcp import build_e2e_tcp_path
+from repro.tcp.cc import CCSpec
 
 DURATION_S = 45.0
 CITY_A, CITY_B = "Beijing", "New York"
@@ -43,7 +44,7 @@ def main() -> None:
         if protocol == "leotp":
             path = build_leotp_path(sim, rng, hops)
         else:
-            path = build_e2e_tcp_path(sim, rng, hops, "bbr")
+            path = build_e2e_tcp_path(sim, rng, hops, CCSpec("bbr"))
         PathDynamicsDriver(sim, schedule, path.links, update_interval_s=2.0)
         sim.run(until=DURATION_S)
         rec = path.recorder

@@ -13,6 +13,7 @@ from repro.gateway import build_gateway_path
 from repro.netsim.topology import HopSpec, uniform_chain_specs
 from repro.simcore import RngRegistry, Simulator
 from repro.tcp import FiniteStream, build_e2e_tcp_path
+from repro.tcp.cc import CCSpec
 
 FILE_BYTES = 5_000_000
 LEO = dict(rate_bps=20e6, delay_s=0.010, plr=0.01)
@@ -24,7 +25,6 @@ def bridged() -> None:
     path = build_gateway_path(
         sim, rng, total_bytes=FILE_BYTES,
         leo_hops=uniform_chain_specs(5, **LEO),
-        tcp_cc="cubic",
     )
     sim.run(until=120.0)
     print("TCP + LEOTP gateways (LEOTP on the satellite segment):")
@@ -46,7 +46,7 @@ def plain_tcp() -> None:
     hops = [HopSpec(rate_bps=100e6, delay_s=0.005)] \
         + uniform_chain_specs(5, **LEO) \
         + [HopSpec(rate_bps=100e6, delay_s=0.005)]
-    path = build_e2e_tcp_path(sim, rng, hops, "cubic",
+    path = build_e2e_tcp_path(sim, rng, hops, CCSpec("cubic"),
                               stream=FiniteStream(FILE_BYTES))
     sim.run(until=120.0)
     print("Plain end-to-end TCP Cubic over the same path:")

@@ -2,9 +2,10 @@
 beyond them.
 
 ``ALL_EXPERIMENTS`` maps every experiment id to a
-``run(scale=1.0, seed=0) -> ExperimentResult`` callable; it lives in
+:class:`~repro.experiments.paper.Figure`, called as
+``run(scale=1.0, seed=0, **options) -> ExperimentResult``; it lives in
 :mod:`repro.experiments.paper`, where each paper artefact is one entry
-of a table run by one sweep runner.  ``python -m repro.experiments ID``
+of a table run by one runner.  ``python -m repro.experiments ID``
 prints an experiment's table.  Names here load on first use, so
 ``import repro.experiments`` imports no experiment, and looking up one
 id imports only what that id needs.

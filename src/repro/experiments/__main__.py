@@ -111,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--sampler-interval", type=float, default=None, metavar="SECONDS",
         help="metrics sampler cadence for observed runs (default: the "
-             "experiment's SAMPLER_INTERVAL_S, else 0.05)",
+             "experiment's own, else 0.05)",
     )
     parser.add_argument(
         "--cc", metavar="NAME", default=None,

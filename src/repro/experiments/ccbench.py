@@ -37,21 +37,18 @@ from named streams.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Union
 
-from repro.churn import (
-    DEFAULT_OUTAGE_S,
-    TopologyEventStream,
-    handover_stats,
-    per_handover_reports,
-)
-from repro.constellation import NoRouteError
+from repro.churn import TopologyEventStream
 from repro.core.consumer import Consumer
-from repro.experiments.churn_study import arm_pool_churn, pair_context
-from repro.experiments.common import ExperimentResult, scaled_duration
+from repro.experiments.churn_study import (
+    arm_pool_churn,
+    handover_columns,
+    pair_context,
+)
+from repro.experiments.paper import Figure, Run
 from repro.netsim.trace import FlowRecorder
 from repro.simcore import RngRegistry, Simulator
-from repro.tcp.cc import CCSpec, as_cc_spec
+from repro.tcp.cc import CCSpec
 from repro.tcp.connection import FiniteStream, TcpReceiver, make_tcp_sender
 from repro.workload import FlowPool, WorkloadSpec
 
@@ -71,28 +68,19 @@ LOSSES = {"clean": 0.0, "burst": 0.01}
 
 #: CC axis.  "leotp" selects the ICN pool; everything else a TCP pool
 #: running that registry algorithm.
-CCS = ("leotp", "reno", "cubic", "bbr", "orbcc", "adaptive")
+CCS = tuple(CCSpec(name) for name in (
+    "leotp", "reno", "cubic", "bbr", "orbcc", "adaptive"))
 
 #: Monitor-flow demand: effectively unbounded, so the reference
 #: transfer spans every handover in the cell.
 MONITOR_BYTES = 10**9
 
-#: Recommended metrics cadence (handover dips live at sub-second scale).
-SAMPLER_INTERVAL_S = 0.2
-
 
 def _lossy(hops, extra_plr: float):
-    """The loss-model axis: stack ``extra_plr`` onto every GSL hop."""
-    if extra_plr <= 0.0:
-        return list(hops)
-    out = []
-    last = len(hops) - 1
-    for i, hop in enumerate(hops):
-        if i == 0 or i == last:
-            out.append(replace(hop, plr=hop.plr + extra_plr))
-        else:
-            out.append(hop)
-    return out
+    """The loss-model axis: stack ``extra_plr`` onto both GSL hops."""
+    gsl = {0, len(hops) - 1} if extra_plr > 0.0 else set()
+    return [replace(hop, plr=hop.plr + extra_plr) if i in gsl else hop
+            for i, hop in enumerate(hops)]
 
 
 def _attach_monitor(sim, pool, spec):
@@ -126,7 +114,7 @@ def _attach_monitor(sim, pool, spec):
 
 
 def run_cell(
-    cc: Union[str, CCSpec],
+    spec: CCSpec,
     compressed,
     stream: TopologyEventStream,
     n_hops: int,
@@ -137,7 +125,6 @@ def run_cell(
     seed: int,
 ) -> dict:
     """One bake-off cell: a FlowPool under churn; returns row columns."""
-    spec = as_cc_spec(cc)
     sim = Simulator()
     rng = RngRegistry(seed)
     # One pool name for EVERY cell: the pool's RNG streams are keyed by
@@ -174,18 +161,6 @@ def run_cell(
     pool.finalize()
     s = pool.summary()
 
-    times = [
-        t for t in stream.handover_times()
-        if t + DEFAULT_OUTAGE_S < duration_s
-    ]
-    # Recovery is judged on the monitor flow: a constant-demand
-    # reference transfer present at every handover, immune to the
-    # pool's arrival luck (see _attach_monitor).
-    reports = per_handover_reports(
-        mon_rec, times,
-        outage_s=DEFAULT_OUTAGE_S, window_s=1.0,
-        recovery_window_s=0.25, horizon_s=duration_s,
-    )
     row = {
         "cc": spec.label(),
         "arrivals": int(s["arrivals"]),
@@ -200,64 +175,63 @@ def run_cell(
         "mon_goodput_mbps": mon_rec.total_bytes * 8 / duration_s / 1e6,
         "faults_applied": injector.faults_applied,
     }
-    row.update(handover_stats(reports))
+    # Recovery is judged on the monitor flow: a constant-demand
+    # reference transfer present at every handover, immune to the
+    # pool's arrival luck (see _attach_monitor).
+    row.update(handover_columns(mon_rec, stream, duration_s))
     return row
 
 
-def run_ccbench(
-    scale: float = 1.0,
-    seed: int = 0,
-    cc: Optional[Union[str, CCSpec]] = None,
-) -> ExperimentResult:
-    """The bake-off matrix: {cadence} x {load} x {loss} x {CC}.
+def _cells(run: Run) -> list[tuple]:
+    """(cadence, load, loss, its churn context, CC) points; a cadence's
+    cells share its compressed schedule and event stream.  ``run.cc``
+    (the ``--cc`` flag; params via ``--cc-param`` ride along on the
+    spec) restricts the CC axis to one controller — handy for benching a
+    third-party ``@register_cc`` plugin against the matrix."""
+    points = []
+    for cadence in sorted(CADENCES):
+        context = pair_context(
+            *PAIR, run.duration, run.seed, CADENCES[cadence]
+        )
+        points += [
+            (cadence, load, loss, context, cc)
+            for load in sorted(LOADS) for loss in sorted(LOSSES)
+            for cc in (CCS if run.cc is None else (run.cc,))
+        ]
+    return points
 
-    ``cc`` restricts the CC axis to one controller (the ``--cc`` CLI
-    flag; params via ``--cc-param`` ride along on the spec) — handy for
-    benching a third-party ``@register_cc`` plugin against the matrix.
-    """
-    duration_s = scaled_duration(12.0, scale, minimum_s=6.0)
-    result = ExperimentResult(
-        "CC bake-off",
-        "Congestion control under geometry-driven churn: "
-        "{cadence} x {load} x {loss} x {CC}",
+
+def _cell(run: Run, cadence, load, loss, context, cc: CCSpec) -> dict:
+    compressed, stream, n_hops, hops = context
+    return dict(
+        handovers=len(stream.handover_times()),
+        **run_cell(
+            cc, compressed, stream, n_hops, _lossy(hops, LOSSES[loss]),
+            CADENCES[cadence], LOADS[load], run.duration, run.seed,
+        ),
     )
-    ccs: tuple = CCS if cc is None else (as_cc_spec(cc),)
-    total_handovers = 0
-    for cad_label in sorted(CADENCES):
-        compression = CADENCES[cad_label]
-        try:
-            compressed, stream, n_hops, hops = pair_context(
-                *PAIR, duration_s, seed, compression
-            )
-        except NoRouteError as exc:
-            result.notes.append(f"{cad_label}: no route ({exc})")
-            continue
-        handovers = stream.handover_times()
-        total_handovers += len(handovers)
-        for load_label in sorted(LOADS):
-            for loss_label in sorted(LOSSES):
-                cell_hops = _lossy(hops, LOSSES[loss_label])
-                for cc_choice in ccs:
-                    row = run_cell(
-                        cc_choice, compressed, stream, n_hops, cell_hops,
-                        compression, LOADS[load_label], duration_s, seed,
-                    )
-                    result.add(
-                        cadence=cad_label,
-                        load=load_label,
-                        loss=loss_label,
-                        handovers=len(handovers),
-                        **row,
-                    )
-    result.notes.append(
-        f"pair {PAIR[0]}, {total_handovers} handovers across "
-        f"{len(CADENCES)} cadences ({duration_s:.0f} s cells; "
+
+
+def _notes(rows: list, run: Run, outs: list) -> list[str]:
+    per_cadence = {row["cadence"]: row["handovers"] for row in rows}
+    return [
+        f"pair {PAIR[0]}, {sum(per_cadence.values())} handovers across "
+        f"{len(CADENCES)} cadences ({run.duration:.0f} s cells; "
         f"compressions {sorted(CADENCES.values())})"
-    )
-    return result
+    ]
 
 
-run = run_ccbench
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().table())
+#: The bake-off matrix: {cadence} x {load} x {loss} x {CC}.
+run = Figure(
+    "CC bake-off",
+    "Congestion control under geometry-driven churn: "
+    "{cadence} x {load} x {loss} x {CC}",
+    ("cadence", "load", "loss"),
+    base_s=12.0, floor_s=6.0,
+    grid=_cells,
+    cell=_cell,
+    row=lambda run, row, *_: row,
+    notes=_notes,
+    # Handover dips live at sub-second scale.
+    sampler_interval_s=0.2,
+)

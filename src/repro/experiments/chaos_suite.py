@@ -24,12 +24,8 @@ from __future__ import annotations
 
 from functools import partial
 
-from repro.experiments.common import (
-    ExperimentResult,
-    PathSpec,
-    build_path,
-    scaled_duration,
-)
+from repro.experiments.common import PathSpec, build_path
+from repro.experiments.paper import Figure, Run
 from repro.faults import (
     CorrelatedLoss,
     FaultSchedule,
@@ -49,30 +45,43 @@ TCP_CRASH_NODE = "tcp-fwd2"
 BASELINE_CC = "bbr"
 
 
-def _schedule(scenario: str, fault_at: float, crash_node: str) -> FaultSchedule:
-    s = FaultSchedule()
-    if scenario == "blackout":
-        s.add(LinkDown(at_s=fault_at, link=MID_LINK, duration_s=2.0))
-    elif scenario == "flap":
-        s.add(LinkFlap(at_s=fault_at, link=MID_LINK,
-                       down_s=0.3, up_s=0.5, cycles=3))
-    elif scenario == "crash":
-        s.add(NodeCrash(at_s=fault_at, node=crash_node, restart_after_s=0.5))
-    elif scenario == "loss_burst":
-        s.add(CorrelatedLoss(at_s=fault_at, link=MID_LINK, duration_s=3.0,
-                             p_good_bad=0.05, p_bad_good=0.2, loss_bad=0.6))
-    else:  # pragma: no cover - registry typo guard
-        raise ValueError(f"unknown scenario {scenario!r}")
-    return s
+#: Each scenario's fault, given when it lands and the node a crash hits.
+SCENARIOS = {
+    "blackout": lambda at_s, node: LinkDown(
+        at_s=at_s, link=MID_LINK, duration_s=2.0),
+    "flap": lambda at_s, node: LinkFlap(
+        at_s=at_s, link=MID_LINK, down_s=0.3, up_s=0.5, cycles=3),
+    "crash": lambda at_s, node: NodeCrash(
+        at_s=at_s, node=node, restart_after_s=0.5),
+    "loss_burst": lambda at_s, node: CorrelatedLoss(
+        at_s=at_s, link=MID_LINK, duration_s=3.0,
+        p_good_bad=0.05, p_bad_good=0.2, loss_bad=0.6),
+}
 
 
-SCENARIOS = ("blackout", "flap", "crash", "loss_burst")
+def _chaos(run: Run, scenario: str, protocol: str):
+    """One protocol's flow over the chain under one scenario's fault."""
+    hops = uniform_chain_specs(N_HOPS, rate_bps=RATE_BPS, delay_s=DELAY_S)
+    if protocol == "leotp":
+        # Sized so the flow finishes inside the run at full scale (the
+        # terminal byte-exact audit needs a completed transfer) while
+        # leaving several seconds of post-fault transfer to measure.
+        total_bytes = int(RATE_BPS / 8 * run.duration * 0.55)
+        crash_node, spec = LEOTP_CRASH_NODE, PathSpec(
+            hops=hops, total_bytes=total_bytes)
+    else:
+        crash_node, spec = TCP_CRASH_NODE, PathSpec(
+            protocol="tcp", hops=hops, cc_name=BASELINE_CC)
+    return run_chaos(
+        FaultSchedule([SCENARIOS[scenario](run.duration / 3.0, crash_node)]),
+        partial(build_path, spec=spec),
+        duration_s=run.duration, seed=run.seed,
+    )
 
 
-def _row(scenario: str, result) -> dict:
+def _row(run: Run, result, scenario: str, protocol: str) -> dict:
     r = result.recovery
-    row = {
-        "scenario": scenario,
+    return {
         "protocol": result.protocol,
         "pre_goodput_mbps": r.pre_goodput_bps / 1e6,
         "post_goodput_mbps": r.post_goodput_bps / 1e6,
@@ -84,47 +93,27 @@ def _row(scenario: str, result) -> dict:
             result.invariants_ok if result.violations is not None else None
         ),
     }
-    return row
 
 
-def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    duration = scaled_duration(15.0, scale)
-    fault_at = duration / 3.0
-    # Sized so the LEOTP flow finishes inside the run at full scale (the
-    # terminal byte-exact audit needs a completed transfer) while leaving
-    # several seconds of post-fault transfer to measure.
-    total_bytes = int(RATE_BPS / 8 * duration * 0.55)
-    result = ExperimentResult(
-        "Chaos suite",
-        "Recovery under blackout/flap/crash/loss bursts; "
-        f"{N_HOPS}-hop chain, {RATE_BPS / 1e6:.0f} Mbps, fault at "
-        f"t={fault_at:.1f}s",
-    )
-    hops = uniform_chain_specs(N_HOPS, rate_bps=RATE_BPS, delay_s=DELAY_S)
-    flows = (
-        (LEOTP_CRASH_NODE, PathSpec(hops=hops, total_bytes=total_bytes)),
-        (TCP_CRASH_NODE,
-         PathSpec(protocol="tcp", hops=hops, cc_name=BASELINE_CC)),
-    )
-    for scenario in SCENARIOS:
-        for crash_node, spec in flows:
-            chaos = run_chaos(
-                _schedule(scenario, fault_at, crash_node),
-                partial(build_path, spec=spec),
-                duration_s=duration, seed=seed,
-            )
-            result.add(**_row(scenario, chaos))
+def _notes(rows: list, run: Run, outs: list) -> list[str]:
     failed = [
         f"{row['scenario']}: invariants violated"
-        for row in result.rows
+        for row in rows
         if row["invariants_ok"] is False
     ]
-    for note in failed:
-        result.notes.append(note)
-    if not failed:
-        result.notes.append("all LEOTP invariants green in every scenario")
-    return result
+    return failed or ["all LEOTP invariants green in every scenario"]
 
 
-if __name__ == "__main__":
-    print(run().table())
+run = Figure(
+    "Chaos suite",
+    lambda run: "Recovery under blackout/flap/crash/loss bursts; "
+    f"{N_HOPS}-hop chain, {RATE_BPS / 1e6:.0f} Mbps, fault at "
+    f"t={run.duration / 3.0:.1f}s",
+    ("scenario",),
+    base_s=15.0,
+    grid=[(scenario, protocol) for scenario in SCENARIOS
+          for protocol in ("leotp", BASELINE_CC)],
+    cell=_chaos,
+    row=_row,
+    notes=_notes,
+)

@@ -38,23 +38,18 @@ from repro.churn import (
     per_handover_reports,
 )
 from repro.constellation import (
-    NoRouteError,
     PathDynamicsDriver,
     compute_path_schedule,
     representative_hop_count,
     starlink_hop_specs,
 )
-from repro.experiments.common import (
-    ExperimentResult,
-    PathSpec,
-    build_path,
-    scaled_duration,
-)
+from repro.experiments.common import PathSpec, build_path
+from repro.experiments.paper import Figure, Run
 from repro.experiments.starlink import _router
 from repro.faults import FaultInjector, run_chaos
 from repro.obs import METRICS
 from repro.simcore import RngRegistry, Simulator
-from repro.tcp.cc import as_cc_spec
+from repro.tcp.cc import CCSpec
 from repro.workload import FlowPool, WorkloadSpec
 
 #: Intercontinental pairs with distinct handover geometry (two
@@ -81,10 +76,7 @@ COMPRESSION = 20.0
 #: reason "no_route" (shorter gaps are ridden out by retransmission).
 NO_ROUTE_ABORT_S = 0.5
 
-#: Recommended metrics cadence (handover dips live at sub-second scale).
-SAMPLER_INTERVAL_S = 0.2
-
-_PROTOCOLS = ("leotp", "split-bbr", "bbr")
+_PROTOCOLS = ("leotp", "split-bbr", "bbr", "leotp-pool")
 
 
 def pair_context(slug: str, city_a: str, city_b: str,
@@ -101,21 +93,30 @@ def pair_context(slug: str, city_a: str, city_b: str,
     return compressed, stream, n_hops, hops
 
 
-def _single_flow_row(
-    protocol: str,
-    compressed,
-    stream: TopologyEventStream,
-    n_hops: int,
-    hops,
-    duration_s: float,
-    seed: int,
-    total_bytes: Optional[int],
-    cc_spec=None,
-) -> dict:
-    """Run one monitored flow under the pair's churn; return row columns."""
-    cc_spec = as_cc_spec(cc_spec if cc_spec is not None else "bbr")
+def handover_columns(recorder, stream: TopologyEventStream,
+                     horizon_s: float) -> dict:
+    """Recovery columns over the handovers whose outage ends before
+    ``horizon_s``, measured on ``recorder``'s delivery timeline."""
+    times = [t for t in stream.handover_times()
+             if t + DEFAULT_OUTAGE_S < horizon_s]
+    return handover_stats(per_handover_reports(
+        recorder, times,
+        outage_s=DEFAULT_OUTAGE_S, window_s=1.0,
+        recovery_window_s=0.25, horizon_s=horizon_s,
+    ))
+
+
+def _single_flow_row(run: Run, protocol: str, context) -> dict:
+    """Run one monitored flow under the pair's churn; return row columns.
+    ``run.cc`` swaps the congestion control of the TCP rows (BBR)."""
+    compressed, stream, n_hops, hops = context
+    cc_spec = run.cc or CCSpec("bbr")
     if protocol == "leotp":
-        spec = PathSpec(hops=hops, total_bytes=total_bytes)
+        # Sized to finish inside the run at the 10 Mbps GSL bottleneck
+        # even with handover dips, so the byte-exact check audits a
+        # complete flow.
+        spec = PathSpec(hops=hops,
+                        total_bytes=int(10e6 / 8 * run.duration * 0.35))
     else:
         spec = PathSpec(
             protocol="split_tcp" if protocol == "split-bbr" else "tcp",
@@ -134,21 +135,15 @@ def _single_flow_row(
 
     res = run_chaos(
         faults_from_stream(stream, n_hops), build,
-        duration_s=duration_s, seed=seed,
+        duration_s=run.duration, seed=run.seed,
     )
 
     # A finite transfer that completes mid-run stops delivering; without
     # clamping, every later handover would read as "unrecovered".  Only
     # handovers inside the flow's delivery lifetime are measured.
-    horizon = duration_s
+    horizon = run.duration
     if res.completed and res.path.recorder.end_time is not None:
         horizon = min(horizon, res.path.recorder.end_time)
-    times = [t for t in stream.handover_times() if t + DEFAULT_OUTAGE_S < horizon]
-    reports = per_handover_reports(
-        res.path.recorder, times,
-        outage_s=DEFAULT_OUTAGE_S, window_s=1.0,
-        recovery_window_s=0.25, horizon_s=horizon,
-    )
     delivered = res.path.recorder.total_bytes
     # Keep the paper's row names for the default; a --cc override shows
     # the substituted controller in the protocol column.
@@ -157,13 +152,13 @@ def _single_flow_row(
         label = protocol.replace("bbr", cc_spec.label())
     row = {
         "protocol": label,
-        "goodput_mbps": delivered * 8 / duration_s / 1e6,
+        "goodput_mbps": delivered * 8 / run.duration / 1e6,
         "completed": res.completed,
         "invariant_violations": len(res.violations or ()),
         "invariants_ok": res.invariants_ok,
         "faults_applied": res.faults_applied,
     }
-    row.update(handover_stats(reports))
+    row.update(handover_columns(res.path.recorder, stream, horizon))
     return row
 
 
@@ -212,22 +207,15 @@ def arm_pool_churn(
     return injector
 
 
-def _pool_row(
-    slug: str,
-    compressed,
-    stream: TopologyEventStream,
-    n_hops: int,
-    hops,
-    duration_s: float,
-    seed: int,
-) -> dict:
+def _pool_row(run: Run, slug: str, context) -> dict:
     """A FlowPool workload over the pair's chain under the same churn."""
+    compressed, stream, n_hops, hops = context
     sim = Simulator()
-    rng = RngRegistry(seed)
+    rng = RngRegistry(run.seed)
     spec = WorkloadSpec(
         arrival="poisson",
         rate_per_s=2.0,
-        n_flows=max(int(duration_s), 6),
+        n_flows=max(int(run.duration), 6),
         mean_size_bytes=40_000,
         max_size_bytes=200_000,
     )
@@ -238,7 +226,7 @@ def _pool_row(
     injector = arm_pool_churn(
         sim, rng, pool, compressed, stream, n_hops, COMPRESSION
     )
-    sim.run(until=duration_s)
+    sim.run(until=run.duration)
     pool.finalize()
     s = pool.summary()
     return {
@@ -252,67 +240,55 @@ def _pool_row(
     }
 
 
-def run_churn(
-    scale: float = 1.0, seed: int = 0, cc=None
-) -> ExperimentResult:
-    """LEOTP vs split-TCP vs end-to-end TCP under geometry churn.
-
-    ``cc`` (name or :class:`~repro.tcp.cc.CCSpec`) swaps the congestion
-    control used by the TCP rows — default BBR, matching the paper's
-    baseline.
-    """
-    cc_spec = as_cc_spec(cc if cc is not None else "bbr")
-    duration_s = scaled_duration(24.0, scale, minimum_s=8.0)
-    # Sized to finish inside the run at the 10 Mbps GSL bottleneck even
-    # with handover dips, so ByteExactDelivery audits a complete flow.
-    total_bytes = int(10e6 / 8 * duration_s * 0.35)
-    result = ExperimentResult(
-        "Churn",
-        "Per-handover recovery under geometry-driven topology churn "
-        "(1600-sat shell, time-compressed routes)",
-    )
-    total_handovers = 0
+def _pairs(run: Run) -> list[tuple]:
+    """(pair, protocol, its churn context) points; a pair's rows share
+    its compressed schedule and event stream."""
+    points = []
     for slug in sorted(PAIRS):
-        city_a, city_b = PAIRS[slug]
-        try:
-            compressed, stream, n_hops, hops = pair_context(
-                slug, city_a, city_b, duration_s, seed, COMPRESSION
-            )
-        except NoRouteError as exc:
-            result.notes.append(f"{slug}: no route ({exc})")
-            continue
-        handovers = stream.handover_times()
-        total_handovers += len(handovers)
-        counts = stream.counts()
-        base = {
-            "pair": slug,
-            "hops": n_hops,
-            "handovers": len(handovers),
-            "links_removed": counts.get("LinkRemoved", 0),
-            "gs_reattach": counts.get("GsReattach", 0),
-            "route_losses": counts.get("RouteLost", 0),
-        }
-        for protocol in _PROTOCOLS:
-            row = _single_flow_row(
-                protocol, compressed, stream, n_hops, hops,
-                duration_s, seed,
-                total_bytes if protocol == "leotp" else None,
-                cc_spec=cc_spec,
-            )
-            result.add(**base, **row)
-        result.add(**base, **_pool_row(
-            slug, compressed, stream, n_hops, hops, duration_s, seed
-        ))
-    result.notes.append(
-        f"{total_handovers} geometry-driven handovers across "
-        f"{len(PAIRS)} city pairs over {duration_s * COMPRESSION:.0f} s "
-        f"of orbit time (compressed {COMPRESSION:.0f}x into "
-        f"{duration_s:.0f} s runs)"
+        context = pair_context(
+            slug, *PAIRS[slug], run.duration, run.seed, COMPRESSION
+        )
+        points += [(slug, protocol, context) for protocol in _PROTOCOLS]
+    return points
+
+
+def _row(run: Run, row: dict, slug: str, protocol: str, context) -> dict:
+    compressed, stream, n_hops, hops = context
+    counts = stream.counts()
+    return dict(
+        hops=n_hops,
+        handovers=len(stream.handover_times()),
+        links_removed=counts.get("LinkRemoved", 0),
+        gs_reattach=counts.get("GsReattach", 0),
+        route_losses=counts.get("RouteLost", 0),
+        **row,
     )
-    return result
 
 
-run = run_churn
+def _notes(rows: list, run: Run, outs: list) -> list[str]:
+    handovers = sum({row["pair"]: row["handovers"] for row in rows}.values())
+    return [
+        f"{handovers} geometry-driven handovers across "
+        f"{len(PAIRS)} city pairs over {run.duration * COMPRESSION:.0f} s "
+        f"of orbit time (compressed {COMPRESSION:.0f}x into "
+        f"{run.duration:.0f} s runs)"
+    ]
 
-if __name__ == "__main__":  # pragma: no cover
-    print(run().table())
+
+#: LEOTP vs split-TCP vs end-to-end TCP under geometry churn.
+run = Figure(
+    "Churn",
+    "Per-handover recovery under geometry-driven topology churn "
+    "(1600-sat shell, time-compressed routes)",
+    ("pair",),
+    base_s=24.0, floor_s=8.0,
+    grid=_pairs,
+    cell=lambda run, slug, protocol, context: (
+        _pool_row(run, slug, context) if protocol == "leotp-pool"
+        else _single_flow_row(run, protocol, context)
+    ),
+    row=_row,
+    notes=_notes,
+    # Handover dips live at sub-second scale.
+    sampler_interval_s=0.2,
+)

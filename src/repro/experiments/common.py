@@ -5,7 +5,8 @@ One way to run one flow: describe the chain as a :class:`PathSpec`,
 (:func:`repro.faults.run_chaos` is its faulted twin and takes the same
 spec as ``partial(build_path, spec=...)``).
 
-Every experiment module exposes ``run(scale=1.0, seed=0) -> ExperimentResult``.
+Every experiment id is a :class:`~repro.experiments.paper.Figure`, called
+as ``run(scale=1.0, seed=0, **options) -> ExperimentResult``.
 ``scale`` shortens simulated durations (benchmarks use small scales so the
 whole harness completes quickly); the reported numbers in EXPERIMENTS.md
 use ``scale=1.0``.

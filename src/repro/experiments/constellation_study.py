@@ -11,15 +11,13 @@ from __future__ import annotations
 
 from repro.constellation import (
     ConstellationRouter,
-    PathDynamicsDriver,
     RoutingConfig,
     WalkerConstellation,
     compute_path_schedule,
-    representative_hop_count,
-    starlink_hop_specs,
     top_cities,
 )
-from repro.experiments.common import ExperimentResult, PathSpec, run_chain, scaled_duration
+from repro.experiments.paper import Figure, Run
+from repro.experiments.starlink import run_starlink_flow
 
 SHELLS = {
     # name: (planes, sats/plane, altitude m, inclination deg)
@@ -30,48 +28,41 @@ SHELLS = {
 CITY_A, CITY_B = "Beijing", "Paris"
 
 
-def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    duration = scaled_duration(40.0, scale, minimum_s=10.0)
-    result = ExperimentResult(
-        "Constellation study",
-        f"{CITY_A}->{CITY_B} with ISLs across constellation designs",
-    )
+def _shells(run: Run) -> list[tuple]:
+    """(shell, protocol, shell model, route schedule) points; the two
+    protocols of a shell share its route schedule."""
+    points = []
     for name, (planes, spp, alt, incl) in SHELLS.items():
         shell = WalkerConstellation(
             num_planes=planes, sats_per_plane=spp,
             altitude_m=alt, inclination_deg=incl,
         )
         router = ConstellationRouter(shell, top_cities(100), RoutingConfig())
-        schedule = compute_path_schedule(router, CITY_A, CITY_B, duration, 2.0)
-        n_hops = max(representative_hop_count(schedule), 2)
-        hops = starlink_hop_specs(n_hops, isls_enabled=True, seed=seed)
-        specs = {
-            "leotp": PathSpec(hops=hops),
-            "bbr": PathSpec(protocol="tcp", hops=hops, cc_name="bbr"),
-        }
-        for protocol, spec in specs.items():
-            metrics, _ = run_chain(
-                spec, duration, seed=seed,
-                attach=lambda sim, path: PathDynamicsDriver(
-                    sim, schedule, path.links, update_interval_s=2.0
-                ),
-            )
-            result.add(
-                shell=name,
-                protocol=protocol,
-                satellites=shell.num_satellites,
-                hops=n_hops,
-                prop_delay_ms=schedule.mean_delay_s * 1000,
-                route_changes=len(schedule.change_times()),
-                throughput_mbps=metrics.throughput_mbps,
-                owd_mean_ms=metrics.owd_mean_ms,
-            )
-    result.notes.append(
+        schedule = compute_path_schedule(
+            router, CITY_A, CITY_B, run.duration, 2.0)
+        points += [(name, protocol, shell, schedule)
+                   for protocol in ("leotp", "bbr")]
+    return points
+
+
+run = Figure(
+    "Constellation study",
+    f"{CITY_A}->{CITY_B} with ISLs across constellation designs",
+    ("shell", "protocol"),
+    base_s=40.0, floor_s=10.0,
+    grid=_shells,
+    cell=lambda run, name, protocol, shell, schedule: run_starlink_flow(
+        protocol, schedule, run.duration, seed=run.seed),
+    row=lambda run, out, name, protocol, shell, schedule: dict(
+        satellites=shell.num_satellites,
+        hops=out[1]["hop_count"],
+        prop_delay_ms=out[1]["mean_prop_delay_ms"],
+        route_changes=len(schedule.change_times()),
+        throughput_mbps=out[0].throughput_mbps,
+        owd_mean_ms=out[0].owd_mean_ms,
+    ),
+    notes=lambda *_: [
         "lower shells shorten per-hop delay but add hops and churn; "
         "LEOTP's hop-local control is insensitive to both, BBR is not"
-    )
-    return result
-
-
-if __name__ == "__main__":
-    print(run().table())
+    ],
+)

@@ -49,26 +49,24 @@ from repro.content import (
 )
 from repro.core import Consumer, LeotpConfig, MulticastMidnode, Producer
 from repro.core.cache import CACHE_EVICTION_POLICIES
-from repro.experiments.common import ExperimentResult
+from repro.experiments.paper import Figure, Run
+from repro.experiments.workload import (
+    ARRIVAL_RATE_PER_S,
+    HOP_DELAY_S,
+    HOP_RATE_BPS,
+    run_pool,
+)
 from repro.netsim.link import DuplexLink
-from repro.netsim.topology import uniform_chain_specs
 from repro.netsim.trace import FlowRecorder
-from repro.obs.metrics import METRICS
 from repro.shard import ShardPlan, run_sharded
 from repro.simcore import RngRegistry, Simulator
-from repro.workload import FlowPool, WorkloadSpec
+from repro.workload import WorkloadSpec
 
-SAMPLER_INTERVAL_S = 0.2
-
-# Chain and traffic: the ``workload`` experiment's shape, so content
-# effects are attributable to the catalog rather than a different path.
-N_HOPS = 5
-HOP_RATE_BPS = 20e6
-HOP_DELAY_S = 0.008
-ARRIVAL_RATE_PER_S = 150.0
+# Chain and traffic: the ``workload`` experiment's (``run_pool``), so
+# content effects are attributable to the catalog rather than a
+# different path.
 N_ARRIVALS = 800
 MIN_ARRIVALS = 40
-DRAIN_S = 8.0
 
 # Catalog: ~240 objects, mean 12 kB => ~2.9 MB of distinct content at
 # full scale, against a 2 MiB cache budget (4 MiB ceiling, half cache).
@@ -100,51 +98,23 @@ def _content_spec(scale: float) -> ContentSpec:
     )
 
 
-def _matrix_cells() -> list[tuple[CachePolicy, bool]]:
-    """(policy, catalog?) rows of the ``matrix`` section."""
-    floor = (CachePolicy(), False)  # no catalog: sharing floor
-    return [floor] + [
-        (CachePolicy(placement=placement, eviction=eviction), True)
-        for placement in PLACEMENTS
-        for eviction in CACHE_EVICTION_POLICIES
-    ]
-
-
-def _run_cell(
-    scale: float, seed: int, policy: CachePolicy, catalog: bool
-) -> dict[str, float]:
-    n_flows = max(int(round(N_ARRIVALS * scale)), MIN_ARRIVALS)
+def _run_cell(run: Run, policy: CachePolicy, catalog: bool) -> dict:
     spec = WorkloadSpec(
         arrival="poisson",
         rate_per_s=ARRIVAL_RATE_PER_S,
-        n_flows=n_flows,
+        n_flows=max(int(round(N_ARRIVALS * run.scale)), MIN_ARRIVALS),
         size_dist="lognormal",
         mean_size_bytes=MEAN_OBJECT_BYTES,
         sigma=SIZE_SIGMA,
         max_size_bytes=MAX_OBJECT_BYTES,
-        content=_content_spec(scale) if catalog else None,
+        content=_content_spec(run.scale) if catalog else None,
     )
-    sim = Simulator()
-    rng = RngRegistry(seed)
-    pool = FlowPool(
-        sim,
-        rng,
-        spec=spec,
-        hops=uniform_chain_specs(
-            N_HOPS, rate_bps=HOP_RATE_BPS, delay_s=HOP_DELAY_S
-        ),
-        protocol="leotp",
+    s = run_pool(
+        run, spec, protocol="leotp",
         memory_ceiling_bytes=MEMORY_CEILING_BYTES,
-        cache_fraction=CACHE_FRACTION,
-        cache_policy=policy,
+        cache_fraction=CACHE_FRACTION, cache_policy=policy,
     )
-    if METRICS.enabled:
-        pool.attach_samplers()
-    sim.run(until=n_flows / ARRIVAL_RATE_PER_S + DRAIN_S)
-    pool.finalize()
-    s = pool.summary()
     return {
-        "section": "matrix",
         "placement": policy.placement,
         "eviction": policy.eviction,
         "catalog": catalog,
@@ -164,12 +134,12 @@ def _run_cell(
     }
 
 
-def _run_fanout(scale: float, seed: int) -> dict[str, float]:
+def _run_fanout(run: Run) -> dict:
     """Thousands of subscribers of one hot object through a Midnode tree."""
-    n_subs = max(int(round(N_SUBSCRIBERS * scale)), MIN_SUBSCRIBERS)
-    rng = RngRegistry(seed)
+    n_subs = max(int(round(N_SUBSCRIBERS * run.scale)), MIN_SUBSCRIBERS)
+    rng = RngRegistry(run.seed)
     catalog = ContentCatalog.build(
-        _content_spec(scale), rng.stream("content:catalog")
+        _content_spec(run.scale), rng.stream("content:catalog")
     )
     hot = object_name(0)  # rank 0 = most popular
     obj_bytes = catalog.object_size(0)
@@ -213,7 +183,6 @@ def _run_fanout(scale: float, seed: int) -> dict[str, float]:
     cross_b = sum(m.cache.stats.cross_hit_bytes for m in mids)
     lookup_b = sum(m.cache.stats.lookup_bytes for m in mids)
     return {
-        "section": "fanout",
         "placement": "tree",
         "eviction": "lru",
         "arrivals": n_subs,
@@ -261,38 +230,41 @@ def content_plan(scale: float = 1.0, seed: int = 0) -> ShardPlan:
     )
 
 
-def run(
-    scale: float = 1.0, seed: int = 0, shard_jobs: int = 1
-) -> ExperimentResult:
-    result = ExperimentResult(
-        "content_study",
-        "Zipf content catalog over a shared chain: cache placement x "
-        "eviction matrix, multicast fan-out, and a sharded content cell",
-    )
-    for policy, catalog in _matrix_cells():
-        result.add(**_run_cell(scale, seed, policy, catalog))
-    result.add(**_run_fanout(scale, seed))
+_SECTIONS = {
+    "matrix": _run_cell,
+    "fanout": _run_fanout,
+    "sharded": lambda run: [
+        dict(section="sharded", **row) for row in run_sharded(
+            content_plan(run.scale, run.seed), jobs=run.shard_jobs
+        )["rows"]
+    ],
+}
 
-    out = run_sharded(content_plan(scale, seed), jobs=shard_jobs)
-    for row in out["rows"]:
-        result.add(section="sharded", **row)
 
-    result.notes.append(
+run = Figure(
+    "content_study",
+    "Zipf content catalog over a shared chain: cache placement x "
+    "eviction matrix, multicast fan-out, and a sharded content cell",
+    ("section",),
+    grid=[
+        ("matrix", CachePolicy(), False),  # no catalog: sharing floor
+        *(("matrix", CachePolicy(placement=placement, eviction=eviction), True)
+          for placement in PLACEMENTS
+          for eviction in CACHE_EVICTION_POLICIES),
+        ("fanout",),
+        ("sharded",),
+    ],
+    cell=lambda run, section, *cell: _SECTIONS[section](run, *cell),
+    row=lambda run, out, *_: out,
+    notes=lambda *_: [
         "matrix: cross_hit_ratio = cache bytes served from another flow's "
         "fetches / bytes looked up; the catalog=False row is the no-catalog "
-        "floor (~0 by construction)"
-    )
-    result.notes.append(
+        "floor (~0 by construction)",
         "fanout: one hot object, subscribers in staggered waves; "
         "upstream_copies ~ 1 means Interest aggregation collapsed the "
-        "tree's upstream traffic to a single copy"
-    )
-    result.notes.append(
+        "tree's upstream traffic to a single copy",
         "sharded rows are bit-identical for any --shard-jobs value "
-        "and across checkpoint kill/resume"
-    )
-    return result
-
-
-if __name__ == "__main__":
-    print(run(scale=0.25).table())
+        "and across checkpoint kill/resume",
+    ],
+    sampler_interval_s=0.2,
+)

@@ -131,7 +131,7 @@ run = Figure(
         jain_index=jain_fairness(out[0]),
         jain_after_join=out[1],
     ),
-    notes=lambda rows, run: [
+    notes=lambda *_: [
         "jain_after_join = fairness in the window right after the last flow "
         "starts (convergence speed); jain_index = final window"
     ],

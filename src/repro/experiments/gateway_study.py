@@ -19,15 +19,12 @@ from __future__ import annotations
 
 from repro.constellation import starlink_hop_specs
 from repro.core import LeotpConfig
-from repro.experiments.common import (
-    ExperimentResult,
-    PathSpec,
-    build_path,
-    scaled_duration,
-)
+from repro.experiments.common import PathSpec, build_path
+from repro.experiments.paper import Figure, Run
 from repro.gateway import build_gateway_path
 from repro.netsim.topology import HopSpec
 from repro.simcore import RngRegistry, Simulator
+from repro.tcp.cc import CCSpec
 
 #: LEO-segment hops (two GSLs around two ISLs — a short ISL route).
 LEO_HOPS = 4
@@ -35,66 +32,60 @@ LEO_HOPS = 4
 #: Terrestrial segments on both sides: fast, clean, 5 ms.
 TERRESTRIAL = HopSpec(rate_bps=100e6, delay_s=0.005)
 
-SAMPLER_INTERVAL_S = 0.5
-
 _PROTOCOLS = ("gateway-cubic", "e2e-cubic", "leotp")
 
 
-def run_gateway(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    """Client-side outcome of one finite transfer per deployment."""
-    duration_s = scaled_duration(20.0, scale, minimum_s=8.0)
+def _total_bytes(run: Run) -> int:
     # Sized to the 10 Mbps LEO bottleneck so the bridged and LEOTP runs
     # finish inside the horizon; e2e TCP may not (that is the result).
-    total_bytes = int(10e6 / 8 * duration_s * 0.3)
-    leo_hops = starlink_hop_specs(LEO_HOPS, isls_enabled=True, seed=seed)
+    return int(10e6 / 8 * run.duration * 0.3)
+
+
+def _transfer(run: Run, protocol: str) -> tuple:
+    """One finite transfer: (bytes delivered, completed, gateway backlog)."""
+    sim = Simulator()
+    rng = RngRegistry(run.seed)
+    total_bytes = _total_bytes(run)
+    leo_hops = starlink_hop_specs(LEO_HOPS, isls_enabled=True, seed=run.seed)
     full_chain = (TERRESTRIAL, *leo_hops, TERRESTRIAL)
-    result = ExperimentResult(
-        "Gateway",
-        "TCP<->LEOTP gateway bridging vs end-to-end deployments "
-        "(lossy emulated-Starlink LEO segment)",
-    )
-    for protocol in _PROTOCOLS:
-        sim = Simulator()
-        rng = RngRegistry(seed)
-        if protocol == "gateway-cubic":
-            path = build_gateway_path(
-                sim, rng, total_bytes, leo_hops,
-                terrestrial_spec=TERRESTRIAL, tcp_cc="cubic",
-            )
-            sim.run(until=duration_s)
-            delivered = path.client.bytes_delivered
-            completed = path.completed
-            buffered = path.egress.buffered_bytes
-        elif protocol == "e2e-cubic":
-            path = build_path(sim, rng, PathSpec(
-                protocol="tcp", hops=full_chain, cc_name="cubic",
-                total_bytes=total_bytes,
-            ))
-            sim.run(until=duration_s)
-            delivered = path.receiver.bytes_delivered
-            completed = path.sender.finished and delivered >= total_bytes
-            buffered = 0
-        else:
-            path = build_path(sim, rng, PathSpec(
-                protocol="leotp", hops=full_chain, config=LeotpConfig(),
-                total_bytes=total_bytes,
-            ))
-            sim.run(until=duration_s)
-            delivered = path.consumer.bytes_received
-            completed = path.consumer.finished
-            buffered = 0
-        result.add(
-            protocol=protocol,
-            total_mbytes=total_bytes / 1e6,
-            delivered_mbytes=delivered / 1e6,
-            goodput_mbps=delivered * 8 / duration_s / 1e6,
-            completed=completed,
-            gw_buffered_bytes=buffered,
+    if protocol == "gateway-cubic":
+        path = build_gateway_path(
+            sim, rng, total_bytes, leo_hops,
+            terrestrial_spec=TERRESTRIAL, tcp_cc=CCSpec("cubic"),
         )
-    return result
+        sim.run(until=run.duration)
+        return (path.client.bytes_delivered, path.completed,
+                path.egress.buffered_bytes)
+    if protocol == "e2e-cubic":
+        path = build_path(sim, rng, PathSpec(
+            protocol="tcp", hops=full_chain, cc_name="cubic",
+            total_bytes=total_bytes,
+        ))
+        sim.run(until=run.duration)
+        delivered = path.receiver.bytes_delivered
+        return delivered, path.sender.finished and delivered >= total_bytes, 0
+    path = build_path(sim, rng, PathSpec(
+        protocol="leotp", hops=full_chain, config=LeotpConfig(),
+        total_bytes=total_bytes,
+    ))
+    sim.run(until=run.duration)
+    return path.consumer.bytes_received, path.consumer.finished, 0
 
 
-run = run_gateway
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().table())
+run = Figure(
+    "Gateway",
+    "TCP<->LEOTP gateway bridging vs end-to-end deployments "
+    "(lossy emulated-Starlink LEO segment)",
+    ("protocol",),
+    base_s=20.0, floor_s=8.0,
+    grid=[(protocol,) for protocol in _PROTOCOLS],
+    cell=_transfer,
+    row=lambda run, out, protocol: dict(
+        total_mbytes=_total_bytes(run) / 1e6,
+        delivered_mbytes=out[0] / 1e6,
+        goodput_mbps=out[0] * 8 / run.duration / 1e6,
+        completed=out[1],
+        gw_buffered_bytes=out[2],
+    ),
+    sampler_interval_s=0.5,
+)

@@ -12,12 +12,10 @@ staggered arrival served from cache.
 from __future__ import annotations
 
 from repro.core import Consumer, LeotpConfig, MulticastMidnode, Producer
-from repro.experiments.common import ExperimentResult, scaled_duration
+from repro.experiments.paper import Figure, Run
 from repro.netsim.link import DuplexLink
 from repro.netsim.trace import FlowRecorder
 from repro.simcore import Simulator
-
-SAMPLER_INTERVAL_S = 0.5
 
 #: Fan-out sizes swept at stagger 0 (simultaneous Interests).
 FANOUTS = (2, 4, 8)
@@ -26,9 +24,10 @@ FANOUTS = (2, 4, 8)
 STAGGER_S = 3.0
 
 
-def _build_tree(sim: Simulator, n_consumers: int, total_bytes: int,
-                stagger_s: float):
+def _fan_out(run: Run, n_consumers: int, stagger_s: float) -> tuple:
     """n consumers <- MulticastMidnode <- producer, one shared flow."""
+    total_bytes = _total_bytes(run)
+    sim = Simulator()
     config = LeotpConfig()
     producer = Producer(sim, "prod", config, content_bytes=total_bytes)
     midnode = MulticastMidnode(sim, "mid", config)
@@ -47,44 +46,40 @@ def _build_tree(sim: Simulator, n_consumers: int, total_bytes: int,
         )
         consumer.out_link = access.ba
         consumers.append(consumer)
-    return producer, midnode, consumers
+    sim.run(until=run.duration)
+    return producer, midnode, sum(1 for c in consumers if c.finished)
 
 
-def run_multicast(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    """Producer-side amplification versus fan-out (and under stagger)."""
-    duration_s = scaled_duration(30.0, scale, minimum_s=12.0)
-    total_bytes = max(int(300 * 1400 * scale), 50 * 1400)
-    result = ExperimentResult(
-        "Multicast",
-        "Interest aggregation + fan-out: producer bytes vs N consumers",
+def _total_bytes(run: Run) -> int:
+    return max(int(300 * 1400 * run.scale), 50 * 1400)
+
+
+def _row(run: Run, out, n_consumers: int, stagger_s: float) -> dict:
+    producer, midnode, finished = out
+    total_bytes = _total_bytes(run)
+    return dict(
+        finished=finished,
+        all_finished=finished == n_consumers,
+        producer_mbytes=producer.wire_bytes_sent / 1e6,
+        # Amplification: 1.0 = one full copy upstream; the naive
+        # unicast baseline is n_consumers.
+        upstream_copies=producer.wire_bytes_sent / total_bytes,
+        savings_vs_unicast=1.0 - producer.wire_bytes_sent / (
+            n_consumers * total_bytes),
+        interests_aggregated=midnode.interests_aggregated,
+        fanout_packets=midnode.fanout_packets,
+        cache_hits=midnode.cache.stats.hits,
     )
-    cases = [(n, 0.0) for n in FANOUTS] + [(4, STAGGER_S)]
-    for n_consumers, stagger_s in cases:
-        sim = Simulator()
-        producer, midnode, consumers = _build_tree(
-            sim, n_consumers, total_bytes, stagger_s
-        )
-        sim.run(until=duration_s)
-        finished = sum(1 for c in consumers if c.finished)
-        naive = n_consumers * total_bytes
-        result.add(
-            n_consumers=n_consumers,
-            stagger_s=stagger_s,
-            finished=finished,
-            all_finished=finished == n_consumers,
-            producer_mbytes=producer.wire_bytes_sent / 1e6,
-            # Amplification: 1.0 = one full copy upstream; the naive
-            # unicast baseline is n_consumers.
-            upstream_copies=producer.wire_bytes_sent / total_bytes,
-            savings_vs_unicast=1.0 - producer.wire_bytes_sent / naive,
-            interests_aggregated=midnode.interests_aggregated,
-            fanout_packets=midnode.fanout_packets,
-            cache_hits=midnode.cache.stats.hits,
-        )
-    return result
 
 
-run = run_multicast
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().table())
+#: Producer-side amplification versus fan-out (and under stagger).
+run = Figure(
+    "Multicast",
+    "Interest aggregation + fan-out: producer bytes vs N consumers",
+    ("n_consumers", "stagger_s"),
+    base_s=30.0, floor_s=12.0,
+    grid=[(n, 0.0) for n in FANOUTS] + [(4, STAGGER_S)],
+    cell=_fan_out,
+    row=_row,
+    sampler_interval_s=0.5,
+)

@@ -5,17 +5,19 @@ Each sweep artefact is one :class:`Figure` entry holding only what
 differs between figures: its title and caption, its base duration and
 floor, its grid of parameter points in row order, the cell one point
 runs, a row extractor and an optional notes hook.  :meth:`Figure.__call__`
-is the one sweep runner: it scales the duration, applies the repeats
+is the one runner: it scales the duration, applies the repeats
 rule and keeps the rows in grid order.  The comment above each entry is
 its artefact's setup and claim.
 
-Fig. 13 (a switchable path) and Fig. 15 (a three-flow dumbbell) are not
-chain sweeps: they build their fabrics in their own modules, where their
-``run`` is a :class:`Figure` too, and register it in
-:data:`ALL_EXPERIMENTS` by module name, as do the studies beyond the
-paper.  Such a module is imported the first time its id is looked up,
-and a cell imports what only it needs (the Starlink emulation, the OWD
-model) when it runs.
+Fig. 13 (a switchable path), Fig. 15 (a three-flow dumbbell) and the
+eleven studies beyond the paper build their fabrics in their own
+modules, where ``run`` is a :class:`Figure` too, registered in
+:data:`ALL_EXPERIMENTS` by module name.  Such a module is imported the
+first time its id is looked up, and a cell imports what only it needs
+(the Starlink emulation, the OWD model) when it runs.  So every id runs
+through :meth:`Figure.__call__`, and a run's options (its congestion
+control, shard processes, sink, checkpoint and profile directories)
+reach a cell on :class:`Run`.
 """
 
 from __future__ import annotations
@@ -42,59 +44,77 @@ from repro.netsim.topology import HopSpec, uniform_chain_specs
 
 
 class Run(NamedTuple):
-    """What a cell, a row extractor and a notes hook see of one run."""
+    """What a cell, a row extractor and a notes hook see of one run: its
+    scale, seed, scaled duration and repeats, then the run's options —
+    the :class:`~repro.experiments.runner.RunSpec` fields a study reads
+    (``cc`` is a :class:`~repro.tcp.cc.CCSpec` or None)."""
 
     scale: float
     seed: int
     duration: float
     repeats: int
+    cc: Optional[Any] = None
+    shard_jobs: int = 1
+    sink_dir: Optional[str] = None
+    checkpoint_dir: Optional[str] = None
+    profile_dir: Optional[str] = None
 
 
 @dataclass(frozen=True)
 class Figure:
-    """One paper artefact: ``cell`` run at every point of ``grid``.
+    """One experiment: ``cell`` run at every point of ``grid``.
 
     ``cell(run, *point)`` measures one point and ``row(run, measured,
     *point)`` returns its measured columns; the row is the point's
     leading fields named by ``columns``, then those.  A cell that
     measures several rows at once returns them whole, as a list, from
-    ``row``.  ``notes(rows, run)`` returns the note lines, given the
-    finished rows.  An ``averaged`` cell returns a number, and its row
-    sees the mean over ``run.repeats`` seeds.
+    ``row``.  ``notes(rows, run, outs)`` returns the note lines, given
+    the finished rows and what each point's cell returned.  An
+    ``averaged`` cell returns a number, and its row sees the mean over
+    ``run.repeats`` seeds.  A ``grid`` that depends on the run (on its
+    options, or on a route schedule its points share) is a function of
+    the :class:`Run`, as a ``caption`` may be.  ``sampler_interval_s``
+    is the metrics cadence of an observed run (None: the global default).
     """
 
     name: str
     caption: Union[str, Callable[[Run], str]]
     columns: tuple[str, ...]
-    grid: Sequence[tuple]
+    grid: Union[Sequence[tuple], Callable[[Run], Sequence[tuple]]]
     cell: Callable[..., Any]
     row: Callable[..., Union[dict, list]]
     base_s: float = 20.0
     floor_s: float = 3.0
     averaged: bool = False
-    notes: Optional[Callable[[list, Run], list]] = None
+    notes: Optional[Callable[[list, Run, list], list]] = None
+    sampler_interval_s: Optional[float] = None
 
-    def __call__(self, scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-        """Run every point of the grid; the rows come in grid order."""
+    def __call__(
+        self, scale: float = 1.0, seed: int = 0, **options: Any
+    ) -> ExperimentResult:
+        """Run every point of the grid; the rows come in grid order.
+        ``options`` are the :class:`Run` option fields."""
         # Loss-based variants have long sawtooth periods, so single runs
         # are noisy: average a few seeds at full scale, one at benchmark
         # scale.
         repeats = (3 if scale >= 0.3 else 1) if self.averaged else 1
         run = Run(scale, seed, scaled_duration(self.base_s, scale, self.floor_s),
-                  repeats)
+                  repeats, **options)
         caption = self.caption(run) if callable(self.caption) else self.caption
         result = ExperimentResult(self.name, caption)
-        for point in self.grid:
-            outs = [self.cell(run._replace(seed=seed + rep), *point)
+        outs = []
+        for point in self.grid(run) if callable(self.grid) else self.grid:
+            reps = [self.cell(run._replace(seed=seed + rep), *point)
                     for rep in range(repeats)]
-            out = sum(outs) / repeats if self.averaged else outs[0]
+            out = sum(reps) / repeats if self.averaged else reps[0]
+            outs.append(out)
             measured = self.row(run, out, *point)
             if isinstance(measured, list):
                 result.rows.extend(measured)
             else:
                 result.add(**dict(zip(self.columns, point)), **measured)
         if self.notes is not None:
-            result.notes.extend(self.notes(result.rows, run))
+            result.notes.extend(self.notes(result.rows, run, outs))
         return result
 
 
@@ -121,14 +141,16 @@ def _square_wave_chain(n_hops: int, **hop) -> list[HopSpec]:
     ]
 
 
-def _starlink(run: Run, pair: str, protocol: str, **options):
+def _starlink(run: Run, pair: str, protocol: str, isls_enabled: bool,
+              **options):
     """One flow between ``pair``'s cities over the emulated Starlink."""
-    from repro.experiments.starlink import CITY_PAIRS, run_starlink_flow
-
-    city_a, city_b = CITY_PAIRS[pair]
-    return run_starlink_flow(
-        protocol, city_a, city_b, run.duration, seed=run.seed, **options
+    from repro.experiments.starlink import (
+        CITY_PAIRS, path_schedule, run_starlink_flow,
     )
+
+    schedule = path_schedule(*CITY_PAIRS[pair], isls_enabled, run.duration)
+    return run_starlink_flow(protocol, schedule, run.duration, seed=run.seed,
+                             isls_enabled=isls_enabled, **options)
 
 
 def _starlink_row(*names: str) -> Callable[..., dict]:
@@ -205,7 +227,7 @@ def _retx_owd(run: Run, plr: float) -> list[dict]:
     ]
 
 
-def _recovery_reduction(rows: list[dict], run: Run) -> list[str]:
+def _recovery_reduction(rows: list[dict], run: Run, outs: list) -> list[str]:
     """Average recovery-time reduction across loss rates (paper: 59-64 %)."""
     costs = {
         proto: [r["recovery_cost_ms"] for r in rows
@@ -222,7 +244,7 @@ def _file_bytes(run: Run) -> int:
     return max(int(20e6 * run.scale), 2_000_000)
 
 
-def _slope_ratio(rows: list[dict], run: Run) -> list[str]:
+def _slope_ratio(rows: list[dict], run: Run, outs: list) -> list[str]:
     """Overhead slope comparison (paper: LEOTP slope ~= 20 % of BBR's)."""
 
     def slope(protocol: str) -> float:
@@ -238,7 +260,7 @@ def _slope_ratio(rows: list[dict], run: Run) -> list[str]:
     return []
 
 
-def _degradation(rows: list[dict], run: Run) -> list[str]:
+def _degradation(rows: list[dict], run: Run, outs: list) -> list[str]:
     """Degradation summary at the top loss rate."""
     notes = []
     for proto in ("leotp", "bbr", "pcc"):
@@ -286,12 +308,12 @@ def _vph_row(run: Run, out, n_hops: int, vph: str) -> dict:
     )
 
 
-def _static(*notes: str) -> Callable[[list, Run], list]:
-    return lambda rows, run: list(notes)
+def _static(*notes: str) -> Callable[[list, Run, list], list]:
+    return lambda *_: list(notes)
 
 
 class _Table(Mapping):
-    """Read-only ``id -> run`` map.  An entry is a :class:`Figure`, or
+    """Read-only ``id -> Figure`` map.  An entry is a :class:`Figure`, or
     the name of the module whose ``run`` it is, imported on lookup so
     that one id loads only what it needs (``networkx`` only for the
     constellation studies)."""
@@ -299,7 +321,7 @@ class _Table(Mapping):
     def __init__(self, entries: dict[str, Union[Figure, str]]) -> None:
         self._entries = entries
 
-    def __getitem__(self, name: str) -> Callable:
+    def __getitem__(self, name: str) -> Figure:
         entry = self._entries[name]
         if isinstance(entry, str):
             return import_module(f"{__package__}.{entry}").run
@@ -319,7 +341,7 @@ _STARLINK_PAIRS = ("BJ-HK", "BJ-PR", "BJ-NY")
 _STARLINK_PROTOCOLS = [(p,) for p in ("leotp", "bbr", "pcc", "hybla")]
 _FLOW = ("throughput_mbps", "owd_mean_ms")
 
-ALL_EXPERIMENTS: Mapping[str, Callable] = _Table({
+ALL_EXPERIMENTS: Mapping[str, Figure] = _Table({
     # Fig. 1a — the Starlink download-bandwidth distribution.  The paper
     # motivates LEOTP with the measured Starlink bandwidth distribution
     # (2-386 Mbps, right-skewed).  We regenerate the distribution from
@@ -332,7 +354,7 @@ ALL_EXPERIMENTS: Mapping[str, Callable] = _Table({
             _n_bandwidth_samples(run), np.random.default_rng(run.seed)
         ) / 1e6,
         row=_bandwidth_rows,
-        notes=lambda rows, run: [
+        notes=lambda rows, run, outs: [
             f"{_n_bandwidth_samples(run)} samples; paper/IMC'22 range is "
             "2-386 Mbps with a ~100 Mbps body"
         ],

@@ -9,17 +9,13 @@ over every hop, where only LEOTP's per-hop recovery helps.
 
 from __future__ import annotations
 
-from repro.experiments.common import (
-    ExperimentResult,
-    PathSpec,
-    run_chain,
-    scaled_duration,
-)
+from repro.experiments.common import PathSpec, run_chain
+from repro.experiments.paper import Figure, Run
+from repro.netsim.node import ChainForwarder, wire_chain_forwarders
 from repro.netsim.topology import HopSpec, build_chain
 from repro.netsim.trace import FlowRecorder
 from repro.simcore import RngRegistry, Simulator
 from repro.tcp import SnoopProxy, TcpReceiver, TcpSender, make_cc
-from repro.netsim.node import ChainForwarder, wire_chain_forwarders
 
 N_HOPS = 5
 RATE = 20e6
@@ -58,32 +54,26 @@ def _run_snoop(hops, duration: float, seed: int) -> float:
     return recorder.throughput_bps(duration * 0.2, duration) / 1e6
 
 
-def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
-    duration = scaled_duration(20.0, scale)
-    result = ExperimentResult(
-        "Snoop comparison",
-        "Throughput (Mbps): same 2 % loss budget on the last hop vs spread",
-    )
-    for spread in (False, True):
-        hops = _hops(spread)
-        placement = "spread over all hops" if spread else "last hop only"
-        cubic, _ = run_chain(
-            PathSpec(protocol="tcp", hops=hops, cc_name="cubic"),
-            duration, seed=seed,
-        )
-        result.add(loss_placement=placement, protocol="cubic",
-                   throughput_mbps=cubic.throughput_mbps)
-        result.add(loss_placement=placement, protocol="cubic+snoop",
-                   throughput_mbps=_run_snoop(hops, duration, seed))
-        leotp, _ = run_chain(PathSpec(hops=hops), duration, seed=seed)
-        result.add(loss_placement=placement, protocol="leotp",
-                   throughput_mbps=leotp.throughput_mbps)
-    result.notes.append(
+def _throughput(run: Run, placement: str, protocol: str) -> float:
+    hops = _hops(spread=placement != "last hop only")
+    if protocol == "cubic+snoop":
+        return _run_snoop(hops, run.duration, run.seed)
+    spec = (PathSpec(hops=hops) if protocol == "leotp"
+            else PathSpec(protocol="tcp", hops=hops, cc_name=protocol))
+    return run_chain(spec, run.duration, seed=run.seed)[0].throughput_mbps
+
+
+run = Figure(
+    "Snoop comparison",
+    "Throughput (Mbps): same 2 % loss budget on the last hop vs spread",
+    ("loss_placement", "protocol"),
+    grid=[(placement, protocol)
+          for placement in ("last hop only", "spread over all hops")
+          for protocol in ("cubic", "cubic+snoop", "leotp")],
+    cell=_throughput,
+    row=lambda run, mbps, *_: dict(throughput_mbps=mbps),
+    notes=lambda *_: [
         "Snoop matches LEOTP only when the loss sits on its own hop; "
         "spread the same loss and only per-hop recovery keeps throughput"
-    )
-    return result
-
-
-if __name__ == "__main__":
-    print(run().table())
+    ],
+)

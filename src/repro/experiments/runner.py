@@ -5,8 +5,10 @@
 in-process (``jobs=1``) or fanned out over ``jobs`` processes, the
 calling one included (``jobs>1``).
 How each experiment runs is described by one :class:`RunSpec`, shared
-by every id in the batch and the only options channel: an experiment
-receives the fields its ``run()`` signature names.
+by every id in the batch and the only options channel: every id is a
+:class:`~repro.experiments.paper.Figure`, called the same way, and its
+cells read the options they use off
+:class:`~repro.experiments.paper.Run`.
 
 Determinism guarantee: every experiment constructs its own
 :class:`~repro.simcore.Simulator` and :class:`~repro.simcore.RngRegistry`
@@ -20,11 +22,9 @@ asserts the bit-identity per experiment id.
 
 from __future__ import annotations
 
-import inspect
 import os
-import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.common.fanout import fan_out
@@ -38,14 +38,15 @@ class RunSpec:
     the pool workers, and programmatic sweeps.
 
     ``sampler_interval_s`` overrides the metrics sampler cadence for
-    observed runs; when None, an experiment module may provide its own
-    default via a module-level ``SAMPLER_INTERVAL_S``, falling back to
+    observed runs; when None, the experiment's own
+    ``Figure.sampler_interval_s`` applies, else
     :data:`repro.obs.metrics.DEFAULT_INTERVAL_S` (50 ms).
 
-    ``cc`` (a :class:`~repro.tcp.cc.CCSpec`; bare names are coerced)
-    selects/overrides the congestion control for experiments that take a
-    ``cc`` keyword (``workload``, ``churn``, ``ccbench``).  The spec is
-    frozen and picklable, so it rides through the process pool unchanged.
+    ``cc`` (a :class:`~repro.tcp.cc.CCSpec`; bare names are coerced here,
+    at the edge) selects/overrides the congestion control for the
+    experiments whose cells read ``Run.cc`` (``workload``, ``churn``,
+    ``ccbench``).  The spec is frozen and picklable, so it rides through
+    the process pool unchanged.
 
     ``cc_module`` names a module imported (for its ``@register_cc`` side
     effects) inside :func:`run_one` — i.e. in every pool worker, not
@@ -103,23 +104,13 @@ class RunOutcome:
     metric_samples: Optional[list] = None
 
 
-def _sampler_interval_for(run, spec: RunSpec) -> float:
-    """Resolve the sampler cadence: spec override > module default > global."""
-    from repro.obs.metrics import DEFAULT_INTERVAL_S
-
-    if spec.sampler_interval_s is not None:
-        return spec.sampler_interval_s
-    module = sys.modules.get(getattr(run, "__module__", ""))
-    interval = getattr(module, "SAMPLER_INTERVAL_S", None)
-    return interval if interval is not None else DEFAULT_INTERVAL_S
-
-
 def run_one(name: str, spec: RunSpec = RunSpec()) -> RunOutcome:
     """Run one experiment id; the unit of work for serial and pool runs.
 
     Imports lazily so pool workers (``spawn`` start method included) pay
-    the import cost once per process, not per task.  The experiment is
-    called with every :class:`RunSpec` field its ``run()`` names.
+    the import cost once per process, not per task.  Every experiment is
+    called the same way: scale, seed and the run options
+    (:class:`~repro.experiments.paper.Run`'s option fields).
 
     With ``spec.observe``, the global tracer and metrics registry are
     reset and enabled around this experiment alone, and the drained
@@ -134,23 +125,28 @@ def run_one(name: str, spec: RunSpec = RunSpec()) -> RunOutcome:
 
         importlib.import_module(spec.cc_module)
     run = ALL_EXPERIMENTS[name]
-    wanted = inspect.signature(run).parameters
-    kwargs = {
-        f.name: getattr(spec, f.name) for f in fields(spec) if f.name in wanted
-    }
+    kwargs = dict(
+        scale=spec.scale, seed=spec.seed, cc=spec.cc,
+        shard_jobs=spec.shard_jobs, sink_dir=spec.sink_dir,
+        checkpoint_dir=spec.checkpoint_dir, profile_dir=spec.profile_dir,
+    )
     profile_path = None
     trace_records = None
     metric_samples = None
     saved_interval = None
     if spec.observe:
         from repro.obs import METRICS, TRACER
+        from repro.obs.metrics import DEFAULT_INTERVAL_S
 
         TRACER.reset()
         METRICS.reset()
         TRACER.enable()
         METRICS.enable()
         saved_interval = METRICS.interval_s
-        METRICS.interval_s = _sampler_interval_for(run, spec)
+        METRICS.interval_s = (
+            spec.sampler_interval_s or run.sampler_interval_s
+            or DEFAULT_INTERVAL_S
+        )
     t0 = time.time()
     try:
         if spec.profile_dir is not None:

@@ -48,20 +48,19 @@ def path_schedule(
 
 def run_starlink_flow(
     protocol: str,
-    city_a: str,
-    city_b: str,
+    schedule: PathSchedule,
     duration_s: float,
     seed: int = 0,
     isls_enabled: bool = True,
     coverage: float = 1.0,
     config: Optional[LeotpConfig] = None,
 ) -> tuple[FlowMetrics, dict]:
-    """Run one transfer from ``city_a`` (producer/sender) to ``city_b``.
+    """Run one transfer along ``schedule``'s route (its first city is the
+    producer/sender) over a chain of emulated Starlink hops.
 
     ``protocol`` is ``"leotp"`` or a TCP congestion-control name.
     Returns flow metrics plus context (hop count, propagation delay).
     """
-    schedule = path_schedule(city_a, city_b, isls_enabled, duration_s)
     n_hops = max(representative_hop_count(schedule), 2)
     hops = starlink_hop_specs(n_hops, isls_enabled=isls_enabled, seed=seed)
     if protocol == "leotp":

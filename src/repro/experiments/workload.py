@@ -21,16 +21,11 @@ offered load — about 70 % of the bottleneck — does not change with scale.
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult
+from repro.experiments.paper import Figure, Run
 from repro.netsim.topology import uniform_chain_specs
 from repro.obs.metrics import METRICS
 from repro.simcore import RngRegistry, Simulator
 from repro.workload import FlowPool, WorkloadSpec
-
-#: Per-experiment sampler cadence override (picked up by the runner):
-#: pool-level gauges move slowly, so 200 ms is plenty and keeps the
-#: sample stream proportionate to the run length.
-SAMPLER_INTERVAL_S = 0.2
 
 PROTOCOLS = ("leotp", "bbr", "cubic")
 N_HOPS = 5
@@ -44,72 +39,85 @@ MEMORY_CEILING_BYTES = 8 << 20
 DRAIN_S = 8.0  # extra simulated time after the last arrival
 
 
-def run(scale: float = 1.0, seed: int = 0, cc=None) -> ExperimentResult:
-    """Many-flow workload; ``cc`` (name or CCSpec) swaps the TCP rows' CC."""
-    protocols: tuple = PROTOCOLS
-    if cc is not None:
-        from repro.tcp.cc import as_cc_spec
+def _n_flows(run: Run) -> int:
+    return max(int(round(2000 * run.scale)), 60)
 
-        protocols = ("leotp", as_cc_spec(cc))
-    n_flows = max(int(round(2000 * scale)), 60)
+
+def _protocols(run: Run) -> list[tuple]:
+    """(label, protocol) points; ``run.cc`` swaps the TCP rows' CC."""
+    protocols = PROTOCOLS if run.cc is None else ("leotp", run.cc)
+    return [(str(protocol), protocol) for protocol in protocols]
+
+
+def run_pool(run: Run, spec: WorkloadSpec, **pool_options) -> dict:
+    """``spec``'s flows over the shared chain, drained for
+    :data:`DRAIN_S` after the last arrival; returns the pool's summary."""
+    sim = Simulator()
+    pool = FlowPool(
+        sim,
+        RngRegistry(run.seed),
+        spec=spec,
+        hops=uniform_chain_specs(
+            N_HOPS, rate_bps=HOP_RATE_BPS, delay_s=HOP_DELAY_S
+        ),
+        **pool_options,
+    )
+    if METRICS.enabled:
+        pool.attach_samplers()
+    sim.run(until=spec.n_flows / ARRIVAL_RATE_PER_S + DRAIN_S)
+    pool.finalize()
+    return pool.summary()
+
+
+def _pool(run: Run, label: str, protocol) -> dict:
+    """One protocol's pool over the chain; returns its summary."""
     spec = WorkloadSpec(
         arrival="poisson",
         rate_per_s=ARRIVAL_RATE_PER_S,
-        n_flows=n_flows,
+        n_flows=_n_flows(run),
         size_dist="lognormal",
         mean_size_bytes=MEAN_SIZE_BYTES,
         sigma=SIZE_SIGMA,
         max_size_bytes=MAX_SIZE_BYTES,
     )
-    result = ExperimentResult(
-        "Workload",
-        f"{n_flows} Poisson flow arrivals (lognormal sizes, mean "
-        f"{MEAN_SIZE_BYTES} B) multiplexed over a shared "
-        f"{N_HOPS}-hop chain, {MEMORY_CEILING_BYTES >> 20} MiB memory budget",
+    return run_pool(run, spec, protocol=protocol,
+                    memory_ceiling_bytes=MEMORY_CEILING_BYTES)
+
+
+def _row(run: Run, s: dict, *_) -> dict:
+    return dict(
+        arrivals=int(s["arrivals"]),
+        completed=int(s["completed"]),
+        aborted=int(s["aborted"]),
+        peak_conc=int(s["peak_concurrency"]),
+        fct_p50_ms=s["fct_p50_s"] * 1e3,
+        fct_p90_ms=s["fct_p90_s"] * 1e3,
+        fct_p99_ms=s["fct_p99_s"] * 1e3,
+        goodput_kBs=s.get("goodput_mean_bytes_s", 0.0) / 1e3,
+        jain_mean=s["jain_mean"],
+        jain_min=s["jain_min"],
+        budget_peak_MiB=s["budget_peak_bytes"] / (1 << 20),
+        budget_breaches=int(s["budget_breaches"]),
+        cache_evictions=int(s.get("cache_pool_evictions", 0)),
+        admission_rejects=int(s["admission_rejects"]),
     )
-    duration_s = n_flows / ARRIVAL_RATE_PER_S + DRAIN_S
-    for protocol in protocols:
-        sim = Simulator()
-        rng = RngRegistry(seed)
-        pool = FlowPool(
-            sim,
-            rng,
-            spec=spec,
-            hops=uniform_chain_specs(
-                N_HOPS, rate_bps=HOP_RATE_BPS, delay_s=HOP_DELAY_S
-            ),
-            protocol=protocol,
-            memory_ceiling_bytes=MEMORY_CEILING_BYTES,
-        )
-        if METRICS.enabled:
-            pool.attach_samplers()
-        sim.run(until=duration_s)
-        pool.finalize()
-        s = pool.summary()
-        result.add(
-            protocol=str(protocol),
-            arrivals=int(s["arrivals"]),
-            completed=int(s["completed"]),
-            aborted=int(s["aborted"]),
-            peak_conc=int(s["peak_concurrency"]),
-            fct_p50_ms=s["fct_p50_s"] * 1e3,
-            fct_p90_ms=s["fct_p90_s"] * 1e3,
-            fct_p99_ms=s["fct_p99_s"] * 1e3,
-            goodput_kBs=s.get("goodput_mean_bytes_s", 0.0) / 1e3,
-            jain_mean=s["jain_mean"],
-            jain_min=s["jain_min"],
-            budget_peak_MiB=s["budget_peak_bytes"] / (1 << 20),
-            budget_breaches=int(s["budget_breaches"]),
-            cache_evictions=int(s.get("cache_pool_evictions", 0)),
-            admission_rejects=int(s["admission_rejects"]),
-        )
-    result.notes.append(
+
+
+run = Figure(
+    "Workload",
+    lambda run: f"{_n_flows(run)} Poisson flow arrivals (lognormal sizes, "
+    f"mean {MEAN_SIZE_BYTES} B) multiplexed over a shared "
+    f"{N_HOPS}-hop chain, {MEMORY_CEILING_BYTES >> 20} MiB memory budget",
+    ("protocol",),
+    grid=_protocols,
+    cell=_pool,
+    row=_row,
+    notes=lambda *_: [
         "jain_mean/jain_min = windowed (1 s) Jain index over concurrently "
         "active flows; budget_breaches = ledger updates above the ceiling "
         "(0 proves the budget held)"
-    )
-    return result
-
-
-if __name__ == "__main__":
-    print(run().table())
+    ],
+    # Pool-level gauges move slowly, so 200 ms is plenty and keeps the
+    # sample stream proportionate to the run length.
+    sampler_interval_s=0.2,
+)

@@ -16,9 +16,7 @@ outside it or its memory budget was ever breached.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.experiments.common import ExperimentResult
+from repro.experiments.paper import Figure, Run
 from repro.shard import ShardPlan, run_sharded
 
 N_SHARDS = 16
@@ -36,37 +34,35 @@ def shard_plan(scale: float = 1.0, seed: int = 0) -> ShardPlan:
     )
 
 
-def run(
-    scale: float = 1.0,
-    seed: int = 0,
-    shard_jobs: int = 1,
-    profile_dir: Optional[str] = None,
-) -> ExperimentResult:
-    plan = shard_plan(scale, seed)
-    out = run_sharded(plan, jobs=shard_jobs, profile_dir=profile_dir)
-
-    result = ExperimentResult(
-        name="workload_sharded",
-        description=(
-            f"Sharded constellation workload: {plan.n_shards} ground-"
-            f"station pairs x {plan.arrivals_per_shard} flows, "
-            f"{plan.shard_cache_bytes / (1 << 20):g} MiB cache slice each"
-        ),
+def _caption(run: Run) -> str:
+    plan = shard_plan(run.scale, run.seed)
+    return (
+        f"Sharded constellation workload: {plan.n_shards} ground-"
+        f"station pairs x {plan.arrivals_per_shard} flows, "
+        f"{plan.shard_cache_bytes / (1 << 20):g} MiB cache slice each"
     )
-    for row in out["rows"]:
-        result.add(**row)
 
-    result.notes.append(
+
+def _notes(rows: list, run: Run, outs: list) -> list[str]:
+    plan = shard_plan(run.scale, run.seed)
+    return [
         f"each shard simulated {plan.horizon_s:.1f}s in one run and ended "
         f"inside its {plan.shard_cache_bytes / (1 << 20):g} MiB cache "
-        f"slice with 0 memory-budget breaches (checked per shard)"
-    )
-    result.notes.append(
+        f"slice with 0 memory-budget breaches (checked per shard)",
         "rows are bit-identical for any --shard-jobs value; "
-        "wall-clock never enters the table"
-    )
-    return result
+        "wall-clock never enters the table",
+    ]
 
 
-if __name__ == "__main__":
-    print(run(scale=0.2).table())
+run = Figure(
+    "workload_sharded",
+    _caption,
+    (),
+    grid=[()],
+    cell=lambda run: run_sharded(
+        shard_plan(run.scale, run.seed),
+        jobs=run.shard_jobs, profile_dir=run.profile_dir,
+    ),
+    row=lambda run, out: out["rows"],
+    notes=_notes,
+)

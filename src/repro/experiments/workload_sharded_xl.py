@@ -36,10 +36,10 @@ by ``python -m repro.experiments``):
 from __future__ import annotations
 
 import os
-from typing import Optional
 
-from repro.experiments.common import ExperimentResult
+from repro.experiments.paper import Figure, Run
 from repro.shard import (
+    MERGED_SPILL_NAME,
     CheckpointError,
     ShardPlan,
     resume_point,
@@ -65,90 +65,83 @@ def shard_plan(scale: float = 1.0, seed: int = 0) -> ShardPlan:
     )
 
 
-def run(
-    scale: float = 1.0,
-    seed: int = 0,
-    shard_jobs: int = 1,
-    sink_dir: Optional[str] = None,
-    checkpoint_dir: Optional[str] = None,
-    profile_dir: Optional[str] = None,
-) -> ExperimentResult:
-    plan = shard_plan(scale, seed)
+def _run(run: Run) -> dict:
+    """The plan through the engine, resumed from ``run.checkpoint_dir``
+    when it holds this plan's manifest."""
+    plan = shard_plan(run.scale, run.seed)
     resume_from = None
-    if checkpoint_dir is not None:
+    if run.checkpoint_dir is not None:
         try:
-            resume_point(checkpoint_dir, plan)
-            resume_from = checkpoint_dir
+            resume_point(run.checkpoint_dir, plan)
+            resume_from = run.checkpoint_dir
         except CheckpointError:
-            resume_from = None  # no (valid) prior run: start fresh
-
-    out = run_sharded(
+            pass  # no (valid) prior run: start fresh
+    return run_sharded(
         plan,
-        jobs=shard_jobs,
-        sink_dir=sink_dir or DEFAULT_SINK_DIR,
-        checkpoint_dir=checkpoint_dir,
+        jobs=run.shard_jobs,
+        sink_dir=run.sink_dir or DEFAULT_SINK_DIR,
+        checkpoint_dir=run.checkpoint_dir,
         resume_from=resume_from,
-        profile_dir=profile_dir,
+        profile_dir=run.profile_dir,
     )
 
-    result = ExperimentResult(
-        name="workload_sharded_xl",
-        description=(
-            f"Extreme-scale sharded workload: {plan.n_shards} shards x "
-            f"{plan.arrivals_per_shard} flows "
-            f"({plan.n_shards * plan.arrivals_per_shard:,} total), "
-            f"streamed results + per-shard result commits"
-        ),
-    )
-    shard_rows = out["rows"][:-1]
-    total = out["rows"][-1]
+
+def _bands(run: Run, out: dict) -> list[dict]:
+    """Ten-shard bands, then the total row."""
+    shard_rows, total = out["rows"][:-1], out["rows"][-1]
     bands = []
     for lo in range(0, len(shard_rows), BAND):
         band = shard_rows[lo:lo + BAND]
-        hi = lo + len(band) - 1
-        bands.append(total_row(f"{lo:03d}-{hi:03d}", band))
-    for row in bands + [dict(total)]:
-        result.add(shards=row.pop("shard"), **row)
+        bands.append(total_row(f"{lo:03d}-{lo + len(band) - 1:03d}", band))
+    return [
+        dict(shards=row.pop("shard"), **row) for row in bands + [dict(total)]
+    ]
 
-    sink = out["sink"]
-    result.notes.append(
-        f"{out['completed']:,} of {total['arrivals']:,} flows completed; "
-        f"{plan.horizon_s:.1f}s simulated per shard "
-        f"({out['events_per_s']:,.0f} events/s)"
+
+def _caption(run: Run) -> str:
+    plan = shard_plan(run.scale, run.seed)
+    return (
+        f"Extreme-scale sharded workload: {plan.n_shards} shards x "
+        f"{plan.arrivals_per_shard} flows "
+        f"({plan.n_shards * plan.arrivals_per_shard:,} total), "
+        f"streamed results + per-shard result commits"
     )
-    if sink is not None:
-        result.notes.append(
-            f"per-flow rows streamed to {sink['merged_path']} "
-            f"({sink['merged_bytes'] / (1 << 20):.1f} MiB); resident "
-            f"records bounded by concurrency, not flow count"
-        )
-    if out["rss"] is not None:
-        result.notes.append(
-            f"peak RSS {out['rss']['total_peak_mib']:.0f} MiB "
-            f"(parent {out['rss']['parent_peak_mib']:.0f} MiB + "
-            f"{out['jobs'] - 1} worker(s) "
-            f"{out['rss']['worker_peak_mib']:.0f} MiB)"
-        )
-    result.notes.append(
-        f"process boundary: {out['exchange_payload_bytes'] / 1e3:.1f} kB "
-        f"sent / {out['exchange_report_bytes'] / 1e3:.1f} kB returned "
-        f"(one task's arguments out, one result dict back per shard)"
-    )
-    if resume_from is not None:
-        result.notes.append(
-            f"resumed from {checkpoint_dir}: {out['resumed_shards']} "
+
+
+def _notes(rows: list, run: Run, outs: list) -> list[str]:
+    (out,) = outs
+    total = rows[-1]
+    plan = shard_plan(run.scale, run.seed)
+    merged = os.path.join(run.sink_dir or DEFAULT_SINK_DIR, MERGED_SPILL_NAME)
+    notes = [
+        f"{total['completed']:,} of {total['arrivals']:,} flows completed; "
+        f"{plan.horizon_s:.1f}s simulated per shard",
+        f"per-flow rows streamed to {merged} "
+        f"({out['sink']['merged_bytes'] / (1 << 20):.1f} MiB); resident "
+        f"records bounded by concurrency, not flow count",
+    ]
+    if out["resumed_shards"]:
+        notes.append(
+            f"resumed from {run.checkpoint_dir}: {out['resumed_shards']} "
             f"finished shard(s) taken as committed"
         )
-    elif checkpoint_dir is not None:
-        result.notes.append(
-            f"{plan.n_shards} shard results committed to {checkpoint_dir}"
+    elif run.checkpoint_dir is not None:
+        notes.append(
+            f"{plan.n_shards} shard results committed to {run.checkpoint_dir}"
         )
-    result.notes.append(
+    notes.append(
         "per-shard rows (and the spilled flows.jsonl) are bit-identical "
         "for any --shard-jobs value"
     )
-    return result
+    return notes
 
 
-if __name__ == "__main__":
-    print(run(scale=0.02).table())
+run = Figure(
+    "workload_sharded_xl",
+    _caption,
+    (),
+    grid=[()],
+    cell=_run,
+    row=_bands,
+    notes=_notes,
+)

@@ -21,7 +21,7 @@ known transfer size (a real gateway would use a FIN-equivalent frame).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from repro.core.config import LeotpConfig
 from repro.core.consumer import Consumer
@@ -89,7 +89,7 @@ class EgressGateway(Node):
         client_name: str,
         total_bytes: Optional[int],
         config: LeotpConfig = LeotpConfig(),
-        cc_name: Union[str, CCSpec] = "cubic",
+        cc_name: CCSpec = CCSpec("cubic"),
         recorder: Optional[FlowRecorder] = None,
     ) -> None:
         super().__init__(sim, name)
@@ -178,7 +178,7 @@ def build_gateway_path(
     leo_hops: Sequence[HopSpec],
     terrestrial_spec: Optional[HopSpec] = None,
     config: LeotpConfig = LeotpConfig(),
-    tcp_cc: Union[str, CCSpec] = "cubic",
+    tcp_cc: CCSpec = CCSpec("cubic"),
     flow_id: str = "bridged",
 ) -> GatewayPath:
     """Wire the full bridged deployment over an N-hop LEO segment.

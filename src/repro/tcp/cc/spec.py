@@ -1,9 +1,9 @@
 """``CCSpec``: a frozen, picklable congestion-control selector.
 
-Everywhere the run API used to thread a bare ``cc_name: str`` it now
-accepts ``str | CCSpec``; :func:`as_cc_spec` is the single coercion
-point (``"bbr"`` → ``CCSpec("bbr")``), so existing call sites and
-pickled :class:`~repro.shard.plan.ShardPlan`s keep working unchanged.
+The public constructors — ``PathSpec``, ``FlowPool``, ``RunSpec`` and
+:func:`~repro.tcp.cc.make_cc` — also take a bare name and coerce it with
+:func:`as_cc_spec` (``"bbr"`` → ``CCSpec("bbr")``); past them a
+congestion-control choice is a :class:`CCSpec`.
 
 Params are stored as a sorted tuple of ``(key, value)`` pairs so the
 spec is hashable and its pickle/repr is deterministic regardless of the
@@ -13,7 +13,7 @@ dict-insertion order a caller used.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Mapping, Union
 
 ParamValue = Union[int, float, str, bool]
 
@@ -73,14 +73,12 @@ class CCSpec:
         return self.label()
 
 
-def as_cc_spec(cc: Union[str, CCSpec], default: Optional[str] = None) -> CCSpec:
+def as_cc_spec(cc: Union[str, CCSpec]) -> CCSpec:
     """Coerce a bare name or an existing spec into a :class:`CCSpec`."""
     if isinstance(cc, CCSpec):
         return cc
     if isinstance(cc, str):
         return CCSpec(cc)
-    if cc is None and default is not None:
-        return CCSpec(default)
     raise TypeError(f"expected a CC name or CCSpec, got {type(cc).__name__}")
 
 
@@ -98,16 +96,19 @@ def _coerce_value(text: str) -> ParamValue:
         return text
 
 
-def parse_cc_params(pairs: list) -> dict:
+def parse_cc_params(cc_param: list) -> dict:
     """Parse repeated CLI ``k=v`` strings into a typed param dict.
 
     Values coerce ``true``/``false`` → bool, then int, then float, and
-    fall back to the raw string.  Used by the ``--cc-param`` flag.
+    fall back to the raw string.  Used by the ``--cc-param`` flag; a key
+    given twice is refused, as :class:`CCSpec` refuses it.
     """
     params: dict = {}
-    for pair in pairs or ():
+    for pair in cc_param or ():
         key, sep, value = pair.partition("=")
         if not sep or not key:
             raise ValueError(f"--cc-param expects k=v, got {pair!r}")
+        if key in params:
+            raise ValueError(f"cc_param {key!r} is given twice")
         params[key] = _coerce_value(value)
     return params

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from repro.netsim.link import DuplexLink
 from repro.netsim.node import ChainForwarder, Node, wire_chain_forwarders
@@ -12,7 +12,7 @@ from repro.netsim.trace import FlowRecorder
 from repro.obs.metrics import METRICS, attach_tcp_samplers
 from repro.simcore.random import RngRegistry
 from repro.simcore.simulator import Simulator
-from repro.tcp.cc import CCSpec, as_cc_spec
+from repro.tcp.cc import CCSpec
 from repro.tcp.connection import ByteStream, TcpReceiver, TcpSender, make_tcp_sender
 from repro.tcp.segment import DEFAULT_MSS
 
@@ -44,7 +44,7 @@ def build_e2e_tcp_path(
     sim: Simulator,
     rng: RngRegistry,
     hops: Sequence[HopSpec],
-    cc_name: Union[str, CCSpec],
+    cc_name: CCSpec,
     stream: Optional[ByteStream] = None,
     mss: int = DEFAULT_MSS,
     flow_base: str = "tcp",
@@ -55,15 +55,13 @@ def build_e2e_tcp_path(
 
     This is the baseline configuration of Figs. 2, 4, 5, 12: one TCP
     connection whose segments are relayed by ``len(hops) - 1`` dumb nodes.
-    ``cc_name`` accepts a registry name or a :class:`CCSpec`.
     """
     n = len(hops)
     if n < 1:
         raise ValueError("need at least one hop")
-    spec = as_cc_spec(cc_name)
-    recorder = FlowRecorder(sim, name=f"{flow_base}:{spec.name}")
+    recorder = FlowRecorder(sim, name=f"{flow_base}:{cc_name.name}")
     sender = make_tcp_sender(
-        sim, f"{flow_base}-snd", f"{flow_base}-rcv", None, spec,
+        sim, f"{flow_base}-snd", f"{flow_base}-rcv", None, cc_name,
         stream=stream, mss=mss,
         flow_id=flow_base, start_time=start_time, stop_time=stop_time,
     )

@@ -11,7 +11,7 @@ queueing — Split TCP's weakness) is measured faithfully.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from repro.netsim.link import DuplexLink, Link
 from repro.netsim.node import Node
@@ -43,7 +43,7 @@ class SplitTcpProxy(Node):
         name: str,
         up_ack_link: Optional[Link],
         down_data_link: Optional[Link],
-        cc_name: Union[str, CCSpec],
+        cc_name: CCSpec,
         next_hop_name: str,
         up_flow_id: str,
         down_flow_id: str,
@@ -114,7 +114,7 @@ def build_split_tcp_path(
     sim: Simulator,
     rng,
     hops: Sequence,
-    cc_name: Union[str, CCSpec],
+    cc_name: CCSpec,
     stream: Optional[ByteStream] = None,
     recorder: Optional[FlowRecorder] = None,
     mss: int = DEFAULT_MSS,

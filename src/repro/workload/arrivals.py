@@ -98,6 +98,16 @@ class WorkloadSpec:
                 raise ValueError("n_flows must be positive")
         if self.arrival == "trace" and not self.trace:
             raise ValueError("trace arrivals need a non-empty trace")
+        for arrival_s, size_bytes in self.trace:
+            if arrival_s < 0 or size_bytes <= 0:
+                raise ValueError(f"trace entry {(arrival_s, size_bytes)} "
+                                 "needs arrival_s >= 0 and size_bytes > 0")
+        if any(a[0] > b[0] for a, b in zip(self.trace, self.trace[1:])):
+            raise ValueError("trace entries must be sorted by arrival time")
+        if self.mean_size_bytes <= 0:
+            raise ValueError("mean_size_bytes must be positive")
+        if not self.sigma >= 0:
+            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
         if not 0 < self.min_size_bytes <= self.max_size_bytes:
             raise ValueError("need 0 < min_size_bytes <= max_size_bytes")
         if self.closed_loop and self.target_concurrency <= 0:
@@ -119,23 +129,14 @@ def generate_demands(
 
     Deterministic: the same ``(spec, rng state)`` yields the same list.
     The returned demands are sorted by arrival time (guaranteed for
-    Poisson; validated for traces so the pool's timeline walker can rely
-    on it).
+    Poisson; :class:`WorkloadSpec` validates a trace, so the pool's
+    timeline walker can rely on it).
     """
     if spec.arrival == "trace":
-        demands = [
+        return [
             FlowDemand(arrival_s=float(t), size_bytes=int(size))
             for t, size in spec.trace
         ]
-        for d in demands:
-            if d.arrival_s < 0 or d.size_bytes <= 0:
-                raise ValueError(f"invalid trace entry {d}")
-        if any(
-            demands[i].arrival_s < demands[i - 1].arrival_s
-            for i in range(1, len(demands))
-        ):
-            raise ValueError("trace entries must be sorted by arrival time")
-        return demands
 
     # Content mode: the catalog's sizes draw first (a deterministic
     # prefix of the stream), then arrivals, then the per-flow Zipf

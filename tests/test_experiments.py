@@ -28,6 +28,8 @@ from repro.netsim.topology import uniform_chain_specs
 from repro.netsim.trace import FlowRecorder
 from repro.shard import ShardPlan
 from repro.simcore import RngRegistry, Simulator
+from repro.tcp.cc import parse_cc_params
+from repro.workload import WorkloadSpec
 
 
 class TestExperimentResult:
@@ -87,7 +89,8 @@ class TestSweepRunner:
             grid=[(2, "b"), (1, "a"), (3, "c")], cell=cell,
             row=lambda run, out, x, label: dict(out=out),
             base_s=30.0, floor_s=5.0,
-            notes=lambda rows, run: [",".join(r["label"] for r in rows)],
+            notes=lambda rows, run, outs: [
+                ",".join(r["label"] for r in rows), repr(outs)],
             **fields,
         )
 
@@ -100,7 +103,7 @@ class TestSweepRunner:
             {"x": 3, "label": "c", "out": 37.0},
         ]
         assert [list(row) for row in result.rows] == [["x", "label", "out"]] * 3
-        assert result.notes == ["b,a,c"]
+        assert result.notes == ["b,a,c", "[27.0, 17.0, 37.0]"]
         assert (result.name, result.description) == ("Fig. X", "stub")
 
     def test_duration_is_the_scaled_base_above_its_floor(self):
@@ -234,6 +237,11 @@ class TestPathInterface:
     (partial(PathSpec, hops=_HOPS), "coverage", 1.5),
     (partial(PathSpec, hops=_HOPS), "coverage", -0.1),
     (partial(PathSpec, hops=_HOPS, start_time=2.0), "stop_time", 1.0),
+    (WorkloadSpec, "mean_size_bytes", 0),
+    (WorkloadSpec, "sigma", -1.0),
+    (WorkloadSpec, "trace", ((-1.0, 100),)),
+    (WorkloadSpec, "trace", ((1.0, -5),)),
+    (parse_cc_params, "cc_param", ["a=1", "a=2"]),
 ])
 def test_a_spec_rejects_a_bad_field_by_name(spec, field, value):
     with pytest.raises(ValueError, match=rf"^{field} "):
@@ -445,10 +453,9 @@ class TestCcbench:
 
     @pytest.fixture(scope="class")
     def restricted(self):
-        from repro.experiments.ccbench import run_ccbench
         from repro.tcp.cc import CCSpec
 
-        return run_ccbench(
+        return ALL_EXPERIMENTS["ccbench"](
             scale=0.5, seed=0, cc=CCSpec("orbcc", {"probe_gain": 2.5})
         )
 

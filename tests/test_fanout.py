@@ -167,11 +167,13 @@ def test_lowest_failing_task_is_named_and_chained(jobs):
 _MARKERS = None  # set before the pool forks, so the workers inherit it
 
 
-def _boom(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
+def _boom(scale: float = 1.0, seed: int = 0, **options) -> ExperimentResult:
     raise ValueError("injected failure")
 
 
-def _mark(name: str, scale: float = 1.0, seed: int = 0) -> ExperimentResult:
+def _mark(
+    name: str, scale: float = 1.0, seed: int = 0, **options
+) -> ExperimentResult:
     open(os.path.join(_MARKERS, name), "w").close()
     time.sleep(0.25)
     return ExperimentResult(name, "stub")

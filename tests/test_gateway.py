@@ -9,6 +9,7 @@ from repro.netsim.link import DuplexLink
 from repro.netsim.node import SinkNode
 from repro.netsim.topology import HopSpec, uniform_chain_specs
 from repro.simcore import RngRegistry, Simulator
+from repro.tcp.cc import CCSpec
 
 
 class TestStreamingProducer:
@@ -179,7 +180,7 @@ def test_bridge_over_paced_cc_is_byte_exact():
     path = build_gateway_path(
         sim, RngRegistry(5), total_bytes=300_000,
         leo_hops=uniform_chain_specs(3, rate_bps=20e6, delay_s=0.010, plr=0.01),
-        tcp_cc="bbr",
+        tcp_cc=CCSpec("bbr"),
     )
     sim.run(until=60.0)
     assert path.server.finished

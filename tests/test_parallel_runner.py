@@ -52,7 +52,6 @@ def _start_together(monkeypatch, name: str) -> None:
     run = ALL_EXPERIMENTS[name]
     barrier = multiprocessing.Barrier(2)
 
-    @functools.wraps(run)  # run_one reads the experiment's signature
     def together(**kwargs):
         barrier.wait(timeout=60)
         return run(**kwargs)
@@ -169,11 +168,11 @@ class _Reached(Exception):
     ],
 )
 def test_runspec_fields_reach_run_sharded(monkeypatch, tmp_path, name, forwarded):
-    """``run_one`` hands an experiment the fields its ``run()`` names, and
-    the sharded experiments pass them on to the engine as given."""
+    """``run_one`` hands every experiment the run options, and the
+    sharded experiments pass the ones they use on to the engine as given."""
     import importlib
 
-    module = importlib.import_module(ALL_EXPERIMENTS[name].__module__)
+    module = importlib.import_module(f"repro.experiments.{name}")
     calls = []
 
     def spy(plan, **kwargs):

@@ -8,6 +8,7 @@ from repro.netsim.trace import FlowRecorder
 from repro.simcore import RngRegistry, Simulator
 from repro.tcp import FiniteStream, TcpReceiver, TcpSender, make_cc
 from repro.tcp.snoop import SnoopProxy
+from repro.tcp.cc import CCSpec
 
 
 def build_snoop_path(sim, rng, last_hop_plr=0.02, first_hop_plr=0.0,
@@ -88,7 +89,7 @@ class TestSnoopProxy:
                     HopSpec(rate_bps=20e6, delay_s=0.005, plr=0.03),
                 ]
                 path = build_e2e_tcp_path(
-                    sim, rng, hops, "cubic", stream=FiniteStream(total)
+                    sim, rng, hops, CCSpec("cubic"), stream=FiniteStream(total)
                 )
                 sender = path.sender
             sim.run(until=300.0)

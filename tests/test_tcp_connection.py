@@ -11,6 +11,7 @@ from repro.tcp import (
     build_e2e_tcp_path,
     build_split_tcp_path,
 )
+from repro.tcp.cc import CCSpec, as_cc_spec
 
 
 def run_transfer(n_hops=2, plr=0.0, cc="reno", total=200_000, until=30.0, seed=1,
@@ -20,7 +21,7 @@ def run_transfer(n_hops=2, plr=0.0, cc="reno", total=200_000, until=30.0, seed=1
     path = build_e2e_tcp_path(
         sim, rng,
         uniform_chain_specs(n_hops, rate_bps=rate, delay_s=delay, plr=plr),
-        cc, stream=FiniteStream(total),
+        as_cc_spec(cc), stream=FiniteStream(total),
     )
     sim.run(until=until)
     return sim, path
@@ -99,7 +100,7 @@ class TestLossyTransfer:
         rng = RngRegistry(5)
         path = build_e2e_tcp_path(
             sim, rng, uniform_chain_specs(2, rate_bps=10e6, delay_s=0.005),
-            "reno", stream=FiniteStream(500_000),
+            CCSpec("reno"), stream=FiniteStream(500_000),
         )
         def blackout():
             for duplex in path.links:
@@ -116,7 +117,7 @@ class TestLossyTransfer:
         rng = RngRegistry(6)
         path = build_e2e_tcp_path(
             sim, rng, uniform_chain_specs(1, rate_bps=10e6, delay_s=0.005),
-            "reno", stream=FiniteStream(5 * 1400),
+            CCSpec("reno"), stream=FiniteStream(5 * 1400),
         )
         # The whole 5-segment transfer fits in the initial window; flush it
         # all while in flight.
@@ -129,6 +130,20 @@ class TestLossyTransfer:
         sim, path = run_transfer(n_hops=3, plr=0.05, until=120.0, total=100_000)
         assert path.receiver.bytes_delivered == 100_000
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "TCP defect (a), ROADMAP item 4: tcp/connection.py:425, "
+        "delivered = acked + newly_sacked, counts SACKed bytes again when "
+        "the cumulative ACK passes them"
+    ))
+    def test_delivered_total_stays_within_the_transfer(self):
+        """BBR, 3 MB over 5 x (20 Mbit/s, 10 ms, 1 % loss): every byte
+        arrives once, yet the sender counts 5,748,000 B delivered at seed
+        0 (5,879,600 B at seed 1) — the figure BBR's rate samples read."""
+        total = 3_000_000
+        sim, path = run_transfer(n_hops=5, plr=0.01, cc="bbr", total=total,
+                                 until=60.0, seed=0, rate=20e6, delay=0.010)
+        assert path.sender.delivered_total <= total
+
 
 class TestAckPath:
     def test_ack_loss_tolerated(self):
@@ -139,7 +154,7 @@ class TestAckPath:
         # use a moderate value).
         path = build_e2e_tcp_path(
             sim, rng, uniform_chain_specs(2, rate_bps=10e6, delay_s=0.005, plr=0.01),
-            "reno", stream=FiniteStream(150_000),
+            CCSpec("reno"), stream=FiniteStream(150_000),
         )
         sim.run(until=60.0)
         assert path.sender.finished
@@ -151,7 +166,7 @@ class TestSplitTcp:
         rng = RngRegistry(2)
         split = build_split_tcp_path(
             sim, rng, uniform_chain_specs(3, rate_bps=10e6, delay_s=0.005),
-            "reno", stream=FiniteStream(200_000),
+            CCSpec("reno"), stream=FiniteStream(200_000),
         )
         sim.run(until=30.0)
         assert split.receiver.bytes_delivered == 200_000
@@ -166,7 +181,7 @@ class TestSplitTcp:
         rec = FlowRecorder(sim)
         split = build_split_tcp_path(
             sim, rng, uniform_chain_specs(3, rate_bps=10e6, delay_s=0.010),
-            "reno", stream=FiniteStream(100_000), recorder=rec,
+            CCSpec("reno"), stream=FiniteStream(100_000), recorder=rec,
         )
         sim.run(until=30.0)
         # 3 hops x 10 ms = 30 ms propagation minimum.
@@ -179,14 +194,14 @@ class TestSplitTcp:
         e2e = build_e2e_tcp_path(
             sim1, RngRegistry(3),
             uniform_chain_specs(4, rate_bps=10e6, delay_s=0.005, plr=0.01),
-            "reno", stream=FiniteStream(total),
+            CCSpec("reno"), stream=FiniteStream(total),
         )
         sim1.run(until=until)
         sim2 = Simulator()
         split = build_split_tcp_path(
             sim2, RngRegistry(3),
             uniform_chain_specs(4, rate_bps=10e6, delay_s=0.005, plr=0.01),
-            "reno", stream=FiniteStream(total),
+            CCSpec("reno"), stream=FiniteStream(total),
         )
         sim2.run(until=until)
         assert split.receiver.bytes_delivered >= e2e.receiver.bytes_delivered
@@ -199,7 +214,7 @@ class TestSplitTcp:
             HopSpec(rate_bps=50e6, delay_s=0.002),
             HopSpec(rate_bps=2e6, delay_s=0.002),
         ]
-        split = build_split_tcp_path(sim, rng, hops, "reno")
+        split = build_split_tcp_path(sim, rng, hops, CCSpec("reno"))
         sim.run(until=3.0)
         assert split.total_proxy_backlog_bytes > 0
 
@@ -210,7 +225,7 @@ class TestSenderChurn:
         rng = RngRegistry(7)
         path = build_e2e_tcp_path(
             sim, rng, uniform_chain_specs(2, rate_bps=10e6, delay_s=0.005),
-            cc, stream=FiniteStream(5_000_000),
+            CCSpec(cc), stream=FiniteStream(5_000_000),
         )
         sim.run(until=until)
         return sim, path
@@ -274,7 +289,7 @@ class TestEventDrivenPacing:
         path = build_e2e_tcp_path(
             sim, RngRegistry(1),
             uniform_chain_specs(2, rate_bps=10e6, delay_s=0.005),
-            cc, stream=FiniteStream(300_000),
+            CCSpec(cc), stream=FiniteStream(300_000),
         )
         sender, link = path.sender, path.sender.out_link
         departures = []  # (time, seconds this segment occupies the pacer)
@@ -298,7 +313,7 @@ class TestEventDrivenPacing:
         path = build_e2e_tcp_path(
             sim, RngRegistry(1),
             uniform_chain_specs(1, rate_bps=10e6, delay_s=0.005),
-            "bbr", stream=stream,
+            CCSpec("bbr"), stream=stream,
         )
         sim.run(until=1.0)
         sender = path.sender
@@ -319,7 +334,7 @@ class TestEventDrivenPacing:
         split = build_split_tcp_path(
             sim, RngRegistry(2),
             uniform_chain_specs(3, rate_bps=10e6, delay_s=0.005, plr=0.005),
-            "bbr", stream=FiniteStream(200_000),
+            CCSpec("bbr"), stream=FiniteStream(200_000),
         )
         sim.run(until=30.0)
         assert split.receiver.bytes_delivered == 200_000
@@ -351,7 +366,7 @@ class TestEventDrivenPacing:
         path = build_e2e_tcp_path(
             sim, RngRegistry(1),
             uniform_chain_specs(2, rate_bps=10e6, delay_s=0.005),
-            "bbr", stream=FiniteStream(5_000_000),
+            CCSpec("bbr"), stream=FiniteStream(5_000_000),
         )
         sim.run(until=0.5)
         sender = path.sender
