@@ -261,9 +261,7 @@ class Midnode(Node):
             return
         self.packets_received += 1
         kind = type(packet)
-        if self._handler is not None:
-            self._handler(packet, link)
-        elif kind is DataPacket:
+        if kind is DataPacket:
             self._on_data(packet, link)
         elif kind is Interest:
             self._on_interest(packet, link)

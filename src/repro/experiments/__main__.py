@@ -11,13 +11,11 @@ Usage::
     python -m repro.experiments fig10 --trace   # packet-level trace + summary
     python -m repro.experiments fig10 --trace --metrics-out out.jsonl
     python -m repro.experiments ccbench --cc orbcc --cc-param probe_gain=2.5
-    python -m repro.experiments ccbench --cc-module my_pkg.my_cc --cc mycc
 
 ``--cc NAME`` overrides/selects the congestion control for the
-CC-aware experiments (``workload``, ``churn``, ``ccbench``); repeated
-``--cc-param k=v`` flags forward constructor params.  ``--cc-module``
-imports a module first (in every worker process) so third-party
-``@register_cc`` controllers are selectable without editing repro.
+CC-aware experiments (``workload``, ``churn``, ``ccbench``): ``leotp``
+or one of the laws in :data:`repro.tcp.cc.CC_REGISTRY`.  Repeated
+``--cc-param k=v`` flags forward constructor params.
 
 ``--jobs N`` runs experiments in up to N processes, this one included
 (N - 1 forked workers).  Each experiment owns its own Simulator and
@@ -116,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--cc", metavar="NAME", default=None,
         help="congestion control for CC-aware experiments (workload, "
-             "churn, ccbench): a registry name, e.g. orbcc; "
+             "churn, ccbench): leotp or a law name, e.g. orbcc; "
              "ccbench restricts its CC axis to this one controller",
     )
     parser.add_argument(
@@ -124,11 +122,6 @@ def main(argv: list[str] | None = None) -> int:
         help="constructor param for --cc (repeatable), e.g. "
              "--cc-param probe_gain=2.5; values parse as "
              "bool/int/float/str",
-    )
-    parser.add_argument(
-        "--cc-module", metavar="DOTTED.PATH", default=None,
-        help="import this module first so its @register_cc controllers "
-             "become selectable via --cc without editing repro",
     )
     args = parser.parse_args(argv)
 
@@ -144,10 +137,6 @@ def main(argv: list[str] | None = None) -> int:
     cc_spec = None
     if args.cc_param and not args.cc:
         parser.error("--cc-param requires --cc")
-    if args.cc_module is not None:
-        import importlib
-
-        importlib.import_module(args.cc_module)
     if args.cc is not None:
         from repro.tcp.cc import CC_REGISTRY, CCSpec, parse_cc_params
 
@@ -166,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
         spec = RunSpec(
             scale=args.scale, seed=args.seed, observe=observe,
             profile_dir=profile_dir, sampler_interval_s=args.sampler_interval,
-            cc=cc_spec, cc_module=args.cc_module, shard_jobs=args.shard_jobs,
+            cc=cc_spec, shard_jobs=args.shard_jobs,
             sink_dir=args.sink_dir, checkpoint_dir=args.checkpoint_dir,
         )
     except ValueError as exc:

@@ -49,7 +49,7 @@ from repro.experiments.paper import Figure, Run
 from repro.netsim.trace import FlowRecorder
 from repro.simcore import RngRegistry, Simulator
 from repro.tcp.cc import CCSpec
-from repro.tcp.connection import FiniteStream, TcpReceiver, make_tcp_sender
+from repro.tcp.connection import FiniteStream, TcpReceiver, TcpSender
 from repro.workload import FlowPool, WorkloadSpec
 
 #: The benched city pair (distinct handover geometry at both ends).
@@ -105,7 +105,7 @@ def _attach_monitor(sim, pool, spec):
     receiver = TcpReceiver(
         sim, "mon-rcv", None, recorder=recorder, flow_id="mon"
     )
-    sender = make_tcp_sender(
+    sender = TcpSender(
         sim, "mon-snd", "mon-rcv", None, spec,
         stream=FiniteStream(MONITOR_BYTES), flow_id="mon",
     )
@@ -186,8 +186,8 @@ def _cells(run: Run) -> list[tuple]:
     """(cadence, load, loss, its churn context, CC) points; a cadence's
     cells share its compressed schedule and event stream.  ``run.cc``
     (the ``--cc`` flag; params via ``--cc-param`` ride along on the
-    spec) restricts the CC axis to one controller — handy for benching a
-    third-party ``@register_cc`` plugin against the matrix."""
+    spec) restricts the CC axis to one controller, e.g. to bench a
+    tuned law against the matrix."""
     points = []
     for cadence in sorted(CADENCES):
         context = pair_context(

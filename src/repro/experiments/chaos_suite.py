@@ -71,7 +71,7 @@ def _chaos(run: Run, scenario: str, protocol: str):
             hops=hops, total_bytes=total_bytes)
     else:
         crash_node, spec = TCP_CRASH_NODE, PathSpec(
-            protocol="tcp", hops=hops, cc_name=BASELINE_CC)
+            protocol="tcp", hops=hops, cc=BASELINE_CC)
     return run_chaos(
         FaultSchedule([SCENARIOS[scenario](run.duration / 3.0, crash_node)]),
         partial(build_path, spec=spec),

@@ -120,7 +120,7 @@ def _single_flow_row(run: Run, protocol: str, context) -> dict:
     else:
         spec = PathSpec(
             protocol="split_tcp" if protocol == "split-bbr" else "tcp",
-            hops=hops, cc_name=cc_spec,
+            hops=hops, cc=cc_spec,
         )
 
     def build(sim: Simulator, rng: RngRegistry):

@@ -47,7 +47,7 @@ class PathSpec:
 
     * ``protocol="leotp"`` uses ``config``/``coverage``;
     * ``protocol="tcp"`` (end-to-end) and ``"split_tcp"`` use
-      ``cc_name``/``mss``; ``cc_name`` accepts a registry name or a
+      ``cc``/``mss``; ``cc`` accepts a law name or a
       :class:`~repro.tcp.cc.CCSpec` (stored coerced to a spec);
     * ``stop_time`` is honoured by leotp and tcp (split proxies have no
       per-connection stop).
@@ -57,7 +57,7 @@ class PathSpec:
 
     protocol: str = "leotp"
     hops: tuple[HopSpec, ...] = ()
-    cc_name: Union[str, CCSpec] = "cubic"
+    cc: Union[str, CCSpec] = "cubic"
     config: Optional[LeotpConfig] = None
     coverage: float = 1.0
     total_bytes: Optional[int] = None
@@ -70,7 +70,7 @@ class PathSpec:
         # Coerce bare names so the frozen spec always carries a CCSpec
         # (hashable, picklable, param-capable); string call sites and
         # pickled plans keep working unchanged.
-        object.__setattr__(self, "cc_name", as_cc_spec(self.cc_name))
+        object.__setattr__(self, "cc", as_cc_spec(self.cc))
         # Likewise hops: call sites pass the list uniform_chain_specs
         # returns.
         object.__setattr__(self, "hops", tuple(self.hops))
@@ -131,14 +131,14 @@ def build_path(sim: Simulator, rng: RngRegistry, spec: PathSpec) -> BuiltPath:
     )
     if spec.protocol == "tcp":
         return build_e2e_tcp_path(
-            sim, rng, hops, spec.cc_name,
+            sim, rng, hops, spec.cc,
             stream=stream, mss=spec.mss,
             flow_base=spec.flow_id if spec.flow_id is not None else "tcp",
             start_time=spec.start_time,
             stop_time=spec.stop_time,
         )
     return build_split_tcp_path(
-        sim, rng, hops, spec.cc_name,
+        sim, rng, hops, spec.cc,
         stream=stream, mss=spec.mss,
         flow_base=spec.flow_id if spec.flow_id is not None else "split",
     )

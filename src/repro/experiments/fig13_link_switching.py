@@ -17,7 +17,8 @@ from repro.netsim.node import ChainForwarder
 from repro.netsim.topology import SwitchablePath
 from repro.netsim.trace import FlowRecorder
 from repro.simcore import PeriodicProcess, RngRegistry, Simulator
-from repro.tcp import TcpReceiver, TcpSender, make_cc
+from repro.tcp import TcpReceiver, TcpSender
+from repro.tcp.cc import CCSpec
 
 SWITCH_INTERVALS_S = (1.0, 2.0, 4.0, 8.0)
 BASELINES = ("bbr", "pcc", "cubic", "vegas")
@@ -51,11 +52,11 @@ def _build_fabric(sim: Simulator, rng: RngRegistry, left, right):
     return access_l, middle, access_r
 
 
-def _run_tcp(cc_name: str, interval_s: float, duration: float, seed: int) -> float:
+def _run_tcp(cc: str, interval_s: float, duration: float, seed: int) -> float:
     sim = Simulator()
     rng = RngRegistry(seed)
     recorder = FlowRecorder(sim)
-    sender = TcpSender(sim, "snd", "rcv", None, make_cc(cc_name))
+    sender = TcpSender(sim, "snd", "rcv", None, CCSpec(cc))
     receiver = TcpReceiver(sim, "rcv", None, recorder=recorder)
     access_l, middle, access_r = _build_fabric(sim, rng, sender, receiver)
     sender.out_link = access_l.ab

@@ -18,7 +18,8 @@ from repro.netsim.link import DuplexLink
 from repro.netsim.topology import HopSpec, build_dumbbell
 from repro.netsim.trace import FlowRecorder
 from repro.simcore import RngRegistry, Simulator
-from repro.tcp import TcpReceiver, TcpSender, make_cc
+from repro.tcp import TcpReceiver, TcpSender
+from repro.tcp.cc import CCSpec
 
 BOTTLENECK_RATE = 5e6
 N_FLOWS = 3
@@ -42,7 +43,7 @@ def _run_bbr(same_rtt: bool, duration: float, stagger: float, seed: int):
     senders, receivers = [], []
     for i in range(N_FLOWS):
         sender = TcpSender(
-            sim, f"s{i}", f"r{i}", None, make_cc("bbr"),
+            sim, f"s{i}", f"r{i}", None, CCSpec("bbr"),
             flow_id=f"f{i}", start_time=i * stagger,
         )
         receiver = TcpReceiver(

@@ -58,7 +58,7 @@ def _transfer(run: Run, protocol: str) -> tuple:
                 path.egress.buffered_bytes)
     if protocol == "e2e-cubic":
         path = build_path(sim, rng, PathSpec(
-            protocol="tcp", hops=full_chain, cc_name="cubic",
+            protocol="tcp", hops=full_chain, cc="cubic",
             total_bytes=total_bytes,
         ))
         sim.run(until=run.duration)

@@ -122,7 +122,7 @@ def _chain(run: Run, transport: str, hops: Sequence[HopSpec], **spec):
     """``run_chain`` one flow over ``hops``: LEOTP, or TCP under the
     congestion control ``transport`` names."""
     if transport != "leotp":
-        spec = {"protocol": "tcp", "cc_name": transport, **spec}
+        spec = {"protocol": "tcp", "cc": transport, **spec}
     return run_chain(PathSpec(hops=hops, **spec), run.duration, seed=run.seed)
 
 

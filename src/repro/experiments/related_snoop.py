@@ -15,7 +15,8 @@ from repro.netsim.node import ChainForwarder, wire_chain_forwarders
 from repro.netsim.topology import HopSpec, build_chain
 from repro.netsim.trace import FlowRecorder
 from repro.simcore import RngRegistry, Simulator
-from repro.tcp import SnoopProxy, TcpReceiver, TcpSender, make_cc
+from repro.tcp import SnoopProxy, TcpReceiver, TcpSender
+from repro.tcp.cc import CCSpec
 
 N_HOPS = 5
 RATE = 20e6
@@ -37,7 +38,7 @@ def _run_snoop(hops, duration: float, seed: int) -> float:
     sim = Simulator()
     rng = RngRegistry(seed)
     recorder = FlowRecorder(sim)
-    sender = TcpSender(sim, "snd", "rcv", None, make_cc("cubic"), flow_id="f")
+    sender = TcpSender(sim, "snd", "rcv", None, CCSpec("cubic"), flow_id="f")
     relays = [ChainForwarder(sim, f"fwd{i}") for i in range(N_HOPS - 2)]
     snoop = SnoopProxy(sim, "snoop")
     receiver = TcpReceiver(sim, "rcv", None, recorder=recorder, flow_id="f")
@@ -59,7 +60,7 @@ def _throughput(run: Run, placement: str, protocol: str) -> float:
     if protocol == "cubic+snoop":
         return _run_snoop(hops, run.duration, run.seed)
     spec = (PathSpec(hops=hops) if protocol == "leotp"
-            else PathSpec(protocol="tcp", hops=hops, cc_name=protocol))
+            else PathSpec(protocol="tcp", hops=hops, cc=protocol))
     return run_chain(spec, run.duration, seed=run.seed)[0].throughput_mbps
 
 

@@ -48,11 +48,6 @@ class RunSpec:
     ``ccbench``).  The spec is frozen and picklable, so it rides through
     the process pool unchanged.
 
-    ``cc_module`` names a module imported (for its ``@register_cc`` side
-    effects) inside :func:`run_one` — i.e. in every pool worker, not
-    just the parent process — so a third-party controller selected via
-    ``--cc`` resolves under ``--jobs N`` too.
-
     ``shard_jobs`` is the process count *inside* a sharded experiment,
     its caller included (rows are bit-identical for any value);
     ``sink_dir`` and ``checkpoint_dir`` are where ``workload_sharded_xl``
@@ -69,7 +64,6 @@ class RunSpec:
     profile_dir: Optional[str] = None
     sampler_interval_s: Optional[float] = None
     cc: Optional[object] = None
-    cc_module: Optional[str] = None
     shard_jobs: int = 1
     sink_dir: Optional[str] = None
     checkpoint_dir: Optional[str] = None
@@ -120,10 +114,6 @@ def run_one(name: str, spec: RunSpec = RunSpec()) -> RunOutcome:
     """
     from repro.experiments import ALL_EXPERIMENTS
 
-    if spec.cc_module is not None:
-        import importlib
-
-        importlib.import_module(spec.cc_module)
     run = ALL_EXPERIMENTS[name]
     kwargs = dict(
         scale=spec.scale, seed=spec.seed, cc=spec.cc,

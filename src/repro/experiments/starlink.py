@@ -66,7 +66,7 @@ def run_starlink_flow(
     if protocol == "leotp":
         spec = PathSpec(hops=hops, config=config, coverage=coverage)
     else:
-        spec = PathSpec(protocol="tcp", hops=hops, cc_name=protocol)
+        spec = PathSpec(protocol="tcp", hops=hops, cc=protocol)
     metrics, _ = run_chain(
         spec, duration_s, seed=seed,
         attach=lambda sim, path: PathDynamicsDriver(

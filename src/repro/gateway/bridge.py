@@ -37,13 +37,7 @@ from repro.netsim.trace import FlowRecorder
 from repro.simcore.random import RngRegistry
 from repro.simcore.simulator import Simulator
 from repro.tcp.cc import CCSpec
-from repro.tcp.connection import (
-    FiniteStream,
-    ProxyStream,
-    TcpReceiver,
-    TcpSender,
-    make_tcp_sender,
-)
+from repro.tcp.connection import FiniteStream, ProxyStream, TcpReceiver, TcpSender
 from repro.tcp.segment import TcpSegment
 
 
@@ -89,7 +83,7 @@ class EgressGateway(Node):
         client_name: str,
         total_bytes: Optional[int],
         config: LeotpConfig = LeotpConfig(),
-        cc_name: CCSpec = CCSpec("cubic"),
+        cc: CCSpec = CCSpec("cubic"),
         recorder: Optional[FlowRecorder] = None,
     ) -> None:
         super().__init__(sim, name)
@@ -98,8 +92,8 @@ class EgressGateway(Node):
             sim, name, flow_id, config, total_bytes=total_bytes,
             recorder=recorder, deliver=self._on_leotp_bytes,
         )
-        self.tcp_sender = make_tcp_sender(
-            sim, name, client_name, None, cc_name, stream=self.stream,
+        self.tcp_sender = TcpSender(
+            sim, name, client_name, None, cc, stream=self.stream,
         )
 
     def _on_leotp_bytes(self, nbytes: int, origin_ts: float) -> None:
@@ -191,7 +185,7 @@ def build_gateway_path(
     terrestrial = terrestrial_spec or HopSpec(rate_bps=100e6, delay_s=0.005)
     recorder = FlowRecorder(sim, name=flow_id)
 
-    server = make_tcp_sender(
+    server = TcpSender(
         sim, "server", "gw-ingress", None, tcp_cc,
         stream=FiniteStream(total_bytes), flow_id="terrestrial-up",
     )
@@ -199,7 +193,7 @@ def build_gateway_path(
                              tcp_flow_id="terrestrial-up")
     egress = EgressGateway(
         sim, "gw-egress", flow_id, "client", total_bytes, config,
-        cc_name=tcp_cc, recorder=recorder,
+        cc=tcp_cc, recorder=recorder,
     )
     client = TcpReceiver(sim, "client", None, flow_id=None)
 

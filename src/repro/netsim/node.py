@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 from repro.netsim.link import Link
 from repro.netsim.packet import Packet
 from repro.simcore.simulator import Simulator
@@ -12,22 +10,18 @@ from repro.simcore.simulator import Simulator
 class Node:
     """A network node.
 
-    Protocol endpoints either subclass :class:`Node` and override
-    :meth:`on_receive`, or install a handler with :meth:`set_handler`.
+    Protocol endpoints subclass :class:`Node` and override
+    :meth:`on_receive`.
     """
 
     def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
         self.name = name
-        self._handler: Optional[Callable[[Packet, Link], None]] = None
         self.packets_received = 0
         # Crash emulation (fault injection): a crashed node drops every
         # arriving packet, as a powered-off satellite would.
         self.crashed = False
         self.packets_dropped_crashed = 0
-
-    def set_handler(self, handler: Callable[[Packet, Link], None]) -> None:
-        self._handler = handler
 
     def receive(self, packet: Packet, link: Link) -> None:
         """Entry point invoked by links on delivery."""
@@ -35,10 +29,7 @@ class Node:
             self.packets_dropped_crashed += 1
             return
         self.packets_received += 1
-        if self._handler is not None:
-            self._handler(packet, link)
-        else:
-            self.on_receive(packet, link)
+        self.on_receive(packet, link)
 
     def crash(self) -> None:
         """Take the node down: every packet is dropped until :meth:`restart`.
@@ -76,9 +67,6 @@ class Router(Node):
 
     def add_route(self, dst_name: str, out_link: Link) -> None:
         self._routes[dst_name] = out_link
-
-    def route_for(self, dst_name: str) -> Optional[Link]:
-        return self._routes.get(dst_name)
 
     def remove_route(self, dst_name: str) -> None:
         """Withdraw a route (flow retirement in many-flow workloads)."""

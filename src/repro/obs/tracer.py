@@ -52,17 +52,13 @@ class EventTracer:
     counted in :attr:`dropped_records` rather than silently ignored.
     """
 
-    __slots__ = ("enabled", "records", "max_records", "dropped_records",
-                 "flushed_records", "_stream")
+    __slots__ = ("enabled", "records", "max_records", "dropped_records")
 
     def __init__(self, max_records: int = 2_000_000) -> None:
         self.enabled = False
         self.records: list[dict] = []
         self.max_records = max_records
         self.dropped_records = 0
-        # Streaming export (set_stream): records flushed to disk so far.
-        self.flushed_records = 0
-        self._stream = None  # Optional[repro.shard.sink.SpillWriter]
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -75,11 +71,9 @@ class EventTracer:
         self.enabled = False
 
     def reset(self) -> None:
-        """Discard all buffered records (does not change ``enabled`` or an
-        attached stream — a stream outlives per-run resets by design)."""
+        """Discard all buffered records (does not change ``enabled``)."""
         self.records.clear()
         self.dropped_records = 0
-        self.flushed_records = 0
 
     def drain(self) -> list[dict]:
         """Return the buffered records and clear the buffer."""
@@ -89,71 +83,14 @@ class EventTracer:
         return out
 
     # ------------------------------------------------------------------
-    # Streaming JSONL export
-    # ------------------------------------------------------------------
-
-    @property
-    def streaming(self) -> bool:
-        return self._stream is not None
-
-    def set_stream(self, path: Union[str, "os.PathLike[str]"]) -> None:
-        """Stream to ``path``: on buffer overflow, flush to disk instead
-        of dropping.
-
-        With a stream attached, reaching ``max_records`` appends the
-        whole buffer to the file and clears it (counted in
-        :attr:`flushed_records`), so long runs keep every record at a
-        bounded memory footprint.  The file is truncated now and closed
-        by :meth:`close_stream`; records still buffered at close time are
-        flushed then, keeping file order equal to emission order.
-
-        The writer underneath is the sharded engine's spill mechanism
-        (:class:`repro.shard.sink.SpillWriter`), imported lazily so the
-        zero-cost disabled path never touches it.
-        """
-        from repro.shard.sink import SpillWriter
-
-        self.close_stream()
-        open(path, "wb").close()  # truncate now, as documented
-        self._stream = SpillWriter(path)
-
-    def flush_stream(self) -> int:
-        """Force-append the current buffer to the stream; returns count."""
-        if self._stream is None:
-            return 0
-        n = 0
-        for rec in self.records:
-            self._stream.write(rec)
-            n += 1
-        self._stream.flush()
-        self.records.clear()
-        self.flushed_records += n
-        return n
-
-    def close_stream(self) -> int:
-        """Flush remaining records and close the stream file (idempotent).
-
-        Returns the total number of records written to the file.
-        """
-        if self._stream is None:
-            return 0
-        self.flush_stream()
-        self._stream.close()
-        self._stream = None
-        return self.flushed_records
-
-    # ------------------------------------------------------------------
     # Emission (hot path when enabled; never called when disabled)
     # ------------------------------------------------------------------
 
     def emit(self, t: float, event: str, node: str, **fields) -> None:
         """Append one record.  Callers must guard with ``if TRACER.enabled``."""
         if len(self.records) >= self.max_records:
-            if self._stream is not None:
-                self.flush_stream()
-            else:
-                self.dropped_records += 1
-                return
+            self.dropped_records += 1
+            return
         rec = {"t": t, "event": event, "node": node}
         if fields:
             rec.update(fields)

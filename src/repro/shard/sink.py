@@ -20,8 +20,7 @@ This module is the counterpart of DESIGN.md §14's *streamed results*:
 
 The writer is deliberately dependency-free (``json``/``os`` only): the
 same mechanism backs :class:`~repro.workload.pool.FlowPool` result
-streaming and :meth:`~repro.obs.tracer.EventTracer.set_stream`, which
-import it lazily from their own layers.
+streaming, which imports it lazily from its own layer.
 """
 
 from __future__ import annotations

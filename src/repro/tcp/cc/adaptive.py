@@ -23,13 +23,11 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.tcp.cc.base import CongestionControl
-from repro.tcp.cc.registry import register_cc
 from repro.tcp.segment import DEFAULT_MSS
 
 from repro.tcp.cc.orbcc import RESET_KINDS
 
 
-@register_cc("adaptive")
 class AdaptiveCC(CongestionControl):
     name = "adaptive"
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Optional
 
-from repro.tcp.cc.registry import register_cc
 from repro.tcp.segment import DEFAULT_MSS
 
 
@@ -98,7 +97,6 @@ class CongestionControl(ABC):
         return f"<{type(self).__name__} cwnd={self.cwnd_bytes:.0f}B>"
 
 
-@register_cc("reno")
 class RenoCC(CongestionControl):
     """Classic NewReno AIMD: the scaffolding Cubic/Hybla/Westwood extend."""
 

@@ -14,7 +14,6 @@ from collections import deque
 from typing import Deque, Optional
 
 from repro.tcp.cc.base import CongestionControl
-from repro.tcp.cc.registry import register_cc
 from repro.tcp.segment import DEFAULT_MSS
 
 STARTUP = "STARTUP"
@@ -23,7 +22,6 @@ PROBE_BW = "PROBE_BW"
 PROBE_RTT = "PROBE_RTT"
 
 
-@register_cc("bbr")
 class BbrCC(CongestionControl):
     name = "bbr"
 

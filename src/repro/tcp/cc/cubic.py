@@ -5,11 +5,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.tcp.cc.base import CongestionControl
-from repro.tcp.cc.registry import register_cc
 from repro.tcp.segment import DEFAULT_MSS
 
 
-@register_cc("cubic")
 class CubicCC(CongestionControl):
     """CUBIC: window grows as a cubic of time since the last loss.
 

@@ -9,11 +9,9 @@ avoidance adds ``rho^2 / cwnd``.
 from __future__ import annotations
 
 from repro.tcp.cc.base import CongestionControl
-from repro.tcp.cc.registry import register_cc
 from repro.tcp.segment import DEFAULT_MSS
 
 
-@register_cc("hybla")
 class HyblaCC(CongestionControl):
     name = "hybla"
 

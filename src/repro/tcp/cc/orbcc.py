@@ -39,7 +39,6 @@ from collections import deque
 from typing import Deque, Optional
 
 from repro.tcp.cc.base import CongestionControl
-from repro.tcp.cc.registry import register_cc
 from repro.tcp.segment import DEFAULT_MSS
 
 #: Churn kinds that mean "the path identity changed": drop the model.
@@ -52,7 +51,6 @@ HOLD_HANDOVER = "HOLD_HANDOVER"
 PROBE_HANDOVER = "PROBE_HANDOVER"
 
 
-@register_cc("orbcc")
 class OrbCC(CongestionControl):
     name = "orbcc"
 

@@ -31,21 +31,20 @@ def _freeze_params(
     seen = set()
     for key, _ in frozen:
         if key in seen:
-            raise ValueError(f"duplicate CC param {key!r}")
+            raise ValueError(f"params give the key {key!r} twice")
         seen.add(key)
     return frozen
 
 
 @dataclass(frozen=True)
 class CCSpec:
-    """A congestion-control choice: registry name plus keyword params.
+    """A congestion-control choice: law name plus keyword params.
 
-    ``CCSpec("orbcc", {"probe_gain": 2.5})`` selects the ``orbcc``
-    factory and forwards ``probe_gain=2.5`` to its constructor.  The
-    name is *not* validated at construction time — plugins may register
-    after a spec is built (e.g. a spec unpickled in a worker process
-    before ``--cc-module`` imports run) — validation happens in
-    :func:`~repro.tcp.cc.make_cc`.
+    ``CCSpec("orbcc", {"probe_gain": 2.5})`` selects the ``orbcc`` law
+    and forwards ``probe_gain=2.5`` to its constructor.  The name is
+    checked against :data:`~repro.tcp.cc.CC_REGISTRY`, and the params
+    against the law's constructor, when :func:`~repro.tcp.cc.make_cc`
+    builds the law (ccbench's ``CCSpec("leotp")`` never builds one).
     """
 
     name: str
@@ -53,7 +52,7 @@ class CCSpec:
 
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
-            raise ValueError(f"CC name must be a non-empty string: {self.name!r}")
+            raise ValueError(f"name must be a non-empty string: {self.name!r}")
         object.__setattr__(self, "name", self.name.lower())
         object.__setattr__(self, "params", _freeze_params(self.params))
 

@@ -13,11 +13,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.tcp.cc.base import CongestionControl
-from repro.tcp.cc.registry import register_cc
 from repro.tcp.segment import DEFAULT_MSS
 
 
-@register_cc("vegas")
 class VegasCC(CongestionControl):
     name = "vegas"
 
@@ -35,10 +33,6 @@ class VegasCC(CongestionControl):
     @property
     def cwnd_bytes(self) -> float:
         return self._cwnd * self.mss
-
-    @property
-    def base_rtt_s(self) -> Optional[float]:
-        return self._base_rtt
 
     @property
     def in_slow_start(self) -> bool:

@@ -10,11 +10,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.tcp.cc.base import CongestionControl
-from repro.tcp.cc.registry import register_cc
 from repro.tcp.segment import DEFAULT_MSS
 
 
-@register_cc("westwood")
 class WestwoodCC(CongestionControl):
     name = "westwood"
 

@@ -31,6 +31,7 @@ from repro.netsim.packet import Packet
 from repro.netsim.trace import FlowRecorder
 from repro.simcore.process import Timer
 from repro.simcore.simulator import Simulator
+from repro.tcp.cc import CCSpec, make_cc
 from repro.tcp.segment import DEFAULT_MSS, TcpSegment
 
 # ---------------------------------------------------------------------------
@@ -81,10 +82,6 @@ class ProxyStream(ByteStream):
         self._pushed = 0
         self._chunks: deque[tuple[int, float]] = deque()  # (end_seq, ts)
 
-    @property
-    def pushed_bytes(self) -> int:
-        return self._pushed
-
     def push(self, nbytes: int, first_ts: float) -> None:
         if nbytes <= 0:
             raise ValueError("nbytes must be positive")
@@ -132,7 +129,11 @@ class _SegmentState:
 
 
 class TcpSender(Node):
-    """A TCP sending endpoint; every wake-up transmits through :meth:`kick`."""
+    """A TCP sending endpoint; every wake-up transmits through :meth:`kick`.
+
+    ``cc`` selects the congestion-control law; the sender builds it with
+    its own ``mss`` (:func:`~repro.tcp.cc.make_cc`).
+    """
 
     LOSS_GAP_BYTES_FACTOR = 3  # SACKed bytes above a hole that mark it lost
 
@@ -142,7 +143,7 @@ class TcpSender(Node):
         name: str,
         dst_name: str,
         out_link: Optional[Link],
-        cc,
+        cc: CCSpec,
         stream: Optional[ByteStream] = None,
         mss: int = DEFAULT_MSS,
         flow_id: Optional[str] = None,
@@ -152,7 +153,7 @@ class TcpSender(Node):
         super().__init__(sim, name)
         self.dst_name = dst_name
         self.out_link = out_link
-        self.cc = cc
+        self.cc = make_cc(cc, mss)
         self.stream = stream if stream is not None else InfiniteStream()
         self.mss = mss
         self.flow_id = flow_id or f"{name}->{dst_name}"
@@ -616,43 +617,3 @@ class TcpReceiver(Node):
             raise RuntimeError(f"receiver {self.name} has no outgoing link")
         self.out_link.send(ack)
 
-
-def make_tcp_sender(
-    sim: Simulator,
-    name: str,
-    dst_name: str,
-    out_link: Optional[Link],
-    cc,
-    *,
-    stream: Optional[ByteStream] = None,
-    mss: int = DEFAULT_MSS,
-    flow_id: Optional[str] = None,
-    start_time: float = 0.0,
-    stop_time: Optional[float] = None,
-) -> TcpSender:
-    """Build a :class:`TcpSender` with its congestion module in one step.
-
-    ``cc`` may be a registry name (``"bbr"``), a
-    :class:`~repro.tcp.cc.CCSpec` (params forwarded to the algorithm's
-    constructor), or an already-built
-    :class:`~repro.tcp.cc.CongestionControl` instance.  The single
-    construction point keeps ``flows.py`` / ``split.py`` /
-    ``gateway/bridge.py`` from re-implementing the ``make_cc`` +
-    ``TcpSender`` pairing with subtly different defaults.
-    """
-    from repro.tcp.cc import CongestionControl, make_cc
-
-    if not isinstance(cc, CongestionControl):
-        cc = make_cc(cc, mss=mss)
-    return TcpSender(
-        sim,
-        name,
-        dst_name,
-        out_link,
-        cc,
-        stream=stream,
-        mss=mss,
-        flow_id=flow_id,
-        start_time=start_time,
-        stop_time=stop_time,
-    )

@@ -13,7 +13,7 @@ from repro.obs.metrics import METRICS, attach_tcp_samplers
 from repro.simcore.random import RngRegistry
 from repro.simcore.simulator import Simulator
 from repro.tcp.cc import CCSpec
-from repro.tcp.connection import ByteStream, TcpReceiver, TcpSender, make_tcp_sender
+from repro.tcp.connection import ByteStream, TcpReceiver, TcpSender
 from repro.tcp.segment import DEFAULT_MSS
 
 
@@ -44,7 +44,7 @@ def build_e2e_tcp_path(
     sim: Simulator,
     rng: RngRegistry,
     hops: Sequence[HopSpec],
-    cc_name: CCSpec,
+    cc: CCSpec,
     stream: Optional[ByteStream] = None,
     mss: int = DEFAULT_MSS,
     flow_base: str = "tcp",
@@ -59,9 +59,9 @@ def build_e2e_tcp_path(
     n = len(hops)
     if n < 1:
         raise ValueError("need at least one hop")
-    recorder = FlowRecorder(sim, name=f"{flow_base}:{cc_name.name}")
-    sender = make_tcp_sender(
-        sim, f"{flow_base}-snd", f"{flow_base}-rcv", None, cc_name,
+    recorder = FlowRecorder(sim, name=f"{flow_base}:{cc.name}")
+    sender = TcpSender(
+        sim, f"{flow_base}-snd", f"{flow_base}-rcv", None, cc,
         stream=stream, mss=mss,
         flow_id=flow_base, start_time=start_time, stop_time=stop_time,
     )

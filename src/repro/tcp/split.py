@@ -19,13 +19,7 @@ from repro.netsim.packet import Packet
 from repro.netsim.trace import FlowRecorder
 from repro.simcore.simulator import Simulator
 from repro.tcp.cc import CCSpec
-from repro.tcp.connection import (
-    ByteStream,
-    ProxyStream,
-    TcpReceiver,
-    TcpSender,
-    make_tcp_sender,
-)
+from repro.tcp.connection import ByteStream, ProxyStream, TcpReceiver, TcpSender
 from repro.tcp.segment import DEFAULT_MSS, TcpSegment
 
 
@@ -43,7 +37,7 @@ class SplitTcpProxy(Node):
         name: str,
         up_ack_link: Optional[Link],
         down_data_link: Optional[Link],
-        cc_name: CCSpec,
+        cc: CCSpec,
         next_hop_name: str,
         up_flow_id: str,
         down_flow_id: str,
@@ -55,9 +49,9 @@ class SplitTcpProxy(Node):
             sim, name, out_link=up_ack_link,
             deliver=self._on_deliver, flow_id=up_flow_id,
         )
-        self.sender = make_tcp_sender(
+        self.sender = TcpSender(
             sim, name, next_hop_name, down_data_link,
-            cc_name, stream=self.stream,
+            cc, stream=self.stream,
             mss=mss, flow_id=down_flow_id,
         )
 
@@ -114,7 +108,7 @@ def build_split_tcp_path(
     sim: Simulator,
     rng,
     hops: Sequence,
-    cc_name: CCSpec,
+    cc: CCSpec,
     stream: Optional[ByteStream] = None,
     recorder: Optional[FlowRecorder] = None,
     mss: int = DEFAULT_MSS,
@@ -134,16 +128,16 @@ def build_split_tcp_path(
         raise ValueError("need at least one hop")
     if recorder is None:
         recorder = FlowRecorder(sim, name=flow_base)
-    sender = make_tcp_sender(
+    sender = TcpSender(
         sim, f"{flow_base}-snd", f"{flow_base}-p0" if n > 1 else f"{flow_base}-rcv",
-        None, cc_name, stream=stream, mss=mss,
+        None, cc, stream=stream, mss=mss,
         flow_id=f"{flow_base}:hop0",
     )
     proxies = [
         SplitTcpProxy(
             sim, f"{flow_base}-p{i}",
             up_ack_link=None, down_data_link=None,
-            cc_name=cc_name,
+            cc=cc,
             next_hop_name=(f"{flow_base}-p{i+1}" if i + 1 < n - 1 else f"{flow_base}-rcv"),
             up_flow_id=f"{flow_base}:hop{i}",
             down_flow_id=f"{flow_base}:hop{i+1}",

@@ -57,33 +57,27 @@ from repro.obs.metrics import METRICS
 from repro.simcore.process import TimelineProcess
 from repro.simcore.random import RngRegistry
 from repro.simcore.simulator import Simulator
+from repro.tcp.cc import make_cc
 from repro.tcp.cc.spec import CCSpec, as_cc_spec
 from repro.workload.arrivals import FlowDemand, WorkloadSpec, generate_demands
 from repro.workload.budget import MemoryBudget, SharedCachePool
 from repro.workload.metrics import FairnessTracker, FlowRecord
 
 if TYPE_CHECKING:
-    from repro.tcp.connection import (
-        FiniteStream,
-        TcpReceiver,
-        TcpSender,
-        make_tcp_sender,
-    )
+    from repro.tcp.connection import FiniteStream, TcpReceiver, TcpSender
 
 #: The TCP engine's names this module spawns flows with.
-_TCP_ENGINE = ("FiniteStream", "TcpReceiver", "make_tcp_sender")
+_TCP_ENGINE = ("FiniteStream", "TcpReceiver", "TcpSender")
 
 
 def _bind_tcp_engine() -> None:
     """Bind :data:`_TCP_ENGINE` into this module, once.
 
-    A TCP pool does it when it is built, so the engine and its congestion
-    laws load with the pool, not inside the first spawn's timed region,
-    and a LEOTP run never loads them.  A name already bound (patched) is
-    kept.
+    A TCP pool does it when it is built, so the engine loads with the
+    pool, not inside the first spawn's timed region, and a LEOTP run
+    never loads it.  A name already bound (patched) is kept.
     """
     from repro.tcp import connection
-    from repro.tcp.cc import builtin  # noqa: F401  (registers the laws)
 
     for name in _TCP_ENGINE:
         globals().setdefault(name, getattr(connection, name))
@@ -238,6 +232,7 @@ class FlowPool:
             self._flow_share_bytes = memory_ceiling_bytes - cache_capacity
         else:
             _bind_tcp_engine()
+            make_cc(self.cc_spec)  # loads the law, and refuses a bad spec, now
             self._build_router_chain(hops)
             self.cache_pool = None
             self.content = None
@@ -378,12 +373,12 @@ class FlowPool:
             ),
             flow_id=flow_id,
         )
-        sender = make_tcp_sender(
+        sender = TcpSender(
             self.sim,
             snd_name,
             rcv_name,
             None,
-            self.cc_spec if self.cc_spec is not None else self.protocol,
+            self.cc_spec,
             stream=FiniteStream(demand.size_bytes),
             flow_id=flow_id,
         )

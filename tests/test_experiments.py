@@ -28,7 +28,7 @@ from repro.netsim.topology import uniform_chain_specs
 from repro.netsim.trace import FlowRecorder
 from repro.shard import ShardPlan
 from repro.simcore import RngRegistry, Simulator
-from repro.tcp.cc import parse_cc_params
+from repro.tcp.cc import CCSpec, parse_cc_params
 from repro.workload import WorkloadSpec
 
 
@@ -151,7 +151,7 @@ class TestRunners:
     def test_run_chain_tcp(self):
         hops = uniform_chain_specs(2, rate_bps=10e6)
         metrics, path = run_chain(
-            PathSpec(protocol="tcp", hops=hops, cc_name="reno"), 4.0, seed=1
+            PathSpec(protocol="tcp", hops=hops, cc="reno"), 4.0, seed=1
         )
         assert metrics.throughput_mbps > 1.0
         assert path.sender.wire_bytes_sent > 0
@@ -159,7 +159,7 @@ class TestRunners:
     def test_run_chain_split_tcp(self):
         hops = uniform_chain_specs(2, rate_bps=10e6)
         metrics, path = run_chain(
-            PathSpec(protocol="split_tcp", hops=hops, cc_name="reno"),
+            PathSpec(protocol="split_tcp", hops=hops, cc="reno"),
             4.0, seed=1,
         )
         assert metrics.throughput_mbps > 1.0
@@ -177,7 +177,7 @@ _HOPS = uniform_chain_specs(3, rate_bps=10e6)
 #: One ``build(sim, rng)`` per built-path type.
 _BUILDERS = {
     protocol: partial(build_path, spec=PathSpec(
-        protocol=protocol, hops=_HOPS, cc_name="reno", total_bytes=200_000,
+        protocol=protocol, hops=_HOPS, cc="reno", total_bytes=200_000,
     ))
     for protocol in ("leotp", "tcp", "split_tcp")
 }
@@ -242,6 +242,8 @@ class TestPathInterface:
     (WorkloadSpec, "trace", ((-1.0, 100),)),
     (WorkloadSpec, "trace", ((1.0, -5),)),
     (parse_cc_params, "cc_param", ["a=1", "a=2"]),
+    (CCSpec, "name", ""),
+    (partial(CCSpec, "orbcc"), "params", (("hold_s", 0.1), ("hold_s", 0.2))),
 ])
 def test_a_spec_rejects_a_bad_field_by_name(spec, field, value):
     with pytest.raises(ValueError, match=rf"^{field} "):
@@ -499,7 +501,7 @@ class TestCcbench:
 
 
 class TestCcSpecEntryPoints:
-    """Every former ``cc_name: str`` entry point takes a CCSpec too."""
+    """Every entry point that selects a CC law takes a CCSpec."""
 
     def test_runspec_coerces_and_pickles(self):
         import pickle
@@ -519,7 +521,7 @@ class TestCcSpecEntryPoints:
         spec = PathSpec(
             protocol="tcp",
             hops=tuple(uniform_chain_specs(2, rate_bps=10e6)),
-            cc_name=CCSpec("orbcc", {"hold_s": 0.2}),
+            cc=CCSpec("orbcc", {"hold_s": 0.2}),
         )
         path = build_path(Simulator(), RngRegistry(0), spec)
         assert path.sender.cc.hold_s == 0.2

@@ -107,30 +107,13 @@ def test_a_leotp_pool_run_loads_no_tcp_machinery():
 
 
 def test_a_tcp_pool_loads_its_machinery_when_built():
-    """A TCP pool loads the engine and its law while it is constructed,
-    not at its first spawn inside the run's timed region."""
+    """A TCP pool loads the engine and its own law while it is
+    constructed, not at its first spawn inside the run's timed region,
+    and no other law: ``base`` is the interface every law extends."""
     (built,) = _run(_POOL_RUN.format(protocol="bbr"))
-    assert {"repro.tcp.connection", "repro.tcp.cc.bbr"} <= set(built)
-
-
-def test_a_plugin_cannot_claim_a_name_before_the_laws_load():
-    """A registration checks the built-in laws even when none has loaded
-    yet: a plugin claiming one's name, or a reserved name, is refused."""
-    ((loaded, refused),) = _run(
-        "from repro.tcp.cc import register_cc\n"
-        "loaded = sorted(set(sys.modules).intersection(%r))\n"
-        "refused = []\n"
-        "for name in ('bbr', 'leotp'):\n"
-        "    try:\n"
-        "        register_cc(name)(type('Plugin', (), {}))\n"
-        "    except ValueError as exc:\n"
-        "        refused.append(str(exc))\n"
-        "print(json.dumps([loaded, refused]))" % (TCP_MACHINERY,)
-    )
-    assert loaded == []
-    assert len(refused) == 2
-    assert "already registered" in refused[0]
-    assert "reserved" in refused[1]
+    assert sorted(set(built).intersection(TCP_MACHINERY)) == [
+        "repro.tcp.cc.base", "repro.tcp.cc.bbr", "repro.tcp.connection",
+    ]
 
 
 def test_package_names_still_import_on_first_use():

@@ -288,8 +288,7 @@ class TestMidnode:
     def test_receive_dispatch(self):
         """The wire types go straight to their handlers; a subclass of
         one, and any other packet, still reaches ``on_receive`` (which
-        serves the first and ignores the second); a handler installed
-        with ``set_handler`` takes everything."""
+        serves the first and ignores the second)."""
         class TaggedInterest(Interest):
             __slots__ = ()
 
@@ -306,10 +305,6 @@ class TestMidnode:
         assert seen == [tagged, other]
         assert midnode.packets_received == 3
         assert midnode.stats.interests_received == 2
-        handled = []
-        midnode.set_handler(lambda pkt, link: handled.append(pkt))
-        midnode.receive(plain, consumer.out_link)
-        assert handled == [plain] and midnode.stats.interests_received == 2
 
 
 class TestEndToEndWiring:

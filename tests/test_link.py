@@ -260,19 +260,6 @@ class TestDelayShrinkReorder:
 
 
 class TestNodeHandler:
-    def test_set_handler_overrides_dispatch(self):
-        from repro.netsim.node import Node
-
-        sim = Simulator()
-        node = Node(sim, "n")
-        seen = []
-        node.set_handler(lambda pkt, link: seen.append(pkt.uid))
-        link = make_link(sim, node)
-        link.send(Packet(100))
-        sim.run()
-        assert len(seen) == 1
-        assert node.packets_received == 1
-
     def test_node_without_handler_raises(self):
         from repro.netsim.node import Node
 

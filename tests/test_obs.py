@@ -133,62 +133,15 @@ class TestSchema:
 
 
 class TestStreaming:
-    """JSONL streaming export: past max_records, flush to disk, drop nothing."""
-
-    def test_stream_keeps_all_records(self, tmp_path):
-        dest = tmp_path / "stream.jsonl"
-        tracer = EventTracer(max_records=10)
-        tracer.enable()
-        tracer.set_stream(dest)
-        assert tracer.streaming
-        for i in range(35):
-            tracer.emit(float(i), "e", "n", seq=i)
-        total = tracer.close_stream()
-        assert total == 35
-        assert tracer.dropped_records == 0
-        assert tracer.flushed_records == 35
-        rows = load_jsonl(dest)
-        assert [row["seq"] for row in rows] == list(range(35))
-        for row in rows:
-            validate_record(row)
+    """Past max_records the tracer drops and counts, never grows."""
 
     def test_without_stream_old_drop_behaviour(self):
         tracer = EventTracer(max_records=10)
         tracer.enable()
         for i in range(35):
             tracer.emit(float(i), "e", "n")
-        assert not tracer.streaming
         assert len(tracer.records) == 10
         assert tracer.dropped_records == 25
-        assert tracer.flushed_records == 0
-
-    def test_close_stream_is_idempotent(self, tmp_path):
-        dest = tmp_path / "stream.jsonl"
-        tracer = EventTracer(max_records=4)
-        tracer.enable()
-        tracer.set_stream(dest)
-        for i in range(6):
-            tracer.emit(float(i), "e", "n")
-        assert tracer.close_stream() == 6
-        assert tracer.close_stream() == 0  # already closed: no-op
-        assert len(load_jsonl(dest)) == 6
-
-    def test_reset_leaves_stream_attached(self, tmp_path):
-        dest = tmp_path / "stream.jsonl"
-        tracer = EventTracer(max_records=4)
-        tracer.enable()
-        tracer.set_stream(dest)
-        for i in range(5):
-            tracer.emit(float(i), "e", "n")
-        tracer.reset()
-        tracer.enable()
-        assert tracer.streaming
-        assert tracer.flushed_records == 0
-        tracer.emit(9.0, "e", "n")
-        tracer.close_stream()
-        # Pre-reset flushes survive on disk; post-reset emit follows them.
-        rows = load_jsonl(dest)
-        assert rows and rows[-1]["t"] == 9.0
 
 
 class TestReport:

@@ -6,16 +6,16 @@ from repro.netsim.link import DuplexLink
 from repro.netsim.topology import HopSpec, build_chain
 from repro.netsim.trace import FlowRecorder
 from repro.simcore import RngRegistry, Simulator
-from repro.tcp import FiniteStream, TcpReceiver, TcpSender, make_cc
+from repro.tcp import FiniteStream, TcpReceiver, TcpSender
 from repro.tcp.snoop import SnoopProxy
 from repro.tcp.cc import CCSpec
 
 
 def build_snoop_path(sim, rng, last_hop_plr=0.02, first_hop_plr=0.0,
-                     total=300_000, cc="cubic"):
+                     total=300_000, cc=CCSpec("cubic")):
     """sender --clean hop-- snoop --lossy hop-- receiver."""
     recorder = FlowRecorder(sim)
-    sender = TcpSender(sim, "snd", "rcv", None, make_cc(cc),
+    sender = TcpSender(sim, "snd", "rcv", None, cc,
                        stream=FiniteStream(total) if total else None,
                        flow_id="f")
     snoop = SnoopProxy(sim, "snoop")

@@ -332,13 +332,13 @@ class TestFlowPool:
         from repro.workload import pool as pool_mod
 
         senders = []
-        make = pool_mod.make_tcp_sender
+        make = pool_mod.TcpSender
 
         def recording_make(*args, **kwargs):
             senders.append(make(*args, **kwargs))
             return senders[-1]
 
-        monkeypatch.setattr(pool_mod, "make_tcp_sender", recording_make)
+        monkeypatch.setattr(pool_mod, "TcpSender", recording_make)
         pool = _run_pool(protocol=protocol, n_flows=80, drain_s=1.0)
         assert pool.summary()["completed"] == len(senders) == 80
         frozen = [s.data_segments_sent for s in senders]
@@ -419,6 +419,12 @@ class TestFlowPool:
             FlowPool(
                 sim, RngRegistry(0), spec=_poisson_spec(),
                 hops=uniform_chain_specs(2), cache_policy=("gateway", "lru"),
+            )
+        # A bad CC choice fails while the pool is built, not mid-run.
+        with pytest.raises(ValueError, match="unknown congestion control"):
+            FlowPool(
+                sim, RngRegistry(0), spec=_poisson_spec(),
+                hops=uniform_chain_specs(2), protocol="quic",
             )
 
 

@@ -2,8 +2,10 @@
 """Generate docs/API.md from the package/module/class docstrings.
 
 The reference is *derived*, never hand-edited: every ``repro`` package
-and module contributes its docstring, and every public class/function
-its signature plus the first paragraph of its docstring.  Output is
+and module contributes its docstring, every public class/function
+its signature plus the first paragraph of its docstring, and every
+experiment id its :class:`~repro.experiments.paper.Figure` (a study
+module's ``run``, or an entry of the paper's table).  Output is
 deterministic (alphabetical within each package, stable signatures), so
 CI can verify the committed file is in sync::
 
@@ -80,6 +82,28 @@ def public_members(module):
     return [(name, obj) for _, name, obj in sorted(members)]
 
 
+def experiment_lines(module) -> list[str]:
+    """One line per experiment id ``module`` defines: its ``run``, or each
+    entry of the paper's table that is no module's ``run``."""
+    from repro.experiments.paper import ALL_EXPERIMENTS, Figure
+
+    figures = {name: ALL_EXPERIMENTS[name] for name in ALL_EXPERIMENTS}
+    found = [(name, obj) for name, obj in vars(module).items()
+             if not name.startswith("_") and isinstance(obj, Figure)]
+    if module.__name__ == ALL_EXPERIMENTS.__module__:
+        runs = {id(getattr(mod, "run", None)) for name, mod in sys.modules.items()
+                if name.startswith(f"{ROOT_PACKAGE}.experiments.")}
+        found += [(f'ALL_EXPERIMENTS["{name}"]', fig)
+                  for name, fig in figures.items() if id(fig) not in runs]
+    ids = {id(fig): name for name, fig in figures.items()}
+    lines = []
+    for label, fig in found:
+        caption = f": {fig.caption}" if isinstance(fig.caption, str) else ""
+        lines.append(f"- **`{label}`** — experiment `{ids[id(fig)]}`, "
+                     f"{fig.name}{caption}")
+    return lines
+
+
 def signature_of(obj) -> str:
     try:
         return str(inspect.signature(obj))
@@ -102,17 +126,18 @@ def render() -> str:
     for pkg_name in discover_packages():
         lines.append(f"\n## `{pkg_name}`\n")
         for mod_name, module in iter_modules(pkg_name):
-            if mod_name == pkg_name:
-                lines.append(first_paragraph(module.__doc__) + "\n")
-                continue
-            lines.append(f"### `{mod_name}`\n")
+            if mod_name != pkg_name:
+                lines.append(f"### `{mod_name}`\n")
             lines.append(first_paragraph(module.__doc__) + "\n")
-            for name, obj in public_members(module):
+            members = public_members(module)
+            for name, obj in members:
                 kind = "class" if inspect.isclass(obj) else "def"
                 sig = "" if inspect.isclass(obj) else signature_of(obj)
                 lines.append(f"- **`{kind} {name}{sig}`** — "
                              f"{first_paragraph(obj.__doc__)}")
-            if public_members(module):
+            experiments = experiment_lines(module)
+            lines.extend(experiments)
+            if members or experiments:
                 lines.append("")
     return "\n".join(lines).rstrip() + "\n"
 
