@@ -1,6 +1,6 @@
 """Anatomy of LEOTP's in-network loss recovery (SHR + VPH + caches).
 
-Runs a lossy 6-hop chain and — via the fault injector — lands a scripted
+Runs a lossy 6-hop chain and — via a fault timeline — lands a scripted
 2 s handover blackout and a Midnode crash/restart on it mid-transfer.
 Then dissects where every lost packet was repaired: which Midnode
 detected the hole, how many Void Packet Headers suppressed duplicate
@@ -17,9 +17,9 @@ from functools import partial
 
 from repro.core import build_leotp_path
 from repro.faults import (
-    FaultSchedule,
     LinkDown,
     NodeCrash,
+    Timeline,
     recovery_report,
     run_chaos,
 )
@@ -32,12 +32,12 @@ def main() -> None:
     # Scripted faults on top of the random loss: a handover blackout on a
     # mid-path link, then a Midnode power-cycle that wipes its cache and
     # every piece of per-flow soft state.
-    schedule = FaultSchedule([
-        LinkDown(at_s=8.0, link="hop3", duration_s=2.0),
-        NodeCrash(at_s=18.0, node="leotp-mid2", restart_after_s=0.5),
-    ])
+    timeline = Timeline(
+        LinkDown(8.0, 3, duration_s=2.0)
+        + NodeCrash(18.0, "leotp-mid2", restart_after_s=0.5)
+    )
     result = run_chaos(
-        schedule,
+        timeline,
         partial(
             build_leotp_path,
             hops=uniform_chain_specs(6, rate_bps=20e6, delay_s=0.008, plr=0.01),

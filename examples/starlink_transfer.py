@@ -10,14 +10,15 @@ the identical network — the paper's headline Fig. 17 scenario.  Run with::
 
 from repro.constellation import (
     ConstellationRouter,
-    PathDynamicsDriver,
     compute_path_schedule,
     representative_hop_count,
+    route_entries,
     starlink_core_shell,
     starlink_hop_specs,
     top_cities,
 )
 from repro.core import build_leotp_path
+from repro.faults import Timeline, TimelineDriver
 from repro.simcore import RngRegistry, Simulator
 from repro.tcp import build_e2e_tcp_path
 from repro.tcp.cc import CCSpec
@@ -37,6 +38,9 @@ def main() -> None:
           f"in {DURATION_S:.0f} s\n")
 
     hops = starlink_hop_specs(n_hops, isls_enabled=True)
+    # Hop delays follow the route, sampled every 2 s; a route change
+    # flushes the hops whose satellites left it.
+    timeline = Timeline(route_entries(schedule, n_hops, update_interval_s=2.0))
 
     for protocol in ("leotp", "bbr"):
         sim = Simulator()
@@ -45,7 +49,7 @@ def main() -> None:
             path = build_leotp_path(sim, rng, hops)
         else:
             path = build_e2e_tcp_path(sim, rng, hops, CCSpec("bbr"))
-        PathDynamicsDriver(sim, schedule, path.links, update_interval_s=2.0)
+        TimelineDriver(sim, path, timeline)
         sim.run(until=DURATION_S)
         rec = path.recorder
         queueing = rec.owd_mean() * 1000 - schedule.mean_delay_s * 1000

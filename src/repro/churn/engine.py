@@ -1,9 +1,13 @@
-"""Diffing route schedules into deterministic topology event streams.
+"""Diffing route schedules into topology event streams and timelines.
 
 This is the churn engine's core: consecutive :class:`PathSnapshot`\\ s of
 a :class:`PathSchedule` are compared edge-by-edge and node-by-node, and
 every difference becomes a typed event (LRSIM generates its dynamic
 forwarding state the same way — by diffing per-slice route tables).
+:func:`churn_timeline` then turns a pair's schedule and event stream
+into the one :class:`~repro.faults.timeline.Timeline` a chain runs
+under: handover signals, outages on the hops whose real edges changed,
+and delays that track the route.
 
 Determinism discipline: all set differences are sorted before they are
 turned into events, and event streams carry a total order, so the same
@@ -15,6 +19,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.churn.events import (
+    SIGNAL_KINDS,
     GsReattach,
     LinkAdded,
     LinkRemoved,
@@ -24,7 +29,13 @@ from repro.churn.events import (
     TopologyEvent,
     TopologyEventStream,
 )
+from repro.constellation.emulation import route_entries
 from repro.constellation.routing import PathSchedule, PathSnapshot
+from repro.faults.timeline import LinkDown, Timeline
+
+#: Handover blackout per removed edge, matching the paper's sub-100 ms
+#: GSL re-acquisition window (Sec. II-A).
+DEFAULT_OUTAGE_S = 0.08
 
 
 def _edges(snapshot: PathSnapshot) -> dict[tuple[str, str], tuple[bool, int]]:
@@ -143,3 +154,70 @@ def compress_schedule(schedule: PathSchedule, factor: float) -> PathSchedule:
     ]
     gaps = [(start / factor, end / factor) for start, end in schedule.gaps]
     return PathSchedule(schedule.gs_a, schedule.gs_b, snapshots, gaps)
+
+
+def outage_entries(stream: TopologyEventStream, n_hops: int) -> list[tuple]:
+    """The outages that realise ``stream`` on a chain of ``n_hops`` hops.
+
+    The emulation carries a route on a fixed chain, so a removed edge at
+    ``hop_index`` of the real route takes chain hop
+    ``min(hop_index, n_hops - 1)`` down for :data:`DEFAULT_OUTAGE_S` —
+    endpoint GSLs land on the chain's edge hops, interior ISLs on
+    interior hops.  A :class:`RouteLost` gap takes hop 0, the
+    producer-side uplink, down for the whole gap (at least the
+    blackout): one dead hop stops the whole path.  Outages on one hop
+    that overlap or abut merge into one.  Every ``up`` entry of
+    ``False`` comes before every ``True``, so at an instant where one
+    hop comes back and another goes down, the down applies first.
+    """
+    if n_hops < 1:
+        raise ValueError("need at least one hop in the emulated chain")
+    per_hop: dict[int, list[tuple[float, float]]] = {}
+    for event in stream:
+        if isinstance(event, LinkRemoved):
+            per_hop.setdefault(min(event.hop_index, n_hops - 1), []).append(
+                (event.at_s, event.at_s + DEFAULT_OUTAGE_S)
+            )
+        elif isinstance(event, RouteLost):
+            per_hop.setdefault(0, []).append((
+                event.at_s,
+                event.at_s + max(event.duration_s, DEFAULT_OUTAGE_S),
+            ))
+    downs, ups = [], []
+    for hop in sorted(per_hop):
+        merged: list[list[float]] = []
+        for start, end in sorted(per_hop[hop]):
+            if merged and start <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], end)
+            else:
+                merged.append([start, end])
+        for start, end in merged:
+            down, up = LinkDown(start, hop, end - start)
+            downs.append(down)
+            ups.append(up)
+    return downs + ups
+
+
+def churn_timeline(
+    schedule: PathSchedule,
+    stream: TopologyEventStream,
+    n_hops: int,
+    update_interval_s: float,
+) -> Timeline:
+    """One pair's churn on a chain of ``n_hops`` hops, as one timeline.
+
+    At each instant, in this order: a ``signal`` entry per
+    :data:`~repro.churn.events.SIGNAL_KINDS` event of ``stream`` (the
+    handover up-call, traced as a ``topology`` record), the
+    :func:`outage_entries`, and the delay retunes of
+    :func:`~repro.constellation.emulation.route_entries` sampled every
+    ``update_interval_s``.
+    """
+    signals = [(event.at_s, event.pair, "signal", event.kind)
+               for event in stream if event.kind in SIGNAL_KINDS]
+    return Timeline((
+        *signals,
+        *outage_entries(stream, n_hops),
+        *route_entries(schedule, n_hops, update_interval_s,
+                       flush_on_change=False),
+    ))

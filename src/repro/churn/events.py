@@ -5,8 +5,8 @@ PathSchedule` objects — route snapshots per time slice.  This module
 defines the *event* view of that data: what changed between consecutive
 slices, expressed as a small vocabulary of frozen dataclasses.  The
 events are pure data (no simulator coupling); :mod:`repro.churn.engine`
-produces them, :mod:`repro.churn.adapter` turns them into
-:class:`~repro.faults.schedule.FaultSchedule` entries, and
+produces them and turns them into
+:class:`~repro.faults.timeline.Timeline` entries, and
 :mod:`repro.churn.metrics` keys per-handover recovery off their times.
 
 Everything is deterministic: event order is a total order over
@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
 
-from repro.obs.tracer import TRACER
 
 
 @dataclass(frozen=True)
@@ -110,6 +109,11 @@ class RouteRestored(TopologyEvent):
 #: transport must ride out), as opposed to bookkeeping like LinkAdded.
 HANDOVER_KINDS = ("PathSwitch", "RouteLost")
 
+#: Event kinds handed to churn-aware congestion control as signals (see
+#: :meth:`repro.tcp.connection.TcpSender.notify_churn`): every change a
+#: local link layer would report, not the per-edge bookkeeping.
+SIGNAL_KINDS = ("PathSwitch", "GsReattach", "RouteLost", "RouteRestored")
+
 
 class TopologyEventStream:
     """An ordered, queryable collection of topology events."""
@@ -142,48 +146,6 @@ class TopologyEventStream:
     @property
     def pairs(self) -> list[str]:
         return sorted({e.pair for e in self._events})
-
-    def arm_markers(self, sim) -> None:
-        """Emit a TRACER record per event at its simulated time.
-
-        Zero-cost when tracing is disabled; when enabled, churn events
-        interleave with packet/fault records so ``run_summary`` timelines
-        show *why* goodput dipped.
-        """
-        for event in self._events:
-
-            def emit(e: TopologyEvent = event) -> None:
-                if TRACER.enabled:
-                    TRACER.emit(
-                        sim.now, "topology", e.pair,
-                        kind=e.kind, detail=str(e),
-                    )
-
-            sim.schedule_at(event.at_s, emit, priority=-1)
-
-    def arm_signal(self, sim, callback, *, kinds=None) -> int:
-        """Deliver each event's ``kind`` to ``callback(kind)`` at its time.
-
-        The churn-signal hook for handover-aware congestion control:
-        wiring ``stream.arm_signal(sim, sender.notify_churn)`` makes a
-        TCP sender's CC see ``PathSwitch``/``GsReattach``/... as they
-        happen, exactly as a local link-layer up-call would.  ``kinds``
-        filters the subscription (default: every event kind).  Signals
-        fire at priority -1, before same-time packet events, so the CC
-        reacts to a handover before the first post-handover ACK.
-        Returns the number of callbacks scheduled.
-        """
-        armed = 0
-        for event in self._events:
-            if kinds is not None and event.kind not in kinds:
-                continue
-
-            def deliver(e: TopologyEvent = event) -> None:
-                callback(e.kind)
-
-            sim.schedule_at(event.at_s, deliver, priority=-1)
-            armed += 1
-        return armed
 
 
 def merge_streams(

@@ -36,7 +36,8 @@ def per_handover_reports(
 ) -> list[RecoveryReport]:
     """One :class:`RecoveryReport` per handover time.
 
-    ``outage_s`` is the blackout the adapter applied per handover, so each
+    ``outage_s`` is the blackout each handover applied (see
+    :func:`~repro.churn.engine.outage_entries`), so each
     report's fault window is ``[t, t + outage_s]``.  ``horizon_s`` caps
     the last handover's post window at the end of the run.
     """

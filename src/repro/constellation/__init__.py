@@ -1,9 +1,9 @@
 """LEO constellation model: orbits, Walker shell, ground stations, routing."""
 
 from repro.constellation.emulation import (
-    PathDynamicsDriver,
     StarlinkLinkParams,
     representative_hop_count,
+    route_entries,
     starlink_hop_specs,
 )
 from repro.constellation.geometry import (
@@ -33,7 +33,6 @@ __all__ = [
     "EARTH_RADIUS_M",
     "GroundStation",
     "NoRouteError",
-    "PathDynamicsDriver",
     "PathSchedule",
     "PathSnapshot",
     "RoutingConfig",
@@ -50,6 +49,7 @@ __all__ = [
     "orbital_period_s",
     "propagation_delay_s",
     "representative_hop_count",
+    "route_entries",
     "starlink_core_shell",
     "starlink_hop_specs",
     "station_by_name",

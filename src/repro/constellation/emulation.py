@@ -16,13 +16,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from repro.constellation.routing import PathSchedule
 from repro.netsim.bandwidth import HandoverVCurveBandwidth
-from repro.netsim.link import DuplexLink
 from repro.netsim.topology import HopSpec
-from repro.simcore.simulator import Simulator
 
 
 def representative_hop_count(schedule: PathSchedule) -> int:
@@ -93,53 +90,42 @@ def starlink_hop_specs(
     return specs
 
 
-class PathDynamicsDriver:
-    """Applies a :class:`PathSchedule` to a built chain of duplex links.
+def route_entries(
+    schedule: PathSchedule,
+    n_hops: int,
+    update_interval_s: float,
+    flush_on_change: bool = True,
+) -> list[tuple]:
+    """Timeline entries that make an ``n_hops`` chain follow ``schedule``.
 
-    Every ``update_interval_s`` the driver:
-
-    * retunes each hop's propagation delay so the chain's end-to-end
-      propagation delay equals the current snapshot's;
-    * if the route's node set changed since the previous slice, flushes the
-      queues of as many interior hops as nodes changed (packets buffered on
-      a departed satellite are lost — the paper's end-to-end reliability
-      challenge).
+    The route is sampled every ``update_interval_s`` from t=0 until its
+    last snapshot is in force.  Whenever a sample moves the chain's
+    end-to-end propagation delay, every hop's ``delay_s`` is retuned to
+    an equal share of it.  With ``flush_on_change``, a sample whose node
+    set differs from the previous one flushes as many interior hops as
+    nodes changed (packets buffered on a departed satellite are lost —
+    the paper's end-to-end reliability challenge): a zero-length outage,
+    a ``up`` entry of ``False`` then ``True``.  Entries are
+    ``(t, hop, field, value)`` tuples for a
+    :class:`~repro.faults.timeline.Timeline`.
     """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        schedule: PathSchedule,
-        links: Sequence[DuplexLink],
-        update_interval_s: float = 1.0,
-        flush_on_change: bool = True,
-    ) -> None:
-        if not links:
-            raise ValueError("need at least one link")
-        self.sim = sim
-        self.schedule = schedule
-        self.links = list(links)
-        self.update_interval_s = update_interval_s
-        self.flush_on_change = flush_on_change
-        self.handover_count = 0
-        self._last_nodes: Optional[tuple[str, ...]] = None
-        self._apply()  # set initial delays
-        sim.schedule_call(update_interval_s, self._tick)
-
-    def _tick(self) -> None:
-        self._apply()
-        self.sim.schedule_call(self.update_interval_s, self._tick)
-
-    def _apply(self) -> None:
-        snap = self.schedule.at(self.sim.now)
-        per_hop = snap.total_delay_s / len(self.links)
-        for link in self.links:
-            link.set_delay(per_hop)
-        if self._last_nodes is not None and snap.nodes != self._last_nodes:
-            self.handover_count += 1
-            if self.flush_on_change:
-                changed = max(len(set(snap.nodes) ^ set(self._last_nodes)) // 2, 1)
-                for link in self.links[1:-1][:changed] or self.links[:1]:
-                    link.ab.flush(drop_inflight=True)
-                    link.ba.flush(drop_inflight=True)
-        self._last_nodes = snap.nodes
+    if n_hops < 1 or not update_interval_s > 0:
+        raise ValueError("need at least one hop and a positive interval")
+    entries: list[tuple] = []
+    delay = nodes = None
+    last = schedule.snapshots[-1].time
+    t = 0.0
+    while True:
+        snap = schedule.at(t)
+        per_hop = snap.total_delay_s / n_hops
+        if per_hop != delay:
+            entries += [(t, hop, "delay_s", per_hop) for hop in range(n_hops)]
+            delay = per_hop
+        if flush_on_change and nodes is not None and snap.nodes != nodes:
+            changed = max(len(set(snap.nodes) ^ set(nodes)) // 2, 1)
+            for hop in range(1, n_hops - 1)[:changed] or range(1):
+                entries += [(t, hop, "up", False), (t, hop, "up", True)]
+        nodes = snap.nodes
+        if t >= last:
+            return entries
+        t += update_interval_s

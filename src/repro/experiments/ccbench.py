@@ -15,10 +15,10 @@ second), the *load* axis scales the Poisson arrival rate of the flow
 pool, and the *loss* axis switches the chain between the clean
 geometry-derived hop specs and a lossy variant with elevated GSL PLR.
 
-Every cell multiplexes a :class:`FlowPool` over the pair's chain while
-a :class:`PathDynamicsDriver` tracks the compressed schedule, the churn
-adapter blacks out exactly the hops whose real edges changed, and — for
-TCP cells — the event stream's churn *signal* hook delivers
+Every cell multiplexes a :class:`FlowPool` over the pair's chain under
+the pair's churn timeline: hop delays track the compressed schedule,
+outages black out exactly the hops whose real edges changed, and — for
+TCP cells — its signal entries deliver
 ``PathSwitch``/``GsReattach``/``RouteLost`` up-calls to every live
 sender's congestion module (:meth:`TcpSender.notify_churn`).  Per cell
 the row reports FCT percentiles, Jain fairness, and aggregate goodput
@@ -46,6 +46,7 @@ from repro.experiments.churn_study import (
     pair_context,
 )
 from repro.experiments.paper import Figure, Run
+from repro.faults import Timeline
 from repro.netsim.trace import FlowRecorder
 from repro.simcore import RngRegistry, Simulator
 from repro.tcp.cc import CCSpec
@@ -115,11 +116,9 @@ def _attach_monitor(sim, pool, spec):
 
 def run_cell(
     spec: CCSpec,
-    compressed,
     stream: TopologyEventStream,
-    n_hops: int,
+    timeline: Timeline,
     hops,
-    compression: float,
     rate_per_s: float,
     duration_s: float,
     seed: int,
@@ -153,8 +152,8 @@ def run_cell(
         pool.notify_churn(kind)
         mon_sender.notify_churn(kind)
 
-    injector = arm_pool_churn(
-        sim, rng, pool, compressed, stream, n_hops, compression,
+    driver = arm_pool_churn(
+        sim, rng, pool, stream, timeline,
         signal=signal if mon_sender is not None else None,  # TCP cells
     )
     sim.run(until=duration_s)
@@ -173,7 +172,7 @@ def run_cell(
         "jain_min": s.get("jain_min", 0.0),
         "goodput_mbps": recorder.total_bytes * 8 / duration_s / 1e6,
         "mon_goodput_mbps": mon_rec.total_bytes * 8 / duration_s / 1e6,
-        "faults_applied": injector.faults_applied,
+        "faults_applied": driver.faults_applied,
     }
     # Recovery is judged on the monitor flow: a constant-demand
     # reference transfer present at every handover, immune to the
@@ -184,7 +183,7 @@ def run_cell(
 
 def _cells(run: Run) -> list[tuple]:
     """(cadence, load, loss, its churn context, CC) points; a cadence's
-    cells share its compressed schedule and event stream.  ``run.cc``
+    cells share its event stream and timeline.  ``run.cc``
     (the ``--cc`` flag; params via ``--cc-param`` ride along on the
     spec) restricts the CC axis to one controller, e.g. to bench a
     tuned law against the matrix."""
@@ -202,12 +201,12 @@ def _cells(run: Run) -> list[tuple]:
 
 
 def _cell(run: Run, cadence, load, loss, context, cc: CCSpec) -> dict:
-    compressed, stream, n_hops, hops = context
+    stream, timeline, n_hops, hops = context
     return dict(
         handovers=len(stream.handover_times()),
         **run_cell(
-            cc, compressed, stream, n_hops, _lossy(hops, LOSSES[loss]),
-            CADENCES[cadence], LOADS[load], run.duration, run.seed,
+            cc, stream, timeline, _lossy(hops, LOSSES[loss]),
+            LOADS[load], run.duration, run.seed,
         ),
     )
 

@@ -28,10 +28,10 @@ from repro.experiments.common import PathSpec, build_path
 from repro.experiments.paper import Figure, Run
 from repro.faults import (
     CorrelatedLoss,
-    FaultSchedule,
     LinkDown,
     LinkFlap,
     NodeCrash,
+    Timeline,
     run_chaos,
 )
 from repro.netsim.topology import uniform_chain_specs
@@ -39,22 +39,21 @@ from repro.netsim.topology import uniform_chain_specs
 RATE_BPS = 20e6
 DELAY_S = 0.008
 N_HOPS = 6
-MID_LINK = "hop3"        # the faulted mid-path link (both protocols)
+MID_HOP = 3              # the faulted mid-path hop (both protocols)
 LEOTP_CRASH_NODE = "leotp-mid2"
 TCP_CRASH_NODE = "tcp-fwd2"
 BASELINE_CC = "bbr"
 
 
-#: Each scenario's fault, given when it lands and the node a crash hits.
+#: Each scenario's fault entries, given when it lands and the node a
+#: crash hits.
 SCENARIOS = {
-    "blackout": lambda at_s, node: LinkDown(
-        at_s=at_s, link=MID_LINK, duration_s=2.0),
+    "blackout": lambda at_s, node: LinkDown(at_s, MID_HOP, duration_s=2.0),
     "flap": lambda at_s, node: LinkFlap(
-        at_s=at_s, link=MID_LINK, down_s=0.3, up_s=0.5, cycles=3),
-    "crash": lambda at_s, node: NodeCrash(
-        at_s=at_s, node=node, restart_after_s=0.5),
+        at_s, MID_HOP, down_s=0.3, up_s=0.5, cycles=3),
+    "crash": lambda at_s, node: NodeCrash(at_s, node, restart_after_s=0.5),
     "loss_burst": lambda at_s, node: CorrelatedLoss(
-        at_s=at_s, link=MID_LINK, duration_s=3.0,
+        at_s, MID_HOP, duration_s=3.0,
         p_good_bad=0.05, p_bad_good=0.2, loss_bad=0.6),
 }
 
@@ -73,7 +72,7 @@ def _chaos(run: Run, scenario: str, protocol: str):
         crash_node, spec = TCP_CRASH_NODE, PathSpec(
             protocol="tcp", hops=hops, cc=BASELINE_CC)
     return run_chaos(
-        FaultSchedule([SCENARIOS[scenario](run.duration / 3.0, crash_node)]),
+        Timeline(SCENARIOS[scenario](run.duration / 3.0, crash_node)),
         partial(build_path, spec=spec),
         duration_s=run.duration, seed=run.seed,
     )

@@ -5,12 +5,12 @@ experiment makes *orbital mechanics* the fault generator.  Routes over
 the 1600-satellite core shell are sampled per time slice for two
 city pairs, a long orbital window is time-compressed so the full
 handover census lands inside the simulated horizon, and the churn
-engine turns the route diffs into typed topology events and a
-:class:`FaultSchedule`.  The unmodified chaos harness then runs LEOTP,
-split-TCP/BBR, and end-to-end BBR over chains whose delays track the
-compressed schedule while the adapted faults black out exactly the hops
-whose real edges changed — with the flow checked against the protocol
-invariants and recovery measured *per handover*.
+engine turns the route diffs into typed topology events and one
+:class:`~repro.faults.timeline.Timeline` per pair.  The unmodified chaos
+harness then runs LEOTP, split-TCP/BBR, and end-to-end BBR over chains
+whose delays track the compressed schedule while outages black out
+exactly the hops whose real edges changed — with the flow checked
+against the protocol invariants and recovery measured *per handover*.
 
 A second section multiplexes a small :class:`FlowPool` workload over
 each pair's chain under the same churn, exercising mid-flow path
@@ -26,19 +26,19 @@ ordered, and every RNG draw comes from named streams.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional
 
 from repro.churn import (
     DEFAULT_OUTAGE_S,
     TopologyEventStream,
+    churn_timeline,
     compress_schedule,
     events_from_schedule,
-    faults_from_stream,
     handover_stats,
     per_handover_reports,
 )
 from repro.constellation import (
-    PathDynamicsDriver,
     compute_path_schedule,
     representative_hop_count,
     starlink_hop_specs,
@@ -46,7 +46,7 @@ from repro.constellation import (
 from repro.experiments.common import PathSpec, build_path
 from repro.experiments.paper import Figure, Run
 from repro.experiments.starlink import _router
-from repro.faults import FaultInjector, run_chaos
+from repro.faults import Timeline, TimelineDriver, run_chaos
 from repro.obs import METRICS
 from repro.simcore import RngRegistry, Simulator
 from repro.tcp.cc import CCSpec
@@ -61,9 +61,6 @@ PAIRS = {
 
 #: Orbital sampling step (matches the starlink experiments).
 ORBIT_STEP_S = 2.0
-
-#: Churn kinds forwarded to congestion modules as signals.
-SIGNAL_KINDS = ("PathSwitch", "GsReattach", "RouteLost", "RouteRestored")
 
 #: Orbit-time : sim-time compression.  A pair on this shell sees a route
 #: change every ~30-40 s of orbit time; compressing 20x packs the full
@@ -81,7 +78,7 @@ _PROTOCOLS = ("leotp", "split-bbr", "bbr", "leotp-pool")
 
 def pair_context(slug: str, city_a: str, city_b: str,
                  duration_s: float, seed: int, compression: float):
-    """Compressed schedule, event stream, chain shape for one pair."""
+    """Event stream, churn timeline and chain shape for one pair."""
     orbit = compute_path_schedule(
         _router(True), city_a, city_b,
         duration_s * compression, ORBIT_STEP_S, on_gap="hold",
@@ -90,7 +87,10 @@ def pair_context(slug: str, city_a: str, city_b: str,
     stream = events_from_schedule(compressed, pair=slug)
     n_hops = max(representative_hop_count(compressed), 2)
     hops = starlink_hop_specs(n_hops, isls_enabled=True, seed=seed)
-    return compressed, stream, n_hops, hops
+    timeline = churn_timeline(
+        compressed, stream, n_hops, ORBIT_STEP_S / compression
+    )
+    return stream, timeline, n_hops, hops
 
 
 def handover_columns(recorder, stream: TopologyEventStream,
@@ -109,7 +109,7 @@ def handover_columns(recorder, stream: TopologyEventStream,
 def _single_flow_row(run: Run, protocol: str, context) -> dict:
     """Run one monitored flow under the pair's churn; return row columns.
     ``run.cc`` swaps the congestion control of the TCP rows (BBR)."""
-    compressed, stream, n_hops, hops = context
+    stream, timeline, n_hops, hops = context
     cc_spec = run.cc or CCSpec("bbr")
     if protocol == "leotp":
         # Sized to finish inside the run at the 10 Mbps GSL bottleneck
@@ -123,18 +123,8 @@ def _single_flow_row(run: Run, protocol: str, context) -> dict:
             hops=hops, cc=cc_spec,
         )
 
-    def build(sim: Simulator, rng: RngRegistry):
-        path = build_path(sim, rng, spec)
-        PathDynamicsDriver(
-            sim, compressed, path.links,
-            update_interval_s=ORBIT_STEP_S / COMPRESSION,
-            flush_on_change=False,
-        )
-        stream.arm_markers(sim)
-        return path
-
     res = run_chaos(
-        faults_from_stream(stream, n_hops), build,
+        timeline, partial(build_path, spec=spec),
         duration_s=run.duration, seed=run.seed,
     )
 
@@ -166,34 +156,20 @@ def arm_pool_churn(
     sim: Simulator,
     rng: RngRegistry,
     pool: FlowPool,
-    compressed,
     stream: TopologyEventStream,
-    n_hops: int,
-    compression: float,
+    timeline: Timeline,
     signal: Optional[Callable[[str], None]] = None,
-) -> FaultInjector:
+) -> TimelineDriver:
     """Put a :class:`FlowPool`'s chain under one pair's churn.
 
-    The chain's delays track ``compressed``, the adapted faults black
-    out the hops whose real edges changed, and ``signal(kind)`` (if
-    given) receives the :data:`SIGNAL_KINDS` up-calls.  The scheduling
-    order — driver, markers, signal, injector, aborts — is part of the
-    contract: same-timestamp events tie-break on insertion order.
-    Returns the armed injector.
+    ``timeline`` (the pair's :func:`~repro.churn.churn_timeline`) is armed
+    on the pool's chain, with ``signal(kind)`` (if given) receiving its
+    handover up-calls; ``stream`` names the route-loss gaps.  The
+    scheduling order — timeline, then aborts — is part of the contract:
+    same-timestamp events tie-break on insertion order.  Returns the
+    armed driver.
     """
-    PathDynamicsDriver(
-        sim, compressed, pool.links,
-        update_interval_s=ORBIT_STEP_S / compression, flush_on_change=False,
-    )
-    stream.arm_markers(sim)
-    if signal is not None:
-        stream.arm_signal(sim, signal, kinds=SIGNAL_KINDS)
-    injector = FaultInjector(sim, rng)
-    for i, link in enumerate(pool.links):
-        injector.register_link(f"{pool.name}:hop{i}", link)
-    injector.arm(
-        faults_from_stream(stream, n_hops, link_prefix=f"{pool.name}:")
-    )
+    driver = TimelineDriver(sim, pool, timeline, rng, on_signal=signal)
     # A transient routing gap must not crash the run: gaps longer than
     # the abort threshold fail the affected flows with a recorded
     # reason; shorter ones drain through TR/SHR retransmission.
@@ -204,12 +180,12 @@ def arm_pool_churn(
             )
     if METRICS.enabled:
         pool.attach_samplers()
-    return injector
+    return driver
 
 
 def _pool_row(run: Run, slug: str, context) -> dict:
     """A FlowPool workload over the pair's chain under the same churn."""
-    compressed, stream, n_hops, hops = context
+    stream, timeline, n_hops, hops = context
     sim = Simulator()
     rng = RngRegistry(run.seed)
     spec = WorkloadSpec(
@@ -223,9 +199,7 @@ def _pool_row(run: Run, slug: str, context) -> dict:
         sim, rng, spec=spec, hops=hops, protocol="leotp",
         name=slug.lower().replace("-", ""),
     )
-    injector = arm_pool_churn(
-        sim, rng, pool, compressed, stream, n_hops, COMPRESSION
-    )
+    driver = arm_pool_churn(sim, rng, pool, stream, timeline)
     sim.run(until=run.duration)
     pool.finalize()
     s = pool.summary()
@@ -236,13 +210,13 @@ def _pool_row(run: Run, slug: str, context) -> dict:
         "pool_aborted": int(s["aborted"]),
         "aborted_no_route": int(s.get("aborted_no_route", 0.0)),
         "budget_breaches": int(s["budget_breaches"]),
-        "faults_applied": injector.faults_applied,
+        "faults_applied": driver.faults_applied,
     }
 
 
 def _pairs(run: Run) -> list[tuple]:
     """(pair, protocol, its churn context) points; a pair's rows share
-    its compressed schedule and event stream."""
+    its event stream and timeline."""
     points = []
     for slug in sorted(PAIRS):
         context = pair_context(
@@ -253,7 +227,7 @@ def _pairs(run: Run) -> list[tuple]:
 
 
 def _row(run: Run, row: dict, slug: str, protocol: str, context) -> dict:
-    compressed, stream, n_hops, hops = context
+    stream, timeline, n_hops, hops = context
     counts = stream.counts()
     return dict(
         hops=n_hops,

@@ -15,7 +15,7 @@ use ``scale=1.0``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from repro.tcp.cc.spec import CCSpec, as_cc_spec
 from repro.tcp.segment import DEFAULT_MSS
 
 if TYPE_CHECKING:
+    from repro.faults.timeline import Timeline
     from repro.tcp import SplitTcpPath, TcpPath
 
 #: Protocols :func:`build_path` can wire.
@@ -109,7 +110,7 @@ def build_path(sim: Simulator, rng: RngRegistry, spec: PathSpec) -> BuiltPath:
 
     Every built path answers the same read interface — ``recorder``,
     ``links``, ``nodes``, ``wire_bytes_sent``, ``retransmissions`` — so
-    runners, the fault injector and row extractors never branch on the
+    runners, the timeline driver and row extractors never branch on the
     protocol.  For TCP, ``spec.total_bytes`` sizes a ``FiniteStream``
     (``None``: an unbounded source).
     """
@@ -276,19 +277,22 @@ def run_chain(
     spec: PathSpec,
     duration_s: float,
     seed: int = 0,
-    attach: Optional[Callable[[Simulator, BuiltPath], object]] = None,
+    timeline: Optional[Timeline] = None,
 ) -> tuple[FlowMetrics, BuiltPath]:
     """Build the one flow ``spec`` describes, run it, and measure it.
 
-    ``attach(sim, path)`` runs after wiring and before the clock starts —
-    the hook for whatever rides along with the flow (a
-    ``PathDynamicsDriver`` retuning ``path.links``, extra samplers).
-    Metrics skip the first :data:`WARMUP_FRACTION` of the run.
+    ``timeline`` is armed on the built path before the clock starts
+    (e.g. the route's delay retunes and handover flushes).  Metrics skip
+    the first :data:`WARMUP_FRACTION` of the run.
     """
     sim = Simulator()
-    path = build_path(sim, RngRegistry(seed), spec)
-    if attach is not None:
-        attach(sim, path)
+    rng = RngRegistry(seed)
+    path = build_path(sim, rng, spec)
+    if timeline is not None:
+        # Only a run with a timeline loads the driver.
+        from repro.faults.timeline import TimelineDriver
+
+        TimelineDriver(sim, path, timeline, rng)
     sim.run(until=duration_s)
     metrics = metrics_from_recorder(
         path.recorder, duration_s * WARMUP_FRACTION, duration_s,

@@ -14,17 +14,18 @@ from typing import Optional
 
 from repro.constellation import (
     ConstellationRouter,
-    PathDynamicsDriver,
     PathSchedule,
     RoutingConfig,
     compute_path_schedule,
     representative_hop_count,
+    route_entries,
     starlink_core_shell,
     starlink_hop_specs,
     top_cities,
 )
 from repro.core import LeotpConfig
 from repro.experiments.common import FlowMetrics, PathSpec, run_chain
+from repro.faults.timeline import Timeline
 
 
 @lru_cache(maxsize=8)
@@ -69,9 +70,7 @@ def run_starlink_flow(
         spec = PathSpec(protocol="tcp", hops=hops, cc=protocol)
     metrics, _ = run_chain(
         spec, duration_s, seed=seed,
-        attach=lambda sim, path: PathDynamicsDriver(
-            sim, schedule, path.links, update_interval_s=2.0
-        ),
+        timeline=Timeline(route_entries(schedule, n_hops, 2.0)),
     )
     context = {
         "hop_count": n_hops,

@@ -1,4 +1,4 @@
-"""One-call chaos runs: topology + fault schedule + invariants + metrics.
+"""One-call chaos runs: topology + fault timeline + invariants + metrics.
 
 This stresses the paper's LEO-churn claims (Sec. II-A's handover and
 outage dynamics; recovery behaviour of Sec. V-C) well beyond the
@@ -8,11 +8,12 @@ back as a recovery timeline via :func:`repro.analysis.run_summary`.
 
 :func:`run_chaos` is the one entry point the chaos regression suite, the
 experiment matrix, and the examples share.  It builds a fresh simulator,
-asks the caller's ``build(sim, rng)`` for the topology, arms the fault
-schedule, runs to ``duration_s`` (under a wall-clock watchdog), and
-returns a :class:`ChaosResult` bundling the rules the flow broke
+asks the caller's ``build(sim, rng)`` for the topology, arms the
+:class:`~repro.faults.timeline.Timeline` on it, runs to ``duration_s``
+(under a wall-clock watchdog), and returns a :class:`ChaosResult`
+bundling the rules the flow broke
 (:func:`~repro.faults.invariants.check_flow`), the recovery metrics,
-and the injector's action log.
+and the timeline driver's action log.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Any, Callable, Optional
 
 from repro.faults.invariants import InvariantViolation, check_flow
 from repro.faults.metrics import RecoveryReport, recovery_report
-from repro.faults.schedule import FaultInjector, FaultSchedule
+from repro.faults.timeline import Timeline, TimelineDriver
 from repro.obs import METRICS, TRACER
 from repro.simcore import RngRegistry, Simulator
 
@@ -37,7 +38,7 @@ class ChaosResult:
     violations: Optional[dict[str, str]]
     recovery: RecoveryReport
     fault_log: list[tuple[float, str]] = field(default_factory=list)
-    faults_applied: int = 0  # faults fired (fault_log also logs restores)
+    faults_applied: int = 0  # faults started (fault_log also logs restores)
     completed: Optional[bool] = None  # None for open-ended flows
     completed_at_s: Optional[float] = None
     # Snapshots of the obs streams for this run, when tracing/metrics
@@ -69,15 +70,8 @@ class ChaosResult:
         }
 
 
-def _fault_window(schedule: FaultSchedule) -> tuple[float, float]:
-    if len(schedule) == 0:
-        return 0.0, 0.0
-    start = min(event.at_s for event in schedule)
-    return start, max(schedule.last_fault_end_s, start)
-
-
 def run_chaos(
-    schedule: FaultSchedule,
+    timeline: Timeline,
     build: Callable[[Simulator, RngRegistry], Any],
     duration_s: float = 15.0,
     seed: int = 0,
@@ -116,15 +110,13 @@ def run_chaos(
                 chained(nbytes, origin_ts)
 
         consumer.deliver = deliver
-    injector = FaultInjector(sim, rng)
-    injector.register_path(path)
-    injector.arm(schedule)
+    driver = TimelineDriver(sim, path, timeline, rng)
     # Snapshot (not drain) the obs streams around the run, so callers
     # batching several chaos runs under one tracer keep the full log.
     rec_mark, sample_mark = len(TRACER.records), len(METRICS.samples)
     sim.run(until=duration_s, wall_timeout_s=wall_timeout_s)
 
-    fault_start, fault_end = _fault_window(schedule)
+    fault_start, fault_end = timeline.fault_window
     completion = consumer.completed_at if consumer is not None else None
     post_window = recovery_window_s
     if completion is not None and completion > fault_end:
@@ -151,8 +143,8 @@ def run_chaos(
         ),
         violations=violations,
         recovery=recovery,
-        fault_log=list(injector.log),
-        faults_applied=injector.faults_applied,
+        fault_log=list(driver.log),
+        faults_applied=driver.faults_applied,
         completed=consumer.finished if finite else None,
         completed_at_s=completion,
         trace_records=TRACER.records[rec_mark:] if TRACER.enabled else None,

@@ -123,9 +123,9 @@ class GatewayPath:
     recorder: FlowRecorder
     # LEO-segment duplex links, ingress-side first.  Exposing them (plus
     # the consumer/producer/midnodes views below) makes the bridged path
-    # a drop-in target for the chaos harness: FaultInjector.register_path
-    # names them hop0..hopN and check_flow audits the LEOTP segment
-    # exactly as it would a plain chain.
+    # a drop-in target for the chaos harness: a timeline's hop indices
+    # address them and check_flow audits the LEOTP segment exactly as it
+    # would a plain chain.
     links: list[DuplexLink] = field(default_factory=list)
 
     @property

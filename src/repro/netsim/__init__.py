@@ -2,12 +2,9 @@
 
 from repro.netsim.bandwidth import (
     BandwidthProfile,
-    ConstantBandwidth,
     HandoverVCurveBandwidth,
     SquareWaveBandwidth,
-    TraceBandwidth,
     starlink_download_bandwidth_samples,
-    starlink_gsl_trace,
 )
 from repro.netsim.link import DuplexLink, Link, LinkStats
 from repro.netsim.node import Node, Router, SinkNode
@@ -25,7 +22,6 @@ from repro.netsim.trace import FlowRecorder, TimeSeriesProbe, cdf
 
 __all__ = [
     "BandwidthProfile",
-    "ConstantBandwidth",
     "Dumbbell",
     "DuplexLink",
     "FlowRecorder",
@@ -41,11 +37,9 @@ __all__ = [
     "SwitchablePath",
     "SwitchedLink",
     "TimeSeriesProbe",
-    "TraceBandwidth",
     "build_chain",
     "build_dumbbell",
     "cdf",
     "starlink_download_bandwidth_samples",
-    "starlink_gsl_trace",
     "uniform_chain_specs",
 ]

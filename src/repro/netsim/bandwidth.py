@@ -17,7 +17,7 @@ The generators here model the bandwidth phenomena the paper relies on:
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -37,10 +37,6 @@ class BandwidthProfile:
     def mean_rate(self) -> float:
         """Long-run average rate, used by experiments to compute utilisation."""
         return self.base_rate_bps
-
-
-class ConstantBandwidth(BandwidthProfile):
-    """Alias of the base class, for explicitness at call sites."""
 
 
 class SquareWaveBandwidth(BandwidthProfile):
@@ -127,40 +123,6 @@ class HandoverVCurveBandwidth(BandwidthProfile):
         return self.base_rate_bps * (1 + self.floor_fraction) / 2
 
 
-class TraceBandwidth(BandwidthProfile):
-    """Piecewise-constant rate driven by an explicit (time, rate) trace.
-
-    The trace repeats cyclically after its last sample.
-    """
-
-    def __init__(self, times_s: Sequence[float], rates_bps: Sequence[float]) -> None:
-        if len(times_s) != len(rates_bps) or not times_s:
-            raise ValueError("times and rates must be equal-length, non-empty")
-        if list(times_s) != sorted(times_s):
-            raise ValueError("times must be sorted ascending")
-        if times_s[0] != 0:
-            raise ValueError("trace must start at t=0")
-        if any(r <= 0 for r in rates_bps):
-            raise ValueError("all rates must be positive")
-        super().__init__(float(rates_bps[0]))
-        self._times = np.asarray(times_s, dtype=float)
-        self._rates = np.asarray(rates_bps, dtype=float)
-        # Cycle length: last sample persists for the mean inter-sample gap.
-        if len(times_s) > 1:
-            tail = float(np.mean(np.diff(self._times)))
-        else:
-            tail = 1.0
-        self._cycle = float(self._times[-1]) + tail
-
-    def rate_at(self, t: float) -> float:
-        pos = math.fmod(t, self._cycle)
-        idx = int(np.searchsorted(self._times, pos, side="right")) - 1
-        return float(self._rates[max(idx, 0)])
-
-    def mean_rate(self) -> float:
-        return float(np.mean(self._rates))
-
-
 def starlink_download_bandwidth_samples(
     n: int,
     rng: Optional[np.random.Generator] = None,
@@ -179,28 +141,3 @@ def starlink_download_bandwidth_samples(
     # median ~100 Mbps, sigma chosen so the 2-386 Mbps range covers ~99%.
     samples = rng.lognormal(mean=math.log(100e6), sigma=0.85, size=n)
     return np.clip(samples, 2e6, 386e6)
-
-
-def starlink_gsl_trace(
-    duration_s: float,
-    mean_rate_bps: float = 10e6,
-    handover_interval_s: float = 15.0,
-    step_s: float = 0.25,
-    seed: int = 0,
-) -> TraceBandwidth:
-    """Build a piecewise trace of GSL bandwidth with V-curve handovers.
-
-    Convenience wrapper that samples :class:`HandoverVCurveBandwidth` onto a
-    grid, for experiments that want an explicit, inspectable trace.
-    """
-    if duration_s <= 0 or step_s <= 0:
-        raise ValueError("duration and step must be positive")
-    profile = HandoverVCurveBandwidth(
-        # Peak chosen so the long-run mean equals mean_rate_bps.
-        rate_bps=mean_rate_bps / ((1 + 0.5) / 2),
-        handover_interval_s=handover_interval_s,
-        seed=seed,
-    )
-    times = np.arange(0.0, duration_s, step_s)
-    rates = [profile.rate_at(float(t)) for t in times]
-    return TraceBandwidth(times.tolist(), rates)

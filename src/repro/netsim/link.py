@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from repro.netsim.bandwidth import BandwidthProfile, ConstantBandwidth
+from repro.netsim.bandwidth import BandwidthProfile
 from repro.netsim.packet import Packet
 from repro.obs.tracer import TRACER
 from repro.simcore.simulator import Simulator
@@ -107,7 +107,7 @@ class Link:
         self.sim = sim
         self.dst = dst
         self.profile: BandwidthProfile = (
-            profile if profile is not None else ConstantBandwidth(rate_bps)
+            profile if profile is not None else BandwidthProfile(rate_bps)
         )
         self.delay_s = delay_s
         self.plr = plr

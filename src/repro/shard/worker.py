@@ -22,7 +22,7 @@ from __future__ import annotations
 import gc
 import os
 import sys
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.obs.rss import peak_rss_bytes, reset_peak_rss
 from repro.shard.checkpoint import commit_shard, spill_name
@@ -31,12 +31,6 @@ from repro.shard.sink import SpillWriter
 from repro.simcore.random import RngRegistry
 from repro.simcore.simulator import Simulator
 from repro.workload.pool import FlowPool
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.faults.schedule import FaultInjector
-
-#: Fault-injection target name for the mid-chain blackout link.
-_FAULT_LINK = "midlink"
 
 
 class ShardError(RuntimeError):
@@ -74,23 +68,20 @@ class _ShardState:
             name=plan.shard_name(index),
             cache_policy=plan.cache_policy,
         )
-        self.injector: Optional[FaultInjector] = None
         if plan.has_fault(index):
-            # Only a faulted shard loads the fault layer.
-            from repro.faults.schedule import (
-                FaultInjector, FaultSchedule, LinkDown,
+            # Only a faulted shard loads the fault layer: it blacks out
+            # the mid-chain hop.
+            from repro.faults.timeline import (
+                LinkDown, Timeline, TimelineDriver,
             )
 
-            self.injector = FaultInjector(self.sim, self.rng)
-            middle = self.pool.links[len(self.pool.links) // 2]
-            self.injector.register_link(_FAULT_LINK, middle)
-            self.injector.arm(FaultSchedule([
+            TimelineDriver(self.sim, self.pool, Timeline(
                 LinkDown(
                     at_s=plan.fault_at_s,
-                    link=_FAULT_LINK,
+                    hop=len(self.pool.links) // 2,
                     duration_s=plan.fault_duration_s,
                 ),
-            ]))
+            ), self.rng)
 
     def attach_sink(self, sink_dir: str) -> SpillWriter:
         """Spill each flow's row, as it closes, to this shard's file."""

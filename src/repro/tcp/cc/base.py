@@ -73,8 +73,8 @@ class CongestionControl(ABC):
         this to drop their stale path model — the bottleneck after a
         handover shares nothing with the one before it.  Delivered via
         :meth:`repro.tcp.connection.TcpSender.notify_churn`, which
-        experiments wire to a
-        :meth:`repro.churn.TopologyEventStream.arm_signal` subscription.
+        experiments hand to the timeline driver as its ``on_signal``
+        (the signal entries of :func:`repro.churn.churn_timeline`).
         """
 
     # -- outputs ---------------------------------------------------------

@@ -220,10 +220,10 @@ class TcpSender(Node):
     def notify_churn(self, kind: str) -> None:
         """Deliver a topology churn signal to the congestion module.
 
-        Experiments wire this to a
-        :meth:`~repro.churn.events.TopologyEventStream.arm_signal`
-        subscription, giving handover-aware CCs (OrbCC, adaptive) their
-        ``on_churn`` events.  After the CC reacts the sender is kicked, so
+        Experiments hand this to the timeline driver as its ``on_signal``
+        (the signal entries of :func:`~repro.churn.churn_timeline`),
+        giving handover-aware CCs (OrbCC, adaptive) their ``on_churn``
+        events.  After the CC reacts the sender is kicked, so
         a raised rate/window takes effect now rather than at the next ACK.
         """
         if self.finished:

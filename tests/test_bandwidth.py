@@ -4,22 +4,22 @@ import numpy as np
 import pytest
 
 from repro.netsim.bandwidth import (
-    ConstantBandwidth,
+    BandwidthProfile,
     HandoverVCurveBandwidth,
     SquareWaveBandwidth,
-    TraceBandwidth,
     starlink_download_bandwidth_samples,
-    starlink_gsl_trace,
 )
 
 
 class TestConstantBandwidth:
+    """The base profile is the constant rate."""
+
     def test_rate(self):
-        assert ConstantBandwidth(5e6).rate_at(123.0) == 5e6
+        assert BandwidthProfile(5e6).rate_at(123.0) == 5e6
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ConstantBandwidth(0)
+            BandwidthProfile(0)
 
 
 class TestSquareWave:
@@ -73,32 +73,6 @@ class TestHandoverVCurve:
             HandoverVCurveBandwidth(10e6, handover_interval_s=0)
 
 
-class TestTraceBandwidth:
-    def test_piecewise_lookup(self):
-        prof = TraceBandwidth([0.0, 1.0, 2.0], [5e6, 7e6, 3e6])
-        assert prof.rate_at(0.5) == 5e6
-        assert prof.rate_at(1.5) == 7e6
-        assert prof.rate_at(2.5) == 3e6
-
-    def test_cycles(self):
-        prof = TraceBandwidth([0.0, 1.0], [5e6, 7e6])
-        # Cycle length = 1.0 (last time) + 1.0 (mean gap) = 2.0
-        assert prof.rate_at(2.1) == 5e6
-
-    def test_mean_rate(self):
-        assert TraceBandwidth([0.0, 1.0], [4e6, 8e6]).mean_rate() == 6e6
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TraceBandwidth([], [])
-        with pytest.raises(ValueError):
-            TraceBandwidth([0.0, 2.0, 1.0], [1e6, 1e6, 1e6])
-        with pytest.raises(ValueError):
-            TraceBandwidth([1.0], [1e6])
-        with pytest.raises(ValueError):
-            TraceBandwidth([0.0], [0.0])
-
-
 class TestStarlinkGenerators:
     def test_download_samples_respect_published_range(self):
         samples = starlink_download_bandwidth_samples(
@@ -112,11 +86,3 @@ class TestStarlinkGenerators:
     def test_download_samples_validation(self):
         with pytest.raises(ValueError):
             starlink_download_bandwidth_samples(0)
-
-    def test_gsl_trace_mean_near_target(self):
-        trace = starlink_gsl_trace(duration_s=120.0, mean_rate_bps=10e6, seed=4)
-        assert trace.mean_rate() == pytest.approx(10e6, rel=0.15)
-
-    def test_gsl_trace_validation(self):
-        with pytest.raises(ValueError):
-            starlink_gsl_trace(duration_s=0)

@@ -14,10 +14,10 @@ import pytest
 from repro.experiments.common import PathSpec, build_path
 from repro.faults import (
     CorrelatedLoss,
-    FaultSchedule,
     LinkDown,
     LinkFlap,
     NodeCrash,
+    Timeline,
     run_chaos,
 )
 from repro.netsim.topology import uniform_chain_specs
@@ -44,30 +44,24 @@ def _assert_recovered(result):
 
 class TestBlackoutRecovery:
     def test_two_second_blackout(self):
-        schedule = FaultSchedule(
-            [LinkDown(at_s=5.0, link="hop3", duration_s=2.0)]
-        )
-        result = run_chaos(schedule, _chain(), seed=1, duration_s=15.0)
+        timeline = Timeline(LinkDown(5.0, 3, duration_s=2.0))
+        result = run_chaos(timeline, _chain(), seed=1, duration_s=15.0)
         _assert_recovered(result)
-        # The injector acted exactly twice: down, then up.
-        assert [m for _, m in result.fault_log] == [
-            "hop3 DOWN for 2.0s (0 flushed)", "hop3 UP",
-        ] or len(result.fault_log) == 2
+        # The driver acted exactly twice: down, then up.
+        assert [t for t, _ in result.fault_log] == [5.0, 7.0]
+        assert result.fault_log[0][1].startswith("hop3 DOWN")
+        assert result.fault_log[1][1] == "hop3 UP"
 
     def test_flapping_link(self):
-        schedule = FaultSchedule(
-            [LinkFlap(at_s=5.0, link="hop3", down_s=0.3, up_s=0.5, cycles=3)]
-        )
-        result = run_chaos(schedule, _chain(), seed=1, duration_s=15.0)
+        timeline = Timeline(LinkFlap(5.0, 3, down_s=0.3, up_s=0.5, cycles=3))
+        result = run_chaos(timeline, _chain(), seed=1, duration_s=15.0)
         _assert_recovered(result)
 
 
 class TestCrashRecovery:
     def test_midnode_crash_restart(self):
-        schedule = FaultSchedule(
-            [NodeCrash(at_s=5.0, node="leotp-mid2", restart_after_s=0.5)]
-        )
-        result = run_chaos(schedule, _chain(), seed=1, duration_s=15.0)
+        timeline = Timeline(NodeCrash(5.0, "leotp-mid2", restart_after_s=0.5))
+        result = run_chaos(timeline, _chain(), seed=1, duration_s=15.0)
         _assert_recovered(result)
         crash_msgs = [m for _, m in result.fault_log]
         assert crash_msgs == ["leotp-mid2 CRASHED", "leotp-mid2 restarted"]
@@ -75,10 +69,8 @@ class TestCrashRecovery:
     def test_crash_without_restart_still_bounded(self):
         """A permanently dead Midnode stalls the flow, but the Consumer's
         window and the surviving Responders' buffers must stay bounded."""
-        schedule = FaultSchedule(
-            [NodeCrash(at_s=2.0, node="leotp-mid2", restart_after_s=None)]
-        )
-        result = run_chaos(schedule, _chain(), seed=1, duration_s=8.0)
+        timeline = Timeline(NodeCrash(2.0, "leotp-mid2", restart_after_s=None))
+        result = run_chaos(timeline, _chain(), seed=1, duration_s=8.0)
         # The transfer cannot complete; everything else must hold.
         assert list(result.violations) == ["byte-exact-delivery"], \
             result.violations
@@ -90,11 +82,11 @@ class TestCrashRecovery:
 
 class TestCorrelatedLossRecovery:
     def test_gilbert_elliott_burst(self):
-        schedule = FaultSchedule(
-            [CorrelatedLoss(at_s=5.0, link="hop3", duration_s=3.0,
-                            p_good_bad=0.05, p_bad_good=0.2, loss_bad=0.6)]
-        )
-        result = run_chaos(schedule, _chain(), seed=1, duration_s=15.0)
+        timeline = Timeline(CorrelatedLoss(
+            5.0, 3, duration_s=3.0, p_good_bad=0.05, p_bad_good=0.2,
+            loss_bad=0.6,
+        ))
+        result = run_chaos(timeline, _chain(), seed=1, duration_s=15.0)
         result.assert_ok()
         assert result.completed
         assert result.recovery.goodput_ratio >= 0.8
@@ -102,25 +94,23 @@ class TestCorrelatedLossRecovery:
 
 class TestDeterminism:
     def test_same_seed_same_outcome(self):
-        schedule = FaultSchedule(
-            [NodeCrash(at_s=3.0, node="leotp-mid1", restart_after_s=0.5)]
-        )
+        timeline = Timeline(NodeCrash(3.0, "leotp-mid1", restart_after_s=0.5))
         runs = [
             run_chaos(
-                schedule, _chain(10_000_000), seed=7, duration_s=10.0
+                timeline, _chain(10_000_000), seed=7, duration_s=10.0
             ).to_dict()
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
 
     def test_different_seed_differs(self):
-        schedule = FaultSchedule(
-            [CorrelatedLoss(at_s=2.0, link="hop2", duration_s=2.0,
-                            p_good_bad=0.05, p_bad_good=0.2, loss_bad=0.6)]
-        )
+        timeline = Timeline(CorrelatedLoss(
+            2.0, 2, duration_s=2.0, p_good_bad=0.05, p_bad_good=0.2,
+            loss_bad=0.6,
+        ))
         results = [
             run_chaos(
-                schedule, _chain(8_000_000), seed=s, duration_s=8.0
+                timeline, _chain(8_000_000), seed=s, duration_s=8.0
             )
             for s in (1, 2)
         ]
@@ -131,17 +121,15 @@ class TestDeterminism:
 
 class TestReorderTolerance:
     def test_shrinking_delay_reorders_but_transfer_survives(self):
-        """A delay spike's restore shrinks delay_s mid-flight, reordering
+        """A delay spike's end shrinks delay_s mid-flight, reordering
         packets (the LEO handover phenomenon); the protocol must absorb
         the reordering without duplicate delivery or spurious stalls."""
-        from repro.faults import DelaySpike
-
-        schedule = FaultSchedule([
-            DelaySpike(at_s=2.0, link="hop3", duration_s=1.0, extra_s=0.04),
-            DelaySpike(at_s=4.0, link="hop1", duration_s=0.5, extra_s=0.06),
-        ])
+        timeline = Timeline((
+            (2.0, 3, "delay_s", 0.008 + 0.04), (3.0, 3, "delay_s", 0.008),
+            (4.0, 1, "delay_s", 0.008 + 0.06), (4.5, 1, "delay_s", 0.008),
+        ))
         result = run_chaos(
-            schedule, _chain(10_000_000), seed=3, duration_s=12.0
+            timeline, _chain(10_000_000), seed=3, duration_s=12.0
         )
         result.assert_ok()
         assert result.completed

@@ -1,18 +1,20 @@
-"""Tests for the churn engine: events, diffing, adapter, metrics.
+"""Tests for the churn engine: events, diffing, timelines, metrics.
 
 The engine's contract is determinism — the same :class:`PathSchedule`
-must always yield the same event stream and the same
-:class:`FaultSchedule` — plus a faithful mapping of geometry changes
-onto the chaos machinery.  The end-to-end test runs a real LEOTP flow
+must always yield the same event stream and the same timeline — plus a
+faithful mapping of geometry changes onto the chaos machinery.  The end-to-end test runs a real LEOTP flow
 under a synthetic handover sequence and requires green invariants.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.churn import (
     DEFAULT_OUTAGE_S,
+    SIGNAL_KINDS,
     GsReattach,
     LinkAdded,
     LinkRemoved,
@@ -20,16 +22,17 @@ from repro.churn import (
     RouteLost,
     RouteRestored,
     TopologyEventStream,
+    churn_timeline,
     compress_schedule,
     diff_snapshots,
     events_from_schedule,
-    faults_from_stream,
     handover_stats,
     merge_streams,
+    outage_entries,
     per_handover_reports,
 )
 from repro.constellation.routing import PathSchedule, PathSnapshot
-from repro.faults import LinkDown
+from repro.faults import Timeline
 from repro.netsim.trace import FlowRecorder
 from repro.simcore import Simulator
 
@@ -133,7 +136,7 @@ class TestDiffSnapshots:
 
     def test_hop_index_semantics(self):
         # Removed edges carry their index in the OLD route, added edges
-        # in the NEW route — the adapter maps each onto the chain.
+        # in the NEW route — outage_entries maps each onto the chain.
         events = diff_snapshots(snap(0.0, A), snap(2.0, B), "p")
         removed = {
             (e.a, e.b): e.hop_index for e in events if e.kind == "LinkRemoved"
@@ -213,76 +216,80 @@ class TestCompressSchedule:
             compress_schedule(make_schedule(), 0.0)
 
 
+def _outages(stream, n_hops):
+    """``(hop, start, duration)`` of each outage :func:`outage_entries`
+    puts on an ``n_hops`` chain."""
+    entries = outage_entries(stream, n_hops)
+    half = len(entries) // 2
+    assert [up for *_, up in entries] == [False] * half + [True] * half
+    return [(down[1], down[0], up[0] - down[0])
+            for down, up in zip(entries[:half], entries[half:])]
+
+
 class TestFaultAdapter:
     def test_removed_links_become_downs(self):
         stream = events_from_schedule(make_schedule())
-        faults = faults_from_stream(stream, 3)
-        downs = list(faults)
-        assert downs and all(isinstance(d, LinkDown) for d in downs)
-        assert all(d.duration_s >= DEFAULT_OUTAGE_S for d in downs)
-        assert {d.link for d in downs} <= {"hop0", "hop1", "hop2"}
+        outages = _outages(stream, 3)
+        assert outages
+        assert all(d == pytest.approx(DEFAULT_OUTAGE_S) for _, _, d in outages)
+        assert {hop for hop, _, _ in outages} <= {0, 1, 2}
 
     def test_hop_index_clamped_to_chain(self):
         stream = TopologyEventStream([
             LinkRemoved(at_s=1.0, pair="p", a="x", b="y", hop_index=9),
         ])
-        faults = faults_from_stream(stream, 3)
-        assert [d.link for d in faults] == ["hop2"]
+        assert [hop for hop, _, _ in _outages(stream, 3)] == [2]
 
     def test_same_hop_events_coalesce_and_validate(self):
         # Two removals landing on one hop at the same instant (a full
         # handover swaps both edges of a satellite) must merge into a
-        # single outage — and therefore pass schedule validation.
+        # single outage — and therefore pass timeline validation.
         stream = TopologyEventStream([
             LinkRemoved(at_s=1.0, pair="p", a="u", b="v", hop_index=0),
             LinkRemoved(at_s=1.0, pair="p", a="v", b="w", hop_index=0),
             LinkRemoved(at_s=1.04, pair="p", a="w", b="x", hop_index=0),
         ])
-        faults = faults_from_stream(stream, 4, outage_s=0.08)
-        downs = list(faults)
-        assert len(downs) == 1
-        assert downs[0].at_s == 1.0
-        assert downs[0].duration_s == pytest.approx(0.12)
-        faults.validate()
+        (outage,) = _outages(stream, 4)
+        assert outage == (0, 1.0, pytest.approx(0.12))
+        Timeline(outage_entries(stream, 4))
 
     def test_route_lost_blacks_out_uplink(self):
         stream = TopologyEventStream([
             RouteLost(at_s=2.0, pair="p", duration_s=1.5),
         ])
-        downs = list(faults_from_stream(stream, 4))
-        assert [(d.link, d.at_s, d.duration_s) for d in downs] == [
-            ("hop0", 2.0, 1.5),
-        ]
-        assert list(faults_from_stream(stream, 4, route_loss=False)) == []
+        assert _outages(stream, 4) == [(0, 2.0, pytest.approx(1.5))]
 
     def test_short_route_loss_floored_at_outage(self):
         stream = TopologyEventStream([
             RouteLost(at_s=2.0, pair="p", duration_s=0.001),
         ])
-        downs = list(faults_from_stream(stream, 4, outage_s=0.08))
-        assert downs[0].duration_s == pytest.approx(0.08)
-
-    def test_link_prefix_namespaces_targets(self):
-        stream = TopologyEventStream([
-            LinkRemoved(at_s=1.0, pair="p", hop_index=1),
-        ])
-        downs = list(faults_from_stream(stream, 4, link_prefix="bjpr:"))
-        assert [d.link for d in downs] == ["bjpr:hop1"]
+        assert _outages(stream, 4)[0][2] == pytest.approx(DEFAULT_OUTAGE_S)
 
     def test_validation(self):
-        stream = TopologyEventStream([])
-        with pytest.raises(ValueError):
-            faults_from_stream(stream, 0)
-        with pytest.raises(ValueError):
-            faults_from_stream(stream, 3, outage_s=0.0)
+        with pytest.raises(ValueError, match="at least one hop"):
+            outage_entries(TopologyEventStream([]), 0)
 
     def test_deterministic(self):
         stream = events_from_schedule(make_schedule(gaps=[(8.0, 9.0)]))
-        a = [(d.link, d.at_s, d.duration_s)
-             for d in faults_from_stream(stream, 3)]
-        b = [(d.link, d.at_s, d.duration_s)
-             for d in faults_from_stream(stream, 3)]
-        assert a == b
+        assert outage_entries(stream, 3) == outage_entries(stream, 3)
+
+    def test_churn_timeline_applies_signals_outages_then_delays(self):
+        longer = replace(snap(4.0, B), hop_distances_m=(2_000_000.0,) * 3)
+        schedule = PathSchedule("BJ", "PR", [snap(0.0, A), longer])
+        stream = events_from_schedule(schedule)
+        timeline = churn_timeline(schedule, stream, 3, 2.0)
+        at_4 = [(field, value) for t, _, field, value in timeline.entries
+                if t == 4.0]
+        fields = [field for field, _ in at_4]
+        assert set(fields) == {"signal", "up", "delay_s"}
+        assert fields == sorted(fields, key=["signal", "up", "delay_s"].index)
+        assert ("signal", "PathSwitch") in at_4
+        assert ("signal", "GsReattach") in at_4
+        assert ("up", False) in at_4
+        # Only the kinds a link layer reports are signalled.
+        signalled = {value for _, _, field, value in timeline.entries
+                     if field == "signal"}
+        assert signalled <= set(SIGNAL_KINDS)
 
 
 class TestPerHandoverMetrics:
@@ -357,13 +364,12 @@ class TestChurnEndToEnd:
             snap(0.0, A), snap(2.0, B), snap(4.0, C), snap(6.0, A),
         ])
         stream = events_from_schedule(schedule)
-        faults = faults_from_stream(stream, 3)
         spec = PathSpec(
             hops=uniform_chain_specs(3, rate_bps=20e6, delay_s=0.005),
             total_bytes=1_500_000,
         )
         return stream, run_chaos(
-            faults, partial(build_path, spec=spec),
+            Timeline(outage_entries(stream, 3)), partial(build_path, spec=spec),
             duration_s=10.0, seed=seed,
         )
 

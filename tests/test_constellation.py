@@ -1,6 +1,7 @@
 """Tests for the LEO constellation model: geometry, orbits, routing."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from repro.constellation import (
     ConstellationRouter,
     EARTH_RADIUS_M,
     NoRouteError,
-    PathDynamicsDriver,
     RoutingConfig,
     SPEED_OF_LIGHT_M_S,
     SatelliteId,
@@ -22,12 +22,14 @@ from repro.constellation import (
     orbital_period_s,
     propagation_delay_s,
     representative_hop_count,
+    route_entries,
     starlink_core_shell,
     starlink_hop_specs,
     station_by_name,
     top_cities,
 )
 from repro.constellation.orbit import CircularOrbit
+from repro.faults import Timeline, TimelineDriver
 from repro.netsim.link import DuplexLink
 from repro.netsim.node import SinkNode
 from repro.simcore import Simulator
@@ -346,29 +348,36 @@ class TestEmulationBridge:
         counts = [s.hop_count for s in sched.snapshots]
         assert representative_hop_count(sched) in counts
 
-    def test_driver_applies_delays(self, router):
-        sched = compute_path_schedule(router, "Beijing", "Paris", 30.0, 5.0)
+    def _driven(self, sched, interval_s, until_s):
+        """A 4-hop chain under ``sched``'s route timeline, run to ``until_s``."""
         sim = Simulator()
         links = [
             DuplexLink(sim, SinkNode(sim, f"a{i}"), SinkNode(sim, f"b{i}"))
             for i in range(4)
         ]
-        driver = PathDynamicsDriver(sim, sched, links, update_interval_s=5.0)
+        driver = TimelineDriver(
+            sim, SimpleNamespace(links=links),
+            Timeline(route_entries(sched, 4, interval_s)),
+        )
+        sim.run(until=until_s)
+        return links, driver
+
+    def test_driver_applies_delays(self, router):
+        sched = compute_path_schedule(router, "Beijing", "Paris", 30.0, 5.0)
+        links, _ = self._driven(sched, 5.0, 0.0)
         expected = sched.at(0.0).total_delay_s / 4
         assert links[0].ab.delay_s == pytest.approx(expected)
-        sim.run(until=21.0)
+        links, _ = self._driven(sched, 5.0, 21.0)
         expected_late = sched.at(20.0).total_delay_s / 4
         assert links[0].ab.delay_s == pytest.approx(expected_late)
+        assert links[3].ba.delay_s == pytest.approx(expected_late)
 
     def test_driver_counts_handovers(self, router):
         sched = compute_path_schedule(router, "Beijing", "Paris", 300.0, 30.0)
         if not sched.change_times():
             pytest.skip("no route change in this window")
-        sim = Simulator()
-        links = [
-            DuplexLink(sim, SinkNode(sim, f"a{i}"), SinkNode(sim, f"b{i}"))
-            for i in range(4)
-        ]
-        driver = PathDynamicsDriver(sim, sched, links, update_interval_s=30.0)
-        sim.run(until=300.0)
-        assert driver.handover_count >= 1
+        links, driver = self._driven(sched, 30.0, 300.0)
+        # A route change flushes an interior hop: a zero-length outage.
+        assert driver.faults_applied >= 1
+        flushes = [t for t, action in driver.log if "DOWN" in action]
+        assert set(flushes) <= set(sched.change_times())

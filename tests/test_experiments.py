@@ -17,10 +17,10 @@ from repro.experiments.common import (
 )
 from repro.experiments.paper import Figure
 from repro.faults import (
-    FaultInjector,
-    FaultSchedule,
     LinkDown,
     NodeCrash,
+    Timeline,
+    TimelineDriver,
     run_chaos,
 )
 from repro.gateway import build_gateway_path
@@ -188,7 +188,7 @@ _BUILDERS["gateway"] = partial(
 
 class TestPathInterface:
     """Every built path answers the read interface the runners, the
-    fault injector and the row extractors rely on."""
+    timeline driver and the row extractors rely on."""
 
     @pytest.mark.parametrize("kind", sorted(_BUILDERS))
     def test_contract(self, kind):
@@ -203,22 +203,27 @@ class TestPathInterface:
         assert path.wire_bytes_sent >= path.recorder.total_bytes
         assert isinstance(path.retransmissions, int)
         # Arming resolves every target eagerly: unknown names raise here.
-        injector = FaultInjector(sim)
-        injector.register_path(path)
-        injector.arm(FaultSchedule(
-            [LinkDown(at_s=3.0, link="hop0", duration_s=0.1)]
-            + [NodeCrash(at_s=3.0, node=name) for name in names]
+        TimelineDriver(sim, path, Timeline(
+            LinkDown(3.0, len(_HOPS) - 1, duration_s=0.1)
+            + sum((NodeCrash(3.0, name) for name in names), ())
         ))
 
     def test_split_chain_under_chaos(self):
         result = run_chaos(
-            FaultSchedule([LinkDown(at_s=1.0, link="hop1", duration_s=0.5)]),
+            Timeline(LinkDown(1.0, 1, duration_s=0.5)),
             _BUILDERS["split_tcp"], duration_s=4.0, seed=1,
         )
         assert result.protocol == "tcp-reno"
         assert result.violations is None
         assert result.faults_applied == 1
         assert result.recovery.delivered_bytes > 0
+
+
+def _arm_on_chain(timeline: Timeline) -> None:
+    """Arms ``timeline`` on a fresh chain of ``_HOPS``."""
+    sim = Simulator()
+    TimelineDriver(sim, build_path(sim, RngRegistry(0), PathSpec(hops=_HOPS)),
+                   timeline)
 
 
 @pytest.mark.parametrize("spec, field, value", [
@@ -244,6 +249,9 @@ class TestPathInterface:
     (parse_cc_params, "cc_param", ["a=1", "a=2"]),
     (CCSpec, "name", ""),
     (partial(CCSpec, "orbcc"), "params", (("hold_s", 0.1), ("hold_s", 0.2))),
+    (Timeline, "entries", ((0.0, 0, "bandwidth", 0.5),)),
+    (Timeline, "entries", ((-1.0, 0, "up", False),)),
+    (_arm_on_chain, "timeline", Timeline(LinkDown(1.0, len(_HOPS)))),
 ])
 def test_a_spec_rejects_a_bad_field_by_name(spec, field, value):
     with pytest.raises(ValueError, match=rf"^{field} "):

@@ -1,10 +1,12 @@
 """Unit tests for the fault-injection subsystem (repro.faults)."""
 
 import inspect
+import pickle
 import re
 import sys
 import textwrap
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,17 +18,14 @@ from repro.core.consumer import Consumer
 from repro.core.paced import ResendSuppressor
 from repro.core.shr import SeqHoleDetector
 from repro.faults import (
-    BandwidthCollapse,
     CorrelatedLoss,
-    DelaySpike,
-    FaultInjector,
-    FaultSchedule,
     GilbertElliottLoss,
     InvariantViolation,
     LinkDown,
     LinkFlap,
-    LossBurst,
     NodeCrash,
+    Timeline,
+    TimelineDriver,
     check_flow,
     recovery_report,
     run_chaos,
@@ -50,107 +49,118 @@ def make_link(sim, sink, **kwargs):
 
 class TestFaultSchedule:
     def test_events_iterate_in_time_order(self):
-        s = FaultSchedule()
-        s.add(LinkDown(at_s=5.0, link="b"))
-        s.add(LinkDown(at_s=1.0, link="a"))
-        assert [e.at_s for e in s] == [1.0, 5.0]
+        timeline = Timeline(LinkDown(5.0, 1) + LinkDown(1.0, 0))
+        assert [t for t, *_ in timeline.entries] == [1.0, 2.0, 5.0, 6.0]
+        # Entries at one instant keep the order given.
+        both = Timeline(((1.0, 0, "up", False), (1.0, 0, "up", True)))
+        assert [value for *_, value in both.entries] == [False, True]
 
     def test_validation_rejects_nonsense(self):
-        with pytest.raises(ValueError):
-            LinkDown(at_s=-1.0, link="x")
-        with pytest.raises(ValueError):
-            LinkDown(at_s=0.0, link="")
-        with pytest.raises(ValueError):
-            LinkDown(at_s=0.0, link="x", duration_s=0.0)
-        with pytest.raises(ValueError):
-            DelaySpike(at_s=0.0, link="x", factor=1.0)  # adds no delay
-        with pytest.raises(ValueError):
-            BandwidthCollapse(at_s=0.0, link="x", factor=0.0)
-        with pytest.raises(ValueError):
-            LossBurst(at_s=0.0, link="x", plr=1.0)
-        with pytest.raises(ValueError):
-            NodeCrash(at_s=0.0, node="n", restart_after_s=0.0)
-        with pytest.raises(TypeError):
-            FaultSchedule().add("not an event")
+        with pytest.raises(ValueError, match="negative"):
+            Timeline(LinkDown(-1.0, 0))
+        with pytest.raises(ValueError, match="hop index"):
+            Timeline(LinkDown(0.0, -1))
+        with pytest.raises(ValueError, match="duration_s must be positive"):
+            LinkDown(0.0, 0, duration_s=0.0)
+        with pytest.raises(ValueError, match="a node has only up"):
+            Timeline(((0.0, "n", "delay_s", 0.1),))
+        with pytest.raises(ValueError, match="out of its range"):
+            Timeline(((0.0, 0, "rate", 0.0),))
+        with pytest.raises(ValueError, match="out of its range"):
+            Timeline(((0.0, 0, "loss", 1.0),))
+        with pytest.raises(ValueError, match="restart_after_s"):
+            NodeCrash(0.0, "n", restart_after_s=0.0)
+        with pytest.raises(ValueError, match=r"\(t, target, field, value\)"):
+            Timeline(("not an entry",))
 
     def test_flap_expands_to_periodic_downs(self):
-        flap = LinkFlap(at_s=2.0, link="x", down_s=0.2, up_s=0.3, cycles=3)
-        downs = flap.expand()
-        assert [d.at_s for d in downs] == [2.0, 2.5, 3.0]
-        assert all(d.duration_s == 0.2 for d in downs)
+        flap = LinkFlap(2.0, 0, down_s=0.2, up_s=0.3, cycles=3)
+        downs = [t for t, _, _, up in flap if not up]
+        ups = [t for t, _, _, up in flap if up]
+        assert downs == [2.0, 2.5, 3.0]
+        assert ups == pytest.approx([2.2, 2.7, 3.2, 3.5])
 
     def test_last_fault_end(self):
-        s = FaultSchedule()
-        s.add(LinkDown(at_s=1.0, link="x", duration_s=2.0))
-        s.add(LinkFlap(at_s=2.0, link="x", down_s=0.5, up_s=0.5, cycles=4))
-        s.add(NodeCrash(at_s=3.0, node="n", restart_after_s=1.5))
-        assert s.last_fault_end_s == pytest.approx(6.0)  # flap ends last
+        timeline = Timeline(
+            LinkDown(1.0, 0, duration_s=2.0)
+            + LinkFlap(3.5, 0, down_s=0.5, up_s=0.5, cycles=4)
+            + NodeCrash(3.0, "n", restart_after_s=1.5)
+        )
+        # The flap's last up period ends last.
+        assert timeline.fault_window == pytest.approx((1.0, 7.5))
+        assert Timeline().fault_window == (0.0, 0.0)
+        # Delay entries are not faults.
+        assert Timeline(((1.0, 0, "delay_s", 0.1),)).fault_window == (0.0, 0.0)
+
+    def test_a_timeline_pickles_to_an_equal_hashable_value(self):
+        timeline = Timeline(
+            LinkFlap(1.0, 2) + NodeCrash(2.0, "leotp-mid1")
+            + CorrelatedLoss(4.0, 1) + ((0.5, 0, "delay_s", 0.02),)
+            + ((3.0, "BJ-PR", "signal", "PathSwitch"),)
+        )
+        copy = pickle.loads(pickle.dumps(timeline))
+        assert copy == timeline and copy is not timeline
+        assert hash(copy) == hash(timeline)
+        assert {copy, timeline} == {timeline}
 
 
 class TestScheduleValidate:
     def test_overlapping_same_link_rejected(self):
-        s = FaultSchedule([
-            LinkDown(at_s=1.0, link="x", duration_s=2.0),
-            LinkDown(at_s=2.0, link="x", duration_s=1.0),
-        ])
-        with pytest.raises(ValueError, match="overlapping LinkDown"):
-            s.validate()
+        with pytest.raises(ValueError, match="entries overlap: a up fault"):
+            Timeline(LinkDown(1.0, 0, 2.0) + LinkDown(2.0, 0, 1.0))
 
     def test_abutting_same_link_rejected(self):
-        # Abutting windows mis-restore too: at equal timestamps the
-        # second down's apply is armed before the first's back-up.
-        s = FaultSchedule([
-            LinkDown(at_s=1.0, link="x", duration_s=1.0),
-            LinkDown(at_s=2.0, link="x", duration_s=1.0),
-        ])
-        with pytest.raises(ValueError):
-            s.validate()
+        # A fault that starts at the instant the last one ended is one
+        # fault: merge them.
+        with pytest.raises(ValueError, match="entries overlap"):
+            Timeline(LinkDown(1.0, 0, 1.0) + LinkDown(2.0, 0, 1.0))
 
     def test_disjoint_and_cross_target_pass(self):
-        s = FaultSchedule([
-            LinkDown(at_s=1.0, link="x", duration_s=0.5),
-            LinkDown(at_s=2.0, link="x", duration_s=0.5),
-            LinkDown(at_s=1.0, link="y", duration_s=5.0),  # other link
-            LossBurst(at_s=1.0, link="x", duration_s=5.0),  # other kind
-        ])
-        assert s.validate() is s
+        timeline = Timeline(
+            LinkDown(1.0, 0, 0.5) + LinkDown(2.0, 0, 0.5)
+            + LinkDown(1.0, 1, 5.0)  # other hop
+            + CorrelatedLoss(1.0, 0, 5.0)  # other field
+        )
+        assert len(timeline.entries) == 8
 
     def test_flap_expansion_collides_with_plain_down(self):
-        s = FaultSchedule([
-            LinkFlap(at_s=1.0, link="x", down_s=0.2, up_s=0.3, cycles=3),
-            LinkDown(at_s=1.6, link="x", duration_s=0.1),  # inside cycle 2
-        ])
-        with pytest.raises(ValueError):
-            s.validate()
+        with pytest.raises(ValueError, match="entries overlap"):
+            Timeline(
+                LinkFlap(1.0, 0, down_s=0.2, up_s=0.3, cycles=3)
+                + LinkDown(1.6, 0, 0.1)  # inside cycle 2
+            )
 
     def test_delay_spikes_exempt(self):
-        # DelaySpike restores a delta, which composes; overlap is legal.
-        s = FaultSchedule([
-            DelaySpike(at_s=1.0, link="x", duration_s=2.0, extra_s=0.1),
-            DelaySpike(at_s=2.0, link="x", duration_s=2.0, extra_s=0.1),
-        ])
-        assert s.validate() is s
+        # Delay entries are absolute values: they compose in any order.
+        timeline = Timeline((
+            (1.0, 0, "delay_s", 0.1), (2.0, 0, "delay_s", 0.2),
+            (2.0, 0, "delay_s", 0.05), (3.0, 0, "delay_s", 0.01),
+        ))
+        assert len(timeline.entries) == 4
 
     def test_unbounded_crash_overlaps_everything_later(self):
-        s = FaultSchedule([
-            NodeCrash(at_s=1.0, node="n", restart_after_s=None),
-            NodeCrash(at_s=50.0, node="n", restart_after_s=1.0),
-        ])
-        with pytest.raises(ValueError, match="NodeCrash"):
-            s.validate()
+        with pytest.raises(ValueError, match="'n'"):
+            Timeline(
+                NodeCrash(1.0, "n", restart_after_s=None)
+                + NodeCrash(50.0, "n", restart_after_s=1.0)
+            )
 
     def test_arm_validates(self):
-        sim = Simulator()
-        sink = SinkNode(sim)
-        link = make_link(sim, sink)
-        injector = FaultInjector(sim, RngRegistry(0))
-        injector.register_link("l", link)
-        bad = FaultSchedule([
-            LinkDown(at_s=1.0, link="l", duration_s=1.0),
-            LinkDown(at_s=1.5, link="l", duration_s=1.0),
-        ])
-        with pytest.raises(ValueError):
-            injector.arm(bad)
+        sim, sink, duplex, _ = _one_hop()
+        with pytest.raises(ValueError, match="^timeline targets hop 1"):
+            TimelineDriver(sim, SimpleNamespace(links=[duplex]),
+                           Timeline(LinkDown(1.0, 1)))
+
+
+def _one_hop(timeline=Timeline()):
+    """A duplex hop into a sink, with ``timeline`` armed on it."""
+    sim = Simulator()
+    sink = SinkNode(sim, "s")
+    duplex = DuplexLink(sim, SinkNode(sim, "a"), sink, rate_bps=8e6,
+                        delay_s=0.001, queue_bytes=None)
+    path = SimpleNamespace(links=[duplex], nodes=[sink])
+    return sim, sink, duplex, TimelineDriver(sim, path, timeline,
+                                             RngRegistry(0))
 
 
 class TestGilbertElliott:
@@ -200,136 +210,120 @@ class TestGilbertElliott:
         assert len(sink.received) == 500 - link.stats.packets_dropped_loss
 
 
-class TestFaultInjector:
-    def _one_link(self):
-        sim = Simulator()
-        sink = SinkNode(sim)
-        link = make_link(sim, sink, queue_bytes=None)
-        injector = FaultInjector(sim, RngRegistry(0))
-        injector.register_link("l", link)
-        return sim, sink, link, injector
+def _send_at(sim, link, *times):
+    for t in times:
+        sim.schedule_at(t, lambda: link.send(Packet(100)))
 
+
+class TestFaultInjector:
     def test_link_down_and_restore(self):
-        sim, sink, link, injector = self._one_link()
-        schedule = FaultSchedule([LinkDown(at_s=0.01, link="l", duration_s=0.02)])
-        injector.arm(schedule)
+        sim, sink, duplex, driver = _one_hop(Timeline(LinkDown(0.01, 0, 0.02)))
         # One packet before, one during, one after the outage.
-        for t in (0.0, 0.02, 0.05):
-            sim.schedule_at(t, lambda: link.send(Packet(100)))
+        _send_at(sim, duplex.ab, 0.0, 0.02, 0.05)
         sim.run()
         assert len(sink.received) == 2
-        assert not link.up if sim.now < 0.03 else link.up
-        assert [m for _, m in injector.log] == [
-            "l DOWN for 0.02s (0 flushed)", "l UP",
-        ]
+        assert duplex.ab.up and duplex.ba.up
+        assert [m for _, m in driver.log] == ["hop0 DOWN (0 flushed)", "hop0 UP"]
 
     def test_down_flushes_queue(self):
-        sim, sink, link, injector = self._one_link()
+        sim, sink, duplex, driver = _one_hop(Timeline(LinkDown(0.005, 0)))
         for _ in range(5):
-            link.send(Packet(10000))  # 10 ms serialisation each
-        injector.register_link("l", link)
-        injector.arm(FaultSchedule([LinkDown(at_s=0.005, link="l", duration_s=1.0)]))
+            duplex.ab.send(Packet(10000))  # 10 ms serialisation each
         sim.run()
         # The packet mid-serialisation completes; the queued four are flushed.
         assert len(sink.received) == 1
-        assert link.stats.packets_dropped_flush == 4
+        assert duplex.ab.stats.packets_dropped_flush == 4
+        assert driver.log[0] == (0.005, "hop0 DOWN (4 flushed)")
 
     def test_delay_spike_applies_and_restores_delta(self):
-        sim, sink, link, injector = self._one_link()
-        injector.arm(FaultSchedule(
-            [DelaySpike(at_s=0.01, link="l", duration_s=0.02, extra_s=0.1)]
-        ))
+        sim, sink, duplex, _ = _one_hop(Timeline((
+            (0.01, 0, "delay_s", 0.101), (0.03, 0, "delay_s", 0.001),
+        )))
         sim.run(until=0.015)
-        assert link.delay_s == pytest.approx(0.101)
-        # Concurrent retune survives the restore (delta-based).
-        link.delay_s += 0.005
+        assert duplex.ab.delay_s == duplex.ba.delay_s == 0.101
         sim.run(until=0.05)
-        assert link.delay_s == pytest.approx(0.006)
+        assert duplex.ab.delay_s == duplex.ba.delay_s == 0.001
 
     def test_bandwidth_collapse_scales_and_restores(self):
-        sim, sink, link, injector = self._one_link()
-        base = link.profile
-        injector.arm(FaultSchedule(
-            [BandwidthCollapse(at_s=0.01, link="l", duration_s=0.02, factor=0.1)]
-        ))
+        sim, sink, duplex, driver = _one_hop(Timeline((
+            (0.01, 0, "rate", 0.1), (0.03, 0, "rate", 1.0),
+        )))
+        base = duplex.ab.profile
         sim.run(until=0.015)
-        assert link.profile.rate_at(sim.now) == pytest.approx(8e5)
+        assert duplex.ab.profile.rate_at(sim.now) == pytest.approx(8e5)
+        assert driver.faults_applied == 1
         sim.run(until=0.05)
-        assert link.profile is base
+        assert duplex.ab.profile is base
 
     def test_loss_burst_sets_and_restores_plr(self):
-        sim, sink, link, injector = self._one_link()
-        injector.arm(FaultSchedule(
-            [LossBurst(at_s=0.01, link="l", duration_s=0.02, plr=0.5)]
-        ))
+        sim, sink, duplex, _ = _one_hop(Timeline((
+            (0.01, 0, "loss", 0.5), (0.03, 0, "loss", None),
+        )))
         sim.run(until=0.015)
-        assert link.plr == 0.5
+        assert duplex.ab.plr == duplex.ba.plr == 0.5
         sim.run(until=0.05)
-        assert link.plr == 0.0
+        assert duplex.ab.plr == 0.0
 
     def test_correlated_loss_attaches_and_detaches(self):
-        sim, sink, link, injector = self._one_link()
-        injector.arm(FaultSchedule(
-            [CorrelatedLoss(at_s=0.01, link="l", duration_s=0.02)]
+        sim, sink, duplex, _ = _one_hop(Timeline(
+            CorrelatedLoss(0.01, 0, duration_s=0.02)
         ))
         sim.run(until=0.015)
-        assert isinstance(link.loss_model, GilbertElliottLoss)
+        assert isinstance(duplex.ab.loss_model, GilbertElliottLoss)
+        assert isinstance(duplex.ba.loss_model, GilbertElliottLoss)
         sim.run(until=0.05)
-        assert link.loss_model is None
+        assert duplex.ab.loss_model is None
 
     def test_duplex_registration_targets_both_directions(self):
-        sim = Simulator()
-        a, b = SinkNode(sim, "a"), SinkNode(sim, "b")
-        duplex = DuplexLink(sim, a, b, rate_bps=8e6, delay_s=0.001)
-        injector = FaultInjector(sim)
-        injector.register_link("d", duplex)
-        injector.arm(FaultSchedule([LinkDown(at_s=0.0, link="d", duration_s=0.01)]))
+        sim, sink, duplex, _ = _one_hop(Timeline(LinkDown(0.0, 0, 0.01)))
         sim.run(until=0.005)
         assert not duplex.ab.up and not duplex.ba.up
-        # After the duplex outage ends, a directional one hits only :ab.
-        injector.arm(FaultSchedule([LinkDown(at_s=0.02, link="d:ab", duration_s=10.0)]))
-        sim.run(until=0.15)
-        assert not duplex.ab.up and duplex.ba.up
+        sim.run(until=0.02)
+        assert duplex.ab.up and duplex.ba.up
 
     def test_unknown_targets_fail_at_arm_time(self):
-        sim, sink, link, injector = self._one_link()
-        with pytest.raises(KeyError):
-            injector.arm(FaultSchedule([LinkDown(at_s=0.0, link="nope")]))
-        with pytest.raises(KeyError):
-            injector.arm(FaultSchedule([NodeCrash(at_s=0.0, node="nope")]))
+        with pytest.raises(ValueError, match="hop 5 at t=0.0; the path has 1"):
+            _one_hop(Timeline(LinkDown(0.0, 5)))
+        with pytest.raises(ValueError, match="node 'nope'.* has s$"):
+            _one_hop(Timeline(NodeCrash(0.0, "nope")))
 
     def test_node_crash_drops_traffic_until_restart(self):
-        sim = Simulator()
-        sink = SinkNode(sim)
-        link = make_link(sim, sink, queue_bytes=None)
-        injector = FaultInjector(sim)
-        injector.register_node("s", sink)
-        injector.arm(FaultSchedule(
-            [NodeCrash(at_s=0.01, node="s", restart_after_s=0.02)]
+        sim, sink, duplex, driver = _one_hop(Timeline(
+            NodeCrash(0.01, "s", restart_after_s=0.02)
         ))
-        for t in (0.0, 0.02, 0.05):
-            sim.schedule_at(t, lambda: link.send(Packet(100)))
+        _send_at(sim, duplex.ab, 0.0, 0.02, 0.05)
         sim.run()
         assert len(sink.received) == 2
         assert sink.packets_dropped_crashed == 1
-
+        assert [m for _, m in driver.log] == ["s CRASHED", "s restarted"]
 
     def test_faults_applied_counts_faults_not_log_lines(self):
         """A flap is ``cycles`` faults and a crash+restart is one, however
         many lines their restores add to the log."""
-        sim, sink, link, injector = self._one_link()
-        injector.register_node("s", sink)
-        injector.arm(FaultSchedule(
-            [LinkFlap(at_s=0.01, link="l", down_s=0.01, up_s=0.01, cycles=3)]
+        sim, sink, duplex, driver = _one_hop(Timeline(
+            LinkFlap(0.01, 0, down_s=0.01, up_s=0.01, cycles=3)
+            + NodeCrash(0.2, "s", restart_after_s=0.01)
         ))
         sim.run(until=0.1)
-        assert injector.faults_applied == 3
-        injector.arm(FaultSchedule(
-            [NodeCrash(at_s=0.2, node="s", restart_after_s=0.01)]
-        ))
+        assert driver.faults_applied == 3
         sim.run(until=0.3)
-        assert injector.faults_applied == 3 + 1
-        assert len(injector.log) == 2 * injector.faults_applied
+        assert driver.faults_applied == 3 + 1
+        # Every fault logs its restore too; the flap's closing up adds one.
+        assert len(driver.log) == 2 * driver.faults_applied + 1
+
+    def test_signal_entries_reach_on_signal_unlogged(self):
+        sim = Simulator()
+        duplex = DuplexLink(sim, SinkNode(sim, "a"), SinkNode(sim, "b"))
+        heard = []
+        driver = TimelineDriver(
+            sim, SimpleNamespace(links=[duplex]),
+            Timeline(((1.0, "p", "signal", "PathSwitch"),
+                      (1.0, "p", "signal", "GsReattach"))),
+            on_signal=lambda kind: heard.append((sim.now, kind)),
+        )
+        sim.run()
+        assert heard == [(1.0, "PathSwitch"), (1.0, "GsReattach")]
+        assert driver.log == [] and driver.faults_applied == 0
 
 
 class TestMidnodeCrash:
@@ -552,7 +546,7 @@ class TestCheckFlow:
             config=_SMALL_CAP if rule == "cwnd-sanity" else None,
         )
         result = run_chaos(
-            FaultSchedule(), partial(build_path, spec=spec),
+            Timeline(), partial(build_path, spec=spec),
             duration_s=_DURATION.get(rule, 1.0),
         )
         assert rule in result.violations, result.violations

@@ -143,13 +143,11 @@ class TestGatewayChaos:
         return build
 
     def test_leo_blackout_recovers(self):
-        from repro.faults import FaultSchedule, LinkDown, run_chaos
+        from repro.faults import LinkDown, Timeline, run_chaos
 
-        schedule = FaultSchedule([
-            LinkDown(at_s=0.5, link="hop1", duration_s=0.5),
-        ])
         result = run_chaos(
-            schedule, self._builder(), duration_s=25.0, seed=2
+            Timeline(LinkDown(0.5, 1, duration_s=0.5)), self._builder(),
+            duration_s=25.0, seed=2,
         )
         result.assert_ok()
         assert result.completed
@@ -158,13 +156,11 @@ class TestGatewayChaos:
         assert any("hop1 DOWN" in action for _, action in result.fault_log)
 
     def test_satellite_crash_recovers(self):
-        from repro.faults import FaultSchedule, NodeCrash, run_chaos
+        from repro.faults import NodeCrash, Timeline, run_chaos
 
-        schedule = FaultSchedule([
-            NodeCrash(at_s=0.5, node="sat0", restart_after_s=0.5),
-        ])
         result = run_chaos(
-            schedule, self._builder(), duration_s=25.0, seed=2
+            Timeline(NodeCrash(0.5, "sat0", restart_after_s=0.5)),
+            self._builder(), duration_s=25.0, seed=2,
         )
         result.assert_ok()
         assert result.completed

@@ -26,7 +26,7 @@ MUST_NOT_LOAD = (
     "repro.faults.harness",
     "repro.faults.invariants",
     "repro.faults.metrics",
-    "repro.faults.schedule",
+    "repro.faults.timeline",
     "multiprocessing",
     "concurrent.futures",
     "cProfile",
@@ -123,7 +123,7 @@ def test_package_names_still_import_on_first_use():
         "from repro.analysis import jain_fairness; "
         "from repro.faults import LinkDown"
     )
-    assert {"repro.analysis.stats", "repro.faults.schedule"} <= loaded
+    assert {"repro.analysis.stats", "repro.faults.timeline"} <= loaded
     assert "repro.faults.harness" not in loaded
     import repro.analysis
     import repro.faults

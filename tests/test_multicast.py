@@ -12,7 +12,7 @@ def build_multicast_tree(sim, n_consumers=2, total=50 * 1400, stagger=0.0):
     """n consumers <- midnode <- producer, all requesting the same flow.
 
     Returns the links too (upstream first, then one access link per
-    consumer) so fault schedules can target them by position.
+    consumer) so fault timelines can target them by hop index.
     """
     config = LeotpConfig()
     producer = Producer(sim, "prod", config, content_bytes=total)
@@ -89,8 +89,8 @@ class _MulticastChaosPath:
     """Adapter exposing the multicast tree through the chaos path protocol.
 
     ``run_chaos`` arms invariants on ``consumer`` (the first one) and
-    registers ``links``/``nodes`` with the fault injector; the extra
-    consumers ride along for post-run asserts.
+    arms its timeline on ``links``/``nodes``; the extra consumers ride
+    along for post-run asserts.
     """
 
     def __init__(self, producer, midnode, consumers, recorders, links):
@@ -118,13 +118,11 @@ class TestMulticastChaos:
         return build
 
     def test_upstream_blackout_recovers(self):
-        from repro.faults import FaultSchedule, LinkDown, run_chaos
+        from repro.faults import LinkDown, Timeline, run_chaos
 
-        schedule = FaultSchedule([
-            LinkDown(at_s=0.3, link="hop0", duration_s=0.4),
-        ])
         result = run_chaos(
-            schedule, self._builder(), duration_s=30.0, seed=3
+            Timeline(LinkDown(0.3, 0, duration_s=0.4)), self._builder(),
+            duration_s=30.0, seed=3,
         )
         result.assert_ok()
         assert result.completed
@@ -133,13 +131,11 @@ class TestMulticastChaos:
         assert any("hop0 DOWN" in action for _, action in result.fault_log)
 
     def test_midnode_crash_recovers(self):
-        from repro.faults import FaultSchedule, NodeCrash, run_chaos
+        from repro.faults import NodeCrash, Timeline, run_chaos
 
-        schedule = FaultSchedule([
-            NodeCrash(at_s=0.3, node="mid", restart_after_s=0.4),
-        ])
         result = run_chaos(
-            schedule, self._builder(), duration_s=30.0, seed=3
+            Timeline(NodeCrash(0.3, "mid", restart_after_s=0.4)),
+            self._builder(), duration_s=30.0, seed=3,
         )
         result.assert_ok()
         assert all(c.finished for c in result.path.consumers)

@@ -166,12 +166,10 @@ class TestReport:
         from functools import partial
 
         from repro.experiments.common import PathSpec, build_path
-        from repro.faults import FaultSchedule, LinkDown, run_chaos
+        from repro.faults import LinkDown, Timeline, run_chaos
         from repro.netsim.topology import uniform_chain_specs
 
-        schedule = FaultSchedule([
-            LinkDown(at_s=1.0, link="hop2", duration_s=0.5),
-        ])
+        schedule = Timeline(LinkDown(1.0, 2, duration_s=0.5))
         build = partial(build_path, spec=PathSpec(
             hops=uniform_chain_specs(6, rate_bps=20e6, delay_s=0.008),
             total_bytes=2_000_000,
