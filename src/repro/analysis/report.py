@@ -195,60 +195,36 @@ def _fmt_timeline_entry(rec: dict) -> str:
 
 
 def workload_summary(rows: Sequence[dict], title: str = "workload") -> str:
-    """Human-readable summary of many-flow workload rows.
+    """Human-readable summary of the ``workload`` experiment's rows.
 
-    ``rows`` are per-protocol dicts in either vocabulary — the raw
-    :meth:`repro.workload.pool.FlowPool.summary` keys (``fct_p50_s``,
-    ``budget_peak_bytes``, ...) or the scaled keys of the ``workload``
-    experiment's result table (``fct_p50_ms``, ``budget_peak_MiB``, ...).
     Renders the scale-aware story: completions vs. aborts, FCT
     percentiles, aggregate goodput, windowed fairness, and the memory
     budget ledger outcome.
     """
     lines = [f"-- workload summary: {title} --"]
     for row in rows:
-        proto = row.get("protocol", "?")
-        peak_conc = row.get("peak_conc", row.get("peak_concurrency", 0))
         lines.append(
-            f"{proto}: {int(row.get('completed', 0))}/"
-            f"{int(row.get('arrivals', 0))} flows completed, "
-            f"{int(row.get('aborted', 0))} aborted "
-            f"({int(row.get('admission_rejects', 0))} at admission), "
-            f"peak concurrency {int(peak_conc)}"
-        )
-        def _fct_s(key: str) -> float:
-            if f"{key}_ms" in row:
-                return row[f"{key}_ms"] / 1e3
-            return row.get(f"{key}_s", 0.0)
-
-        goodput = (
-            row["goodput_kBs"] * 1e3 if "goodput_kBs" in row
-            else row.get("goodput_mean_bytes_s", 0.0)
+            f"{row['protocol']}: {row['completed']}/{row['arrivals']} flows "
+            f"completed, {row['aborted']} aborted "
+            f"({row['admission_rejects']} at admission), "
+            f"peak concurrency {row['peak_conc']}"
         )
         lines.append(
-            f"  FCT p50/p90/p99: {_fct_s('fct_p50'):.3f} / "
-            f"{_fct_s('fct_p90'):.3f} / {_fct_s('fct_p99'):.3f} s, "
-            f"mean goodput {_fmt_value(goodput)} B/s"
+            f"  FCT p50/p90/p99: {row['fct_p50_ms'] / 1e3:.3f} / "
+            f"{row['fct_p90_ms'] / 1e3:.3f} / "
+            f"{row['fct_p99_ms'] / 1e3:.3f} s, "
+            f"mean goodput {_fmt_value(row['goodput_kBs'] * 1e3)} B/s"
         )
-        fairness = (
-            f"  fairness (windowed Jain): mean {row.get('jain_mean', 1.0):.3f}, "
-            f"min {row.get('jain_min', 1.0):.3f}"
+        lines.append(
+            f"  fairness (windowed Jain): mean {row['jain_mean']:.3f}, "
+            f"min {row['jain_min']:.3f}"
         )
-        if "windows" in row:
-            fairness += f" over {int(row['windows'])} windows"
-        lines.append(fairness)
-        peak_bytes = (
-            row["budget_peak_MiB"] * (1 << 20) if "budget_peak_MiB" in row
-            else row.get("budget_peak_bytes", 0.0)
+        lines.append(
+            f"  memory budget: peak "
+            f"{_fmt_value(row['budget_peak_MiB'] * (1 << 20))} B, "
+            f"{row['budget_breaches']} breaches, "
+            f"{row['cache_evictions']} cache evictions"
         )
-        mem = (
-            f"  memory budget: peak {_fmt_value(peak_bytes)} B, "
-            f"{int(row.get('budget_breaches', 0))} breaches"
-        )
-        evictions = row.get("cache_evictions", row.get("cache_pool_evictions"))
-        if evictions is not None:
-            mem += f", {int(evictions)} cache evictions"
-        lines.append(mem)
     return "\n".join(lines)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import networkx as nx
@@ -165,9 +166,8 @@ class PathSchedule:
         """The snapshot in force at time ``t`` (last one at or before)."""
         if not self.snapshots:
             raise ValueError("empty schedule")
-        times = [s.time for s in self.snapshots]
-        idx = bisect.bisect_right(times, t) - 1
-        return self.snapshots[max(idx, 0)]
+        i = bisect.bisect_right(self.snapshots, t, key=attrgetter("time"))
+        return self.snapshots[max(i - 1, 0)]
 
     @property
     def mean_hop_count(self) -> float:

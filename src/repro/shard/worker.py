@@ -50,13 +50,23 @@ class ShardError(RuntimeError):
 
 
 class _ShardState:
-    """One shard's complete simulation: chain, FlowPool, faults."""
+    """One shard's complete simulation: chain, FlowPool, faults.
 
-    def __init__(self, plan: ShardPlan, index: int) -> None:
+    With ``sink_dir`` each flow's row spills, as it closes, to this
+    shard's file there (:attr:`sink`).
+    """
+
+    def __init__(
+        self, plan: ShardPlan, index: int, sink_dir: Optional[str] = None
+    ) -> None:
         self.plan = plan
         self.index = index
         self.sim = Simulator()
         self.rng = RngRegistry(plan.shard_seed(index))
+        self.sink = (
+            SpillWriter(os.path.join(sink_dir, spill_name(index)))
+            if sink_dir is not None else None
+        )
         self.pool = FlowPool(
             self.sim,
             self.rng,
@@ -67,6 +77,7 @@ class _ShardState:
             cache_fraction=plan.cache_fraction,
             name=plan.shard_name(index),
             cache_policy=plan.cache_policy,
+            result_sink=self.sink,
         )
         if plan.has_fault(index):
             # Only a faulted shard loads the fault layer: it blacks out
@@ -83,12 +94,6 @@ class _ShardState:
                 ),
             ), self.rng)
 
-    def attach_sink(self, sink_dir: str) -> SpillWriter:
-        """Spill each flow's row, as it closes, to this shard's file."""
-        sink = SpillWriter(os.path.join(sink_dir, spill_name(self.index)))
-        self.pool.set_result_sink(sink)
-        return sink
-
     def run(self) -> None:
         """Simulate from the shard's seed to the plan's horizon."""
         self.sim.run(until=self.plan.horizon_s)
@@ -103,8 +108,8 @@ class _ShardState:
         pool.finalize()
         # Flows aborted by finalize (reason "unfinished") are the last
         # rows of the shard's spill file.
-        if pool._result_sink is not None:
-            pool._result_sink.close()
+        if self.sink is not None:
+            self.sink.close()
         summary = pool.summary()
         breaches = int(summary["budget_breaches"])
         stored = pool.cache_pool.stored_bytes
@@ -188,9 +193,8 @@ def run_shard(
     reset_peak_rss()
     sink = None
     try:
-        state = _ShardState(plan, index)
-        if sink_dir is not None:
-            sink = state.attach_sink(sink_dir)
+        state = _ShardState(plan, index, sink_dir)
+        sink = state.sink
         try:
             state.run()
             row = state.finalize()

@@ -42,7 +42,7 @@ class FlowRecord:
     #: ``"unfinished"``, ...); ``None`` for completed flows.
     abort_reason: Optional[str] = None
     #: Position in the pool's (arrival-sorted) demand list == spawn order;
-    #: the spill rows' ``idx`` and the summary's merge key.
+    #: the spill rows' ``idx`` and the slot of the summary's samples.
     index: int = 0
 
     @property

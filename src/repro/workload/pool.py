@@ -8,14 +8,16 @@ baselines) carry every flow — and manages per-flow lifecycle around it:
 * **spawn** — a Consumer (or TCP endpoint pair) is created at the flow's
   arrival time and attached to the shared hub through its own access
   link, subject to memory-budget admission;
-* **complete** — the flow's record is finalised and its soft state is
-  *retired* from every shared node (``retire_flow``), so long runs do
-  not accumulate per-flow state.  A LEOTP flow is first checked against
-  the protocol invariants (:func:`~repro.faults.invariants.check_flow`);
-  a broken rule raises :class:`~repro.faults.invariants.
-  InvariantViolation` naming the flow, the rule and the simulated time;
-* **abort** — flows still unfinished at :meth:`finalize` are marked
-  aborted (and counted, never silently dropped).
+* **close** — every way a flow ends (completion, :meth:`FlowPool.
+  abort_flow`, a refusal at admission, or :meth:`FlowPool.finalize`
+  finding it unfinished) goes through one ``FlowPool._close``: the
+  record is finalised (an abort is counted, never silently dropped) and
+  the flow's soft state is *retired* from every shared node
+  (``retire_flow``), so long runs do not accumulate per-flow state.  A
+  LEOTP flow is first checked against the protocol invariants
+  (:func:`~repro.faults.invariants.check_flow`); a broken rule raises
+  :class:`~repro.faults.invariants.InvariantViolation` naming the flow,
+  the rule and the simulated time.
 
 Memory is governed by a :class:`~repro.workload.budget.MemoryBudget`:
 Midnode caches draw from one :class:`~repro.workload.budget.
@@ -29,10 +31,10 @@ stream, spawn order follows the demand list, and each Midnode's cache
 evicts in its own LRU/LFU order (LFU ties by block creation order).
 
 Per-flow bookkeeping is one :class:`~repro.workload.metrics.FlowRecord`
-per arrival: :attr:`FlowPool.records` lists them in spawn order and the
-live ones are also indexed by flow id.  With a result sink attached
-(sharded runs) closed records spill to disk, so resident bookkeeping
-stays proportional to *live* flows at any flow count.
+per arrival: :attr:`FlowPool.records` lists them in spawn order and a
+live flow's entry holds it with its endpoint.  With a result sink
+(sharded runs) closed records spill to disk instead, so resident
+bookkeeping stays proportional to *live* flows at any flow count.
 """
 
 from __future__ import annotations
@@ -64,30 +66,7 @@ from repro.workload.budget import MemoryBudget, SharedCachePool
 from repro.workload.metrics import FairnessTracker, FlowRecord
 
 if TYPE_CHECKING:
-    from repro.tcp.connection import FiniteStream, TcpReceiver, TcpSender
-
-#: The TCP engine's names this module spawns flows with.
-_TCP_ENGINE = ("FiniteStream", "TcpReceiver", "TcpSender")
-
-
-def _bind_tcp_engine() -> None:
-    """Bind :data:`_TCP_ENGINE` into this module, once.
-
-    A TCP pool does it when it is built, so the engine loads with the
-    pool, not inside the first spawn's timed region, and a LEOTP run
-    never loads it.  A name already bound (patched) is kept.
-    """
-    from repro.tcp import connection
-
-    for name in _TCP_ENGINE:
-        globals().setdefault(name, getattr(connection, name))
-
-
-def __getattr__(name: str):
-    if name in _TCP_ENGINE:
-        _bind_tcp_engine()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.tcp.connection import TcpReceiver, TcpSender
 
 
 #: Estimated soft-state bytes one flow pins on one responder node
@@ -108,8 +87,27 @@ ACCESS_DELAY_S = 0.002
 FAIRNESS_WINDOW_S = 1.0
 
 
+class _Live:
+    """One admitted flow while it runs: its record, its endpoint (the
+    LEOTP Consumer or the TCP sender) and the app bytes it delivered."""
+
+    __slots__ = ("record", "endpoint", "delivered")
+
+    def __init__(self, record: FlowRecord) -> None:
+        self.record = record
+        self.endpoint: Union[Consumer, TcpSender, None] = None
+        self.delivered = 0
+
+
 class FlowPool:
-    """Spawns, multiplexes, and retires many flows over one shared path."""
+    """Spawns, multiplexes, and retires many flows over one shared path.
+
+    With ``result_sink`` (anything with ``.write(dict)``), each flow's
+    result row is written the moment the flow closes (completes, aborts,
+    is refused admission or is left unfinished by :meth:`finalize`) and
+    its record is not kept, so resident per-flow bookkeeping stays
+    proportional to *live* flows; :meth:`summary` is the same either way.
+    """
 
     def __init__(
         self,
@@ -124,6 +122,7 @@ class FlowPool:
         name: str = "pool",
         cache_policy: Optional[CachePolicy] = None,
         recorder: Optional[FlowRecorder] = None,
+        result_sink=None,
     ) -> None:
         if len(hops) < 1:
             raise ValueError("need at least one hop")
@@ -164,28 +163,11 @@ class FlowPool:
         # handovers) apply to the aggregate exactly as to a single flow.
         self.recorder = recorder
         self.fairness = FairnessTracker(FAIRNESS_WINDOW_S)
-        #: Resident flow records in spawn order (live objects: a record
-        #: is updated in place when its flow completes or aborts).  With
-        #: a result sink a record lives in ``_live`` until its flow
-        #: closes and then spills, and this list stays empty.
+        #: Flow records in spawn order (live objects: a record is updated
+        #: in place when its flow closes); empty with a result sink.
         self.records: list[FlowRecord] = []
-        self._live: dict[str, FlowRecord] = {}  # flow_id -> open record
-        self._consumers: dict[str, Consumer] = {}  # live LEOTP endpoints
-        self._delivered: dict[str, int] = {}  # app bytes per live flow
-        self._tcp_senders: dict[str, TcpSender] = {}  # live TCP endpoints
-        # Result streaming (sharded runs): a record spills to a JSONL
-        # sink when its flow closes, keeping resident size proportional
-        # to *live* flows.  Summary statistics for spilled flows
-        # accumulate in compact parallel arrays, keyed by the record's
-        # spawn index so the summary recomputes in exactly the unspilled
-        # order (bit-identical percentiles/means whether or not records
-        # spilled).
-        self._result_sink = None  # duck-typed: .write(dict)
-        self._spilled_ids: list[str] = []   # for the finalize soft sweep
-        self._acc_idx = array("q")      # spilled closed flows: spawn index
-        self._acc_fct = array("d")      # fct_s, NaN when not completed
-        self._acc_goodput = array("d")  # goodput, NaN when undefined
-        self._spilled_reasons: dict[str, int] = {}
+        self._live: dict[str, _Live] = {}  # flow_id -> admitted, not closed
+        self._result_sink = result_sink
         # Counters.
         self.arrivals = 0
         self.completed = 0
@@ -193,6 +175,7 @@ class FlowPool:
         self.delivered_bytes = 0
         self.admission_rejects = 0
         self.peak_concurrency = 0
+        self._abort_reasons: dict[str, int] = {}
         self._finalized = False
 
         arrivals_stream = (
@@ -203,6 +186,11 @@ class FlowPool:
         demands = generate_demands(spec, rng.stream(arrivals_stream))
         self._demands = demands
         self._next_demand = 0
+        # The summary's samples, at each flow's spawn index, so they read
+        # in spawn order however flows closed; NaN: none (not completed,
+        # or never spawned).
+        self._fct = array("d", [float("nan")]) * len(demands)
+        self._goodput = array("d", [float("nan")]) * len(demands)
 
         self.cache_policy = cache_policy  # stays None on TCP pools
         if protocol == LEOTP:
@@ -231,7 +219,11 @@ class FlowPool:
             self._flow_state_bytes = FLOW_STATE_BYTES_PER_NODE * responders
             self._flow_share_bytes = memory_ceiling_bytes - cache_capacity
         else:
-            _bind_tcp_engine()
+            # The engine loads with the pool, not inside the first spawn's
+            # timed region, and a LEOTP run never loads it.
+            from repro.tcp import connection
+
+            self._tcp = connection
             make_cc(self.cc_spec)  # loads the law, and refuses a bad spec, now
             self._build_router_chain(hops)
             self.cache_pool = None
@@ -291,6 +283,9 @@ class FlowPool:
     def active_flows(self) -> int:
         return len(self._live)
 
+    def _flow_id(self, idx: int) -> str:
+        return f"{self._flow_prefix}w{idx:05d}"
+
     def _spawn_next(self) -> None:
         """Closed-loop admission: spawn the next pending demand, if any."""
         if self._next_demand < len(self._demands) and not self._finalized:
@@ -300,38 +295,31 @@ class FlowPool:
         demand = self._demands[idx]
         self._next_demand = max(self._next_demand, idx + 1)
         self.arrivals += 1
-        flow_id = f"{self._flow_prefix}w{idx:05d}"
-        record = FlowRecord(
+        flow_id = self._flow_id(idx)
+        live = _Live(FlowRecord(
             flow_id, demand.arrival_s, demand.size_bytes,
             start_s=self.sim.now, index=idx,
-        )
+        ))
         if self._result_sink is None:
-            self.records.append(record)
+            self.records.append(live.record)
         # Hard admission: per-flow soft state may not overflow the budget
         # share left after the cache pool's slice.
         projected = (self.active_flows + 1) * self._flow_state_bytes
         if projected > self._flow_share_bytes:
-            record.aborted = True
-            record.abort_reason = "admission"
-            self.aborted += 1
-            self.admission_rejects += 1
-            if self._result_sink is not None:
-                self._spill_record(record)
-            if self.spec.closed_loop:
-                self._spawn_next()
+            self._close(live, "admission")
             return
-        self._live[flow_id] = record
+        self._live[flow_id] = live
         if self.active_flows > self.peak_concurrency:
             self.peak_concurrency = self.active_flows
         self.budget.set_account(
             "flows", self.active_flows * self._flow_state_bytes
         )
         if self.protocol == LEOTP:
-            self._spawn_leotp(flow_id, demand)
+            live.endpoint = self._spawn_leotp(flow_id, demand)
         else:
-            self._spawn_tcp(flow_id, demand)
+            live.endpoint = self._spawn_tcp(flow_id, demand)
 
-    def _spawn_leotp(self, flow_id: str, demand: FlowDemand) -> None:
+    def _spawn_leotp(self, flow_id: str, demand: FlowDemand) -> Consumer:
         if self.content is not None and demand.object_id is not None:
             # Bind before the first Interest: the midnodes' cache keys
             # alias to the object name for this flow's whole lifetime.
@@ -346,8 +334,7 @@ class FlowPool:
             on_complete=partial(self._complete_cb, flow_id),
         )
         self.attach_consumer(flow_id, consumer)
-        self._consumers[flow_id] = consumer
-        self._delivered[flow_id] = 0
+        return consumer
 
     def attach_consumer(self, flow_id: str, consumer: Consumer) -> None:
         """Hang ``consumer`` off the hub through its own access link."""
@@ -361,30 +348,28 @@ class FlowPool:
         )
         consumer.out_link = access.ba
 
-    def _spawn_tcp(self, flow_id: str, demand: FlowDemand) -> None:
+    def _spawn_tcp(self, flow_id: str, demand: FlowDemand) -> TcpSender:
+        tcp = self._tcp
         snd_name = f"{flow_id}-snd"
         rcv_name = f"{flow_id}-rcv"
-        receiver = TcpReceiver(
+        receiver = tcp.TcpReceiver(
             self.sim,
             rcv_name,
             None,
-            deliver=lambda nbytes, ts, fid=flow_id, total=demand.size_bytes: (
-                self._on_tcp_delivery(fid, nbytes, total, ts)
-            ),
+            deliver=partial(self._on_tcp_delivery, flow_id),
             flow_id=flow_id,
         )
-        sender = TcpSender(
+        sender = tcp.TcpSender(
             self.sim,
             snd_name,
             rcv_name,
             None,
             self.cc_spec,
-            stream=FiniteStream(demand.size_bytes),
+            stream=tcp.FiniteStream(demand.size_bytes),
             flow_id=flow_id,
         )
-        self._tcp_senders[flow_id] = sender
-        self._delivered[flow_id] = 0
         self.attach_tcp(flow_id, sender, receiver)
+        return sender
 
     def attach_tcp(
         self, flow_id: str, sender: TcpSender, receiver: TcpReceiver
@@ -412,7 +397,7 @@ class FlowPool:
         self.routers[0].add_route(snd_name, up.ba)
 
     # ------------------------------------------------------------------
-    # Completion / retirement
+    # Delivery and closing
     # ------------------------------------------------------------------
 
     def _on_delivery(
@@ -426,40 +411,89 @@ class FlowPool:
     def _deliver_cb(self, flow_id: str, nbytes: int, ts: float) -> None:
         """Consumer ``deliver`` adapter; counts the flow's app bytes."""
         self._on_delivery(flow_id, nbytes, ts)
-        got = self._delivered.get(flow_id)
-        if got is not None:  # None: a straggler after retirement
-            self._delivered[flow_id] = got + nbytes
+        live = self._live.get(flow_id)
+        if live is not None:  # None: a straggler after the flow closed
+            live.delivered += nbytes
 
     def _complete_cb(self, flow_id: str, consumer: Consumer) -> None:
         """Consumer ``on_complete`` adapter."""
-        self._complete(flow_id)
+        live = self._live.get(flow_id)
+        if live is not None:  # None: data still in flight when it aborted
+            self._close(live)
 
     def _on_tcp_delivery(
-        self, flow_id: str, nbytes: int, total: int,
-        ts: Optional[float] = None,
+        self, flow_id: str, nbytes: int, ts: Optional[float] = None
     ) -> None:
+        """TcpReceiver ``deliver`` adapter; the last byte completes."""
         self._on_delivery(flow_id, nbytes, ts)
-        got = self._delivered.get(flow_id)
-        if got is None:
-            return  # already completed; late duplicate delivery
-        got += nbytes
-        self._delivered[flow_id] = got
-        if got >= total:
-            self._complete(flow_id)
+        live = self._live.get(flow_id)
+        if live is None:
+            return  # already closed; late duplicate delivery
+        live.delivered += nbytes
+        if live.delivered >= live.record.size_bytes:
+            self._close(live)
 
-    def _complete(self, flow_id: str) -> None:
-        record = self._live.pop(flow_id, None)
-        if record is None:
-            return
-        record.finish_s = self.sim.now
-        self.completed += 1
-        self.delivered_bytes += record.size_bytes
+    def _close(self, live: _Live, reason: Optional[str] = None) -> None:
+        """End one flow: completed (``reason`` None) or aborted.
+
+        The one place a flow ends, in order: counters and record, the
+        summary sample and the sink row, the endpoint (a LEOTP flow is
+        checked against the protocol invariants while the nodes still
+        hold its state; a TCP sender is stopped), shared-node retirement,
+        the ledger, and the closed-loop refill.  An arrival refused at
+        admission has no endpoint and held no state; a flow that
+        :meth:`finalize` closes keeps ``finish_s`` None.
+        """
+        record, endpoint = live.record, live.endpoint
+        flow_id = record.flow_id
+        self._live.pop(flow_id, None)
+        if reason is None:
+            record.finish_s = self.sim.now
+            self.completed += 1
+            self.delivered_bytes += record.size_bytes
+            self._fct[record.index] = record.fct_s
+            goodput = record.goodput_bytes_s
+            if goodput is not None:
+                self._goodput[record.index] = goodput
+        else:
+            record.aborted = True
+            record.abort_reason = reason
+            self.aborted += 1
+            reasons = self._abort_reasons
+            reasons[reason] = reasons.get(reason, 0) + 1
+            if endpoint is None:
+                self.admission_rejects += 1
+            elif not self._finalized:
+                record.finish_s = self.sim.now
         if self._result_sink is not None:
-            self._spill_record(record)
-        self._retire(flow_id, record.size_bytes)
-        self.budget.set_account(
-            "flows", self.active_flows * self._flow_state_bytes
-        )
+            # Fixed key order keeps spill files byte-stable across runs.
+            self._result_sink.write({
+                "idx": record.index,
+                "flow": flow_id,
+                "arrival_s": record.arrival_s,
+                "size_b": record.size_bytes,
+                "start_s": record.start_s,
+                "finish_s": record.finish_s,
+                "status": "aborted" if record.aborted else "completed",
+                "reason": reason,
+            })
+        if endpoint is not None:
+            if self.protocol == LEOTP:
+                if reason is not None:
+                    # Quiesced: no more re-requests into a dead route.
+                    endpoint.stop_time = self.sim.now
+                size = None if record.aborted else record.size_bytes
+                self._check(live, size)
+            else:
+                # Its ACKs become unroutable below (a completed flow never
+                # sees its last ones): left running, the sender would
+                # RTO-retransmit into the dead access link forever.
+                endpoint.stop()
+            self._retire(flow_id)
+            if not self._finalized:  # finalize zeroes the ledger once
+                self.budget.set_account(
+                    "flows", self.active_flows * self._flow_state_bytes
+                )
         if self.spec.closed_loop:
             self._spawn_next()
 
@@ -472,24 +506,10 @@ class FlowPool:
         closed-loop admission the freed slot spawns the next demand, like
         a completion would.  Returns False if the flow is not live.
         """
-        record = self._live.pop(flow_id, None)
-        if record is None:
+        live = self._live.get(flow_id)
+        if live is None:
             return False
-        record.aborted = True
-        record.abort_reason = reason
-        record.finish_s = self.sim.now
-        self.aborted += 1
-        if self._result_sink is not None:
-            self._spill_record(record)
-        consumer = self._consumers.get(flow_id)
-        if consumer is not None:
-            consumer.stop_time = self.sim.now
-        self._retire(flow_id)
-        self.budget.set_account(
-            "flows", self.active_flows * self._flow_state_bytes
-        )
-        if self.spec.closed_loop:
-            self._spawn_next()
+        self._close(live, reason)
         return True
 
     def notify_churn(self, kind: str) -> int:
@@ -498,11 +518,11 @@ class FlowPool:
         Deterministic (sorted flow-id order); LEOTP pools have no TCP
         senders and the call is a no-op.  Returns the number notified.
         """
-        notified = 0
-        for flow_id in sorted(self._tcp_senders):
-            self._tcp_senders[flow_id].notify_churn(kind)
-            notified += 1
-        return notified
+        if self.protocol == LEOTP:
+            return 0
+        for flow_id in sorted(self._live):
+            self._live[flow_id].endpoint.notify_churn(kind)
+        return len(self._live)
 
     def abort_live(self, reason: str = "aborted") -> int:
         """Abort every live flow (deterministic order); returns the count."""
@@ -511,17 +531,9 @@ class FlowPool:
             self.abort_flow(flow_id, reason)
         return len(flow_ids)
 
-    def _retire(self, flow_id: str, size: Optional[int] = None) -> None:
-        """Release the flow's soft state from every shared node.
-
-        A LEOTP flow retiring for the first time is checked first, while
-        the nodes still hold its state; ``size`` is a completed flow's
-        record size, which it must have delivered byte-exact.
-        """
+    def _retire(self, flow_id: str) -> None:
+        """Release the flow's soft state from every shared node."""
         if self.protocol == LEOTP:
-            consumer = self._consumers.pop(flow_id, None)
-            if consumer is not None:
-                self._check(flow_id, consumer, size)
             for mid in self.midnodes:
                 mid.retire_flow(flow_id)
             self.producer.retire_flow(flow_id)
@@ -530,32 +542,26 @@ class FlowPool:
                 # what told them to keep the shared object blocks.
                 self.content.unbind(flow_id)
         else:
-            self._delivered.pop(flow_id, None)
-            sender = self._tcp_senders.pop(flow_id, None)
-            if sender is not None:
-                # Its ACKs become unroutable below (a completed flow never
-                # sees its last ones): left running, the sender would
-                # RTO-retransmit into the dead access link forever.
-                sender.stop()
             snd_name = f"{flow_id}-snd"
             rcv_name = f"{flow_id}-rcv"
             for router in self.routers:
                 router.remove_route(snd_name)
                 router.remove_route(rcv_name)
 
-    def _check(
-        self, flow_id: str, consumer: Consumer, size: Optional[int]
-    ) -> None:
+    def _check(self, live: _Live, size: Optional[int]) -> None:
+        """Raise if the flow broke a protocol invariant; ``size`` is a
+        completed flow's, which it must have delivered byte-exact."""
         # Imported here: importing repro.workload loads no fault layer.
         from repro.faults.invariants import InvariantViolation, check_flow
 
         violations = check_flow(
-            consumer, [self.producer, *self.midnodes],
-            app_bytes=self._delivered.pop(flow_id), size=size,
+            live.endpoint, [self.producer, *self.midnodes],
+            app_bytes=live.delivered, size=size,
         )
         if violations:
             raise InvariantViolation.of(
-                violations, f"flow {flow_id} at t={self.sim.now:.6f}s: "
+                violations,
+                f"flow {live.record.flow_id} at t={self.sim.now:.6f}s: ",
             )
 
     def finalize(self) -> None:
@@ -565,67 +571,15 @@ class FlowPool:
         self._finalized = True
         if self._timeline is not None:
             self._timeline.stop()
-        for flow_id, record in list(self._live.items()):
-            record.aborted = True
-            record.abort_reason = "unfinished"
-            self.aborted += 1
-            if self._result_sink is not None:
-                self._spill_record(record)
-            self._retire(flow_id)
-        self._live.clear()
+        for live in list(self._live.values()):
+            self._close(live, "unfinished")
         # An Interest in flight when its flow was aborted can reach a
         # responder after retirement and rebuild the (soft, on-demand)
-        # per-flow state; sweep every recorded flow once more — including
-        # flows whose records already spilled to the result sink — so
-        # nothing outlives the run.
-        for flow_id in self._spilled_ids:
-            self._retire(flow_id)
-        for record in self.records:
-            self._retire(record.flow_id)
+        # per-flow state; sweep every spawned flow once more so nothing
+        # outlives the run.
+        for idx in range(self._next_demand):
+            self._retire(self._flow_id(idx))
         self.budget.set_account("flows", 0)
-
-    # ------------------------------------------------------------------
-    # Result streaming (sharded runs)
-    # ------------------------------------------------------------------
-
-    def set_result_sink(self, sink) -> None:
-        """Stream closed flows' result rows to ``sink`` (``.write(dict)``).
-
-        From now on each flow's row is written the moment the flow
-        closes (completes, aborts, is refused admission or is left
-        unfinished by :meth:`finalize`), and its record is dropped, so
-        resident per-flow bookkeeping stays proportional to *live* flows
-        while the final :meth:`summary` stays bit-identical with an
-        unspilled run.  Records that closed before the sink was attached
-        spill now, in spawn order.
-        """
-        self._result_sink = sink
-        for record in self.records:
-            if record.flow_id not in self._live:
-                self._spill_record(record)
-        self.records = []
-
-    def _spill_record(self, record: FlowRecord) -> None:
-        """Write one closed record to the sink and accumulate its stats."""
-        # Fixed key order keeps spill files byte-stable across runs.
-        self._result_sink.write({
-            "idx": record.index,
-            "flow": record.flow_id,
-            "arrival_s": record.arrival_s,
-            "size_b": record.size_bytes,
-            "start_s": record.start_s,
-            "finish_s": record.finish_s,
-            "status": "aborted" if record.aborted else "completed",
-            "reason": record.abort_reason,
-        })
-        self._acc_idx.append(record.index)
-        self._acc_fct.append(_nan_if_none(record.fct_s))
-        self._acc_goodput.append(_nan_if_none(record.goodput_bytes_s))
-        if record.aborted and record.abort_reason is not None:
-            self._spilled_reasons[record.abort_reason] = (
-                self._spilled_reasons.get(record.abort_reason, 0) + 1
-            )
-        self._spilled_ids.append(record.flow_id)
 
     # ------------------------------------------------------------------
     # Reporting / observability
@@ -649,25 +603,13 @@ class FlowPool:
     def summary(self) -> dict[str, float]:
         """Aggregate outcome of the run (call after :meth:`finalize`).
 
-        Bit-identical whether or not records spilled: samples from the
-        spill accumulators and the resident records are merged and sorted
-        by spawn index, so the float arrays fed to the percentile and
-        mean computations match an unspilled run element for element.
+        FCT and goodput samples read in spawn order, so the float sums
+        are the same whether or not a result sink took the records.
         """
         from repro.analysis.stats import fct_percentiles
 
-        samples: list[tuple[int, float, float]] = list(
-            zip(self._acc_idx, self._acc_fct, self._acc_goodput)
-        )
-        for record in self.records:
-            samples.append((
-                record.index,
-                _nan_if_none(record.fct_s),
-                _nan_if_none(record.goodput_bytes_s),
-            ))
-        samples.sort(key=lambda s: s[0])
-        fcts = [f for _, f, _ in samples if f == f]  # NaN != NaN
-        goodputs = [g for _, _, g in samples if g == g]
+        fcts = [f for f in self._fct if f == f]  # NaN != NaN
+        goodputs = [g for g in self._goodput if g == g]
         out: dict[str, float] = {
             "arrivals": float(self.arrivals),
             "completed": float(self.completed),
@@ -677,14 +619,8 @@ class FlowPool:
             "budget_peak_bytes": float(self.budget.peak_bytes),
             "budget_breaches": float(self.budget.breaches),
         }
-        reasons: dict[str, int] = dict(self._spilled_reasons)
-        for record in self.records:
-            if record.aborted and record.abort_reason is not None:
-                reasons[record.abort_reason] = (
-                    reasons.get(record.abort_reason, 0) + 1
-                )
-        for reason in sorted(reasons):
-            out[f"aborted_{reason}"] = float(reasons[reason])
+        for reason in sorted(self._abort_reasons):
+            out[f"aborted_{reason}"] = float(self._abort_reasons[reason])
         if self.cache_pool is not None:
             out["cache_pool_evictions"] = float(self.cache_pool.evictions)
         if self.content is not None:
@@ -715,8 +651,3 @@ class FlowPool:
             out["goodput_mean_bytes_s"] = sum(goodputs) / len(goodputs)
         out.update(self.fairness.summary())
         return out
-
-
-def _nan_if_none(value: Optional[float]) -> float:
-    """NaN marks "undefined" in the spill accumulators (``array('d')``)."""
-    return float("nan") if value is None else value

@@ -562,11 +562,11 @@ class TestCcSpecEntryPoints:
             protocol=CCSpec("orbcc", {"probe_gain": 2.2}),
             name="ccspec-pool",
         )
-        # Stop mid-transfer: completed flows are retired from the live
-        # sender map, so probe while at least one is still in flight.
+        # Stop mid-transfer: completed flows leave the live map, so
+        # probe while at least one is still in flight.
         sim.run(until=0.5)
-        assert pool._tcp_senders, "no flows in flight at the probe time"
-        sender = next(iter(pool._tcp_senders.values()))
+        assert pool._live, "no flows in flight at the probe time"
+        sender = next(iter(pool._live.values())).endpoint
         assert sender.cc.probe_gain == 2.2
 
     def test_gateway_bridge(self):

@@ -117,8 +117,8 @@ def test_ledger_keeps_every_shard_within_its_slice(monkeypatch):
 
     build = _ShardState.__init__
 
-    def below_use(self, plan, index):
-        build(self, plan, index)
+    def below_use(self, plan, index, sink_dir=None):
+        build(self, plan, index, sink_dir)
         if index == 1:  # a ceiling far below what the shard will hold
             self.pool.budget.ceiling_bytes = 64 << 10
 
@@ -151,8 +151,7 @@ def test_each_shard_equals_a_lone_state_driven_to_the_horizon(plan, tmp_path):
     lone_dir.mkdir()
     assert any(plan.has_fault(i) for i in range(plan.n_shards))
     for index in range(plan.n_shards):
-        state = _ShardState(plan, index)
-        state.attach_sink(str(lone_dir))
+        state = _ShardState(plan, index, str(lone_dir))
         state.run()
         assert state.finalize() == out["rows"][index]
         assert (lone_dir / spill_name(index)).read_bytes() == (
@@ -168,9 +167,9 @@ def test_no_two_shard_states_alive_in_one_process(monkeypatch):
     seen = []
     original = _ShardState.__init__
 
-    def counting(self, plan, index):
+    def counting(self, plan, index, sink_dir=None):
         seen.append(sum(ref() is not None for ref in alive))
-        original(self, plan, index)
+        original(self, plan, index, sink_dir)
         alive.append(weakref.ref(self))
 
     monkeypatch.setattr(_ShardState, "__init__", counting)

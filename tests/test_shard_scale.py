@@ -179,10 +179,10 @@ def _count_builds(monkeypatch, log) -> None:
     """Log every shard built, whichever process builds it."""
     build = _ShardState.__init__
 
-    def counting(self, plan, index):
+    def counting(self, plan, index, sink_dir=None):
         with open(log, "a") as fh:
             fh.write(f"{index}\n")
-        build(self, plan, index)
+        build(self, plan, index, sink_dir)
 
     monkeypatch.setattr(_ShardState, "__init__", counting)
 

@@ -329,16 +329,16 @@ class TestFlowPool:
     def test_completed_tcp_flow_leaves_no_zombie_sender(self, protocol, monkeypatch):
         """Completion stops the sender: on a lossless chain nothing is
         ever retransmitted, and no timer of a retired flow stays armed."""
-        from repro.workload import pool as pool_mod
+        from repro.tcp import connection
 
         senders = []
-        make = pool_mod.TcpSender
+        make = connection.TcpSender
 
         def recording_make(*args, **kwargs):
             senders.append(make(*args, **kwargs))
             return senders[-1]
 
-        monkeypatch.setattr(pool_mod, "TcpSender", recording_make)
+        monkeypatch.setattr(connection, "TcpSender", recording_make)
         pool = _run_pool(protocol=protocol, n_flows=80, drain_s=1.0)
         assert pool.summary()["completed"] == len(senders) == 80
         frozen = [s.data_segments_sent for s in senders]
@@ -557,7 +557,7 @@ class TestFlowRecords:
     """One FlowRecord per arrival: shared by ``records`` and the live
     index, and spilled without moving any reported number."""
 
-    def _pool(self):
+    def _pool(self, **pool_kwargs):
         spec = _poisson_spec(
             n_flows=150, rate_per_s=150.0, mean_size_bytes=20_000,
             max_size_bytes=80_000,
@@ -566,6 +566,7 @@ class TestFlowRecords:
         pool = FlowPool(
             sim, RngRegistry(0), spec=spec,
             hops=uniform_chain_specs(2, rate_bps=20e6, delay_s=0.004),
+            **pool_kwargs,
         )
         return sim, pool
 
@@ -575,8 +576,9 @@ class TestFlowRecords:
         clone = pickle.loads(pickle.dumps(pool))
         assert clone._live and len(clone._live) == len(pool._live)
         resident = {r.flow_id: r for r in clone.records}
-        for flow_id, record in clone._live.items():
-            assert resident[flow_id] is record
+        for flow_id, live in clone._live.items():
+            assert resident[flow_id] is live.record
+            assert live.endpoint.flow_id == flow_id
         # ...so the restored pool closes the same records it reports.
         for s, p in ((sim, pool), (clone.sim, clone)):
             s.run(until=4.0)
@@ -585,39 +587,67 @@ class TestFlowRecords:
         assert clone.summary() == pool.summary()
 
     def test_spill_cadence_moves_no_row_and_no_summary_key(self):
-        """Rows spill as flows close, whenever the sink was attached."""
-        def run(attach_at_s):
-            sim, pool = self._pool()
-            sink = _ListSink()
-            sim.run(until=attach_at_s)
-            pool.set_result_sink(sink)
-            spilled_at_attach = len(sink)
-            sim.run(until=1.0)  # ends mid-workload: some flows unfinished
-            pool.finalize()
-            assert pool.records == [] and len(sink) == pool.arrivals
-            return sink, spilled_at_attach, pool.summary()
-
-        rows_late, spilled, summary_late = run(attach_at_s=0.5)
-        rows_first, none_yet, summary_first = run(attach_at_s=0.0)
-        assert none_yet == 0 and 0 < spilled < len(rows_late)
-        # From the start, rows come in close order: completions by their
-        # finish time, then the flows finalize left unfinished.
-        finished = [row["finish_s"] for row in rows_first
-                    if row["reason"] is None]
+        """Rows spill as flows close, and spilling moves no number."""
+        sink = _ListSink()
+        sim, pool = self._pool(result_sink=sink)
+        sim.run(until=1.0)  # ends mid-workload: some flows unfinished
+        pool.finalize()
+        assert pool.records == [] and len(sink) == pool.arrivals
+        # Rows come in close order: completions by their finish time,
+        # then the flows finalize left unfinished.
+        finished = [row["finish_s"] for row in sink if row["reason"] is None]
         assert finished == sorted(finished)
-        assert {row["reason"] for row in rows_first} == {None, "unfinished"}
-        rows_once = sorted(rows_first, key=lambda row: row["idx"])
-        assert sorted(rows_late, key=lambda row: row["idx"]) == rows_once
-        assert [row["idx"] for row in rows_once] == list(range(len(rows_once)))
-        assert summary_late == summary_first
-        summary_once = summary_first
+        assert {row["reason"] for row in sink} == {None, "unfinished"}
 
         # ...and neither differs from never spilling at all.
-        sim, pool = self._pool()
+        sim, kept = self._pool()
         sim.run(until=1.0)
-        pool.finalize()
-        assert pool.summary() == summary_once
-        assert [r.index for r in pool.records] == list(range(len(rows_once)))
+        kept.finalize()
+        assert kept.summary() == pool.summary()
+        assert sorted(row["idx"] for row in sink) == [
+            r.index for r in kept.records
+        ] == list(range(kept.arrivals))
+
+    def test_every_close_path_writes_its_record_as_the_row(self):
+        """Admission refusals, aborts, completions and flows left
+        unfinished all close through one path: with a sink or without,
+        each arrival gets one row, equal to its record field for field."""
+        def run(sink):
+            # A 5 % flow share holds three flows' soft state: the rest
+            # of a burst is refused at admission.
+            sim, pool = self._pool(
+                memory_ceiling_bytes=100_000, cache_fraction=0.95,
+                result_sink=sink,
+            )
+            sim.schedule_at(0.3, lambda: pool.abort_live("no_route"))
+            sim.run(until=0.6)
+            pool.finalize()
+            return pool
+
+        def row(r: FlowRecord) -> dict:
+            return {
+                "idx": r.index, "flow": r.flow_id, "arrival_s": r.arrival_s,
+                "size_b": r.size_bytes, "start_s": r.start_s,
+                "finish_s": r.finish_s,
+                "status": "aborted" if r.aborted else "completed",
+                "reason": r.abort_reason,
+            }
+
+        sink = _ListSink()
+        spilled, kept = run(sink), run(None)
+        assert spilled.records == [] and len(sink) == spilled.arrivals
+        assert sorted(sink, key=lambda row: row["idx"]) == [
+            row(r) for r in kept.records
+        ]
+        assert len(kept.records) == kept.arrivals
+        assert spilled.summary() == kept.summary()
+        assert {r["reason"] for r in sink} == {
+            None, "admission", "no_route", "unfinished",
+        }
+        for r in sink:
+            assert (r["finish_s"] is None) == (
+                r["reason"] in ("admission", "unfinished")
+            )
 
 
 class TestWorkloadExperiment:
