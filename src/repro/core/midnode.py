@@ -13,15 +13,15 @@ wire types straight to their handler and each handler resolves the flow,
 its state and the cache key once):
 
 * **Interest from downstream** — remember the downstream link for the
-  flow, update the Responder-side Interest-OWD estimate and the token
-  bucket rate from the piggybacked ``sendRate``; answer from the cache
-  when possible, otherwise forward the Interest upstream re-stamped with
-  this node's own Requester rate.
+  flow and hand the Interest to its sending buffer; answer from the
+  cache when possible, otherwise forward the Interest upstream
+  re-stamped with this node's own Requester rate.
 * **Data/VPH from upstream** — feed SHR (Algorithm 1); emit VPHs
   downstream ahead of the packet for freshly detected holes; send
   retransmission Interests upstream for holes that crossed the disorder
   threshold; store payload in the cache; enqueue the packet on the
-  downstream paced sender.
+  downstream paced sender.  Whether a copy (a cache answer or a
+  forwarded packet) is needed is the sender's decision.
 
 Ablation flags: with ``enable_cache`` off the node skips SHR and caching
 (row B of Table II); with ``hop_by_hop_cc`` off it forwards without
@@ -38,7 +38,7 @@ from repro.common.ranges import ByteRange, RangeSet
 from repro.core.cache import BlockCache
 from repro.core.config import LeotpConfig
 from repro.core.congestion import HopRateController
-from repro.core.paced import PacedSender, ResendSuppressor
+from repro.core.paced import PacedSender
 from repro.core.shr import SeqHoleDetector
 from repro.core.wire import DataPacket, Interest
 from repro.netsim.link import Link
@@ -61,20 +61,7 @@ class _FlowState:
     sender: PacedSender = None  # type: ignore[assignment]
     downstream_link: Optional[Link] = None
     upstream_link: Optional[Link] = None
-    interest_owd_est: float = 0.0
-    has_interest_owd: bool = False
     last_downstream_rate: float = 125_000.0
-    # Data ranges currently waiting in the sending buffer.  Re-requests for
-    # them are absorbed instead of queueing another copy: under heavy TR
-    # (e.g. after a handover blackout) repeated cache hits would otherwise
-    # fill the buffer with duplicates, starve fresh data behind them, and
-    # trigger yet more timeouts — a self-sustaining duplicate storm.
-    queued: "RangeSet" = None  # type: ignore[assignment]
-    # Re-serve damping: absorption via ``queued`` only covers in-buffer
-    # time, but after a crash/blackout the recovery backlog delays data
-    # past the Consumer's RTO, and every timeout would re-serve bytes
-    # already in flight — inflating the backlog that caused the timeouts.
-    suppressor: ResendSuppressor = None  # type: ignore[assignment]
 
 
 @dataclass
@@ -184,8 +171,6 @@ class Midnode(Node):
             cfg = self.config
             state = _FlowState(
                 shr=SeqHoleDetector(cfg.shr_disorder_threshold, cfg.shr_max_holes),
-                queued=RangeSet(),
-                suppressor=ResendSuppressor(self.sim, cfg.responder_retx_suppress_s),
             )
             state.sender = PacedSender(
                 self.sim,
@@ -193,6 +178,7 @@ class Midnode(Node):
                 paced=cfg.hop_by_hop_cc,
                 burst_bytes=3.0 * cfg.data_packet_bytes,
                 name=f"{self.name}:{flow_id}",
+                retx_suppress_s=cfg.responder_retx_suppress_s,
             )
             state.cc = HopRateController(
                 self.sim, cfg,
@@ -235,16 +221,12 @@ class Midnode(Node):
         return 0
 
     def _stamp(self, state: _FlowState, pkt: DataPacket) -> DataPacket:
-        is_header = pkt.is_header
-        if is_header:
+        if pkt.is_header:
             self.stats.vph_sent += 1
         else:
-            rng = pkt.range
-            state.queued.remove(rng)
-            state.suppressor.record(rng)
             self.stats.data_forwarded += 1
         if self.config.hop_by_hop_cc:
-            return pkt.forwarded(self.sim.now, state.interest_owd_est)
+            return pkt.forwarded(self.sim.now, state.sender.interest_owd)
         # Endpoint-only control (ablation row C): timestamps survive
         # end-to-end so the Consumer measures the full path.
         return pkt.forwarded(pkt.timestamp, pkt.echo_interest_owd)
@@ -295,17 +277,9 @@ class Midnode(Node):
         if link.reply_link is not None:
             state.downstream_link = link.reply_link
         # Responder-side measurements for this hop.
-        owd = now - interest.timestamp
-        if owd < 0.0:
-            owd = 0.0
-        if state.has_interest_owd:
-            state.interest_owd_est += (owd - state.interest_owd_est) / 8.0
-        else:
-            state.interest_owd_est = owd
-            state.has_interest_owd = True
+        state.sender.on_interest(interest.timestamp, rate)
         state.last_downstream_rate = rate
         if hop_cc:
-            state.sender.set_rate(rate)
             state.cc.next_hop_rate_bytes_s = rate
         # Answer from the cache where possible.  The lookup key aliases
         # to the flow's object name under a content workload, so bytes
@@ -321,23 +295,18 @@ class Midnode(Node):
             if pieces:
                 covered = []
                 sender = state.sender
-                queued = state.queued
                 downstream = state.downstream_link
                 for piece, origin_ts in pieces:
                     covered.append(piece)
-                    if queued.contains(piece):
-                        continue  # a copy is already queued for downstream
-                    if state.suppressor.suppressed(piece, sender.drain_time_s()):
-                        continue  # a copy left the buffer moments ago
-                    stats.cache_responses += 1
                     response = DataPacket(
                         flow_id, piece, timestamp=now,
                         origin_ts=origin_ts, retransmitted=True,
                     )
-                    if downstream is not None:
-                        queued.add(piece)
-                        if not sender.enqueue(response, downstream):
-                            queued.remove(piece)
+                    # Counted unless the buffer absorbs or suppresses it.
+                    if downstream is None or sender.enqueue(
+                        response, downstream, reserve=True
+                    ) is not None:
+                        stats.cache_responses += 1
                 remaining = self._subtract(rng, covered)
             if TRACER.enabled:
                 miss_bytes = sum(r.length for r in remaining)
@@ -419,15 +388,7 @@ class Midnode(Node):
                 )
         if downstream is None:
             return
-        if is_header:
-            state.sender.enqueue(packet, downstream)
-            return
-        queued = state.queued
-        if queued.contains(rng):
-            return  # an identical copy is already queued for downstream
-        queued.add(rng)
-        if not state.sender.enqueue(packet, downstream):
-            queued.remove(rng)
+        state.sender.enqueue(packet, downstream)
 
     def _send_retx_interest(
         self, state: _FlowState, flow_id: str, hole: ByteRange

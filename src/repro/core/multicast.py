@@ -46,7 +46,8 @@ class _PitEntry:
 
 
 class _FanoutStamp:
-    """Per-(flow, link) stamp callback for fan-out senders."""
+    """Per-(flow, link) stamp callback for fan-out senders (plain FIFOs):
+    books each departing copy on the subscriber's own sender."""
 
     __slots__ = ("midnode", "flow_id")
 
@@ -55,7 +56,10 @@ class _FanoutStamp:
         self.flow_id = flow_id
 
     def __call__(self, pkt: DataPacket) -> DataPacket:
-        return self.midnode._stamp(self.midnode._flow(self.flow_id), pkt)
+        state = self.midnode._flow(self.flow_id)
+        state.sender.queued.remove(pkt.range)
+        state.sender.guard.record(pkt.range)
+        return self.midnode._stamp(state, pkt)
 
 
 class MulticastMidnode(Midnode):
@@ -89,6 +93,7 @@ class MulticastMidnode(Midnode):
                 paced=self.config.hop_by_hop_cc,
                 burst_bytes=3.0 * self.config.data_packet_bytes,
                 name=f"{self.name}:{flow_id}:fanout:{link.name}",
+                retx_suppress_s=None,
             )
             self._fanout_senders[key] = sender
         return sender
@@ -117,8 +122,9 @@ class MulticastMidnode(Midnode):
             self.interests_aggregated += 1
             # Keep per-downstream rate bookkeeping fresh.
             if self.config.hop_by_hop_cc and downstream is not None:
-                sender = self._fanout_sender(interest.flow_id, downstream)
-                sender.set_rate(interest.send_rate_bytes_s)
+                self._fanout_sender(interest.flow_id, downstream).on_interest(
+                    interest.timestamp, interest.send_rate_bytes_s
+                )
             return
         # First request for this range: register and process normally
         # (cache answer or upstream forward).

@@ -1,11 +1,12 @@
-"""The Responder's sending buffer and token-bucket drain loop.
+"""The Responder's sending buffer: its copy decision and its drain loop.
 
 Every node that responds with Data (Producer or Midnode) queues outgoing
 packets per flow in a :class:`PacedSender`.  The drain rate is the
 ``sendRate`` piggybacked on the latest Interest from the downstream
 Requester (paper Fig. 9); with hop-by-hop control disabled (ablation
 row C) the buffer drains immediately and only endpoints pace.  A blocked
-drain asks the bucket once and sleeps the wait it names.
+drain asks the bucket once and sleeps the wait it names.  The buffer
+also decides which copies it takes, one rule for both Responders.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from collections import deque
 from itertools import compress
 from typing import Callable, Optional
 
+from repro.common.ranges import RangeSet
 from repro.core.congestion import TokenBucket
 from repro.core.wire import DataPacket
 from repro.obs.tracer import TRACER
@@ -25,13 +27,13 @@ from repro.simcore.simulator import Simulator
 class ResendSuppressor:
     """Remembers when byte ranges last left a sending buffer.
 
-    Responders consult it before re-serving a range from cache: a copy
-    that departed less than ``floor_s`` ago (extended by however long the
-    current backlog takes to drain) is almost certainly still in flight,
-    so serving another is pure amplification.  The floor sits below the
-    Consumer's minimum RTO, so legitimately spaced TR retries always get
-    through; what this suppresses is the recovery-storm regime where
-    queueing delay exceeds the RTO.
+    A sending buffer books each departure here and asks before taking a
+    re-serve: a copy that left less than ``floor_s`` ago (extended by
+    however long the current backlog takes to drain) is almost certainly
+    still in flight, so serving another is pure amplification.  The floor
+    sits below the Consumer's minimum RTO, so legitimately spaced TR
+    retries always get through; what this suppresses is the
+    recovery-storm regime where queueing delay exceeds the RTO.
 
     A range is keyed by one int, ``start << 32 | end``, and the guard is
     two parallel arrays sorted by key: the keys and the times they last
@@ -102,7 +104,9 @@ class ResendSuppressor:
 
 
 class PacedSender:
-    """FIFO sending buffer drained through a token bucket onto one link."""
+    """A Responder's per-flow FIFO drained through a token bucket onto one
+    link.  ``retx_suppress_s`` is its resend guard's floor (0: absorb
+    only); ``None`` makes a plain FIFO that takes every copy."""
 
     def __init__(
         self,
@@ -113,6 +117,7 @@ class PacedSender:
         burst_bytes: float = 3000.0,
         max_buffer_bytes: int = 4 << 20,
         name: str = "paced",
+        retx_suppress_s: Optional[float] = 0.0,
     ) -> None:
         self.sim = sim
         self.name = name
@@ -121,6 +126,15 @@ class PacedSender:
         self.bucket = TokenBucket(sim, initial_rate_bytes_s, burst_bytes)
         self.max_buffer_bytes = max_buffer_bytes
         self._queue: deque[DataPacket] = deque()
+        # Data ranges waiting here, and when each range last left
+        # (DESIGN.md §6: duplicate absorption, re-serve damping).
+        plain = retx_suppress_s is None
+        self.queued = None if plain else RangeSet()
+        self.guard = None if plain else ResendSuppressor(sim, retx_suppress_s)
+        # The Interest OWD stamps echo (half a hopRTT sample): an EWMA whose
+        # first sample has gain 1, every later one 1/8.
+        self.interest_owd = 0.0
+        self._owd_gain = 1.0
         # Current sending-buffer length (the BL of equation (9)).  A plain
         # attribute, like ``Simulator.now``: the hop controller reads it
         # per forwarded Interest; only this class writes it.
@@ -144,19 +158,43 @@ class PacedSender:
             return 0.0
         return self.backlog_bytes / self.bucket.rate_bytes_s
 
-    def set_rate(self, rate_bytes_s: float) -> None:
-        self.bucket.set_rate(rate_bytes_s if rate_bytes_s > 1.0 else 1.0)
+    def on_interest(self, sent_at: float, rate_bytes_s: float) -> None:
+        """Fold one Interest's delay into :attr:`interest_owd`; a paced
+        buffer also drains at its piggybacked ``sendRate`` from now on."""
+        owd = self.sim.now - sent_at
+        if owd < 0.0:
+            owd = 0.0
+        self.interest_owd += (owd - self.interest_owd) * self._owd_gain
+        self._owd_gain = 0.125
+        if self.paced:
+            self.bucket.set_rate(rate_bytes_s if rate_bytes_s > 1.0 else 1.0)
 
-    def enqueue(self, packet: DataPacket, link) -> bool:
-        """Queue ``packet`` for transmission on ``link``.
+    def enqueue(
+        self, packet: DataPacket, link, reserve: bool = False
+    ) -> Optional[bool]:
+        """Queue ``packet`` on ``link`` unless the buffer has this copy.
 
-        The link argument is remembered: subsequent drains use the most
-        recent one (per-flow senders always target a single neighbour).
-        Returns False when the buffer overflowed.
+        Data whose range is all queued is absorbed; a ``reserve`` (a
+        Responder answering again from what it holds) is suppressed when
+        its range left within the guard's floor, widened by the drain
+        time; VPHs always pass.  Returns None for a copy not taken, False
+        on overflow, True when queued.  The link is remembered: drains
+        use the most recent one (a per-flow sender has one neighbour).
         """
+        queued = self.queued
+        data = queued is not None and not packet.is_header
+        if data:
+            rng = packet.range
+            if queued.contains(rng):
+                return None  # a copy is already queued
+            if reserve and self.guard.suppressed(rng, self.drain_time_s()):
+                return None  # a copy left moments ago
+            queued.add(rng)
         self._link = link
         backlog = self.backlog_bytes + packet.size_bytes
         if backlog > self.max_buffer_bytes:
+            if data:
+                queued.remove(rng)
             self.packets_dropped += 1
             if TRACER.enabled:
                 TRACER.emit(
@@ -215,6 +253,9 @@ class PacedSender:
                     return
             queue.popleft()
             self.backlog_bytes -= pkt.size_bytes
+            if not pkt.is_header and self.queued is not None:
+                self.queued.remove(pkt.range)  # booked before the stamp
+                self.guard.record(pkt.range)
             out = self._stamp(pkt)
             self.packets_sent += 1
             self.bytes_sent += out.size_bytes

@@ -4,7 +4,8 @@ The Producer answers Interests with Data.  It keeps no connection state —
 only its own content and, in this reproduction, the first-transmission
 timestamp of each byte range (stored in a :class:`BlockCache`) so
 retransmitted data carries its original timestamp for end-to-end OWD
-measurement, matching how the evaluation measures recovery delay.
+measurement, matching how the evaluation measures recovery delay.  Which
+copies leave is its sending buffer's decision (:class:`PacedSender`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional
 from repro.common.ranges import ByteRange, RangeSet
 from repro.core.cache import BlockCache
 from repro.core.config import LeotpConfig
-from repro.core.paced import PacedSender, ResendSuppressor
+from repro.core.paced import PacedSender
 from repro.core.wire import DataPacket, Interest
 from repro.netsim.link import Link
 from repro.netsim.node import Node
@@ -32,17 +33,7 @@ class _ProducerFlow:
     sender: PacedSender
     # First-transmission timestamp of every byte range sent.
     origins: BlockCache
-    # Re-serve damping (see ResendSuppressor): a range that left the
-    # buffer moments ago is still in flight; serving it again during a
-    # recovery storm only deepens the backlog that caused the timeouts.
-    suppressor: ResendSuppressor
-    # Responder-side Interest OWD estimate (None until the first Interest).
-    interest_owd: Optional[float] = None
     served: RangeSet = field(default_factory=RangeSet)
-    # Ranges currently waiting in the sending buffer: duplicate
-    # Interests (TR re-requests racing a queued response) are absorbed
-    # instead of amplified.
-    queued: RangeSet = field(default_factory=RangeSet)
 
 
 class Producer(Node):
@@ -78,9 +69,9 @@ class Producer(Node):
                     paced=True,
                     burst_bytes=3.0 * cfg.data_packet_bytes,
                     name=f"{self.name}:{flow_id}",
+                    retx_suppress_s=cfg.responder_retx_suppress_s,
                 ),
                 BlockCache(64 << 20, cfg.cache_block_bytes),
-                ResendSuppressor(self.sim, cfg.responder_retx_suppress_s),
             )
         return flow
 
@@ -90,8 +81,6 @@ class Producer(Node):
         retransmitted = pkt.retransmitted
         # A retired flow's sender is reset, so a live sender's flow exists.
         flow = self._flows[flow_id]
-        flow.queued.remove(rng)
-        flow.suppressor.record(rng)
         if retransmitted:
             origin = pkt.origin_ts
             self.retransmitted_packets += 1
@@ -100,7 +89,7 @@ class Producer(Node):
             flow.origins.store(flow_id, rng, now)
         out = DataPacket(
             flow_id, rng, now, False, origin,
-            flow.interest_owd or 0.0, retransmitted,
+            flow.sender.interest_owd, retransmitted,
         )
         self.wire_bytes_sent += out.size_bytes
         self.data_packets_sent += 1
@@ -138,28 +127,15 @@ class Producer(Node):
         flow = self._flows.get(flow_id)
         if flow is None:
             flow = self._flow(flow_id)
-        # Responder-side Interest OWD estimate (half of the hopRTT sample).
-        owd = now - packet.timestamp
-        if owd < 0.0:
-            owd = 0.0
-        prev = flow.interest_owd
-        flow.interest_owd = owd if prev is None else prev + (owd - prev) / 8.0
         sender = flow.sender
-        sender.set_rate(packet.send_rate_bytes_s)
+        sender.on_interest(packet.timestamp, packet.send_rate_bytes_s)
         reply_link = self._reply_link(link)
         rng = self._clip_to_content(packet.range)
         if rng is None:
             return
         served = flow.served
-        queued = flow.queued
         for chunk in rng.split(self.config.mss):
-            if queued.contains(chunk):
-                continue  # a response for this range is already queued
             retransmitted = served.contains(chunk)
-            if retransmitted and flow.suppressor.suppressed(
-                chunk, sender.drain_time_s()
-            ):
-                continue  # a copy left the buffer moments ago
             origin_ts = now
             if retransmitted:
                 pieces = flow.origins.lookup(flow_id, chunk)
@@ -171,11 +147,7 @@ class Producer(Node):
                 flow_id, chunk, timestamp=now,
                 origin_ts=origin_ts, retransmitted=retransmitted,
             )
-            # Mark as queued *before* enqueueing: the sender may drain (and
-            # stamp/unmark) synchronously when tokens are available.
-            queued.add(chunk)
-            if not sender.enqueue(proto, reply_link):
-                queued.remove(chunk)
+            sender.enqueue(proto, reply_link, reserve=retransmitted)
 
     def _clip_to_content(self, rng: ByteRange) -> Optional[ByteRange]:
         if self.content_bytes is None:

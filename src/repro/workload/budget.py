@@ -35,8 +35,9 @@ class MemoryBudget:
 
     Accounts are set absolutely (:meth:`set_account`) or adjusted
     incrementally (:meth:`charge`).  ``peak_bytes`` records the high-water
-    total; ``breaches`` counts updates that left the total above the
-    ceiling (a correctly enforced pool never breaches).
+    total; ``breaches`` counts excursions above the ceiling, once each
+    however often the ledger is written while over (a correctly enforced
+    pool never breaches).
     """
 
     def __init__(self, ceiling_bytes: int) -> None:
@@ -59,11 +60,12 @@ class MemoryBudget:
         """Set an account to an absolute value."""
         if nbytes < 0:
             raise ValueError(f"account {name!r} cannot go negative")
+        was_over = self._total > self.ceiling_bytes
         self._total += nbytes - self._accounts.get(name, 0)
         self._accounts[name] = nbytes
         if self._total > self.peak_bytes:
             self.peak_bytes = self._total
-        if self._total > self.ceiling_bytes:
+        if self._total > self.ceiling_bytes and not was_over:
             self.breaches += 1
 
     def charge(self, name: str, delta: int) -> None:

@@ -64,18 +64,61 @@ class TestProducer:
         # The retransmitted copy carries the ORIGINAL first-send timestamp.
         assert data[1].origin_ts == pytest.approx(data[0].origin_ts)
 
-    def test_duplicate_interest_absorbed_while_queued(self):
+    @pytest.mark.parametrize("responder", ["producer", "midnode"])
+    def test_duplicate_interest_absorbed_while_queued(self, responder):
+        """Both Responders make one copy decision, seen on the wire: a
+        queued range is absorbed; a re-request within
+        ``responder_retx_suppress_s`` of the copy's departure is
+        suppressed and one after it is served; a VPH is never absorbed (a
+        Producer sends none); and Data echoes the 1/8 EWMA of the
+        Interest delays, the first sample as is."""
         sim = Simulator()
         config = LeotpConfig()
-        producer = Producer(sim, "prod", config)
         sink = SinkNode(sim, "sink")
-        link = DuplexLink(sim, sink, producer, rate_bps=50e6, delay_s=0.001)
-        # Two identical interests back to back, with a tiny rate so the
-        # first response is still queued when the second arrives.
-        link.ab.send(Interest("f", ByteRange(0, 1400), 0.0, 100.0))
-        link.ab.send(Interest("f", ByteRange(0, 1400), 0.0, 100.0))
-        sim.run(until=0.2)
-        assert producer.backlog_bytes("f") <= config.data_packet_bytes
+        # One 1400-byte chunk per 4 KiB cache block, so a Midnode answers
+        # each with one piece.
+        chunks = [ByteRange(4096 * k, 4096 * k + 1400) for k in range(4)]
+        if responder == "producer":
+            node = Producer(sim, "prod", config)
+        else:
+            node = Midnode(sim, "mid", config)
+            up = DuplexLink(sim, SinkNode(sim, "up"), node, 50e6, 0.001)
+            node.set_upstream(up.ba)
+            for chunk in chunks:  # a warm cache: every answer is a re-serve
+                node.cache.store("f", chunk, 0.0, writer="f")
+        down = DuplexLink(sim, sink, node, rate_bps=50e6, delay_s=0.001)
+        # The 3-packet burst covers chunks 0-2; chunk 3 then waits ~0.1 s.
+        rate = 14_430.0
+        delays = []
+
+        def ask(at, chunk, age):
+            interest = Interest("f", chunk, at - age, rate)
+            delays.append(age + interest.size_bytes * 8 / 50e6 + 0.001)
+            sim.schedule_at(at, down.ab.send, interest)
+
+        for k, chunk in enumerate(chunks):
+            ask(0.001 * k, chunk, 0.01 * (k + 1))
+        ask(0.004, chunks[3], 0.05)  # still queued: absorbed
+        ask(0.005, chunks[0], 0.06)  # left ~4 ms ago: suppressed
+        if responder == "midnode":  # a VPH for the queued range passes
+            vph = DataPacket("f", chunks[3], 0.005, is_header=True)
+            sim.schedule_at(0.005, up.ab.send, vph)
+        ask(0.3, chunks[0], 0.07)  # past the floor: served again
+        sim.run(until=1.0)
+
+        data = [p for p in sink.received if not p.is_header]
+        assert [p.range for p in data] == chunks + [chunks[0]]
+        assert data[-1].retransmitted
+        vphs = [p.range for p in sink.received if p.is_header]
+        assert vphs == ([chunks[3]] if responder == "midnode" else [])
+        ewma = [delays[0]]
+        for delay in delays[1:]:
+            ewma.append(ewma[-1] + (delay - ewma[-1]) / 8.0)
+        # Chunk 3 leaves after the 6th Interest, the re-serve after the 7th.
+        expected = [ewma[0], ewma[1], ewma[2], ewma[5], ewma[6]]
+        assert [p.echo_interest_owd for p in data] == pytest.approx(
+            expected, rel=1e-9
+        )
 
     def test_requires_reply_link(self):
         sim = Simulator()

@@ -410,7 +410,10 @@ class TestPacedSender:
         return sender, link, sink
 
     def packet(self):
-        return DataPacket("f", ByteRange(0, 1400), 0.0)
+        """The next 1400-byte Data packet of flow ``f``: each call emits a
+        new range, since the buffer absorbs a range it already holds."""
+        start = self._next = getattr(self, "_next", -1400) + 1400
+        return DataPacket("f", ByteRange(start, start + 1400), 0.0)
 
     def test_paced_spacing(self):
         sim = Simulator()

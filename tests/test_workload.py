@@ -123,6 +123,15 @@ class TestMemoryBudget:
         budget.set_account("cache", 1500)
         assert budget.breaches == 1
         assert budget.peak_bytes == 1500
+        # One excursion counts once, however often the ledger is written.
+        budget.set_account("cache", 1500)
+        budget.charge("flows", 100)
+        assert budget.breaches == 1
+        # Back under the ceiling and over again: a second excursion.
+        budget.set_account("cache", 800)
+        budget.set_account("cache", 1200)
+        assert budget.breaches == 2
+        assert budget.peak_bytes == 1600
 
     def test_validation(self):
         with pytest.raises(ValueError):
