@@ -28,7 +28,11 @@ UDP_IP_OVERHEAD_BYTES = 28  # 20 IPv4 + 8 UDP, LEOTP runs over UDP
 
 @dataclass(frozen=True)
 class LeotpConfig:
-    """Tunable parameters of a LEOTP deployment."""
+    """Tunable parameters of a LEOTP deployment.
+
+    Responder re-serve damping has no parameter: a sending buffer's
+    window is its own echoed hopRTT (:class:`~repro.core.paced.PacedSender`).
+    """
 
     # Data plane.
     mss: int = 1400                       # payload bytes per Data packet
@@ -45,14 +49,6 @@ class LeotpConfig:
     tr_min_rto_s: float = 0.2
     tr_initial_rto_s: float = 0.5
     tr_max_retries: int = 50
-    # Responder-side retransmission damping: a range re-served from a
-    # cache (or re-served by the Producer) is not served again within this
-    # window, extended by the sending buffer's current drain time.  Kept
-    # below tr_min_rto_s so legitimately spaced TR retries are never
-    # absorbed; what it kills is the storm where a deep recovery backlog
-    # delays data past the RTO and every timeout re-serves bytes that are
-    # already on their way down.
-    responder_retx_suppress_s: float = 0.15
 
     # Hop-by-hop congestion control (Sec. III-C).
     initial_cwnd_packets: int = 10

@@ -10,7 +10,10 @@ The Consumer is the only node that tracks ongoing transfers (the paper's
   delivery-clocked — each arriving Data packet frees window space and
   pulls the next Interests, there is no emission timer;
 * runs Timeout Retransmission: unsatisfied Interests are re-sent after an
-  RFC 6298 RTO, with x1.5 exponential backoff on repeats;
+  RFC 6298 RTO, with x1.5 exponential backoff on repeats; a repeat, or a
+  repair a VPH announced, is also re-sent once Data for an Interest sent
+  after it has arrived and that Interest's RTT, at least one SRTT, has
+  passed (RFC 8985's RACK), so a loss does not wait out a backed-off RTO;
 * resets TR deadlines when a Void Packet Header arrives (the hole is
   already being repaired in-network);
 * runs the SHR detector locally, re-requesting confirmed holes at once;
@@ -37,14 +40,18 @@ from repro.simcore.simulator import Simulator
 
 
 class _InterestState:
-    __slots__ = ("rng", "first_sent", "last_sent", "deadline", "retries")
+    __slots__ = (
+        "rng", "first_sent", "last_sent", "sent_no", "deadline", "retries", "vph_at"
+    )
 
-    def __init__(self, rng: ByteRange, now: float, rto: float) -> None:
+    def __init__(self, rng: ByteRange, now: float, rto: float, no: int = 0) -> None:
         self.rng = rng
         self.first_sent = now
         self.last_sent = now
+        self.sent_no = no  # the Consumer's Interest count at the last send
         self.deadline = now + rto
         self.retries = 0
+        self.vph_at = 0.0  # when a VPH last announced its in-network repair
 
 
 class Consumer(Node):
@@ -92,6 +99,8 @@ class Consumer(Node):
         # the propagation RTT used to size the in-flight window.
         self._rtt_min_samples: deque[tuple[float, float]] = deque()
         self.completed_at: Optional[float] = None
+        self._rack_no = 0  # RACK: the latest-sent Interest answered,
+        self._rack_rtt = 0.0  # and its RTT
         # Statistics.
         self.interests_sent = 0
         self.retransmission_interests = 0
@@ -212,13 +221,14 @@ class Consumer(Node):
             self.retransmission_interests += 1
         state = self._outstanding.get(rng.start)
         if state is None:
-            state = _InterestState(rng, now, self.rto.rto_s)
+            state = _InterestState(rng, now, self.rto.rto_s, self.interests_sent)
             self._outstanding[rng.start] = state
             self._outstanding_bytes += rng.end - rng.start
             if self._outstanding_bytes > self.max_outstanding_bytes:
                 self.max_outstanding_bytes = self._outstanding_bytes
         else:
             state.last_sent = now
+            state.sent_no = self.interests_sent
             state.retries += 1
             if state.retries > self.max_interest_retries:
                 self.max_interest_retries = state.retries
@@ -246,8 +256,18 @@ class Consumer(Node):
         if not self._active():
             return
         now = self.sim.now
+        rack_no = self._rack_no
+        srtt = self.rto.srtt_s or 0.0
+        rack_wait = max(self._rack_rtt, srtt) + 0.25 * self._e2e_rtt_min()
         for state in list(self._outstanding.values()):
-            if state.deadline <= now:
+            due = state.deadline
+            if state.sent_no < rack_no and (state.retries or state.vph_at):
+                # RACK: an Interest sent after this repeat (or after the
+                # VPH of its repair) came back, so once its RTT (at least
+                # one SRTT: a nearer cache answers sooner) and a reordering
+                # allowance pass, the repeat or the repair is lost.
+                due = min(due, max(state.last_sent, state.vph_at) + rack_wait)
+            if due <= now:
                 if state.retries >= self.config.tr_max_retries:
                     continue  # give up silently; reliability bound reached
                 self.tr_expirations += 1
@@ -349,6 +369,8 @@ class Consumer(Node):
         self.shr.on_packet(packet.range)
         for state in self._overlapping(packet.range):
             state.deadline = max(state.deadline, now + self.rto.rto_s)
+            state.vph_at = now
+            state.sent_no = self.interests_sent  # RACK: the repair is a send
 
     def _request_hole(self, hole: ByteRange) -> None:
         """SHR-confirmed hole: immediately re-request overlapping Interests."""
@@ -402,6 +424,9 @@ class Consumer(Node):
             if rtt > 0:
                 self._record_rtt_min(rtt)
                 self.rto.on_sample(rtt)
+        if state.sent_no > self._rack_no:  # RACK: the latest-sent answered
+            self._rack_no = state.sent_no
+            self._rack_rtt = self.sim.now - max(state.last_sent, state.vph_at)
         rng = state.rng
         del self._outstanding[rng.start]
         self._outstanding_bytes -= rng.end - rng.start

@@ -178,7 +178,6 @@ class Midnode(Node):
                 paced=cfg.hop_by_hop_cc,
                 burst_bytes=3.0 * cfg.data_packet_bytes,
                 name=f"{self.name}:{flow_id}",
-                retx_suppress_s=cfg.responder_retx_suppress_s,
             )
             state.cc = HopRateController(
                 self.sim, cfg,

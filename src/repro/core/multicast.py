@@ -26,6 +26,7 @@ flow id and the classic shared-FlowID behaviour is unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from repro.common.ranges import ByteRange
@@ -43,23 +44,6 @@ class _PitEntry:
     # (subscriber flow id, downstream link) per aggregated requester.
     downstreams: list[tuple[str, Link]] = field(default_factory=list)
     created_at: float = 0.0
-
-
-class _FanoutStamp:
-    """Per-(flow, link) stamp callback for fan-out senders (plain FIFOs):
-    books each departing copy on the subscriber's own sender."""
-
-    __slots__ = ("midnode", "flow_id")
-
-    def __init__(self, midnode: "MulticastMidnode", flow_id: str) -> None:
-        self.midnode = midnode
-        self.flow_id = flow_id
-
-    def __call__(self, pkt: DataPacket) -> DataPacket:
-        state = self.midnode._flow(self.flow_id)
-        state.sender.queued.remove(pkt.range)
-        state.sender.guard.record(pkt.range)
-        return self.midnode._stamp(state, pkt)
 
 
 class MulticastMidnode(Midnode):
@@ -89,14 +73,19 @@ class MulticastMidnode(Midnode):
         if sender is None:
             sender = PacedSender(
                 self.sim,
-                stamp=_FanoutStamp(self, flow_id),
+                stamp=partial(self._fanout_stamp, flow_id),
                 paced=self.config.hop_by_hop_cc,
                 burst_bytes=3.0 * self.config.data_packet_bytes,
                 name=f"{self.name}:{flow_id}:fanout:{link.name}",
-                retx_suppress_s=None,
+                plain=True,
             )
             self._fanout_senders[key] = sender
         return sender
+
+    def _fanout_stamp(self, flow_id: str, pkt: DataPacket) -> DataPacket:
+        # A copy leaves on its own face, so it is booked on no other sender
+        # (the subscriber's primary sender may still hold the range queued).
+        return self._stamp(self._flow(flow_id), pkt)
 
     def _on_interest(self, interest: Interest, link: Link) -> None:
         if interest.is_retransmission:

@@ -12,9 +12,8 @@ also decides which copies it takes, one rule for both Responders.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
-from itertools import compress
 from typing import Callable, Optional
 
 from repro.common.ranges import RangeSet
@@ -28,18 +27,18 @@ class ResendSuppressor:
     """Remembers when byte ranges last left a sending buffer.
 
     A sending buffer books each departure here and asks before taking a
-    re-serve: a copy that left less than ``floor_s`` ago (extended by
-    however long the current backlog takes to drain) is almost certainly
-    still in flight, so serving another is pure amplification.  The floor
-    sits below the Consumer's minimum RTO, so legitimately spaced TR
-    retries always get through; what this suppresses is the
-    recovery-storm regime where queueing delay exceeds the RTO.
+    re-serve: a copy that left less than one hopRTT ago is almost
+    certainly still in flight, so serving another is pure amplification.
+    The window is the caller's (the buffer's echoed hopRTT); what this
+    suppresses is the recovery storm where every re-request re-serves
+    bytes already on their way down, while an SHR that arrives a hopRTT
+    after the loss finds its window closed.
 
     A range is keyed by one int, ``start << 32 | end``, and the guard is
     two parallel arrays sorted by key: the keys and the times they last
     left.  A flow's data leaves in offset order, so almost every record
     is an append; the rest (and every lookup) bisect.  An entry costs 16
-    bytes and no Python object.
+    bytes and no Python object; at :attr:`MAX_ENTRIES` the guard clears.
     """
 
     MAX_ENTRIES = 8192
@@ -48,15 +47,12 @@ class ResendSuppressor:
     #: (a 4 GiB flow).
     MAX_OFFSET = 1 << 32
 
-    def __init__(self, sim: Simulator, floor_s: float) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.floor_s = floor_s
         self._keys = array("Q")
         self._times = array("d")  # ``_times[i]``: when ``_keys[i]`` left
 
     def record(self, rng) -> None:
-        if self.floor_s <= 0:
-            return
         end = rng.end
         if end >= self.MAX_OFFSET:
             raise ValueError(
@@ -65,8 +61,8 @@ class ResendSuppressor:
             )
         keys = self._keys
         if len(keys) >= self.MAX_ENTRIES:
-            self._prune()
-            keys = self._keys
+            keys = self._keys = array("Q")
+            self._times = array("d")
         key = rng.start << 32 | end
         if not keys or key > keys[-1]:
             keys.append(key)
@@ -79,34 +75,33 @@ class ResendSuppressor:
             keys.insert(i, key)
             self._times.insert(i, self.sim.now)
 
-    def suppressed(self, rng, extra_window_s: float = 0.0) -> bool:
-        """True if ``rng`` left the buffer within the suppression window."""
-        if self.floor_s <= 0:
-            return False
-        keys = self._keys
-        key = rng.start << 32 | rng.end
-        i = bisect_left(keys, key)
-        if i == len(keys) or keys[i] != key:
-            return False
-        window = max(self.floor_s, extra_window_s)
-        return self.sim.now - self._times[i] < window
+    def suppressed(self, rng, window_s: float) -> bool:
+        """True if the last departure starting at or before ``rng`` covers
+        it and left within ``window_s``.
 
-    def _prune(self) -> None:
-        # Anything older than a generous multiple of the floor can never
-        # suppress again (drain-time extensions are transient).
-        horizon = self.sim.now - 100.0 * self.floor_s
-        keep = [t >= horizon for t in self._times]
-        self._keys = array("Q", compress(self._keys, keep))
-        self._times = array("d", compress(self._times, keep))
-        if len(self._keys) >= self.MAX_ENTRIES:  # degenerate clock: hard cap
-            self._keys = array("Q")
-            self._times = array("d")
+        One bisect names that departure (the longest of equal starts); it
+        covers ``rng`` when it ends at or past it, so a 4 KiB block piece
+        matches the packet it was cut from.  An older, wider departure
+        behind it is not consulted.
+        """
+        keys = self._keys
+        i = bisect_right(keys, rng.start << 32 | 0xFFFFFFFF) - 1
+        if i < 0 or keys[i] & 0xFFFFFFFF < rng.end:
+            return False
+        return self.sim.now - self._times[i] < window_s
 
 
 class PacedSender:
     """A Responder's per-flow FIFO drained through a token bucket onto one
-    link.  ``retx_suppress_s`` is its resend guard's floor (0: absorb
-    only); ``None`` makes a plain FIFO that takes every copy."""
+    link.  ``plain=True`` makes a FIFO that takes every copy (fan-out).
+
+    A Responder's buffer suppresses a re-serve when the last departure
+    starting at or before its range covers it and left within ``2 *``
+    :attr:`interest_owd` (one echoed hopRTT).  The window is never read unsampled: every Responder folds the
+    Interest it answers into :meth:`on_interest` before its first
+    :meth:`enqueue`, so a sender rebuilt after a crash starts from a real
+    sample, not 0.
+    """
 
     def __init__(
         self,
@@ -117,7 +112,7 @@ class PacedSender:
         burst_bytes: float = 3000.0,
         max_buffer_bytes: int = 4 << 20,
         name: str = "paced",
-        retx_suppress_s: Optional[float] = 0.0,
+        plain: bool = False,
     ) -> None:
         self.sim = sim
         self.name = name
@@ -128,9 +123,8 @@ class PacedSender:
         self._queue: deque[DataPacket] = deque()
         # Data ranges waiting here, and when each range last left
         # (DESIGN.md §6: duplicate absorption, re-serve damping).
-        plain = retx_suppress_s is None
         self.queued = None if plain else RangeSet()
-        self.guard = None if plain else ResendSuppressor(sim, retx_suppress_s)
+        self.guard = None if plain else ResendSuppressor(sim)
         # The Interest OWD stamps echo (half a hopRTT sample): an EWMA whose
         # first sample has gain 1, every later one 1/8.
         self.interest_owd = 0.0
@@ -152,12 +146,6 @@ class PacedSender:
 
     # ------------------------------------------------------------------
 
-    def drain_time_s(self) -> float:
-        """How long the current backlog takes to leave at the paced rate."""
-        if not self.paced or self.backlog_bytes == 0:
-            return 0.0
-        return self.backlog_bytes / self.bucket.rate_bytes_s
-
     def on_interest(self, sent_at: float, rate_bytes_s: float) -> None:
         """Fold one Interest's delay into :attr:`interest_owd`; a paced
         buffer also drains at its piggybacked ``sendRate`` from now on."""
@@ -176,8 +164,8 @@ class PacedSender:
 
         Data whose range is all queued is absorbed; a ``reserve`` (a
         Responder answering again from what it holds) is suppressed when
-        its range left within the guard's floor, widened by the drain
-        time; VPHs always pass.  Returns None for a copy not taken, False
+        the last departure starting at or before its range covers it and
+        left within one echoed hopRTT; VPHs always pass.  Returns None for a copy not taken, False
         on overflow, True when queued.  The link is remembered: drains
         use the most recent one (a per-flow sender has one neighbour).
         """
@@ -187,7 +175,7 @@ class PacedSender:
             rng = packet.range
             if queued.contains(rng):
                 return None  # a copy is already queued
-            if reserve and self.guard.suppressed(rng, self.drain_time_s()):
+            if reserve and self.guard.suppressed(rng, 2.0 * self.interest_owd):
                 return None  # a copy left moments ago
             queued.add(rng)
         self._link = link

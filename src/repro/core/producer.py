@@ -69,7 +69,6 @@ class Producer(Node):
                     paced=True,
                     burst_bytes=3.0 * cfg.data_packet_bytes,
                     name=f"{self.name}:{flow_id}",
-                    retx_suppress_s=cfg.responder_retx_suppress_s,
                 ),
                 BlockCache(64 << 20, cfg.cache_block_bytes),
             )

@@ -383,56 +383,50 @@ class TestMidnodeCrash:
 
 
 class TestResendSuppressor:
-    def test_suppresses_within_floor_window(self):
+    def test_suppresses_within_window(self):
         sim = Simulator()
-        sup = ResendSuppressor(sim, floor_s=0.15)
+        sup = ResendSuppressor(sim)
         rng = ByteRange(0, 1400)
-        assert not sup.suppressed(rng)  # never sent
+        assert not sup.suppressed(rng, 0.15)  # never sent
         sup.record(rng)
-        assert sup.suppressed(rng)
+        assert sup.suppressed(rng, 0.15)
         sim.run(until=0.2)
-        assert not sup.suppressed(rng)  # window expired
+        assert not sup.suppressed(rng, 0.15)  # window expired
 
     def test_ranges_past_4_gib_are_refused(self):
         """The guard keys a range by ``start << 32 | end``, one-to-one only
         while ``end`` fits in 32 bits: a range ending at or past 4 GiB is
         refused by name instead of aliasing another range's entry."""
         sim = Simulator()
-        sup = ResendSuppressor(sim, floor_s=0.15)
+        sup = ResendSuppressor(sim)
         last = ByteRange(2**32 - 1400, 2**32 - 1)
         sup.record(last)
-        assert sup.suppressed(last)
-        assert not sup.suppressed(ByteRange(2**32 - 1400, 2**32 - 2))
+        assert sup.suppressed(last, 0.15)
         for rng in (ByteRange(2**32 - 1400, 2**32), ByteRange(2**32, 2**32 + 1)):
             with pytest.raises(ValueError, match="4 GiB"):
                 sup.record(rng)
 
-    def test_drain_time_extends_window(self):
+    def test_window_is_given_per_lookup(self):
         sim = Simulator()
-        sup = ResendSuppressor(sim, floor_s=0.15)
+        sup = ResendSuppressor(sim)
         rng = ByteRange(0, 1400)
         sup.record(rng)
         sim.run(until=0.2)
-        assert sup.suppressed(rng, extra_window_s=1.0)
+        assert sup.suppressed(rng, 1.0)
+        assert not sup.suppressed(rng, 0.1)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "known blind spot: a Midnode records a forwarded packet under its "
-        "full range, but re-serves a packet that straddles a 4 KiB block "
-        "edge from cache as one piece per block, so the pieces never match "
-        "the packet's own departure"
-    ))
     def test_a_block_piece_of_a_packet_just_sent_is_suppressed(self):
+        """A Midnode records a forwarded packet under its full range but
+        re-serves one straddling a 4 KiB block edge as one piece per
+        block: each piece matches the departure that contains it."""
         sim = Simulator()
-        sup = ResendSuppressor(sim, floor_s=0.15)
+        sup = ResendSuppressor(sim)
         sup.record(ByteRange(2800, 4200))  # the packet, as it left
-        assert sup.suppressed(ByteRange(2800, 4096))  # its block-0 piece
-
-    def test_zero_floor_disables(self):
-        sim = Simulator()
-        sup = ResendSuppressor(sim, floor_s=0.0)
-        rng = ByteRange(0, 1400)
-        sup.record(rng)
-        assert not sup.suppressed(rng)
+        sup.record(ByteRange(4200, 5600))
+        assert sup.suppressed(ByteRange(2800, 4096), 0.15)  # block-0 piece
+        assert sup.suppressed(ByteRange(4096, 4200), 0.15)  # block-1 piece
+        assert not sup.suppressed(ByteRange(4096, 4300), 0.15)  # spans two
+        assert not sup.suppressed(ByteRange(1400, 2800), 0.15)  # never left
 
 
 class TestShrResync:

@@ -11,14 +11,13 @@ either a bug or a deliberate change that must regenerate the bands::
     PYTHONPATH=src python tests/test_golden.py   # rewrites golden.json
 
 Note the bands encode *tree* behaviour, not the paper's targets.  The
-fig10 LEOTP recovery cost (tree 276–346 ms vs the paper-style
-82–116 ms at scale 0.5) is fully attributed to the responder-side
-re-serve suppression window (``responder_retx_suppress_s``): with the
-suppressor disabled the tree measures 77–116 ms, squarely in the old
-range, and the TR-backoff clamp has no effect either way.  The
-suppression is a deliberate trade (per-copy repair latency for storm
-damping — see EXPERIMENTS.md), so these bands pin the suppressed
-behaviour on purpose.
+fig10 LEOTP bands were re-taken once, downward, when a Responder's
+re-serve damping window became its own echoed hopRTT (DESIGN.md §6):
+under the old fixed 0.15 s window, widened by the sending buffer's
+drain time, a Midnode's cache re-serve was suppressed and the hole
+waited for the Consumer's timeout, so LEOTP's recovery cost read
+191-244 ms at scale 0.12; it now reads 46-78 ms (guard off: 54-85
+ms).  EXPERIMENTS.md's Fig. 10 row holds the bisect.
 """
 
 from __future__ import annotations

@@ -67,11 +67,10 @@ class TestProducer:
     @pytest.mark.parametrize("responder", ["producer", "midnode"])
     def test_duplicate_interest_absorbed_while_queued(self, responder):
         """Both Responders make one copy decision, seen on the wire: a
-        queued range is absorbed; a re-request within
-        ``responder_retx_suppress_s`` of the copy's departure is
-        suppressed and one after it is served; a VPH is never absorbed (a
-        Producer sends none); and Data echoes the 1/8 EWMA of the
-        Interest delays, the first sample as is."""
+        queued range is absorbed; a re-request within one echoed hopRTT
+        of the copy's departure is suppressed and one after it is served;
+        a VPH is never absorbed (a Producer sends none); and Data echoes
+        the 1/8 EWMA of the Interest delays, the first sample as is."""
         sim = Simulator()
         config = LeotpConfig()
         sink = SinkNode(sim, "sink")
@@ -103,7 +102,7 @@ class TestProducer:
         if responder == "midnode":  # a VPH for the queued range passes
             vph = DataPacket("f", chunks[3], 0.005, is_header=True)
             sim.schedule_at(0.005, up.ab.send, vph)
-        ask(0.3, chunks[0], 0.07)  # past the floor: served again
+        ask(0.3, chunks[0], 0.07)  # past the window: served again
         sim.run(until=1.0)
 
         data = [p for p in sink.received if not p.is_header]
@@ -459,6 +458,30 @@ class TestKarnsRuleAndBackoff:
         assert all(b >= a - 1e-12 for a, b in zip(timeouts, timeouts[1:]))
         assert timeouts[1] > timeouts[0]
         assert timeouts[-1] == pytest.approx(consumer.rto.max_rto_s)
+
+    @pytest.mark.parametrize("later_data", [False, True])
+    @pytest.mark.parametrize("vph", [False, True])
+    def test_a_request_overtaken_by_later_data_is_sent_again(self, vph, later_data):
+        """RACK for repeats and for repairs a VPH announced (a VPH counts as
+        a send): once Data arrives for an Interest sent after it, the
+        request is lost when that Interest's RTT (plus a quarter of the
+        path's) has passed; without such Data a repeat waits its x1.5
+        backoff and a VPH its one-RTO postponement."""
+        sim, consumer, link = self._consumer_with_blackhole(total_bytes=4200)
+        sim.run(until=0.45)
+        if vph:
+            link.ab.send(DataPacket("flow", ByteRange(0, 1400), sim.now, is_header=True))
+        sim.run(until=0.6)  # TR re-sent every Interest the VPH did not hold
+        first, last = consumer._outstanding[0], consumer._outstanding[2800]
+        base = 0 if vph else 1
+        assert first.retries == base and last.retries == 1
+        assert last.sent_no > first.sent_no
+        if later_data:  # the repeat sent after ``first`` comes back
+            link.ab.send(DataPacket("flow", ByteRange(2800, 4200), sim.now))
+        sim.run(until=0.8)
+        assert first.retries == base + later_data
+        sim.run(until=1.3)
+        assert first.retries == base + 1
 
     def test_max_retries_bounds_retries_under_long_outage(self):
         sim, consumer, link = self._consumer_with_blackhole(

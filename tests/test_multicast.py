@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.common.ranges import ByteRange
 from repro.core import Consumer, LeotpConfig, MulticastMidnode, Producer
+from repro.core.wire import DataPacket, Interest
 from repro.netsim.link import DuplexLink
+from repro.netsim.node import SinkNode
 from repro.netsim.trace import FlowRecorder
 from repro.simcore import Simulator
 
@@ -83,6 +86,37 @@ class TestMulticast:
         # once even with aggregation in the path.
         for consumer in consumers:
             assert consumer.bytes_received == 50 * 1400
+
+
+    def test_a_fanout_copy_is_booked_on_its_own_face(self):
+        """A copy fanned out to a second face does not un-queue the range
+        on the primary face: a TR re-request arriving after the resend
+        window, while the primary copy still waits to be paced out, is
+        absorbed there — one copy per face, not a second on the primary."""
+        sim = Simulator()
+        mid = MulticastMidnode(sim, "mid", LeotpConfig())
+        up = DuplexLink(sim, SinkNode(sim, "up"), mid, 50e6, 0.001)
+        mid.set_upstream(up.ba)
+        face_a, face_b = SinkNode(sim, "a"), SinkNode(sim, "b")
+        link_a = DuplexLink(sim, face_a, mid, 50e6, 0.001)
+        link_b = DuplexLink(sim, face_b, mid, 50e6, 0.001)
+        chunks = [ByteRange(1400 * k, 1400 * (k + 1)) for k in range(4)]
+        # Face a paces ~10 packets/s: its 3-packet burst takes chunks 0-2,
+        # so chunk 3 waits ~0.1 s there; face b asks chunk 3 only.
+        for k, chunk in enumerate(chunks):
+            sim.schedule_at(0.001 * k, link_a.ab.send,
+                            Interest("f", chunk, 0.001 * k - 0.005, 14_430.0))
+        sim.schedule_at(0.004, link_b.ab.send,
+                        Interest("f", chunks[3], -0.001, 1e6))
+        for chunk in chunks:
+            sim.schedule_at(0.01, up.ab.send, DataPacket("f", chunk, 0.01))
+        sim.schedule_at(0.05, link_a.ab.send,
+                        Interest("f", chunks[3], 0.045, 14_430.0, True))
+        sim.run(until=1.0)
+        assert mid.fanout_packets == 1
+        for face in (face_a, face_b):
+            copies = [p for p in face.received if p.range == chunks[3]]
+            assert len(copies) == 1, face.name
 
 
 class _MulticastChaosPath:

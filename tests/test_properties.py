@@ -593,74 +593,66 @@ def test_shr_detector_matches_algorithm_1_transcription(first, steps):
 
 
 # ----------------------------------------------------------------------
-# The resend guard against the dict it replaced
+# The resend guard against a dict reference
 # ----------------------------------------------------------------------
 
 
 class _DictGuard:
-    """Reference resend guard: one dict from ``start << 32 | end`` to the
-    time the range last left, pruned (then cleared) when a record finds
-    it at the cap — the layout the sorted arrays replaced."""
+    """Reference resend guard: one dict from ``(start, end)`` to the time
+    the range last left, cleared when a record finds it at the cap, and
+    looked up by a scan over every entry: the candidate is the departure
+    with the last start at or before the range's (the longest of equal
+    starts), and it decides if it reaches the range's end."""
 
     MAX_ENTRIES = 8
 
-    def __init__(self, sim, floor_s):
-        self.sim, self.floor_s, self.sent = sim, floor_s, {}
+    def __init__(self, sim):
+        self.sim, self.sent = sim, {}
 
     def record(self, rng):
-        if self.floor_s <= 0:
-            return
         if len(self.sent) >= self.MAX_ENTRIES:
-            horizon = self.sim.now - 100.0 * self.floor_s
-            self.sent = {k: t for k, t in self.sent.items() if t >= horizon}
-            if len(self.sent) >= self.MAX_ENTRIES:
-                self.sent.clear()
-        self.sent[rng.start << 32 | rng.end] = self.sim.now
+            self.sent.clear()
+        self.sent[rng.start, rng.end] = self.sim.now
 
-    def suppressed(self, rng, extra_window_s=0.0):
-        if self.floor_s <= 0:
+    def suppressed(self, rng, window_s):
+        before = [k for k in self.sent if k[0] <= rng.start]
+        if not before or max(before)[1] < rng.end:
             return False
-        last = self.sent.get(rng.start << 32 | rng.end)
-        if last is None:
-            return False
-        return self.sim.now - last < max(self.floor_s, extra_window_s)
+        return self.sim.now - self.sent[max(before)] < window_s
 
 
 _guard_ranges = st.tuples(st.integers(0, 12), st.integers(1, 3))
 _guard_ops = st.one_of(
     st.tuples(st.just("record"), _guard_ranges),
-    st.tuples(st.just("suppressed"), _guard_ranges, st.sampled_from([0.0, 0.5])),
-    # Steps past the floor and past the prune horizon (100 floors).
-    st.tuples(st.just("advance"), st.sampled_from([0.01, 0.2, 3.0, 30.0])),
+    st.tuples(st.just("suppressed"), _guard_ranges, st.sampled_from([0.1, 0.5])),
+    st.tuples(st.just("advance"), st.sampled_from([0.01, 0.2, 3.0])),
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(ops=st.lists(_guard_ops, max_size=80), floor_s=st.sampled_from([0.1, 0.0]))
+@given(ops=st.lists(_guard_ops, max_size=80))
 @example(  # at the cap, an existing key is recorded again: the guard clears
-    # (every entry is recent) and only then takes the key, so it is kept
+    # and only then takes the key, so it is kept
     ops=[("record", (i, 1)) for i in range(8)]
-    + [("record", (0, 1)), ("suppressed", (0, 1), 0.0),
-       ("suppressed", (1, 1), 0.0)],
-    floor_s=0.1,
+    + [("record", (0, 1)), ("suppressed", (0, 1), 0.1),
+       ("suppressed", (1, 1), 0.1)],
 )
-@example(  # at the cap with old entries: the prune keeps only recent ones
-    ops=[("record", (i, 1)) for i in range(6)] + [("advance", 30.0)]
-    + [("record", (i, 2)) for i in range(3)]
-    + [("suppressed", (0, 1), 0.0), ("suppressed", (2, 2), 0.0)],
-    floor_s=0.1,
+@example(  # a piece matches the departure it was cut from, not a neighbour
+    ops=[("record", (2, 3)), ("record", (5, 1)),
+         ("suppressed", (2, 1), 0.1), ("suppressed", (4, 1), 0.1),
+         ("suppressed", (4, 2), 0.1), ("suppressed", (1, 2), 0.1)],
 )
-def test_resend_guard_matches_dict_reference(ops, floor_s):
+def test_resend_guard_matches_dict_reference(ops):
     """Differential: the sorted-array guard against the dict reference,
-    with the cap at 8 so that prunes and clears both fire — every
-    suppression decision, and the remembered ranges and times, match."""
+    with the cap at 8 so that clears fire — every suppression decision,
+    and the remembered ranges and times, match."""
     from repro.core.paced import ResendSuppressor
 
     class SmallGuard(ResendSuppressor):
         MAX_ENTRIES = 8
 
     sim = SimpleNamespace(now=0.0)
-    guard, model = SmallGuard(sim, floor_s), _DictGuard(sim, floor_s)
+    guard, model = SmallGuard(sim), _DictGuard(sim)
     for op in ops:
         if op[0] == "advance":
             sim.now += op[1]
@@ -672,8 +664,9 @@ def test_resend_guard_matches_dict_reference(ops, floor_s):
             model.record(rng)
         else:
             assert guard.suppressed(rng, op[2]) == model.suppressed(rng, op[2])
-        assert list(guard._keys) == sorted(model.sent)
-        assert list(guard._times) == [model.sent[k] for k in sorted(model.sent)]
+        keys = sorted(model.sent)
+        assert list(guard._keys) == [s << 32 | e for s, e in keys]
+        assert list(guard._times) == [model.sent[k] for k in keys]
 
 
 # ----------------------------------------------------------------------
