@@ -1,34 +1,24 @@
-"""Diffing route schedules into topology event streams and timelines.
+"""Diffing route schedules straight into timelines.
 
 This is the churn engine's core: consecutive :class:`PathSnapshot`\\ s of
-a :class:`PathSchedule` are compared edge-by-edge and node-by-node, and
-every difference becomes a typed event (LRSIM generates its dynamic
-forwarding state the same way — by diffing per-slice route tables).
-:func:`churn_timeline` then turns a pair's schedule and event stream
-into the one :class:`~repro.faults.timeline.Timeline` a chain runs
-under: handover signals, outages on the hops whose real edges changed,
-and delays that track the route.
+a :class:`PathSchedule` are compared node-by-node and edge-by-edge, and
+:func:`churn_timeline` writes every difference as entries of the one
+:class:`~repro.faults.timeline.Timeline` a chain runs under — handover
+signals, outages on the hops whose real edges changed, and delays that
+track the route (LRSIM builds its dynamic forwarding state the same way,
+straight from diffs of per-slice route tables).  The runs read their
+handover census back off the timeline's signals
+(:func:`signal_times`, :func:`handover_times`).
 
-Determinism discipline: all set differences are sorted before they are
-turned into events, and event streams carry a total order, so the same
-schedule always yields the same stream regardless of hash seeds.
+Determinism discipline: signals are sorted by ``(time, kind)`` and
+outages by hop and time, so the same schedule always yields the same
+timeline regardless of hash seeds.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable
 
-from repro.churn.events import (
-    SIGNAL_KINDS,
-    GsReattach,
-    LinkAdded,
-    LinkRemoved,
-    PathSwitch,
-    RouteLost,
-    RouteRestored,
-    TopologyEvent,
-    TopologyEventStream,
-)
 from repro.constellation.emulation import route_entries
 from repro.constellation.routing import PathSchedule, PathSnapshot
 from repro.faults.timeline import LinkDown, Timeline
@@ -37,97 +27,15 @@ from repro.faults.timeline import LinkDown, Timeline
 #: GSL re-acquisition window (Sec. II-A).
 DEFAULT_OUTAGE_S = 0.08
 
-
-def _edges(snapshot: PathSnapshot) -> dict[tuple[str, str], tuple[bool, int]]:
-    """Map of undirected edge -> (is_gsl, hop index) for one snapshot."""
-    out: dict[tuple[str, str], tuple[bool, int]] = {}
-    for i, (u, v) in enumerate(zip(snapshot.nodes[:-1], snapshot.nodes[1:])):
-        key = (u, v) if u <= v else (v, u)
-        out[key] = (snapshot.hop_is_gsl[i], i)
-    return out
+#: Signal kinds that constitute a *handover* (a route disruption the
+#: transport must ride out), as opposed to a re-attachment or a restore.
+HANDOVER_KINDS = ("PathSwitch", "RouteLost")
 
 
-def diff_snapshots(
-    prev: PathSnapshot,
-    cur: PathSnapshot,
-    pair: str,
-    at_s: Optional[float] = None,
-) -> list[TopologyEvent]:
-    """Events describing the change from ``prev`` to ``cur``.
-
-    Returns an empty list when the node-level route is unchanged (pure
-    delay drift is not an event — the dynamics driver handles it).
-    """
-    if prev.nodes == cur.nodes:
-        return []
-    t = cur.time if at_s is None else at_s
-    events: list[TopologyEvent] = []
-    prev_edges = _edges(prev)
-    cur_edges = _edges(cur)
-    for key in sorted(set(prev_edges) - set(cur_edges)):
-        is_gsl, hop = prev_edges[key]
-        events.append(
-            LinkRemoved(
-                at_s=t, pair=pair, a=key[0], b=key[1],
-                is_gsl=is_gsl, hop_index=hop,
-            )
-        )
-    for key in sorted(set(cur_edges) - set(prev_edges)):
-        is_gsl, hop = cur_edges[key]
-        events.append(
-            LinkAdded(
-                at_s=t, pair=pair, a=key[0], b=key[1],
-                is_gsl=is_gsl, hop_index=hop,
-            )
-        )
-    changed = len(set(prev.nodes) ^ set(cur.nodes)) // 2
-    events.append(
-        PathSwitch(
-            at_s=t, pair=pair,
-            old_nodes=prev.nodes, new_nodes=cur.nodes,
-            changed_nodes=changed,
-            delay_delta_s=cur.total_delay_s - prev.total_delay_s,
-        )
-    )
-    # Endpoint attachment changes: nodes[0]/nodes[-1] are the ground
-    # stations; nodes[1]/nodes[-2] their serving satellites.
-    if len(prev.nodes) >= 2 and len(cur.nodes) >= 2:
-        if prev.nodes[1] != cur.nodes[1]:
-            events.append(
-                GsReattach(
-                    at_s=t, pair=pair, station=prev.nodes[0],
-                    old_sat=prev.nodes[1], new_sat=cur.nodes[1], side="a",
-                )
-            )
-        if prev.nodes[-2] != cur.nodes[-2]:
-            events.append(
-                GsReattach(
-                    at_s=t, pair=pair, station=prev.nodes[-1],
-                    old_sat=prev.nodes[-2], new_sat=cur.nodes[-2], side="b",
-                )
-            )
-    return events
-
-
-def events_from_schedule(
-    schedule: PathSchedule,
-    pair: Optional[str] = None,
-) -> TopologyEventStream:
-    """The full event stream of one city pair's schedule.
-
-    Includes :class:`RouteLost`/:class:`RouteRestored` for every recorded
-    gap (schedules computed with ``on_gap="hold"``).
-    """
-    name = pair if pair is not None else f"{schedule.gs_a}-{schedule.gs_b}"
-    events: list[TopologyEvent] = []
-    for prev, cur in zip(schedule.snapshots[:-1], schedule.snapshots[1:]):
-        events.extend(diff_snapshots(prev, cur, name))
-    for start, end in schedule.gaps:
-        events.append(
-            RouteLost(at_s=start, pair=name, duration_s=end - start)
-        )
-        events.append(RouteRestored(at_s=end, pair=name))
-    return TopologyEventStream(events)
+def _edges(snapshot: PathSnapshot) -> dict[frozenset, int]:
+    """Map of undirected edge -> its hop index in one snapshot's route."""
+    nodes = snapshot.nodes
+    return {frozenset(edge): i for i, edge in enumerate(zip(nodes, nodes[1:]))}
 
 
 def compress_schedule(schedule: PathSchedule, factor: float) -> PathSchedule:
@@ -136,7 +44,7 @@ def compress_schedule(schedule: PathSchedule, factor: float) -> PathSchedule:
     A LEO shell produces a handover every few tens of seconds per pair;
     simulating minutes of wall-orbit per run is wasteful when the claim
     under test is *recovery per handover*.  Compressing the snapshot
-    timeline preserves the event sequence and geometry-derived delays
+    timeline preserves the route sequence and geometry-derived delays
     while packing the full handover census into an affordable horizon —
     the same methodological move as the paper's accelerated handover
     interval in Sec. V-C.
@@ -156,33 +64,18 @@ def compress_schedule(schedule: PathSchedule, factor: float) -> PathSchedule:
     return PathSchedule(schedule.gs_a, schedule.gs_b, snapshots, gaps)
 
 
-def outage_entries(stream: TopologyEventStream, n_hops: int) -> list[tuple]:
-    """The outages that realise ``stream`` on a chain of ``n_hops`` hops.
+def outage_entries(windows: Iterable[tuple[int, float, float]]) -> list[tuple]:
+    """``up`` entries that take each ``(hop, start, end)`` window's hop
+    down from ``start`` to ``end``.
 
-    The emulation carries a route on a fixed chain, so a removed edge at
-    ``hop_index`` of the real route takes chain hop
-    ``min(hop_index, n_hops - 1)`` down for :data:`DEFAULT_OUTAGE_S` —
-    endpoint GSLs land on the chain's edge hops, interior ISLs on
-    interior hops.  A :class:`RouteLost` gap takes hop 0, the
-    producer-side uplink, down for the whole gap (at least the
-    blackout): one dead hop stops the whole path.  Outages on one hop
-    that overlap or abut merge into one.  Every ``up`` entry of
-    ``False`` comes before every ``True``, so at an instant where one
-    hop comes back and another goes down, the down applies first.
+    Windows on one hop that overlap or abut merge into one outage.
+    Every ``up`` entry of ``False`` comes before every ``True``, so at an
+    instant where one hop comes back and another goes down, the down
+    applies first.
     """
-    if n_hops < 1:
-        raise ValueError("need at least one hop in the emulated chain")
     per_hop: dict[int, list[tuple[float, float]]] = {}
-    for event in stream:
-        if isinstance(event, LinkRemoved):
-            per_hop.setdefault(min(event.hop_index, n_hops - 1), []).append(
-                (event.at_s, event.at_s + DEFAULT_OUTAGE_S)
-            )
-        elif isinstance(event, RouteLost):
-            per_hop.setdefault(0, []).append((
-                event.at_s,
-                event.at_s + max(event.duration_s, DEFAULT_OUTAGE_S),
-            ))
+    for hop, start, end in windows:
+        per_hop.setdefault(hop, []).append((start, end))
     downs, ups = [], []
     for hop in sorted(per_hop):
         merged: list[list[float]] = []
@@ -200,24 +93,70 @@ def outage_entries(stream: TopologyEventStream, n_hops: int) -> list[tuple]:
 
 def churn_timeline(
     schedule: PathSchedule,
-    stream: TopologyEventStream,
     n_hops: int,
     update_interval_s: float,
-) -> Timeline:
-    """One pair's churn on a chain of ``n_hops`` hops, as one timeline.
+    pair: str,
+) -> tuple[Timeline, int]:
+    """One pair's churn on a chain of ``n_hops`` hops, as one timeline,
+    and the number of real edges its route changes removed.
 
-    At each instant, in this order: a ``signal`` entry per
-    :data:`~repro.churn.events.SIGNAL_KINDS` event of ``stream`` (the
-    handover up-call, traced as a ``topology`` record), the
-    :func:`outage_entries`, and the delay retunes of
-    :func:`~repro.constellation.emulation.route_entries` sampled every
-    ``update_interval_s``.
+    A snapshot whose node-level route differs from the one before is a
+    route change at its time; pure delay drift is not (the delay retunes
+    follow it).  At each instant, in this order:
+
+    * a ``signal`` entry targeted at ``pair`` per change a local link
+      layer would report (the handover up-call, traced as a ``topology``
+      record), sorted by kind: ``PathSwitch`` per route change,
+      ``GsReattach`` per ground station whose serving satellite changed,
+      ``RouteLost`` and ``RouteRestored`` at the ends of each gap;
+    * the :func:`outage_entries`: the emulation carries a route on a
+      fixed chain, so an edge at hop ``i`` of the old route that the new
+      route lacks takes chain hop ``min(i, n_hops - 1)`` down for
+      :data:`DEFAULT_OUTAGE_S` — endpoint GSLs land on the chain's edge
+      hops, interior ISLs on interior hops — and a gap takes hop 0, the
+      producer-side uplink, down for the whole gap (at least the
+      blackout): one dead hop stops the whole path;
+    * the delay retunes of
+      :func:`~repro.constellation.emulation.route_entries` sampled every
+      ``update_interval_s``.
     """
-    signals = [(event.at_s, event.pair, "signal", event.kind)
-               for event in stream if event.kind in SIGNAL_KINDS]
+    if n_hops < 1:
+        raise ValueError("need at least one hop in the emulated chain")
+    signals: list[tuple[float, str]] = []
+    windows: list[tuple[int, float, float]] = []
+    removed = 0
+    snapshots = schedule.snapshots
+    for prev, cur in zip(snapshots[:-1], snapshots[1:]):
+        if prev.nodes == cur.nodes:
+            continue
+        t = cur.time
+        signals.append((t, "PathSwitch"))
+        # nodes[0]/nodes[-1] are the ground stations; nodes[1]/nodes[-2]
+        # their serving satellites.
+        signals += [(t, "GsReattach") for i in (1, -2)
+                    if prev.nodes[i] != cur.nodes[i]]
+        kept = _edges(cur)
+        for edge, hop in _edges(prev).items():
+            if edge not in kept:
+                removed += 1
+                windows.append((min(hop, n_hops - 1), t, t + DEFAULT_OUTAGE_S))
+    for start, end in schedule.gaps:
+        signals += [(start, "RouteLost"), (end, "RouteRestored")]
+        windows.append((0, start, start + max(end - start, DEFAULT_OUTAGE_S)))
     return Timeline((
-        *signals,
-        *outage_entries(stream, n_hops),
+        *((t, pair, "signal", kind) for t, kind in sorted(signals)),
+        *outage_entries(windows),
         *route_entries(schedule, n_hops, update_interval_s,
                        flush_on_change=False),
-    ))
+    )), removed
+
+
+def signal_times(timeline: Timeline, *kinds: str) -> list[float]:
+    """Sorted times of ``timeline``'s signals of the given kinds."""
+    return [t for t, _, field, value in timeline.entries
+            if field == "signal" and value in kinds]
+
+
+def handover_times(timeline: Timeline) -> list[float]:
+    """Sorted, de-duplicated times of ``timeline``'s handover signals."""
+    return sorted(set(signal_times(timeline, *HANDOVER_KINDS)))

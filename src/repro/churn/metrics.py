@@ -37,7 +37,7 @@ def per_handover_reports(
     """One :class:`RecoveryReport` per handover time.
 
     ``outage_s`` is the blackout each handover applied (see
-    :func:`~repro.churn.engine.outage_entries`), so each
+    :func:`~repro.churn.churn_timeline`), so each
     report's fault window is ``[t, t + outage_s]``.  ``horizon_s`` caps
     the last handover's post window at the end of the run.
     """

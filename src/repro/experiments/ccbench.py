@@ -29,7 +29,7 @@ recovery columns compare congestion controllers instead of the pool's
 arrival luck.
 
 Deterministic per (scale, seed) and bit-identical under ``--jobs 2``:
-geometry is seed-independent, event streams are totally ordered, churn
+geometry is seed-independent, timelines are totally ordered, churn
 signals broadcast in sorted flow-id order, and every RNG draw comes
 from named streams.
 """
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.churn import TopologyEventStream
+from repro.churn import handover_times
 from repro.core.consumer import Consumer
 from repro.experiments.churn_study import (
     arm_pool_churn,
@@ -116,7 +116,6 @@ def _attach_monitor(sim, pool, spec):
 
 def run_cell(
     spec: CCSpec,
-    stream: TopologyEventStream,
     timeline: Timeline,
     hops,
     rate_per_s: float,
@@ -153,7 +152,7 @@ def run_cell(
         mon_sender.notify_churn(kind)
 
     driver = arm_pool_churn(
-        sim, rng, pool, stream, timeline,
+        sim, rng, pool, timeline,
         signal=signal if mon_sender is not None else None,  # TCP cells
     )
     sim.run(until=duration_s)
@@ -177,13 +176,13 @@ def run_cell(
     # Recovery is judged on the monitor flow: a constant-demand
     # reference transfer present at every handover, immune to the
     # pool's arrival luck (see _attach_monitor).
-    row.update(handover_columns(mon_rec, stream, duration_s))
+    row.update(handover_columns(mon_rec, timeline, duration_s))
     return row
 
 
 def _cells(run: Run) -> list[tuple]:
     """(cadence, load, loss, its churn context, CC) points; a cadence's
-    cells share its event stream and timeline.  ``run.cc``
+    cells share its churn timeline.  ``run.cc``
     (the ``--cc`` flag; params via ``--cc-param`` ride along on the
     spec) restricts the CC axis to one controller, e.g. to bench a
     tuned law against the matrix."""
@@ -201,11 +200,11 @@ def _cells(run: Run) -> list[tuple]:
 
 
 def _cell(run: Run, cadence, load, loss, context, cc: CCSpec) -> dict:
-    stream, timeline, n_hops, hops = context
+    timeline, _, _, hops = context
     return dict(
-        handovers=len(stream.handover_times()),
+        handovers=len(handover_times(timeline)),
         **run_cell(
-            cc, stream, timeline, _lossy(hops, LOSSES[loss]),
+            cc, timeline, _lossy(hops, LOSSES[loss]),
             LOADS[load], run.duration, run.seed,
         ),
     )

@@ -5,7 +5,7 @@ experiment makes *orbital mechanics* the fault generator.  Routes over
 the 1600-satellite core shell are sampled per time slice for two
 city pairs, a long orbital window is time-compressed so the full
 handover census lands inside the simulated horizon, and the churn
-engine turns the route diffs into typed topology events and one
+engine writes the route diffs straight into one
 :class:`~repro.faults.timeline.Timeline` per pair.  The unmodified chaos
 harness then runs LEOTP, split-TCP/BBR, and end-to-end BBR over chains
 whose delays track the compressed schedule while outages black out
@@ -20,7 +20,7 @@ longer than :data:`NO_ROUTE_ABORT_S` abort affected flows with a
 recorded ``no_route`` reason instead of crashing the run.
 
 Everything is deterministic per (scale, seed) and bit-identical under
-``--jobs 2``: geometry is seed-independent, event streams are totally
+``--jobs 2``: geometry is seed-independent, timelines are totally
 ordered, and every RNG draw comes from named streams.
 """
 
@@ -31,12 +31,12 @@ from typing import Callable, Optional
 
 from repro.churn import (
     DEFAULT_OUTAGE_S,
-    TopologyEventStream,
     churn_timeline,
     compress_schedule,
-    events_from_schedule,
     handover_stats,
+    handover_times,
     per_handover_reports,
+    signal_times,
 )
 from repro.constellation import (
     compute_path_schedule,
@@ -78,26 +78,25 @@ _PROTOCOLS = ("leotp", "split-bbr", "bbr", "leotp-pool")
 
 def pair_context(slug: str, city_a: str, city_b: str,
                  duration_s: float, seed: int, compression: float):
-    """Event stream, churn timeline and chain shape for one pair."""
+    """Churn timeline, its removed-edge count and chain shape for one
+    pair."""
     orbit = compute_path_schedule(
         _router(True), city_a, city_b,
         duration_s * compression, ORBIT_STEP_S, on_gap="hold",
     )
     compressed = compress_schedule(orbit, compression)
-    stream = events_from_schedule(compressed, pair=slug)
     n_hops = max(representative_hop_count(compressed), 2)
     hops = starlink_hop_specs(n_hops, isls_enabled=True, seed=seed)
-    timeline = churn_timeline(
-        compressed, stream, n_hops, ORBIT_STEP_S / compression
+    timeline, links_removed = churn_timeline(
+        compressed, n_hops, ORBIT_STEP_S / compression, slug
     )
-    return stream, timeline, n_hops, hops
+    return timeline, links_removed, n_hops, hops
 
 
-def handover_columns(recorder, stream: TopologyEventStream,
-                     horizon_s: float) -> dict:
+def handover_columns(recorder, timeline: Timeline, horizon_s: float) -> dict:
     """Recovery columns over the handovers whose outage ends before
     ``horizon_s``, measured on ``recorder``'s delivery timeline."""
-    times = [t for t in stream.handover_times()
+    times = [t for t in handover_times(timeline)
              if t + DEFAULT_OUTAGE_S < horizon_s]
     return handover_stats(per_handover_reports(
         recorder, times,
@@ -109,7 +108,7 @@ def handover_columns(recorder, stream: TopologyEventStream,
 def _single_flow_row(run: Run, protocol: str, context) -> dict:
     """Run one monitored flow under the pair's churn; return row columns.
     ``run.cc`` swaps the congestion control of the TCP rows (BBR)."""
-    stream, timeline, n_hops, hops = context
+    timeline, _, n_hops, hops = context
     cc_spec = run.cc or CCSpec("bbr")
     if protocol == "leotp":
         # Sized to finish inside the run at the 10 Mbps GSL bottleneck
@@ -148,7 +147,7 @@ def _single_flow_row(run: Run, protocol: str, context) -> dict:
         "invariants_ok": res.invariants_ok,
         "faults_applied": res.faults_applied,
     }
-    row.update(handover_columns(res.path.recorder, stream, horizon))
+    row.update(handover_columns(res.path.recorder, timeline, horizon))
     return row
 
 
@@ -156,7 +155,6 @@ def arm_pool_churn(
     sim: Simulator,
     rng: RngRegistry,
     pool: FlowPool,
-    stream: TopologyEventStream,
     timeline: Timeline,
     signal: Optional[Callable[[str], None]] = None,
 ) -> TimelineDriver:
@@ -164,19 +162,20 @@ def arm_pool_churn(
 
     ``timeline`` (the pair's :func:`~repro.churn.churn_timeline`) is armed
     on the pool's chain, with ``signal(kind)`` (if given) receiving its
-    handover up-calls; ``stream`` names the route-loss gaps.  The
-    scheduling order — timeline, then aborts — is part of the contract:
-    same-timestamp events tie-break on insertion order.  Returns the
-    armed driver.
+    handover up-calls; its ``RouteLost``/``RouteRestored`` signals bound
+    the route-loss gaps.  The scheduling order — timeline, then aborts —
+    is part of the contract: same-timestamp events tie-break on
+    insertion order.  Returns the armed driver.
     """
     driver = TimelineDriver(sim, pool, timeline, rng, on_signal=signal)
     # A transient routing gap must not crash the run: gaps longer than
     # the abort threshold fail the affected flows with a recorded
     # reason; shorter ones drain through TR/SHR retransmission.
-    for event in stream.of_kind("RouteLost"):
-        if event.duration_s > NO_ROUTE_ABORT_S:
+    for start, end in zip(signal_times(timeline, "RouteLost"),
+                          signal_times(timeline, "RouteRestored")):
+        if end - start > NO_ROUTE_ABORT_S:
             sim.schedule_at(
-                event.at_s + NO_ROUTE_ABORT_S, pool.abort_live, "no_route"
+                start + NO_ROUTE_ABORT_S, pool.abort_live, "no_route"
             )
     if METRICS.enabled:
         pool.attach_samplers()
@@ -185,7 +184,7 @@ def arm_pool_churn(
 
 def _pool_row(run: Run, slug: str, context) -> dict:
     """A FlowPool workload over the pair's chain under the same churn."""
-    stream, timeline, n_hops, hops = context
+    timeline, _, _, hops = context
     sim = Simulator()
     rng = RngRegistry(run.seed)
     spec = WorkloadSpec(
@@ -199,7 +198,7 @@ def _pool_row(run: Run, slug: str, context) -> dict:
         sim, rng, spec=spec, hops=hops, protocol="leotp",
         name=slug.lower().replace("-", ""),
     )
-    driver = arm_pool_churn(sim, rng, pool, stream, timeline)
+    driver = arm_pool_churn(sim, rng, pool, timeline)
     sim.run(until=run.duration)
     pool.finalize()
     s = pool.summary()
@@ -216,7 +215,7 @@ def _pool_row(run: Run, slug: str, context) -> dict:
 
 def _pairs(run: Run) -> list[tuple]:
     """(pair, protocol, its churn context) points; a pair's rows share
-    its event stream and timeline."""
+    its churn timeline."""
     points = []
     for slug in sorted(PAIRS):
         context = pair_context(
@@ -227,14 +226,13 @@ def _pairs(run: Run) -> list[tuple]:
 
 
 def _row(run: Run, row: dict, slug: str, protocol: str, context) -> dict:
-    stream, timeline, n_hops, hops = context
-    counts = stream.counts()
+    timeline, links_removed, n_hops, _ = context
     return dict(
         hops=n_hops,
-        handovers=len(stream.handover_times()),
-        links_removed=counts.get("LinkRemoved", 0),
-        gs_reattach=counts.get("GsReattach", 0),
-        route_losses=counts.get("RouteLost", 0),
+        handovers=len(handover_times(timeline)),
+        links_removed=links_removed,
+        gs_reattach=len(signal_times(timeline, "GsReattach")),
+        route_losses=len(signal_times(timeline, "RouteLost")),
         **row,
     )
 

@@ -9,9 +9,9 @@ is the one runner: it scales the duration, applies the repeats
 rule and keeps the rows in grid order.  The comment above each entry is
 its artefact's setup and claim.
 
-Fig. 13 (a switchable path), Fig. 15 (a three-flow dumbbell) and the
-eleven studies beyond the paper build their fabrics in their own
-modules, where ``run`` is a :class:`Figure` too, registered in
+Fig. 13 (two parallel paths switched by one timeline), Fig. 15 (a
+three-flow dumbbell) and the eleven studies beyond the paper build
+their fabrics in their own modules, where ``run`` is a :class:`Figure` too, registered in
 :data:`ALL_EXPERIMENTS` by module name.  Such a module is imported the
 first time its id is looked up, and a cell imports what only it needs
 (the Starlink emulation, the OWD model) when it runs.  So every id runs

@@ -11,9 +11,8 @@ from repro.netsim.node import Node, Router, SinkNode
 from repro.netsim.packet import Packet
 from repro.netsim.topology import (
     Dumbbell,
+    FirstUpLink,
     HopSpec,
-    SwitchablePath,
-    SwitchedLink,
     build_chain,
     build_dumbbell,
     uniform_chain_specs,
@@ -24,6 +23,7 @@ __all__ = [
     "BandwidthProfile",
     "Dumbbell",
     "DuplexLink",
+    "FirstUpLink",
     "FlowRecorder",
     "HandoverVCurveBandwidth",
     "HopSpec",
@@ -34,8 +34,6 @@ __all__ = [
     "Router",
     "SinkNode",
     "SquareWaveBandwidth",
-    "SwitchablePath",
-    "SwitchedLink",
     "TimeSeriesProbe",
     "build_chain",
     "build_dumbbell",

@@ -1,4 +1,4 @@
-"""Topology builders: chains, dumbbells, and switchable parallel paths.
+"""Topology builders: chains, dumbbells, and parallel-path facades.
 
 These wire protocol-agnostic :class:`~repro.netsim.link.DuplexLink` fabric
 between caller-supplied nodes.  Protocol packages provide the node objects
@@ -7,7 +7,7 @@ between caller-supplied nodes.  Protocol packages provide the node objects
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.netsim.bandwidth import BandwidthProfile
@@ -33,10 +33,6 @@ class HopSpec:
     queue_bytes: Optional[int] = 256_000
     profile: Optional[BandwidthProfile] = None
     profile_reverse: Optional[BandwidthProfile] = None
-
-    def scaled(self, **overrides) -> "HopSpec":
-        """A copy with some fields replaced (convenience for sweeps)."""
-        return replace(self, **overrides)
 
 
 def build_chain(
@@ -171,118 +167,20 @@ def build_dumbbell(
     return Dumbbell(left, right, mid, access_left, access_right)
 
 
-class SwitchedLink:
-    """Link facade that forwards sends to the currently active member.
+class FirstUpLink:
+    """Sends on the first of parallel member links that is up.
 
-    Presents the small part of the :class:`Link` interface protocol agents
-    use (``send``, ``delay_s``, ``stats``-ish counters are reached through
-    the underlying members via :attr:`active`).
+    A relay facing parallel paths sends through this, and ``up`` entries
+    of a :class:`~repro.faults.timeline.Timeline` choose the path.  With
+    no member up, the first member takes the packet and drops it, as a
+    down link does.
     """
 
-    def __init__(self, path: "SwitchablePath", towards_b: bool) -> None:
-        self._path = path
-        self._towards_b = towards_b
-        self.name = f"{path.name}:{'ab' if towards_b else 'ba'}"
-
-    @property
-    def reply_link(self) -> "SwitchedLink":
-        return self._path.ba if self._towards_b else self._path.ab
-
-    @property
-    def active(self) -> Link:
-        duplex = self._path.active_duplex
-        return duplex.ab if self._towards_b else duplex.ba
-
-    @property
-    def delay_s(self) -> float:
-        return self.active.delay_s
+    def __init__(self, members: Sequence[Link]) -> None:
+        self.members = tuple(members)
 
     def send(self, packet) -> bool:
-        return self.active.send(packet)
-
-
-class SwitchablePath:
-    """K parallel duplex links between two nodes; one active at a time.
-
-    Models LEO path switching (Fig. 13): when the active path changes,
-    packets queued (and optionally in flight) on the old path are lost,
-    and the new path typically has a different propagation delay.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        node_a: Node,
-        node_b: Node,
-        rng: RngRegistry,
-        delays_s: Sequence[float],
-        rate_bps: float = 20e6,
-        plr: float = 0.0,
-        queue_bytes: Optional[int] = 256_000,
-        flush_on_switch: bool = True,
-        drop_inflight_on_switch: bool = True,
-        blackout_s: float = 0.0,
-        name: str = "switchable",
-    ) -> None:
-        if len(delays_s) < 2:
-            raise ValueError("need at least two parallel paths")
-        self.sim = sim
-        self.name = name
-        self.flush_on_switch = flush_on_switch
-        self.drop_inflight_on_switch = drop_inflight_on_switch
-        # Real handovers have a connectivity gap: the new path only comes
-        # up ``blackout_s`` after the old one disappears.
-        self.blackout_s = blackout_s
-        self.duplexes = [
-            DuplexLink(
-                sim, node_a, node_b,
-                rate_bps=rate_bps, delay_s=d, plr=plr, queue_bytes=queue_bytes,
-                rng_ab=rng.stream(f"loss:{name}:p{i}:fwd"),
-                rng_ba=rng.stream(f"loss:{name}:p{i}:rev"),
-                name=f"{name}:path{i}",
-            )
-            for i, d in enumerate(delays_s)
-        ]
-        self.active_index = 0
-        self.switch_count = 0
-        self.ab = SwitchedLink(self, towards_b=True)
-        self.ba = SwitchedLink(self, towards_b=False)
-        self.node_a = node_a
-        self.node_b = node_b
-
-    @property
-    def active_duplex(self) -> DuplexLink:
-        return self.duplexes[self.active_index]
-
-    def switch(self) -> None:
-        """Activate the next path, dropping traffic stranded on the old one."""
-        old = self.active_duplex
-        self.active_index = (self.active_index + 1) % len(self.duplexes)
-        self.switch_count += 1
-        if self.flush_on_switch:
-            old.ab.flush(drop_inflight=self.drop_inflight_on_switch)
-            old.ba.flush(drop_inflight=self.drop_inflight_on_switch)
-        # The departed path is gone: anything later sent into it (e.g. via a
-        # stale learned route) is lost, as on a real link switch.
-        old.ab.up = False
-        old.ba.up = False
-        new = self.active_duplex
-        if self.blackout_s > 0:
-            # Connectivity gap: the incoming path is not usable yet.
-            new.ab.up = False
-            new.ba.up = False
-            self.sim.schedule_call(self.blackout_s, self._bring_up, new)
-        else:
-            self._bring_up(new)
-
-    @staticmethod
-    def _bring_up(duplex: DuplexLink) -> None:
-        duplex.ab.up = True
-        duplex.ba.up = True
-
-    def link_towards(self, node: Node) -> SwitchedLink:
-        if node is self.node_b:
-            return self.ab
-        if node is self.node_a:
-            return self.ba
-        raise ValueError(f"{node.name} is not an endpoint of {self.name}")
+        for link in self.members:
+            if link.up:
+                return link.send(packet)
+        return self.members[0].send(packet)

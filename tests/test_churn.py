@@ -1,40 +1,35 @@
-"""Tests for the churn engine: events, diffing, timelines, metrics.
+"""Tests for the churn engine: route diffs into timelines, metrics.
 
 The engine's contract is determinism — the same :class:`PathSchedule`
-must always yield the same event stream and the same timeline — plus a
-faithful mapping of geometry changes onto the chaos machinery.  The end-to-end test runs a real LEOTP flow
-under a synthetic handover sequence and requires green invariants.
+must always yield the same timeline — plus a faithful mapping of
+geometry changes onto the chaos machinery.  The end-to-end test runs a
+real LEOTP flow under a synthetic handover sequence and requires green
+invariants.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from repro.churn import (
     DEFAULT_OUTAGE_S,
-    SIGNAL_KINDS,
-    GsReattach,
-    LinkAdded,
-    LinkRemoved,
-    PathSwitch,
-    RouteLost,
-    RouteRestored,
-    TopologyEventStream,
     churn_timeline,
     compress_schedule,
-    diff_snapshots,
-    events_from_schedule,
     handover_stats,
-    merge_streams,
+    handover_times,
     outage_entries,
     per_handover_reports,
+    signal_times,
 )
 from repro.constellation.routing import PathSchedule, PathSnapshot
-from repro.faults import Timeline
+from repro.netsim.node import SinkNode
+from repro.netsim.topology import build_chain, uniform_chain_specs
 from repro.netsim.trace import FlowRecorder
-from repro.simcore import Simulator
+from repro.simcore import RngRegistry, Simulator
 
 
 def snap(t, nodes, gsl_ends=True):
@@ -56,105 +51,6 @@ B = ["gs:BJ", "sat-0-9", "sat-0-2", "gs:PR"]  # producer-side reattach
 C = ["gs:BJ", "sat-0-9", "sat-5-5", "gs:PR"]  # consumer-side reattach
 
 
-class TestTopologyEvents:
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            RouteLost(at_s=-0.1, pair="p", duration_s=1.0)
-
-    def test_kind_property(self):
-        assert LinkRemoved(at_s=0.0, pair="p").kind == "LinkRemoved"
-
-    def test_stream_is_totally_ordered(self):
-        e1 = RouteLost(at_s=2.0, pair="p", duration_s=1.0)
-        e2 = LinkAdded(at_s=1.0, pair="p", a="x", b="y")
-        e3 = LinkRemoved(at_s=1.0, pair="p", a="x", b="y")
-        stream = TopologyEventStream([e1, e2, e3])
-        # Same time sorts by kind name: LinkAdded < LinkRemoved.
-        assert [e.kind for e in stream] == [
-            "LinkAdded", "LinkRemoved", "RouteLost",
-        ]
-
-    def test_of_kind_and_counts(self):
-        stream = TopologyEventStream([
-            LinkAdded(at_s=0.0, pair="p"),
-            LinkRemoved(at_s=0.0, pair="p"),
-            LinkRemoved(at_s=1.0, pair="p"),
-        ])
-        assert len(stream.of_kind("LinkRemoved")) == 2
-        assert stream.counts() == {"LinkAdded": 1, "LinkRemoved": 2}
-
-    def test_handover_times_deduplicated(self):
-        stream = TopologyEventStream([
-            PathSwitch(at_s=1.0, pair="p"),
-            RouteLost(at_s=1.0, pair="q", duration_s=0.5),
-            PathSwitch(at_s=2.0, pair="p"),
-            LinkAdded(at_s=3.0, pair="p"),  # not a handover kind
-        ])
-        assert stream.handover_times() == [1.0, 2.0]
-
-    def test_merge_streams(self):
-        s1 = TopologyEventStream([PathSwitch(at_s=2.0, pair="p")])
-        s2 = TopologyEventStream([PathSwitch(at_s=1.0, pair="q")])
-        merged = merge_streams(s1, s2)
-        assert [e.at_s for e in merged] == [1.0, 2.0]
-        assert merged.pairs == ["p", "q"]
-
-
-class TestDiffSnapshots:
-    def test_identical_routes_yield_no_events(self):
-        assert diff_snapshots(snap(0.0, A), snap(2.0, A), "p") == []
-
-    def test_delay_drift_alone_is_not_an_event(self):
-        moved = PathSnapshot(
-            time=2.0, nodes=tuple(A),
-            hop_distances_m=(2_000_000.0,) * 3,
-            hop_is_gsl=(True, False, True),
-        )
-        assert diff_snapshots(snap(0.0, A), moved, "p") == []
-
-    def test_single_sat_swap(self):
-        events = diff_snapshots(snap(0.0, A), snap(2.0, B), "p")
-        kinds = [e.kind for e in events]
-        assert kinds == [
-            "LinkRemoved", "LinkRemoved", "LinkAdded", "LinkAdded",
-            "PathSwitch", "GsReattach",
-        ]
-        removed = {(e.a, e.b) for e in events if e.kind == "LinkRemoved"}
-        assert removed == {("gs:BJ", "sat-0-1"), ("sat-0-1", "sat-0-2")}
-        switch = events[4]
-        assert switch.changed_nodes == 1
-        reattach = events[5]
-        assert (reattach.station, reattach.side) == ("gs:BJ", "a")
-        assert (reattach.old_sat, reattach.new_sat) == ("sat-0-1", "sat-0-9")
-
-    def test_consumer_side_reattach(self):
-        events = diff_snapshots(snap(0.0, B), snap(2.0, C), "p")
-        reattaches = [e for e in events if e.kind == "GsReattach"]
-        assert len(reattaches) == 1
-        assert reattaches[0].side == "b"
-        assert reattaches[0].station == "gs:PR"
-
-    def test_hop_index_semantics(self):
-        # Removed edges carry their index in the OLD route, added edges
-        # in the NEW route — outage_entries maps each onto the chain.
-        events = diff_snapshots(snap(0.0, A), snap(2.0, B), "p")
-        removed = {
-            (e.a, e.b): e.hop_index for e in events if e.kind == "LinkRemoved"
-        }
-        added = {
-            (e.a, e.b): e.hop_index for e in events if e.kind == "LinkAdded"
-        }
-        assert removed[("gs:BJ", "sat-0-1")] == 0
-        assert removed[("sat-0-1", "sat-0-2")] == 1
-        assert added[("gs:BJ", "sat-0-9")] == 0
-
-    def test_events_timestamped_at_new_snapshot(self):
-        events = diff_snapshots(snap(0.0, A), snap(2.0, B), "p")
-        assert {e.at_s for e in events} == {2.0}
-        override = diff_snapshots(snap(0.0, A), snap(2.0, B), "p", at_s=7.0)
-        assert {e.at_s for e in override} == {7.0}
-
-
 def make_schedule(gaps=()):
     return PathSchedule(
         "BJ", "PR",
@@ -163,30 +59,151 @@ def make_schedule(gaps=()):
     )
 
 
+def timeline_of(snapshots, gaps=(), n_hops=3, interval_s=2.0, pair="p"):
+    """The churn timeline of a schedule of ``snapshots`` and ``gaps``."""
+    schedule = PathSchedule("BJ", "PR", list(snapshots), list(gaps))
+    return churn_timeline(schedule, n_hops, interval_s, pair)[0]
+
+
+def signals(timeline):
+    """``(t, kind)`` of each signal entry, in timeline order."""
+    return [(t, kind) for t, _, field, kind in timeline.entries
+            if field == "signal"]
+
+
+def outages(timeline):
+    """``(hop, start, duration)`` of each outage on the timeline."""
+    started, out = {}, []
+    for t, hop, field, up in timeline.entries:
+        if field == "up":
+            if up:
+                start = started.pop(hop)
+                out.append((hop, start, pytest.approx(t - start)))
+            else:
+                started[hop] = t
+    return sorted(out, key=lambda o: o[:2])
+
+
+class TestTopologyEvents:
+    """The signal entries: one per change a link layer reports."""
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            timeline_of([snap(0.0, A)], gaps=[(-0.1, 1.0)])
+
+    def test_kind_property(self):
+        kinds = {kind for _, kind in signals(
+            churn_timeline(make_schedule(gaps=[(8.0, 9.5)]), 3, 2.0, "p")[0]
+        )}
+        assert kinds == {"PathSwitch", "GsReattach", "RouteLost",
+                         "RouteRestored"}
+
+    def test_stream_is_totally_ordered(self):
+        # Both ends re-attach at the instant a gap opens: the signals at
+        # one instant sort by kind, ahead of that instant's outages.
+        timeline = timeline_of([snap(0.0, A), snap(4.0, C)],
+                               gaps=[(6.0, 7.0), (4.0, 5.0)])
+        assert signals(timeline) == [
+            (4.0, "GsReattach"), (4.0, "GsReattach"), (4.0, "PathSwitch"),
+            (4.0, "RouteLost"), (5.0, "RouteRestored"),
+            (6.0, "RouteLost"), (7.0, "RouteRestored"),
+        ]
+        at_4 = [field for t, _, field, _ in timeline.entries if t == 4.0]
+        assert at_4[:4] == ["signal"] * 4 and "signal" not in at_4[4:]
+
+    def test_of_kind_and_counts(self):
+        timeline, removed = churn_timeline(make_schedule(), 3, 2.0, "p")
+        assert removed == 4  # two edges leave the route at each change
+        assert len(signal_times(timeline, "PathSwitch")) == 2
+        assert len(signal_times(timeline, "GsReattach", "RouteLost")) == 2
+
+    def test_handover_times_deduplicated(self):
+        # A route change and a gap at 4.0 are one handover; re-attaches
+        # and restores are not handovers.
+        timeline, _ = churn_timeline(
+            make_schedule(gaps=[(4.0, 4.5)]), 3, 2.0, "p"
+        )
+        assert handover_times(timeline) == [4.0, 6.0]
+
+
+class TestDiffSnapshots:
+    """Consecutive snapshots diffed into signals and outages."""
+
+    def test_identical_routes_yield_no_events(self):
+        timeline, removed = churn_timeline(
+            PathSchedule("BJ", "PR", [snap(0.0, A), snap(2.0, A)]),
+            3, 2.0, "p",
+        )
+        assert signals(timeline) == [] and outages(timeline) == []
+        assert removed == 0
+
+    def test_delay_drift_alone_is_not_an_event(self):
+        moved = replace(snap(2.0, A), hop_distances_m=(2_000_000.0,) * 3)
+        timeline = timeline_of([snap(0.0, A), moved])
+        assert signals(timeline) == [] and outages(timeline) == []
+        # The delay retunes follow the drift instead.
+        assert {t for t, _, field, _ in timeline.entries
+                if field == "delay_s"} == {0.0, 2.0}
+
+    def test_single_sat_swap(self):
+        timeline, removed = churn_timeline(
+            PathSchedule("BJ", "PR", [snap(0.0, A), snap(2.0, B)]),
+            3, 2.0, "p",
+        )
+        assert signals(timeline) == [(2.0, "GsReattach"), (2.0, "PathSwitch")]
+        assert removed == 2
+        assert outages(timeline) == [
+            (0, 2.0, DEFAULT_OUTAGE_S), (1, 2.0, DEFAULT_OUTAGE_S),
+        ]
+
+    def test_consumer_side_reattach(self):
+        # B -> C re-attaches the consumer end only; A -> C both ends.
+        consumer = timeline_of([snap(0.0, B), snap(2.0, C)])
+        assert signal_times(consumer, "GsReattach") == [2.0]
+        assert [hop for hop, _, _ in outages(consumer)] == [1, 2]
+        both = timeline_of([snap(0.0, A), snap(2.0, C)])
+        assert signal_times(both, "GsReattach") == [2.0, 2.0]
+
+    def test_hop_index_semantics(self):
+        # A removed edge takes down its hop in the OLD route: A -> D
+        # removes only gs:BJ--sat-0-1, hop 0 of A; the edges D adds at
+        # its hops 0-2 are no outage.
+        D = ["gs:BJ", "sat-0-7", "sat-0-8", "sat-0-1", "sat-0-2", "gs:PR"]
+        timeline = timeline_of([snap(0.0, A), snap(2.0, D)], n_hops=5)
+        assert [hop for hop, _, _ in outages(timeline)] == [0]
+
+    def test_events_timestamped_at_new_snapshot(self):
+        timeline = timeline_of([snap(0.0, A), snap(2.0, A), snap(5.0, B)])
+        assert {t for t, _ in signals(timeline)} == {5.0}
+        assert {start for _, start, _ in outages(timeline)} == {5.0}
+
+
 class TestEventsFromSchedule:
+    """A whole schedule's timeline."""
+
     def test_stream_covers_all_transitions(self):
-        stream = events_from_schedule(make_schedule())
-        assert stream.counts()["PathSwitch"] == 2
-        assert stream.counts()["GsReattach"] == 2
-        assert stream.handover_times() == [4.0, 6.0]
-        assert stream.pairs == ["BJ-PR"]
+        timeline, _ = churn_timeline(make_schedule(), 3, 2.0, "BJ-PR")
+        assert signal_times(timeline, "PathSwitch") == [4.0, 6.0]
+        assert signal_times(timeline, "GsReattach") == [4.0, 6.0]
+        assert handover_times(timeline) == [4.0, 6.0]
 
     def test_gaps_become_route_lost_restored(self):
-        stream = events_from_schedule(make_schedule(gaps=[(8.0, 9.5)]))
-        lost = stream.of_kind("RouteLost")
-        assert len(lost) == 1
-        assert lost[0].duration_s == pytest.approx(1.5)
-        assert stream.of_kind("RouteRestored")[0].at_s == 9.5
-        assert 8.0 in stream.handover_times()
+        timeline, _ = churn_timeline(
+            make_schedule(gaps=[(8.0, 9.5)]), 3, 2.0, "p"
+        )
+        assert signal_times(timeline, "RouteLost") == [8.0]
+        assert signal_times(timeline, "RouteRestored") == [9.5]
+        assert 8.0 in handover_times(timeline)
 
     def test_pair_override(self):
-        stream = events_from_schedule(make_schedule(), pair="custom")
-        assert stream.pairs == ["custom"]
+        timeline, _ = churn_timeline(make_schedule(), 3, 2.0, "custom")
+        assert {target for _, target, field, _ in timeline.entries
+                if field == "signal"} == {"custom"}
 
     def test_deterministic(self):
-        a = list(events_from_schedule(make_schedule()))
-        b = list(events_from_schedule(make_schedule()))
-        assert a == b  # frozen dataclasses compare by value
+        a = churn_timeline(make_schedule(gaps=[(8.0, 9.0)]), 3, 2.0, "p")
+        b = churn_timeline(make_schedule(gaps=[(8.0, 9.0)]), 3, 2.0, "p")
+        assert a == b  # a Timeline compares by value
 
 
 class TestCompressSchedule:
@@ -205,79 +222,71 @@ class TestCompressSchedule:
             assert a.hop_distances_m == b.hop_distances_m
 
     def test_event_sequence_preserved(self):
-        original = events_from_schedule(make_schedule())
-        compressed = events_from_schedule(
-            compress_schedule(make_schedule(), 4.0)
+        original, _ = churn_timeline(make_schedule(), 3, 2.0, "p")
+        compressed, _ = churn_timeline(
+            compress_schedule(make_schedule(), 4.0), 3, 0.5, "p"
         )
-        assert [e.kind for e in original] == [e.kind for e in compressed]
+        assert signals(compressed) == [
+            (t / 4.0, kind) for t, kind in signals(original)
+        ]
 
     def test_validation(self):
         with pytest.raises(ValueError):
             compress_schedule(make_schedule(), 0.0)
 
 
-def _outages(stream, n_hops):
-    """``(hop, start, duration)`` of each outage :func:`outage_entries`
-    puts on an ``n_hops`` chain."""
-    entries = outage_entries(stream, n_hops)
-    half = len(entries) // 2
-    assert [up for *_, up in entries] == [False] * half + [True] * half
-    return [(down[1], down[0], up[0] - down[0])
-            for down, up in zip(entries[:half], entries[half:])]
-
-
 class TestFaultAdapter:
+    """The outages a route change puts on the emulated chain."""
+
     def test_removed_links_become_downs(self):
-        stream = events_from_schedule(make_schedule())
-        outages = _outages(stream, 3)
-        assert outages
-        assert all(d == pytest.approx(DEFAULT_OUTAGE_S) for _, _, d in outages)
-        assert {hop for hop, _, _ in outages} <= {0, 1, 2}
+        timeline, _ = churn_timeline(make_schedule(), 3, 2.0, "p")
+        assert outages(timeline) == [
+            (0, 4.0, DEFAULT_OUTAGE_S), (1, 4.0, DEFAULT_OUTAGE_S),
+            (1, 6.0, DEFAULT_OUTAGE_S), (2, 6.0, DEFAULT_OUTAGE_S),
+        ]
 
     def test_hop_index_clamped_to_chain(self):
-        stream = TopologyEventStream([
-            LinkRemoved(at_s=1.0, pair="p", a="x", b="y", hop_index=9),
-        ])
-        assert [hop for hop, _, _ in _outages(stream, 3)] == [2]
+        # Edges at real hops 3 and 4 land on the last hop of a 3-hop
+        # chain, as one outage.
+        route = ["gs:BJ", "s1", "s2", "s3", "s4", "gs:PR"]
+        moved = [*route[:4], "s9", "gs:PR"]
+        timeline = timeline_of([snap(0.0, route), snap(2.0, moved)])
+        assert outages(timeline) == [(2, 2.0, DEFAULT_OUTAGE_S)]
 
     def test_same_hop_events_coalesce_and_validate(self):
-        # Two removals landing on one hop at the same instant (a full
-        # handover swaps both edges of a satellite) must merge into a
-        # single outage — and therefore pass timeline validation.
-        stream = TopologyEventStream([
-            LinkRemoved(at_s=1.0, pair="p", a="u", b="v", hop_index=0),
-            LinkRemoved(at_s=1.0, pair="p", a="v", b="w", hop_index=0),
-            LinkRemoved(at_s=1.04, pair="p", a="w", b="x", hop_index=0),
-        ])
-        (outage,) = _outages(stream, 4)
-        assert outage == (0, 1.0, pytest.approx(0.12))
-        Timeline(outage_entries(stream, 4))
+        # On a one-hop chain every removed edge lands on hop 0: the two
+        # at 1.0 and the two at 1.04 merge into a single outage, so the
+        # timeline passes validation.
+        timeline = timeline_of(
+            [snap(0.0, A), snap(1.0, B), snap(1.04, C)],
+            n_hops=1, interval_s=0.5,
+        )
+        assert outages(timeline) == [(0, 1.0, 0.12)]
 
     def test_route_lost_blacks_out_uplink(self):
-        stream = TopologyEventStream([
-            RouteLost(at_s=2.0, pair="p", duration_s=1.5),
-        ])
-        assert _outages(stream, 4) == [(0, 2.0, pytest.approx(1.5))]
+        timeline = timeline_of([snap(0.0, A)], gaps=[(2.0, 3.5)], n_hops=4)
+        assert outages(timeline) == [(0, 2.0, 1.5)]
 
     def test_short_route_loss_floored_at_outage(self):
-        stream = TopologyEventStream([
-            RouteLost(at_s=2.0, pair="p", duration_s=0.001),
-        ])
-        assert _outages(stream, 4)[0][2] == pytest.approx(DEFAULT_OUTAGE_S)
+        timeline = timeline_of([snap(0.0, A)], gaps=[(2.0, 2.001)], n_hops=4)
+        assert outages(timeline) == [(0, 2.0, DEFAULT_OUTAGE_S)]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one hop"):
-            outage_entries(TopologyEventStream([]), 0)
+            churn_timeline(make_schedule(), 0, 2.0, "p")
 
     def test_deterministic(self):
-        stream = events_from_schedule(make_schedule(gaps=[(8.0, 9.0)]))
-        assert outage_entries(stream, 3) == outage_entries(stream, 3)
+        # Window order does not matter, and every down comes first.
+        windows = [(1, 2.0, 2.08), (0, 1.0, 1.5), (0, 1.2, 1.3), (2, 0.5, 1.0)]
+        entries = outage_entries(windows)
+        random.Random(0).shuffle(windows)
+        assert outage_entries(windows) == entries
+        assert [up for *_, up in entries] == [False] * 3 + [True] * 3
 
     def test_churn_timeline_applies_signals_outages_then_delays(self):
         longer = replace(snap(4.0, B), hop_distances_m=(2_000_000.0,) * 3)
         schedule = PathSchedule("BJ", "PR", [snap(0.0, A), longer])
-        stream = events_from_schedule(schedule)
-        timeline = churn_timeline(schedule, stream, 3, 2.0)
+        timeline, _ = churn_timeline(schedule, 3, 2.0, "p")
         at_4 = [(field, value) for t, _, field, value in timeline.entries
                 if t == 4.0]
         fields = [field for field, _ in at_4]
@@ -286,10 +295,34 @@ class TestFaultAdapter:
         assert ("signal", "PathSwitch") in at_4
         assert ("signal", "GsReattach") in at_4
         assert ("up", False) in at_4
-        # Only the kinds a link layer reports are signalled.
-        signalled = {value for _, _, field, value in timeline.entries
-                     if field == "signal"}
-        assert signalled <= set(SIGNAL_KINDS)
+
+
+class TestRouteLossAbort:
+    """A gap longer than NO_ROUTE_ABORT_S aborts the pool's live flows."""
+
+    def _aborts(self, gap_s):
+        from repro.experiments.churn_study import arm_pool_churn
+
+        sim = Simulator()
+        nodes = [SinkNode(sim, f"n{i}") for i in range(4)]
+        pool = SimpleNamespace(links=build_chain(
+            sim, nodes, uniform_chain_specs(3), RngRegistry(0)
+        ), aborts=[])
+        pool.abort_live = lambda reason: pool.aborts.append((sim.now, reason))
+        timeline = timeline_of([snap(0.0, A)], gaps=[(1.0, 1.0 + gap_s)])
+        arm_pool_churn(sim, RngRegistry(0), pool, timeline)
+        sim.run()
+        return pool.aborts
+
+    def test_long_gap_aborts_once(self):
+        from repro.experiments.churn_study import NO_ROUTE_ABORT_S
+
+        assert self._aborts(0.6) == [
+            (pytest.approx(1.0 + NO_ROUTE_ABORT_S), "no_route")
+        ]
+
+    def test_short_gap_aborts_none(self):
+        assert self._aborts(0.3) == []
 
 
 class TestPerHandoverMetrics:
@@ -358,34 +391,30 @@ class TestChurnEndToEnd:
 
         from repro.experiments.common import PathSpec, build_path
         from repro.faults import run_chaos
-        from repro.netsim.topology import uniform_chain_specs
 
-        schedule = PathSchedule("BJ", "PR", [
+        timeline = timeline_of([
             snap(0.0, A), snap(2.0, B), snap(4.0, C), snap(6.0, A),
-        ])
-        stream = events_from_schedule(schedule)
+        ], interval_s=0.5)
         spec = PathSpec(
             hops=uniform_chain_specs(3, rate_bps=20e6, delay_s=0.005),
             total_bytes=1_500_000,
         )
-        return stream, run_chaos(
-            Timeline(outage_entries(stream, 3)), partial(build_path, spec=spec),
+        return handover_times(timeline), run_chaos(
+            timeline, partial(build_path, spec=spec),
             duration_s=10.0, seed=seed,
         )
 
     def test_invariants_green_and_flow_completes(self):
-        stream, res = self._run()
+        times, res = self._run()
         assert res.invariants_ok, res.violations
         assert res.completed
-        # Every handover in the stream produced at least one applied fault.
-        assert sum(1 for _, a in res.fault_log if "DOWN" in a) >= len(
-            stream.handover_times()
-        )
+        # Every handover produced at least one applied fault.
+        assert sum(1 for _, a in res.fault_log if "DOWN" in a) >= len(times)
 
     def test_per_handover_reports_from_real_run(self):
-        stream, res = self._run()
+        times, res = self._run()
         stats = handover_stats(per_handover_reports(
-            res.path.recorder, stream.handover_times(),
+            res.path.recorder, times,
             outage_s=DEFAULT_OUTAGE_S, horizon_s=10.0,
         ))
         assert stats["handovers_measured"] == 3.0

@@ -131,9 +131,9 @@ class TestLossyTransfer:
         assert path.receiver.bytes_delivered == 100_000
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "TCP defect (a), ROADMAP item 4: tcp/connection.py:425, "
-        "delivered = acked + newly_sacked, counts SACKed bytes again when "
-        "the cumulative ACK passes them"
+        "TCP defect (a), ROADMAP item 4: `delivered = acked + "
+        "newly_sacked` in TcpSender._process_ack (tcp/connection.py) "
+        "counts SACKed bytes again when the cumulative ACK passes them"
     ))
     def test_delivered_total_stays_within_the_transfer(self):
         """BBR, 3 MB over 5 x (20 Mbit/s, 10 ms, 1 % loss): every byte

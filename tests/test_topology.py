@@ -1,12 +1,16 @@
-"""Tests for topology builders: chains, dumbbells, switchable paths."""
+"""Tests for topology builders: chains, dumbbells, parallel-path facades."""
+
+from types import SimpleNamespace
 
 import pytest
 
+from repro.faults import TimelineDriver
+from repro.netsim.link import DuplexLink
 from repro.netsim.node import ChainForwarder, Router, SinkNode, wire_chain_forwarders
 from repro.netsim.packet import Packet
 from repro.netsim.topology import (
+    FirstUpLink,
     HopSpec,
-    SwitchablePath,
     build_chain,
     build_dumbbell,
     uniform_chain_specs,
@@ -15,11 +19,6 @@ from repro.simcore import RngRegistry, Simulator
 
 
 class TestHopSpec:
-    def test_scaled_override(self):
-        spec = HopSpec(rate_bps=1e6).scaled(plr=0.1)
-        assert spec.plr == 0.1
-        assert spec.rate_bps == 1e6
-
     def test_uniform_chain_specs(self):
         specs = uniform_chain_specs(3, rate_bps=5e6, delay_s=0.02, plr=0.01)
         assert len(specs) == 3
@@ -117,87 +116,75 @@ class TestDumbbell:
             )
 
 
-class TestSwitchablePath:
-    def build(self, sim, **kwargs):
-        a, b = SinkNode(sim, "a"), SinkNode(sim, "b")
-        path = SwitchablePath(
-            sim, a, b, RngRegistry(0), delays_s=[0.040, 0.045], **kwargs
-        )
-        return a, b, path
+def parallel_paths(sim, delays_s=(0.040, 0.045)):
+    """Sink ``b`` and one duplex link a -> b per delay, with a facade
+    over their forward members."""
+    a, b = SinkNode(sim, "a"), SinkNode(sim, "b")
+    paths = [DuplexLink(sim, a, b, delay_s=d) for d in delays_s]
+    return b, paths, FirstUpLink([duplex.ab for duplex in paths])
 
-    def test_active_path_carries_traffic(self):
+
+class TestFirstUpLink:
+    def test_up_member_carries_traffic(self):
         sim = Simulator()
-        a, b, path = self.build(sim)
-        path.ab.send(Packet(100))
+        b, paths, link = parallel_paths(sim)
+        assert link.send(Packet(100)) is True
         sim.run()
         assert len(b.received) == 1
+        assert [d.ab.stats.packets_offered for d in paths] == [1, 0]
 
-    def test_switch_changes_delay(self):
+    def test_flipping_up_moves_traffic(self):
         sim = Simulator()
-        a, b, path = self.build(sim)
-        assert path.ab.delay_s == 0.040
-        path.switch()
-        assert path.ab.delay_s == 0.045
-        path.switch()
-        assert path.ab.delay_s == 0.040
-        assert path.switch_count == 2
-
-    def test_switch_drops_stranded_packets(self):
-        sim = Simulator()
-        a, b, path = self.build(sim)
-        path.ab.send(Packet(100))
-        sim.run(until=0.01)  # in flight on path 0
-        path.switch()
+        b, paths, link = parallel_paths(sim)
+        paths[0].ab.up = False
+        link.send(Packet(100))
         sim.run()
-        assert len(b.received) == 0
-
-    def test_old_path_is_down_after_switch(self):
-        sim = Simulator()
-        a, b, path = self.build(sim)
-        old = path.duplexes[0]
-        path.switch()
-        assert old.ab.up is False
-        assert path.active_duplex.ab.up is True
-
-    def test_reply_link_follows_active_path(self):
-        sim = Simulator()
-        a, b, path = self.build(sim)
-        assert path.ab.reply_link is path.ba
-
-    def test_needs_two_paths(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            SwitchablePath(
-                sim, SinkNode(sim, "a"), SinkNode(sim, "b"),
-                RngRegistry(0), delays_s=[0.04],
-            )
-
-    def test_link_towards(self):
-        sim = Simulator()
-        a, b, path = self.build(sim)
-        assert path.link_towards(b) is path.ab
-        assert path.link_towards(a) is path.ba
+        paths[0].ab.up = True
+        link.send(Packet(100))
+        sim.run()
+        assert [d.ab.stats.packets_offered for d in paths] == [1, 1]
+        # The 45 ms member first, then (sent on arrival) the 40 ms one.
+        serialise = 100 * 8 / 10e6
+        assert b.receive_times == [pytest.approx(0.045 + serialise),
+                                   pytest.approx(0.085 + 2 * serialise)]
 
 
 class TestSwitchBlackout:
     def test_new_path_down_during_blackout(self):
+        # No member up: the first member takes the packet and drops it.
         sim = Simulator()
-        a, b = SinkNode(sim, "a"), SinkNode(sim, "b")
-        path = SwitchablePath(
-            sim, a, b, RngRegistry(0), delays_s=[0.04, 0.045], blackout_s=0.1
-        )
-        path.switch()
-        assert path.active_duplex.ab.up is False  # still in the blackout
-        assert path.ab.send(Packet(100)) is False
-        sim.run(until=0.2)
-        assert path.active_duplex.ab.up is True
-        assert path.ab.send(Packet(100)) is True
+        b, paths, link = parallel_paths(sim)
+        for duplex in paths:
+            duplex.ab.up = False
+        assert link.send(Packet(100)) is False
+        assert paths[0].ab.stats.packets_dropped_flush == 1
+        paths[1].ab.up = True
+        assert link.send(Packet(100)) is True
+        sim.run()
+        assert len(b.received) == 1
 
     def test_zero_blackout_is_instantaneous(self):
-        sim = Simulator()
-        a, b = SinkNode(sim, "a"), SinkNode(sim, "b")
-        path = SwitchablePath(
-            sim, a, b, RngRegistry(0), delays_s=[0.04, 0.045]
+        # Fig. 13's switch: at one instant the old path's hops go down,
+        # flushing what they carry, and the new path's hops come up.
+        from repro.experiments.fig13_link_switching import switch_timeline
+
+        assert switch_timeline(1.0, 2.5, 2).entries == (
+            (0.0, 2, "up", False), (0.0, 3, "up", False),
+            (1.0, 0, "up", False), (1.0, 1, "up", False),
+            (1.0, 2, "up", True), (1.0, 3, "up", True),
+            (2.0, 2, "up", False), (2.0, 3, "up", False),
+            (2.0, 0, "up", True), (2.0, 1, "up", True),
         )
-        path.switch()
-        assert path.active_duplex.ab.up is True
+        sim = Simulator()
+        b, paths, link = parallel_paths(sim)
+        TimelineDriver(sim, SimpleNamespace(links=paths),
+                       switch_timeline(1.0, 1.5, 1))
+        sim.schedule_at(0.99, link.send, Packet(100))  # in flight at 1.0
+        sim.run(until=1.0)
+        old, new = paths
+        assert (old.ab.up, old.ba.up, new.ab.up, new.ba.up) == (
+            False, False, True, True)
+        assert old.ab.stats.packets_dropped_flush == 1
+        link.send(Packet(100))
+        sim.run()
+        assert b.receive_times == [pytest.approx(1.045 + 100 * 8 / 10e6)]
