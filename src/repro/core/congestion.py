@@ -136,56 +136,54 @@ class HopRateController:
     # Measurement
     # ------------------------------------------------------------------
 
+    ROUTE_CHANGE_FACTOR = 1.2   # persistent RTT above min*this = new path
+    ROUTE_CHANGE_SAMPLES = 12   # consecutive high samples before resetting
+
     def on_data(self, nbytes: int, hoprtt_sample: float) -> None:
         """Account one received Data packet with its hopRTT sample."""
         rtt = self.hoprtt_s
+        now = self.sim.now
         if hoprtt_sample > 0:
             if rtt is None:
                 rtt = hoprtt_sample
             else:
                 rtt += (hoprtt_sample - rtt) / 8.0
             self.hoprtt_s = rtt
-            self._update_min(hoprtt_sample)
+            samples = self._min_samples
+            # Monotonic min-filter over the last ``window`` seconds.
+            while samples and samples[-1][1] >= hoprtt_sample:
+                samples.pop()
+            samples.append((now, hoprtt_sample))
+            horizon = now - self.config.hoprtt_min_window_s
+            while samples[0][0] < horizon:
+                samples.popleft()
+            rtt_min = self.hoprtt_min_s = samples[0][1]
+            # Route-change detection: after a LEO path switch the
+            # propagation delay itself moves, and a stale minimum makes the
+            # new (longer) path look permanently congested.  A sustained run
+            # of samples all well above the minimum cannot be queueing we
+            # caused — queues we cause drain within a hopRTT once the window
+            # backs off — so treat it as a new path and restart the filter
+            # from the recent samples.
+            if hoprtt_sample > rtt_min * self.ROUTE_CHANGE_FACTOR:
+                self._high_rtt_streak += 1
+                if hoprtt_sample < self._streak_low:
+                    self._streak_low = hoprtt_sample
+                if self._high_rtt_streak >= self.ROUTE_CHANGE_SAMPLES:
+                    samples.clear()
+                    samples.append((now, self._streak_low))
+                    self.hoprtt_min_s = self._streak_low
+                    self._high_rtt_streak = 0
+                    self._streak_low = _INF
+                    self.route_changes_detected += 1
+            else:
+                self._high_rtt_streak = 0
+                self._streak_low = _INF
         elif rtt is None:
             rtt = self.config.initial_hoprtt_s
         self._delivered_since_tick += nbytes
-        if self.sim.now - self._last_tick >= rtt:
+        if now - self._last_tick >= rtt:
             self._tick()
-
-    ROUTE_CHANGE_FACTOR = 1.2   # persistent RTT above min*this = new path
-    ROUTE_CHANGE_SAMPLES = 12   # consecutive high samples before resetting
-
-    def _update_min(self, sample: float) -> None:
-        now = self.sim.now
-        samples = self._min_samples
-        # Monotonic min-filter over the last ``window`` seconds.
-        while samples and samples[-1][1] >= sample:
-            samples.pop()
-        samples.append((now, sample))
-        horizon = now - self.config.hoprtt_min_window_s
-        while samples[0][0] < horizon:
-            samples.popleft()
-        rtt_min = self.hoprtt_min_s = samples[0][1]
-        # Route-change detection: after a LEO path switch the propagation
-        # delay itself moves, and a stale minimum makes the new (longer)
-        # path look permanently congested.  A sustained run of samples all
-        # well above the minimum cannot be queueing we caused — queues we
-        # cause drain within a hopRTT once the window backs off — so treat
-        # it as a new path and restart the filter from the recent samples.
-        if sample > rtt_min * self.ROUTE_CHANGE_FACTOR:
-            self._high_rtt_streak += 1
-            if sample < self._streak_low:
-                self._streak_low = sample
-            if self._high_rtt_streak >= self.ROUTE_CHANGE_SAMPLES:
-                samples.clear()
-                samples.append((now, self._streak_low))
-                self.hoprtt_min_s = self._streak_low
-                self._high_rtt_streak = 0
-                self._streak_low = float("inf")
-                self.route_changes_detected += 1
-        else:
-            self._high_rtt_streak = 0
-            self._streak_low = float("inf")
 
     # ------------------------------------------------------------------
     # Window adjustment: equation (8), once per hopRTT
@@ -264,13 +262,20 @@ class HopRateController:
         return next_hop + cfg.backpressure_gain * correction
 
     def sending_rate_bytes_s(self) -> float:
-        """Equation (10): the rate piggybacked on Interests."""
+        """Equation (10): the rate piggybacked on Interests, with eq. (9)
+        evaluated here on the RTT already resolved
+        (:meth:`backpressure_rate` is the same bound, for readers)."""
+        cfg = self.config
         rtt = self.hoprtt_s
         if rtt is None:
-            rtt = self.config.initial_hoprtt_s
+            rtt = cfg.initial_hoprtt_s
         rate = self.cwnd_bytes / rtt
-        bp = self.backpressure_rate()
-        if bp is not None and bp < rate:
-            rate = bp
-        floor = self.config.min_rate_bytes_s
+        sender = self.sender
+        next_hop = self.next_hop_rate_bytes_s
+        if sender is not None and next_hop is not None:
+            correction = (cfg.buffer_target_bytes - sender.backlog_bytes) / rtt
+            bp = next_hop + cfg.backpressure_gain * correction
+            if bp < rate:
+                rate = bp
+        floor = cfg.min_rate_bytes_s
         return rate if rate > floor else floor

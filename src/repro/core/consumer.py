@@ -192,11 +192,16 @@ class Consumer(Node):
         which ends here, so no timer is needed to keep the window full:
         :meth:`start` fills it once and a stalled path is woken by the TR
         tick's retransmissions, whose Data arrives through on_receive.
+        Sending an Interest moves nothing the cap reads, so the cap is
+        read once per fill.
         """
         mss = self.config.mss
         total = self.total_bytes
+        if total is not None and self._next_offset >= total:
+            return  # every byte is requested
+        cap = self._outstanding_cap()
         while (total is None or self._next_offset < total) and (
-            self._outstanding_bytes + mss <= self._outstanding_cap()
+            self._outstanding_bytes + mss <= cap
         ):
             end = self._next_offset + mss
             if total is not None and end > total:

@@ -220,15 +220,19 @@ class Midnode(Node):
         return 0
 
     def _stamp(self, state: _FlowState, pkt: DataPacket) -> DataPacket:
+        """Re-stamp the departing packet in place: the sending buffer that
+        dequeued it is its one owner (DESIGN.md §5)."""
         if pkt.is_header:
             self.stats.vph_sent += 1
         else:
             self.stats.data_forwarded += 1
+        # Endpoint-only control (ablation row C) leaves the packet as it
+        # came: timestamps survive end-to-end so the Consumer measures
+        # the full path.
         if self.config.hop_by_hop_cc:
-            return pkt.forwarded(self.sim.now, state.sender.interest_owd)
-        # Endpoint-only control (ablation row C): timestamps survive
-        # end-to-end so the Consumer measures the full path.
-        return pkt.forwarded(pkt.timestamp, pkt.echo_interest_owd)
+            pkt.timestamp = self.sim.now
+            pkt.echo_interest_owd = state.sender.interest_owd
+        return pkt
 
     # ------------------------------------------------------------------
     # Receive dispatch
@@ -318,7 +322,10 @@ class Midnode(Node):
                 )
         # Forward the uncovered remainder upstream, re-stamped with this
         # node's own Requester rate.
-        upstream = state.upstream_link = self._upstream_for(flow_id)
+        upstream = self._upstream_by_flow.get(flow_id, self._upstream_default)
+        if upstream is None:
+            upstream = self._upstream_for(flow_id)
+        state.upstream_link = upstream
         if not remaining:
             return
         if hop_cc:
@@ -326,6 +333,13 @@ class Midnode(Node):
             ts = now
         else:
             ts = interest.timestamp  # endpoint-measured path (row C)
+        if remaining[0] is rng:
+            # A full miss: the Interest itself goes on, re-stamped.
+            interest.timestamp = ts
+            interest.send_rate_bytes_s = rate
+            stats.interests_forwarded += 1
+            upstream.send(interest)
+            return
         retx = interest.is_retransmission
         for piece in remaining:
             stats.interests_forwarded += 1

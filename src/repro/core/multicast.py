@@ -11,7 +11,8 @@ path only once.  This module implements that discussion as a
   for each in-flight range; duplicate Interests are absorbed instead of
   forwarded (retransmission Interests always pass — reliability first);
 * arriving Data is fanned out to every PIT-registered downstream, each
-  through its own paced sender;
+  through its own paced sender and as its own copy (a queued packet has
+  one owner, which re-stamps it as it leaves);
 * everything else (SHR, VPH, caching, hop congestion control) is
   inherited from the unicast :class:`~repro.core.midnode.Midnode`.
 
@@ -131,28 +132,29 @@ class MulticastMidnode(Midnode):
         entry = self._pit.pop(
             (self._cache_key(packet.flow_id), packet.range.start), None
         )
-        super()._on_data(packet, link)
         if packet.is_header or entry is None:
+            super()._on_data(packet, link)
             return
-        state = self._flow(packet.flow_id)
-        primary: Optional[Link] = state.downstream_link
+        # The primary sender owns ``packet`` and may send (re-stamp) it
+        # at once, so the copies are built from the fields as received.
+        own_flow, rng, ts = packet.flow_id, packet.range, packet.timestamp
+        origin_ts, owd = packet.origin_ts, packet.echo_interest_owd
+        retransmitted = packet.retransmitted
+        super()._on_data(packet, link)
+        primary: Optional[Link] = self._flow(own_flow).downstream_link
         for flow_id, downstream in entry.downstreams:
-            if flow_id == packet.flow_id and downstream is primary:
+            if flow_id == own_flow and downstream is primary:
                 continue  # already served by the unicast path
-            sender = self._fanout_sender(flow_id, downstream)
             self.fanout_packets += 1
-            if flow_id == packet.flow_id:
-                sender.enqueue(packet, downstream)
-            else:
-                # Cross-flow subscriber: re-tag the copy with *its* flow
-                # id so its Consumer accepts the delivery.
-                copy = DataPacket(
-                    flow_id, packet.range, packet.timestamp,
-                    origin_ts=packet.origin_ts,
-                    echo_interest_owd=packet.echo_interest_owd,
-                    retransmitted=packet.retransmitted,
-                )
-                sender.enqueue(copy, downstream)
+            # Each face gets a copy of its own, tagged with its
+            # subscriber's flow id so that Consumer accepts it.
+            self._fanout_sender(flow_id, downstream).enqueue(
+                DataPacket(
+                    flow_id, rng, ts, origin_ts=origin_ts,
+                    echo_interest_owd=owd, retransmitted=retransmitted,
+                ),
+                downstream,
+            )
 
     def crash(self) -> None:
         """Power-cycle: additionally drop the PIT and fan-out senders.

@@ -165,24 +165,25 @@ class PacedSender:
         Data whose range is all queued is absorbed; a ``reserve`` (a
         Responder answering again from what it holds) is suppressed when
         the last departure starting at or before its range covers it and
-        left within one echoed hopRTT; VPHs always pass.  Returns None for a copy not taken, False
-        on overflow, True when queued.  The link is remembered: drains
-        use the most recent one (a per-flow sender has one neighbour).
+        left within one echoed hopRTT; VPHs always pass.  Returns None
+        for a copy not taken, False on overflow, True when taken.  A
+        packet taken by an empty buffer whose bucket pays leaves at once;
+        otherwise it queues.  The link is remembered: drains use the most
+        recent one (a per-flow sender has one neighbour).
         """
         queued = self.queued
         data = queued is not None and not packet.is_header
+        queue = self._queue
         if data:
             rng = packet.range
-            if queued.contains(rng):
+            if queue and queued.contains(rng):
                 return None  # a copy is already queued
             if reserve and self.guard.suppressed(rng, 2.0 * self.interest_owd):
                 return None  # a copy left moments ago
-            queued.add(rng)
         self._link = link
-        backlog = self.backlog_bytes + packet.size_bytes
+        size = packet.size_bytes
+        backlog = self.backlog_bytes + size
         if backlog > self.max_buffer_bytes:
-            if data:
-                queued.remove(rng)
             self.packets_dropped += 1
             if TRACER.enabled:
                 TRACER.emit(
@@ -191,10 +192,20 @@ class PacedSender:
                     end=packet.range.end, backlog=self.backlog_bytes,
                 )
             return False
-        self._queue.append(packet)
-        self.backlog_bytes = backlog
         if backlog > self.max_backlog_bytes:
             self.max_backlog_bytes = backlog
+        if not queue and (not self.paced or self.bucket.take(size) == 0.0):
+            # Nothing queued to absorb a copy or to wait behind: it leaves.
+            if data:
+                self.guard.record(rng)
+            self.packets_sent += 1
+            self.bytes_sent += size
+            link.send(self._stamp(packet))
+            return True
+        if data:
+            queued.add(rng)
+        queue.append(packet)
+        self.backlog_bytes = backlog
         self._drain()
         return True
 
@@ -206,6 +217,8 @@ class PacedSender:
         dropped = len(self._queue)
         self.packets_dropped += dropped
         self._queue.clear()
+        if self.queued is not None:
+            self.queued = RangeSet()  # an empty buffer holds no copy
         self.backlog_bytes = 0
         self._drain_gen += 1  # any in-flight drain tick becomes stale
         self._drain_scheduled = False
@@ -244,11 +257,10 @@ class PacedSender:
             if not pkt.is_header and self.queued is not None:
                 self.queued.remove(pkt.range)  # booked before the stamp
                 self.guard.record(pkt.range)
-            out = self._stamp(pkt)
             self.packets_sent += 1
-            self.bytes_sent += out.size_bytes
+            self.bytes_sent += pkt.size_bytes
             assert self._link is not None
-            self._link.send(out)
+            self._link.send(self._stamp(pkt))
 
     def _drain_tick(self, gen: int) -> None:
         if gen != self._drain_gen:

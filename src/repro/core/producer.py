@@ -75,29 +75,27 @@ class Producer(Node):
         return flow
 
     def _stamp(self, flow_id: str, pkt: DataPacket) -> DataPacket:
+        """Stamp the departing proto packet in place (its sender owns it)."""
         now = self.sim.now
         rng = pkt.range
         retransmitted = pkt.retransmitted
         # A retired flow's sender is reset, so a live sender's flow exists.
         flow = self._flows[flow_id]
         if retransmitted:
-            origin = pkt.origin_ts
             self.retransmitted_packets += 1
         else:
-            origin = now
+            pkt.origin_ts = now
             flow.origins.store(flow_id, rng, now)
-        out = DataPacket(
-            flow_id, rng, now, False, origin,
-            flow.sender.interest_owd, retransmitted,
-        )
-        self.wire_bytes_sent += out.size_bytes
+        pkt.timestamp = now
+        pkt.echo_interest_owd = flow.sender.interest_owd
+        self.wire_bytes_sent += pkt.size_bytes
         self.data_packets_sent += 1
         if TRACER.enabled:
             TRACER.emit(
                 now, "data_send", self.name, flow=flow_id,
                 start=rng.start, end=rng.end, retx=retransmitted,
             )
-        return out
+        return pkt
 
     def backlog_bytes(self, flow_id: str) -> int:
         flow = self._flows.get(flow_id)

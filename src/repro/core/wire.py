@@ -2,7 +2,10 @@
 
 Both packet kinds carry the data name ``(FlowID, [rangeStart, rangeEnd))``
 and a ``timestamp`` written by the node that (re)transmits the packet on
-the current hop — the input to per-hop OWD measurement.  Interests
+the current hop — the input to per-hop OWD measurement.  A forwarding
+node rewrites these header fields in the object it received (a queued
+packet has one owner), so a packet is built once, where it originates.
+Interests
 additionally piggyback the Requester's ``send_rate``; Data packets whose
 ``is_header`` flag is set are Void Packet Headers (VPH): a 15-byte
 header with ``length = 0`` used as a hole notification.
@@ -77,13 +80,6 @@ class Interest(LeotpPacket):
         self.send_rate_bytes_s = send_rate_bytes_s
         self.is_retransmission = is_retransmission
 
-    def forwarded(self, timestamp: float, send_rate_bytes_s: float) -> "Interest":
-        """A copy re-stamped by a forwarding node (per-hop rewrite)."""
-        return Interest(
-            self.flow_id, self.range, timestamp, send_rate_bytes_s,
-            self.is_retransmission,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         retx = " retx" if self.is_retransmission else ""
         return f"<Interest {self.flow_id} {self.range}{retx}>"
@@ -135,13 +131,6 @@ class DataPacket(LeotpPacket):
     @property
     def payload_bytes(self) -> int:
         return 0 if self.is_header else self.range.length
-
-    def forwarded(self, timestamp: float, echo_interest_owd: float) -> "DataPacket":
-        """A copy re-stamped by a forwarding node (per-hop rewrite)."""
-        return DataPacket(
-            self.flow_id, self.range, timestamp, self.is_header,
-            self.origin_ts, echo_interest_owd, self.retransmitted,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         kind = "VPH" if self.is_header else "Data"

@@ -106,9 +106,7 @@ class Link:
             raise ValueError("a loss rng is required when plr > 0")
         self.sim = sim
         self.dst = dst
-        self.profile: BandwidthProfile = (
-            profile if profile is not None else BandwidthProfile(rate_bps)
-        )
+        self.profile = profile if profile is not None else BandwidthProfile(rate_bps)
         self.delay_s = delay_s
         self.plr = plr
         self.queue_bytes = queue_bytes
@@ -136,6 +134,19 @@ class Link:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+
+    @property
+    def profile(self) -> BandwidthProfile:
+        """The rate profile; a constant one's rate is read once, here."""
+        return self._profile
+
+    @profile.setter
+    def profile(self, profile: BandwidthProfile) -> None:
+        self._profile = profile
+        # Serialisation reads this; None sends it to ``rate_at(now)``.
+        self._const_rate_bps = (
+            profile.base_rate_bps if type(profile) is BandwidthProfile else None
+        )
 
     @property
     def queued_bytes(self) -> int:
@@ -174,7 +185,8 @@ class Link:
             return True
         self._busy = True
         sim = self.sim
-        tx_time = size * 8.0 / self.profile.rate_at(sim.now)
+        rate = self._const_rate_bps or self._profile.rate_at(sim.now)
+        tx_time = size * 8.0 / rate
         stats.busy_time_s += tx_time
         # Fire-and-forget: serialisation completions are never cancelled
         # (flush() only touches queued and in-flight packets).
@@ -247,7 +259,8 @@ class Link:
             nxt = self._queue.popleft()
             size = nxt.size_bytes
             self._queued_bytes -= size
-            tx_time = size * 8.0 / self.profile.rate_at(sim.now)
+            rate = self._const_rate_bps or self._profile.rate_at(sim.now)
+            tx_time = size * 8.0 / rate
             stats.busy_time_s += tx_time
             sim.schedule_call(tx_time, self._finish_transmission, nxt)
         else:

@@ -25,9 +25,12 @@ class Packet:
         size_bytes: on-the-wire size, including protocol headers.
         src: name of the originating node (used by routers; optional).
         dst: name of the destination node (used by routers; optional).
-        created_at: simulated time the packet object was created, stamped by
-            the sender.  Used by trace collection for one-way-delay metrics.
-        uid: globally unique packet id (diagnostics only).
+        created_at: simulated time the packet object was created.  A
+            forwarded packet keeps its object, so this is the origin's
+            time, not the hop's.  Nothing reads it.
+        uid: globally unique packet id (diagnostics only): one per packet
+            a node originates; a node that forwards a packet re-stamps the
+            same object, so the id survives every hop.
     """
 
     __slots__ = ("size_bytes", "src", "dst", "created_at", "uid")

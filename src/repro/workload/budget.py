@@ -87,30 +87,22 @@ class PooledBlockCache(BlockCache):
         self._pool = pool
         self._reported_bytes = 0
 
-    def _sync_pool_total(self) -> None:
-        """Push this member's occupancy delta into the pool's running total.
-
-        Keeping the pool total incremental (instead of re-summing every
-        member on every store) is a measured hot-path win in many-flow
-        runs; the delta form stays correct however the underlying
-        :class:`BlockCache` moved (store, internal eviction, drop).
-        """
-        current = self._stored_bytes
-        delta = current - self._reported_bytes
-        if delta:
-            self._pool._stored_total += delta
-            self._reported_bytes = current
-
     def store(self, key, rng, origin_ts, writer=None) -> None:
         super().store(key, rng, origin_ts, writer)
-        self._sync_pool_total()
-        self._pool._post_ledger()
+        self._report()
+
+    def _report(self) -> None:
+        """Hand the pool this member's occupancy delta — only when it
+        moved: a post that moves nothing would leave total, peak and
+        breach count as they are."""
+        delta = self._stored_bytes - self._reported_bytes
+        if delta:
+            self._reported_bytes += delta
+            self._pool.add_stored(delta)
 
     def drop_flow(self, key: str) -> int:
         freed = super().drop_flow(key)
-        if freed:
-            self._sync_pool_total()
-            self._pool._post_ledger()
+        self._report()
         return freed
 
     def clear(self) -> None:
@@ -118,8 +110,7 @@ class PooledBlockCache(BlockCache):
         held leave the pool total and the ledger, and it stays the pool's
         member, so what it stores next is counted."""
         super().clear()
-        self._sync_pool_total()
-        self._pool._post_ledger()
+        self._report()
 
 
 class SharedCachePool:
@@ -149,7 +140,10 @@ class SharedCachePool:
         self.budget = budget
         self.account = account
         self.eviction = eviction
-        self._stored_total = 0  # incrementally maintained by members
+        # The members' combined occupancy, moved by each member's delta as
+        # it stores or drops (re-summing every member per store would be
+        # the cost of a pooled run).
+        self._stored_total = 0
         self.members = [
             PooledBlockCache(self, share)
             for share in apportion(capacity_bytes, list(weights))
@@ -159,11 +153,14 @@ class SharedCachePool:
     def stored_bytes(self) -> int:
         return self._stored_total
 
+    def add_stored(self, delta: int) -> None:
+        """Move the combined occupancy by one member's change and post the
+        new total to the ledger."""
+        self._stored_total += delta
+        if self.budget is not None:
+            self.budget.set_account(self.account, self._stored_total)
+
     @property
     def evictions(self) -> int:
         """Blocks evicted so far, whichever member's share caused it."""
         return sum(m.stats.evictions for m in self.members)
-
-    def _post_ledger(self) -> None:
-        if self.budget is not None:
-            self.budget.set_account(self.account, self._stored_total)

@@ -478,7 +478,7 @@ _MUTANTS = {
     # The window cap is lifted: every Interest leaves at once.
     "bounded-requester-window": (
         Consumer, "_fill_window",
-        "self._outstanding_bytes + mss <= self._outstanding_cap()", "True",
+        "self._outstanding_bytes + mss <= cap", "True",
     ),
     # A satisfied Interest frees its window space twice.
     "bounded-responder-buffers": (

@@ -310,15 +310,16 @@ class TestFramesPerPacketHop:
     def test_one_frame_per_layer_per_packet(self, monkeypatch):
         """Python frames entered per packet-hop offered, on a 3-hop lossy
         300 kB transfer (``tools/frames_per_hop.py``): a count, exact for
-        a given tree, so host noise cannot move it — a trampoline or a
-        re-derived quantity on the per-packet path can (26.6 here; 41.7
-        before the helper pairs were folded)."""
+        a given tree, so host noise cannot move it — a trampoline, a
+        re-derived quantity or a per-hop copy on the per-packet path can
+        (20.5 here; 25.5 while every hop re-built the packet it forwarded,
+        41.7 before the helper pairs were folded)."""
         tools_dir = pathlib.Path(__file__).parent.parent / "tools"
         monkeypatch.syspath_prepend(str(tools_dir))
         tool = importlib.import_module("frames_per_hop")
         counts = tool.measure(**tool.FENCE_FLOW)
         assert counts["events"] > 2 * counts["packet_hops"] > 2_000
-        assert counts["py_frames_per_packet_hop"] <= 28
+        assert counts["py_frames_per_packet_hop"] <= 22
 
 
 class TestHostMemoryPerTransfer:

@@ -13,6 +13,7 @@ from repro.core import (
     HopRateController,
     Interest,
     LeotpConfig,
+    Midnode,
     PacedSender,
     SeqHoleDetector,
     TokenBucket,
@@ -20,7 +21,7 @@ from repro.core import (
 )
 from repro.core.config import LEOTP_HEADER_BYTES, UDP_IP_OVERHEAD_BYTES
 from repro.core.congestion import CONGESTION_AVOIDANCE, SLOW_START
-from repro.netsim.link import Link
+from repro.netsim.link import DuplexLink, Link
 from repro.netsim.node import SinkNode
 from repro.simcore import Simulator
 
@@ -40,20 +41,92 @@ class TestWireFormats:
         assert vph.size_bytes == LEOTP_HEADER_BYTES + UDP_IP_OVERHEAD_BYTES
         assert vph.payload_bytes == 0
 
+    @staticmethod
+    def _forward_one_interest(hop_cc, cached=None):
+        """A Midnode between two sinks, every departure recorded as
+        ``(time, packet)``, after it has forwarded one retransmitted
+        Interest for bytes 0-1400 upstream (``cached``: a range of flow
+        ``f`` its cache holds beforehand)."""
+        sim = Simulator()
+        mid = Midnode(sim, "mid", LeotpConfig(hop_by_hop_cc=hop_cc))
+        if cached is not None:
+            mid.cache.store("f", cached, origin_ts=0.0)
+        down, up = SinkNode(sim, "down"), SinkNode(sim, "up")
+        below = DuplexLink(sim, down, mid, rate_bps=50e6, delay_s=0.004)
+        above = DuplexLink(sim, mid, up, rate_bps=50e6, delay_s=0.002)
+        mid.set_upstream(above.ab)
+        departures = []
+        for link in (below.ba, above.ab):
+            def send(pkt, link=link, send=link.send):
+                departures.append((sim.now, pkt))
+                return send(pkt)
+            link.send = send
+        interest = Interest("f", ByteRange(0, 1400), 0.0, 1e6, is_retransmission=True)
+        below.ab.send(interest)
+        sim.run(until=0.05)
+        return sim, mid, interest, departures, down, up, above
+
     def test_forwarded_interest_restamps(self):
-        interest = Interest("f", ByteRange(0, 100), 1.0, 1e6, is_retransmission=True)
-        fwd = interest.forwarded(2.0, 2e6)
-        assert fwd.timestamp == 2.0
-        assert fwd.send_rate_bytes_s == 2e6
-        assert fwd.is_retransmission
-        assert fwd is not interest
+        """Seen on the wire, a Midnode forwards the Interest object it got,
+        still a retransmission, carrying its departure time and the
+        Midnode's own rate.  In row C (hop-by-hop control off) it passes
+        through unchanged."""
+        for hop_cc in (True, False):
+            _, mid, interest, departures, _, up, _ = self._forward_one_interest(hop_cc)
+            (arrived, fwd), = departures
+            assert fwd is interest and up.received == [interest]
+            assert fwd.is_retransmission
+            if hop_cc:
+                assert fwd.timestamp == arrived
+                cc = mid._flows["f"].cc
+                assert fwd.send_rate_bytes_s == cc.sending_rate_bytes_s() != 1e6
+            else:
+                assert (fwd.timestamp, fwd.send_rate_bytes_s) == (0.0, 1e6)
+
+    def test_cache_split_remainder_keeps_the_retransmission_flag(self):
+        """An Interest the cache covers in part is answered from the cache;
+        the uncovered remainder goes upstream as a new Interest that is
+        still a retransmission and carries the same stamps as a whole
+        forward."""
+        for hop_cc in (True, False):
+            _, mid, interest, departures, down, up, _ = self._forward_one_interest(
+                hop_cc, cached=ByteRange(0, 700))
+            (fwd,) = up.received
+            assert fwd is not interest
+            assert (fwd.range.start, fwd.range.end) == (700, 1400)
+            assert fwd.is_retransmission
+            if hop_cc:
+                (arrived, _), = [d for d in departures if d[1] is fwd]
+                assert fwd.timestamp == arrived
+                assert fwd.send_rate_bytes_s == mid._flows["f"].cc.sending_rate_bytes_s()
+            else:
+                assert (fwd.timestamp, fwd.send_rate_bytes_s) == (0.0, 1e6)
+            (hit,) = down.received
+            assert (hit.range.start, hit.range.end) == (0, 700) and hit.retransmitted
 
     def test_forwarded_data_preserves_origin(self):
-        data = DataPacket("f", ByteRange(0, 100), 1.0, origin_ts=0.5, retransmitted=True)
-        fwd = data.forwarded(2.0, 0.01)
-        assert fwd.origin_ts == 0.5
-        assert fwd.retransmitted
-        assert fwd.echo_interest_owd == 0.01
+        """Seen on the wire, a Midnode forwards the Data object it got:
+        it keeps ``origin_ts`` and ``retransmitted`` and carries its
+        departure time and its sender's echoed Interest OWD.  In row C
+        (hop-by-hop control off) it passes through unchanged."""
+        for hop_cc in (True, False):
+            sim, _, _, departures, down, _, above = self._forward_one_interest(hop_cc)
+            (arrived, _), = departures
+            data = DataPacket(
+                "f", ByteRange(0, 1400), 0.06, origin_ts=0.01,
+                echo_interest_owd=0.003, retransmitted=True,
+            )
+            sim.run(until=0.06)
+            above.ba.send(data)
+            sim.run(until=0.1)
+            (left, out), = departures[1:]
+            assert out is data and down.received == [data]
+            assert (out.origin_ts, out.retransmitted) == (0.01, True)
+            if hop_cc:
+                assert out.timestamp == left > 0.06
+                assert out.echo_interest_owd == arrived  # the Interest left at 0
+            else:
+                assert (out.timestamp, out.echo_interest_owd) == (0.06, 0.003)
 
     def test_config_packet_sizes(self):
         cfg = LeotpConfig(mss=1000)

@@ -1,5 +1,7 @@
 """Tests for the multicast extension (Interest aggregation + fan-out)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.common.ranges import ByteRange
@@ -176,3 +178,68 @@ class TestMulticastChaos:
         actions = [action for _, action in result.fault_log]
         assert any("mid CRASHED" in a for a in actions)
         assert any("mid restarted" in a for a in actions)
+
+
+class TestOneOwner:
+    """A queued packet has one owner: the hop that dequeues it re-stamps
+    that object, so no object may be on two links (or twice on one)."""
+
+    def test_no_packet_is_offered_while_queued_or_in_flight(self, monkeypatch):
+        """A lossy 5-hop chain — Midnodes answering from their caches, one
+        crashing and restarting — ends in a MulticastMidnode that fans out
+        to a same-flow subscriber on a second face and to a cross-flow
+        subscriber of the same object.  Every object a link takes is live
+        until that link delivers it (a lost one is referenced by no node
+        and never offered again); offering a live object is the fault."""
+        from repro.core import Midnode
+        from repro.netsim.link import Link
+        from repro.simcore import RngRegistry
+
+        live, violations = {}, []
+        send, deliver = Link.send, Link._deliver
+
+        def tracked_send(link, packet):
+            if id(packet) in live:
+                violations.append((link.name, packet))
+            taken = send(link, packet)
+            if taken:
+                live[id(packet)] = packet  # held, so no id is reused
+            return taken
+
+        def tracked_deliver(link, packet, gen):
+            live.pop(id(packet), None)
+            deliver(link, packet, gen)
+
+        monkeypatch.setattr(Link, "send", tracked_send)
+        monkeypatch.setattr(Link, "_deliver", tracked_deliver)
+
+        sim, rng, config = Simulator(), RngRegistry(7), LeotpConfig()
+        total = 400 * 1400
+        producer = Producer(sim, "prod", config, content_bytes=total)
+        mids = [Midnode(sim, f"mid{i}", config) for i in range(3)]
+        fan = MulticastMidnode(sim, "fan", config)
+        fan.content = SimpleNamespace(object_of=lambda flow_id: "obj")
+        chain = [producer, *mids, fan]
+        for i, (a, b) in enumerate(zip(chain, chain[1:])):
+            hop = DuplexLink(
+                sim, a, b, rate_bps=20e6, delay_s=0.005, plr=0.02,
+                rng_ab=rng.stream(f"h{i}ab"), rng_ba=rng.stream(f"h{i}ba"),
+            )
+            b.set_upstream(hop.ba)
+        consumers = []
+        for i, flow_id in enumerate(("shared", "shared", "other")):
+            consumer = Consumer(sim, f"c{i}", flow_id, config, total_bytes=total)
+            consumer.out_link = DuplexLink(
+                sim, fan, consumer, rate_bps=20e6, delay_s=0.002,
+            ).ba
+            consumers.append(consumer)
+        sim.schedule_at(0.15, mids[1].crash)
+        sim.schedule_at(0.35, mids[1].restart)
+        sim.run(until=30.0)
+
+        assert all(c.finished for c in consumers)
+        assert mids[1].stats.crashes == 1
+        assert sum(m.stats.cache_responses for m in mids) > 0
+        fanned = {key[0] for key in fan._fanout_senders}
+        assert fanned == {"shared", "other"} and fan.fanout_packets > 0
+        assert violations == []

@@ -933,6 +933,12 @@ def test_hop_controller_rate_is_equations_9_and_10(cwnd, hoprtt, next_hop, backl
     assert cc.sending_rate_bytes_s() == pytest.approx(
         max(rate, cfg.min_rate_bytes_s), rel=1e-12
     )
+    # The rate evaluates eq. (9) in its own frame: bit-equal to eq. (10)
+    # over the reference ``backpressure_rate``.
+    bp = cc.backpressure_rate()
+    assert cc.sending_rate_bytes_s() == max(
+        cfg.min_rate_bytes_s, cwnd / rtt if bp is None else min(cwnd / rtt, bp)
+    )
 
 
 _RATE_BPS = 8e6

@@ -167,6 +167,39 @@ class TestSharedCachePool:
         assert pool.stored_bytes == 3 * 4096 <= pool.capacity_bytes
         assert budget.account("cache") == pool.stored_bytes
 
+    def test_ledger_is_posted_only_when_occupancy_moves(self):
+        """Re-storing bytes that full blocks already hold moves no
+        occupancy and posts nothing, yet the ledger's total, peak and
+        breach count stay those of posting after every operation."""
+        budget, reference = MemoryBudget(3 * 4096), MemoryBudget(3 * 4096)
+        for ledger in (budget, reference):
+            ledger.charge("flows", 4096)  # so the cache can breach
+        posts = []
+        post = budget.set_account
+        budget.set_account = lambda name, n: (posts.append(n), post(name, n))
+        pool = SharedCachePool(4 * 4096, [1, 1], block_bytes=4096, budget=budget)
+        a, b = pool.members
+        ops = [
+            lambda: self._store(a, "f1", 0, 4096),
+            lambda: self._store(b, "f2", 0, 4096),
+            lambda: self._store(a, "f1", 0, 4096),  # a full block: no move
+            lambda: self._store(b, "f2", 1000, 2000),  # likewise
+            lambda: self._store(a, "f1", 4096, 4096),  # over the ceiling
+            lambda: self._store(a, "f1", 4096, 4096),
+            lambda: b.drop_flow("f2"),  # back under
+            lambda: b.drop_flow("f2"),  # nothing left to drop
+            lambda: self._store(b, "f3", 0, 4096),  # over again
+            lambda: a.clear(),
+            lambda: a.clear(),
+        ]
+        for op in ops:
+            op()
+            reference.set_account("cache", pool.stored_bytes)
+        assert posts == [4096, 8192, 12288, 8192, 12288, 4096]
+        assert (budget.total_bytes, budget.peak_bytes, budget.breaches) == (
+            reference.total_bytes, reference.peak_bytes, reference.breaches,
+        ) == (8192, 16384, 2)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SharedCachePool(0, [1])

@@ -9,11 +9,14 @@ version) by the packet-hops the links were offered::
 
     PYTHONPATH=src python tools/frames_per_hop.py            # leotp_bulk's path
     PYTHONPATH=src python tools/frames_per_hop.py --hops 3 --bytes 300000
+    PYTHONPATH=src python tools/frames_per_hop.py --top 15   # + hot functions
 
 The default arguments are the benchmark's ``leotp_bulk`` scenario at
 seed 0 (5 hops, 20 Mbit/s, 10 ms, plr 0.005, 24 MB).  The per-layer
 table books each frame to the module that defines it (``core`` by
-module, every other package as one layer).  On the short
+module, every other package as one layer); ``--top N`` lists, from the
+same pass, the N functions that enter the most frames per packet-hop,
+with their layer.  On the short
 :data:`FENCE_FLOW`, ``tests/test_leotp_endtoend`` fences the headline
 figure in tier-1 and ``benchmarks/test_bench_kernel`` records it as
 ``extra_info["py_frames_per_packet_hop"]`` for ``benchmarks/compare.py
@@ -76,8 +79,14 @@ def measure(hops: int = 5, total_bytes: int = 24_000_000, plr: float = 0.005,
     if not path.consumer.finished:
         raise RuntimeError("the transfer did not complete")
     by_layer: Counter = Counter()
+    by_function: Counter = Counter()
     for code, n in frames_by_code.items():
-        by_layer[_layer(code.co_filename)] += n
+        layer = _layer(code.co_filename)
+        by_layer[layer] += n
+        module = code.co_filename.replace("\\", "/").rpartition("/")[2]
+        # co_qualname is Python 3.11+; 3.10 names the bare function.
+        name = getattr(code, "co_qualname", code.co_name)
+        by_function[layer, f"{module.removesuffix('.py')}.{name}"] += n
     packet_hops = sum(
         link.stats.packets_offered for duplex in path.links
         for link in (duplex.ab, duplex.ba)
@@ -90,6 +99,8 @@ def measure(hops: int = 5, total_bytes: int = 24_000_000, plr: float = 0.005,
         "packet_hops": packet_hops,
         "py_frames_per_packet_hop": py_frames / packet_hops,
         "by_layer": dict(by_layer.most_common()),
+        # (layer, module.qualname, frames), the most-entered first.
+        "by_function": [(*key, n) for key, n in by_function.most_common()],
     }
 
 
@@ -101,7 +112,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rate-bps", type=float, default=20e6)
     parser.add_argument("--delay-s", type=float, default=0.010)
     parser.add_argument("--seed", type=int, default=0)
-    out = measure(**vars(parser.parse_args(argv)))
+    parser.add_argument("--top", type=int, default=0, metavar="N",
+                        help="also list the N functions entering the most frames")
+    args = vars(parser.parse_args(argv))
+    top = args.pop("top")
+    out = measure(**args)
     hops = out["packet_hops"]
     print(f"events {out['events']:,}  packet-hops offered {hops:,}")
     print(f"Python frames {out['py_frames']:,}  C calls {out['c_calls']:,}  "
@@ -110,6 +125,10 @@ def main(argv: list[str] | None = None) -> int:
           f"(C calls {out['c_calls'] / hops:.2f})")
     for layer, n in out["by_layer"].items():
         print(f"  {layer:<16} {n:>10,}  {n / hops:6.2f}")
+    if top > 0:
+        print(f"top {top} functions by frames per packet-hop")
+        for layer, name, n in out["by_function"][:top]:
+            print(f"  {n / hops:6.2f}  {layer:<16} {name}")
     return 0
 
 
